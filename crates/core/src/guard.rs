@@ -34,7 +34,7 @@
 use serr_analytic::renewal::renewal_mttf;
 use serr_inject::rng::mix;
 use serr_inject::{FaultPlan, TraceFault};
-use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate, SamplerKind};
+use serr_mc::{compile_for_sampling, MonteCarlo, MonteCarloConfig, MttfEstimate, SamplerKind};
 use serr_obs::{Event, Obs};
 use serr_softarch::SoftArch;
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
@@ -153,81 +153,17 @@ impl Guard {
             self.softarch_reference(trace, rate, renewal, chaos, &mut notes, &mut floor);
 
         // 3. Compile the trace, inject any planned corruption, and verify.
-        let compiled = self.compiled_for_run(trace, chaos, &mut notes, &mut floor);
-
-        // 4. Monte Carlo attempts with derived retry seeds.
-        let mut accepted: Option<MttfEstimate> = None;
-        for attempt in 0..=self.policy.max_retries {
-            let mut cfg = self.mc;
-            if attempt > 0 {
-                cfg.seed = mix(&[self.mc.seed, u64::from(attempt)]);
-                floor = floor.worse(Provenance::Retried);
+        // 4. Monte Carlo attempts on the compiled trace. A trace that cannot
+        //    be compiled leaves nothing to sample: degrade to renewal.
+        let accepted = match self.compiled_for_run(trace, chaos, &mut notes, &mut floor) {
+            Ok(compiled) => {
+                self.monte_carlo_attempts(&compiled, rate, renewal, chaos, &mut notes, &mut floor)
             }
-            cfg.chaos = chaos;
-            let mut engine = MonteCarlo::new(cfg);
-            if let Some(obs) = &self.obs {
-                engine = engine.with_observer(obs.clone());
+            Err(e) => {
+                notes.push(format!("monte carlo unavailable: {e}"));
+                None
             }
-            let run = match &compiled {
-                Some(c) => engine.component_mttf(c, rate, self.frequency),
-                None => engine.component_mttf(trace, rate, self.frequency),
-            };
-            let est = match run {
-                Ok(est) => est,
-                Err(e) => {
-                    notes.push(format!("monte carlo attempt {attempt} failed: {e}"));
-                    continue;
-                }
-            };
-            if let Err(why) = estimate_sanity(&est) {
-                notes.push(format!("monte carlo attempt {attempt} insane: {why}"));
-                continue;
-            }
-            let tol = self.policy.rel_tol.max(self.policy.ci_mult * est.relative_ci95());
-            let gap = relative_gap(est.mttf.as_secs(), renewal.as_secs());
-            if gap > tol {
-                notes.push(format!(
-                    "monte carlo attempt {attempt} inconsistent with renewal: \
-                     relative gap {gap:.3e} exceeds tolerance {tol:.3e}"
-                ));
-                continue;
-            }
-            // 4b. Sampler consistency vote: the event loop never reads the
-            // prefix tables the inversion samplers invert, so an
-            // independent event-loop run on the *same* compiled trace
-            // cross-checks the inversion machinery — scalar or batched —
-            // itself (defense in depth beyond the renewal check, which is
-            // computed from the uncompiled source trace).
-            if est.sampler != SamplerKind::EventLoop && self.policy.oracle_trials > 0 {
-                match self.event_loop_oracle(trace, compiled.as_ref(), rate, attempt) {
-                    Ok(oracle) => {
-                        if let Some(obs) = &self.obs {
-                            obs.metrics().add("guard.oracle_runs", 1);
-                        }
-                        if let Some(why) = oracle_disagreement(&est, &oracle, &self.policy) {
-                            notes.push(format!("monte carlo attempt {attempt}: {why}"));
-                            continue;
-                        }
-                    }
-                    Err(e) => {
-                        notes.push(format!(
-                            "monte carlo attempt {attempt}: event-loop oracle failed: {e}"
-                        ));
-                        continue;
-                    }
-                }
-            }
-            if est.truncated {
-                notes.push(format!(
-                    "monte carlo attempt {attempt} truncated by deadline \
-                     ({} of {} trials)",
-                    est.ttf_seconds.count, self.mc.trials
-                ));
-                floor = floor.worse(Provenance::Degraded);
-            }
-            accepted = Some(est);
-            break;
-        }
+        };
 
         // 5. Accept, or degrade to the analytic answer.
         let guarded = match accepted {
@@ -260,6 +196,90 @@ impl Guard {
         };
         self.emit_verdict(&guarded);
         Ok(guarded)
+    }
+
+    /// Step 4 of [`Guard::component_mttf`]: up to `1 + max_retries` Monte
+    /// Carlo attempts on the compiled trace, each retry with a fresh
+    /// derived seed (raising the floor to [`Provenance::Retried`]).
+    /// Returns the first estimate that passes the sanity screen, the
+    /// renewal cross-check, and — for the inversion samplers — the
+    /// event-loop oracle vote.
+    fn monte_carlo_attempts(
+        &self,
+        compiled: &CompiledTrace,
+        rate: RawErrorRate,
+        renewal: Mttf,
+        chaos: Option<FaultPlan>,
+        notes: &mut Vec<String>,
+        floor: &mut Provenance,
+    ) -> Option<MttfEstimate> {
+        for attempt in 0..=self.policy.max_retries {
+            let mut cfg = self.mc;
+            if attempt > 0 {
+                cfg.seed = mix(&[self.mc.seed, u64::from(attempt)]);
+                *floor = floor.worse(Provenance::Retried);
+            }
+            cfg.chaos = chaos;
+            let mut engine = MonteCarlo::new(cfg);
+            if let Some(obs) = &self.obs {
+                engine = engine.with_observer(obs.clone());
+            }
+            let est = match engine.component_mttf(compiled, rate, self.frequency) {
+                Ok(est) => est,
+                Err(e) => {
+                    notes.push(format!("monte carlo attempt {attempt} failed: {e}"));
+                    continue;
+                }
+            };
+            if let Err(why) = estimate_sanity(&est) {
+                notes.push(format!("monte carlo attempt {attempt} insane: {why}"));
+                continue;
+            }
+            let tol = self.policy.rel_tol.max(self.policy.ci_mult * est.relative_ci95());
+            let gap = relative_gap(est.mttf.as_secs(), renewal.as_secs());
+            if gap > tol {
+                notes.push(format!(
+                    "monte carlo attempt {attempt} inconsistent with renewal: \
+                     relative gap {gap:.3e} exceeds tolerance {tol:.3e}"
+                ));
+                continue;
+            }
+            // 4b. Sampler consistency vote: the event loop never reads the
+            // prefix tables the inversion samplers invert, so an
+            // independent event-loop run on the *same* compiled trace
+            // cross-checks the inversion machinery — scalar or batched —
+            // itself (defense in depth beyond the renewal check, which is
+            // computed from the uncompiled source trace).
+            if est.sampler != SamplerKind::EventLoop && self.policy.oracle_trials > 0 {
+                match self.event_loop_oracle(compiled, rate, attempt) {
+                    Ok(oracle) => {
+                        if let Some(obs) = &self.obs {
+                            obs.metrics().add("guard.oracle_runs", 1);
+                        }
+                        if let Some(why) = oracle_disagreement(&est, &oracle, &self.policy) {
+                            notes.push(format!("monte carlo attempt {attempt}: {why}"));
+                            continue;
+                        }
+                    }
+                    Err(e) => {
+                        notes.push(format!(
+                            "monte carlo attempt {attempt}: event-loop oracle failed: {e}"
+                        ));
+                        continue;
+                    }
+                }
+            }
+            if est.truncated {
+                notes.push(format!(
+                    "monte carlo attempt {attempt} truncated by deadline \
+                     ({} of {} trials)",
+                    est.ttf_seconds.count, self.mc.trials
+                ));
+                *floor = floor.worse(Provenance::Degraded);
+            }
+            return Some(est);
+        }
+        None
     }
 
     /// Estimates guarded component MTTFs for *every* rate in `rates` from
@@ -315,14 +335,12 @@ impl Guard {
         if let Some(obs) = &self.obs {
             engine = engine.with_observer(obs.clone());
         }
-        let runs = match &compiled {
-            Some(c) => engine.component_mttf_multi(c, rates, self.frequency),
-            None => engine.component_mttf_multi(trace, rates, self.frequency),
-        };
+        let runs = compiled.and_then(|c| engine.component_mttf_multi(&c, rates, self.frequency));
         let per_point: Vec<Result<MttfEstimate, SerrError>> = match runs {
             Ok(v) => v,
             // A fault in a shared chunk (engine fault, exhausted deadline,
-            // poisoned shared trace) is a fault in every point built on it.
+            // poisoned or uncompilable shared trace) is a fault in every
+            // point built on it.
             Err(e) => rates.iter().map(|_| Err(e.clone())).collect(),
         };
 
@@ -474,8 +492,7 @@ impl Guard {
     /// derived seed.
     fn event_loop_oracle(
         &self,
-        trace: &dyn VulnerabilityTrace,
-        compiled: Option<&CompiledTrace>,
+        compiled: &CompiledTrace,
         rate: RawErrorRate,
         attempt: u32,
     ) -> Result<MttfEstimate, SerrError> {
@@ -486,25 +503,25 @@ impl Guard {
             chaos: None,
             ..self.mc
         };
-        let engine = MonteCarlo::new(cfg);
-        match compiled {
-            Some(c) => engine.component_mttf(c, rate, self.frequency),
-            None => engine.component_mttf(trace, rate, self.frequency),
-        }
+        MonteCarlo::new(cfg).component_mttf(compiled, rate, self.frequency)
     }
 
     /// Compiles the trace for the Monte Carlo run, applying and then
     /// screening any injected corruption. A compile that fails
     /// [`CompiledTrace::verify`] is rebuilt from the source trace and the
     /// run floor raised to [`Provenance::Retried`].
+    ///
+    /// # Errors
+    ///
+    /// [`SerrError::InvalidTrace`] for a trace no layout can compile.
     fn compiled_for_run(
         &self,
         trace: &dyn VulnerabilityTrace,
         chaos: Option<FaultPlan>,
         notes: &mut Vec<String>,
         floor: &mut Provenance,
-    ) -> Option<CompiledTrace> {
-        let mut compiled = CompiledTrace::compile(trace)?;
+    ) -> Result<CompiledTrace, SerrError> {
+        let mut compiled = compile_for_sampling(trace)?;
         if let Some(fault) = chaos.and_then(|p| p.trace_fault()) {
             match fault {
                 TraceFault::ValueBitFlip { bit } => compiled.chaos_flip_dominant_value_bit(bit),
@@ -517,14 +534,14 @@ impl Guard {
             }
         }
         match compiled.verify() {
-            Ok(()) => Some(compiled),
+            Ok(()) => Ok(compiled),
             Err(e) => {
                 notes.push(format!(
                     "compiled trace failed integrity verification ({e}); recompiled \
                      from the source trace"
                 ));
                 *floor = floor.worse(Provenance::Retried);
-                CompiledTrace::compile(trace)
+                compile_for_sampling(trace)
             }
         }
     }
@@ -815,6 +832,70 @@ mod tests {
                 assert!(relative_gap(m.mttf.as_secs(), m.renewal.as_secs()) < 0.1);
             }
         }
+    }
+
+    #[test]
+    fn trace_faults_on_a_tiled_trace_are_detect_or_degrade_at_any_thread_count() {
+        use std::sync::Arc;
+        // The campaign trace tiled past the flat segment cap: the guard
+        // compiles it to the tile level, and every injector lands in the
+        // dominant part's inner tables.
+        let unit: Arc<dyn VulnerabilityTrace> = Arc::new(campaign_trace());
+        let trace = serr_trace::ConcatTrace::new(vec![(unit, 2_000_000)]).unwrap();
+        assert!(CompiledTrace::compile(&trace).is_some_and(|c| c.is_tiled()));
+        let rate = RawErrorRate::per_year(50.0);
+        let rates = [rate.scale(0.5), rate, rate.scale(2.0)];
+        let kinds = [
+            FaultKind::TraceValueFlip,
+            FaultKind::TracePrefixPerturb,
+            FaultKind::TraceConsistentCorrupt,
+        ];
+        let mut verdicts_by_threads = Vec::new();
+        for threads in [1usize, 4] {
+            let g = Guard::new(
+                Frequency::base(),
+                MonteCarloConfig { trials: 3_000, threads, ..Default::default() },
+            );
+            let policy = *g.policy();
+            // A Clean tag farther from golden than twice the combined
+            // acceptance band is a miss — the chaos harness's rule.
+            let miss_tol = |golden: &GuardedMttf| {
+                2.0 * policy
+                    .ci_mult
+                    .mul_add(golden.mc.map_or(0.0, |e| e.relative_ci95()), policy.rel_tol)
+            };
+            let golden = g.component_mttf(&trace, rate, None).unwrap();
+            assert_eq!(golden.provenance, Provenance::Clean, "notes: {:?}", golden.notes);
+            assert_eq!(golden.mc.unwrap().sampler, SamplerKind::BatchedInversion);
+            let golden_sweep = g.component_mttf_multi(&trace, &rates, None).unwrap();
+            let mut verdicts = Vec::new();
+            for kind in kinds {
+                let mut detected = false;
+                for seed in 0..4u64 {
+                    let plan = FaultPlan::new(seed, kind);
+                    let single = g.component_mttf(&trace, rate, Some(plan)).unwrap();
+                    let gap = relative_gap(single.mttf.as_secs(), golden.mttf.as_secs());
+                    assert!(
+                        single.provenance != Provenance::Clean || gap <= miss_tol(&golden),
+                        "{kind} seed {seed} at {threads} threads: clean but off by {gap}"
+                    );
+                    detected |= single.provenance != Provenance::Clean;
+                    verdicts.push((single.provenance, single.mttf.as_secs().to_bits()));
+                    let sweep = g.component_mttf_multi(&trace, &rates, Some(plan)).unwrap();
+                    for (point, want) in sweep.iter().zip(&golden_sweep) {
+                        let gap = relative_gap(point.mttf.as_secs(), want.mttf.as_secs());
+                        assert!(
+                            point.provenance != Provenance::Clean || gap <= miss_tol(want),
+                            "{kind} seed {seed} sweep at {threads} threads: clean but off by {gap}"
+                        );
+                        verdicts.push((point.provenance, point.mttf.as_secs().to_bits()));
+                    }
+                }
+                assert!(detected, "{kind} never left the Clean path on the tiled trace");
+            }
+            verdicts_by_threads.push(verdicts);
+        }
+        assert_eq!(verdicts_by_threads[0], verdicts_by_threads[1], "verdicts moved with threads");
     }
 
     #[test]

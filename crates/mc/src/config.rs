@@ -40,10 +40,8 @@ pub enum SamplerKind {
     EventLoop,
     /// Invert the cumulative-vulnerability function: one `Exp(1)` draw,
     /// split into whole periods plus a remainder located in the compiled
-    /// prefix table — O(1) per trial, independent of AVF and λL. Requires
-    /// a [`serr_trace::CompiledTrace`]; traces too large to compile fall
-    /// back to the event loop. Kept as the scalar oracle for the batched
-    /// sampler's equivalence suite.
+    /// prefix table — O(1) per trial, independent of AVF and λL. Kept as
+    /// the scalar oracle for the batched sampler's equivalence suite.
     Inversion,
     /// The same inversion transform restructured so a whole trial chunk is
     /// the unit of work: counter-based RNG words, structure-of-arrays
@@ -51,7 +49,7 @@ pub enum SamplerKind {
     /// Samples the identical distribution as [`SamplerKind::Inversion`]
     /// from a *different* (versioned) random stream — estimates are
     /// statistically interchangeable but not bit-equal across sampler
-    /// kinds. Falls back to the event loop when the trace cannot compile.
+    /// kinds.
     #[default]
     BatchedInversion,
 }

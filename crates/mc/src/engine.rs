@@ -16,8 +16,9 @@
 //!
 //! Before spawning workers, the engine lowers the trace into a
 //! [`CompiledTrace`] (flat segments + bucketed `O(1)` phase index and a
-//! bucketed inverse index over the prefix sums) and monomorphizes the
-//! trial loop over the configured [`SamplerKind`]:
+//! bucketed inverse index over the prefix sums, or a tile level over such
+//! tables for day-scale tilings like the paper's `combined` workload) and
+//! monomorphizes the trial loop over the configured [`SamplerKind`]:
 //!
 //! * [`SamplerKind::BatchedInversion`] (the default) makes the whole
 //!   chunk the unit of work: counter-based RNG words and branchless
@@ -27,13 +28,14 @@
 //!   inverting the cumulative-vulnerability function through the compiled
 //!   prefix table — see [`crate::inversion`] — kept as the scalar oracle;
 //! * [`SamplerKind::EventLoop`] walks raw-error events one at a time (the
-//!   paper's Appendix A decomposition) — kept as the cross-check oracle.
+//!   paper's Appendix A decomposition) over the compiled point queries —
+//!   kept as the cross-check oracle.
 //!
-//! Traces whose span structure is too large to flatten (see
-//! [`VulnerabilityTrace::span_count_hint`]) transparently fall back to the
-//! generic event loop over the original representation regardless of the
-//! configured kind (the inversion sampler needs the compiled tables); the
-//! sampler that actually ran is reported in [`MttfEstimate::sampler`].
+//! Every sampler runs on the compiled trace, so the sampler that ran is
+//! always the configured one. A trace that cannot be compiled at all — over
+//! the segment cap with no tiling to fold, such as a phase-shifted
+//! `combined` — is a typed [`SerrError::InvalidTrace`], never a silent
+//! change of sampler.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -137,6 +139,23 @@ pub(crate) fn estimate_from_cycle_stats(
     }
 }
 
+/// Lowers `trace` into the [`CompiledTrace`] every sampler runs on.
+///
+/// # Errors
+///
+/// Returns [`SerrError::InvalidTrace`] for an irreducible trace: more spans
+/// than [`CompiledTrace::MAX_SEGMENTS`] and no tiling to fold them into.
+pub fn compile_for_sampling(trace: &dyn VulnerabilityTrace) -> Result<CompiledTrace, SerrError> {
+    CompiledTrace::compile(trace).ok_or_else(|| {
+        SerrError::invalid_trace(format!(
+            "trace cannot be compiled for sampling: up to {} spans exceed the {}-segment cap \
+             and it exposes no tiling",
+            trace.span_count_hint(),
+            CompiledTrace::MAX_SEGMENTS
+        ))
+    })
+}
+
 /// Everything one chunk of trials produces.
 struct ChunkOutcome {
     stats: RunningStats,
@@ -160,10 +179,8 @@ pub struct MttfEstimate {
     /// completed before the deadline (`ttf_seconds.count` of them); its
     /// confidence interval is honestly wider than the full run's would be.
     pub truncated: bool,
-    /// The sampler that actually produced the trials. Normally the
-    /// configured [`MonteCarloConfig::sampler`]; a trace too large to
-    /// compile downgrades either inversion kind to `EventLoop` (both read
-    /// the compiled prefix table).
+    /// The sampler that produced the trials: the configured
+    /// [`MonteCarloConfig::sampler`].
     pub sampler: SamplerKind,
 }
 
@@ -224,8 +241,9 @@ impl MonteCarlo {
     /// # Errors
     ///
     /// Returns [`SerrError::InvalidConfig`] for a zero rate or zero trials,
-    /// [`SerrError::InvalidTrace`] for an AVF-0 trace, and propagates a
-    /// trial that exceeds the per-trial event cap.
+    /// [`SerrError::InvalidTrace`] for an AVF-0 trace or one that cannot be
+    /// compiled, and propagates a trial that exceeds the per-trial event
+    /// cap.
     pub fn component_mttf(
         &self,
         trace: &dyn VulnerabilityTrace,
@@ -233,8 +251,27 @@ impl MonteCarlo {
         freq: Frequency,
     ) -> Result<MttfEstimate, SerrError> {
         self.validate(trace, rate)?;
-        let lambda_cycle = rate.per_second_value() / freq.hz();
-        self.run(trace, lambda_cycle, freq)
+        let compiled = self.compile(trace)?;
+        self.run(&compiled, rate, freq)
+    }
+
+    /// [`MonteCarlo::component_mttf`] on a trace compiled ahead of time —
+    /// for callers that hold a [`CompiledTrace`] across many estimates
+    /// (the service's trace cache). Since [`MonteCarlo::component_mttf`] is
+    /// exactly `compile` followed by this, passing `compile(trace)` gives a
+    /// bit-identical estimate.
+    ///
+    /// # Errors
+    ///
+    /// As for [`MonteCarlo::component_mttf`].
+    pub fn component_mttf_compiled(
+        &self,
+        trace: &CompiledTrace,
+        rate: RawErrorRate,
+        freq: Frequency,
+    ) -> Result<MttfEstimate, SerrError> {
+        self.validate(trace, rate)?;
+        self.run(trace, rate, freq)
     }
 
     /// Estimates the MTTF of a whole system — the ground truth against which
@@ -247,8 +284,8 @@ impl MonteCarlo {
         let trace = system.combined_trace();
         let rate = system.total_rate();
         self.validate(&trace, rate)?;
-        let lambda_cycle = rate.per_second_value() / system.frequency().hz();
-        self.run(&trace, lambda_cycle, system.frequency())
+        let compiled = self.compile(&trace)?;
+        self.run(&compiled, rate, system.frequency())
     }
 
     /// Draws `n` raw time-to-failure samples (in seconds) for distribution
@@ -273,11 +310,25 @@ impl MonteCarlo {
         self.validate(trace, rate)?;
         let lambda_cycle = rate.per_second_value() / freq.hz();
         let engine = MonteCarlo::new(MonteCarloConfig { trials: n, ..self.config });
-        let compiled = CompiledTrace::compile(trace);
-        let (chunks, _truncated, _sampler) =
-            engine.run_sampler(trace, compiled.as_ref(), lambda_cycle, true)?;
+        let compiled = compile_for_sampling(trace)?;
+        let (chunks, _truncated) = engine.run_sampler(&compiled, lambda_cycle, true)?;
         let hz = freq.hz();
         Ok(chunks.into_iter().flat_map(|(_, c)| c.ttfs).map(|t| t / hz).collect())
+    }
+
+    /// Compiles `trace` once for a run, recording the `trace_compile`
+    /// stage; every worker then runs the monomorphized loop with O(1)
+    /// trace lookups and no virtual dispatch.
+    pub(crate) fn compile(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+    ) -> Result<CompiledTrace, SerrError> {
+        let t_compile = std::time::Instant::now();
+        let compiled = compile_for_sampling(trace);
+        if let Some(obs) = &self.obs {
+            obs.record_stage("trace_compile", t_compile.elapsed().as_secs_f64() * 1e3);
+        }
+        compiled
     }
 
     fn validate(
@@ -299,21 +350,14 @@ impl MonteCarlo {
 
     fn run(
         &self,
-        trace: &dyn VulnerabilityTrace,
-        lambda_cycle: f64,
+        compiled: &CompiledTrace,
+        rate: RawErrorRate,
         freq: Frequency,
     ) -> Result<MttfEstimate, SerrError> {
-        // Compile once; every worker then runs the monomorphized loop with
-        // O(1) trace lookups and no virtual dispatch. Falls back to the
-        // generic loop for traces too large to flatten.
-        let t_compile = std::time::Instant::now();
-        let compiled = CompiledTrace::compile(trace);
-        if let Some(obs) = &self.obs {
-            obs.record_stage("trace_compile", t_compile.elapsed().as_secs_f64() * 1e3);
-        }
+        let lambda_cycle = rate.per_second_value() / freq.hz();
         let t_run = std::time::Instant::now();
-        let (chunks, truncated, sampler) =
-            self.run_sampler(trace, compiled.as_ref(), lambda_cycle, false)?;
+        let (chunks, truncated) = self.run_sampler(compiled, lambda_cycle, false)?;
+        let sampler = self.config.sampler;
 
         // Fold in ascending chunk order: the reduction order (and thus the
         // result, bit for bit) is independent of the thread count. The
@@ -367,23 +411,19 @@ impl MonteCarlo {
         Ok(estimate_from_cycle_stats(&stats, hz, total_events, truncated, sampler))
     }
 
-    /// Dispatches the configured [`SamplerKind`] over the compiled (or
-    /// generic) trace and runs the chunked trial loop, monomorphizing it
-    /// over the per-trial closure. Returns the chunk outcomes, the
-    /// truncation flag, and the sampler that actually ran: a trace too
-    /// large to compile falls back to the generic event loop regardless of
-    /// the configured kind, since the inversion sampler reads the compiled
-    /// prefix table.
+    /// Dispatches the configured [`SamplerKind`] over the compiled trace
+    /// and runs the chunked trial loop, monomorphizing it over the
+    /// per-trial closure. Returns the chunk outcomes and the truncation
+    /// flag.
     fn run_sampler(
         &self,
-        trace: &dyn VulnerabilityTrace,
-        compiled: Option<&CompiledTrace>,
+        c: &CompiledTrace,
         lambda_cycle: f64,
         collect_samples: bool,
-    ) -> Result<(Vec<(u64, ChunkOutcome)>, bool, SamplerKind), SerrError> {
+    ) -> Result<(Vec<(u64, ChunkOutcome)>, bool), SerrError> {
         let cap = self.config.max_events_per_trial;
-        match (compiled, self.config.sampler) {
-            (Some(c), SamplerKind::BatchedInversion) => {
+        match self.config.sampler {
+            SamplerKind::BatchedInversion => {
                 // Chunk-at-a-time path: the sampler consumes its own
                 // versioned counter-RNG stream derived from the same
                 // `chunk_seed(seed, chunk)` values, so the determinism
@@ -394,43 +434,30 @@ impl MonteCarlo {
                 let sampler =
                     BatchedInversionSampler::new(c, lambda_cycle, self.config.start_phase);
                 let seed = self.config.seed;
-                let (chunks, truncated) =
-                    self.run_chunks_scaffold(BatchScratch::new, |scratch, chunk, n| {
-                        let (ttfs, stats) = sampler.sample_chunk_with_stats(
-                            scratch,
-                            chunk_seed(seed, chunk),
-                            n as usize,
-                        );
-                        Ok(ChunkOutcome {
-                            stats,
-                            // Like the scalar inversion sampler: one
-                            // raw-error event (the failing one) per trial.
-                            events: n,
-                            ttfs: if collect_samples { ttfs.to_vec() } else { Vec::new() },
-                        })
-                    })?;
-                Ok((chunks, truncated, SamplerKind::BatchedInversion))
+                self.run_chunks_scaffold(BatchScratch::new, |scratch, chunk, n| {
+                    let (ttfs, stats) = sampler.sample_chunk_with_stats(
+                        scratch,
+                        chunk_seed(seed, chunk),
+                        n as usize,
+                    );
+                    Ok(ChunkOutcome {
+                        stats,
+                        // Like the scalar inversion sampler: one raw-error
+                        // event (the failing one) per trial.
+                        events: n,
+                        ttfs: if collect_samples { ttfs.to_vec() } else { Vec::new() },
+                    })
+                })
             }
-            (Some(c), SamplerKind::Inversion) => {
-                let (chunks, truncated) =
-                    self.run_chunks(c.period_cycles(), collect_samples, |rng, phase| {
-                        Ok(sample_time_to_failure_inversion(c, lambda_cycle, rng, phase))
-                    })?;
-                Ok((chunks, truncated, SamplerKind::Inversion))
+            SamplerKind::Inversion => {
+                self.run_chunks(c.period_cycles(), collect_samples, |rng, phase| {
+                    Ok(sample_time_to_failure_inversion(c, lambda_cycle, rng, phase))
+                })
             }
-            (Some(c), SamplerKind::EventLoop) => {
-                let (chunks, truncated) =
-                    self.run_chunks(c.period_cycles(), collect_samples, |rng, phase| {
-                        sample_time_to_failure(c, lambda_cycle, cap, rng, phase)
-                    })?;
-                Ok((chunks, truncated, SamplerKind::EventLoop))
-            }
-            (None, _) => {
-                let (chunks, truncated) =
-                    self.run_chunks(trace.period_cycles(), collect_samples, |rng, phase| {
-                        sample_time_to_failure(trace, lambda_cycle, cap, rng, phase)
-                    })?;
-                Ok((chunks, truncated, SamplerKind::EventLoop))
+            SamplerKind::EventLoop => {
+                self.run_chunks(c.period_cycles(), collect_samples, |rng, phase| {
+                    sample_time_to_failure(c, lambda_cycle, cap, rng, phase)
+                })
             }
         }
     }
@@ -746,22 +773,52 @@ mod tests {
         assert_eq!(batched.sampler, SamplerKind::BatchedInversion);
     }
 
-    #[test]
-    fn uncompilable_trace_falls_back_to_event_loop() {
+    /// `busy_idle(3, 5)` tiled 10⁷ times: five times the flat segment cap.
+    fn over_cap_tiling() -> serr_trace::ConcatTrace {
         use std::sync::Arc;
-        // A tiled trace whose expansion exceeds the compiler's segment cap:
-        // the engine must downgrade Inversion to the generic event loop and
-        // say so in the estimate.
         let unit: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(3, 5).unwrap());
-        let tiled = serr_trace::ConcatTrace::new(vec![(unit, 10_000_000)]).unwrap();
-        assert!(CompiledTrace::compile(&tiled).is_none());
-        let cfg = MonteCarloConfig { trials: 2_000, ..Default::default() };
+        serr_trace::ConcatTrace::new(vec![(unit, 10_000_000)]).unwrap()
+    }
+
+    #[test]
+    fn tiled_trace_runs_the_batched_sampler() {
+        let tiled = over_cap_tiling();
+        assert!(CompiledTrace::compile(&tiled).is_some_and(|c| c.is_tiled()));
+        let cfg = MonteCarloConfig { trials: 20_000, ..Default::default() };
         assert_eq!(cfg.sampler, SamplerKind::BatchedInversion);
-        let est = MonteCarlo::new(cfg)
-            .component_mttf(&tiled, RawErrorRate::per_year(1000.0), Frequency::base())
-            .unwrap();
-        assert_eq!(est.sampler, SamplerKind::EventLoop);
-        assert!(est.mean_events_per_trial >= 1.0);
+        let freq = Frequency::base();
+        let rate = RawErrorRate::per_year(1000.0);
+        let est = MonteCarlo::new(cfg).component_mttf(&tiled, rate, freq).unwrap();
+        assert_eq!(est.sampler, SamplerKind::BatchedInversion);
+        assert_eq!(est.mean_events_per_trial, 1.0);
+        let truth = serr_analytic::renewal::renewal_mttf(&tiled, rate, freq).unwrap().as_secs();
+        let err = (est.mttf.as_secs() - truth).abs() / truth;
+        assert!(err < 4.0 * est.relative_ci95(), "MC {} vs renewal {truth}", est.mttf.as_secs());
+    }
+
+    #[test]
+    fn irreducible_trace_is_a_typed_invalid_trace() {
+        use std::sync::Arc;
+        // A phase shift over an over-cap concatenation exposes no tiling:
+        // nothing can compile it, so every entry point refuses with a typed
+        // error instead of changing sampler behind the caller's back.
+        let shifted = serr_trace::ShiftedTrace::new(Arc::new(over_cap_tiling()), 3);
+        assert!(CompiledTrace::compile(&shifted).is_none());
+        let mc = MonteCarlo::new(MonteCarloConfig { trials: 2_000, ..Default::default() });
+        let rate = RawErrorRate::per_year(1000.0);
+        let freq = Frequency::base();
+        for res in [
+            mc.component_mttf(&shifted, rate, freq).map(|_| ()),
+            mc.sample_ttfs(&shifted, rate, freq, 100).map(|_| ()),
+            mc.component_mttf_multi(&shifted, &[rate], freq).map(|_| ()),
+        ] {
+            match res {
+                Err(SerrError::InvalidTrace { reason }) => {
+                    assert!(reason.contains("cannot be compiled"), "reason: {reason}");
+                }
+                other => panic!("expected a typed InvalidTrace, got {other:?}"),
+            }
+        }
     }
 
     #[test]

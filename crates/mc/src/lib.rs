@@ -67,4 +67,4 @@ pub mod sweep;
 pub mod system;
 
 pub use config::{MonteCarloConfig, SamplerKind, StartPhase};
-pub use engine::{MonteCarlo, MttfEstimate};
+pub use engine::{compile_for_sampling, MonteCarlo, MttfEstimate};

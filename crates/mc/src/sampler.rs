@@ -18,7 +18,7 @@
 //! a concrete [`serr_trace::CompiledTrace`] and the per-event loop compiles
 //! down to direct, inlinable calls — no virtual dispatch on the hot path.
 //! `&dyn VulnerabilityTrace` still works (the trait is object-safe and
-//! `?Sized` is accepted) for traces that cannot be compiled.
+//! `?Sized` is accepted) for tests that walk a source trace directly.
 
 use rand::Rng;
 use serr_numeric::special::one_minus_exp_neg;

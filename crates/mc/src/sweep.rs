@@ -43,6 +43,16 @@
 //! grouping a grid by trace reduces every cell to one shared-stream rate
 //! sweep, reusing the per-component draw planes across `c` without
 //! changing a single sampled bit.
+//!
+//! # Every workload rides it
+//!
+//! The kernel reads its trace only through
+//! [`CompiledTrace::cumulative_at_batch`] (prepare) and
+//! [`CompiledTrace::phase_at_cumulative_batch`] (finish), and the tile level
+//! of [`CompiledTrace`] answers both — so the paper's day-scale `combined`
+//! tiling runs the same kernel as the flat day/week and SPEC traces. A
+//! trace that compiles neither flat nor tiled is a typed
+//! [`SerrError::InvalidTrace`] for the whole sweep.
 
 use std::time::Instant;
 
@@ -75,18 +85,18 @@ impl MonteCarlo {
     /// each returned entry is bit-identical to an independent run at that
     /// rate with the same configuration. A rate that is individually
     /// invalid (zero) yields a per-point `Err` without disturbing its
-    /// neighbors. Samplers other than
-    /// [`SamplerKind::BatchedInversion`] — and traces too large to
-    /// compile — fall back to independent per-point runs, which *defines*
-    /// the per-point result, so the equivalence is trivial there.
+    /// neighbors. Samplers other than [`SamplerKind::BatchedInversion`]
+    /// run each point independently on the shared compiled trace, which
+    /// *defines* the per-point result, so the equivalence is trivial there.
     ///
     /// # Errors
     ///
     /// Returns a top-level error only for faults that poison every point
-    /// at once: an invalid configuration, an AVF-0 trace, an exhausted
-    /// deadline before the first chunk, or an engine fault in a shared
-    /// chunk — callers degrade **all** dependent points on it (one
-    /// corrupted shared trace can never fail silently for a subset).
+    /// at once: an invalid configuration, an AVF-0 trace or one that cannot
+    /// be compiled, an exhausted deadline before the first chunk, or an
+    /// engine fault in a shared chunk — callers degrade **all** dependent
+    /// points on it (one corrupted shared trace can never fail silently for
+    /// a subset).
     pub fn component_mttf_multi(
         &self,
         trace: &dyn VulnerabilityTrace,
@@ -94,27 +104,36 @@ impl MonteCarlo {
         freq: Frequency,
     ) -> Result<Vec<Result<MttfEstimate, SerrError>>, SerrError> {
         self.config.validate()?;
-        if trace.is_never_vulnerable() {
+        if rates.is_empty() {
+            return Ok(Vec::new());
+        }
+        let compiled = self.compile(trace)?;
+        self.component_mttf_multi_compiled(&compiled, rates, freq)
+    }
+
+    /// [`MonteCarlo::component_mttf_multi`] on a trace compiled ahead of
+    /// time; with `compile(trace)` every point is bit-identical to it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`MonteCarlo::component_mttf_multi`].
+    pub fn component_mttf_multi_compiled(
+        &self,
+        c: &CompiledTrace,
+        rates: &[RawErrorRate],
+        freq: Frequency,
+    ) -> Result<Vec<Result<MttfEstimate, SerrError>>, SerrError> {
+        self.config.validate()?;
+        if c.is_never_vulnerable() {
             return Err(SerrError::invalid_trace(
                 "trace has AVF = 0; the component can never fail",
             ));
         }
-        if rates.is_empty() {
-            return Ok(Vec::new());
+        if self.config.sampler != SamplerKind::BatchedInversion {
+            // Per-point runs on the shared compiled trace: the definition
+            // of the per-point result, so equivalence holds trivially.
+            return Ok(rates.iter().map(|&r| self.component_mttf_compiled(c, r, freq)).collect());
         }
-
-        let t_compile = Instant::now();
-        let compiled = CompiledTrace::compile(trace);
-        if let Some(obs) = &self.obs {
-            obs.record_stage("trace_compile", t_compile.elapsed().as_secs_f64() * 1e3);
-        }
-        let Some(c) = compiled.filter(|_| self.config.sampler == SamplerKind::BatchedInversion)
-        else {
-            // Per-point fallback: an uncompilable trace or a non-batched
-            // sampler runs each point independently — the definition of
-            // the per-point result, so equivalence holds trivially.
-            return Ok(rates.iter().map(|&r| self.component_mttf(trace, r, freq)).collect());
-        };
 
         let zero_rate = || SerrError::invalid_config("raw error rate is zero; MTTF is infinite");
         let hz = freq.hz();
@@ -134,7 +153,7 @@ impl MonteCarlo {
 
         let samplers: Vec<BatchedInversionSampler> = valid
             .iter()
-            .map(|&(_, lambda)| BatchedInversionSampler::new(&c, lambda, self.config.start_phase))
+            .map(|&(_, lambda)| BatchedInversionSampler::new(c, lambda, self.config.start_phase))
             .collect();
         let seed = self.config.seed;
         let t_run = Instant::now();

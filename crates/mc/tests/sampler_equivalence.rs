@@ -8,9 +8,10 @@
 //! regimes the paper's sweeps visit (λL from 1e-9 to 2000, binary and
 //! fractional masking, workload-start and stationary phases), anchors all
 //! three against the naive cycle-stepping reference, property-tests the
-//! inversion sampler against the renewal closed form on random traces, and
-//! pins the batched sampler's bit-identity across thread counts (its
-//! versioned counter-RNG schedule).
+//! inversion sampler against the renewal closed form on random traces,
+//! checks the batched sampler on a tile-level compile against the event
+//! loop on the raw concatenation, and pins the batched sampler's
+//! bit-identity across thread counts (its versioned counter-RNG schedule).
 //!
 //! Thresholds are 1.5× the α = 0.01 two-sample critical value: by the
 //! Kolmogorov tail bound `P(D > c·√((n+m)/nm)) ≈ 2·exp(−2c²)` that puts a
@@ -18,19 +19,22 @@
 //! the inverse lookup (mass placed in the wrong segment) distorts the CDF
 //! by whole percentage points and still fails loudly.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serr_mc::naive::sample_time_to_failure_naive;
+use serr_mc::sampler::sample_time_to_failure;
 use serr_mc::{MonteCarlo, MonteCarloConfig, SamplerKind, StartPhase};
 use serr_numeric::ecdf::{ks_two_sample_critical_value, Ecdf};
-use serr_trace::{IntervalTrace, VulnerabilityTrace};
+use serr_trace::{CompiledTrace, ConcatTrace, IntervalTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate};
 
 /// Draws `n` TTF samples (seconds) through the engine's chunked trial loop
 /// with the given sampler, at the raw rate that makes `λ·L = lambda_l`.
 fn engine_samples(
-    trace: &IntervalTrace,
+    trace: &dyn VulnerabilityTrace,
     lambda_l: f64,
     sampler: SamplerKind,
     start_phase: StartPhase,
@@ -179,6 +183,58 @@ fn samplers_are_ks_equivalent_on_protection_transformed_traces() {
                 d_batched < crit,
                 "transformed λL={lambda_l:e} {start:?}: batched vs scalar KS \
                  {d_batched:.5} ≥ {crit:.5}"
+            );
+        }
+    }
+}
+
+#[test]
+fn batched_inversion_on_a_tiled_compile_matches_the_event_loop_on_the_raw_concat() {
+    // The paper's `combined` shape: two fractional traces tiled far past
+    // the flat segment cap. The engine samples the tile-level compile with
+    // the batched passes; the reference walks raw-error arrivals over the
+    // uncompiled ConcatTrace itself, so the two share no lookup code.
+    let a: Arc<dyn VulnerabilityTrace> = Arc::new(
+        IntervalTrace::from_levels(&[1.0, 0.25, 0.0, 0.5, 0.0, 0.75, 0.0, 0.0]).expect("valid"),
+    );
+    let b: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(30, 70).expect("valid"));
+    let concat = ConcatTrace::new(vec![(a, 600_000), (b, 50_000)]).expect("valid tiling");
+    assert!(CompiledTrace::compile(&concat).is_some_and(|c| c.is_tiled()));
+    let freq = Frequency::base();
+    let period = concat.period_cycles() as f64;
+    let n = 20_000usize;
+    let crit = 1.5 * ks_two_sample_critical_value(n, n, 0.01);
+    for lambda_l in [1e-9, 1.0, 2000.0] {
+        for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
+            let batched = engine_samples(
+                &concat,
+                lambda_l,
+                SamplerKind::BatchedInversion,
+                start,
+                n as u64,
+                0x711E_0001,
+            );
+            let lambda_cycle = lambda_l / period;
+            let mut rng = SmallRng::seed_from_u64(0x711E_0002);
+            let walked: Vec<f64> = (0..n)
+                .map(|_| {
+                    let phase = match start {
+                        StartPhase::WorkloadStart => 0.0,
+                        StartPhase::Stationary => rng.gen_range(0.0..period),
+                    };
+                    sample_time_to_failure(&concat, lambda_cycle, 100_000_000, &mut rng, phase)
+                        .expect("event loop terminates")
+                        .ttf_cycles
+                        / freq.hz()
+                })
+                .collect();
+            let d = Ecdf::new(batched)
+                .expect("no NaN")
+                .ks_two_sample(&Ecdf::new(walked).expect("no NaN"));
+            assert!(
+                d < crit,
+                "tiled λL={lambda_l:e} {start:?}: KS {d:.5} ≥ {crit:.5} — the tile level \
+                 samples a different distribution than the raw concatenation"
             );
         }
     }

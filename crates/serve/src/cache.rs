@@ -1,10 +1,13 @@
-//! A shared in-memory trace cache keyed by canonical request body.
+//! A shared in-memory trace cache keyed by canonical workload spec.
 //!
-//! The compile stage builds each workload trace once; repeat requests for
-//! the same canonical body reuse both the raw trace (which feeds the
-//! `Validator`, so cached and uncached requests are bit-identical) and its
-//! [`CompiledTrace`] (which the guard stage re-verifies on every hit — a
-//! cache entry whose invariants no longer hold is rebuilt, not served).
+//! The compile stage builds and compiles each workload trace once; every
+//! later request on the same workload — at any rate, trial count, sampler
+//! or command — reuses both the raw trace (which feeds the analytic
+//! estimators) and its [`CompiledTrace`] (which the estimate stage samples
+//! directly, and which is re-verified on every hit — a cache entry whose
+//! invariants no longer hold is rebuilt, not served). The compiled form is
+//! exactly `compile(raw)`, the trace the engine would build itself, so
+//! cached and uncached requests are bit-identical.
 //!
 //! Eviction is least-recently-used over a small fixed capacity: the
 //! service is expected to see a handful of hot workloads, not an unbounded
@@ -27,22 +30,21 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// One cached workload: the raw trace for the estimator and the compiled
-/// form for guard verification.
+/// One cached workload: the raw trace for the analytic estimators and its
+/// compiled form for the Monte Carlo engine.
 #[derive(Clone)]
 pub struct CachedTrace {
     /// The trace exactly as the batch CLI would build it.
     pub raw: Arc<dyn VulnerabilityTrace>,
-    /// The compiled form, when the trace is compilable (all service
-    /// workloads are; `None` falls back to the event-loop path).
-    pub compiled: Option<Arc<CompiledTrace>>,
+    /// `compile(raw)`: flat, or tiled for the day-scale `combined` loop.
+    pub compiled: Arc<CompiledTrace>,
 }
 
 impl std::fmt::Debug for CachedTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedTrace")
             .field("avf", &self.raw.avf())
-            .field("compiled", &self.compiled.is_some())
+            .field("tiled", &self.compiled.is_tiled())
             .finish()
     }
 }
@@ -86,8 +88,9 @@ impl TraceCache {
     ///
     /// # Errors
     ///
-    /// Propagates the builder's error (e.g. an invalid workload spec);
-    /// nothing is cached on error.
+    /// Propagates the builder's error (e.g. an invalid workload spec) and
+    /// a typed [`SerrError::InvalidTrace`] for a trace that cannot be
+    /// compiled; nothing is cached on error.
     pub fn get_or_build(
         &self,
         key: &str,
@@ -98,24 +101,15 @@ impl TraceCache {
         let tick = g.tick;
         if let Some(e) = g.entries.iter_mut().find(|e| e.key == key) {
             e.last_use = tick;
-            let verified = match &e.cached.compiled {
-                Some(c) => c.verify().is_ok(),
-                // Nothing compiled means nothing to corrupt; serve as-is.
-                None => true,
-            };
-            if verified {
+            if e.cached.compiled.verify().is_ok() {
                 return Ok((e.cached.clone(), CacheOutcome::Hit, false));
             }
             // The compiled tables failed their invariant check: rebuild in
             // place rather than serving a corrupted estimate.
-            let raw = build_raw()?;
-            let compiled = CompiledTrace::compile(&*raw).map(Arc::new);
-            e.cached = CachedTrace { raw, compiled };
+            e.cached = build(build_raw)?;
             return Ok((e.cached.clone(), CacheOutcome::HitRebuilt, false));
         }
-        let raw = build_raw()?;
-        let compiled = CompiledTrace::compile(&*raw).map(Arc::new);
-        let cached = CachedTrace { raw, compiled };
+        let cached = build(build_raw)?;
         let mut evicted = false;
         if g.entries.len() >= self.cap {
             if let Some(lru) =
@@ -136,12 +130,21 @@ impl TraceCache {
         let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match g.entries.iter_mut().find(|e| e.key == key) {
             Some(e) => {
-                e.cached.compiled = Some(bad);
+                e.cached.compiled = bad;
                 true
             }
             None => false,
         }
     }
+}
+
+/// Builds the raw trace and compiles it for sampling.
+fn build(
+    build_raw: impl FnOnce() -> Result<Arc<dyn VulnerabilityTrace>, SerrError>,
+) -> Result<CachedTrace, SerrError> {
+    let raw = build_raw()?;
+    let compiled = Arc::new(serr_mc::compile_for_sampling(&*raw)?);
+    Ok(CachedTrace { raw, compiled })
 }
 
 #[cfg(test)]
@@ -162,7 +165,7 @@ mod tests {
             cache.get_or_build("k", || panic!("hit must not rebuild")).expect("cached");
         assert_eq!(out, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&a.raw, &b.raw), "hit returns the identical Arc");
-        assert!(a.compiled.is_some(), "interval traces compile");
+        assert!(Arc::ptr_eq(&a.compiled, &b.compiled), "hit returns the identical compile");
     }
 
     #[test]
@@ -194,10 +197,7 @@ mod tests {
         assert!(cache.poison("k", bad));
         let (got, out, _) = cache.get_or_build("k", || build(100)).expect("rebuilds");
         assert_eq!(out, CacheOutcome::HitRebuilt);
-        assert!(
-            got.compiled.as_deref().map(CompiledTrace::verify).is_some_and(|r| r.is_ok()),
-            "the rebuilt entry verifies again"
-        );
+        assert!(got.compiled.verify().is_ok(), "the rebuilt entry verifies again");
     }
 
     #[test]

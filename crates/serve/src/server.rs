@@ -948,7 +948,9 @@ fn compile_work(state: &Arc<State>) -> WorkerExit {
     while let Some(job) = state.ingress.pop() {
         let spec = spec_of(&job.body).expect("only estimation bodies are enqueued").clone();
         let experiment = state.experiment;
-        let built = state.cache.get_or_build(&job.canonical, || spec.trace(&experiment));
+        // Keyed by workload, not by request body: every rate, trial count
+        // and command on one workload shares one compile.
+        let built = state.cache.get_or_build(&spec.canonical(), || spec.trace(&experiment));
         let (cached, outcome, evicted) = match built {
             Ok(ok) => ok,
             Err(e) => {
@@ -1142,13 +1144,22 @@ fn run_validator(
         ..Default::default()
     };
     let v = Validator::new(state.experiment.frequency, mc);
+    // The Monte Carlo ground truth samples the cached compile — exactly the
+    // trace `Validator::component` / `system_identical` would compile from
+    // `raw` — and the analytic estimators read `raw`, as they do there.
+    let freq = state.experiment.frequency;
     let (avf, mttf_step_s, mc_est) = match &job.body {
         RequestBody::Mttf { .. } => {
-            let r = v.component(&*cached.raw, rate)?;
+            let est = v.monte_carlo().component_mttf_compiled(&cached.compiled, rate, freq)?;
+            let r = v.component_with_mc(&*cached.raw, rate, est)?;
             (r.avf, r.mttf_avf.as_secs(), r.mttf_mc)
         }
         RequestBody::Sofr { components, .. } => {
-            let r = v.system_identical(Arc::clone(&cached.raw), rate, *components)?;
+            // `components ≥ 1` is enforced at parse time.
+            let system_rate = rate.scale(*components as f64);
+            let est =
+                v.monte_carlo().component_mttf_compiled(&cached.compiled, system_rate, freq)?;
+            let r = v.system_identical_with_mc(&*cached.raw, rate, *components, est)?;
             (cached.raw.avf(), r.mttf_sofr.as_secs(), r.mttf_mc)
         }
         RequestBody::Sweep { .. } | RequestBody::Stats | RequestBody::Shutdown => {
@@ -1196,8 +1207,11 @@ fn run_sweep_validator(
         ..Default::default()
     };
     let v = Validator::new(state.experiment.frequency, mc);
-    let ests =
-        v.monte_carlo().component_mttf_multi(&*cached.raw, &rates, state.experiment.frequency)?;
+    let ests = v.monte_carlo().component_mttf_multi_compiled(
+        &cached.compiled,
+        &rates,
+        state.experiment.frequency,
+    )?;
     let mut points = Vec::with_capacity(ests.len());
     for (i, est) in ests.into_iter().enumerate() {
         let r = v.component_with_mc(&*cached.raw, rates[i], est?)?;
@@ -1332,6 +1346,47 @@ mod tests {
             }
             other => panic!("expected the resumed sweep, got {other:?}"),
         }
+
+        shut_down(&mut client, server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn requests_on_one_workload_share_one_compile_and_match_the_validator() {
+        use crate::client::Client;
+        use crate::soak::{counter, direct_estimate, shut_down, stats, temp_dir};
+        use serr_core::prelude::{SamplerKind, WorkloadSpec};
+
+        let dir = temp_dir("one-compile");
+        let mut cfg = ServeConfig::new(Bind::Unix(dir.join("s.sock")));
+        cfg.mc_threads = 1;
+        let server = Server::start(cfg).expect("server starts");
+        let mut client = Client::connect(server.bind_addr()).expect("connect");
+
+        let workload = WorkloadSpec::parse("duty:0.002:0.5").expect("valid spec");
+        for (id, rate_per_year) in [(1u64, 1e6), (2, 3e6)] {
+            let body = RequestBody::Mttf {
+                workload: workload.clone(),
+                rate_per_year,
+                trials: 1_500,
+                sampler: SamplerKind::default(),
+            };
+            let req = Request { id, deadline_ms: None, tag: None, body: body.clone() };
+            let est = match client.roundtrip(&req).expect("mttf io").expect("mttf response") {
+                Response::Estimate { est, .. } => est,
+                other => panic!("expected an estimate, got {other:?}"),
+            };
+            let direct = direct_estimate(&body, 1);
+            assert_eq!(est.mttf_mc_s.to_bits(), direct.mttf_mc_s.to_bits(), "rate {rate_per_year}");
+            assert_eq!(est.rel_ci95.to_bits(), direct.rel_ci95.to_bits());
+            assert_eq!(est.mttf_step_s.to_bits(), direct.mttf_step_s.to_bits());
+            assert_eq!(est.sampler, direct.sampler);
+        }
+        // Different request bodies, one workload: one miss (the compile),
+        // then a hit.
+        let counters = stats(&mut client, 3);
+        assert_eq!(counter(&counters, "serve.cache_misses"), 1);
+        assert_eq!(counter(&counters, "serve.cache_hits"), 1);
 
         shut_down(&mut client, server);
         let _ = std::fs::remove_dir_all(&dir);

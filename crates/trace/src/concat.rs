@@ -185,28 +185,44 @@ impl VulnerabilityTrace for ConcatTrace {
     }
 
     fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
-        assert!(lambda_cycle > 0.0, "per-cycle rate must be positive");
-        let mut integral = 0.0f64;
-        for part in &self.parts {
-            let (i_tile, u_tile) = part.trace.survival_weight(lambda_cycle);
-            let head = (-lambda_cycle * part.u_before).exp();
-            // Σ_{j=0}^{k−1} e^{−jλU} · I = I · (1 − e^{−kλU})/(1 − e^{−λU}),
-            // degenerating to k·I when the part is never vulnerable.
-            let tiled = if u_tile > 0.0 {
-                let x = lambda_cycle * u_tile;
-                if x > 700.0 {
-                    // Later tiles contribute nothing.
-                    i_tile
-                } else {
-                    i_tile * omen(part.tiles as f64 * x) / omen(x)
-                }
-            } else {
-                i_tile * part.tiles as f64
-            };
-            integral += head * tiled;
-        }
-        (integral, self.u_total)
+        let parts = self.parts.iter().map(|p| (&*p.trace, p.tiles, p.u_before));
+        (tiled_survival_integral(parts, lambda_cycle), self.u_total)
     }
+}
+
+/// The geometric-series closed form of `∫₀ᴸ e^{−λU(s)} ds` over parts laid
+/// end to end, each `(inner trace, tiles, mass before the part)` — shared
+/// by [`ConcatTrace`] and the tiled [`crate::CompiledTrace`], so neither
+/// ever enumerates its tiles.
+///
+/// # Panics
+///
+/// Panics if `lambda_cycle` is not positive.
+pub(crate) fn tiled_survival_integral<'a>(
+    parts: impl Iterator<Item = (&'a dyn VulnerabilityTrace, u64, f64)>,
+    lambda_cycle: f64,
+) -> f64 {
+    assert!(lambda_cycle > 0.0, "per-cycle rate must be positive");
+    let mut integral = 0.0f64;
+    for (trace, tiles, u_before) in parts {
+        let (i_tile, u_tile) = trace.survival_weight(lambda_cycle);
+        let head = (-lambda_cycle * u_before).exp();
+        // Σ_{j=0}^{k−1} e^{−jλU} · I = I · (1 − e^{−kλU})/(1 − e^{−λU}),
+        // degenerating to k·I when the part is never vulnerable.
+        let tiled = if u_tile > 0.0 {
+            let x = lambda_cycle * u_tile;
+            if x > 700.0 {
+                // Later tiles contribute nothing.
+                i_tile
+            } else {
+                i_tile * omen(tiles as f64 * x) / omen(x)
+            }
+        } else {
+            i_tile * tiles as f64
+        };
+        integral += head * tiled;
+    }
+    integral
 }
 
 #[cfg(test)]

@@ -73,6 +73,15 @@ awk -v b="$BASE_MTTF" -v s="$SCRUB_MTTF" 'BEGIN {
   }
 }'
 
+# Tiled-trace smoke: the paper's `combined` workload (two SPEC traces looped
+# twelve hours each, ~10^14 spans) compiles to CompiledTrace's tile level,
+# so its Monte Carlo must run the batched sampler, never the event loop.
+# The output is captured first so an early-exiting grep cannot SIGPIPE serr.
+COMBINED_OUT=$(cargo run --release --bin serr -- \
+  mttf --workload combined --n-s 1e10 --trials 2000)
+printf '%s\n' "$COMBINED_OUT" >&2
+grep -q 'batched-inversion' <<<"$COMBINED_OUT"
+
 # Observability smoke: a metrics-instrumented mttf run must produce
 # parseable JSONL with per-stage timings and at least one Monte Carlo
 # convergence snapshot, validated by the obs_check binary. SERR_THREADS=3

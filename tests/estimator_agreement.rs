@@ -9,6 +9,7 @@ use serr_analytic::renewal::renewal_mttf;
 use serr_core::pipeline::{processor_trace, simulate_benchmark};
 use serr_core::prelude::*;
 use serr_mc::{MonteCarlo, MonteCarloConfig};
+use serr_trace::CompiledTrace;
 use serr_workload::synthesized;
 
 fn mc() -> MonteCarlo {
@@ -92,6 +93,32 @@ fn assert_triple_agreement_concat(trace: &ConcatTrace, rate: RawErrorRate) {
     let sampled = mc().component_mttf(trace, rate, freq).expect("mc");
     let mc_err = (sampled.mttf.as_secs() - renewal).abs() / renewal;
     assert!(mc_err < 0.02, "concat: MC vs renewal {mc_err}");
+}
+
+#[test]
+fn agreement_on_over_cap_concat_via_the_tile_level() {
+    // Six million tiles per part: far past the flat segment cap, so the MC
+    // samples the tiled compile with the batched sampler while renewal and
+    // SoftArch fold the same tiling in closed form.
+    let a: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(8, 2).unwrap());
+    let b: Arc<dyn VulnerabilityTrace> =
+        Arc::new(IntervalTrace::from_levels(&[0.0, 0.25, 1.0, 0.0]).unwrap());
+    let concat = ConcatTrace::new(vec![(a, 3_000_000), (b, 6_000_000)]).unwrap();
+    assert!(concat.span_count_hint() > CompiledTrace::MAX_SEGMENTS);
+    let freq = Frequency::base();
+    let period = concat.period_cycles() as f64;
+    for lambda_l in [1e-6, 0.5, 3.0] {
+        let rate = RawErrorRate::per_second(lambda_l * freq.hz() / period);
+        let renewal = renewal_mttf(&concat, rate, freq).expect("renewal").as_secs();
+        let softarch = SoftArch::new(freq).component_mttf(&concat, rate).expect("softarch");
+        let sampled = mc().component_mttf(&concat, rate, freq).expect("mc");
+        assert_eq!(sampled.sampler, SamplerKind::BatchedInversion);
+        let mc_err = (sampled.mttf.as_secs() - renewal).abs() / renewal;
+        let noise = 3.0 * sampled.relative_ci95().max(1e-3);
+        assert!(mc_err < noise, "λL={lambda_l}: MC vs renewal {mc_err} (budget {noise})");
+        let sa_err = (softarch.as_secs() - renewal).abs() / renewal;
+        assert!(sa_err < 0.02, "λL={lambda_l}: SoftArch vs renewal {sa_err}");
+    }
 }
 
 #[test]

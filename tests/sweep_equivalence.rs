@@ -11,7 +11,8 @@
 //!    `MonteCarlo::component_mttf` run with the same seed and sampler;
 //! 2. the whole sweep is bit-identical at any thread count;
 //! 3. both hold on `--protect`-transformed traces (scrub staircases,
-//!    fractional ECC levels) exactly as on raw workload traces;
+//!    fractional ECC levels) exactly as on raw workload traces, and on
+//!    day-scale tilings that compile to the tile level;
 //! 4. the full validator row built from a kernel estimate equals the row
 //!    an independent `Validator::component` call produces.
 
@@ -19,7 +20,7 @@ use std::sync::Arc;
 
 use serr_core::prelude::{Validator, VulnerabilityTrace};
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate, SamplerKind, StartPhase};
-use serr_trace::{IntervalTrace, Transform, TransformPipeline};
+use serr_trace::{CompiledTrace, ConcatTrace, IntervalTrace, Transform, TransformPipeline};
 use serr_types::{Frequency, RawErrorRate};
 
 fn engine(threads: usize, start_phase: StartPhase) -> MonteCarlo {
@@ -109,6 +110,51 @@ fn kernel_sweeps_are_bit_identical_across_thread_counts() {
                     b,
                     &format!("{tname} point {i} at {threads} threads"),
                 );
+            }
+        }
+    }
+}
+
+/// An over-cap two-part tiling — the shape of the paper's `combined`
+/// workload — which compiles to `CompiledTrace`'s tile level.
+fn tiled_trace() -> ConcatTrace {
+    let a: Arc<dyn VulnerabilityTrace> = Arc::new(raw_trace());
+    let b: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(3, 5).expect("valid"));
+    ConcatTrace::new(vec![(a, 40_000), (b, 1_000_000)]).expect("valid tiling")
+}
+
+#[test]
+fn tiled_kernel_points_match_independent_runs_at_every_thread_count() {
+    let freq = Frequency::base();
+    let rates = sweep_rates();
+    let trace = tiled_trace();
+    assert!(CompiledTrace::compile(&trace).is_some_and(|c| c.is_tiled()));
+    for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
+        let mut baseline: Option<Vec<MttfEstimate>> = None;
+        for threads in [1usize, 2, 8] {
+            let mc = engine(threads, start);
+            let multi: Vec<MttfEstimate> = mc
+                .component_mttf_multi(&trace, &rates, freq)
+                .expect("kernel run")
+                .into_iter()
+                .map(|p| p.expect("point"))
+                .collect();
+            for (i, (m, &r)) in multi.iter().zip(&rates).enumerate() {
+                assert_eq!(m.sampler, SamplerKind::BatchedInversion);
+                let solo = mc.component_mttf(&trace, r, freq).expect("solo run");
+                assert_estimates_bit_equal(m, &solo, &format!("{start:?} point {i} at {threads}"));
+            }
+            match &baseline {
+                None => baseline = Some(multi),
+                Some(want) => {
+                    for (i, (a, b)) in want.iter().zip(&multi).enumerate() {
+                        assert_estimates_bit_equal(
+                            a,
+                            b,
+                            &format!("{start:?} point {i}: 1 vs {threads} threads"),
+                        );
+                    }
+                }
             }
         }
     }

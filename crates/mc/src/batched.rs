@@ -177,6 +177,10 @@ pub struct PointScratch {
     residual_masses: Vec<f64>,
     /// Additive TTF base per trial (stationary starts only).
     bases: Vec<f64>,
+    /// Per-trial segment of the last inverse lookup, carried from one
+    /// design point's finish to the next within a chunk (workload-start
+    /// finishes of a sweep only; `None` for a single-point run).
+    segment_hints: Option<Vec<u32>>,
 }
 
 impl PointScratch {
@@ -184,6 +188,25 @@ impl PointScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Scratch for the sweep kernel: each finish starts its inverse lookups
+    /// from the segments the previous point's finish landed in. Nearby
+    /// rates put a trial's final-window mass in the same segment, so most
+    /// lookups skip the search. The phases are bit-identical either way
+    /// (see [`CompiledTrace::phase_at_cumulative_batch_hinted`]).
+    #[must_use]
+    pub fn with_segment_hints() -> Self {
+        PointScratch { segment_hints: Some(Vec::new()), ..Self::default() }
+    }
+
+    /// Forgets the segment hints: call once per chunk, after its prepare,
+    /// so a chunk's lookups never depend on which chunk this scratch
+    /// served before.
+    pub fn forget_segment_hints(&mut self) {
+        if let Some(hints) = &mut self.segment_hints {
+            hints.clear();
+        }
     }
 
     /// The TTF buffer (in cycles) the most recent finish pass produced.
@@ -380,7 +403,12 @@ impl<'a> BatchedInversionSampler<'a> {
         ln_one_minus_scaled_in_place(&mut p.residual_masses, self.neg_inv_lambda, self.mass_cap);
 
         // All final-window phases in one batched inverse lookup.
-        self.trace.phase_at_cumulative_batch(&mut p.residual_masses);
+        match &mut p.segment_hints {
+            Some(hints) => {
+                self.trace.phase_at_cumulative_batch_hinted(&mut p.residual_masses, hints)
+            }
+            None => self.trace.phase_at_cumulative_batch(&mut p.residual_masses),
+        }
 
         // Fold TTF = K·L + ψ in place — K = ⌊E/(λW)⌋ whole periods
         // survived (λW > 700 needs no guard: E ≤ 36.04 forces K = 0

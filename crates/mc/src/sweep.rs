@@ -16,7 +16,11 @@
 //! (stationary) the phase plane with its `V(φ)` pricing — then
 //! re-inverts the shared buffers for each λ with
 //! [`BatchedInversionSampler::finish_chunk`] (the per-point
-//! `neg_inv_lambda_w` scaling plus `phase_at_cumulative_batch`). For an
+//! `neg_inv_lambda_w` scaling plus `phase_at_cumulative_batch`). Each
+//! finish also starts its inverse lookups from the segments the previous
+//! point landed in: neighboring rates put a trial's final-window mass in
+//! the same segment, so on traces too large for the select-chain most
+//! lookups skip the bucket search, with identical phases. For an
 //! M-point sweep the RNG + log work is paid once instead of M times, and
 //! because every point consumes the *same* draws, sampling noise is
 //! positively correlated across the curve — crossing points stop
@@ -158,7 +162,7 @@ impl MonteCarlo {
         let seed = self.config.seed;
         let t_run = Instant::now();
         let (chunks, truncated) = self.run_chunks_scaffold(
-            || (SharedChunk::new(), PointScratch::new()),
+            || (SharedChunk::new(), PointScratch::with_segment_hints()),
             |(shared, point), chunk, n| {
                 let n = n as usize;
                 // The shared pass runs once per chunk on the exact stream
@@ -166,6 +170,7 @@ impl MonteCarlo {
                 // drive it (λ is unread there).
                 let t_shared = Instant::now();
                 samplers[0].prepare_chunk(shared, chunk_seed(seed, chunk), n);
+                point.forget_segment_hints();
                 let shared_ms = t_shared.elapsed().as_secs_f64() * 1e3;
                 let t_point = Instant::now();
                 let stats = samplers.iter().map(|s| s.finish_chunk(shared, point, n)).collect();

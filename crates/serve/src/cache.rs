@@ -9,11 +9,17 @@
 //! exactly `compile(raw)`, the trace the engine would build itself, so
 //! cached and uncached requests are bit-identical.
 //!
+//! The lock guards only the entry list: verification and builds run outside
+//! it, so a large trace being checked or built never stalls lookups of
+//! other workloads. A miss first stores a building marker for its key;
+//! concurrent lookups of that key wait for the one build instead of
+//! repeating it.
+//!
 //! Eviction is least-recently-used over a small fixed capacity: the
 //! service is expected to see a handful of hot workloads, not an unbounded
 //! stream of distinct ones.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
 use serr_types::SerrError;
@@ -51,19 +57,26 @@ impl std::fmt::Debug for CachedTrace {
 
 struct Entry {
     key: String,
-    cached: CachedTrace,
+    /// `None` while the one build of this key is in flight.
+    cached: Option<CachedTrace>,
     last_use: u64,
 }
 
 struct Inner {
     entries: Vec<Entry>,
     tick: u64,
+    /// Lookups that have waited for another request's build (tests force
+    /// interleavings with it).
+    #[cfg(test)]
+    waits: usize,
 }
 
 /// A bounded LRU cache of built workload traces.
 pub struct TraceCache {
     cap: usize,
     inner: Mutex<Inner>,
+    /// Signalled whenever an in-flight build finishes or is abandoned.
+    built: Condvar,
 }
 
 impl std::fmt::Debug for TraceCache {
@@ -76,11 +89,26 @@ impl TraceCache {
     /// A cache holding at most `cap` traces (`cap` ≥ 1).
     #[must_use]
     pub fn new(cap: usize) -> Self {
-        TraceCache { cap: cap.max(1), inner: Mutex::new(Inner { entries: Vec::new(), tick: 0 }) }
+        TraceCache {
+            cap: cap.max(1),
+            inner: Mutex::new(Inner {
+                entries: Vec::new(),
+                tick: 0,
+                #[cfg(test)]
+                waits: 0,
+            }),
+            built: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up `key`, building (and caching) the trace with `build_raw` on
-    /// a miss or on a hit whose compiled form no longer verifies.
+    /// a miss or on a hit whose compiled form no longer verifies. A lookup
+    /// that finds `key` being built by another request waits for that
+    /// build rather than starting its own.
     ///
     /// Returns the outcome alongside the trace so the caller can count
     /// hits, misses, and rebuilds; `evicted` reports whether an LRU entry
@@ -96,45 +124,104 @@ impl TraceCache {
         key: &str,
         build_raw: impl FnOnce() -> Result<Arc<dyn VulnerabilityTrace>, SerrError>,
     ) -> Result<(CachedTrace, CacheOutcome, bool), SerrError> {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut g = self.lock();
+        let outcome = loop {
+            g.tick += 1;
+            let tick = g.tick;
+            let Some(e) = g.entries.iter_mut().find(|e| e.key == key) else {
+                g.entries.push(Entry { key: key.to_owned(), cached: None, last_use: tick });
+                break CacheOutcome::Miss;
+            };
+            e.last_use = tick;
+            let Some(cached) = e.cached.clone() else {
+                #[cfg(test)]
+                {
+                    g.waits += 1;
+                }
+                g = self.built.wait(g).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            // Verify outside the lock (see the module docs).
+            drop(g);
+            if cached.compiled.verify().is_ok() {
+                return Ok((cached, CacheOutcome::Hit, false));
+            }
+            g = self.lock();
+            match g.entries.iter_mut().find(|e| e.key == key) {
+                // The compiled tables failed their invariant check: rebuild
+                // rather than serve a corrupted estimate.
+                Some(e)
+                    if e.cached
+                        .as_ref()
+                        .is_some_and(|c| Arc::ptr_eq(&c.compiled, &cached.compiled)) =>
+                {
+                    e.cached = None;
+                    break CacheOutcome::HitRebuilt;
+                }
+                // Replaced or evicted while we verified: look again.
+                _ => continue,
+            }
+        };
+        drop(g);
+        let pending = Pending { cache: self, key };
+        let cached = build(build_raw)?;
+        let mut g = self.lock();
         g.tick += 1;
         let tick = g.tick;
         if let Some(e) = g.entries.iter_mut().find(|e| e.key == key) {
+            e.cached = Some(cached.clone());
             e.last_use = tick;
-            if e.cached.compiled.verify().is_ok() {
-                return Ok((e.cached.clone(), CacheOutcome::Hit, false));
-            }
-            // The compiled tables failed their invariant check: rebuild in
-            // place rather than serving a corrupted estimate.
-            e.cached = build(build_raw)?;
-            return Ok((e.cached.clone(), CacheOutcome::HitRebuilt, false));
         }
-        let cached = build(build_raw)?;
         let mut evicted = false;
-        if g.entries.len() >= self.cap {
-            if let Some(lru) =
-                g.entries.iter().enumerate().min_by_key(|(_, e)| e.last_use).map(|(i, _)| i)
-            {
-                g.entries.swap_remove(lru);
-                evicted = true;
-            }
+        while g.entries.len() > self.cap {
+            // Only finished entries are evicted; in-flight builds keep theirs.
+            let Some(lru) = g
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.key != key && e.cached.is_some())
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(i, _)| i)
+            else {
+                break;
+            };
+            g.entries.swap_remove(lru);
+            evicted = true;
         }
-        g.entries.push(Entry { key: key.to_owned(), cached: cached.clone(), last_use: tick });
-        Ok((cached, CacheOutcome::Miss, evicted))
+        drop(g);
+        drop(pending);
+        Ok((cached, outcome, evicted))
     }
 
     /// Test hook: corrupt a cached entry's compiled trace so the next hit
     /// must detect it and rebuild.
     #[cfg(test)]
     fn poison(&self, key: &str, bad: Arc<CompiledTrace>) -> bool {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        match g.entries.iter_mut().find(|e| e.key == key) {
-            Some(e) => {
-                e.cached.compiled = bad;
+        let mut g = self.lock();
+        match g.entries.iter_mut().find_map(|e| e.cached.as_mut().filter(|_| e.key == key)) {
+            Some(cached) => {
+                cached.compiled = bad;
                 true
             }
             None => false,
         }
+    }
+}
+
+/// One in-flight build. Dropping it wakes the lookups waiting on its key,
+/// and, if the build failed or panicked, removes the key's building marker
+/// so the next lookup builds afresh.
+struct Pending<'a> {
+    cache: &'a TraceCache,
+    key: &'a str,
+}
+
+impl Drop for Pending<'_> {
+    fn drop(&mut self) {
+        let mut g = self.cache.lock();
+        g.entries.retain(|e| e.key != self.key || e.cached.is_some());
+        drop(g);
+        self.cache.built.notify_all();
     }
 }
 
@@ -198,6 +285,101 @@ mod tests {
         let (got, out, _) = cache.get_or_build("k", || build(100)).expect("rebuilds");
         assert_eq!(out, CacheOutcome::HitRebuilt);
         assert!(got.compiled.verify().is_ok(), "the rebuilt entry verifies again");
+    }
+
+    /// Blocks until some lookup is waiting on an in-flight build.
+    fn wait_for_a_waiter(cache: &TraceCache) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while cache.lock().waits == 0 {
+            assert!(std::time::Instant::now() < deadline, "no lookup waited for the build");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn other_keys_are_served_while_one_key_builds() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cache = &TraceCache::new(4);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let slow = s.spawn(move || {
+                cache.get_or_build("slow", move || {
+                    started_tx.send(()).expect("test thread alive");
+                    release_rx
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("the other key's lookup finished while this build was blocked");
+                    build(100)
+                })
+            });
+            started_rx.recv().expect("slow build started");
+            let (_, out, _) = cache.get_or_build("fast", || build(200)).expect("builds");
+            assert_eq!(out, CacheOutcome::Miss);
+            release_tx.send(()).expect("slow builder alive");
+            let (_, out, _) = slow.join().expect("slow builder thread").expect("builds");
+            assert_eq!(out, CacheOutcome::Miss);
+        });
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_build_it_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cache = &TraceCache::new(4);
+        let builds = &AtomicUsize::new(0);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let first = s.spawn(move || {
+                cache.get_or_build("k", || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    started_tx.send(()).expect("test thread alive");
+                    release_rx.recv_timeout(Duration::from_secs(10)).expect("released");
+                    build(100)
+                })
+            });
+            started_rx.recv().expect("first build started");
+            let second = s.spawn(move || {
+                cache.get_or_build("k", || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    build(100)
+                })
+            });
+            wait_for_a_waiter(cache);
+            release_tx.send(()).expect("first builder alive");
+            let (a, out_a, _) = first.join().expect("first thread").expect("builds");
+            let (b, out_b, _) = second.join().expect("second thread").expect("served");
+            assert_eq!((out_a, out_b), (CacheOutcome::Miss, CacheOutcome::Hit));
+            assert!(Arc::ptr_eq(&a.raw, &b.raw), "the waiter got the one build");
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "build_raw ran once");
+    }
+
+    #[test]
+    fn a_failed_build_wakes_waiters_to_build_afresh() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cache = &TraceCache::new(4);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let failing = s.spawn(move || {
+                cache.get_or_build("k", || {
+                    started_tx.send(()).expect("test thread alive");
+                    release_rx.recv_timeout(Duration::from_secs(10)).expect("released");
+                    Err(SerrError::invalid_config("nope"))
+                })
+            });
+            started_rx.recv().expect("failing build started");
+            let waiter = s.spawn(move || cache.get_or_build("k", || build(100)));
+            wait_for_a_waiter(cache);
+            release_tx.send(()).expect("failing builder alive");
+            assert!(failing.join().expect("failing thread").is_err());
+            let (_, out, _) = waiter.join().expect("waiter thread").expect("builds");
+            assert_eq!(out, CacheOutcome::Miss);
+        });
     }
 
     #[test]

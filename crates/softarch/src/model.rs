@@ -1,6 +1,5 @@
 //! The SoftArch estimator front end.
 
-use serr_sim::ProcessorMaskingTraces;
 use serr_trace::VulnerabilityTrace;
 use serr_types::{Frequency, Mttf, RawErrorRate, SerrError};
 
@@ -61,8 +60,7 @@ impl SoftArch {
         let lambda_cycle = rate.per_second_value() / self.frequency.hz();
         let mut block: Option<Block> = None;
         let mut start = 0u64;
-        for end in trace.breakpoints() {
-            let v = trace.vulnerability_at(start);
+        for (end, v) in trace.spans() {
             let seg = Block::constant(lambda_cycle * v, end - start);
             block = Some(match block {
                 Some(b) => b.then(&seg),
@@ -130,57 +128,6 @@ impl SoftArch {
         }
         Ok(Mttf::from_secs(whole.mttf_cycles() / self.frequency.hz()))
     }
-
-    /// Processor-level MTTF from a simulation's masking traces: the four
-    /// studied components (integer, FP, decode, register file) contribute
-    /// additive per-cycle failure intensities, exactly as in the paper's
-    /// processor-level failure definition (Section 4.2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerrError::InvalidConfig`] if every rate is zero, plus the
-    /// errors of [`SoftArch::component_mttf`].
-    pub fn processor_mttf(
-        &self,
-        traces: &ProcessorMaskingTraces,
-        int_rate: RawErrorRate,
-        fp_rate: RawErrorRate,
-        decode_rate: RawErrorRate,
-        regfile_rate: RawErrorRate,
-    ) -> Result<Mttf, SerrError> {
-        let lambda = |r: RawErrorRate| r.per_second_value() / self.frequency.hz();
-        let units: [(&dyn VulnerabilityTrace, f64); 4] = [
-            (&traces.int_unit, lambda(int_rate)),
-            (&traces.fp_unit, lambda(fp_rate)),
-            (&traces.decode, lambda(decode_rate)),
-            (&traces.regfile, lambda(regfile_rate)),
-        ];
-        let period = traces.int_unit.period_cycles();
-        if units.iter().any(|(t, _)| t.period_cycles() != period) {
-            return Err(SerrError::invalid_trace("unit traces must share one period"));
-        }
-        // Merge all units' breakpoints; within each span every unit's
-        // vulnerability is constant and intensities add.
-        let mut bps: Vec<u64> = units.iter().flat_map(|(t, _)| t.breakpoints()).collect();
-        bps.sort_unstable();
-        bps.dedup();
-        let mut block: Option<Block> = None;
-        let mut start = 0u64;
-        for end in bps {
-            let rho: f64 = units.iter().map(|(t, l)| l * t.vulnerability_at(start)).sum();
-            let seg = Block::constant(rho, end - start);
-            block = Some(match block {
-                Some(b) => b.then(&seg),
-                None => seg,
-            });
-            start = end;
-        }
-        let block = block.ok_or_else(|| SerrError::invalid_trace("empty traces"))?;
-        if block.fail_prob() == 0.0 {
-            return Err(SerrError::invalid_config("all components have zero failure intensity"));
-        }
-        Ok(Mttf::from_secs(block.mttf_cycles() / self.frequency.hz()))
-    }
 }
 
 #[cfg(test)]
@@ -242,18 +189,22 @@ mod tests {
     #[test]
     fn processor_mttf_combines_unit_intensities() {
         // One busy unit and one half-busy unit with equal rates: the
-        // processor must fail faster than either alone.
+        // processor must fail faster than either alone. A raw error lands on
+        // a unit in proportion to its rate, so the processor is the
+        // rate-weighted composite of the unit traces under the summed rate.
+        use serr_trace::CompositeTrace;
+        use std::sync::Arc;
         let always = IntervalTrace::constant(1000, 1.0).unwrap();
         let half = IntervalTrace::busy_idle(500, 500).unwrap();
         let idle = IntervalTrace::constant(1000, 0.0).unwrap();
-        let traces = ProcessorMaskingTraces {
-            int_unit: always.clone(),
-            fp_unit: half,
-            decode: idle.clone(),
-            regfile: idle,
-        };
         let r = RawErrorRate::per_year(10.0);
-        let proc = sa().processor_mttf(&traces, r, r, r, r).unwrap();
+        let units: Vec<(f64, Arc<dyn VulnerabilityTrace>)> =
+            [always.clone(), half, idle.clone(), idle]
+                .into_iter()
+                .map(|t| (r.per_second_value(), Arc::new(t) as Arc<dyn VulnerabilityTrace>))
+                .collect();
+        let cpu = CompositeTrace::new(units).unwrap();
+        let proc = sa().component_mttf(&cpu, r.scale(4.0)).unwrap();
         let int_only = sa().component_mttf(&always, r).unwrap();
         assert!(proc.as_secs() < int_only.as_secs());
         // λL tiny: intensities average, MTTF ≈ 1/(λ_int + λ_fp·0.5).

@@ -174,12 +174,11 @@ impl CompiledTrace {
     ///
     /// A trace whose [`span_count_hint`](VulnerabilityTrace::span_count_hint)
     /// fits [`CompiledTrace::MAX_SEGMENTS`] compiles flat, at the cost of
-    /// one `breakpoints()` enumeration plus one `vulnerability_at` per span.
-    /// An over-cap trace compiles tiled when its
-    /// [`tiling`](VulnerabilityTrace::tiling) has parts that each compile
-    /// flat. Returns `None` for everything else: an over-cap trace without a
-    /// tiling (or with nested tilings), or a trace whose real span count
-    /// exceeds the cap despite a small hint. Either cost is meant to be
+    /// one [`spans`](VulnerabilityTrace::spans) walk. An over-cap trace
+    /// compiles tiled when its [`tiling`](VulnerabilityTrace::tiling) has
+    /// parts that each compile flat. Returns `None` for everything else: an
+    /// over-cap trace without a tiling (or with nested tilings), or a trace
+    /// whose real span count exceeds the cap despite a small hint. Either cost is meant to be
     /// amortized over the millions of queries of a Monte Carlo run.
     #[must_use]
     pub fn compile(trace: &(impl VulnerabilityTrace + ?Sized)) -> Option<CompiledTrace> {
@@ -321,6 +320,27 @@ impl CompiledTrace {
         }
     }
 
+    /// [`CompiledTrace::phase_at_cumulative_batch`] warm-started from one
+    /// segment hint per entry, for callers that invert many batches of
+    /// nearby masses entry by entry — the sweep kernel, whose neighboring
+    /// rates put each trial's mass in the same segment point after point.
+    /// `hints` is resized to `masses.len()` (new entries start at segment
+    /// 0) and updated with the segment each entry landed in.
+    ///
+    /// Flat tables past [`CompiledTrace::BATCH_SCAN_SEGMENTS`] segments try
+    /// the hinted segment before searching; a hint is accepted only when
+    /// that segment holds the mass, so on a self-consistent table the
+    /// result is bit-identical to the unhinted batch for any hints. Other
+    /// layouts ignore the hints.
+    pub fn phase_at_cumulative_batch_hinted(&self, masses: &mut [f64], hints: &mut Vec<u32>) {
+        match &self.layout {
+            Layout::Flat(f) if f.values.len() > Self::BATCH_SCAN_SEGMENTS => {
+                f.phase_at_cumulative_hinted(masses, hints);
+            }
+            _ => self.phase_at_cumulative_batch(masses),
+        }
+    }
+
     /// Batched [`CompiledTrace::cumulative_at`]: writes `V(phase)` for each
     /// fractional phase into `out`. The stationary-start batched sampler
     /// uses this to price each trial's initial phase before drawing.
@@ -448,26 +468,26 @@ impl Flat {
         trace: &(impl VulnerabilityTrace + ?Sized),
         buckets_per_segment: u64,
     ) -> Option<Flat> {
-        let spans = trace.breakpoints();
-        if spans.len() as u64 > CompiledTrace::MAX_SEGMENTS {
-            // The hint is advisory (the trait default is just the period); a
-            // trace that under-reports its span count must still refuse here
-            // rather than build an oversized table — and, transitively, rather
-            // than ever reach the u32 bucket-index conversions below with an
-            // index they cannot represent.
-            return None;
-        }
-        let mut ends: Vec<u64> = Vec::with_capacity(spans.len());
-        let mut values: Vec<f64> = Vec::with_capacity(spans.len());
-        let mut prefix: Vec<f64> = Vec::with_capacity(spans.len());
+        let walk = trace.spans();
+        let capacity = walk.size_hint().0.min(CompiledTrace::MAX_SEGMENTS as usize);
+        let mut ends: Vec<u64> = Vec::with_capacity(capacity);
+        let mut values: Vec<f64> = Vec::with_capacity(capacity);
+        let mut prefix: Vec<f64> = Vec::with_capacity(capacity);
         let mut start = 0u64;
         let mut cum = 0.0f64;
-        for end in spans {
+        for (walked, (end, v)) in walk.enumerate() {
+            if walked as u64 >= CompiledTrace::MAX_SEGMENTS {
+                // The hint is advisory (the trait default is just the period);
+                // a trace that under-reports its span count must still refuse
+                // here rather than build an oversized table — and,
+                // transitively, rather than ever reach the u32 bucket-index
+                // conversions below with an index they cannot represent.
+                return None;
+            }
             if end <= start {
                 // Defensive: tolerate unsorted/duplicate breakpoints.
                 continue;
             }
-            let v = trace.vulnerability_at(start);
             if values.last() == Some(&v) {
                 *ends.last_mut().expect("values and ends stay in lockstep") = end;
             } else {
@@ -530,8 +550,14 @@ impl Flat {
             // AVF = 0 traces never fail.
             return 0.0;
         }
-        let n = self.values.len();
         let m = m.clamp(0.0, self.total);
+        self.phase_in_segment(self.mass_segment(m), m)
+    }
+
+    /// The segment holding mass `m` (already clamped to `[0, total]`): the
+    /// last index with `prefix ≤ m`, found through the inverse buckets.
+    fn mass_segment(&self, m: f64) -> usize {
+        let n = self.values.len();
         let n_inv = self.inv_buckets.len();
         let w = self.total / n_inv as f64;
         let b = ((m / w) as usize).min(n_inv - 1);
@@ -558,6 +584,11 @@ impl Flat {
         while i + 1 < n && self.prefix[i + 1] <= m {
             i += 1;
         }
+        i
+    }
+
+    /// The phase at mass `m` inside segment `i`.
+    fn phase_in_segment(&self, i: usize, m: f64) -> f64 {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         let v = self.values[i];
         let off = if v > 0.0 { (m - self.prefix[i]).max(0.0) / v } else { 0.0 };
@@ -569,6 +600,38 @@ impl Flat {
             end.next_down().max(start as f64)
         } else {
             phase
+        }
+    }
+
+    /// [`Flat::phase_at_cumulative`] over a batch, trying each entry's
+    /// segment from `hints` first and recording the segment it lands in.
+    /// A hint is taken only when it holds the mass (`prefix[h] ≤ m <
+    /// prefix[h + 1]`), which on a sorted prefix table is exactly the
+    /// segment the search finds, so the phases are bit-identical to the
+    /// unhinted lookup whatever the hints hold.
+    fn phase_at_cumulative_hinted(&self, masses: &mut [f64], hints: &mut Vec<u32>) {
+        if self.inv_buckets.is_empty() || !has_positive_mass(self.total) {
+            masses.fill(0.0);
+            return;
+        }
+        let n = self.values.len();
+        hints.resize(masses.len(), 0);
+        for (m, hint) in masses.iter_mut().zip(hints.iter_mut()) {
+            debug_assert!(
+                m.is_finite() && (0.0..self.total.max(f64::MIN_POSITIVE)).contains(m),
+                "mass {m} outside [0, {})",
+                self.total
+            );
+            let mm = m.clamp(0.0, self.total);
+            let h = *hint as usize;
+            let i = if h < n && self.prefix[h] <= mm && (h + 1 == n || self.prefix[h + 1] > mm) {
+                h
+            } else {
+                let i = self.mass_segment(mm);
+                *hint = u32::try_from(i).unwrap_or(u32::MAX);
+                i
+            };
+            *m = self.phase_in_segment(i, mm);
         }
     }
 
@@ -1111,6 +1174,10 @@ impl VulnerabilityTrace for Flat {
         self.ends.clone()
     }
 
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        Box::new(self.ends.iter().copied().zip(self.values.iter().copied()))
+    }
+
     fn span_count_hint(&self) -> u64 {
         self.ends.len() as u64
     }
@@ -1165,6 +1232,13 @@ impl VulnerabilityTrace for CompiledTrace {
         match &self.layout {
             Layout::Flat(f) => f.breakpoints(),
             Layout::Tiled(t) => t.breakpoints(),
+        }
+    }
+
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        match &self.layout {
+            Layout::Flat(f) => f.spans(),
+            Layout::Tiled(_) => Box::new(crate::traits::lookup_spans(self)),
         }
     }
 
@@ -1767,6 +1841,39 @@ mod tests {
                 );
                 assert_eq!(b as u64, s as u64, "landed in different cycles");
                 assert!(c.vulnerability_at(b as u64) > 0.0, "batch landed on a dead cycle");
+            }
+        }
+    }
+
+    #[test]
+    fn hinted_batch_inverse_is_bit_identical_for_any_hints() {
+        // Zero runs give boundary masses that several prefixes share.
+        let pattern = [1.0, 0.0, 0.0, 0.5, 0.0, 1.0, 0.25, 0.0];
+        let zero_runs: Vec<f64> = pattern.iter().cycle().take(400).copied().collect();
+        for levels in [random_levels(13, 1_000), zero_runs, random_levels(5, 20)] {
+            let c = CompiledTrace::compile(&IntervalTrace::from_levels(&levels).unwrap()).unwrap();
+            let total = c.total_mass();
+            let boundaries = (1..=levels.len()).map(|r| c.cumulative_within_period(r as u64));
+            let masses: Vec<f64> = (0..997)
+                .map(|k| total * (f64::from(k) / 997.0))
+                .chain(boundaries.filter(|&m| m < total))
+                .collect();
+            let mut want = masses.clone();
+            c.phase_at_cumulative_batch(&mut want);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            // Cold, garbage, then warm hints (each batch's own landings).
+            let mut hints: Vec<u32> =
+                (0..masses.len() as u32).map(|k| k.wrapping_mul(2_654_435_761)).collect();
+            for round in 0..3 {
+                let mut got = masses.clone();
+                if round == 0 {
+                    hints.clear();
+                }
+                c.phase_at_cumulative_batch_hinted(&mut got, &mut hints);
+                assert_eq!(bits(&got), bits(&want), "round {round}");
+                if c.segment_count() > CompiledTrace::BATCH_SCAN_SEGMENTS {
+                    assert_eq!(hints.len(), masses.len(), "hints track every entry");
+                }
             }
         }
     }

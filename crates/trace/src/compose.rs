@@ -1,6 +1,7 @@
 //! Rate-weighted composition of unit traces into a processor-level trace.
 
-use std::sync::Arc;
+use std::convert::Infallible;
+use std::sync::{Arc, OnceLock};
 
 use serr_types::SerrError;
 
@@ -32,11 +33,28 @@ use crate::VulnerabilityTrace;
 /// // Cycles 2..6: only the int unit (weight 1 of 3) is busy.
 /// assert!((cpu.vulnerability_at(3) - 1.0 / 3.0).abs() < 1e-12);
 /// ```
+///
+/// The merged span table (the union of the parts' breakpoints, with each
+/// span's weighted value) is built at most once, on first use, by merging
+/// the parts' [`spans`](VulnerabilityTrace::spans) walks, and shared across
+/// threads via [`OnceLock`]: concurrent first queries race only on who
+/// stores the identical table. `breakpoints` and `spans` answer from it;
+/// `vulnerability_at`, `cumulative_within_period` and `avf` keep weighting
+/// the parts' own answers, with the same expression the table uses.
 #[derive(Clone)]
 pub struct CompositeTrace {
     parts: Vec<(f64, Arc<dyn VulnerabilityTrace>)>,
     total_weight: f64,
     period: u64,
+    table: OnceLock<SpanTable>,
+}
+
+/// A composite's merged spans: exclusive span ends (strictly increasing,
+/// last = period) and the weighted vulnerability over each.
+#[derive(Clone)]
+struct SpanTable {
+    ends: Vec<u64>,
+    values: Vec<f64>,
 }
 
 impl std::fmt::Debug for CompositeTrace {
@@ -46,6 +64,7 @@ impl std::fmt::Debug for CompositeTrace {
             .field("weights", &self.parts.iter().map(|(w, _)| *w).collect::<Vec<_>>())
             .field("total_weight", &self.total_weight)
             .field("period", &self.period)
+            .field("tabled", &self.table.get().is_some())
             .finish()
     }
 }
@@ -79,7 +98,7 @@ impl CompositeTrace {
             }
             total_weight += w;
         }
-        Ok(CompositeTrace { parts, total_weight, period })
+        Ok(CompositeTrace { parts, total_weight, period, table: OnceLock::new() })
     }
 
     /// Number of unit traces combined.
@@ -94,6 +113,56 @@ impl CompositeTrace {
     pub fn total_weight(&self) -> f64 {
         self.total_weight
     }
+
+    /// The weighted mean of one value per part, in part order — the single
+    /// expression behind every composite vulnerability.
+    fn mix(&self, values: impl Iterator<Item = f64>) -> f64 {
+        let s: f64 = self.parts.iter().zip(values).map(|((w, _), v)| w * v).sum();
+        s / self.total_weight
+    }
+
+    /// The memoized span table, built by one merge of the parts' walks.
+    fn table(&self) -> &SpanTable {
+        self.table.get_or_init(|| {
+            let mut ends = Vec::new();
+            let mut values = Vec::new();
+            let Ok(()) = merge_spans(self.parts.iter().map(|(_, t)| &**t), |end, vs| {
+                ends.push(end);
+                values.push(self.mix(vs.iter().copied()));
+                Ok::<(), Infallible>(())
+            });
+            ends.shrink_to_fit();
+            values.shrink_to_fit();
+            SpanTable { ends, values }
+        })
+    }
+}
+
+/// Walks the union of several same-period traces' spans in one pass,
+/// calling `f(end, values)` once per merged span with each trace's
+/// vulnerability over it, in trace order. The merged ends are the sorted,
+/// deduplicated union of the traces' breakpoints. Stops at the first error
+/// `f` returns.
+pub(crate) fn merge_spans<'a, E>(
+    traces: impl Iterator<Item = &'a dyn VulnerabilityTrace>,
+    mut f: impl FnMut(u64, &[f64]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut walks: Vec<_> = traces.map(|t| t.spans()).collect();
+    // Each walk's current span; an exhausted walk parks at u64::MAX.
+    let (mut ends, mut values): (Vec<u64>, Vec<f64>) =
+        walks.iter_mut().map(|w| w.next().unwrap_or((u64::MAX, 0.0))).unzip();
+    loop {
+        let end = ends.iter().copied().min().unwrap_or(u64::MAX);
+        if end == u64::MAX {
+            return Ok(());
+        }
+        f(end, &values)?;
+        for ((walk, e), v) in walks.iter_mut().zip(&mut ends).zip(&mut values) {
+            if *e == end {
+                (*e, *v) = walk.next().unwrap_or((u64::MAX, *v));
+            }
+        }
+    }
 }
 
 impl VulnerabilityTrace for CompositeTrace {
@@ -102,8 +171,7 @@ impl VulnerabilityTrace for CompositeTrace {
     }
 
     fn vulnerability_at(&self, cycle: u64) -> f64 {
-        let s: f64 = self.parts.iter().map(|(w, t)| w * t.vulnerability_at(cycle)).sum();
-        s / self.total_weight
+        self.mix(self.parts.iter().map(|(_, t)| t.vulnerability_at(cycle)))
     }
 
     fn cumulative_within_period(&self, r: u64) -> f64 {
@@ -112,15 +180,22 @@ impl VulnerabilityTrace for CompositeTrace {
     }
 
     fn breakpoints(&self) -> Vec<u64> {
-        let mut all: Vec<u64> = self.parts.iter().flat_map(|(_, t)| t.breakpoints()).collect();
-        all.sort_unstable();
-        all.dedup();
-        all
+        self.table().ends.clone()
+    }
+
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        let table = self.table();
+        Box::new(table.ends.iter().copied().zip(table.values.iter().copied()))
     }
 
     fn span_count_hint(&self) -> u64 {
-        // The merged breakpoint set is at most the sum of the parts'.
-        self.parts.iter().map(|(_, t)| t.span_count_hint()).fold(0u64, u64::saturating_add)
+        match self.table.get() {
+            Some(table) => table.ends.len() as u64,
+            // The merged breakpoint set is at most the sum of the parts'.
+            None => {
+                self.parts.iter().map(|(_, t)| t.span_count_hint()).fold(0u64, u64::saturating_add)
+            }
+        }
     }
 }
 
@@ -177,6 +252,49 @@ mod tests {
             acc += c.vulnerability_at(cyc);
         }
         assert!((c.cumulative_within_period(6) - acc).abs() < 1e-12);
+    }
+
+    #[test]
+    fn table_matches_the_part_lookups_and_makes_the_hint_exact() {
+        let a = IntervalTrace::from_levels(&[1.0, 1.0, 0.0, 0.5, 0.5, 0.25]).unwrap();
+        let b = IntervalTrace::from_levels(&[0.0, 1.0, 1.0, 1.0, 0.5, 0.5]).unwrap();
+        let c = CompositeTrace::new(vec![(2.0, arc(a.clone())), (0.5, arc(b.clone()))]).unwrap();
+        // Before the table: the sum of the parts' span counts.
+        assert_eq!(c.span_count_hint(), 4 + 3);
+        assert_eq!(c.breakpoints(), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(c.span_count_hint(), 6);
+        for cyc in 0..12 {
+            let want = (2.0 * a.vulnerability_at(cyc) + 0.5 * b.vulnerability_at(cyc)) / 2.5;
+            assert_eq!(c.vulnerability_at(cyc).to_bits(), want.to_bits(), "cycle {cyc}");
+        }
+    }
+
+    #[test]
+    fn concurrent_first_uses_agree_on_one_table() {
+        let levels: Vec<f64> = (0..5_000).map(|i| ((i * 7) % 5) as f64 / 4.0).collect();
+        let other: Vec<f64> = (0..5_000).map(|i| ((i * 3) % 4) as f64 / 3.0).collect();
+        let build = || {
+            CompositeTrace::new(vec![
+                (1.0, arc(IntervalTrace::from_levels(&levels).unwrap())),
+                (3.0, arc(IntervalTrace::from_levels(&other).unwrap())),
+            ])
+            .unwrap()
+        };
+        let c = build();
+        let start = std::sync::Barrier::new(4);
+        let walks: Vec<Vec<(u64, f64)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        c.spans().collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("walker thread")).collect()
+        });
+        assert!(walks.iter().all(|w| *w == walks[0]));
+        assert_eq!(walks[0], build().spans().collect::<Vec<_>>());
     }
 
     #[test]

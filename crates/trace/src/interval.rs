@@ -252,6 +252,10 @@ impl VulnerabilityTrace for IntervalTrace {
         self.ends.clone()
     }
 
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        Box::new(self.ends.iter().copied().zip(self.values.iter().copied()))
+    }
+
     fn span_count_hint(&self) -> u64 {
         self.ends.len() as u64
     }

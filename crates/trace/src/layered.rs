@@ -5,6 +5,7 @@ use std::sync::{Arc, OnceLock};
 
 use serr_types::SerrError;
 
+use crate::compose::merge_spans;
 use crate::{CompiledTrace, IntervalTrace, IntervalTraceBuilder, VulnerabilityTrace};
 
 /// N per-bit vulnerability layers over a shared period, presented to the
@@ -88,13 +89,18 @@ impl BitLayeredTrace {
         self.layers.get(index)
     }
 
-    /// The breakpoint union across all layers: sorted, strictly
-    /// increasing, ending with the period.
-    fn union_breakpoints(&self) -> Vec<u64> {
-        let mut union: Vec<u64> = self.layers.iter().flat_map(|l| l.breakpoints()).collect();
-        union.sort_unstable();
-        union.dedup();
-        union
+    /// Rebuilds the trace span by span over the union of the layers'
+    /// breakpoints, with `value` mapping the layers' vulnerabilities over a
+    /// span to the span's new vulnerability.
+    fn fold_layers(&self, value: impl Fn(&[f64]) -> f64) -> Result<IntervalTrace, SerrError> {
+        let mut builder = IntervalTraceBuilder::new();
+        let mut start = 0u64;
+        merge_spans(self.layers.iter().map(|l| &**l), |end, vs| {
+            builder.push_cycles(end - start, value(vs))?;
+            start = end;
+            Ok(())
+        })?;
+        builder.finish()
     }
 
     /// The cached scalar projection: at each cycle, the mean of the layer
@@ -103,17 +109,8 @@ impl BitLayeredTrace {
     fn projection(&self) -> &IntervalTrace {
         self.projection.get_or_init(|| {
             let inv_n = 1.0 / self.layers.len() as f64;
-            let mut builder = IntervalTraceBuilder::new();
-            let mut start = 0u64;
-            for end in self.union_breakpoints() {
-                let mean: f64 =
-                    self.layers.iter().map(|l| l.vulnerability_at(start)).sum::<f64>() * inv_n;
-                builder
-                    .push_cycles(end - start, mean.clamp(0.0, 1.0))
-                    .expect("mean of [0,1] layer values is clamped into range");
-                start = end;
-            }
-            builder.finish().expect("layers are non-empty, so at least one span exists")
+            self.fold_layers(|vs| (vs.iter().sum::<f64>() * inv_n).clamp(0.0, 1.0))
+                .expect("the mean of [0,1] layer values is clamped into range, over >= 1 span")
         })
     }
 
@@ -137,10 +134,7 @@ impl BitLayeredTrace {
     /// contract).
     pub fn ecc_secded(&self) -> Result<IntervalTrace, SerrError> {
         let inv_n = 1.0 / self.layers.len() as f64;
-        let mut builder = IntervalTraceBuilder::new();
-        let mut start = 0u64;
-        for end in self.union_breakpoints() {
-            let vs: Vec<f64> = self.layers.iter().map(|l| l.vulnerability_at(start)).collect();
+        self.fold_layers(|vs| {
             let mut unprotected = 0.0f64;
             for (b, &v) in vs.iter().enumerate() {
                 let others_clear: f64 = vs
@@ -151,10 +145,8 @@ impl BitLayeredTrace {
                     .product();
                 unprotected += v * (1.0 - others_clear);
             }
-            builder.push_cycles(end - start, (unprotected * inv_n).clamp(0.0, 1.0))?;
-            start = end;
-        }
-        builder.finish()
+            (unprotected * inv_n).clamp(0.0, 1.0)
+        })
     }
 }
 
@@ -173,6 +165,10 @@ impl VulnerabilityTrace for BitLayeredTrace {
 
     fn breakpoints(&self) -> Vec<u64> {
         self.projection().breakpoints()
+    }
+
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        self.projection().spans()
     }
 
     fn span_count_hint(&self) -> u64 {

@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 
 use crate::{
-    decode_interval_trace, encode_interval_trace, CompiledTrace, CompositeTrace, DenseTrace,
-    IntervalTrace, Segment, Transform, TransformPipeline, VulnerabilityTrace,
+    decode_interval_trace, encode_interval_trace, BitLayeredTrace, CompiledTrace, CompositeTrace,
+    ConcatTrace, DenseTrace, IntervalTrace, ScaledTrace, Segment, ShiftedTrace, Transform,
+    TransformPipeline, VulnerabilityTrace,
 };
 use std::sync::Arc;
 
@@ -307,5 +308,72 @@ proptest! {
         let dense = DenseTrace::new(levels).unwrap();
         let dbps = dense.breakpoints();
         prop_assert_eq!(*dbps.last().unwrap(), dense.period_cycles());
+    }
+}
+
+/// Two level lists of one shared length, for traces that must agree on a
+/// period.
+fn arb_level_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    let level = || (0..=16u8).prop_map(|q| f64::from(q) / 16.0);
+    prop::collection::vec((level(), level()), 1..200).prop_map(|pairs| pairs.into_iter().unzip())
+}
+
+/// The span walk must yield exactly `breakpoints()`, each with the value
+/// `vulnerability_at` gives at the span's first cycle, bit for bit.
+fn check_walk<T: VulnerabilityTrace + ?Sized>(name: &str, t: &T) -> Result<(), TestCaseError> {
+    let walk: Vec<(u64, f64)> = t.spans().collect();
+    let ends: Vec<u64> = walk.iter().map(|&(end, _)| end).collect();
+    prop_assert_eq!(&ends, &t.breakpoints(), "{}: walk ends differ from breakpoints", name);
+    let mut start = 0u64;
+    for &(end, v) in &walk {
+        let want = t.vulnerability_at(start);
+        prop_assert_eq!(
+            v.to_bits(),
+            want.to_bits(),
+            "{}: span [{}, {}) walks {} not {}",
+            name,
+            start,
+            end,
+            v,
+            want
+        );
+        start = end;
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn span_walk_agrees_with_breakpoints_and_lookups(
+        (a, b) in arb_level_pair(),
+        shift in 0u64..400,
+        w in 0.1f64..10.0,
+        factor in 0.0f64..=1.0,
+    ) {
+        let ia: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::from_levels(&a).unwrap());
+        let ib: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::from_levels(&b).unwrap());
+        let dense: Arc<dyn VulnerabilityTrace> = Arc::new(DenseTrace::new(b.clone()).unwrap());
+        let shifted: Arc<dyn VulnerabilityTrace> = Arc::new(ShiftedTrace::new(ib.clone(), shift));
+        let composite: Arc<dyn VulnerabilityTrace> = Arc::new(
+            CompositeTrace::new(vec![(w, ia.clone()), (1.0, shifted), (2.5, dense.clone())])
+                .unwrap(),
+        );
+        let traces: Vec<(&str, Arc<dyn VulnerabilityTrace>)> = vec![
+            ("interval", ia.clone()),
+            ("dense", dense.clone()),
+            ("composite", composite.clone()),
+            ("scaled", Arc::new(ScaledTrace::new(composite.clone(), factor).unwrap())),
+            (
+                "layered",
+                Arc::new(BitLayeredTrace::new(vec![ia.clone(), ib.clone(), dense]).unwrap()),
+            ),
+            ("concat", Arc::new(ConcatTrace::new(vec![(ia, 2), (ib, 3)]).unwrap())),
+            ("compiled", Arc::new(CompiledTrace::compile(&composite).unwrap())),
+        ];
+        for (name, t) in &traces {
+            // Through the `&T` forwarding impl, then through `Arc<dyn _>`.
+            check_walk(name, &&**t)?;
+            check_walk(name, t)?;
+        }
     }
 }

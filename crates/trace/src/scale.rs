@@ -82,6 +82,10 @@ impl VulnerabilityTrace for ScaledTrace {
         self.inner.breakpoints()
     }
 
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        Box::new(self.inner.spans().map(|(end, v)| (end, self.factor * v)))
+    }
+
     fn span_count_hint(&self) -> u64 {
         self.inner.span_count_hint()
     }

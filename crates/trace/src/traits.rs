@@ -64,13 +64,28 @@ pub trait VulnerabilityTrace: Send + Sync {
     /// solvers integrate the survival function in closed form per span.
     fn breakpoints(&self) -> Vec<u64>;
 
+    /// Walks the constant-vulnerability spans of one period in order, as
+    /// `(end, v)`: `end` runs through [`breakpoints`] and `v` is the
+    /// vulnerability over `[previous end, end)`, bit-equal to
+    /// `vulnerability_at(previous end)`.
+    ///
+    /// Span-by-span consumers (the renewal integral, SoftArch's block fold,
+    /// compilation, transforms) read the walk instead of looking each span
+    /// up by cycle. The default is exactly that lookup loop; table-backed
+    /// representations override it to read their tables in order.
+    ///
+    /// [`breakpoints`]: VulnerabilityTrace::breakpoints
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        Box::new(lookup_spans(self))
+    }
+
     /// The survival-function integrals that determine the exact renewal
     /// MTTF for a component with per-cycle raw error rate `lambda_cycle`:
     /// returns `(∫₀ᴸ e^{−λU(s)} ds, U(L))` where `U(s)` is the cumulative
     /// vulnerability and `L` the period (both in cycle units).
     ///
     /// The default implementation integrates span-by-span over
-    /// [`breakpoints`]; representations whose breakpoint list would be
+    /// [`spans`]; representations whose breakpoint list would be
     /// astronomically long (e.g. a trace tiled millions of times, like the
     /// paper's `combined` workload) override this with a closed form.
     ///
@@ -78,7 +93,7 @@ pub trait VulnerabilityTrace: Send + Sync {
     ///
     /// May panic if `lambda_cycle` is not positive.
     ///
-    /// [`breakpoints`]: VulnerabilityTrace::breakpoints
+    /// [`spans`]: VulnerabilityTrace::spans
     fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
         assert!(lambda_cycle > 0.0, "per-cycle rate must be positive");
         // Numerically stable 1 − e^{−x}.
@@ -86,9 +101,8 @@ pub trait VulnerabilityTrace: Send + Sync {
         let mut integral = 0.0f64;
         let mut start = 0u64;
         let mut u0 = 0.0f64;
-        for end in self.breakpoints() {
+        for (end, v) in self.spans() {
             let delta = (end - start) as f64;
-            let v = self.vulnerability_at(start);
             let head = (-lambda_cycle * u0).exp();
             if v > 0.0 {
                 integral += head * omen(lambda_cycle * v * delta) / (lambda_cycle * v);
@@ -150,6 +164,9 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for &T {
     fn breakpoints(&self) -> Vec<u64> {
         (**self).breakpoints()
     }
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        (**self).spans()
+    }
     fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
         (**self).survival_weight(lambda_cycle)
     }
@@ -180,6 +197,9 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for std::sync::Arc<T> {
     fn breakpoints(&self) -> Vec<u64> {
         (**self).breakpoints()
     }
+    fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
+        (**self).spans()
+    }
     fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
         (**self).survival_weight(lambda_cycle)
     }
@@ -192,6 +212,20 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for std::sync::Arc<T> {
     fn is_binary(&self) -> bool {
         (**self).is_binary()
     }
+}
+
+/// The [`VulnerabilityTrace::spans`] default: one `vulnerability_at` lookup
+/// per breakpoint. Overrides that cannot read a table for some layout fall
+/// back to it.
+pub(crate) fn lookup_spans<T: VulnerabilityTrace + ?Sized>(
+    trace: &T,
+) -> impl Iterator<Item = (u64, f64)> + '_ {
+    let mut start = 0u64;
+    trace.breakpoints().into_iter().map(move |end| {
+        let v = trace.vulnerability_at(start);
+        start = end;
+        (end, v)
+    })
 }
 
 #[cfg(test)]

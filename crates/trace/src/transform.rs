@@ -256,8 +256,8 @@ fn materialize(trace: &dyn VulnerabilityTrace) -> Result<IntervalTrace, SerrErro
     }
     let mut builder = IntervalTraceBuilder::new();
     let mut start = 0u64;
-    for end in trace.breakpoints() {
-        builder.push_cycles(end - start, trace.vulnerability_at(start))?;
+    for (end, v) in trace.spans() {
+        builder.push_cycles(end - start, v)?;
         start = end;
     }
     builder.finish()

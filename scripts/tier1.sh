@@ -16,6 +16,12 @@ cargo test -q
 cargo test -q -p serr-store
 cargo test -q --test storage_durability
 
+# Benchmark gate: bench_e2e is a package of its own, outside the workspace,
+# yet it compiles against renewal, SoftArch, the Validator and the compiled
+# trace. Building and running its unit tests here makes an API change that
+# breaks it fail tier-1 instead of only the benchmark run.
+cargo test -q --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
+
 # Formatting gate: the committed rustfmt.toml is the single style arbiter;
 # a diff that disagrees with it fails fast here rather than in review.
 cargo fmt --check

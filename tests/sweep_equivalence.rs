@@ -14,13 +14,20 @@
 //!    fractional ECC levels) exactly as on raw workload traces, and on
 //!    day-scale tilings that compile to the tile level;
 //! 4. the full validator row built from a kernel estimate equals the row
-//!    an independent `Validator::component` call produces.
+//!    an independent `Validator::component` call produces;
+//! 5. a Fig 6a-style grid over composite processor traces gives the same
+//!    rows at any fan-out, although the design points race to build each
+//!    composite's memoized span table on first use.
 
 use std::sync::Arc;
 
+use serr_core::par;
 use serr_core::prelude::{Validator, VulnerabilityTrace};
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate, SamplerKind, StartPhase};
-use serr_trace::{CompiledTrace, ConcatTrace, IntervalTrace, Transform, TransformPipeline};
+use serr_trace::{
+    CompiledTrace, CompositeTrace, ConcatTrace, IntervalTrace, ShiftedTrace, Transform,
+    TransformPipeline,
+};
 use serr_types::{Frequency, RawErrorRate};
 
 fn engine(threads: usize, start_phase: StartPhase) -> MonteCarlo {
@@ -201,5 +208,70 @@ fn validator_rows_from_kernel_estimates_match_independent_validation() {
             solo.softarch_error_vs_mc.to_bits(),
             "point {i}: SoftArch error"
         );
+    }
+}
+
+/// A fresh three-unit processor composite — the shape of a SPEC
+/// `processor_trace` — whose span table is not built yet. The units are
+/// pseudo-random few-thousand-span level traces; one is phase-shifted.
+fn fresh_processor(seed: u64) -> Arc<dyn VulnerabilityTrace> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut unit = |len: usize| -> Arc<dyn VulnerabilityTrace> {
+        let levels: Vec<f64> = (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 9) as f64 / 8.0
+            })
+            .collect();
+        Arc::new(IntervalTrace::from_levels(&levels).expect("valid levels"))
+    };
+    let (int_unit, fp_unit, decode) = (unit(6_000), unit(6_000), unit(6_000));
+    let shifted: Arc<dyn VulnerabilityTrace> = Arc::new(ShiftedTrace::new(fp_unit, 1_234));
+    Arc::new(
+        CompositeTrace::new(vec![(3.0, int_unit), (1.5, shifted), (0.5, decode)])
+            .expect("units share one period"),
+    )
+}
+
+#[test]
+fn composite_grid_rows_are_bit_identical_across_thread_counts() {
+    let freq = Frequency::base();
+    let v = Validator::new(
+        freq,
+        MonteCarloConfig {
+            trials: 2_000,
+            seed: 0x5EE9_0002,
+            threads: 1,
+            sampler: SamplerKind::BatchedInversion,
+            ..Default::default()
+        },
+    );
+    let rows_at = |threads: usize| -> Vec<[u64; 4]> {
+        // Every grid point of one benchmark shares its composite, so the
+        // first points to run race on its table.
+        let mut points = Vec::new();
+        for bench in 0..3u64 {
+            let trace = fresh_processor(bench);
+            for c in [1u64, 16, 256] {
+                for per_year in [1e3, 1e6, 1e9] {
+                    points.push((trace.clone(), c, RawErrorRate::per_year(per_year)));
+                }
+            }
+        }
+        par::par_map(&points, threads, |_, (trace, c, rate)| {
+            let row = v.system_identical(trace.clone(), *rate, *c).expect("grid row");
+            [
+                row.mttf_sofr.as_secs().to_bits(),
+                row.mttf_mc.mttf.as_secs().to_bits(),
+                row.mttf_renewal.as_secs().to_bits(),
+                row.mttf_softarch.as_secs().to_bits(),
+            ]
+        })
+    };
+    let baseline = rows_at(1);
+    for threads in [2usize, 8] {
+        assert_eq!(rows_at(threads), baseline, "grid rows moved at {threads} threads");
     }
 }

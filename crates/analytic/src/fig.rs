@@ -3,7 +3,6 @@
 //! These produce exactly the series plotted in the paper; the `serr-bench`
 //! crate prints them as tables and benchmarks their computation.
 
-use serde::{Deserialize, Serialize};
 use serr_types::{SerrError, BASELINE_RAW_RATE_PER_BIT_PER_YEAR};
 
 use crate::{min_of_n, periodic};
@@ -17,7 +16,7 @@ pub const FIG3_SCALES: [f64; 3] = [1.0, 3.0, 5.0];
 
 /// One point of Figure 3: the AVF-step error for a 100 MB cache running a
 /// loop of `l_days` days, busy for the first half.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Point {
     /// Loop iteration size in days.
     pub l_days: f64,
@@ -72,7 +71,7 @@ fn fig3_point(l_days: f64, scale: f64, lambda_per_year: f64) -> Fig3Point {
 
 /// One point of Figure 4: the SOFR-step error for a system of `n`
 /// components with the Section 3.2.2 near-exponential time to failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Point {
     /// Number of components.
     pub n: u32,

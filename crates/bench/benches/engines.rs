@@ -54,13 +54,6 @@ fn bench_naive_vs_fast(c: &mut Criterion) {
                 .unwrap()
         });
     });
-    g.bench_function("inversion_trial", |b| {
-        let compiled = serr_trace::CompiledTrace::compile(&trace).unwrap();
-        let mut rng = SmallRng::seed_from_u64(1);
-        b.iter(|| {
-            serr_mc::inversion::sample_time_to_failure_inversion(&compiled, lambda, &mut rng, 0.0)
-        });
-    });
     g.finish();
 }
 

@@ -43,10 +43,9 @@ pub struct ChaosConfig {
     /// invariant to this by construction.
     pub threads: usize,
     /// Which time-to-failure sampler the guarded campaigns run. The default
-    /// mirrors production ([`SamplerKind::BatchedInversion`]); campaigns
-    /// target the inversion kinds deliberately, because both *read* the
-    /// compiled prefix table that [`FaultKind::TracePrefixPerturb`]
-    /// corrupts.
+    /// mirrors production ([`SamplerKind::BatchedInversion`]), which
+    /// *reads* the compiled prefix table that
+    /// [`FaultKind::TracePrefixPerturb`] corrupts.
     pub sampler: SamplerKind,
     /// Fault kinds to cycle through (campaign `i` uses `kinds[i % len]`).
     pub kinds: Vec<FaultKind>,

@@ -6,7 +6,6 @@
 //! component raw error rate is `N × S × baseline`; only the product `N×S`
 //! matters for a single component, which is how the paper reports Figure 5.
 
-use serde::{Deserialize, Serialize};
 use serr_types::{RawErrorRate, SerrError};
 
 /// Table 2: number of elements (e.g. bits) in a component.
@@ -17,7 +16,7 @@ pub const S_VALUES: [f64; 5] = [1.0, 5.0, 100.0, 2000.0, 5000.0];
 pub const C_VALUES: [u64; 5] = [2, 8, 5000, 50_000, 500_000];
 
 /// The workloads of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// A SPEC CPU2000 floating-point benchmark (synthetic profile).
     SpecFp,
@@ -64,7 +63,7 @@ impl std::fmt::Display for Workload {
 }
 
 /// One point of the design space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Elements per component.
     pub n: f64,

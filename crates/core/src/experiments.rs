@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
@@ -26,7 +25,7 @@ use crate::validate::Validator;
 pub const REPRESENTATIVE_BENCHMARKS: [&str; 3] = ["gzip", "mcf", "equake"];
 
 /// Shared experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Instructions of detailed simulation per benchmark. The paper uses
     /// 100M; masking statistics converge far earlier for the synthetic
@@ -282,7 +281,7 @@ pub fn spec_processor_trace(
 // ---------------------------------------------------------------------------
 
 /// One benchmark's row of the Section 5.1 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec51Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -428,7 +427,7 @@ fn sec5_1_row(name: &str, cfg: &ExperimentConfig) -> Result<Sec51Row, SerrError>
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     /// Workload label.
     pub workload: String,
@@ -556,7 +555,7 @@ pub fn fig5_sweep(
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 6 (either panel).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Row {
     /// Workload or benchmark label.
     pub workload: String,
@@ -760,7 +759,7 @@ fn fig6_rows_sweep(
 // ---------------------------------------------------------------------------
 
 /// One point of the Section 5.4 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec54Row {
     /// Workload label.
     pub workload: String,

@@ -202,7 +202,7 @@ impl Guard {
     /// Carlo attempts on the compiled trace, each retry with a fresh
     /// derived seed (raising the floor to [`Provenance::Retried`]).
     /// Returns the first estimate that passes the sanity screen, the
-    /// renewal cross-check, and — for the inversion samplers — the
+    /// renewal cross-check, and — for the batched inversion sampler — the
     /// event-loop oracle vote.
     fn monte_carlo_attempts(
         &self,
@@ -245,11 +245,11 @@ impl Guard {
                 continue;
             }
             // 4b. Sampler consistency vote: the event loop never reads the
-            // prefix tables the inversion samplers invert, so an
+            // prefix tables the inversion sampler inverts, so an
             // independent event-loop run on the *same* compiled trace
-            // cross-checks the inversion machinery — scalar or batched —
-            // itself (defense in depth beyond the renewal check, which is
-            // computed from the uncompiled source trace).
+            // cross-checks the inversion machinery itself (defense in depth
+            // beyond the renewal check, which is computed from the
+            // uncompiled source trace).
             if est.sampler != SamplerKind::EventLoop && self.policy.oracle_trials > 0 {
                 match self.event_loop_oracle(compiled, rate, attempt) {
                     Ok(oracle) => {
@@ -555,8 +555,8 @@ fn relative_gap(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs()
 }
 
-/// The sampler consistency vote: an accepted inversion estimate (scalar or
-/// batched) must agree with an independent event-loop run within the
+/// The sampler consistency vote: an accepted batched inversion estimate
+/// must agree with an independent event-loop run within the
 /// combined CI-derived tolerance. Returns the rejection note on
 /// disagreement.
 fn oracle_disagreement(
@@ -728,21 +728,6 @@ mod tests {
         assert_eq!(g.mc.as_ref().unwrap().sampler, serr_mc::SamplerKind::BatchedInversion);
         assert_eq!(obs.metrics().snapshot().counters["guard.oracle_runs"], 1);
 
-        // The scalar inversion sampler is vetted the same way.
-        let cfg = MonteCarloConfig {
-            trials: 3_000,
-            threads: 1,
-            sampler: serr_mc::SamplerKind::Inversion,
-            ..Default::default()
-        };
-        let (obs, _sink) = serr_obs::Obs::memory();
-        let g = Guard::new(Frequency::base(), cfg)
-            .with_observer(obs.clone())
-            .component_mttf(&trace, rate, None)
-            .unwrap();
-        assert_eq!(g.provenance, Provenance::Clean, "notes: {:?}", g.notes);
-        assert_eq!(obs.metrics().snapshot().counters["guard.oracle_runs"], 1);
-
         // An event-loop-configured guard has nothing to cross-check.
         let cfg = MonteCarloConfig {
             trials: 3_000,
@@ -778,7 +763,7 @@ mod tests {
             }
         }
         let policy = GuardPolicy::default();
-        let inv = est(1.0e6, 5.0e3, serr_mc::SamplerKind::Inversion);
+        let inv = est(1.0e6, 5.0e3, serr_mc::SamplerKind::BatchedInversion);
         // Within combined CI noise: no vote against.
         let close = est(1.01e6, 8.0e3, serr_mc::SamplerKind::EventLoop);
         assert_eq!(oracle_disagreement(&inv, &close, &policy), None);

@@ -78,12 +78,6 @@ impl Json {
         ((0.0..=9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0).then_some(n as u64)
     }
 
-    /// The value as a `usize`, via [`Json::as_u64`].
-    #[must_use]
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
-    }
-
     /// The value as a string slice, if it is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -402,7 +396,7 @@ mod tests {
     fn parses_nested_structures() {
         let v =
             Json::parse(r#"{"i":3,"row":{"name":"gzip","xs":[1,2.5,-3e-2],"ok":true}}"#).unwrap();
-        assert_eq!(v.get("i").unwrap().as_usize(), Some(3));
+        assert_eq!(v.get("i").unwrap().as_u64(), Some(3));
         let row = v.get("row").unwrap();
         assert_eq!(row.get("name").unwrap().as_str(), Some("gzip"));
         assert_eq!(row.get("ok").unwrap().as_bool(), Some(true));

@@ -1,6 +1,5 @@
 //! The paper's component raw error rates (Section 4.1).
 
-use serde::{Deserialize, Serialize};
 use serr_types::RawErrorRate;
 
 /// Raw soft-error rates of the four studied processor components.
@@ -8,7 +7,7 @@ use serr_types::RawErrorRate;
 /// The paper (citing Li et al.'s SoftArch derivation from published device
 /// error rates): integer unit 2.3e-6, FP unit 4.5e-6, decode unit 3.3e-6,
 /// and the 256-entry register file 1.0e-4 errors/year.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitRates {
     /// Integer-unit raw rate.
     pub int_unit: RawErrorRate,

@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use serr_mc::system::SystemModel;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
@@ -24,7 +23,7 @@ use crate::{avf, par, sofr};
 
 /// Validation of the AVF step on a single component (the paper's
 /// Sections 5.1–5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentValidation {
     /// The component's AVF.
     pub avf: f64,
@@ -45,7 +44,7 @@ pub struct ComponentValidation {
 }
 
 /// Validation of the SOFR step on a system of components (Section 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemValidation {
     /// Number of component instances in the system.
     pub components: u64,

@@ -25,8 +25,6 @@ pub mod rng;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::{mix, unit};
 
 /// Number of chunk slots the chunk-level injectors target. Victim indices
@@ -51,7 +49,7 @@ const SALT_TRANSFORM: u64 = 0x09;
 ///
 /// One plan injects exactly one kind of fault; campaigns cycle through all
 /// kinds so coverage is uniform and attribution is unambiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Flip one high mantissa/exponent bit of a `CompiledTrace` segment
     /// value. Must be caught by the trace structural verifier.
@@ -342,7 +340,7 @@ pub enum ServeFault {
 /// Every query below is a pure function of the plan (plus explicit inputs),
 /// so a plan can be freely copied across threads and serialized into
 /// configs; there is no hidden injection state anywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
     /// Seed every injection parameter is derived from.
     pub seed: u64,

@@ -1,16 +1,38 @@
 //! The batched structure-of-arrays inversion sampler: a whole chunk of
 //! trials is the unit of work.
 //!
-//! # Why batching is the next 10×
+//! # Why the event loop can be replaced by one draw
 //!
-//! The scalar inversion sampler ([`crate::inversion`]) already made a
-//! single trial O(1): one Exp draw, two logs, one bucketed inverse-index
-//! probe. What remains is pure per-trial overhead — a `SmallRng` state
-//! update and a branchy `ln`/`ln_1p` per draw, a prefix-table probe per
-//! trial — none of which the compiler can vectorize across trials because
-//! the scalar loop serializes through the RNG state. This module
-//! restructures the work so every stage is a straight-line array pass over
-//! structure-of-arrays buffers:
+//! The event-loop sampler ([`crate::sampler`]) walks a homogeneous
+//! Poisson(λ) raw-error arrival stream and accepts each arrival striking
+//! cycle `t` independently with probability `v(t)`. By the Poisson
+//! thinning theorem, the accepted arrivals form an **inhomogeneous Poisson
+//! process with intensity `λ·v(t)`** — the Bernoulli masking draw *is* the
+//! intensity modulation, fractional `v` included. With
+//! `V(t) = ∫₀ᵗ v(s) ds` (extended periodically, `V(t + L) = V(t) + V(L)`)
+//! and a trial starting at phase `φ`,
+//!
+//! ```text
+//! P(TTF > t) = exp(−λ·[V(φ + t) − V(φ)])
+//! ```
+//!
+//! so `TTF = Λ⁻¹(E)` for `E ~ Exp(1)` and `Λ(t) = λ·[V(φ + t) − V(φ)]` is
+//! an *exact* sample of the distribution the event loop walks out one
+//! arrival at a time, at any λL. `V⁻¹` is
+//! [`CompiledTrace::phase_at_cumulative`] over the compiled prefix sums.
+//! This sampler therefore reads the prefix table on every trial, so
+//! `TracePrefixPerturb` corruption (invisible to the event loop's point
+//! queries) skews its estimates directly — the guarded path verifies a
+//! compiled trace before trusting it (see [`CompiledTrace::verify`]).
+//!
+//! # Why a chunk is the unit of work
+//!
+//! One trial by inversion is O(1): one Exp draw, two logs, one inverse
+//! lookup. Run one trial at a time, what remains is per-trial overhead — a
+//! sequential RNG state update, a branchy `ln`/`ln_1p` per draw, a
+//! prefix-table probe per trial — none of which vectorizes across trials.
+//! This module restructures the work so every stage is a straight-line
+//! array pass over structure-of-arrays buffers:
 //!
 //! 1. **Counter RNG**: the chunk's entire word stream is generated up
 //!    front into a flat `u64` buffer by a SplitMix64 finalizer over
@@ -40,11 +62,11 @@
 //! `M` is an independent truncated-`Exp(λ)` mass on `[0, W)`. The batched
 //! kernel samples `K = ⌊E/(λW)⌋` from one `Exp(1)` draw `E` (exactly
 //! geometric, since `P(⌊E/g⌋ = j) = e^{−jg}(1 − e^{−g})`) and `M` from an
-//! independent uniform — the same joint law the scalar sampler's
-//! three-part split produces, so the two agree in distribution at any λL,
-//! which `tests/sampler_equivalence.rs` pins by KS. The λW > 700 underflow
-//! guard of the scalar path is *structural* here: `E ≤ −ln 2⁻⁵² ≈ 36.04`,
-//! so a huge `λW` makes `⌊E/(λW)⌋` zero with no branch at all. Stationary
+//! independent uniform — by memorylessness exactly the law of `Λ⁻¹(E)`,
+//! which `tests/sampler_equivalence.rs` pins by KS against the event loop
+//! at λL from 1e-9 to 2000. No `e^{−λW}` underflow guard is needed:
+//! `E ≤ −ln 2⁻⁵² ≈ 36.04`, so a huge `λW` makes `⌊E/(λW)⌋` zero with no
+//! branch at all. Stationary
 //! starts draw the phase, test the first partial window with the same
 //! `Exp(1)` draw (`E < λ·tail₀` hits with exactly `p₀ = 1 − e^{−λ·tail₀}`,
 //! and `E/λ` *is* the conditional truncated mass — no second draw, no
@@ -58,11 +80,9 @@
 //! `n + i`; stationary starts prepend the phase plane and append the
 //! geometric plane). Changing the layout, the finalizer, or the
 //! bit-to-uniform mapping is a schedule bump that must re-pin
-//! `sampler_equivalence`. The draws differ from the scalar inversion
-//! sampler's `SmallRng` stream by construction — the batched sampler is a
-//! *new* schedule, not a reordering of the old one — but the per-chunk
-//! `(seed, chunk)` derivation and ascending-chunk fold are unchanged, so
-//! estimates remain bit-identical at any `SERR_THREADS`.
+//! `sampler_equivalence`. The per-chunk `(seed, chunk)` derivation and the
+//! ascending-chunk fold are the engine's, so estimates are bit-identical at
+//! any `SERR_THREADS`.
 //!
 //! # Shared streams across a sweep (common random numbers)
 //!
@@ -247,7 +267,7 @@ pub struct BatchedInversionSampler<'a> {
     /// Total vulnerability mass `W` of one period.
     total: f64,
     /// Largest mass the inverse lookup may see (`W.next_down()`), absorbing
-    /// any rounding-up in the draws — same cap as the scalar sampler.
+    /// any rounding-up in the draws.
     mass_cap: f64,
     /// `−1/λ`: one multiply turns `ln(1 − y)` into a truncated-Exp mass.
     neg_inv_lambda: f64,
@@ -264,9 +284,8 @@ impl<'a> BatchedInversionSampler<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `lambda_cycle` is not positive or the trace has AVF = 0 —
-    /// the same contract as the scalar inversion sampler (callers validate
-    /// these up front).
+    /// Panics if `lambda_cycle` is not positive or the trace has AVF = 0
+    /// (a failure would never occur; callers validate these up front).
     #[must_use]
     pub fn new(trace: &'a CompiledTrace, lambda_cycle: f64, start_phase: StartPhase) -> Self {
         assert!(lambda_cycle > 0.0, "per-cycle rate must be positive");
@@ -394,8 +413,7 @@ impl<'a> BatchedInversionSampler<'a> {
         let p = point;
 
         // Truncated-Exp(λ) mass on [0, W): m = −ln(1 − u·p)/λ, capped
-        // below W for the inverse lookup like the scalar sampler — the
-        // scale and cap are fused into the log pass. The multiply reads
+        // below W for the inverse lookup — the scale and cap are fused into the log pass. The multiply reads
         // the identical uniform the fused kernel generated inline, so
         // sharing the plane across points changes no bits.
         p.residual_masses.clear();
@@ -466,8 +484,7 @@ impl<'a> BatchedInversionSampler<'a> {
         // E/λ as the conditional truncated mass beyond V(φ) — by
         // memorylessness that *is* the right law, with no cancellation
         // since E < λ·tail₀ keeps the sum below W. A miss draws the
-        // geometric skip and an independent final-window mass, exactly as
-        // the scalar sampler's parts 2 and 3.
+        // geometric skip and an independent final-window mass.
         p.residual_masses.clear();
         p.bases.clear();
         for i in 0..n {
@@ -482,8 +499,8 @@ impl<'a> BatchedInversionSampler<'a> {
                 p.bases.push(-phi);
             } else {
                 let u_c = uniform_from_word(s.words[n + i]);
-                // Same λW > 700 underflow regime as the scalar sampler:
-                // neg_inv_lambda_w ≈ 0 collapses the skip count to 0.
+                // When e^{−λW} underflows (λW > 700), neg_inv_lambda_w ≈ 0
+                // collapses the skip count to 0.
                 let k = ((1.0 - u_c).ln() * self.neg_inv_lambda_w).floor();
                 let y = uniform_from_word(s.words[i]) * self.one_minus_q;
                 let m = ((-y).ln_1p() * self.neg_inv_lambda).min(self.mass_cap);
@@ -617,9 +634,8 @@ mod tests {
 
     #[test]
     fn huge_lambda_l_is_stable_with_no_explicit_guard() {
-        // λL = 2000: e^{−λW} underflows to 0. The scalar sampler needs an
-        // explicit λW > 700 branch; here E ≤ 36.04 forces every skip to 0
-        // structurally. All TTFs must stay finite and land in the first
+        // λL = 2000: e^{−λW} underflows to 0. No explicit λW > 700 branch
+        // exists; E ≤ 36.04 forces every skip to 0 structurally. All TTFs must stay finite and land in the first
         // busy window.
         let trace = IntervalTrace::busy_idle(1000, 1000).unwrap();
         let lambda = 1.0;

@@ -2,7 +2,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use serr_inject::FaultPlan;
 use serr_types::SerrError;
 
@@ -13,7 +12,7 @@ use serr_types::SerrError;
 /// half). For a long-running system observed at a random time, the
 /// stationary convention is the physically neutral choice; the SOFR-step
 /// discrepancy is sensitive to this (see the `ablation_phase` binary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StartPhase {
     /// Every trial starts at cycle 0 of the loop (the paper's convention).
     #[default]
@@ -30,7 +29,7 @@ pub enum StartPhase {
 /// intensity `λ·v(t)`, so `P(TTF > t) = exp(−λ·V(t))` either way. They
 /// differ only in cost — and in which compiled tables they read, which is
 /// why the chaos taxonomy distinguishes them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplerKind {
     /// Walk raw-error events one at a time (the paper's Appendix A
     /// decomposition): geometric period skip + truncated-exponential
@@ -38,18 +37,14 @@ pub enum SamplerKind {
     /// events per trial; reads only point values. Kept as the
     /// cross-check oracle in the guarded estimation path.
     EventLoop,
-    /// Invert the cumulative-vulnerability function: one `Exp(1)` draw,
-    /// split into whole periods plus a remainder located in the compiled
-    /// prefix table — O(1) per trial, independent of AVF and λL. Kept as
-    /// the scalar oracle for the batched sampler's equivalence suite.
-    Inversion,
-    /// The same inversion transform restructured so a whole trial chunk is
-    /// the unit of work: counter-based RNG words, structure-of-arrays
-    /// buffers, and branchless array passes (see `serr_mc::batched`).
-    /// Samples the identical distribution as [`SamplerKind::Inversion`]
-    /// from a *different* (versioned) random stream — estimates are
-    /// statistically interchangeable but not bit-equal across sampler
-    /// kinds.
+    /// Invert the cumulative-vulnerability function: one `Exp(1)` draw per
+    /// trial, split into whole periods plus a remainder located in the
+    /// compiled prefix table — O(1) per trial, independent of AVF and λL —
+    /// run a whole trial chunk at a time with counter-based RNG words,
+    /// structure-of-arrays buffers, and branchless array passes (see
+    /// `serr_mc::batched`). Draws from a *different* (versioned) random
+    /// stream than the event loop, so estimates are statistically
+    /// interchangeable but not bit-equal across sampler kinds.
     #[default]
     BatchedInversion,
 }
@@ -60,7 +55,6 @@ impl SamplerKind {
     pub fn label(self) -> &'static str {
         match self {
             SamplerKind::EventLoop => "event-loop",
-            SamplerKind::Inversion => "inversion",
             SamplerKind::BatchedInversion => "batched-inversion",
         }
     }
@@ -70,14 +64,13 @@ impl SamplerKind {
     /// # Errors
     ///
     /// Returns [`SerrError::InvalidConfig`] for anything other than
-    /// `event-loop`, `inversion`, or `batched-inversion`.
+    /// `batched-inversion` or `event-loop`.
     pub fn parse(s: &str) -> Result<Self, SerrError> {
         match s {
             "event-loop" => Ok(SamplerKind::EventLoop),
-            "inversion" => Ok(SamplerKind::Inversion),
             "batched-inversion" => Ok(SamplerKind::BatchedInversion),
             other => Err(SerrError::invalid_config(format!(
-                "unknown sampler {other:?} (expected event-loop, inversion, or batched-inversion)"
+                "unknown sampler {other:?} (expected batched-inversion or event-loop)"
             ))),
         }
     }
@@ -94,7 +87,7 @@ impl SamplerKind {
 /// let cfg = MonteCarloConfig { trials: 1_000_000, seed: 7, ..Default::default() };
 /// assert_eq!(cfg.trials, 1_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonteCarloConfig {
     /// Number of independent time-to-failure trials to average.
     pub trials: u64,
@@ -210,11 +203,11 @@ mod tests {
     #[test]
     fn sampler_defaults_to_batched_inversion_and_labels_round_trip() {
         assert_eq!(MonteCarloConfig::default().sampler, SamplerKind::BatchedInversion);
-        for kind in [SamplerKind::EventLoop, SamplerKind::Inversion, SamplerKind::BatchedInversion]
-        {
+        for kind in [SamplerKind::EventLoop, SamplerKind::BatchedInversion] {
             assert_eq!(SamplerKind::parse(kind.label()).expect("label parses"), kind);
         }
         assert!(SamplerKind::parse("naive").is_err());
+        assert!(SamplerKind::parse("inversion").is_err(), "the scalar sampler is retired");
         assert!(SamplerKind::parse("").is_err());
     }
 

@@ -24,9 +24,6 @@
 //!   chunk the unit of work: counter-based RNG words and branchless
 //!   structure-of-arrays passes produce all [`TRIAL_CHUNK`] times to
 //!   failure per dispatch — see [`crate::batched`];
-//! * [`SamplerKind::Inversion`] draws each time to failure in O(1) by
-//!   inverting the cumulative-vulnerability function through the compiled
-//!   prefix table — see [`crate::inversion`] — kept as the scalar oracle;
 //! * [`SamplerKind::EventLoop`] walks raw-error events one at a time (the
 //!   paper's Appendix A decomposition) over the compiled point queries —
 //!   kept as the cross-check oracle.
@@ -39,7 +36,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use serr_numeric::stats::{RunningStats, Summary};
 use serr_obs::{Event, Obs};
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
@@ -47,7 +43,6 @@ use serr_types::{Frequency, Mttf, RawErrorRate, SerrError};
 
 use crate::batched::{BatchScratch, BatchedInversionSampler};
 use crate::config::{SamplerKind, StartPhase};
-use crate::inversion::sample_time_to_failure_inversion;
 use crate::sampler::{sample_time_to_failure, TrialOutcome};
 use crate::system::SystemModel;
 use crate::MonteCarloConfig;
@@ -166,7 +161,7 @@ struct ChunkOutcome {
 }
 
 /// A Monte Carlo MTTF estimate with sampling diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MttfEstimate {
     /// The estimated mean time to failure.
     pub mttf: Mttf,
@@ -393,7 +388,6 @@ impl MonteCarlo {
             metrics.add(
                 match sampler {
                     SamplerKind::EventLoop => "mc.runs_event_loop",
-                    SamplerKind::Inversion => "mc.runs_inversion",
                     SamplerKind::BatchedInversion => "mc.runs_batched_inversion",
                 },
                 1,
@@ -442,16 +436,10 @@ impl MonteCarlo {
                     );
                     Ok(ChunkOutcome {
                         stats,
-                        // Like the scalar inversion sampler: one raw-error
-                        // event (the failing one) per trial.
+                        // One raw-error event (the failing one) per trial.
                         events: n,
                         ttfs: if collect_samples { ttfs.to_vec() } else { Vec::new() },
                     })
-                })
-            }
-            SamplerKind::Inversion => {
-                self.run_chunks(c.period_cycles(), collect_samples, |rng, phase| {
-                    Ok(sample_time_to_failure_inversion(c, lambda_cycle, rng, phase))
                 })
             }
             SamplerKind::EventLoop => {
@@ -462,12 +450,11 @@ impl MonteCarlo {
         }
     }
 
-    /// The per-trial loop over [`run_chunks_scaffold`]: one chunk-seeded
-    /// `SmallRng` per chunk, one closure call per trial. Monomorphized over
-    /// the per-trial closure so each sampler's fast path inlines end to
-    /// end; the `StartPhase` draw lives here exactly once, *before* the
-    /// trial call, so every per-trial sampler sees the identical phase
-    /// stream.
+    /// The per-trial loop over [`run_chunks_scaffold`] that the event loop
+    /// runs: one chunk-seeded `SmallRng` per chunk, one closure call per
+    /// trial, monomorphized over the closure so the walk inlines end to
+    /// end. The `StartPhase` draw happens *before* the trial call, so the
+    /// phase stream is fixed by the chunk seed alone.
     ///
     /// [`run_chunks_scaffold`]: MonteCarlo::run_chunks_scaffold
     fn run_chunks<F>(
@@ -491,8 +478,7 @@ impl MonteCarlo {
                 let mut ttfs = Vec::with_capacity(if collect_samples { n as usize } else { 0 });
                 for _ in 0..n {
                     // The `StartPhase` draw must stay *before* the trial
-                    // call so every per-trial sampler sees the identical
-                    // phase stream.
+                    // call: moving it would reorder the RNG stream.
                     let phase = match start_phase {
                         StartPhase::WorkloadStart => 0.0,
                         StartPhase::Stationary => rng.gen_range(0.0..period),
@@ -713,9 +699,7 @@ mod tests {
         let trace =
             IntervalTrace::from_levels(&[1.0, 0.25, 0.25, 0.0, 0.5, 0.0, 0.0, 0.0]).unwrap();
         let rate = RawErrorRate::per_year(5.0);
-        for sampler in
-            [SamplerKind::EventLoop, SamplerKind::Inversion, SamplerKind::BatchedInversion]
-        {
+        for sampler in [SamplerKind::EventLoop, SamplerKind::BatchedInversion] {
             for start_phase in [StartPhase::WorkloadStart, StartPhase::Stationary] {
                 let one = MonteCarloConfig {
                     trials: 4_000,
@@ -743,9 +727,6 @@ mod tests {
         let trace = IntervalTrace::busy_idle(30, 70).unwrap();
         let rate = RawErrorRate::per_second(0.01 * Frequency::base().hz() / 100.0);
         let base = MonteCarloConfig { trials: 100_000, ..Default::default() };
-        let inv = MonteCarlo::new(MonteCarloConfig { sampler: SamplerKind::Inversion, ..base })
-            .component_mttf(&trace, rate, Frequency::base())
-            .unwrap();
         let ev = MonteCarlo::new(MonteCarloConfig { sampler: SamplerKind::EventLoop, ..base })
             .component_mttf(&trace, rate, Frequency::base())
             .unwrap();
@@ -753,22 +734,18 @@ mod tests {
             MonteCarlo::new(MonteCarloConfig { sampler: SamplerKind::BatchedInversion, ..base })
                 .component_mttf(&trace, rate, Frequency::base())
                 .unwrap();
-        for (label, other) in [("event-loop", &ev), ("batched-inversion", &batched)] {
-            let gap = (inv.mttf.as_secs() - other.mttf.as_secs()).abs();
-            let tol = 3.0 * (inv.ttf_seconds.ci95 + other.ttf_seconds.ci95);
-            assert!(
-                gap <= tol,
-                "inversion {} vs {label} {}: gap {gap} > {tol}",
-                inv.mttf.as_secs(),
-                other.mttf.as_secs()
-            );
-        }
-        // Both inversion samplers consume exactly one event per trial; the
-        // event loop needs ~1/AVF (plus the λL-dependent correction).
-        assert_eq!(inv.mean_events_per_trial, 1.0);
+        let gap = (batched.mttf.as_secs() - ev.mttf.as_secs()).abs();
+        let tol = 3.0 * (batched.ttf_seconds.ci95 + ev.ttf_seconds.ci95);
+        assert!(
+            gap <= tol,
+            "batched-inversion {} vs event-loop {}: gap {gap} > {tol}",
+            batched.mttf.as_secs(),
+            ev.mttf.as_secs()
+        );
+        // Inversion consumes exactly one event per trial; the event loop
+        // needs ~1/AVF (plus the λL-dependent correction).
         assert_eq!(batched.mean_events_per_trial, 1.0);
         assert!(ev.mean_events_per_trial > 2.0, "events {}", ev.mean_events_per_trial);
-        assert_eq!(inv.sampler, SamplerKind::Inversion);
         assert_eq!(ev.sampler, SamplerKind::EventLoop);
         assert_eq!(batched.sampler, SamplerKind::BatchedInversion);
     }
@@ -1124,7 +1101,6 @@ mod tests {
             "default sampler is batched inversion"
         );
         assert!(!snap.counters.contains_key("mc.runs_event_loop"));
-        assert!(!snap.counters.contains_key("mc.runs_inversion"));
         assert_eq!(snap.counters["mc.trials_completed"], 5_000);
         assert_eq!(snap.histograms["stage.mc_run_ms"].count(), 1);
         assert_eq!(snap.histograms["stage.trace_compile_ms"].count(), 1);

@@ -7,7 +7,7 @@
 //! > new raw error event [...] If it is not masked, we consider the
 //! > component failed."
 //!
-//! This crate implements that procedure with four engineering refinements
+//! This crate implements that procedure with three engineering refinements
 //! that keep it exact across the paper's entire design space:
 //!
 //! 1. **Exact phase sampling.** Raw-error arrival times reach 10⁶+ years
@@ -18,21 +18,19 @@
 //!    follows the exact truncated-exponential phase distribution of the
 //!    paper's Appendix A — both sampled at magnitudes `≤ L` with full
 //!    precision (see [`sampler`]).
-//! 2. **O(1) trials by inversion.** The walk over raw-error events costs
-//!    ~1/AVF events per trial — worst exactly where the paper's sweeps
-//!    spend their time (low AVF, low λL). The [`SamplerKind::Inversion`]
-//!    sampler instead draws one `Exp(1)` variate and inverts the
-//!    cumulative-vulnerability function through the compiled trace's
-//!    prefix table: constant cost per trial, identical distribution (see
-//!    [`inversion`] for the thinning proof).
-//! 3. **Chunked trials by batching.** The default
-//!    [`SamplerKind::BatchedInversion`] sampler runs the same inversion
-//!    mathematics as straight-line structure-of-arrays passes over whole
-//!    trial chunks — counter RNG up front, vectorized logs, a batched
-//!    prefix-table probe, and a fused statistics fold — removing the
-//!    per-trial RNG-state and probe overhead the scalar loop cannot
-//!    vectorize away (see [`batched`]).
-//! 4. **Superposition for clusters.** For a system of components running
+//! 2. **O(1) trials by batched inversion.** The walk over raw-error events
+//!    costs ~1/AVF events per trial — worst exactly where the paper's
+//!    sweeps spend their time (low AVF, low λL). The default
+//!    [`SamplerKind::BatchedInversion`] sampler instead draws one `Exp(1)`
+//!    variate per trial and inverts the cumulative-vulnerability function
+//!    through the compiled trace's prefix table: constant cost per trial,
+//!    identical distribution (see [`batched`] for the thinning proof). It
+//!    runs as straight-line structure-of-arrays passes over whole trial
+//!    chunks — counter RNG up front, vectorized logs, a batched
+//!    prefix-table probe, and a fused statistics fold. The event loop
+//!    ([`SamplerKind::EventLoop`]) stays as the independent oracle: it never
+//!    reads the prefix sums.
+//! 3. **Superposition for clusters.** For a system of components running
 //!    phase-aligned workloads, the union of per-component raw-error
 //!    processes is itself Poisson with the summed rate, and each arrival is
 //!    attributed to a component with rate-proportional probability. A
@@ -60,7 +58,6 @@
 pub mod batched;
 mod config;
 mod engine;
-pub mod inversion;
 pub mod naive;
 pub mod sampler;
 pub mod sweep;

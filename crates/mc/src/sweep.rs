@@ -89,9 +89,9 @@ impl MonteCarlo {
     /// each returned entry is bit-identical to an independent run at that
     /// rate with the same configuration. A rate that is individually
     /// invalid (zero) yields a per-point `Err` without disturbing its
-    /// neighbors. Samplers other than [`SamplerKind::BatchedInversion`]
-    /// run each point independently on the shared compiled trace, which
-    /// *defines* the per-point result, so the equivalence is trivial there.
+    /// neighbors. The event loop ([`SamplerKind::EventLoop`]) runs each
+    /// point independently on the shared compiled trace, which *defines*
+    /// the per-point result, so the equivalence is trivial there.
     ///
     /// # Errors
     ///
@@ -213,8 +213,7 @@ impl MonteCarlo {
         }
 
         for (&(i, _), stats) in valid.iter().zip(&per_point) {
-            // One raw-error event (the failing one) per trial, like every
-            // inversion sampler.
+            // One raw-error event (the failing one) per trial.
             let est = estimate_from_cycle_stats(
                 stats,
                 hz,
@@ -326,19 +325,18 @@ mod tests {
     }
 
     #[test]
-    fn non_batched_samplers_fall_back_to_independent_runs() {
+    fn the_event_loop_falls_back_to_independent_runs() {
         let trace = IntervalTrace::busy_idle(30, 70).unwrap();
         let rates: Vec<RawErrorRate> =
             (0..3).map(|i| RawErrorRate::per_year(2.0 + f64::from(i))).collect();
-        for sampler in [SamplerKind::EventLoop, SamplerKind::Inversion] {
-            let cfg = MonteCarloConfig { trials: 2_000, sampler, ..Default::default() };
-            let mc = MonteCarlo::new(cfg);
-            let multi = mc.component_mttf_multi(&trace, &rates, Frequency::base()).unwrap();
-            for (r, m) in rates.iter().zip(&multi) {
-                let solo = mc.component_mttf(&trace, *r, Frequency::base()).unwrap();
-                assert_bit_identical(m.as_ref().unwrap(), &solo);
-                assert_eq!(m.as_ref().unwrap().sampler, sampler);
-            }
+        let sampler = SamplerKind::EventLoop;
+        let cfg = MonteCarloConfig { trials: 2_000, sampler, ..Default::default() };
+        let mc = MonteCarlo::new(cfg);
+        let multi = mc.component_mttf_multi(&trace, &rates, Frequency::base()).unwrap();
+        for (r, m) in rates.iter().zip(&multi) {
+            let solo = mc.component_mttf(&trace, *r, Frequency::base()).unwrap();
+            assert_bit_identical(m.as_ref().unwrap(), &solo);
+            assert_eq!(m.as_ref().unwrap().sampler, sampler);
         }
     }
 

@@ -1,14 +1,13 @@
 //! Distributional equivalence of the time-to-failure samplers.
 //!
-//! The thinning identity (see `serr_mc::inversion`) says the event-loop
-//! walk, the scalar Λ-inversion draw, and the batched inversion passes all
-//! sample the *same* distribution,
+//! The thinning identity (see `serr_mc::batched`) says the event-loop walk
+//! and the batched Λ-inversion passes sample the *same* distribution,
 //! `P(TTF > t) = exp(−λ·[V(φ+t) − V(φ)])` — not merely the same mean. This
 //! suite pins that with two-sample Kolmogorov–Smirnov tests across the
 //! regimes the paper's sweeps visit (λL from 1e-9 to 2000, binary and
-//! fractional masking, workload-start and stationary phases), anchors all
-//! three against the naive cycle-stepping reference, property-tests the
-//! inversion sampler against the renewal closed form on random traces,
+//! fractional masking, workload-start and stationary phases), anchors both
+//! against the naive cycle-stepping reference, property-tests the batched
+//! sampler against the renewal closed form on random traces,
 //! checks the batched sampler on a tile-level compile against the event
 //! loop on the raw concatenation, and pins the batched sampler's
 //! bit-identity across thread counts (its versioned counter-RNG schedule).
@@ -55,49 +54,10 @@ fn engine_samples(
 }
 
 #[test]
-fn inversion_matches_event_loop_across_the_design_grid() {
-    let binary = IntervalTrace::busy_idle(30, 70).expect("valid trace");
-    let fractional =
-        IntervalTrace::from_levels(&[1.0, 0.25, 0.0, 0.5, 0.0, 0.75, 0.0, 0.0]).expect("valid");
-    let n = 20_000usize;
-    let crit = 1.5 * ks_two_sample_critical_value(n, n, 0.01);
-    for (tname, trace) in [("binary", &binary), ("fractional", &fractional)] {
-        for lambda_l in [1e-9, 1.0, 2000.0] {
-            for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
-                let inv = engine_samples(
-                    trace,
-                    lambda_l,
-                    SamplerKind::Inversion,
-                    start,
-                    n as u64,
-                    0xA11C_E001,
-                );
-                let ev = engine_samples(
-                    trace,
-                    lambda_l,
-                    SamplerKind::EventLoop,
-                    start,
-                    n as u64,
-                    0xB0B0_0002,
-                );
-                let d =
-                    Ecdf::new(inv).expect("no NaN").ks_two_sample(&Ecdf::new(ev).expect("no NaN"));
-                assert!(
-                    d < crit,
-                    "{tname} λL={lambda_l:e} {start:?}: KS {d:.5} ≥ {crit:.5} — the samplers \
-                     draw different distributions"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_inversion_matches_the_scalar_oracle_across_the_design_grid() {
-    // The batched sampler draws from a *different* (versioned) random
-    // stream — see `serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION` — so
-    // the pin here is distributional: two-sample KS against the scalar
-    // inversion oracle over the same grid as the event-loop duel.
+fn batched_inversion_matches_event_loop_across_the_design_grid() {
+    // The batched sampler draws from its own versioned counter-RNG stream
+    // (`serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION`) and the event loop
+    // from a per-chunk `SmallRng`, so the pin is distributional.
     let binary = IntervalTrace::busy_idle(30, 70).expect("valid trace");
     let fractional =
         IntervalTrace::from_levels(&[1.0, 0.25, 0.0, 0.5, 0.0, 0.75, 0.0, 0.0]).expect("valid");
@@ -114,21 +74,21 @@ fn batched_inversion_matches_the_scalar_oracle_across_the_design_grid() {
                     n as u64,
                     0xD00D_0005,
                 );
-                let inv = engine_samples(
+                let ev = engine_samples(
                     trace,
                     lambda_l,
-                    SamplerKind::Inversion,
+                    SamplerKind::EventLoop,
                     start,
                     n as u64,
-                    0xA11C_E001,
+                    0xB0B0_0002,
                 );
                 let d = Ecdf::new(batched)
                     .expect("no NaN")
-                    .ks_two_sample(&Ecdf::new(inv).expect("no NaN"));
+                    .ks_two_sample(&Ecdf::new(ev).expect("no NaN"));
                 assert!(
                     d < crit,
-                    "{tname} λL={lambda_l:e} {start:?}: KS {d:.5} ≥ {crit:.5} — the batched \
-                     passes draw a different distribution than the scalar oracle"
+                    "{tname} λL={lambda_l:e} {start:?}: KS {d:.5} ≥ {crit:.5} — the samplers \
+                     draw different distributions"
                 );
             }
         }
@@ -140,7 +100,7 @@ fn samplers_are_ks_equivalent_on_protection_transformed_traces() {
     // The --protect pipeline reshapes traces into forms no hand-written
     // test trace has: dense fractional scrub staircases, ECC-compressed
     // mid-range values, and a delay-zeroed tail. The thinning identity
-    // holds for *any* valid trace, so all three samplers must still draw
+    // holds for *any* valid trace, so both samplers must still draw
     // the same TTF distribution on the transformed output — this pins the
     // samplers' landing-cycle math on exactly the segment shapes protected
     // estimation runs feed them.
@@ -161,8 +121,6 @@ fn samplers_are_ks_equivalent_on_protection_transformed_traces() {
         for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
             let ev =
                 engine_samples(&trace, lambda_l, SamplerKind::EventLoop, start, n as u64, 0x7E01);
-            let inv =
-                engine_samples(&trace, lambda_l, SamplerKind::Inversion, start, n as u64, 0x7E02);
             let batched = engine_samples(
                 &trace,
                 lambda_l,
@@ -171,18 +129,12 @@ fn samplers_are_ks_equivalent_on_protection_transformed_traces() {
                 n as u64,
                 0x7E03,
             );
-            let inv_ecdf = Ecdf::new(inv).expect("no NaN");
-            let d_ev = inv_ecdf.ks_two_sample(&Ecdf::new(ev).expect("no NaN"));
-            let d_batched = inv_ecdf.ks_two_sample(&Ecdf::new(batched).expect("no NaN"));
+            let d =
+                Ecdf::new(batched).expect("no NaN").ks_two_sample(&Ecdf::new(ev).expect("no NaN"));
             assert!(
-                d_ev < crit,
-                "transformed λL={lambda_l:e} {start:?}: inversion vs event loop KS \
-                 {d_ev:.5} ≥ {crit:.5}"
-            );
-            assert!(
-                d_batched < crit,
-                "transformed λL={lambda_l:e} {start:?}: batched vs scalar KS \
-                 {d_batched:.5} ≥ {crit:.5}"
+                d < crit,
+                "transformed λL={lambda_l:e} {start:?}: batched vs event loop KS \
+                 {d:.5} ≥ {crit:.5}"
             );
         }
     }
@@ -292,7 +244,7 @@ fn both_samplers_match_the_naive_reference_at_moderate_rate() {
         .collect();
     let naive_ecdf = Ecdf::new(naive).expect("no NaN");
     let crit = 1.5 * ks_two_sample_critical_value(n, n, 0.01) + 2.0 * lambda_cycle;
-    for sampler in [SamplerKind::BatchedInversion, SamplerKind::Inversion, SamplerKind::EventLoop] {
+    for sampler in [SamplerKind::BatchedInversion, SamplerKind::EventLoop] {
         let s =
             engine_samples(&trace, 1.0, sampler, StartPhase::WorkloadStart, n as u64, 0xCAFE_0004);
         let d = naive_ecdf.ks_two_sample(&Ecdf::new(s).expect("no NaN"));
@@ -303,7 +255,7 @@ fn both_samplers_match_the_naive_reference_at_moderate_rate() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
     #[test]
-    fn inversion_matches_renewal_closed_form_on_random_traces(
+    fn batched_inversion_matches_renewal_closed_form_on_random_traces(
         levels in proptest::collection::vec((0..=4u8).prop_map(|q| f64::from(q) / 4.0), 2..48),
         lambda_l_exp in -3.0f64..1.5,
     ) {
@@ -315,11 +267,11 @@ proptest! {
         let mc = MonteCarlo::new(MonteCarloConfig {
             trials: 30_000,
             threads: 1,
-            sampler: SamplerKind::Inversion,
+            sampler: SamplerKind::BatchedInversion,
             ..Default::default()
         });
         let est = mc.component_mttf(&trace, rate, freq).unwrap();
-        prop_assert_eq!(est.sampler, SamplerKind::Inversion);
+        prop_assert_eq!(est.sampler, SamplerKind::BatchedInversion);
         // One Exp(1) draw per trial, no event walk — the O(1) contract.
         prop_assert_eq!(est.mean_events_per_trial, 1.0);
         let exact = serr_analytic::renewal::renewal_mttf(&trace, rate, freq).unwrap();
@@ -327,7 +279,7 @@ proptest! {
         let budget = 4.0 * est.relative_ci95() + 1e-3;
         prop_assert!(
             err < budget,
-            "λL={lambda_l:.3}: inversion {} vs renewal {} (err {err}, budget {budget})",
+            "λL={lambda_l:.3}: batched {} vs renewal {} (err {err}, budget {budget})",
             est.mttf.as_secs(),
             exact.as_secs()
         );
@@ -344,9 +296,10 @@ proptest! {
         let lambda_l = 10f64.powf(lambda_l_exp);
         let start = if stationary { StartPhase::Stationary } else { StartPhase::WorkloadStart };
         let n = 8_000usize;
-        let inv = engine_samples(&trace, lambda_l, SamplerKind::Inversion, start, n as u64, 0x11);
+        let batched =
+            engine_samples(&trace, lambda_l, SamplerKind::BatchedInversion, start, n as u64, 0x11);
         let ev = engine_samples(&trace, lambda_l, SamplerKind::EventLoop, start, n as u64, 0x22);
-        let d = Ecdf::new(inv).unwrap().ks_two_sample(&Ecdf::new(ev).unwrap());
+        let d = Ecdf::new(batched).unwrap().ks_two_sample(&Ecdf::new(ev).unwrap());
         let crit = 1.5 * ks_two_sample_critical_value(n, n, 0.01);
         prop_assert!(d < crit, "λL={lambda_l:.3} {start:?}: KS {d:.5} ≥ {crit:.5}");
     }

@@ -1,7 +1,5 @@
 //! Streaming descriptive statistics with confidence intervals.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance accumulator (Welford's algorithm) with
 /// compensated mean updates.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
@@ -329,7 +327,7 @@ impl FromIterator<f64> for RunningStats {
 }
 
 /// A frozen summary of a sample, suitable for reports and serialization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,

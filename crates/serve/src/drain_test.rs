@@ -165,3 +165,56 @@ fn corrupt_results_journal_resets_and_the_server_still_starts() {
     assert!(counter(&counters, "serve.journal_resets") >= 1, "{counters:?}");
     shut_down(&mut ctl_b, b);
 }
+
+#[test]
+fn an_unparsable_pending_body_is_dropped_with_a_warning_and_the_rest_replays() {
+    use serr_core::checkpoint::Journal;
+    use serr_core::jsonio::Json;
+
+    let dir = temp_dir("replay-drop");
+    let journal = dir.join("journal");
+    let body = RequestBody::Mttf {
+        workload: WorkloadSpec::parse("duty:0.002:0.5").expect("valid spec"),
+        rate_per_year: 2e6,
+        trials: 1_500,
+        sampler: SamplerKind::default(),
+    };
+    let valid = body.canonical();
+    // A pending row journaled under the retired scalar sampler label no
+    // longer parses as a request.
+    let retired = valid.replace(r#""sampler":"batched-inversion""#, r#""sampler":"inversion""#);
+    assert_ne!(retired, valid);
+
+    let (obs, sink) = Obs::memory();
+    let mut cfg = ServeConfig::new(Bind::Unix(dir.join("s.sock")));
+    {
+        let fp = crate::server::journal_fingerprint(&cfg.experiment);
+        let pending = Journal::open(&journal, "serve-pending", fp, false).expect("pending opens");
+        for (i, b) in [&retired, &valid].into_iter().enumerate() {
+            let row = Json::Obj(vec![("body".to_owned(), Json::Str(b.clone()))]);
+            pending.record(i, &row).expect("pending row records");
+        }
+    }
+    cfg.journal_dir = Some(journal);
+    cfg.obs = obs;
+    cfg.mc_threads = 1;
+    let server = Server::start(cfg).expect("server starts");
+    let mut ctl = Client::connect(server.bind_addr()).expect("connect");
+    wait_for_counter(&mut ctl, "serve.results_published", 1);
+
+    let counters = stats(&mut ctl, 1);
+    assert_eq!(counter(&counters, "serve.replay_dropped"), 1, "{counters:?}");
+    assert_eq!(counter(&counters, "serve.replayed_pending"), 1, "{counters:?}");
+    let dropped = sink.events_of("serve.replay_dropped");
+    assert_eq!(dropped.len(), 1);
+    assert_eq!(dropped[0].level, serr_obs::Level::Warn);
+    assert_eq!(dropped[0].seq, 0, "keyed by the pending row's replay index");
+
+    // The valid body replayed into the results journal.
+    let retry = Request { id: 2, deadline_ms: None, tag: None, body };
+    match ctl.roundtrip(&retry).expect("retry io").expect("retry response") {
+        Response::Estimate { est, .. } => assert!(est.resumed, "the valid body replayed"),
+        other => panic!("expected the replayed estimate, got {other:?}"),
+    }
+    shut_down(&mut ctl, server);
+}

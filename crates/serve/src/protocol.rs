@@ -615,6 +615,24 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_scalar_sampler_label_is_a_frame_error_naming_the_valid_ones() {
+        for cmd in [
+            r#""cmd":"mttf","workload":"day","rate_per_year":1"#,
+            r#""cmd":"sweep","workload":"day","rates_per_year":[1,2]"#,
+        ] {
+            let line = format!(r#"{{"id":5,{cmd},"sampler":"inversion"}}"#);
+            let e = Request::parse(&line).unwrap_err();
+            assert_eq!(e.id, Some(5));
+            assert!(e.reason.contains(r#""inversion""#), "{}", e.reason);
+            assert!(
+                e.reason.contains("batched-inversion") && e.reason.contains("event-loop"),
+                "{}",
+                e.reason
+            );
+        }
+    }
+
+    #[test]
     fn sweep_requests_and_responses_roundtrip() {
         let req = Request {
             id: 21,

@@ -482,22 +482,31 @@ impl Server {
 
         // Replay journaled pending work as internal jobs — chaos-exempt,
         // no deadline, no reply channel; their clean results land in the
-        // results journal, so re-requests are answered bit-identically.
-        for canonical in replay {
-            if let Some(body) = body_from_canonical(&canonical) {
-                let job = Job {
-                    tag: state.fresh_tag(),
-                    id: 0,
-                    body,
-                    deadline: None,
-                    canonical,
-                    reply: None,
-                    internal: true,
-                };
-                state.obs.metrics().add("serve.replayed_pending", 1);
-                if state.ingress.push(job).is_err() {
-                    break; // shutting down already
-                }
+        // results journal, so re-requests are answered bit-identically. A
+        // body this build no longer parses (say, a retired sampler label)
+        // is dropped with a warning, never silently.
+        for (i, canonical) in replay.into_iter().enumerate() {
+            let Some(body) = body_from_canonical(&canonical) else {
+                state.obs.emit(
+                    Event::warn("serve.replay_dropped", i as u64)
+                        .with("body", canonical)
+                        .with("action", "pending request dropped; a re-request recomputes"),
+                );
+                state.obs.metrics().add("serve.replay_dropped", 1);
+                continue;
+            };
+            let job = Job {
+                tag: state.fresh_tag(),
+                id: 0,
+                body,
+                deadline: None,
+                canonical,
+                reply: None,
+                internal: true,
+            };
+            state.obs.metrics().add("serve.replayed_pending", 1);
+            if state.ingress.push(job).is_err() {
+                break; // shutting down already
             }
         }
 
@@ -516,13 +525,8 @@ impl Server {
         dir: Option<&std::path::Path>,
     ) -> Result<Vec<String>, serr_types::SerrError> {
         let Some(dir) = dir else { return Ok(Vec::new()) };
-        // Fingerprint over the canonicalized experiment config (threads
-        // pinned to 0) so hosts with different core counts share journals —
-        // estimates are thread-count invariant by construction.
-        let mut canon = state.experiment;
-        canon.mc.threads = 0;
-        let fp = fingerprint(&["serve", &format!("{canon:?}")]);
-        let policy = BackoffPolicy::journal(canon.seed);
+        let fp = journal_fingerprint(&state.experiment);
+        let policy = BackoffPolicy::journal(state.experiment.seed);
 
         // A journal with a damaged store header or a foreign format version
         // cannot be trusted byte-for-byte — reset it and degrade (prior
@@ -1228,6 +1232,15 @@ fn run_sweep_validator(
         });
     }
     Ok(points)
+}
+
+/// The journals' configuration fingerprint: the experiment config with
+/// threads pinned to 0, so hosts with different core counts share journals —
+/// estimates are thread-count invariant by construction.
+pub(crate) fn journal_fingerprint(experiment: &ExperimentConfig) -> u64 {
+    let mut canon = *experiment;
+    canon.mc.threads = 0;
+    fingerprint(&["serve", &format!("{canon:?}")])
 }
 
 /// Reconstructs a request body from its canonical spelling (the form the

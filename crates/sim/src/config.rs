@@ -1,6 +1,5 @@
 //! The simulated machine configuration (paper Table 1).
 
-use serde::{Deserialize, Serialize};
 use serr_types::{Frequency, SerrError};
 
 use crate::predictor::BranchPredictorKind;
@@ -9,7 +8,7 @@ use crate::predictor::BranchPredictorKind;
 ///
 /// [`SimConfig::power4`] reproduces the paper's Table 1 exactly; every field
 /// is public so ablations can perturb the machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Core clock (Table 1: 2.0 GHz).
     pub frequency: Frequency,

@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use serr_types::SerrError;
 use serr_workload::{Instruction, OpClass, RegId};
 
@@ -13,7 +12,7 @@ use crate::regfile::{PhysReg, RenameState};
 use crate::SimConfig;
 
 /// Aggregate statistics from one simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimStats {
     /// Simulated cycles.
     pub cycles: u64,

@@ -6,10 +6,8 @@
 //! front-end stall structure of the masking traces can be studied as an
 //! ablation rather than assumed.
 
-use serde::{Deserialize, Serialize};
-
 /// Which front-end prediction model the simulator uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BranchPredictorKind {
     /// Use the trace's statistical misprediction annotation (the paper's
     /// methodology; mispredict rate equals the benchmark profile's).

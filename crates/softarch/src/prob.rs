@@ -1,8 +1,6 @@
 //! Per-value error-probability bookkeeping (SoftArch's generation and
 //! propagation rules).
 
-use serde::{Deserialize, Serialize};
-
 /// The probability that a value is erroneous.
 ///
 /// SoftArch's two rules:
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let out = a.propagate(b);
 /// assert!((out.value() - (1.0 - 0.9 * 0.8)).abs() < 1e-15);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct ErrorProb(f64);
 
 impl ErrorProb {

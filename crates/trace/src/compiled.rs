@@ -23,7 +23,7 @@
 //!   into equal-width buckets and each bucket records where its first mass
 //!   coordinate lands in the prefix table, so
 //!   [`CompiledTrace::phase_at_cumulative`] — the inner loop of the
-//!   inversion samplers, which turns an `Exp(1)` draw into a failing cycle —
+//!   inversion sampler, which turns an `Exp(1)` draw into a failing cycle —
 //!   is also `O(1)` amortized;
 //! * cached period / AVF / total cumulative vulnerability;
 //! * a precomputed [`is_binary`](VulnerabilityTrace::is_binary) flag that
@@ -403,7 +403,7 @@ impl CompiledTrace {
     /// one prefix-sum entry (chosen by `selector`) — of the dominant part's
     /// inner table, for a tiled trace. The event-loop sampler never reads
     /// the prefix table, so to it this corruption is invisible; the
-    /// inversion samplers read prefix sums on *every* trial
+    /// inversion sampler reads prefix sums on *every* trial
     /// ([`CompiledTrace::phase_at_cumulative`]), so a perturbed entry skews
     /// the sampled failure phases directly. Either way the corruption must
     /// be caught *before* estimation by [`CompiledTrace::verify`]'s

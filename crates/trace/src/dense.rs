@@ -1,6 +1,5 @@
 //! Dense per-cycle vulnerability traces with blocked prefix sums.
 
-use serde::{Deserialize, Serialize};
 use serr_types::SerrError;
 
 use crate::{IntervalTrace, VulnerabilityTrace};
@@ -37,7 +36,7 @@ const BLOCK: usize = 4096;
 /// assert_eq!(t.avf(), 0.5);
 /// assert_eq!(t.vulnerability_at(6), 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseTrace {
     values: Vec<f32>,
     /// `block_prefix[i]` = Σ of values in blocks `0..i`.

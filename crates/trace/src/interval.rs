@@ -1,12 +1,11 @@
 //! Run-length-encoded vulnerability traces.
 
-use serde::{Deserialize, Serialize};
 use serr_types::SerrError;
 
 use crate::VulnerabilityTrace;
 
 /// One run of cycles sharing a vulnerability value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Length of the run in cycles (> 0).
     pub len: u64,
@@ -51,7 +50,7 @@ impl Segment {
 /// assert_eq!(t.period_cycles(), 40);
 /// assert_eq!(t.avf(), (10.0 + 7.5) / 40.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntervalTrace {
     /// Exclusive end cycle of each segment (strictly increasing; last =
     /// period).

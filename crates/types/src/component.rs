@@ -3,14 +3,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::RawErrorRate;
 
 /// Identifies a component within a system.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ComponentId(pub u32);
 
 impl ComponentId {
@@ -45,7 +41,7 @@ impl From<u32> for ComponentId {
 /// floating-point, and instruction-decode units, plus the register file) and
 /// treats whole processors or caches as single components in the broad
 /// design-space exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ComponentKind {
     /// Integer functional unit.
@@ -98,7 +94,7 @@ impl fmt::Display for ComponentKind {
 ///     .with_name("L3 victim cache");
 /// assert_eq!(c.name(), "L3 victim cache");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     id: ComponentId,
     kind: ComponentKind,

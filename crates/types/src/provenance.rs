@@ -8,15 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How an estimate was produced, ordered from best to worst.
 ///
 /// The derived `Ord` is the severity order used by [`Provenance::worse`]:
 /// `Clean < Retried < Degraded < Suspect`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Provenance {
     /// The primary estimator ran once and passed every consistency check.
     #[default]

@@ -4,8 +4,6 @@
 use std::fmt;
 use std::ops::{Add, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Mttf, SerrError, HOURS_PER_YEAR, SECONDS_PER_YEAR};
 
 /// Failures In Time: the number of failures per one billion device-hours
@@ -16,7 +14,7 @@ use crate::{Mttf, SerrError, HOURS_PER_YEAR, SECONDS_PER_YEAR};
 /// let fit = FitRate::new(114.155); // ~1e-3 failures/year
 /// assert!((fit.to_raw_rate().events_per_year() - 1e-3).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct FitRate(f64);
 
 impl FitRate {
@@ -65,7 +63,7 @@ impl fmt::Display for FitRate {
 /// (paper Section 3, assumption 1).
 ///
 /// Internally stored per second. The paper usually quotes errors/year.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct RawErrorRate(f64);
 
 impl RawErrorRate {
@@ -199,7 +197,7 @@ impl fmt::Display for RawErrorRate {
 /// let derated = FailureRate::from_avf(raw, 0.5);
 /// assert!((derated.to_mttf().as_years() - 0.2).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct FailureRate(f64);
 
 impl FailureRate {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{SerrError, SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR};
 
 /// A duration in seconds, the canonical time unit of the workspace.
@@ -14,7 +12,7 @@ use crate::{SerrError, SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR};
 /// let day = Seconds::from_hours(24.0);
 /// assert_eq!(day.as_days(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Seconds(f64);
 
 impl Seconds {
@@ -145,9 +143,7 @@ impl fmt::Display for Seconds {
 ///
 /// Cycle counts are the granularity at which masking traces are recorded: for
 /// a given cycle, a raw error is either masked or not (paper Section 3).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
 impl Cycles {
@@ -212,7 +208,7 @@ impl From<u64> for Cycles {
 /// let f = Frequency::ghz(2.0); // the paper's base processor
 /// assert_eq!(Cycles::new(2_000_000_000).to_seconds(f).as_secs(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency(f64);
 
 impl Frequency {
@@ -278,7 +274,7 @@ impl fmt::Display for Frequency {
 /// let m = Mttf::from_years(10.0);
 /// assert!((m.to_failure_rate().events_per_year() - 0.1).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Mttf(Seconds);
 
 impl Mttf {

@@ -1,13 +1,11 @@
 //! The instruction model consumed by the timing simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// An architectural register identifier.
 ///
 /// The simulated ISA has 32 integer and 32 floating-point architectural
 /// registers; the renamer in `serr-sim` maps these onto the 256-entry
 /// physical file of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RegId {
     /// Integer register `Ri`.
     Int(u8),
@@ -38,7 +36,7 @@ impl RegId {
 /// Operation classes matching the functional units and latencies of the
 /// paper's Table 1 (integer add/multiply/divide at 1/4/35 cycles; FP default
 /// 5, divide 28; loads/stores through the memory hierarchy; branches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Integer ALU operation (1 cycle).
     IntAlu,
@@ -98,7 +96,7 @@ impl OpClass {
 /// traces), and an annotation-mode misprediction hint drawn at the
 /// profile's rate for simulators that skip predictor modeling (the paper's
 /// approach).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchInfo {
     /// Static branch site identifier (stable across dynamic instances).
     pub site: u32,
@@ -115,7 +113,7 @@ pub struct BranchInfo {
 /// trace-driven simulators like Turandot: branch outcomes are part of the
 /// trace and misprediction is either annotated statistically or decided by
 /// a modeled predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instruction {
     /// Operation class.
     pub op: OpClass,

@@ -1,11 +1,10 @@
 //! Synthetic benchmark profiles imitating the SPEC CPU2000 programs the
 //! paper evaluates (9 integer + 12 floating-point, Section 4.1).
 
-use serde::{Deserialize, Serialize};
 use serr_types::SerrError;
 
 /// Which SPEC suite a profile imitates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU2000 integer.
     Int,
@@ -15,7 +14,7 @@ pub enum Suite {
 
 /// Fractions of each operation class in the dynamic instruction stream.
 /// Must sum to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstructionMix {
     /// Integer ALU ops.
     pub int_alu: f64,
@@ -87,7 +86,7 @@ impl InstructionMix {
 /// dependency distances, collapsing IPC and with it unit utilization — the
 /// coarse masking-trace structure that makes long-horizon AVF/SOFR
 /// questions interesting for SPEC-class workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseBehavior {
     /// Instructions per full compute+memory phase cycle.
     pub period_instructions: u64,
@@ -119,7 +118,7 @@ impl PhaseBehavior {
 /// the mix drives unit utilization (integer/FP/decode busy cycles), the
 /// dependency distance throttles ILP, misprediction and memory-locality
 /// parameters create stalls that idle the units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkProfile {
     /// The SPEC program this profile imitates (e.g. `"gzip"`).
     pub name: &'static str,

@@ -7,10 +7,15 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# Build gate: compile every target of every workspace crate — benches and
+# examples included, which neither command above builds — so an API change
+# cannot leave a criterion bench calling code that no longer exists.
+cargo check --workspace --all-targets
+
 # Storage gate: the durable-store suites by name — the CRC-paged container
 # (serr-store), the binary journal/cache ports in serr-core, and the
-# workspace-level durability acceptance (JSONL migration + torn-write
-# recovery, bit-identical at 1 and 8 worker threads). All of these already
+# workspace-level durability acceptance (torn-write recovery and a stray
+# JSONL journal left unread, bit-identical at 1 and 8 worker threads). All of these already
 # ran inside the workspace `cargo test` above; running them addressed keeps
 # a storage regression from hiding in a long test log.
 cargo test -q -p serr-store
@@ -41,19 +46,16 @@ RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-m
 # binary exits nonzero on any silently-wrong result).
 cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 7 --trials 3000
 
-# Perf smoke: regenerates BENCH_engines.json (schema v10, carrying a
-# `storage` section — binary-vs-JSONL journal resume time and mmap-vs-read
-# cache load time — a `models` section: the AVF+SOFR-vs-MC comparison
-# under the ECC/scrub/delay protection transforms — and a `sweep_kernel`
-# section: the 32-point shared-stream duel) and asserts five perf
-# contracts — the Λ-inversion sampler stays >=10x faster than the
-# event-loop walk, the batched inversion sampler stays >=5x faster than the
-# scalar one, the binary journal resume stays >=5x faster than the JSONL
-# parse it replaced on a dense-trace workload, the no-protection
-# transform path adds <=5% to trace compilation, and the shared-stream
-# sweep kernel stays >=3x faster than independent per-point runs while
-# staying bit-identical to them at 1 and 8 threads — the binary aborts if
-# any contract regresses.
+# Perf smoke: regenerates BENCH_engines.json (schema v11, carrying a
+# `storage` section — binary journal resume time and mmap-vs-read cache
+# load time — a `models` section: the AVF+SOFR-vs-MC comparison under the
+# ECC/scrub/delay protection transforms — and a `sweep_kernel` section:
+# the 32-point shared-stream duel) and asserts three perf contracts — the
+# batched inversion sampler stays >=50x faster than the event-loop walk on
+# the low-AVF duel, the no-protection transform path adds <=5% to trace
+# compilation, and the shared-stream sweep kernel stays >=3x faster than
+# independent per-point runs while staying bit-identical to them at 1 and
+# 8 threads — the binary aborts if any contract regresses.
 cargo run --release -p serr-bench --bin bench_smoke -- target/bench-smoke.json
 
 # Protection smoke: every transform in the --protect algebra is AVF-

@@ -75,8 +75,6 @@ pub enum Command {
         fresh: bool,
         /// Monte Carlo trials override.
         trials: Option<u64>,
-        /// Mirror the binary journal into a human-readable JSONL sidecar.
-        debug_journal: bool,
         /// Write checkpoint events and a metrics snapshot as JSONL to this
         /// path.
         metrics: Option<std::path::PathBuf>,
@@ -182,13 +180,11 @@ impl Command {
                 })?)?;
                 let mut fresh = false;
                 let mut trials: Option<u64> = None;
-                let mut debug_journal = false;
                 let mut metrics: Option<std::path::PathBuf> = None;
                 while let Some(flag) = it.next() {
                     match flag {
                         "--fresh" => fresh = true,
                         "--resume" => fresh = false, // the default, spelled out
-                        "--debug-journal" => debug_journal = true,
                         "--trials" => {
                             let v = it.next().ok_or_else(|| {
                                 SerrError::invalid_config("--trials needs a value")
@@ -208,7 +204,7 @@ impl Command {
                         }
                     }
                 }
-                Ok(Command::Sweep { figure, fresh, trials, debug_journal, metrics })
+                Ok(Command::Sweep { figure, fresh, trials, metrics })
             }
             "store" => match it.next() {
                 Some("inspect") => {
@@ -575,11 +571,11 @@ pub const USAGE: &str = "\
 serr — architecture-level soft error analysis (DSN 2007 reproduction)
 
 USAGE:
-  serr mttf --workload <W> (--rate <errors/year> | --n-s <N*S>) [--trials N] [--sampler batched-inversion|inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
-  serr sofr --workload <W> (--rate <errors/year> | --n-s <N*S>) -c <count> [--trials N] [--sampler batched-inversion|inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
-  serr sweep <sec5_1|fig5|fig6a|fig6b|sec5_4> [--fresh | --resume] [--trials N] [--debug-journal] [--metrics PATH]
+  serr mttf --workload <W> (--rate <errors/year> | --n-s <N*S>) [--trials N] [--sampler batched-inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
+  serr sofr --workload <W> (--rate <errors/year> | --n-s <N*S>) -c <count> [--trials N] [--sampler batched-inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
+  serr sweep <sec5_1|fig5|fig6a|fig6b|sec5_4> [--fresh | --resume] [--trials N] [--metrics PATH]
   serr store inspect <FILE>
-  serr chaos [--campaigns N] [--seed S] [--trials N] [--sampler batched-inversion|inversion|event-loop] [--kinds k1,k2,...] [--jsonl PATH]
+  serr chaos [--campaigns N] [--seed S] [--trials N] [--sampler batched-inversion|event-loop] [--kinds k1,k2,...] [--jsonl PATH]
   serr serve --bind <unix:PATH|tcp:ADDR> [--workers N] [--compile-workers N] [--queue N] [--journal-dir DIR]
   serr request --connect <unix:PATH|tcp:ADDR> --cmd <mttf|sofr|sweep|stats|shutdown> [-w <W>] [--rate R | --n-s P | --rates R1,R2,...] [-c N] [--trials N] [--sampler S] [--deadline-ms N] [--id N]
   serr workloads
@@ -593,9 +589,7 @@ FLAGS:
                      `batched-inversion` (default) inverts the cumulative-
                      vulnerability function over whole trial chunks at once —
                      counter-based RNG, structure-of-arrays buffers, branchless
-                     array passes; `inversion` is the same O(1)-per-trial
-                     transform one scalar trial at a time (the batched
-                     sampler's oracle); `event-loop` replays the classic
+                     array passes; `event-loop` replays the classic
                      per-error walk — same distribution, slowest, the
                      assumption-free cross-check
   --deadline <secs>  wall-clock budget for the Monte Carlo run; on expiry the
@@ -614,12 +608,7 @@ FLAGS:
   --resume           resume from the journal if one exists (the default);
                      journals are CRC-paged binary `.store` files under
                      target/serr-checkpoints/ (override with
-                     SERR_CHECKPOINT_DIR); a legacy `.jsonl` journal found
-                     there is migrated in place on first open
-  --debug-journal    also mirror every checkpointed row into a `.jsonl`
-                     sidecar next to the binary journal, in the legacy
-                     line format, for grep/jq debugging (the binary file
-                     stays authoritative)
+                     SERR_CHECKPOINT_DIR)
   --campaigns N      number of fault-injection campaigns to run (default 200)
   --seed S           chaos master seed, decimal or 0x-hex; the same seed
                      replays the identical campaign sequence and outcome
@@ -857,16 +846,13 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             println!("{}", resp.to_line());
             Ok(())
         }
-        Command::Sweep { figure, fresh, trials, debug_journal, metrics } => {
+        Command::Sweep { figure, fresh, trials, metrics } => {
             let obs = metrics_obs(metrics.as_deref())?;
             let mut cfg = cfg;
             if let Some(t) = trials {
                 cfg.mc.trials = *t;
             }
             let mut opts = if *fresh { SweepOptions::fresh() } else { SweepOptions::resume() };
-            if *debug_journal {
-                opts = opts.with_debug_journal();
-            }
             if let Some(obs) = &obs {
                 opts = opts.with_obs(obs.clone());
             }
@@ -1152,9 +1138,10 @@ mod tests {
         assert_eq!(Command::parse(&["--help"]).unwrap(), Command::Help);
     }
 
-    /// `--sampler` parses all three kinds, defaults to batched-inversion
-    /// everywhere, and rejects unknown names with a message naming the bad
-    /// value.
+    /// `--sampler` parses both kinds, defaults to batched-inversion
+    /// everywhere, and rejects unknown names (the retired scalar
+    /// `inversion` label among them) with a message naming the bad value
+    /// and the two valid labels.
     #[test]
     fn sampler_flag_parses_and_defaults() {
         for (sub, tail) in [("mttf", vec![]), ("sofr", vec!["-c", "10"])] {
@@ -1165,25 +1152,30 @@ mod tests {
             explicit.extend(["--sampler", "batched-inversion"]);
             assert_eq!(default, Command::parse(&explicit).unwrap());
 
-            for (label, want) in
-                [("inversion", SamplerKind::Inversion), ("event-loop", SamplerKind::EventLoop)]
-            {
-                let mut flagged = base.clone();
-                flagged.extend(["--sampler", label]);
-                let got = match Command::parse(&flagged).unwrap() {
-                    Command::Mttf { sampler, .. } | Command::Sofr { sampler, .. } => sampler,
-                    other => panic!("expected mttf/sofr, got {other:?}"),
-                };
-                assert_eq!(got, want);
-            }
+            let mut flagged = base.clone();
+            flagged.extend(["--sampler", "event-loop"]);
+            let got = match Command::parse(&flagged).unwrap() {
+                Command::Mttf { sampler, .. } | Command::Sofr { sampler, .. } => sampler,
+                other => panic!("expected mttf/sofr, got {other:?}"),
+            };
+            assert_eq!(got, SamplerKind::EventLoop);
 
-            let mut bad = base.clone();
-            bad.extend(["--sampler", "quantum"]);
-            match Command::parse(&bad).unwrap_err() {
-                SerrError::InvalidConfig { reason } => {
-                    assert!(reason.contains("quantum"), "message `{reason}` omits the value");
+            for label in ["quantum", "inversion"] {
+                let mut bad = base.clone();
+                bad.extend(["--sampler", label]);
+                match Command::parse(&bad).unwrap_err() {
+                    SerrError::InvalidConfig { reason } => {
+                        assert!(
+                            reason.contains(&format!("\"{label}\"")),
+                            "message `{reason}` omits the value"
+                        );
+                        assert!(
+                            reason.contains("batched-inversion") && reason.contains("event-loop"),
+                            "message `{reason}` omits the valid labels"
+                        );
+                    }
+                    other => panic!("expected InvalidConfig, got {other:?}"),
                 }
-                other => panic!("expected InvalidConfig, got {other:?}"),
             }
         }
         match Command::parse(&["chaos", "--sampler", "event-loop"]).unwrap() {
@@ -1229,13 +1221,7 @@ mod tests {
     fn sweep_commands_parse() {
         assert_eq!(
             Command::parse(&["sweep", "fig5", "--fresh"]).unwrap(),
-            Command::Sweep {
-                figure: SweepFigure::Fig5,
-                fresh: true,
-                trials: None,
-                debug_journal: false,
-                metrics: None
-            }
+            Command::Sweep { figure: SweepFigure::Fig5, fresh: true, trials: None, metrics: None }
         );
         assert_eq!(
             Command::parse(&["sweep", "sec5_1", "--resume", "--trials", "9000"]).unwrap(),
@@ -1243,21 +1229,20 @@ mod tests {
                 figure: SweepFigure::Sec51,
                 fresh: false,
                 trials: Some(9000),
-                debug_journal: false,
                 metrics: None
             }
         );
         assert_eq!(
-            Command::parse(&["sweep", "fig5", "--debug-journal", "--metrics", "m.jsonl"]).unwrap(),
+            Command::parse(&["sweep", "fig5", "--metrics", "m.jsonl"]).unwrap(),
             Command::Sweep {
                 figure: SweepFigure::Fig5,
                 fresh: false,
                 trials: None,
-                debug_journal: true,
                 metrics: Some(std::path::PathBuf::from("m.jsonl"))
             }
         );
         assert!(Command::parse(&["sweep", "fig5", "--metrics"]).is_err());
+        assert!(Command::parse(&["sweep", "fig5", "--debug-journal"]).is_err());
         for figure in ["fig6a", "fig6b", "sec5_4"] {
             assert!(Command::parse(&["sweep", figure]).is_ok());
         }

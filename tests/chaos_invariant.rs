@@ -99,21 +99,18 @@ fn two_hundred_campaigns_cover_every_injector_with_zero_misses() {
     }
 }
 
-/// Prefix-table corruption attacks exactly the table both inversion
-/// samplers invert on every trial (the event loop never reads it — see the
-/// `FaultKind::TracePrefixPerturb` taxonomy entry). Under *every* sampler —
-/// including the batched default, whose array passes read the same prefix
-/// sums through `phase_at_cumulative_batch` — each such campaign must come
+/// Prefix-table corruption attacks exactly the table the batched inversion
+/// sampler inverts on every trial through `phase_at_cumulative_batch` (the
+/// event loop never reads it — see the `FaultKind::TracePrefixPerturb`
+/// taxonomy entry). Under *every* sampler each such campaign must come
 /// back detected: the compiled-trace verifier catches the damaged table
 /// before any trial runs, and the guard's event-loop oracle vote backstops
 /// the verifier — never as a silently wrong Clean result.
 #[test]
 fn prefix_corruption_is_detect_or_degrade_under_every_sampler() {
-    for (tag, sampler) in [
-        ("batched", SamplerKind::BatchedInversion),
-        ("inv", SamplerKind::Inversion),
-        ("ev", SamplerKind::EventLoop),
-    ] {
+    for (tag, sampler) in
+        [("batched", SamplerKind::BatchedInversion), ("ev", SamplerKind::EventLoop)]
+    {
         let cfg = ChaosConfig {
             campaigns: 20,
             seed: 0x0D15_EA5E_0000_0011,

@@ -1,17 +1,15 @@
-//! Durability acceptance for the binary checkpoint store: legacy JSONL
-//! journals migrate once and resume bit-identically, and a write torn
-//! mid-page by a kill is truncated away on the next open — with the
-//! surviving prefix resumed and the rest recomputed to the same bits —
-//! at any worker thread count.
+//! Durability acceptance for the binary checkpoint store: a JSONL file in
+//! the retired line format is never read, and a write torn mid-page by a
+//! kill is truncated away on the next open — with the surviving prefix
+//! resumed and the rest recomputed to the same bits — at any worker thread
+//! count.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serr_core::checkpoint::{
-    fingerprint, journal_path, legacy_journal_path, run_sweep, JournalRow, SweepOptions,
-};
+use serr_core::checkpoint::{fingerprint, journal_path, run_sweep, JournalRow, SweepOptions};
 use serr_core::jsonio::Json;
 use serr_types::SerrError;
 
@@ -62,41 +60,38 @@ fn assert_bit_identical(actual: &[Row], reference: &[Row]) {
     }
 }
 
-/// One journal line in the legacy JSONL format older releases wrote:
-/// `{"i":<index>,"ck":"<fnv-1a hex>","row":<row json>}`, where the checksum
-/// is the public part-boundary fingerprint over the decimal index and the
-/// row's canonical JSON.
-fn legacy_line(index: usize, row: &Json) -> String {
-    let row_json = row.to_json();
-    let ck = fingerprint(&[&index.to_string(), &row_json]);
-    format!("{{\"i\":{index},\"ck\":\"{ck:016x}\",\"row\":{row_json}}}")
-}
-
-fn write_legacy_journal(dir: &Path, kind: &str, fp: u64, rows: &[Row]) {
+/// A journal in the JSONL line format older releases wrote, one
+/// `{"i":<index>,"ck":"<fnv-1a hex>","row":<row json>}` line per point, at
+/// the path those releases used: the binary journal's, ending `.jsonl`.
+fn write_jsonl_journal(dir: &Path, kind: &str, fp: u64, rows: &[Row]) -> PathBuf {
     fs::create_dir_all(dir).expect("create journal dir");
-    let path = legacy_journal_path(dir, kind, fp);
-    let mut file = fs::File::create(&path).expect("create legacy journal");
+    let path = dir.join(format!("{kind}-{fp:016x}.jsonl"));
+    let mut file = fs::File::create(&path).expect("create jsonl journal");
     for (i, row) in rows.iter().enumerate() {
-        writeln!(file, "{}", legacy_line(i, &row.to_journal())).expect("write legacy line");
+        let row_json = row.to_journal().to_json();
+        let ck = fingerprint(&[&i.to_string(), &row_json]);
+        writeln!(file, "{{\"i\":{i},\"ck\":\"{ck:016x}\",\"row\":{row_json}}}")
+            .expect("write jsonl line");
     }
+    path
 }
 
-/// A sweep checkpointed under the legacy JSONL format resumes after the
-/// one-time binary migration without recomputing a single migrated point,
-/// bit-identically, whether the recompute pool runs 1 worker or 8.
+/// The JSONL journal format is retired: a sweep that finds one beside its
+/// binary journal's path neither reads nor touches it. Every point
+/// recomputes, bit-identically, into the binary journal, which alone
+/// drives the next resume — whether the pool runs 1 worker or 8.
 #[test]
-fn legacy_jsonl_journal_migrates_once_and_resumes_bit_identically() {
+fn stray_jsonl_journal_is_ignored_and_every_point_recomputes() {
     let items: Vec<u64> = (0..12).collect();
     let reference =
-        run_sweep("mig", 1, &items, 1, &SweepOptions::off(), eval).expect("reference sweep").rows;
+        run_sweep("stray", 1, &items, 1, &SweepOptions::off(), eval).expect("reference sweep").rows;
 
     for threads in [1usize, 8] {
-        let dir = scratch(&format!("migrate-t{threads}"));
-        let kind = "mig";
-        let fp = fingerprint(&["storage-durability", "migration", &threads.to_string()]);
-        // A legacy journal holding the first 8 points — the on-disk state
-        // a pre-binary release left behind mid-sweep.
-        write_legacy_journal(&dir, kind, fp, &reference[..8]);
+        let dir = scratch(&format!("stray-t{threads}"));
+        let kind = "stray";
+        let fp = fingerprint(&["storage-durability", "stray", &threads.to_string()]);
+        let jsonl = write_jsonl_journal(&dir, kind, fp, &reference[..8]);
+        let jsonl_bytes = fs::read(&jsonl).expect("read jsonl journal");
 
         let calls = AtomicUsize::new(0);
         let opts = SweepOptions::resume().in_dir(&dir);
@@ -104,17 +99,18 @@ fn legacy_jsonl_journal_migrates_once_and_resumes_bit_identically() {
             calls.fetch_add(1, Ordering::Relaxed);
             eval(i, x)
         })
-        .expect("resumed sweep");
-        assert_eq!(report.resumed, 8, "threads={threads}: all legacy rows resume");
-        assert_eq!(calls.load(Ordering::Relaxed), 4, "threads={threads}: only the tail computes");
+        .expect("sweep runs");
+        assert_eq!(report.resumed, 0, "threads={threads}: nothing resumes from JSONL");
+        assert_eq!(calls.load(Ordering::Relaxed), 12, "threads={threads}: every point computes");
         assert_bit_identical(&report.rows, &reference);
+        assert!(journal_path(&dir, kind, fp).exists(), "threads={threads}: binary journal");
+        assert_eq!(
+            fs::read(&jsonl).expect("jsonl journal still there"),
+            jsonl_bytes,
+            "threads={threads}: the JSONL file is left as it was"
+        );
 
-        let store = journal_path(&dir, kind, fp);
-        let legacy = legacy_journal_path(&dir, kind, fp);
-        assert!(store.exists(), "threads={threads}: migration wrote the binary journal");
-        assert!(!legacy.exists(), "threads={threads}: the legacy journal is read once, then gone");
-
-        // The migrated journal now carries all 12 points.
+        // The binary journal now carries all 12 points.
         let calls = AtomicUsize::new(0);
         let second = run_sweep(kind, fp, &items, threads, &opts, |i, x| {
             calls.fetch_add(1, Ordering::Relaxed);

@@ -341,8 +341,7 @@ fn main() {
     shut_down_service(&mut client, server);
 
     let mut shed_cfg = ServeConfig::new(Bind::Unix(serve_dir.join("shed.sock")));
-    shed_cfg.compile_workers = 1;
-    shed_cfg.estimate_workers = 0;
+    shed_cfg.workers = 0;
     shed_cfg.queue_depth = 1;
     shed_cfg.journal_dir = Some(serve_dir.join("shed-journal"));
     shed_cfg.mc_threads = 1;

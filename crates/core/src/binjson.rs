@@ -22,7 +22,7 @@
 //! corrupt input yields a typed [`SerrError::StoreCorrupt`] — never a panic
 //! and never a stack overflow from adversarial nesting.
 
-use serr_store::{varint, Deserializer, Serializer};
+use serr_store::varint;
 use serr_types::SerrError;
 
 use crate::jsonio::Json;
@@ -40,48 +40,50 @@ const TAG_OBJ: u8 = 6;
 /// never comes close, so anything deeper is corrupt by definition.
 pub const MAX_DEPTH: usize = 96;
 
-/// Encodes a [`Json`] value in the tagged binary layout above.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonSerializer;
-
-/// Decoder paired with [`JsonSerializer`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonDeserializer;
-
-impl Serializer<Json> for JsonSerializer {
-    fn serialize(&self, value: &Json, buf: &mut Vec<u8>) -> Result<(), SerrError> {
-        match value {
-            Json::Null => buf.push(TAG_NULL),
-            Json::Bool(false) => buf.push(TAG_FALSE),
-            Json::Bool(true) => buf.push(TAG_TRUE),
-            Json::Num(n) => {
-                buf.push(TAG_NUM);
-                buf.extend_from_slice(&n.to_le_bytes());
-            }
-            Json::Str(s) => {
-                buf.push(TAG_STR);
-                varint::write_u64(buf, s.len() as u64);
-                buf.extend_from_slice(s.as_bytes());
-            }
-            Json::Arr(items) => {
-                buf.push(TAG_ARR);
-                varint::write_u64(buf, items.len() as u64);
-                for item in items {
-                    self.serialize(item, buf)?;
-                }
-            }
-            Json::Obj(fields) => {
-                buf.push(TAG_OBJ);
-                varint::write_u64(buf, fields.len() as u64);
-                for (key, item) in fields {
-                    varint::write_u64(buf, key.len() as u64);
-                    buf.extend_from_slice(key.as_bytes());
-                    self.serialize(item, buf)?;
-                }
+/// Appends the encoding of `value`, in the tagged binary layout above, to
+/// `buf`. Encoding cannot fail.
+pub fn encode(value: &Json, buf: &mut Vec<u8>) {
+    match value {
+        Json::Null => buf.push(TAG_NULL),
+        Json::Bool(false) => buf.push(TAG_FALSE),
+        Json::Bool(true) => buf.push(TAG_TRUE),
+        Json::Num(n) => {
+            buf.push(TAG_NUM);
+            buf.extend_from_slice(&n.to_le_bytes());
+        }
+        Json::Str(s) => {
+            buf.push(TAG_STR);
+            varint::write_u64(buf, s.len() as u64);
+            buf.extend_from_slice(s.as_bytes());
+        }
+        Json::Arr(items) => {
+            buf.push(TAG_ARR);
+            varint::write_u64(buf, items.len() as u64);
+            for item in items {
+                encode(item, buf);
             }
         }
-        Ok(())
+        Json::Obj(fields) => {
+            buf.push(TAG_OBJ);
+            varint::write_u64(buf, fields.len() as u64);
+            for (key, item) in fields {
+                varint::write_u64(buf, key.len() as u64);
+                buf.extend_from_slice(key.as_bytes());
+                encode(item, buf);
+            }
+        }
     }
+}
+
+/// Reads one value from the front of `input`, advancing it past the
+/// consumed bytes.
+///
+/// # Errors
+///
+/// [`SerrError::StoreCorrupt`] on truncated or malformed input, or nesting
+/// deeper than [`MAX_DEPTH`]. Never panics, whatever the bytes.
+pub fn decode(input: &mut &[u8]) -> Result<Json, SerrError> {
+    decode_value(input, 0)
 }
 
 fn take<'a>(input: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], SerrError> {
@@ -159,12 +161,6 @@ fn decode_value(input: &mut &[u8], depth: usize) -> Result<Json, SerrError> {
     })
 }
 
-impl Deserializer<Json> for JsonDeserializer {
-    fn deserialize(&self, input: &mut &[u8]) -> Result<Json, SerrError> {
-        decode_value(input, 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,9 +236,9 @@ mod tests {
             Json::Obj(vec![("x".to_owned(), Json::Num(1.5))]),
         ] {
             let mut buf = Vec::new();
-            JsonSerializer.serialize(&v, &mut buf).expect("serialize");
+            encode(&v, &mut buf);
             let mut input = buf.as_slice();
-            let back = JsonDeserializer.deserialize(&mut input).expect("deserialize");
+            let back = decode(&mut input).expect("deserialize");
             assert!(input.is_empty(), "trailing bytes");
             assert!(bit_eq(&v, &back), "{v:?} != {back:?}");
         }
@@ -258,7 +254,7 @@ mod tests {
         }
         buf.push(0); // TAG_NULL
         let mut input = buf.as_slice();
-        let err = JsonDeserializer.deserialize(&mut input).expect_err("too deep");
+        let err = decode(&mut input).expect_err("too deep");
         assert!(err.to_string().contains("nesting"), "{err}");
     }
 
@@ -267,9 +263,9 @@ mod tests {
         fn generated_values_round_trip_bit_exact(seed in any::<u64>()) {
             let v = build_json(seed, 3);
             let mut buf = Vec::new();
-            JsonSerializer.serialize(&v, &mut buf).expect("serialize");
+            encode(&v, &mut buf);
             let mut input = buf.as_slice();
-            let back = JsonDeserializer.deserialize(&mut input).expect("deserialize");
+            let back = decode(&mut input).expect("deserialize");
             prop_assert!(input.is_empty());
             prop_assert!(bit_eq(&v, &back), "{:?} != {:?}", v, back);
         }
@@ -277,20 +273,20 @@ mod tests {
         #[test]
         fn decoder_never_panics_on_noise(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let mut input = bytes.as_slice();
-            let _ = JsonDeserializer.deserialize(&mut input);
+            let _ = decode(&mut input);
         }
 
         #[test]
         fn truncated_encodings_error_cleanly(seed in any::<u64>(), cut in any::<u16>()) {
             let v = build_json(seed, 3);
             let mut buf = Vec::new();
-            JsonSerializer.serialize(&v, &mut buf).expect("serialize");
+            encode(&v, &mut buf);
             let cut = cut as usize % (buf.len() + 1);
             let mut input = &buf[..cut];
             // A strict prefix must fail (every encoding is self-delimiting
             // and the decoder follows the same path until it runs short);
             // the full buffer must succeed and consume everything.
-            let result = JsonDeserializer.deserialize(&mut input);
+            let result = decode(&mut input);
             if cut == buf.len() {
                 prop_assert!(result.is_ok() && input.is_empty());
             } else {

@@ -60,10 +60,10 @@ use std::sync::Mutex;
 use serr_inject::{FaultPlan, IoSite};
 use serr_obs::{Event, Obs};
 use serr_store::pages::PageJournal;
-use serr_store::{kind as store_kind, varint, Deserializer as _, Serializer as _};
+use serr_store::{kind as store_kind, varint};
 use serr_types::SerrError;
 
-use crate::binjson::{JsonDeserializer, JsonSerializer};
+use crate::binjson;
 use crate::jsonio::Json;
 use crate::par;
 use crate::retry::{retry_with_backoff, BackoffPolicy};
@@ -250,7 +250,7 @@ pub fn journal_lock_path(journal: &Path) -> PathBuf {
 fn encode_record(index: usize, row: &Json) -> Vec<u8> {
     let mut buf = Vec::new();
     varint::write_u64(&mut buf, index as u64);
-    JsonSerializer.serialize(row, &mut buf).expect("binary json encoding is infallible");
+    binjson::encode(row, &mut buf);
     buf
 }
 
@@ -259,7 +259,7 @@ fn encode_record(index: usize, row: &Json) -> Vec<u8> {
 fn decode_record(mut bytes: &[u8]) -> Option<(usize, Json)> {
     let index = varint::read_u64(&mut bytes).ok()?;
     let index = usize::try_from(index).ok()?;
-    let row = JsonDeserializer.deserialize(&mut bytes).ok()?;
+    let row = binjson::decode(&mut bytes).ok()?;
     bytes.is_empty().then_some((index, row))
 }
 

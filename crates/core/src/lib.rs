@@ -66,10 +66,7 @@ pub mod prelude {
     pub use serr_trace::{
         CompositeTrace, ConcatTrace, IntervalTrace, ShiftedTrace, VulnerabilityTrace,
     };
-    pub use serr_types::{
-        Component, ComponentKind, FailureRate, FitRate, Frequency, Mttf, RawErrorRate, Seconds,
-        SerrError,
-    };
+    pub use serr_types::{FailureRate, FitRate, Frequency, Mttf, RawErrorRate, Seconds, SerrError};
     pub use serr_workload::{BenchmarkProfile, Suite, TraceGenerator};
 
     pub use serr_inject::{FaultKind, FaultPlan};

@@ -157,43 +157,6 @@ impl Validator {
         })
     }
 
-    /// Validates the AVF step on many components in one batched call —
-    /// the component-sweep analogue of the engine's batched trial chunks.
-    ///
-    /// Components fan out across cores ([`par::try_par_map`], width from
-    /// [`par::fanout_threads`]); whenever more than one runs at once, each
-    /// component's inner Monte Carlo is pinned to a single thread so the
-    /// sweep uses one core per component instead of oversubscribing
-    /// `components × cores`. The engine's chunk-based RNG makes every
-    /// estimate bit-identical at any thread count, so each row equals the
-    /// serial [`Validator::component`] result exactly, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing component's error. Every component is
-    /// attempted first — one pathological part (or a panic in its
-    /// estimator, surfaced as [`SerrError::PointFailed`]) cannot abort its
-    /// siblings mid-flight.
-    pub fn components(
-        &self,
-        parts: &[(RawErrorRate, Arc<dyn VulnerabilityTrace>)],
-    ) -> Result<Vec<ComponentValidation>, SerrError> {
-        let threads = par::fanout_threads(parts.len());
-        let inner = if threads > 1 {
-            let mut pinned = self.clone();
-            pinned.mc = MonteCarlo::new(MonteCarloConfig { threads: 1, ..*self.mc.config() });
-            if let Some(obs) = &self.obs {
-                pinned.mc = pinned.mc.with_observer(obs.clone());
-            }
-            pinned
-        } else {
-            self.clone()
-        };
-        par::try_par_map(parts, threads, |_, (rate, trace)| inner.component(&**trace, *rate))
-            .into_iter()
-            .collect()
-    }
-
     /// Validates the SOFR step on a system of `c` identical, phase-aligned
     /// components (the paper's cluster configuration: "all processors run
     /// the same workload").
@@ -395,33 +358,6 @@ mod tests {
         assert!(v.sofr_error_vs_renewal < 1e-6, "{}", v.sofr_error_vs_renewal);
         assert!(v.sofr_error_vs_mc < 0.02);
         assert_eq!(v.components, 2);
-    }
-
-    #[test]
-    fn batched_component_sweep_matches_serial_rows_in_order() {
-        let v = validator();
-        let parts: Vec<(RawErrorRate, Arc<dyn VulnerabilityTrace>)> = vec![
-            (RawErrorRate::per_year(10.0), Arc::new(IntervalTrace::busy_idle(300, 700).unwrap())),
-            (
-                RawErrorRate::per_year(3.0),
-                Arc::new(IntervalTrace::from_levels(&[0.5; 64]).unwrap()),
-            ),
-            (RawErrorRate::per_year(7.0), Arc::new(IntervalTrace::busy_idle(40, 60).unwrap())),
-        ];
-        let batched = v.components(&parts).unwrap();
-        assert_eq!(batched.len(), parts.len());
-        // Inner-thread pinning cannot change any row: the engine's chunked
-        // RNG makes estimates bit-identical at every thread count.
-        for ((rate, trace), row) in parts.iter().zip(&batched) {
-            assert_eq!(*row, v.component(&**trace, *rate).unwrap());
-        }
-        // A pathological part surfaces its own error without discarding
-        // finished siblings mid-flight (try_par_map isolates the panic).
-        let bad: Vec<(RawErrorRate, Arc<dyn VulnerabilityTrace>)> = vec![
-            (RawErrorRate::per_year(1.0), Arc::new(IntervalTrace::busy_idle(5, 5).unwrap())),
-            (RawErrorRate::per_year(1.0), Arc::new(IntervalTrace::from_levels(&[0.0; 8]).unwrap())),
-        ];
-        assert!(v.components(&bad).is_err());
     }
 
     #[test]

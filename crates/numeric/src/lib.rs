@@ -33,7 +33,6 @@
 
 pub mod ecdf;
 pub mod quad;
-pub mod series;
 pub mod special;
 pub mod stats;
 pub mod vecmath;

@@ -1,10 +1,10 @@
 //! A shared in-memory trace cache keyed by canonical workload spec.
 //!
-//! The compile stage builds and compiles each workload trace once; every
-//! later request on the same workload — at any rate, trial count, sampler
-//! or command — reuses both the raw trace (which feeds the analytic
-//! estimators) and its [`CompiledTrace`] (which the estimate stage samples
-//! directly, and which is re-verified on every hit — a cache entry whose
+//! A worker builds and compiles each workload trace once; every later
+//! request on the same workload — at any rate, trial count, sampler or
+//! command — reuses both the raw trace (which feeds the analytic
+//! estimators) and its [`CompiledTrace`] (which the Monte Carlo engine
+//! samples directly, and which is re-verified on every hit — a cache entry whose
 //! invariants no longer hold is rebuilt, not served). The compiled form is
 //! exactly `compile(raw)`, the trace the engine would build itself, so
 //! cached and uncached requests are bit-identical.

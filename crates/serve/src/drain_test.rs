@@ -24,12 +24,11 @@ fn shutdown_drains_in_flight_work_and_a_fresh_server_resumes_bit_identically() {
         sampler: SamplerKind::default(),
     };
 
-    // Server A runs zero estimate workers: admitted work compiles, then
-    // parks in the estimate queue until the drain journals it.
+    // Server A runs zero workers: admitted work parks in the ingress queue
+    // until the drain journals it.
     let (obs_a, _sink_a) = Obs::memory();
     let mut cfg = ServeConfig::new(Bind::Unix(dir.join("a.sock")));
-    cfg.estimate_workers = 0;
-    cfg.compile_workers = 1;
+    cfg.workers = 0;
     cfg.journal_dir = Some(journal.clone());
     cfg.obs = obs_a;
     let a = Server::start(cfg).expect("server A starts");
@@ -40,9 +39,9 @@ fn shutdown_drains_in_flight_work_and_a_fresh_server_resumes_bit_identically() {
     job_client.send_line(&req.to_line()).expect("send request");
 
     let mut ctl = Client::connect(&bind_a).expect("control connect A");
-    // Once the compile stage has run, the job sits in the estimate queue
-    // with nobody to pop it — exactly the in-flight state drain must save.
-    wait_for_counter(&mut ctl, "serve.cache_misses", 1);
+    // Once admitted, the job sits in the ingress queue with nobody to pop
+    // it — exactly the in-flight state drain must save.
+    wait_for_counter(&mut ctl, "serve.admitted", 1);
     let shutdown = Request { id: 2, deadline_ms: None, tag: None, body: RequestBody::Shutdown };
     let ack = ctl.roundtrip(&shutdown).expect("shutdown io").expect("shutdown ack");
     assert!(matches!(ack, Response::ShutdownAck { .. }), "got {ack:?}");

@@ -5,13 +5,14 @@
 //! estimators resident behind a unix or TCP socket speaking JSON Lines,
 //! and spends its complexity budget on *robustness*:
 //!
-//! - **Supervised worker pools** ([`supervisor`]): compile and estimate
-//!   stages each run panic-isolated workers; a crash kills one request's
-//!   worker, the supervisor restarts the slot under bounded exponential
-//!   backoff, and the service keeps serving.
-//! - **Bounded queues** ([`queue`]): every stage boundary is a bounded
-//!   channel, so overload becomes backpressure and, past policy, a typed
-//!   `shed` response ([`server`]) — never unbounded memory growth.
+//! - **A supervised worker pool** ([`supervisor`]): panic-isolated
+//!   workers each fetch a request's trace from the shared cache and
+//!   estimate; a crash kills one request's worker, the supervisor restarts
+//!   the slot under bounded exponential backoff, and the service keeps
+//!   serving.
+//! - **A bounded queue** ([`queue`]): admitted work waits in one bounded
+//!   ingress channel, so overload becomes backpressure and, past policy, a
+//!   typed `shed` response ([`server`]) — never unbounded memory growth.
 //! - **Graceful degradation**: a request deadline maps onto the Monte
 //!   Carlo engine's wall-clock budget; under pressure the service returns
 //!   a truncated estimate with an honestly wider confidence interval,

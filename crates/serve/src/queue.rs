@@ -1,11 +1,10 @@
 //! A bounded MPMC queue built on `Mutex` + `Condvar`.
 //!
-//! Bounded capacity is what turns the pipeline into a backpressure chain:
-//! the admission controller uses [`Bounded::try_push`] so a full ingress
-//! queue becomes a typed `shed` response instead of unbounded memory
-//! growth, while the compile stage uses the blocking [`Bounded::push`] so
-//! a slow estimate stage stalls the compile stage rather than piling up
-//! compiled work.
+//! Bounded capacity is what turns overload into backpressure: the
+//! admission controller uses [`Bounded::try_push`] so a full ingress queue
+//! becomes a typed `shed` response instead of unbounded memory growth,
+//! while startup replay of journaled work uses the blocking
+//! [`Bounded::push`], waiting for workers to make room.
 //!
 //! Closing the queue wakes every blocked producer and consumer; whatever
 //! was still queued is recovered with [`Bounded::drain`] so graceful

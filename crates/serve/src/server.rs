@@ -9,17 +9,14 @@
 //!                 └──────────────┬────────────────────────────────┘
 //!                    ingress queue (bounded → backpressure)
 //!                 ┌──────────────▼────────────────────────────────┐
-//!                 │ compile pool: trace cache (LRU, verify-on-hit)│
-//!                 └──────────────┬────────────────────────────────┘
-//!                    estimate queue (bounded)
-//!                 ┌──────────────▼────────────────────────────────┐
-//!                 │ estimate pool: Validator — the CLI's own path │
+//!                 │ worker pool: trace cache (LRU, verify-on-hit),│
+//!                 │   then the shared-stream kernel + Validator   │
 //!                 │   deadline → truncated, honestly-widened CI   │
 //!                 └──────────────┬────────────────────────────────┘
 //!                 per-connection writer thread ──▶ client
 //! ```
 //!
-//! Both pools are supervised ([`crate::supervisor`]): a worker panic kills
+//! The pool is supervised ([`crate::supervisor`]): a worker panic kills
 //! one request's worker, never the service, and the slot restarts under
 //! bounded exponential backoff. Every admitted request reaches exactly one
 //! typed terminal state (`result` | `degraded` | `shed` | `error`); the
@@ -29,9 +26,12 @@
 //! Estimates are **bit-identical to the batch CLI** because the service
 //! shares its entire computation path: [`ExperimentConfig::cli`],
 //! [`WorkloadSpec::trace`](serr_core::workspec::WorkloadSpec), and
-//! [`Validator`] with the same [`MonteCarloConfig`] defaults.
+//! [`Validator`] with the same [`MonteCarloConfig`] defaults. Every
+//! estimation body is a list of rates run through one shared-stream kernel
+//! call — `mttf` is `[r]`, `sofr` is `[c·r]`, `sweep` its list — and a
+//! one-rate run of that kernel is bit-identical to an independent run.
 //!
-//! Graceful shutdown drains both queues into the `serve-pending`
+//! Graceful shutdown drains the ingress queue into the `serve-pending`
 //! checkpoint journal; a fresh server replays journaled work at startup,
 //! and completed clean results live in the `serve-results` journal, so a
 //! re-request after restart is answered from the journal (`resumed: true`)
@@ -51,8 +51,8 @@ use serr_core::checkpoint::{fingerprint, Journal};
 use serr_core::experiments::ExperimentConfig;
 use serr_core::jsonio::Json;
 use serr_core::prelude::{
-    classify_estimate, BackoffPolicy, FaultPlan, MonteCarloConfig, RawErrorRate, SamplerKind,
-    Validator, VulnerabilityTrace, WorkloadSpec,
+    classify_estimate, BackoffPolicy, FaultPlan, MonteCarloConfig, MttfEstimate, RawErrorRate,
+    SamplerKind, Validator, VulnerabilityTrace, WorkloadSpec,
 };
 use serr_inject::ServeFault;
 use serr_obs::{Event, Obs};
@@ -198,13 +198,12 @@ impl Listener {
 pub struct ServeConfig {
     /// Where to listen.
     pub bind: Bind,
-    /// Compile-stage worker slots.
-    pub compile_workers: usize,
-    /// Estimate-stage worker slots. Zero is allowed (all estimate work
-    /// queues until shutdown drains it — used by the drain/resume tests).
-    pub estimate_workers: usize,
-    /// Capacity of each bounded queue; the admission controller sheds
-    /// beyond this depth.
+    /// Worker slots; each worker fetches its request's trace from the cache
+    /// and then estimates. Zero is allowed (all admitted work queues until
+    /// shutdown drains it — used by the drain/resume tests).
+    pub workers: usize,
+    /// Capacity of the bounded ingress queue; the admission controller
+    /// sheds beyond this depth.
     pub queue_depth: usize,
     /// Trace-cache capacity (distinct canonical workloads).
     pub cache_capacity: usize,
@@ -224,7 +223,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// CLI defaults: 2+2 workers, depth-64 queues, 8-entry cache,
+    /// CLI defaults: 2 workers, a depth-64 queue, 8-entry cache,
     /// `SERR_THREADS` honored exactly like the batch commands.
     #[must_use]
     pub fn new(bind: Bind) -> ServeConfig {
@@ -234,8 +233,7 @@ impl ServeConfig {
             .unwrap_or(0);
         ServeConfig {
             bind,
-            compile_workers: 2,
-            estimate_workers: 2,
+            workers: 2,
             queue_depth: 64,
             cache_capacity: 8,
             journal_dir: None,
@@ -255,7 +253,7 @@ struct WireOut {
     torn: bool,
 }
 
-/// An admitted estimation request traveling the pipeline.
+/// An admitted estimation request waiting for a worker.
 struct Job {
     tag: u64,
     id: u64,
@@ -267,11 +265,6 @@ struct Job {
     reply: Option<mpsc::Sender<WireOut>>,
     /// Journal-replayed work: exempt from chaos and from deadlines.
     internal: bool,
-}
-
-struct EstimateJob {
-    job: Job,
-    cached: CachedTrace,
 }
 
 struct Journals {
@@ -288,7 +281,6 @@ struct State {
     obs: Obs,
     queue_depth: usize,
     ingress: Bounded<Job>,
-    estimate_q: Bounded<EstimateJob>,
     cache: TraceCache,
     /// Completed clean results by canonical body — the resume source.
     results: Mutex<HashMap<String, Estimate>>,
@@ -303,7 +295,7 @@ struct State {
     ewma_ms: Mutex<f64>,
     seq: AtomicU64,
     event_seq: AtomicU64,
-    pools: Mutex<Option<(Pool, Pool)>>,
+    pool: Mutex<Option<Pool>>,
     done: (Mutex<bool>, Condvar),
 }
 
@@ -398,32 +390,10 @@ impl State {
     /// budget already be blown before work starts?
     fn predicts_deadline_miss(&self, deadline_ms: u64) -> Option<f64> {
         let ewma = *self.ewma_ms.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let depth = (self.ingress.len() + self.estimate_q.len() + 1) as f64;
+        let depth = (self.ingress.len() + 1) as f64;
         let predicted = depth * ewma;
         (predicted > deadline_ms as f64).then_some(predicted)
     }
-}
-
-fn spec_of(body: &RequestBody) -> Option<&WorkloadSpec> {
-    match body {
-        RequestBody::Mttf { workload, .. }
-        | RequestBody::Sofr { workload, .. }
-        | RequestBody::Sweep { workload, .. } => Some(workload),
-        RequestBody::Stats | RequestBody::Shutdown => None,
-    }
-}
-
-/// The canonical body of the single-point `mttf` request a sweep point is
-/// equivalent to — the key its clean result is published and resumed
-/// under, which is sound because the shared-stream kernel makes the point
-/// bit-identical to that independent request.
-fn point_canonical(
-    workload: &WorkloadSpec,
-    rate_per_year: f64,
-    trials: u64,
-    sampler: SamplerKind,
-) -> String {
-    RequestBody::Mttf { workload: workload.clone(), rate_per_year, trials, sampler }.canonical()
 }
 
 /// A running `serr serve` daemon.
@@ -440,7 +410,7 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds, loads the journals, spawns the supervised pools and the
+    /// Binds, loads the journals, spawns the supervised pool and the
     /// accept loop, and replays any journaled pending work.
     ///
     /// # Errors
@@ -462,7 +432,6 @@ impl Server {
             obs: cfg.obs,
             queue_depth: cfg.queue_depth,
             ingress: Bounded::new(cfg.queue_depth),
-            estimate_q: Bounded::new(cfg.queue_depth),
             cache: TraceCache::new(cfg.cache_capacity),
             results: Mutex::new(HashMap::new()),
             journals: Mutex::new(None),
@@ -473,12 +442,12 @@ impl Server {
             ewma_ms: Mutex::new(0.0),
             seq: AtomicU64::new(0),
             event_seq: AtomicU64::new(0),
-            pools: Mutex::new(None),
+            pool: Mutex::new(None),
             done: (Mutex::new(false), Condvar::new()),
         });
 
         let replay = Self::open_journals(&state, cfg.journal_dir.as_deref())?;
-        Self::spawn_pools(&state, cfg.compile_workers, cfg.estimate_workers);
+        Self::spawn_pool(&state, cfg.workers);
 
         // Replay journaled pending work as internal jobs — chaos-exempt,
         // no deadline, no reply channel; their clean results land in the
@@ -579,45 +548,33 @@ impl Server {
         Ok(replay)
     }
 
-    fn spawn_pools(state: &Arc<State>, compile_workers: usize, estimate_workers: usize) {
+    fn spawn_pool(state: &Arc<State>, workers: usize) {
         let restart_policy = BackoffPolicy {
             max_attempts: u32::MAX,
             base_delay: Duration::from_millis(2),
             max_delay: Duration::from_millis(100),
             jitter_seed: state.experiment.seed,
         };
-        let on_restart = |state: Arc<State>, pool: &'static str| {
-            Arc::new(move |slot: usize| {
-                state.obs.metrics().add("serve.worker_restarts", 1);
-                state.obs.emit(
-                    Event::warn("serve.worker_restart", state.next_event_seq())
-                        .with("pool", pool)
-                        .with("slot", slot as u64),
-                );
-            })
-        };
-        let compile = Pool::spawn(
-            "compile",
-            compile_workers,
+        let pool = Pool::spawn(
+            "worker",
+            workers,
             restart_policy,
             {
                 let state = Arc::clone(state);
-                Arc::new(move |_slot| compile_work(&state))
+                Arc::new(move |_slot| work(&state))
             },
-            on_restart(Arc::clone(state), "compile"),
-        );
-        let estimate = Pool::spawn(
-            "estimate",
-            estimate_workers,
-            restart_policy,
             {
                 let state = Arc::clone(state);
-                Arc::new(move |_slot| estimate_work(&state))
+                Arc::new(move |slot: usize| {
+                    state.obs.metrics().add("serve.worker_restarts", 1);
+                    state.obs.emit(
+                        Event::warn("serve.worker_restart", state.next_event_seq())
+                            .with("slot", slot as u64),
+                    );
+                })
             },
-            on_restart(Arc::clone(state), "estimate"),
         );
-        *state.pools.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-            Some((compile, estimate));
+        *state.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(pool);
     }
 
     /// The address actually bound — for `tcp:HOST:0`, the resolved port.
@@ -661,44 +618,28 @@ fn trigger_shutdown(state: &Arc<State>) {
         .expect("shutdown thread spawn");
 }
 
-/// The graceful shutdown sequence: stage by stage, upstream first, so no
-/// in-flight request is lost — everything not completed is journaled and
-/// answered with a typed `shed`.
+/// The graceful shutdown sequence, so no in-flight request is lost —
+/// everything not completed is journaled and answered with a typed `shed`.
 fn drain_and_stop(state: &Arc<State>) {
-    let pools = state.pools.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-    let (compile_pool, estimate_pool) = match pools {
-        Some(p) => p,
-        None => return,
+    let Some(pool) = state.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
+    else {
+        return;
     };
 
-    // 1. Close both queues before joining either pool: a compile worker
-    //    blocked on a full estimate queue only unblocks when that queue
-    //    closes, so closing first is what makes the joins deadlock-free.
-    //    Workers finish the job they hold, then retire (pop → None).
-    compile_pool.begin_shutdown();
-    estimate_pool.begin_shutdown();
+    // 1. Close the queue and journal what it still holds. Workers finish
+    //    the job they hold, then retire (pop → None).
+    pool.begin_shutdown();
     state.ingress.close();
     for job in state.ingress.drain() {
         state.journal_pending(&job.canonical);
         state.shed(job.reply.as_ref(), job.tag, job.id, "draining; journaled for restart resume");
     }
-    state.estimate_q.close();
-    for ej in state.estimate_q.drain() {
-        state.journal_pending(&ej.job.canonical);
-        state.shed(
-            ej.job.reply.as_ref(),
-            ej.job.tag,
-            ej.job.id,
-            "draining; journaled for restart resume",
-        );
-    }
-    compile_pool.join();
-    estimate_pool.join();
+    pool.join();
 
-    // 3. Release the journal locks so a successor can open them.
+    // 2. Release the journal locks so a successor can open them.
     state.journals.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
 
-    // 4. Stop accepting and wake `Server::wait`.
+    // 3. Stop accepting and wake `Server::wait`.
     state.stop_accept.store(true, Ordering::SeqCst);
     let (lock, cvar) = &state.done;
     *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
@@ -876,38 +817,25 @@ fn admit(state: &Arc<State>, req: Request, tag: u64, tx: &mpsc::Sender<WireOut>)
         state.shed(Some(tx), tag, req.id, "shutting down");
         return;
     }
-    let canonical = req.body_canonical();
-    // A sweep resumes when EVERY point's equivalent single-point result is
-    // already journaled — sound because the shared-stream kernel makes
-    // each point bit-identical to the independent `mttf` request.
-    if let RequestBody::Sweep { workload, rates_per_year, trials, sampler } = &req.body {
+    // The request resumes when every point it asks for is already
+    // journaled — a sweep included, point by point, which is sound because
+    // the shared-stream kernel makes each point bit-identical to the
+    // independent `mttf` request.
+    let resumed: Option<Vec<Estimate>> = {
         let map = state.results.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let points: Option<Vec<Estimate>> = rates_per_year
+        point_keys(&req.body)
             .iter()
-            .map(|&r| {
-                map.get(&point_canonical(workload, r, *trials, *sampler)).cloned().map(|mut est| {
+            .map(|key| {
+                map.get(key).cloned().map(|mut est| {
                     est.resumed = true;
                     est
                 })
             })
-            .collect();
-        drop(map);
-        if let Some(points) = points {
-            state.obs.metrics().add("serve.resumed", 1);
-            state.respond(Some(tx), tag, &Response::Sweep { id: req.id, points }, false);
-            return;
-        }
-    }
-    let hit = state
-        .results
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&canonical)
-        .cloned();
-    if let Some(mut est) = hit {
-        est.resumed = true;
+            .collect()
+    };
+    if let Some(points) = resumed {
         state.obs.metrics().add("serve.resumed", 1);
-        state.respond(Some(tx), tag, &Response::Estimate { id: req.id, est }, false);
+        state.respond(Some(tx), tag, &reply_for(&req.body, req.id, points), false);
         return;
     }
     if let Some(ms) = req.deadline_ms {
@@ -925,13 +853,13 @@ fn admit(state: &Arc<State>, req: Request, tag: u64, tx: &mpsc::Sender<WireOut>)
         tag,
         id: req.id,
         deadline: req.deadline_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms)),
+        canonical: req.body_canonical(),
         body: req.body,
-        canonical,
         reply: Some(tx.clone()),
         internal: false,
     };
     match state.ingress.try_push(job) {
-        Ok(()) => {}
+        Ok(()) => state.obs.metrics().add("serve.admitted", 1),
         Err(PushError::Full(job)) => {
             state.shed(
                 job.reply.as_ref(),
@@ -946,71 +874,71 @@ fn admit(state: &Arc<State>, req: Request, tag: u64, tx: &mpsc::Sender<WireOut>)
     }
 }
 
-/// Compile-stage worker body: build (or fetch) the trace, hand off to the
-/// estimate stage with blocking backpressure.
-fn compile_work(state: &Arc<State>) -> WorkerExit {
+/// The keys a body's clean points are published and resumed under, in
+/// point order: `mttf` and `sofr` under their own canonical body, each
+/// sweep point under the equivalent single-point `mttf` request's.
+fn point_keys(body: &RequestBody) -> Vec<String> {
+    match body {
+        RequestBody::Sweep { workload, rates_per_year, trials, sampler } => rates_per_year
+            .iter()
+            .map(|&rate_per_year| {
+                RequestBody::Mttf {
+                    workload: workload.clone(),
+                    rate_per_year,
+                    trials: *trials,
+                    sampler: *sampler,
+                }
+                .canonical()
+            })
+            .collect(),
+        _ => vec![body.canonical()],
+    }
+}
+
+/// The response carrying a body's points: a sweep answers with all of
+/// them, `mttf` and `sofr` with their one.
+fn reply_for(body: &RequestBody, id: u64, mut points: Vec<Estimate>) -> Response {
+    match body {
+        RequestBody::Sweep { .. } => Response::Sweep { id, points },
+        _ => Response::Estimate { id, est: points.pop().expect("one point per single request") },
+    }
+}
+
+/// Worker body: pop an admitted request, fetch its trace, estimate.
+fn work(state: &Arc<State>) -> WorkerExit {
     while let Some(job) = state.ingress.pop() {
-        let spec = spec_of(&job.body).expect("only estimation bodies are enqueued").clone();
-        let experiment = state.experiment;
-        // Keyed by workload, not by request body: every rate, trial count
-        // and command on one workload shares one compile.
-        let built = state.cache.get_or_build(&spec.canonical(), || spec.trace(&experiment));
-        let (cached, outcome, evicted) = match built {
+        process(state, &job);
+    }
+    WorkerExit::Shutdown
+}
+
+/// Runs one request. Injected faults hit after the trace fetch: a stall
+/// delays the request, a panic kills this worker *after* the request's
+/// terminal state is recorded (the supervisor restarts the slot), and a
+/// socket drop tears the response mid-line after recording the terminal
+/// state.
+fn process(state: &Arc<State>, job: &Job) {
+    let (spec, ..) = unpack(&job.body);
+    let experiment = state.experiment;
+    // Keyed by workload, not by request body: every rate, trial count and
+    // command on one workload shares one compile.
+    let (cached, outcome, evicted) =
+        match state.cache.get_or_build(&spec.canonical(), || spec.trace(&experiment)) {
             Ok(ok) => ok,
-            Err(e) => {
-                state.respond(
-                    job.reply.as_ref(),
-                    job.tag,
-                    &Response::Error {
-                        id: Some(job.id),
-                        error: e.to_string(),
-                        budget_s: None,
-                        elapsed_s: None,
-                    },
-                    false,
-                );
-                continue;
-            }
+            Err(e) => return respond_error(state, job, e, false),
         };
-        state.obs.metrics().add(
-            match outcome {
-                CacheOutcome::Hit => "serve.cache_hits",
-                CacheOutcome::HitRebuilt => "serve.cache_rebuilds",
-                CacheOutcome::Miss => "serve.cache_misses",
-            },
-            1,
-        );
-        if evicted {
-            state.obs.metrics().add("serve.cache_evictions", 1);
-        }
-        if let Err(ej) = state.estimate_q.push(EstimateJob { job, cached }) {
-            // The estimate queue closed mid-handoff: the drain already ran
-            // past us, so journal and shed here — the request is not lost.
-            state.journal_pending(&ej.job.canonical);
-            state.shed(
-                ej.job.reply.as_ref(),
-                ej.job.tag,
-                ej.job.id,
-                "draining; journaled for restart resume",
-            );
-        }
+    state.obs.metrics().add(
+        match outcome {
+            CacheOutcome::Hit => "serve.cache_hits",
+            CacheOutcome::HitRebuilt => "serve.cache_rebuilds",
+            CacheOutcome::Miss => "serve.cache_misses",
+        },
+        1,
+    );
+    if evicted {
+        state.obs.metrics().add("serve.cache_evictions", 1);
     }
-    WorkerExit::Shutdown
-}
 
-/// Estimate-stage worker body. Injected faults hit here: a stall delays
-/// the request, a panic kills this worker *after* the request's terminal
-/// state is recorded (the supervisor restarts the slot), and a socket drop
-/// tears the response mid-line after recording the terminal state.
-fn estimate_work(state: &Arc<State>) -> WorkerExit {
-    while let Some(ej) = state.estimate_q.pop() {
-        process_estimate(state, &ej);
-    }
-    WorkerExit::Shutdown
-}
-
-fn process_estimate(state: &Arc<State>, ej: &EstimateJob) {
-    let job = &ej.job;
     let started = Instant::now();
     let fault =
         if job.internal { None } else { state.chaos.as_ref().and_then(|p| p.serve_fault(job.tag)) };
@@ -1052,52 +980,22 @@ fn process_estimate(state: &Arc<State>, ej: &EstimateJob) {
     // context); a tight one yields a truncated — honestly widened —
     // estimate tagged Degraded by the provenance lattice.
     let remaining = job.deadline.map(|(at, _)| at.saturating_duration_since(Instant::now()));
-    if let RequestBody::Sweep { workload, rates_per_year, trials, sampler } = &job.body {
-        let result = run_sweep_validator(state, job, &ej.cached, remaining);
-        let elapsed = started.elapsed();
-        match result {
-            Ok(points) => {
-                // Each clean point is published under its equivalent
-                // single-point `mttf` canonical body: a later `mttf`
-                // request for any swept rate — or a re-request of the
-                // whole sweep — is answered from the journal
-                // bit-identically.
-                for (i, est) in points.iter().enumerate() {
-                    if est.state() == "result" {
-                        let key = point_canonical(workload, rates_per_year[i], *trials, *sampler);
-                        state.publish_result(&key, est);
-                    }
-                }
-                state.obs.metrics().add("serve.sweep_points", points.len() as u64);
-                state.respond(
-                    job.reply.as_ref(),
-                    job.tag,
-                    &Response::Sweep { id: job.id, points },
-                    torn,
-                );
-            }
-            Err(e) => respond_error(state, job, e, torn),
-        }
-        state.update_ewma(elapsed.as_secs_f64() * 1e3);
-        state.obs.metrics().observe("serve.estimate_ms", elapsed.as_secs_f64() * 1e3);
-        return;
-    }
-    let result = run_validator(state, job, &ej.cached, remaining);
+    let result = estimate(state, &job.body, &cached, remaining);
     let elapsed = started.elapsed();
     match result {
-        Ok(est) => {
-            // Only clean full-fidelity results are journaled and resumable:
+        Ok(points) => {
+            // Only clean full-fidelity points are journaled and resumable:
             // a truncated estimate depends on this run's deadline pressure
             // and must not masquerade as the canonical answer.
-            if est.state() == "result" {
-                state.publish_result(&job.canonical, &est);
+            for (key, est) in point_keys(&job.body).iter().zip(&points) {
+                if est.state() == "result" {
+                    state.publish_result(key, est);
+                }
             }
-            state.respond(
-                job.reply.as_ref(),
-                job.tag,
-                &Response::Estimate { id: job.id, est },
-                torn,
-            );
+            if matches!(job.body, RequestBody::Sweep { .. }) {
+                state.obs.metrics().add("serve.sweep_points", points.len() as u64);
+            }
+            state.respond(job.reply.as_ref(), job.tag, &reply_for(&job.body, job.id, points), torn);
         }
         Err(e) => respond_error(state, job, e, torn),
     }
@@ -1121,25 +1019,30 @@ fn respond_error(state: &Arc<State>, job: &Job, e: serr_types::SerrError, torn: 
     );
 }
 
-/// The estimation itself — the exact code path `serr mttf` / `serr sofr`
-/// run, so responses are bit-identical to the batch CLI at any
-/// `SERR_THREADS` (deadline truncation aside).
-fn run_validator(
+/// The estimation itself, one path for every body. The body's rates — `[r]`
+/// for `mttf`, `[c·r]` for `sofr`, the list for `sweep` — run through ONE
+/// shared-stream kernel call on the cached compile (`compile(raw)`, the
+/// trace the engine would build itself), and only the cheap analytic
+/// estimators remain per point, reading `raw` exactly as
+/// [`Validator::component`] / [`Validator::system_identical`] do. Each point
+/// is bit-identical to the batch CLI's independent run at any
+/// `SERR_THREADS` (deadline truncation aside), which is also what licenses
+/// publishing clean sweep points under the equivalent `mttf` keys.
+fn estimate(
     state: &Arc<State>,
-    job: &Job,
+    body: &RequestBody,
     cached: &CachedTrace,
     deadline: Option<Duration>,
-) -> Result<Estimate, serr_types::SerrError> {
-    let (rate_per_year, trials, sampler) = match &job.body {
-        RequestBody::Mttf { rate_per_year, trials, sampler, .. }
-        | RequestBody::Sofr { rate_per_year, trials, sampler, .. } => {
-            (*rate_per_year, *trials, *sampler)
-        }
-        RequestBody::Sweep { .. } | RequestBody::Stats | RequestBody::Shutdown => {
-            unreachable!("sweeps run in run_sweep_validator; only estimation bodies are enqueued")
-        }
+) -> Result<Vec<Estimate>, serr_types::SerrError> {
+    let (_, rates_per_year, components, trials, sampler) = unpack(body);
+    let rates = rates_per_year
+        .iter()
+        .map(|&r| RawErrorRate::try_per_year(r))
+        .collect::<Result<Vec<_>, serr_types::SerrError>>()?;
+    let mc_rates: Vec<RawErrorRate> = match components {
+        Some(c) => rates.iter().map(|r| r.scale(c as f64)).collect(),
+        None => rates.clone(),
     };
-    let rate = RawErrorRate::try_per_year(rate_per_year)?;
     let mc = MonteCarloConfig {
         trials,
         threads: state.mc_threads,
@@ -1147,91 +1050,62 @@ fn run_validator(
         deadline,
         ..Default::default()
     };
-    let v = Validator::new(state.experiment.frequency, mc);
-    // The Monte Carlo ground truth samples the cached compile — exactly the
-    // trace `Validator::component` / `system_identical` would compile from
-    // `raw` — and the analytic estimators read `raw`, as they do there.
     let freq = state.experiment.frequency;
-    let (avf, mttf_step_s, mc_est) = match &job.body {
-        RequestBody::Mttf { .. } => {
-            let est = v.monte_carlo().component_mttf_compiled(&cached.compiled, rate, freq)?;
-            let r = v.component_with_mc(&*cached.raw, rate, est)?;
-            (r.avf, r.mttf_avf.as_secs(), r.mttf_mc)
-        }
-        RequestBody::Sofr { components, .. } => {
-            // `components ≥ 1` is enforced at parse time.
-            let system_rate = rate.scale(*components as f64);
-            let est =
-                v.monte_carlo().component_mttf_compiled(&cached.compiled, system_rate, freq)?;
-            let r = v.system_identical_with_mc(&*cached.raw, rate, *components, est)?;
-            (cached.raw.avf(), r.mttf_sofr.as_secs(), r.mttf_mc)
-        }
-        RequestBody::Sweep { .. } | RequestBody::Stats | RequestBody::Shutdown => {
-            unreachable!("gated above")
-        }
-    };
-    Ok(Estimate {
-        mttf_mc_s: mc_est.mttf.as_secs(),
-        rel_ci95: mc_est.relative_ci95(),
-        mttf_step_s,
-        avf,
-        provenance: classify_estimate(&mc_est).label().to_owned(),
-        sampler: mc_est.sampler.label().to_owned(),
-        trials_done: mc_est.ttf_seconds.count,
-        truncated: mc_est.truncated,
-        resumed: false,
-    })
+    let v = Validator::new(freq, mc);
+    let ests = v.monte_carlo().component_mttf_multi_compiled(&cached.compiled, &mc_rates, freq)?;
+    rates
+        .into_iter()
+        .zip(ests)
+        .map(|(rate, est)| {
+            let est = est?;
+            Ok(match components {
+                Some(c) => {
+                    let r = v.system_identical_with_mc(&*cached.raw, rate, c, est)?;
+                    point(&r.mttf_mc, r.mttf_sofr.as_secs(), cached.raw.avf())
+                }
+                None => {
+                    let r = v.component_with_mc(&*cached.raw, rate, est)?;
+                    point(&r.mttf_mc, r.mttf_avf.as_secs(), r.avf)
+                }
+            })
+        })
+        .collect()
 }
 
-/// The multi-point sweep estimation: ONE shared-stream kernel run
-/// (`MonteCarlo::component_mttf_multi`) produces every point's Monte
-/// Carlo ground truth — common random numbers across the whole sweep —
-/// and only the cheap analytic estimators remain per point. Each point is
-/// bit-identical to the single-point `mttf` request for the same rate at
-/// any `SERR_THREADS`, which is what licenses publishing clean points
-/// under the equivalent `mttf` canonical bodies.
-fn run_sweep_validator(
-    state: &Arc<State>,
-    job: &Job,
-    cached: &CachedTrace,
-    deadline: Option<Duration>,
-) -> Result<Vec<Estimate>, serr_types::SerrError> {
-    let RequestBody::Sweep { rates_per_year, trials, sampler, .. } = &job.body else {
-        unreachable!("the caller routes only sweep bodies here")
-    };
-    let rates = rates_per_year
-        .iter()
-        .map(|&r| RawErrorRate::try_per_year(r))
-        .collect::<Result<Vec<_>, serr_types::SerrError>>()?;
-    let mc = MonteCarloConfig {
-        trials: *trials,
-        threads: state.mc_threads,
-        sampler: *sampler,
-        deadline,
-        ..Default::default()
-    };
-    let v = Validator::new(state.experiment.frequency, mc);
-    let ests = v.monte_carlo().component_mttf_multi_compiled(
-        &cached.compiled,
-        &rates,
-        state.experiment.frequency,
-    )?;
-    let mut points = Vec::with_capacity(ests.len());
-    for (i, est) in ests.into_iter().enumerate() {
-        let r = v.component_with_mc(&*cached.raw, rates[i], est?)?;
-        points.push(Estimate {
-            mttf_mc_s: r.mttf_mc.mttf.as_secs(),
-            rel_ci95: r.mttf_mc.relative_ci95(),
-            mttf_step_s: r.mttf_avf.as_secs(),
-            avf: r.avf,
-            provenance: classify_estimate(&r.mttf_mc).label().to_owned(),
-            sampler: r.mttf_mc.sampler.label().to_owned(),
-            trials_done: r.mttf_mc.ttf_seconds.count,
-            truncated: r.mttf_mc.truncated,
-            resumed: false,
-        });
+/// An estimation body's workload, component rates (errors/year), `Some(c)`
+/// for a `sofr` system of `c ≥ 1` components (enforced at parse time),
+/// trials and sampler.
+fn unpack(body: &RequestBody) -> (&WorkloadSpec, &[f64], Option<u64>, u64, SamplerKind) {
+    match body {
+        RequestBody::Mttf { workload, rate_per_year, trials, sampler } => {
+            (workload, std::slice::from_ref(rate_per_year), None, *trials, *sampler)
+        }
+        RequestBody::Sofr { workload, rate_per_year, components, trials, sampler } => {
+            (workload, std::slice::from_ref(rate_per_year), Some(*components), *trials, *sampler)
+        }
+        RequestBody::Sweep { workload, rates_per_year, trials, sampler } => {
+            (workload, rates_per_year, None, *trials, *sampler)
+        }
+        RequestBody::Stats | RequestBody::Shutdown => {
+            unreachable!("only estimation bodies are enqueued")
+        }
     }
-    Ok(points)
+}
+
+/// One response point from its Monte Carlo ground truth and the step
+/// estimate it is judged against.
+fn point(mc: &MttfEstimate, mttf_step_s: f64, avf: f64) -> Estimate {
+    Estimate {
+        mttf_mc_s: mc.mttf.as_secs(),
+        rel_ci95: mc.relative_ci95(),
+        mttf_step_s,
+        avf,
+        provenance: classify_estimate(mc).label().to_owned(),
+        sampler: mc.sampler.label().to_owned(),
+        trials_done: mc.ttf_seconds.count,
+        truncated: mc.truncated,
+        resumed: false,
+    }
 }
 
 /// The journals' configuration fingerprint: the experiment config with

@@ -116,7 +116,7 @@ pub(crate) fn shut_down(client: &mut Client, server: Server) {
 
 /// Every request in the soak carries a distinct body (the rate varies with
 /// the index) so none short-circuits through the resume map — each one
-/// exercises the full compile → estimate pipeline under injected faults.
+/// exercises the full admission → worker pipeline under injected faults.
 fn body_for(i: u64) -> RequestBody {
     let workloads = ["duty:0.002:0.5", "duty:0.004:0.25", "duty:0.001:0.75", "duty:0.003:0.4"];
     let workload = WorkloadSpec::parse(workloads[(i % 4) as usize]).expect("valid spec");

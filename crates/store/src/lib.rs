@@ -20,20 +20,17 @@
 //! version) or a degraded-but-usable prefix (any damage at or after the
 //! first page).
 //!
-//! Record payloads are opaque here; the [`codec`] module provides the
-//! explicit [`Serializer`]/[`Deserializer`] pairs callers compose to give
-//! them meaning, with floats as raw little-endian bits so resumed values
-//! are bit-identical to what was computed.
+//! Record payloads are opaque here: each caller encodes its own records
+//! (varints from [`varint`], floats as raw little-endian bits so resumed
+//! values are bit-identical to what was computed).
 
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod crc32;
 pub mod mmap;
 pub mod pages;
 pub mod varint;
 
-pub use codec::{Deserializer, Serializer};
 pub use crc32::crc32;
 pub use mmap::FileBytes;
 pub use pages::{

@@ -6,13 +6,14 @@
 //! segment count, then `(u64 length, f64 vulnerability)` pairs, all
 //! little-endian.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serr_types::SerrError;
 
 use crate::{IntervalTrace, Segment};
 
 const MAGIC: &[u8; 4] = b"SERT";
 const VERSION: u8 = 1;
+/// Magic, version byte, and segment count.
+const HEADER_LEN: usize = 4 + 1 + 8;
 
 /// Serializes an [`IntervalTrace`] to the compact binary format.
 ///
@@ -23,17 +24,17 @@ const VERSION: u8 = 1;
 /// assert_eq!(decode_interval_trace(&bytes).unwrap(), t);
 /// ```
 #[must_use]
-pub fn encode_interval_trace(trace: &IntervalTrace) -> Bytes {
+pub fn encode_interval_trace(trace: &IntervalTrace) -> Vec<u8> {
     let segs: Vec<Segment> = trace.segments().collect();
-    let mut buf = BytesMut::with_capacity(4 + 1 + 8 + segs.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(segs.len() as u64);
+    let mut buf = Vec::with_capacity(HEADER_LEN + segs.len() * 16);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(segs.len() as u64).to_le_bytes());
     for s in segs {
-        buf.put_u64_le(s.len);
-        buf.put_f64_le(s.vulnerability);
+        buf.extend_from_slice(&s.len.to_le_bytes());
+        buf.extend_from_slice(&s.vulnerability.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserializes a trace produced by [`encode_interval_trace`].
@@ -42,35 +43,34 @@ pub fn encode_interval_trace(trace: &IntervalTrace) -> Bytes {
 ///
 /// Returns [`SerrError::InvalidTrace`] on a bad magic, unsupported version,
 /// truncated input, or invalid segment contents.
-pub fn decode_interval_trace(mut bytes: &[u8]) -> Result<IntervalTrace, SerrError> {
-    if bytes.len() < 13 {
+pub fn decode_interval_trace(bytes: &[u8]) -> Result<IntervalTrace, SerrError> {
+    let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte field"));
+    if bytes.len() < HEADER_LEN {
         return Err(SerrError::invalid_trace("encoded trace truncated before header"));
     }
-    let mut magic = [0u8; 4];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let (header, body) = bytes.split_at(HEADER_LEN);
+    if &header[..4] != MAGIC {
         return Err(SerrError::invalid_trace("bad magic in encoded trace"));
     }
-    let version = bytes.get_u8();
+    let version = header[4];
     if version != VERSION {
         return Err(SerrError::invalid_trace(format!("unsupported trace version {version}")));
     }
-    let count = bytes.get_u64_le();
-    let need = (count as usize)
-        .checked_mul(16)
+    let count = le_u64(&header[5..]);
+    let need = usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_mul(16))
         .ok_or_else(|| SerrError::invalid_trace("segment count overflows"))?;
-    if bytes.remaining() != need {
+    if body.len() != need {
         return Err(SerrError::invalid_trace(format!(
             "expected {need} bytes of segments, found {}",
-            bytes.remaining()
+            body.len()
         )));
     }
-    let mut segments = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let len = bytes.get_u64_le();
-        let v = bytes.get_f64_le();
-        segments.push(Segment::new(len, v)?);
-    }
+    let segments = body
+        .chunks_exact(16)
+        .map(|pair| Segment::new(le_u64(&pair[..8]), f64::from_bits(le_u64(&pair[8..]))))
+        .collect::<Result<Vec<_>, _>>()?;
     IntervalTrace::from_segments(segments)
 }
 
@@ -97,7 +97,7 @@ mod tests {
     #[test]
     fn rejects_corruption() {
         let t = IntervalTrace::busy_idle(4, 4).unwrap();
-        let enc = encode_interval_trace(&t).to_vec();
+        let enc = encode_interval_trace(&t);
 
         // Truncated.
         assert!(decode_interval_trace(&enc[..enc.len() - 1]).is_err());
@@ -124,8 +124,24 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let t = IntervalTrace::busy_idle(4, 4).unwrap();
-        let mut enc = encode_interval_trace(&t).to_vec();
+        let mut enc = encode_interval_trace(&t);
         enc.push(0);
         assert!(decode_interval_trace(&enc).is_err());
+    }
+
+    /// The on-disk layout, pinned byte for byte: trace-cache entries
+    /// written by any earlier build must keep decoding.
+    #[test]
+    fn layout_is_pinned_byte_for_byte() {
+        let t = IntervalTrace::busy_idle(3, 5).unwrap();
+        let mut golden = b"SERT".to_vec();
+        golden.push(1);
+        golden.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0xF0, 0x3F]); // 1.0
+        golden.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[0; 8]); // 0.0
+        assert_eq!(encode_interval_trace(&t), golden);
+        assert_eq!(decode_interval_trace(&golden).unwrap(), t);
     }
 }

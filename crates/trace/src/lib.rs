@@ -50,7 +50,6 @@ mod concat;
 mod dense;
 mod encode;
 mod interval;
-mod layered;
 mod scale;
 mod shift;
 mod traits;
@@ -62,7 +61,6 @@ pub use concat::ConcatTrace;
 pub use dense::DenseTrace;
 pub use encode::{decode_interval_trace, encode_interval_trace};
 pub use interval::{IntervalTrace, IntervalTraceBuilder, Segment};
-pub use layered::BitLayeredTrace;
 pub use scale::ScaledTrace;
 pub use shift::ShiftedTrace;
 pub use traits::VulnerabilityTrace;

@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 
 use crate::{
-    decode_interval_trace, encode_interval_trace, BitLayeredTrace, CompiledTrace, CompositeTrace,
-    ConcatTrace, DenseTrace, IntervalTrace, ScaledTrace, Segment, ShiftedTrace, Transform,
-    TransformPipeline, VulnerabilityTrace,
+    decode_interval_trace, encode_interval_trace, CompiledTrace, CompositeTrace, ConcatTrace,
+    DenseTrace, IntervalTrace, ScaledTrace, Segment, ShiftedTrace, Transform, TransformPipeline,
+    VulnerabilityTrace,
 };
 use std::sync::Arc;
 
@@ -360,13 +360,9 @@ proptest! {
         );
         let traces: Vec<(&str, Arc<dyn VulnerabilityTrace>)> = vec![
             ("interval", ia.clone()),
-            ("dense", dense.clone()),
+            ("dense", dense),
             ("composite", composite.clone()),
             ("scaled", Arc::new(ScaledTrace::new(composite.clone(), factor).unwrap())),
-            (
-                "layered",
-                Arc::new(BitLayeredTrace::new(vec![ia.clone(), ib.clone(), dense]).unwrap()),
-            ),
             ("concat", Arc::new(ConcatTrace::new(vec![(ia, 2), (ib, 3)]).unwrap())),
             ("compiled", Arc::new(CompiledTrace::compile(&composite).unwrap())),
         ];

@@ -3,8 +3,8 @@
 //! This crate defines the units and identities used by every other crate in
 //! the workspace: time ([`Seconds`], [`Cycles`], [`Frequency`]), error rates
 //! ([`FitRate`], [`RawErrorRate`], [`FailureRate`]), reliability metrics
-//! ([`Mttf`]), and the hardware [`Component`] descriptions over which the
-//! paper's design space (Table 2) is defined.
+//! ([`Mttf`]), and the typed [`SerrError`] every fallible operation
+//! returns.
 //!
 //! # Conventions
 //!
@@ -31,13 +31,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod component;
 mod error;
 mod provenance;
 mod rate;
 mod time;
 
-pub use component::{Component, ComponentId, ComponentKind};
 pub use error::SerrError;
 pub use provenance::Provenance;
 pub use rate::{FailureRate, FitRate, RawErrorRate};

@@ -120,6 +120,15 @@ REQ=(cargo run --release --bin serr -- request --connect "unix:$SOCK")
   | grep -q '"state":"result"'
 "${REQ[@]}" --cmd sweep -w duty:0.001:0.5 --rates 1e6,2e6,4e6 --trials 2000 \
   | grep '"state":"result"' | grep -q '"points"'
+# Cross-kind resume: the sweep published each clean point under the
+# equivalent single-point `mttf` key, so an `mttf` at a swept rate and a
+# re-sent sweep are both answered from the results journal, every point
+# `resumed`, without recomputing.
+"${REQ[@]}" --cmd mttf -w duty:0.001:0.5 --rate 2e6 --trials 2000 \
+  | grep -q '"resumed":true'
+SWEEP_AGAIN=$("${REQ[@]}" --cmd sweep -w duty:0.001:0.5 --rates 1e6,2e6,4e6 --trials 2000)
+[[ $(grep -o '"resumed":true' <<<"$SWEEP_AGAIN" | wc -l) -eq 3 ]] \
+  || { echo "serve smoke: re-sent sweep did not resume every point: $SWEEP_AGAIN" >&2; exit 1; }
 "${REQ[@]}" --cmd stats | grep -q '"counters"'
 "${REQ[@]}" --cmd shutdown | grep -q '"shutdown":true'
 wait "$SERVE_PID"

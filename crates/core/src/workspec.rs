@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use serr_obs::Obs;
 use serr_trace::VulnerabilityTrace;
 use serr_types::{Seconds, SerrError};
 
@@ -97,11 +98,26 @@ impl WorkloadSpec {
     ///
     /// Propagates workload construction and simulation errors.
     pub fn trace(&self, cfg: &ExperimentConfig) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
+        self.trace_with(cfg, None)
+    }
+
+    /// [`WorkloadSpec::trace`] recording any timing simulation or
+    /// trace-cache access on `obs` (the process-wide observer when `None`).
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkloadSpec::trace`].
+    pub fn trace_with(
+        &self,
+        cfg: &ExperimentConfig,
+        obs: Option<&Obs>,
+    ) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
+        let synthesized = |w| experiments::synthesized_trace_with(w, cfg, obs);
         match self {
-            WorkloadSpec::Day => experiments::synthesized_trace(Workload::Day, cfg),
-            WorkloadSpec::Week => experiments::synthesized_trace(Workload::Week, cfg),
-            WorkloadSpec::Combined => experiments::synthesized_trace(Workload::Combined, cfg),
-            WorkloadSpec::Spec(name) => experiments::spec_processor_trace(name, cfg),
+            WorkloadSpec::Day => synthesized(Workload::Day),
+            WorkloadSpec::Week => synthesized(Workload::Week),
+            WorkloadSpec::Combined => synthesized(Workload::Combined),
+            WorkloadSpec::Spec(name) => experiments::spec_processor_trace_with(name, cfg, obs),
             WorkloadSpec::Duty { period_s, busy } => {
                 let t = serr_workload::synthesized::duty_cycle(
                     Seconds::new(*period_s),

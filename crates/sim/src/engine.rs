@@ -28,7 +28,9 @@ pub struct SimStats {
     pub dtlb_miss_rate: f64,
     /// Branches the front end mispredicted.
     pub branch_mispredicts: u64,
-    /// Cycles in which dispatch made no progress while work remained.
+    /// Cycles in which dispatch made no progress while work remained,
+    /// including idle cycles the event skip jumped over (each is a cycle
+    /// in which nothing dispatched).
     pub dispatch_stall_cycles: u64,
     /// Dirty L1D lines written back to the L2.
     pub l1d_writebacks: u64,
@@ -54,6 +56,10 @@ pub struct SimOutput {
     pub stats: SimStats,
     /// Component masking traces with period = simulated cycles.
     pub traces: ProcessorMaskingTraces,
+    /// Idle cycles the event skip jumped over instead of stepping through
+    /// (zero for an output loaded from a trace cache). `stats.cycles`
+    /// minus this is the simulator's loop iterations.
+    pub skipped_cycles: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,10 +155,10 @@ impl Simulator {
             }
         };
 
-        // Per-FU bookkeeping: blocking ops hold `busy_until`; every FU
-        // accepts at most one new op per cycle.
+        // Per-FU bookkeeping: blocking ops (integer divides) hold
+        // `busy_until`; FP ops are all pipelined; every FU accepts at most
+        // one new op per cycle.
         let mut int_busy_until = vec![0u64; cfg.int_units];
-        let fp_busy_until = vec![0u64; cfg.fp_units]; // FP ops are all pipelined
         let mut ls_taken; // per-cycle issue slots
         let mut br_taken;
         let mut int_taken = vec![false; cfg.int_units];
@@ -169,6 +175,7 @@ impl Simulator {
         let mut retired: u64 = 0;
         let mut mispredicts: u64 = 0;
         let mut dispatch_stalls: u64 = 0;
+        let mut skipped: u64 = 0;
 
         // Front-end control state.
         let mut direction_predictor = predictor::build(cfg.branch_predictor);
@@ -268,8 +275,7 @@ impl Simulator {
                         } else {
                             cfg.fp_latency
                         };
-                        let slot =
-                            (0..cfg.fp_units).find(|&f| !fp_taken[f] && fp_busy_until[f] <= now);
+                        let slot = (0..cfg.fp_units).find(|&f| !fp_taken[f]);
                         if let Some(f) = slot {
                             fp_taken[f] = true;
                             collector.mark_fp(f, now, now + latency);
@@ -464,15 +470,43 @@ impl Simulator {
 
             if progressed {
                 last_progress = now;
-            } else if now - last_progress > watchdog {
-                return Err(SerrError::NoConvergence {
-                    what: format!(
-                        "pipeline deadlock at cycle {now}: rob={}, buffer={}, fetched={fetched}, retired={retired}",
-                        rob.len(),
-                        fetch_buffer.len()
-                    ),
-                    after: watchdog as usize,
-                });
+            } else {
+                // Event skip: a cycle without progress changed nothing but
+                // `now`, and every following cycle stays idle until a
+                // completion, the end of an I-cache stall or a divider
+                // freeing up (cache probes are pure; FP units never block).
+                // Jump to that event, counting the idle cycles in between
+                // exactly as stepping through them would.
+                let next_event = rob
+                    .iter()
+                    .filter(|e| e.state == EntryState::Executing)
+                    .map(|e| e.done_at)
+                    .chain(Some(icache_stall_until))
+                    .chain(int_busy_until.iter().copied())
+                    .filter(|&t| t > now)
+                    .min();
+                // The first idle cycle the watchdog rejects.
+                let deadline = last_progress + watchdog + 1;
+                match next_event {
+                    Some(next) if now < deadline && next <= deadline => {
+                        skipped += next - now - 1;
+                        if !fetch_buffer.is_empty() || !rob.is_empty() {
+                            dispatch_stalls += next - now - 1;
+                        }
+                        now = next - 1;
+                    }
+                    _ => {
+                        return Err(SerrError::NoConvergence {
+                            what: format!(
+                                "pipeline deadlock at cycle {}: rob={}, buffer={}, fetched={fetched}, retired={retired}",
+                                now.max(deadline),
+                                rob.len(),
+                                fetch_buffer.len()
+                            ),
+                            after: watchdog as usize,
+                        });
+                    }
+                }
             }
 
             now += 1;
@@ -500,6 +534,7 @@ impl Simulator {
                 dispatch_stall_cycles: dispatch_stalls,
                 l1d_writebacks: l1d.writebacks(),
             },
+            skipped_cycles: skipped,
             traces,
         })
     }
@@ -714,6 +749,105 @@ mod tests {
         assert!((annotated_rate - 0.08).abs() < 0.02, "annotated {annotated_rate}");
         assert!(bimodal_rate < 0.25, "bimodal {bimodal_rate}");
         assert!(bimodal.ipc() > 0.05);
+    }
+
+    #[test]
+    fn event_skip_jumps_over_memory_stalls() {
+        // mcf's pointer chasing leaves the pipeline waiting on memory most
+        // of the time: the simulator must jump those cycles, not step them.
+        let out = run_bench("mcf", 30_000);
+        assert!(
+            out.skipped_cycles > out.stats.cycles / 2,
+            "skipped {} of {} cycles",
+            out.skipped_cycles,
+            out.stats.cycles
+        );
+    }
+
+    #[test]
+    fn watchdog_horizon_survives_the_event_skip() {
+        // Loads missing to a slow memory leave one pending event. Under the
+        // 200k-cycle watchdog the skip jumps to it; past it, the skip must
+        // stop at the cycle where a cycle-by-cycle walk gave up (both
+        // expectations are the cycle-by-cycle simulator's own output).
+        let run = |mem_latency: u64| {
+            let cfg = SimConfig { mem_latency, ..SimConfig::power4() };
+            let loads = vec![Instruction::load(RegId::Int(1), None, 0x10_0000); 4];
+            Simulator::new(cfg).run(loads, 4)
+        };
+        let slow = run(150_000).unwrap();
+        assert_eq!((slow.stats.cycles, slow.stats.dispatch_stall_cycles), (150_024, 150_021));
+        match run(300_000) {
+            Err(SerrError::NoConvergence { what, after }) => {
+                assert_eq!(after, 200_000);
+                assert!(what.starts_with("pipeline deadlock at cycle 200006:"), "{what}");
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+    }
+
+    /// FNV-1a-64 over the stats' debug rendering followed by the "SERT"
+    /// encoding of the int, FP, decode and regfile traces: any change to a
+    /// statistic or a trace byte moves it.
+    fn golden_digest(name: &str, n: u64) -> String {
+        let out = run_bench(name, n);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        eat(format!("{:?}", out.stats).as_bytes());
+        let t = &out.traces;
+        for trace in [&t.int_unit, &t.fp_unit, &t.decode, &t.regfile] {
+            eat(&serr_trace::encode_interval_trace(trace));
+        }
+        format!("{h:016x}")
+    }
+
+    fn assert_goldens(n: u64, want: [(&str, &str); 4]) {
+        for (name, digest) in want {
+            assert_eq!(golden_digest(name, n), digest, "{name} at {n} instructions");
+        }
+    }
+
+    #[test]
+    fn golden_traces_at_60k_instructions() {
+        assert_goldens(
+            60_000,
+            [
+                ("gzip", "316fbb40e688ab92"),
+                ("mcf", "fc5d699d2402aec6"),
+                ("equake", "14339c1f24162df8"),
+                ("swim", "accdc6531d71fd0e"),
+            ],
+        );
+    }
+
+    /// The long goldens take seconds in release and minutes in debug; run
+    /// them with `cargo test --release -p serr-sim -- --ignored`.
+    #[test]
+    #[ignore = "long: run in release with --ignored"]
+    fn golden_traces_at_300k_and_1m_instructions() {
+        assert_goldens(
+            300_000,
+            [
+                ("gzip", "833119afbf964e2a"),
+                ("mcf", "02067031cd164bee"),
+                ("equake", "94a1f4a11a38006b"),
+                ("swim", "d3e0fe2d75a3049c"),
+            ],
+        );
+        assert_goldens(
+            1_000_000,
+            [
+                ("gzip", "c22b32bac5d7b7fc"),
+                ("mcf", "27f6b8a6cc4ace25"),
+                ("equake", "fc497f37a633babb"),
+                ("swim", "d9d13beb51d6550e"),
+            ],
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ fn main() -> Result<(), SerrError> {
 
     // The `combined` workload: gzip for 12 hours, then swim for 12 hours —
     // a realistic "different jobs day and night" server.
-    let trace = combined_trace(&cfg)?;
+    let trace = combined_trace(&cfg, None)?;
     println!("workload: combined (gzip 12h + swim 12h), overall AVF = {:.3}\n", trace.avf());
 
     // A 100 MB cache-class component, exactly Figure 3's subject.

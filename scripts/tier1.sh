@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# Simulator golden gate: the timing simulator's bit-identity goldens
+# (FNV-1a of the stats and "SERT" trace bytes for gzip, mcf, equake and
+# swim at 60k, 300k and 1M instructions) with the rest of its suite, in
+# release. The long rows are `#[ignore]`d in plain `cargo test` because
+# they take minutes unoptimized; `--include-ignored` runs them here.
+cargo test -q --release -p serr-sim -- --include-ignored
+
 # Build gate: compile every target of every workspace crate — benches and
 # examples included, which neither command above builds — so an API change
 # cannot leave a criterion bench calling code that no longer exists.
@@ -53,7 +60,8 @@ cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 
 # the 32-point shared-stream duel) and asserts three perf contracts — the
 # batched inversion sampler stays >=50x faster than the event-loop walk on
 # the low-AVF duel, the no-protection transform path adds <=5% to trace
-# compilation, and the shared-stream sweep kernel stays >=3x faster than
+# compilation (raw and identity compiles timed interleaved over 400
+# rounds), and the shared-stream sweep kernel stays >=3x faster than
 # independent per-point runs while staying bit-identical to them at 1 and
 # 8 threads — the binary aborts if any contract regresses.
 cargo run --release -p serr-bench --bin bench_smoke -- target/bench-smoke.json

@@ -712,7 +712,7 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             metrics,
         } => {
             let obs = metrics_obs(metrics.as_deref())?;
-            let trace = protect.apply(workload.trace(&cfg)?)?;
+            let trace = protect.apply(workload.trace_with(&cfg, obs.as_ref())?)?;
             let rate = RawErrorRate::try_per_year(*rate_per_year)?;
             let freq = cfg.frequency;
             let mut v = Validator::new(freq, mc_config(*trials, *sampler, *deadline_s));
@@ -764,7 +764,7 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             metrics,
         } => {
             let obs = metrics_obs(metrics.as_deref())?;
-            let trace = protect.apply(workload.trace(&cfg)?)?;
+            let trace = protect.apply(workload.trace_with(&cfg, obs.as_ref())?)?;
             let rate = RawErrorRate::try_per_year(*rate_per_year)?;
             let mut v = Validator::new(cfg.frequency, mc_config(*trials, *sampler, *deadline_s));
             if let Some(obs) = &obs {

@@ -3,7 +3,8 @@
 //! Criterion gives statistically careful numbers but its reports are for
 //! humans; this binary runs a small, fixed subset of the `engines` bench
 //! plus a shared-stream sweep-kernel duel, one figure sweep, a
-//! checkpoint/chaos probe, and a `serr serve` service probe, and writes
+//! checkpoint/chaos probe, a `serr serve` service probe, and a
+//! timing-simulator probe (recorded, not gated), and writes
 //! the results as JSON to `BENCH_engines.json`
 //! at the repository root, so successive PRs leave a perf trajectory that
 //! tooling can diff.
@@ -26,8 +27,10 @@ use serr_inject::{FaultKind, FaultPlan};
 use serr_mc::{MonteCarlo, MonteCarloConfig, SamplerKind};
 use serr_obs::{Event, Obs, Value};
 use serr_serve::{Bind, Client, Request, RequestBody, Response, ServeConfig, Server};
+use serr_sim::{SimConfig, Simulator};
 use serr_trace::{CompiledTrace, IntervalTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate};
+use serr_workload::{BenchmarkProfile, TraceGenerator};
 
 /// Pulls a numeric field out of an event, NaN if absent or non-numeric.
 fn field_f64(e: &Event, key: &str) -> f64 {
@@ -729,6 +732,46 @@ fn main() {
     timings.push(t_sweep_per_point);
     timings.push(t_sweep_kernel);
 
+    // Timing-simulator probe (schema v12), recorded with no gate:
+    // `Simulator::run` on gzip, mcf and equake at 300k instructions, seed
+    // 42, min of 3 runs after one untimed warmup. Loop iterations are the
+    // cycles the event skip did not jump over, so ns per iteration is the
+    // per-cycle cost of the wakeup-driven pipeline and Minstr/s its
+    // end-to-end rate, generator included.
+    let sim_instructions = 300_000u64;
+    let mut sim_rows = Vec::new();
+    for (program, name) in
+        [("gzip", "sim/gzip_300k"), ("mcf", "sim/mcf_300k"), ("equake", "sim/equake_300k")]
+    {
+        let profile = BenchmarkProfile::by_name(program).expect("known benchmark");
+        let run = || {
+            Simulator::new(SimConfig::power4())
+                .run(TraceGenerator::new(profile.clone(), 42), sim_instructions)
+                .expect("simulator probe runs")
+        };
+        let out = run();
+        let t = time(name, 3, run);
+        let iterations = out.stats.cycles - out.skipped_cycles;
+        let ns_per_iteration = t.min_ms * 1e6 / iterations as f64;
+        let minstr_per_s = sim_instructions as f64 / (t.min_ms * 1e3);
+        println!(
+            "sim probe: {program} {} cycles, {iterations} iterations, {:.3} ms \
+             ({ns_per_iteration:.0} ns/iteration, {minstr_per_s:.2} Minstr/s)",
+            out.stats.cycles, t.min_ms
+        );
+        sim_rows.push(format!(
+            "    {{\"program\": \"{program}\", \"cycles\": {}, \"iterations\": {iterations}, \
+             \"min_ms\": {:.4}, \"ns_per_iteration\": {ns_per_iteration:.1}, \
+             \"minstr_per_s\": {minstr_per_s:.3}}}",
+            out.stats.cycles, t.min_ms
+        ));
+        timings.push(t);
+    }
+    let sim_json = format!(
+        "  \"sim\": {{\"instructions\": {sim_instructions}, \"seed\": 42, \"programs\": [\n{}\n  ]}},",
+        sim_rows.join(",\n")
+    );
+
     let entries: Vec<String> = timings
         .iter()
         .map(|t| {
@@ -739,9 +782,10 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 11,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 12,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
         sampler_json,
         sweep_kernel_json,
+        sim_json,
         checkpoint_json,
         chaos_json,
         service_json,

@@ -38,6 +38,20 @@
 //! its cycle count in time and memory. Statistics and trace bytes are
 //! identical to a cycle-by-cycle walk.
 //!
+//! # Wakeup-driven issue
+//!
+//! Within a cycle, no stage scans the reorder buffer. Issue pushes each
+//! op's `(done_at, index)` onto a completion heap; writeback pops the ones
+//! due, and the event skip reads the heap's top. At dispatch an entry
+//! counts its not-ready sources and registers with each source register's
+//! wakeup list; writeback of a register drains its list, and an entry
+//! whose count reaches zero joins an age-ordered ready queue. Issue walks
+//! that queue oldest first and keeps the entries that found no unit, so it
+//! makes exactly the attempts a full ROB walk would, in the same order.
+//! Waiter lists cannot go stale: a physical register is freed only when
+//! the next writer of its architectural register retires, after every
+//! consumer of the old value has retired.
+//!
 //! # Example
 //!
 //! ```

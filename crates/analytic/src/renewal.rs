@@ -17,13 +17,15 @@ use serr_trace::VulnerabilityTrace;
 use serr_types::{Frequency, Mttf, RawErrorRate, SerrError};
 
 /// Computes the exact MTTF of a component with raw error rate `rate` running
-/// the workload described by `trace` at clock frequency `freq`.
+/// the workload described by `trace` at clock frequency `freq`: the
+/// one-rate case of [`renewal_mttfs`].
 ///
 /// # Errors
 ///
 /// Returns [`SerrError::InvalidTrace`] if the trace is never vulnerable
-/// (AVF = 0, so the component cannot fail) and [`SerrError::InvalidConfig`]
-/// if the rate is zero.
+/// (AVF = 0, so the component cannot fail), [`SerrError::InvalidConfig`]
+/// if the rate is zero, and [`SerrError::InvalidValue`] if the MTTF does
+/// not resolve to a positive duration at this rate.
 ///
 /// ```
 /// use serr_analytic::renewal::renewal_mttf;
@@ -41,15 +43,62 @@ pub fn renewal_mttf(
     rate: RawErrorRate,
     freq: Frequency,
 ) -> Result<Mttf, SerrError> {
-    if rate.is_zero() {
-        return Err(SerrError::invalid_config("raw error rate is zero; MTTF is infinite"));
-    }
-    if trace.is_never_vulnerable() {
-        return Err(SerrError::invalid_trace("trace has AVF = 0; the component can never fail"));
-    }
+    renewal_mttfs(trace, &[rate], freq).pop().expect("one result per rate")
+}
+
+/// The exact renewal MTTF at every rate of `rates`, in input order, from
+/// one [`VulnerabilityTrace::survival_weights`] call: the trace's spans are
+/// coded once and every distinct rate is priced in the same pass. Element
+/// `k` is bit-identical to `renewal_mttf(trace, rates[k], freq)`; errors
+/// are per rate.
+pub fn renewal_mttfs(
+    trace: &dyn VulnerabilityTrace,
+    rates: &[RawErrorRate],
+    freq: Frequency,
+) -> Vec<Result<Mttf, SerrError>> {
+    let dead = rates.iter().any(|r| !r.is_zero()) && trace.is_never_vulnerable();
+    let lambdas: Vec<Result<f64, SerrError>> = rates
+        .iter()
+        .map(|rate| {
+            if rate.is_zero() {
+                return Err(SerrError::invalid_config("raw error rate is zero; MTTF is infinite"));
+            }
+            if dead {
+                return Err(SerrError::invalid_trace(
+                    "trace has AVF = 0; the component can never fail",
+                ));
+            }
+            per_cycle(*rate, freq)
+        })
+        .collect();
+    let priced: Vec<f64> = lambdas.iter().filter_map(|l| l.as_ref().ok().copied()).collect();
+    let mut weights = trace.survival_weights(&priced).into_iter();
+    lambdas
+        .into_iter()
+        .zip(rates)
+        .map(|(lambda_cycle, rate)| {
+            let lambda_cycle = lambda_cycle?;
+            let (integral, u_total) = weights.next().expect("one weight per priced rate");
+            let secs = integral / one_minus_exp_neg(lambda_cycle * u_total) / freq.hz();
+            Mttf::try_from_secs(secs).map_err(|_| {
+                SerrError::invalid_value(
+                    format!("renewal MTTF (s) at {:e} errors/year", rate.events_per_year()),
+                    secs,
+                )
+            })
+        })
+        .collect()
+}
+
+/// The per-cycle rate `λ / f`, which must stay positive for the closed
+/// form to apply.
+fn per_cycle(rate: RawErrorRate, freq: Frequency) -> Result<f64, SerrError> {
     let lambda_cycle = rate.per_second_value() / freq.hz();
-    let mttf_cycles = renewal_mttf_cycles(trace, lambda_cycle);
-    Ok(Mttf::from_secs(mttf_cycles / freq.hz()))
+    if lambda_cycle > 0.0 {
+        Ok(lambda_cycle)
+    } else {
+        Err(SerrError::invalid_value("per-cycle raw error rate (underflows to zero)", lambda_cycle))
+    }
 }
 
 /// The renewal MTTF in cycle units given a per-cycle raw error rate.
@@ -63,7 +112,7 @@ pub fn renewal_mttf(
 #[must_use]
 pub fn renewal_mttf_cycles(trace: &dyn VulnerabilityTrace, lambda_cycle: f64) -> f64 {
     assert!(lambda_cycle > 0.0, "per-cycle rate must be positive");
-    let (integral, u_total) = trace.survival_weight(lambda_cycle);
+    let (integral, u_total) = trace.survival_weights(&[lambda_cycle])[0];
     assert!(u_total > 0.0, "trace has AVF = 0");
     integral / one_minus_exp_neg(lambda_cycle * u_total)
 }

@@ -3,8 +3,9 @@
 //! Criterion gives statistically careful numbers but its reports are for
 //! humans; this binary runs a small, fixed subset of the `engines` bench
 //! plus a shared-stream sweep-kernel duel, one figure sweep, a
-//! checkpoint/chaos probe, a `serr serve` service probe, and a
-//! timing-simulator probe (recorded, not gated), and writes
+//! checkpoint/chaos probe, a `serr serve` service probe, a
+//! timing-simulator probe and an exact-reference probe (both recorded, not
+//! gated), and writes
 //! the results as JSON to `BENCH_engines.json`
 //! at the repository root, so successive PRs leave a perf trajectory that
 //! tooling can diff.
@@ -13,8 +14,9 @@
 
 use std::time::{Duration, Instant};
 
+use serr_analytic::renewal::renewal_mttfs;
 use serr_core::checkpoint::{fingerprint, Journal};
-use serr_core::experiments::{fig5, fig5_sweep, ExperimentConfig};
+use serr_core::experiments::{fig5, fig5_sweep, spec_processor_trace, ExperimentConfig};
 use serr_core::jsonio::Json;
 use serr_core::pipeline::{
     load_cache_entry_mmap, load_cache_entry_read, simulate_benchmark, write_cache_entry,
@@ -28,6 +30,7 @@ use serr_mc::{MonteCarlo, MonteCarloConfig, SamplerKind};
 use serr_obs::{Event, Obs, Value};
 use serr_serve::{Bind, Client, Request, RequestBody, Response, ServeConfig, Server};
 use serr_sim::{SimConfig, Simulator};
+use serr_softarch::SoftArch;
 use serr_trace::{CompiledTrace, IntervalTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate};
 use serr_workload::{BenchmarkProfile, TraceGenerator};
@@ -772,6 +775,89 @@ fn main() {
         sim_rows.join(",\n")
     );
 
+    // Exact-reference probe (schema v13), recorded with no gate: renewal
+    // and SoftArch on the gzip, mcf and equake processor traces at 300k
+    // instructions, for one rate and for one Fig 6a trace group's lists
+    // (renewal at its 4 component and 20 system rates, SoftArch at the 20
+    // system rates), min of 3 runs after one untimed warmup. Each call codes
+    // the trace's spans once and prices its rates in one pass, so ns per
+    // (span, rate) falls as the list grows.
+    let refs_cfg = ExperimentConfig { sim_instructions: 300_000, ..ExperimentConfig::full() };
+    let freq = refs_cfg.frequency;
+    let component: Vec<RawErrorRate> = [1e8, 1e9, 2e12, 5e12]
+        .iter()
+        .map(|&n_s| RawErrorRate::baseline_per_bit().scale(n_s))
+        .collect();
+    let system: Vec<RawErrorRate> = [2u64, 8, 5_000, 50_000, 500_000]
+        .iter()
+        .flat_map(|&c| component.iter().map(move |r| r.scale(c as f64)))
+        .collect();
+    let renewal_list: Vec<RawErrorRate> = component.iter().chain(&system).copied().collect();
+    let softarch = SoftArch::new(freq);
+    let mut refs_rows = Vec::new();
+    for (program, names) in [
+        (
+            "gzip",
+            [
+                "refs/renewal_gzip_1",
+                "refs/renewal_gzip_fig6a",
+                "refs/softarch_gzip_1",
+                "refs/softarch_gzip_fig6a",
+            ],
+        ),
+        (
+            "mcf",
+            [
+                "refs/renewal_mcf_1",
+                "refs/renewal_mcf_fig6a",
+                "refs/softarch_mcf_1",
+                "refs/softarch_mcf_fig6a",
+            ],
+        ),
+        (
+            "equake",
+            [
+                "refs/renewal_equake_1",
+                "refs/renewal_equake_fig6a",
+                "refs/softarch_equake_1",
+                "refs/softarch_equake_fig6a",
+            ],
+        ),
+    ] {
+        let trace = spec_processor_trace(program, &refs_cfg).expect("reference probe trace");
+        let spans = trace.spans().count();
+        let one = &system[..1];
+        let cases = [
+            time(names[0], 3, || renewal_mttfs(&*trace, one, freq)),
+            time(names[1], 3, || renewal_mttfs(&*trace, &renewal_list, freq)),
+            time(names[2], 3, || softarch.component_mttfs(&*trace, one)),
+            time(names[3], 3, || softarch.component_mttfs(&*trace, &system)),
+        ];
+        let ns = |t: &Timing, rates: usize| t.min_ms * 1e6 / (spans * rates) as f64;
+        let (r1, rl) = (ns(&cases[0], 1), ns(&cases[1], renewal_list.len()));
+        let (s1, sl) = (ns(&cases[2], 1), ns(&cases[3], system.len()));
+        println!(
+            "refs probe: {program} {spans} spans, ns per (span, rate): renewal {r1:.2} at 1 rate, \
+             {rl:.2} at {}; SoftArch {s1:.2} at 1 rate, {sl:.2} at {}",
+            renewal_list.len(),
+            system.len()
+        );
+        refs_rows.push(format!(
+            "    {{\"program\": \"{program}\", \"spans\": {spans}, \
+             \"renewal_ns_1\": {r1:.3}, \"renewal_ns_list\": {rl:.3}, \
+             \"softarch_ns_1\": {s1:.3}, \"softarch_ns_list\": {sl:.3}}}"
+        ));
+        timings.extend(cases);
+    }
+    let refs_json = format!(
+        "  \"refs\": {{\"instructions\": {}, \"renewal_rates\": {}, \"softarch_rates\": {}, \
+         \"programs\": [\n{}\n  ]}},",
+        refs_cfg.sim_instructions,
+        renewal_list.len(),
+        system.len(),
+        refs_rows.join(",\n")
+    );
+
     let entries: Vec<String> = timings
         .iter()
         .map(|t| {
@@ -782,10 +868,11 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 12,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 13,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
         sampler_json,
         sweep_kernel_json,
         sim_json,
+        refs_json,
         checkpoint_json,
         chaos_json,
         service_json,

@@ -8,7 +8,7 @@ use serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
 use serr_trace::{ConcatTrace, VulnerabilityTrace};
-use serr_types::{Frequency, RawErrorRate, Seconds, SerrError};
+use serr_types::{Frequency, Mttf, RawErrorRate, Seconds, SerrError};
 use serr_workload::synthesized;
 
 use crate::checkpoint::{self, JournalRow, SweepOptions, SweepReport};
@@ -17,7 +17,10 @@ use crate::jsonio::Json;
 use crate::par;
 use crate::pipeline::{processor_trace, simulate_benchmarks_with, BenchmarkRun};
 use crate::rates::UnitRates;
-use crate::validate::Validator;
+use crate::validate::{
+    component_reference_rates, system_reference_rates, ComponentValidation, Reference,
+    SystemValidation, Validator,
+};
 
 /// The three representative SPEC benchmarks used for Figure 6(a): one
 /// compute-bound integer, one memory-bound integer, and one floating-point
@@ -164,18 +167,11 @@ fn shared_mc_estimates(
     if let Some(o) = obs {
         mc = mc.with_observer(o.clone());
     }
-    let mut groups: Vec<(Arc<dyn VulnerabilityTrace>, Vec<usize>)> = Vec::new();
-    for &i in pending {
-        match groups.iter_mut().find(|(t, _)| Arc::ptr_eq(t, &traces[i])) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((traces[i].clone(), vec![i])),
-        }
-    }
     let mut out: Vec<Option<Result<MttfEstimate, SerrError>>> = Vec::with_capacity(traces.len());
     out.resize_with(traces.len(), || None);
-    for (trace, members) in groups {
+    for members in trace_groups(traces, pending) {
         let group_rates: Vec<RawErrorRate> = members.iter().map(|&i| rates[i]).collect();
-        match mc.component_mttf_multi(&*trace, &group_rates, cfg.frequency) {
+        match mc.component_mttf_multi(&*traces[members[0]], &group_rates, cfg.frequency) {
             Ok(results) => {
                 for (&i, res) in members.iter().zip(results) {
                     out[i] = Some(res);
@@ -193,17 +189,156 @@ fn shared_mc_estimates(
     out
 }
 
-/// Pulls one design point's estimate out of [`shared_mc_estimates`]'s
-/// output inside a sweep's `eval`.
-fn prepared_estimate(
-    prepared: &[Option<Result<MttfEstimate, SerrError>>],
+/// The pending points of a sweep grouped by trace — `Arc` identity, so
+/// every point built on one shared trace lands in one group — in order of
+/// first appearance.
+fn trace_groups(traces: &[Arc<dyn VulnerabilityTrace>], pending: &[usize]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for &i in pending {
+        match groups.iter_mut().find(|g| Arc::ptr_eq(&traces[g[0]], &traces[i])) {
+            Some(members) => members.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
+}
+
+/// Builds every pending point's validation row from its trace group's
+/// exact references ([`trace_groups`]). `lists(members)` gives the rates
+/// each [`Reference`] prices for a group's points, and every (group,
+/// reference) pass — `price(trace, reference, rates)`, one coded walk of
+/// the trace — is a task of its own, so the two passes over one trace run
+/// side by side and the fan-out is not left waiting on one trace's
+/// references. The tasks fan out over `threads`: renewal first (the dearer
+/// per (span, rate)), each reference's heaviest trace first, so the fan-out
+/// ends with the short tasks. `rows(trace, members, priced)` then assembles
+/// a group's rows in `members` order. A panic in a pass fails only its own
+/// group's points, as [`SerrError::PointFailed`]. Returns rows indexed by
+/// point position: `None` for points the journal restored.
+fn prepare_rows<T>(
+    threads: usize,
+    traces: &[Arc<dyn VulnerabilityTrace>],
+    pending: &[usize],
+    lists: impl Fn(&[usize]) -> [Vec<RawErrorRate>; 2],
+    price: impl Fn(&dyn VulnerabilityTrace, Reference, &[RawErrorRate]) -> Vec<Result<Mttf, SerrError>>
+        + Sync,
+    rows: impl Fn(
+        &dyn VulnerabilityTrace,
+        &[usize],
+        [Vec<Result<Mttf, SerrError>>; 2],
+    ) -> Vec<Result<T, SerrError>>,
+) -> Vec<Option<Result<T, SerrError>>> {
+    let groups = trace_groups(traces, pending);
+    let lists: Vec<[Vec<RawErrorRate>; 2]> = groups.iter().map(|g| lists(g)).collect();
+    let mut tasks: Vec<(usize, Reference)> =
+        Reference::ALL.iter().flat_map(|&r| (0..groups.len()).map(move |g| (g, r))).collect();
+    tasks.sort_by_key(|&(g, r)| {
+        let spans = traces[groups[g][0]].span_count_hint();
+        (r, std::cmp::Reverse(spans.saturating_mul(lists[g][r as usize].len() as u64)))
+    });
+    let priced = par::try_par_map(&tasks, threads, |_, &(g, r)| {
+        Ok(price(&*traces[groups[g][0]], r, &lists[g][r as usize]))
+    });
+    let mut passes: Vec<[Option<Result<Vec<Result<Mttf, SerrError>>, SerrError>>; 2]> =
+        groups.iter().map(|_| [None, None]).collect();
+    for (&(g, r), pass) in tasks.iter().zip(priced) {
+        passes[g][r as usize] = Some(pass);
+    }
+    let mut out: Vec<Option<Result<T, SerrError>>> = Vec::with_capacity(traces.len());
+    out.resize_with(traces.len(), || None);
+    for (members, [renewal, softarch]) in groups.iter().zip(passes) {
+        let built = match (renewal.expect("renewal task"), softarch.expect("SoftArch task")) {
+            (Ok(renewal), Ok(softarch)) => rows(&*traces[members[0]], members, [renewal, softarch]),
+            (Err(e), _) | (_, Err(e)) => members.iter().map(|_| Err(e.clone())).collect(),
+        };
+        for (&i, row) in members.iter().zip(built) {
+            out[i] = Some(row);
+        }
+    }
+    out
+}
+
+/// The rows of every pending single-component point: the grouped Monte
+/// Carlo estimates ([`shared_mc_estimates`]), then each trace group's
+/// references as [`Validator::components_with_mc`] prices them.
+fn prepare_components(
+    v: &Validator,
+    threads: usize,
+    cfg: &ExperimentConfig,
+    obs: Option<&Obs>,
+    traces: &[Arc<dyn VulnerabilityTrace>],
+    rates: &[RawErrorRate],
+    pending: &[usize],
+) -> Vec<Option<Result<ComponentValidation, SerrError>>> {
+    let mc = shared_mc_estimates(cfg, obs, traces, rates, pending);
+    let group_rates =
+        |members: &[usize]| -> Vec<RawErrorRate> { members.iter().map(|&i| rates[i]).collect() };
+    let ests = |members: &[usize]| -> Vec<Result<MttfEstimate, SerrError>> {
+        members.iter().map(|&i| prepared_row(&mc, i)).collect()
+    };
+    prepare_rows(
+        threads,
+        traces,
+        pending,
+        |members| component_reference_rates(&group_rates(members), &ests(members)),
+        |trace, r, list| v.price(trace, r, list),
+        |trace, members, priced| {
+            v.component_rows(trace, &group_rates(members), ests(members), priced)
+        },
+    )
+}
+
+/// [`prepare_components`] for Fig 6-style points: each a system of `c`
+/// identical components at component rate `N×S` times the baseline,
+/// priced as [`Validator::systems_identical_with_mc`] prices them.
+fn prepare_systems(
+    v: &Validator,
+    threads: usize,
+    cfg: &ExperimentConfig,
+    obs: Option<&Obs>,
+    points: &[Fig6Point],
+    pending: &[usize],
+) -> Vec<Option<Result<SystemValidation, SerrError>>> {
+    let traces: Vec<Arc<dyn VulnerabilityTrace>> =
+        points.iter().map(|(_, t, _, _)| t.clone()).collect();
+    let component_rates: Vec<RawErrorRate> = points
+        .iter()
+        .map(|(_, _, _, prod)| RawErrorRate::baseline_per_bit().scale(*prod))
+        .collect();
+    let system_rates: Vec<RawErrorRate> = component_rates
+        .iter()
+        .zip(points)
+        .map(|(rate, (_, _, c, _))| rate.scale(*c as f64))
+        .collect();
+    let mc = shared_mc_estimates(cfg, obs, &traces, &system_rates, pending);
+    let cs = |members: &[usize]| -> Vec<u64> { members.iter().map(|&i| points[i].2).collect() };
+    let ests = |members: &[usize]| -> Vec<Result<MttfEstimate, SerrError>> {
+        members.iter().map(|&i| prepared_row(&mc, i)).collect()
+    };
+    prepare_rows(
+        threads,
+        &traces,
+        pending,
+        |members| {
+            let group_rates: Vec<RawErrorRate> =
+                members.iter().map(|&i| component_rates[i]).collect();
+            system_reference_rates(&group_rates, &cs(members), &ests(members))
+        },
+        |trace, r, list| v.price(trace, r, list),
+        |_, members, priced| v.system_rows(&cs(members), ests(members), priced),
+    )
+}
+
+/// Pulls one design point's prepared value out of a `prepare_*` or
+/// [`shared_mc_estimates`] output.
+fn prepared_row<T: Clone>(
+    prepared: &[Option<Result<T, SerrError>>],
     i: usize,
-) -> Result<MttfEstimate, SerrError> {
+) -> Result<T, SerrError> {
     match prepared.get(i).and_then(Option::as_ref) {
-        Some(Ok(est)) => Ok(*est),
-        Some(Err(e)) => Err(e.clone()),
-        // Unreachable by construction: `prepare` covers every pending
-        // index and `eval` only runs on pending points.
+        Some(row) => row.clone(),
+        // Unreachable by construction: every pending index is prepared,
+        // and only pending points are read.
         None => Err(SerrError::invalid_config(
             "design point was not prepared by the shared sweep kernel",
         )),
@@ -550,10 +685,11 @@ pub fn fig5_sweep(
         None => inner.validator(),
     };
     // One shared-stream kernel run per workload trace covers every pending
-    // N×S point of that workload (λ-axis CRN reuse); the per-point eval
-    // only runs the cheap analytic estimators. The kernel itself keeps the
-    // caller's thread budget — the per-point pinning in `fanout` applies to
-    // the analytics fan-out, not to it.
+    // N×S point of that workload (λ-axis CRN reuse), and one coded pass per
+    // trace and reference prices its renewal and SoftArch values; the
+    // per-point eval only reads its row. The kernel keeps the caller's
+    // thread budget — the per-point pinning in `fanout` does not apply to
+    // it.
     let traces: Vec<Arc<dyn VulnerabilityTrace>> =
         points.iter().map(|(_, t, _)| t.clone()).collect();
     let rates: Vec<RawErrorRate> =
@@ -564,9 +700,9 @@ pub fn fig5_sweep(
         &points,
         threads,
         opts,
-        |pending| shared_mc_estimates(cfg, opts.obs.as_ref(), &traces, &rates, pending),
-        |i, (w, trace, prod), prepared| {
-            let cv = v.component_with_mc(trace, rates[i], prepared_estimate(prepared, i)?)?;
+        |pending| prepare_components(&v, threads, cfg, opts.obs.as_ref(), &traces, &rates, pending),
+        |i, (w, _, prod), prepared| {
+            let cv = prepared_row(prepared, i)?;
             Ok(Fig5Row {
                 workload: w.label().to_owned(),
                 n_times_s: *prod,
@@ -748,31 +884,18 @@ fn fig6_rows_sweep(
     // The Fig 6 grid reuses one shared-stream kernel run per trace across
     // its whole `C × N×S` plane: identical phase-aligned components
     // superpose to a single process at `c·λ`, so every cell is one rate of
-    // a λ-sweep over the shared trace (see `serr_mc::sweep`).
-    let traces: Vec<Arc<dyn VulnerabilityTrace>> =
-        points.iter().map(|(_, t, _, _)| t.clone()).collect();
-    let component_rates: Vec<RawErrorRate> = points
-        .iter()
-        .map(|(_, _, _, prod)| RawErrorRate::baseline_per_bit().scale(*prod))
-        .collect();
-    let system_rates: Vec<RawErrorRate> = points
-        .iter()
-        .zip(&component_rates)
-        .map(|((_, _, c, _), rate)| rate.scale(*c as f64))
-        .collect();
+    // a λ-sweep over the shared trace (see `serr_mc::sweep`). The exact
+    // references ride the same grouping: one coded pass per trace and
+    // reference.
     checkpoint::run_sweep_prepared(
         kind,
         fp,
         &points,
         threads,
         opts,
-        |pending| shared_mc_estimates(cfg, opts.obs.as_ref(), &traces, &system_rates, pending),
-        |i, (label, trace, c, prod), prepared| {
-            if *c == 0 {
-                return Err(SerrError::invalid_config("system must have at least one component"));
-            }
-            let est = prepared_estimate(prepared, i)?;
-            let sv = v.system_identical_with_mc(&**trace, component_rates[i], *c, est)?;
+        |pending| prepare_systems(&v, threads, cfg, opts.obs.as_ref(), &points, pending),
+        |i, (label, _, c, prod), prepared| {
+            let sv = prepared_row(prepared, i)?;
             Ok(Fig6Row {
                 workload: label.clone(),
                 c: *c,
@@ -869,30 +992,15 @@ pub fn sec5_4_sweep(
         Some(o) => inner.validator().with_observer(o.clone()),
         None => inner.validator(),
     };
-    let traces: Vec<Arc<dyn VulnerabilityTrace>> =
-        points.iter().map(|(_, t, _, _)| t.clone()).collect();
-    let component_rates: Vec<RawErrorRate> = points
-        .iter()
-        .map(|(_, _, _, prod)| RawErrorRate::baseline_per_bit().scale(*prod))
-        .collect();
-    let system_rates: Vec<RawErrorRate> = points
-        .iter()
-        .zip(&component_rates)
-        .map(|((_, _, c, _), rate)| rate.scale(*c as f64))
-        .collect();
     checkpoint::run_sweep_prepared(
         "sec5_4",
         fp,
         &points,
         threads,
         opts,
-        |pending| shared_mc_estimates(cfg, opts.obs.as_ref(), &traces, &system_rates, pending),
-        |i, (label, trace, c, prod), prepared| {
-            if *c == 0 {
-                return Err(SerrError::invalid_config("system must have at least one component"));
-            }
-            let est = prepared_estimate(prepared, i)?;
-            let sv = v.system_identical_with_mc(&**trace, component_rates[i], *c, est)?;
+        |pending| prepare_systems(&v, threads, cfg, opts.obs.as_ref(), &points, pending),
+        |i, (label, _, c, prod), prepared| {
+            let sv = prepared_row(prepared, i)?;
             Ok(Sec54Row {
                 workload: label.clone(),
                 c: *c,
@@ -1135,6 +1243,89 @@ mod tests {
             assert_eq!(a.softarch_error.to_bits(), b.softarch_error.to_bits());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic in one trace group's reference pass fails that group's
+    /// points only, though the group's other pass succeeded; the other
+    /// group's rows and the unprepared points are untouched.
+    #[test]
+    fn a_panicking_reference_task_fails_only_its_own_group() {
+        use serr_trace::IntervalTrace;
+        let healthy: Arc<dyn VulnerabilityTrace> =
+            Arc::new(IntervalTrace::constant(10, 1.0).unwrap());
+        let poisoned: Arc<dyn VulnerabilityTrace> =
+            Arc::new(IntervalTrace::constant(20, 1.0).unwrap());
+        let traces = vec![healthy.clone(), poisoned.clone(), healthy, poisoned.clone(), poisoned];
+        let rate = RawErrorRate::baseline_per_bit();
+        for threads in [1, 3] {
+            let rows = prepare_rows(
+                threads,
+                &traces,
+                &[0, 1, 2, 3],
+                |members| [vec![rate; members.len()], vec![rate; members.len() + 1]],
+                |trace, r, list| {
+                    if r == Reference::SoftArch {
+                        assert_ne!(trace.period_cycles(), 20, "poisoned group");
+                    }
+                    list.iter().map(|_| Ok(Mttf::from_secs(1.0))).collect()
+                },
+                |_, members, [renewal, softarch]| {
+                    assert_eq!((renewal.len(), softarch.len()), (members.len(), members.len() + 1));
+                    members.iter().map(|&i| Ok(i * 10)).collect()
+                },
+            );
+            assert_eq!(rows.len(), 5);
+            assert_eq!(rows[0], Some(Ok(0)));
+            assert_eq!(rows[2], Some(Ok(20)));
+            for i in [1, 3] {
+                match &rows[i] {
+                    Some(Err(SerrError::PointFailed { payload, .. })) => {
+                        assert!(payload.contains("poisoned group"), "{payload}");
+                    }
+                    other => panic!("point {i}: {other:?}"),
+                }
+            }
+            assert_eq!(rows[4], None);
+        }
+    }
+
+    /// Rates at which an estimator cannot resolve a positive MTTF fail as
+    /// typed errors on their own design points; every other point of the
+    /// same trace group keeps the row a per-point `Validator` call gives.
+    #[test]
+    fn extreme_rates_fail_only_their_own_points() {
+        let c = ExperimentConfig { mc: MonteCarloConfig { trials: 2_000, ..cfg().mc }, ..cfg() };
+        let v = c.validator();
+        let trace = synthesized_trace(Workload::Day, &c).unwrap();
+        // SoftArch's MTTF rounds to zero at 1e300/yr; the Monte Carlo mean
+        // overflows at 1e-300/yr.
+        let n_s = [1e7, 1e308, 1e-292, 1e12];
+        let report = fig5_sweep(&[Workload::Day], &n_s, &c, &SweepOptions::off()).unwrap();
+        let failed: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
+        assert_eq!(failed, vec![1, 2]);
+        for f in &report.failures {
+            assert!(matches!(f.error, SerrError::InvalidValue { .. }), "{:?}", f.error);
+            let rate = RawErrorRate::baseline_per_bit().scale(n_s[f.index]);
+            // Rendered, since a NaN payload never compares equal.
+            assert_eq!(v.component(&*trace, rate).unwrap_err().to_string(), f.error.to_string());
+        }
+        for (row, prod) in report.rows.iter().zip([1e7, 1e12]) {
+            let want = v.component(&*trace, RawErrorRate::baseline_per_bit().scale(prod)).unwrap();
+            assert_eq!(row.mttf_mc_years.to_bits(), want.mttf_mc.mttf.as_years().to_bits());
+            assert_eq!(row.softarch_error.to_bits(), want.softarch_error_vs_mc.to_bits());
+        }
+
+        // A cluster of u64::MAX components at 1e10/yr each.
+        let report =
+            fig6b_sweep(&[Workload::Day], &[2, u64::MAX], &[1e18], &c, &SweepOptions::off())
+                .unwrap();
+        assert_eq!(report.rows.len(), 1);
+        assert_eq!(report.failures.len(), 1);
+        let f = &report.failures[0];
+        assert_eq!(f.index, 1);
+        let rate = RawErrorRate::baseline_per_bit().scale(1e18);
+        let want = v.system_identical(trace, rate, u64::MAX).unwrap_err();
+        assert_eq!(want.to_string(), f.error.to_string());
     }
 
     #[test]

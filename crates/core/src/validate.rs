@@ -9,8 +9,13 @@
 //!   noise;
 //! * **SoftArch** — the alternative first-principles estimator of
 //!   Section 5.4.
+//!
+//! Renewal and SoftArch take rate lists: each codes the trace's spans once
+//! and prices every rate in one pass, so a grouped sweep or a `serr serve`
+//! request pays one span walk per trace, not one per design point.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use serr_mc::system::SystemModel;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
@@ -107,6 +112,21 @@ impl Validator {
         }
     }
 
+    /// Runs a rate-list pass that returns `values` results and records
+    /// `stage` once per value, each with an equal share of the pass's wall
+    /// time — so stage counts stay one per reference a row reads, however
+    /// the rates were batched.
+    fn timed_per_value<R>(&self, stage: &'static str, values: usize, f: impl FnOnce() -> R) -> R {
+        let Some(obs) = &self.obs else { return f() };
+        let t0 = Instant::now();
+        let out = f();
+        let share = t0.elapsed().as_secs_f64() * 1e3 / values.max(1) as f64;
+        for _ in 0..values {
+            obs.record_stage(stage, share);
+        }
+        out
+    }
+
     /// Validates the AVF step on one component.
     ///
     /// # Errors
@@ -123,12 +143,9 @@ impl Validator {
     }
 
     /// [`Validator::component`] with the Monte Carlo ground truth already
-    /// in hand — the entry point for grouped sweeps, where one
-    /// shared-stream kernel run (`MonteCarlo::component_mttf_multi`)
-    /// produces every point's `mttf_mc` and only the cheap analytic
-    /// estimators remain per point. Passing the estimate an independent
-    /// run would produce yields a row bit-identical to
-    /// [`Validator::component`].
+    /// in hand: the one-rate case of [`Validator::components_with_mc`].
+    /// Passing the estimate an independent run would produce yields a row
+    /// bit-identical to [`Validator::component`].
     ///
     /// # Errors
     ///
@@ -139,12 +156,92 @@ impl Validator {
         rate: RawErrorRate,
         mttf_mc: MttfEstimate,
     ) -> Result<ComponentValidation, SerrError> {
+        self.components_with_mc(trace, &[rate], vec![Ok(mttf_mc)]).pop().expect("one row per rate")
+    }
+
+    /// [`Validator::component_with_mc`] over a rate list — the entry point
+    /// for grouped sweeps and `serr serve`, where one shared-stream kernel
+    /// run (`MonteCarlo::component_mttf_multi`) produces every rate's
+    /// estimate. Renewal and SoftArch each price every rate whose estimate
+    /// is `Ok` in one coded pass over the trace's spans. Row `k` is
+    /// bit-identical to `component_with_mc(trace, rates[k], mttf_mc[k]?)`;
+    /// errors are per rate.
+    pub fn components_with_mc(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        rates: &[RawErrorRate],
+        mttf_mc: Vec<Result<MttfEstimate, SerrError>>,
+    ) -> Vec<Result<ComponentValidation, SerrError>> {
+        let lists = component_reference_rates(rates, &mttf_mc);
+        let priced = Reference::ALL.map(|r| self.price(trace, r, &lists[r as usize]));
+        self.component_rows(trace, rates, mttf_mc, priced)
+    }
+
+    /// `reference`'s MTTF at every rate of `rates` on `trace`, in one coded
+    /// pass over its spans ([`serr_analytic::renewal::renewal_mttfs`],
+    /// [`SoftArch::component_mttfs`]). With an observer attached, records
+    /// the reference's stage (`stage.renewal_quadrature_ms`,
+    /// `stage.softarch_ms`) once per value returned, each with an equal
+    /// share of the pass's wall time.
+    pub(crate) fn price(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        reference: Reference,
+        rates: &[RawErrorRate],
+    ) -> Vec<Result<Mttf, SerrError>> {
+        match reference {
+            Reference::Renewal => self.timed_per_value("renewal_quadrature", rates.len(), || {
+                serr_analytic::renewal::renewal_mttfs(trace, rates, self.frequency)
+            }),
+            Reference::SoftArch => self.timed_per_value("softarch", rates.len(), || {
+                SoftArch::new(self.frequency).component_mttfs(trace, rates)
+            }),
+        }
+    }
+
+    /// Component rows from their references, priced by
+    /// [`Validator::price`] at [`component_reference_rates`]'s lists
+    /// (indexed by [`Reference`]).
+    pub(crate) fn component_rows(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        rates: &[RawErrorRate],
+        mttf_mc: Vec<Result<MttfEstimate, SerrError>>,
+        priced: [Vec<Result<Mttf, SerrError>>; 2],
+    ) -> Vec<Result<ComponentValidation, SerrError>> {
+        let [renewal, softarch] = priced;
+        let (mut renewal, mut softarch) = (renewal.into_iter(), softarch.into_iter());
+        rates
+            .iter()
+            .zip(mttf_mc)
+            .map(|(&rate, mc)| {
+                let mc = mc?;
+                let (r, s) = (renewal.next(), softarch.next());
+                self.component_from_references(
+                    trace,
+                    rate,
+                    mc,
+                    r.expect("one renewal per priced rate"),
+                    s.expect("one SoftArch per priced rate"),
+                )
+            })
+            .collect()
+    }
+
+    /// A component row from references priced by a rate-list pass. Errors
+    /// surface in the order the estimators would run one point at a time:
+    /// AVF step, renewal, SoftArch.
+    fn component_from_references(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        rate: RawErrorRate,
+        mttf_mc: MttfEstimate,
+        renewal: Result<Mttf, SerrError>,
+        softarch: Result<Mttf, SerrError>,
+    ) -> Result<ComponentValidation, SerrError> {
         let mttf_avf = avf::avf_step_mttf(trace, rate)?;
-        let mttf_renewal = self.timed("renewal_quadrature", || {
-            serr_analytic::renewal::renewal_mttf(trace, rate, self.frequency)
-        })?;
-        let mttf_softarch =
-            self.timed("softarch", || SoftArch::new(self.frequency).component_mttf(trace, rate))?;
+        let mttf_renewal = renewal?;
+        let mttf_softarch = softarch?;
         Ok(ComponentValidation {
             avf: trace.avf(),
             mttf_avf,
@@ -181,14 +278,9 @@ impl Validator {
     }
 
     /// [`Validator::system_identical`] with the Monte Carlo ground truth
-    /// already in hand.
-    ///
-    /// Because c identical phase-aligned components superpose into one
-    /// process at `c·λ` over the same trace, the c-axis of a Fig 6 grid is
-    /// a *rate* axis — a grouped sweep runs one shared-stream kernel over
-    /// the scaled rates and feeds each cell's estimate here, leaving only
-    /// the analytic estimators per cell. With the estimate an independent
-    /// run would produce, the row is bit-identical to
+    /// already in hand: the one-rate case of
+    /// [`Validator::systems_identical_with_mc`]. With the estimate an
+    /// independent run would produce, the row is bit-identical to
     /// [`Validator::system_identical`].
     ///
     /// # Errors
@@ -201,24 +293,86 @@ impl Validator {
         c: u64,
         mttf_mc: MttfEstimate,
     ) -> Result<SystemValidation, SerrError> {
-        if c == 0 {
-            return Err(SerrError::invalid_config("system must have at least one component"));
-        }
+        self.systems_identical_with_mc(trace, &[component_rate], &[c], vec![Ok(mttf_mc)])
+            .pop()
+            .expect("one row per rate")
+    }
+
+    /// [`Validator::system_identical_with_mc`] over a list of systems on
+    /// one trace: system `k` has `cs[k]` components at component rate
+    /// `component_rates[k]`.
+    ///
+    /// Because c identical phase-aligned components superpose into one
+    /// process at `c·λ` over the same trace, the c-axis of a Fig 6 grid is
+    /// a *rate* axis: one shared-stream kernel run over the scaled rates
+    /// gives every cell's estimate, and renewal (at each component rate and
+    /// each system rate) and SoftArch (at each system rate) each price
+    /// their rates in one coded pass. Row `k` is bit-identical to
+    /// `system_identical_with_mc(trace, component_rates[k], cs[k],
+    /// mttf_mc[k]?)`; errors are per system.
+    pub fn systems_identical_with_mc(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        component_rates: &[RawErrorRate],
+        cs: &[u64],
+        mttf_mc: Vec<Result<MttfEstimate, SerrError>>,
+    ) -> Vec<Result<SystemValidation, SerrError>> {
+        let lists = system_reference_rates(component_rates, cs, &mttf_mc);
+        let priced = Reference::ALL.map(|r| self.price(trace, r, &lists[r as usize]));
+        self.system_rows(cs, mttf_mc, priced)
+    }
+
+    /// System rows from their references, priced by [`Validator::price`]
+    /// at [`system_reference_rates`]'s lists (indexed by [`Reference`]).
+    pub(crate) fn system_rows(
+        &self,
+        cs: &[u64],
+        mttf_mc: Vec<Result<MttfEstimate, SerrError>>,
+        priced: [Vec<Result<Mttf, SerrError>>; 2],
+    ) -> Vec<Result<SystemValidation, SerrError>> {
+        let [mut component, softarch] = priced;
+        // Renewal priced the component rates, then the system rates: one
+        // of each per SoftArch value.
+        let mut at_system = component.split_off(softarch.len()).into_iter();
+        let mut component = component.into_iter();
+        let mut softarch = softarch.into_iter();
+        cs.iter()
+            .zip(mttf_mc)
+            .map(|(&c, mc)| {
+                if c == 0 {
+                    return Err(SerrError::invalid_config(
+                        "system must have at least one component",
+                    ));
+                }
+                let mc = mc?;
+                self.system_from_references(
+                    c,
+                    mc,
+                    component.next().expect("one renewal per priced rate"),
+                    at_system.next().expect("one renewal per priced rate"),
+                    softarch.next().expect("one SoftArch per priced rate"),
+                )
+            })
+            .collect()
+    }
+
+    /// A system row from references priced by a rate-list pass: the renewal
+    /// MTTF at the component rate (the SOFR step's input), and renewal and
+    /// SoftArch at the system rate. Errors surface in the order the
+    /// estimators would run one point at a time.
+    fn system_from_references(
+        &self,
+        c: u64,
+        mttf_mc: MttfEstimate,
+        component_renewal: Result<Mttf, SerrError>,
+        renewal: Result<Mttf, SerrError>,
+        softarch: Result<Mttf, SerrError>,
+    ) -> Result<SystemValidation, SerrError> {
         // SOFR: component MTTF from the exact first-principles method,
         // divided by C (Equations 2-3 for identical components).
-        let component_mttf = self.timed("renewal_quadrature", || {
-            serr_analytic::renewal::renewal_mttf(&trace, component_rate, self.frequency)
-        })?;
-        let mttf_sofr = sofr::sofr_mttf_identical(component_mttf, c)?;
-
-        let system_rate = component_rate.scale(c as f64);
-        let mttf_renewal = self.timed("renewal_quadrature", || {
-            serr_analytic::renewal::renewal_mttf(&trace, system_rate, self.frequency)
-        })?;
-        let mttf_softarch = self.timed("softarch", || {
-            SoftArch::new(self.frequency).component_mttf(&trace, system_rate)
-        })?;
-
+        let mttf_sofr = sofr::sofr_mttf_identical(component_renewal?, c)?;
+        let mttf_renewal = renewal?;
+        let mttf_softarch = softarch?;
         Ok(SystemValidation {
             components: c,
             mttf_sofr,
@@ -290,6 +444,52 @@ impl Validator {
             softarch_error_vs_mc: relative_error(mttf_softarch.as_secs(), mttf_mc.mttf.as_secs()),
         })
     }
+}
+
+/// An exact reference: a rate-list pass over a trace's coded spans. The
+/// two passes behind a list of rows are independent, so a sweep runs each
+/// as its own task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Reference {
+    Renewal,
+    SoftArch,
+}
+
+impl Reference {
+    /// Both references, in the order their lists are indexed.
+    pub(crate) const ALL: [Reference; 2] = [Reference::Renewal, Reference::SoftArch];
+}
+
+/// The rates each [`Reference`] prices for component rows: every rate
+/// whose Monte Carlo estimate is `Ok`, for both.
+pub(crate) fn component_reference_rates(
+    rates: &[RawErrorRate],
+    mttf_mc: &[Result<MttfEstimate, SerrError>],
+) -> [Vec<RawErrorRate>; 2] {
+    let priced: Vec<RawErrorRate> =
+        rates.iter().zip(mttf_mc).filter(|(_, mc)| mc.is_ok()).map(|(r, _)| *r).collect();
+    [priced.clone(), priced]
+}
+
+/// The rates each [`Reference`] prices for systems of `cs[k]` identical
+/// components at `component_rates[k]` (those with `c > 0` and an `Ok`
+/// estimate): renewal at every component rate, then at every system rate
+/// `c·λ`; SoftArch at every system rate.
+pub(crate) fn system_reference_rates(
+    component_rates: &[RawErrorRate],
+    cs: &[u64],
+    mttf_mc: &[Result<MttfEstimate, SerrError>],
+) -> [Vec<RawErrorRate>; 2] {
+    let priced: Vec<(RawErrorRate, RawErrorRate)> = component_rates
+        .iter()
+        .zip(cs)
+        .zip(mttf_mc)
+        .filter(|((_, &c), mc)| c > 0 && mc.is_ok())
+        .map(|((&rate, &c), _)| (rate, rate.scale(c as f64)))
+        .collect();
+    let system: Vec<RawErrorRate> = priced.iter().map(|&(_, s)| s).collect();
+    let renewal = priced.iter().map(|&(r, _)| r).chain(system.iter().copied()).collect();
+    [renewal, system]
 }
 
 #[cfg(test)]

@@ -109,13 +109,19 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 /// ascending chunk order — the one place the cycles → seconds conversion
 /// lives, shared by the single-point run and the sweep kernel so the two
 /// paths cannot round differently.
+///
+/// # Errors
+///
+/// Returns [`SerrError::InvalidValue`] when the mean time to failure is not
+/// a positive duration — at a rate so small that sampled failure times
+/// overflow, the running mean turns NaN.
 pub(crate) fn estimate_from_cycle_stats(
     stats: &RunningStats,
     hz: f64,
     total_events: u64,
     truncated: bool,
     sampler: SamplerKind,
-) -> MttfEstimate {
+) -> Result<MttfEstimate, SerrError> {
     let completed = stats.count();
     let summary = Summary {
         count: completed,
@@ -125,13 +131,16 @@ pub(crate) fn estimate_from_cycle_stats(
         min: stats.min() / hz,
         max: stats.max() / hz,
     };
-    MttfEstimate {
-        mttf: Mttf::from_secs(summary.mean),
+    let mttf = Mttf::try_from_secs(summary.mean).map_err(|_| {
+        SerrError::invalid_value("Monte Carlo mean time to failure (s)", summary.mean)
+    })?;
+    Ok(MttfEstimate {
+        mttf,
         ttf_seconds: summary,
         mean_events_per_trial: total_events as f64 / completed as f64,
         truncated,
         sampler,
-    }
+    })
 }
 
 /// Lowers `trace` into the [`CompiledTrace`] every sampler runs on.
@@ -402,7 +411,7 @@ impl MonteCarlo {
                 metrics.set_gauge("mc.samples_per_sec", completed as f64 / secs);
             }
         }
-        Ok(estimate_from_cycle_stats(&stats, hz, total_events, truncated, sampler))
+        estimate_from_cycle_stats(&stats, hz, total_events, truncated, sampler)
     }
 
     /// Dispatches the configured [`SamplerKind`] over the compiled trace

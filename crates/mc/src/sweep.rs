@@ -214,13 +214,19 @@ impl MonteCarlo {
 
         for (&(i, _), stats) in valid.iter().zip(&per_point) {
             // One raw-error event (the failing one) per trial.
-            let est = estimate_from_cycle_stats(
+            let est = match estimate_from_cycle_stats(
                 stats,
                 hz,
                 stats.count(),
                 truncated,
                 SamplerKind::BatchedInversion,
-            );
+            ) {
+                Ok(est) => est,
+                Err(e) => {
+                    out[i] = Err(e);
+                    continue;
+                }
+            };
             if let Some(obs) = &self.obs {
                 // Per-point telemetry is emitted from this main-thread
                 // fold, keyed by input point index: byte-identical fields

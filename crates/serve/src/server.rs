@@ -1022,10 +1022,10 @@ fn respond_error(state: &Arc<State>, job: &Job, e: serr_types::SerrError, torn: 
 /// The estimation itself, one path for every body. The body's rates — `[r]`
 /// for `mttf`, `[c·r]` for `sofr`, the list for `sweep` — run through ONE
 /// shared-stream kernel call on the cached compile (`compile(raw)`, the
-/// trace the engine would build itself), and only the cheap analytic
-/// estimators remain per point, reading `raw` exactly as
-/// [`Validator::component`] / [`Validator::system_identical`] do. Each point
-/// is bit-identical to the batch CLI's independent run at any
+/// trace the engine would build itself), then ONE rate-list `Validator`
+/// call prices the exact references over `raw`'s coded spans, as
+/// [`Validator::component`] / [`Validator::system_identical`] do per
+/// point. Each point is bit-identical to the batch CLI's independent run at any
 /// `SERR_THREADS` (deadline truncation aside), which is also what licenses
 /// publishing clean sweep points under the equivalent `mttf` keys.
 fn estimate(
@@ -1053,23 +1053,18 @@ fn estimate(
     let freq = state.experiment.frequency;
     let v = Validator::new(freq, mc);
     let ests = v.monte_carlo().component_mttf_multi_compiled(&cached.compiled, &mc_rates, freq)?;
-    rates
-        .into_iter()
-        .zip(ests)
-        .map(|(rate, est)| {
-            let est = est?;
-            Ok(match components {
-                Some(c) => {
-                    let r = v.system_identical_with_mc(&*cached.raw, rate, c, est)?;
-                    point(&r.mttf_mc, r.mttf_sofr.as_secs(), cached.raw.avf())
-                }
-                None => {
-                    let r = v.component_with_mc(&*cached.raw, rate, est)?;
-                    point(&r.mttf_mc, r.mttf_avf.as_secs(), r.avf)
-                }
-            })
-        })
-        .collect()
+    match components {
+        Some(c) => v
+            .systems_identical_with_mc(&*cached.raw, &rates, &vec![c; rates.len()], ests)
+            .into_iter()
+            .map(|r| r.map(|r| point(&r.mttf_mc, r.mttf_sofr.as_secs(), cached.raw.avf())))
+            .collect(),
+        None => v
+            .components_with_mc(&*cached.raw, &rates, ests)
+            .into_iter()
+            .map(|r| r.map(|r| point(&r.mttf_mc, r.mttf_avf.as_secs(), r.avf)))
+            .collect(),
+    }
 }
 
 /// An estimation body's workload, component rates (errors/year), `Some(c)`

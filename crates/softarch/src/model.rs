@@ -1,6 +1,6 @@
 //! The SoftArch estimator front end.
 
-use serr_trace::VulnerabilityTrace;
+use serr_trace::{fold_rates, RateFold, VulnerabilityTrace};
 use serr_types::{Frequency, Mttf, RawErrorRate, SerrError};
 
 use crate::Block;
@@ -8,7 +8,8 @@ use crate::Block;
 /// SoftArch-style MTTF estimation from masking traces and raw error rates.
 ///
 /// Internally, per-cycle failure probabilities (`1 − e^{−λ·v(c)/f}`) are
-/// folded into [`Block`]s span by span and the expected time to first
+/// folded into [`Block`]s span by span (over the trace's coded spans, so a
+/// list of rates shares one walk) and the expected time to first
 /// failure is read off the composed block — no uniformity (AVF) or
 /// exponentiality (SOFR) assumption anywhere.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +31,8 @@ impl SoftArch {
     }
 
     /// Folds one period of `trace` into a [`Block`] under raw error rate
-    /// `rate`.
+    /// `rate`; a rate list folds over one coded walk of the trace, as in
+    /// [`SoftArch::component_mttfs`].
     ///
     /// # Errors
     ///
@@ -41,54 +43,87 @@ impl SoftArch {
         trace: &dyn VulnerabilityTrace,
         rate: RawErrorRate,
     ) -> Result<Block, SerrError> {
-        if rate.is_zero() {
-            return Err(SerrError::invalid_config("raw error rate is zero; MTTF is infinite"));
-        }
-        // Tiled representations (the `combined` workload) compose in closed
-        // form: fold each part's block and tile it.
-        if let Some(parts) = trace.tiling() {
-            let mut whole: Option<Block> = None;
-            for (part, tiles) in parts {
-                let b = self.block_for(&*part, rate)?.tile(tiles);
-                whole = Some(match whole {
-                    Some(w) => w.then(&b),
-                    None => b,
-                });
-            }
-            return whole.ok_or_else(|| SerrError::invalid_trace("empty tiling"));
-        }
-        let lambda_cycle = rate.per_second_value() / self.frequency.hz();
-        let mut block: Option<Block> = None;
-        let mut start = 0u64;
-        for (end, v) in trace.spans() {
-            let seg = Block::constant(lambda_cycle * v, end - start);
-            block = Some(match block {
-                Some(b) => b.then(&seg),
-                None => seg,
-            });
-            start = end;
-        }
-        block.ok_or_else(|| SerrError::invalid_trace("trace has no breakpoints"))
+        self.blocks_for(trace, &[rate]).pop().expect("one block per rate")
     }
 
-    /// MTTF of a single component running `trace` forever.
+    /// Folds one period of `trace` into a [`Block`] at every rate of
+    /// `rates`, in input order. The trace's spans are coded in one walk
+    /// ([`fold_rates`]); each distinct rate builds one block per distinct
+    /// `(v, len)` pair, and the rates' chains compose them in span order,
+    /// several rates at a time. Element `k` is bit-identical
+    /// to the span-by-span fold at `rates[k]`; a zero rate fails only its
+    /// own element.
+    fn blocks_for(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        rates: &[RawErrorRate],
+    ) -> Vec<Result<Block, SerrError>> {
+        let hz = self.frequency.hz();
+        let lambdas: Vec<f64> =
+            rates.iter().filter(|r| !r.is_zero()).map(|r| r.per_second_value() / hz).collect();
+        let folded: Vec<Result<Block, SerrError>> = match fold_blocks(trace, &lambdas) {
+            Ok(blocks) => blocks.into_iter().map(Ok).collect(),
+            Err(e) => vec![Err(e); lambdas.len()],
+        };
+        let mut folded = folded.into_iter();
+        rates
+            .iter()
+            .map(|rate| {
+                if rate.is_zero() {
+                    Err(SerrError::invalid_config("raw error rate is zero; MTTF is infinite"))
+                } else {
+                    folded.next().expect("one block per nonzero rate")
+                }
+            })
+            .collect()
+    }
+
+    /// MTTF of a single component running `trace` forever: the one-rate
+    /// case of [`SoftArch::component_mttfs`].
     ///
     /// # Errors
     ///
-    /// Returns [`SerrError::InvalidTrace`] for an AVF-0 trace and
-    /// [`SerrError::InvalidConfig`] for a zero rate.
+    /// Returns [`SerrError::InvalidTrace`] for an AVF-0 trace,
+    /// [`SerrError::InvalidConfig`] for a zero rate, and
+    /// [`SerrError::InvalidValue`] when the MTTF does not resolve to a
+    /// positive duration at this rate.
     pub fn component_mttf(
         &self,
         trace: &dyn VulnerabilityTrace,
         rate: RawErrorRate,
     ) -> Result<Mttf, SerrError> {
+        self.component_mttfs(trace, &[rate]).pop().expect("one MTTF per rate")
+    }
+
+    /// [`SoftArch::component_mttf`] at every rate of `rates`, in input
+    /// order, from one block fold over the trace's coded span walk; errors
+    /// are per rate.
+    pub fn component_mttfs(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        rates: &[RawErrorRate],
+    ) -> Vec<Result<Mttf, SerrError>> {
         if trace.is_never_vulnerable() {
-            return Err(SerrError::invalid_trace(
-                "trace has AVF = 0; the component can never fail",
-            ));
+            let dead = SerrError::invalid_trace("trace has AVF = 0; the component can never fail");
+            return vec![Err(dead); rates.len()];
         }
-        let block = self.block_for(trace, rate)?;
-        Ok(Mttf::from_secs(block.mttf_cycles() / self.frequency.hz()))
+        self.blocks_for(trace, rates)
+            .into_iter()
+            .zip(rates)
+            .map(|(block, rate)| self.mttf_of(&block?, *rate))
+            .collect()
+    }
+
+    /// The MTTF of `block` repeated forever, as a positive duration.
+    fn mttf_of(&self, block: &Block, rate: RawErrorRate) -> Result<Mttf, SerrError> {
+        let at =
+            |what: &str| format!("SoftArch {what} at {:e} errors/year", rate.events_per_year());
+        let q = block.fail_prob();
+        if q.is_nan() || q <= 0.0 {
+            return Err(SerrError::invalid_value(at("per-period failure probability"), q));
+        }
+        let secs = block.mttf_cycles() / self.frequency.hz();
+        Mttf::try_from_secs(secs).map_err(|_| SerrError::invalid_value(at("MTTF (s)"), secs))
     }
 
     /// MTTF of a workload built by tiling each `(trace, tiles)` part in
@@ -126,7 +161,60 @@ impl SoftArch {
                 "workload has AVF = 0; the component can never fail",
             ));
         }
-        Ok(Mttf::from_secs(whole.mttf_cycles() / self.frequency.hz()))
+        self.mttf_of(&whole, rate)
+    }
+}
+
+/// The block fold at every per-cycle rate of `lambdas`. Tiled
+/// representations (the `combined` workload) compose in closed form: fold
+/// each part's blocks at every rate, tile them, and chain the parts.
+fn fold_blocks(trace: &dyn VulnerabilityTrace, lambdas: &[f64]) -> Result<Vec<Block>, SerrError> {
+    if lambdas.is_empty() {
+        return Ok(Vec::new());
+    }
+    if let Some(parts) = trace.tiling() {
+        let mut whole: Option<Vec<Block>> = None;
+        for (part, tiles) in parts {
+            let blocks = fold_blocks(&*part, lambdas)?.into_iter().map(|b| b.tile(tiles));
+            whole = Some(match whole {
+                Some(w) => w.iter().zip(blocks).map(|(w, b)| w.then(&b)).collect(),
+                None => blocks.collect(),
+            });
+        }
+        return whole.ok_or_else(|| SerrError::invalid_trace("empty tiling"));
+    }
+    let (chains, _) = fold_rates(trace, lambdas, &SpanFold);
+    chains
+        .into_iter()
+        .map(|b| b.ok_or_else(|| SerrError::invalid_trace("trace has no breakpoints")))
+        .collect()
+}
+
+/// SoftArch's span fold: each pair's `Block::constant(λ·v, len)` is built
+/// once per rate, and each rate's chain composes them with [`Block::then`]
+/// in span order from the first span's block — the operations of the
+/// span-by-span fold, in its order. The chains are independent, so the
+/// composition, latency-bound for one rate, overlaps across them.
+struct SpanFold;
+
+impl RateFold for SpanFold {
+    type Pair = Block;
+    type Acc = Block;
+    const READS_MASS: bool = false;
+
+    #[inline]
+    fn price(&self, lambda_cycle: f64, v: f64, len: u64) -> Block {
+        Block::constant(lambda_cycle * v, len)
+    }
+
+    #[inline]
+    fn first(&self, _: f64, block: &Block) -> Block {
+        *block
+    }
+
+    #[inline]
+    fn step(&self, _: f64, chain: Block, block: &Block, _: f64) -> Block {
+        chain.then(block)
     }
 }
 

@@ -947,7 +947,7 @@ impl Tiled {
             .fold(0u64, u64::saturating_add);
         assert!(
             total <= CompiledTrace::MAX_SEGMENTS,
-            "expanding {total} breakpoints is infeasible; use survival_weight instead"
+            "expanding {total} breakpoints is infeasible; use survival_weights instead"
         );
         let mut out = Vec::with_capacity(total as usize);
         for p in &self.parts {
@@ -1227,7 +1227,7 @@ impl VulnerabilityTrace for CompiledTrace {
     /// [`CompiledTrace::MAX_SEGMENTS`] — the same refusal as
     /// [`crate::ConcatTrace::breakpoints`]; estimators use
     /// [`VulnerabilityTrace::tiling`] and the closed-form
-    /// [`VulnerabilityTrace::survival_weight`] instead.
+    /// [`VulnerabilityTrace::survival_weights`] instead.
     fn breakpoints(&self) -> Vec<u64> {
         match &self.layout {
             Layout::Flat(f) => f.breakpoints(),
@@ -1262,18 +1262,18 @@ impl VulnerabilityTrace for CompiledTrace {
         }
     }
 
-    fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
+    fn survival_weights(&self, lambdas: &[f64]) -> Vec<(f64, f64)> {
         match &self.layout {
-            Layout::Flat(f) => f.survival_weight(lambda_cycle),
-            Layout::Tiled(t) => (
-                crate::concat::tiled_survival_integral(
-                    t.parts
-                        .iter()
-                        .map(|p| (&*p.inner as &dyn VulnerabilityTrace, p.tiles, p.mass_before)),
-                    lambda_cycle,
-                ),
-                t.total,
-            ),
+            Layout::Flat(f) => f.survival_weights(lambdas),
+            Layout::Tiled(t) => crate::concat::tiled_survival_integrals(
+                t.parts
+                    .iter()
+                    .map(|p| (&*p.inner as &dyn VulnerabilityTrace, p.tiles, p.mass_before)),
+                lambdas,
+            )
+            .into_iter()
+            .map(|i| (i, t.total))
+            .collect(),
         }
     }
 
@@ -1537,8 +1537,8 @@ mod tests {
         let reference = fractional_tiling();
         let c = CompiledTrace::compile(&reference).unwrap();
         for lambda in [1e-9, 1e-4, 0.3] {
-            let (ic, uc) = c.survival_weight(lambda);
-            let (ir, ur) = reference.survival_weight(lambda);
+            let (ic, uc) = c.survival_weights(&[lambda])[0];
+            let (ir, ur) = reference.survival_weights(&[lambda])[0];
             assert!(((ic - ir) / ir).abs() < 1e-12, "λ={lambda}: {ic} vs {ir}");
             assert!(((uc - ur) / ur).abs() < 1e-12);
         }

@@ -6,7 +6,7 @@
 //! benchmark masking trace spans ~10⁶ cycles while 12 hours spans ~10¹⁴, so
 //! each half tiles its benchmark trace tens of millions of times — far too
 //! many spans to enumerate. [`ConcatTrace`] represents this exactly and
-//! overrides [`VulnerabilityTrace::survival_weight`] with a geometric-series
+//! overrides [`VulnerabilityTrace::survival_weights`] with a geometric-series
 //! closed form, keeping the renewal MTTF exact.
 
 use std::sync::Arc;
@@ -152,13 +152,13 @@ impl VulnerabilityTrace for ConcatTrace {
     ///
     /// Panics if the expanded breakpoint list would exceed 4,000,000 entries
     /// (e.g. a day-scale `combined` workload); the analytic path never needs
-    /// it because [`ConcatTrace`] overrides `survival_weight`.
+    /// it because [`ConcatTrace`] overrides `survival_weights`.
     fn breakpoints(&self) -> Vec<u64> {
         let total: u64 =
             self.parts.iter().map(|p| p.tiles * p.trace.breakpoints().len() as u64).sum();
         assert!(
             total <= 4_000_000,
-            "expanding {total} breakpoints is infeasible; use survival_weight instead"
+            "expanding {total} breakpoints is infeasible; use survival_weights instead"
         );
         let mut out = Vec::with_capacity(total as usize);
         for part in &self.parts {
@@ -184,45 +184,53 @@ impl VulnerabilityTrace for ConcatTrace {
             .fold(0u64, u64::saturating_add)
     }
 
-    fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
+    fn survival_weights(&self, lambdas: &[f64]) -> Vec<(f64, f64)> {
         let parts = self.parts.iter().map(|p| (&*p.trace, p.tiles, p.u_before));
-        (tiled_survival_integral(parts, lambda_cycle), self.u_total)
+        tiled_survival_integrals(parts, lambdas).into_iter().map(|i| (i, self.u_total)).collect()
     }
 }
 
 /// The geometric-series closed form of `∫₀ᴸ e^{−λU(s)} ds` over parts laid
-/// end to end, each `(inner trace, tiles, mass before the part)` — shared
-/// by [`ConcatTrace`] and the tiled [`crate::CompiledTrace`], so neither
-/// ever enumerates its tiles.
+/// end to end, each `(inner trace, tiles, mass before the part)`, at every
+/// rate of `lambdas` — shared by [`ConcatTrace`] and the tiled
+/// [`crate::CompiledTrace`], so neither ever enumerates its tiles. Each
+/// part prices the whole rate list in one call, so a coded part is coded
+/// once.
 ///
 /// # Panics
 ///
-/// Panics if `lambda_cycle` is not positive.
-pub(crate) fn tiled_survival_integral<'a>(
+/// Panics if any rate is not positive.
+pub(crate) fn tiled_survival_integrals<'a>(
     parts: impl Iterator<Item = (&'a dyn VulnerabilityTrace, u64, f64)>,
-    lambda_cycle: f64,
-) -> f64 {
-    assert!(lambda_cycle > 0.0, "per-cycle rate must be positive");
-    let mut integral = 0.0f64;
-    for (trace, tiles, u_before) in parts {
-        let (i_tile, u_tile) = trace.survival_weight(lambda_cycle);
-        let head = (-lambda_cycle * u_before).exp();
-        // Σ_{j=0}^{k−1} e^{−jλU} · I = I · (1 − e^{−kλU})/(1 − e^{−λU}),
-        // degenerating to k·I when the part is never vulnerable.
-        let tiled = if u_tile > 0.0 {
-            let x = lambda_cycle * u_tile;
-            if x > 700.0 {
-                // Later tiles contribute nothing.
-                i_tile
-            } else {
-                i_tile * omen(tiles as f64 * x) / omen(x)
-            }
-        } else {
-            i_tile * tiles as f64
-        };
-        integral += head * tiled;
+    lambdas: &[f64],
+) -> Vec<f64> {
+    for &l in lambdas {
+        assert!(l > 0.0, "per-cycle rate must be positive");
     }
-    integral
+    let mut integrals = vec![0.0f64; lambdas.len()];
+    for (trace, tiles, u_before) in parts {
+        let weights = trace.survival_weights(lambdas);
+        for ((integral, &lambda_cycle), (i_tile, u_tile)) in
+            integrals.iter_mut().zip(lambdas).zip(weights)
+        {
+            let head = (-lambda_cycle * u_before).exp();
+            // Σ_{j=0}^{k−1} e^{−jλU} · I = I · (1 − e^{−kλU})/(1 − e^{−λU}),
+            // degenerating to k·I when the part is never vulnerable.
+            let tiled = if u_tile > 0.0 {
+                let x = lambda_cycle * u_tile;
+                if x > 700.0 {
+                    // Later tiles contribute nothing.
+                    i_tile
+                } else {
+                    i_tile * omen(tiles as f64 * x) / omen(x)
+                }
+            } else {
+                i_tile * tiles as f64
+            };
+            *integral += head * tiled;
+        }
+    }
+    integrals
 }
 
 #[cfg(test)]
@@ -270,8 +278,8 @@ mod tests {
         .unwrap();
         let flat = flatten(&c);
         for &lambda in &[1e-9, 1e-3, 0.05, 0.5] {
-            let (ic, uc) = c.survival_weight(lambda);
-            let (ifl, ufl) = flat.survival_weight(lambda);
+            let (ic, uc) = c.survival_weights(&[lambda])[0];
+            let (ifl, ufl) = flat.survival_weights(&[lambda])[0];
             assert!((uc - ufl).abs() < 1e-9, "λ={lambda}");
             assert!(((ic - ifl) / ifl).abs() < 1e-10, "λ={lambda}: {ic} vs {ifl}");
         }
@@ -299,7 +307,7 @@ mod tests {
     #[test]
     fn day_scale_combined_survival_is_finite_and_sane() {
         // Two ~1e6-cycle benchmark-like traces tiled to 12 simulated hours
-        // each at 2 GHz: ~4.3e7 tiles per half. survival_weight must work
+        // each at 2 GHz: ~4.3e7 tiles per half. survival_weights must work
         // without expanding breakpoints.
         let half_day_cycles = 43_200u64 * 2_000_000_000;
         let bench_a = arc(IntervalTrace::busy_idle(700_000, 300_000).unwrap()); // AVF 0.7
@@ -308,7 +316,7 @@ mod tests {
         assert!((c.avf() - 0.45).abs() < 1e-9);
         // λL small: MTTF ≈ 1/(λ·AVF).
         let lambda = 1e-20;
-        let (i, u) = c.survival_weight(lambda);
+        let (i, u) = c.survival_weights(&[lambda])[0];
         let mttf = i / omen(lambda * u);
         let expect = 1.0 / (lambda * 0.45);
         assert!(((mttf - expect) / expect).abs() < 1e-6);

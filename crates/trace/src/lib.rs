@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod codes;
 mod compiled;
 mod compose;
 mod concat;
@@ -55,6 +56,7 @@ mod shift;
 mod traits;
 mod transform;
 
+pub use codes::{fold_rates, RateFold};
 pub use compiled::CompiledTrace;
 pub use compose::CompositeTrace;
 pub use concat::ConcatTrace;

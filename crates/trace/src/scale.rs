@@ -90,13 +90,17 @@ impl VulnerabilityTrace for ScaledTrace {
         self.inner.span_count_hint()
     }
 
-    fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
-        // λ·(p·v) ≡ (λp)·v: delegate with a scaled rate; U(L) rescales back.
+    fn survival_weights(&self, lambdas: &[f64]) -> Vec<(f64, f64)> {
+        // λ·(p·v) ≡ (λp)·v: delegate with scaled rates; U(L) rescales back.
         if self.factor == 0.0 {
-            return (self.period_cycles() as f64, 0.0);
+            return vec![(self.period_cycles() as f64, 0.0); lambdas.len()];
         }
-        let (integral, u_total) = self.inner.survival_weight(lambda_cycle * self.factor);
-        (integral, u_total * self.factor)
+        let scaled: Vec<f64> = lambdas.iter().map(|l| l * self.factor).collect();
+        self.inner
+            .survival_weights(&scaled)
+            .into_iter()
+            .map(|(integral, u_total)| (integral, u_total * self.factor))
+            .collect()
     }
 
     fn tiling(&self) -> Option<Vec<(Arc<dyn VulnerabilityTrace>, u64)>> {
@@ -146,7 +150,7 @@ mod tests {
     fn factor_zero_never_fails() {
         let s = ScaledTrace::new(base(), 0.0).unwrap();
         assert!(s.is_never_vulnerable());
-        let (integral, u) = s.survival_weight(0.1);
+        let (integral, u) = s.survival_weights(&[0.1])[0];
         assert_eq!(u, 0.0);
         assert_eq!(integral, 4.0);
     }
@@ -159,8 +163,8 @@ mod tests {
         let adapter =
             ScaledTrace::new(Arc::new(IntervalTrace::from_levels(&levels).unwrap()), 0.3).unwrap();
         for &lambda in &[1e-6, 0.01, 0.5] {
-            let (ia, ua) = adapter.survival_weight(lambda);
-            let (ie, ue) = explicit.survival_weight(lambda);
+            let (ia, ua) = adapter.survival_weights(&[lambda])[0];
+            let (ie, ue) = explicit.survival_weights(&[lambda])[0];
             assert!((ia - ie).abs() < 1e-12, "λ={lambda}");
             assert!((ua - ue).abs() < 1e-12, "λ={lambda}");
         }

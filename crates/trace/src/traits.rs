@@ -69,10 +69,11 @@ pub trait VulnerabilityTrace: Send + Sync {
     /// vulnerability over `[previous end, end)`, bit-equal to
     /// `vulnerability_at(previous end)`.
     ///
-    /// Span-by-span consumers (the renewal integral, SoftArch's block fold,
-    /// compilation, transforms) read the walk instead of looking each span
-    /// up by cycle. The default is exactly that lookup loop; table-backed
-    /// representations override it to read their tables in order.
+    /// Span-by-span consumers (the span coding behind the renewal integral
+    /// and SoftArch's block fold, compilation, transforms) read the walk
+    /// instead of looking each span up by cycle. The default is exactly
+    /// that lookup loop; table-backed representations override it to read
+    /// their tables in order.
     ///
     /// [`breakpoints`]: VulnerabilityTrace::breakpoints
     fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
@@ -80,39 +81,23 @@ pub trait VulnerabilityTrace: Send + Sync {
     }
 
     /// The survival-function integrals that determine the exact renewal
-    /// MTTF for a component with per-cycle raw error rate `lambda_cycle`:
-    /// returns `(∫₀ᴸ e^{−λU(s)} ds, U(L))` where `U(s)` is the cumulative
+    /// MTTF, at every per-cycle raw error rate of `lambdas`: element `k` is
+    /// `(∫₀ᴸ e^{−λₖU(s)} ds, U(L))` where `U(s)` is the cumulative
     /// vulnerability and `L` the period (both in cycle units).
     ///
-    /// The default implementation integrates span-by-span over
-    /// [`spans`]; representations whose breakpoint list would be
-    /// astronomically long (e.g. a trace tiled millions of times, like the
-    /// paper's `combined` workload) override this with a closed form.
+    /// The default codes the span walk once and integrates span by span in
+    /// closed form for every rate over it ([`fold_rates`]);
+    /// representations whose span list would be astronomically long (a
+    /// trace tiled millions of times, like the paper's `combined` workload)
+    /// override this with a closed form over their parts.
     ///
     /// # Panics
     ///
-    /// May panic if `lambda_cycle` is not positive.
+    /// May panic if any rate is not positive.
     ///
-    /// [`spans`]: VulnerabilityTrace::spans
-    fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
-        assert!(lambda_cycle > 0.0, "per-cycle rate must be positive");
-        // Numerically stable 1 − e^{−x}.
-        let omen = |x: f64| -(-x).exp_m1();
-        let mut integral = 0.0f64;
-        let mut start = 0u64;
-        let mut u0 = 0.0f64;
-        for (end, v) in self.spans() {
-            let delta = (end - start) as f64;
-            let head = (-lambda_cycle * u0).exp();
-            if v > 0.0 {
-                integral += head * omen(lambda_cycle * v * delta) / (lambda_cycle * v);
-            } else {
-                integral += head * delta;
-            }
-            u0 += v * delta;
-            start = end;
-        }
-        (integral, u0)
+    /// [`fold_rates`]: crate::fold_rates
+    fn survival_weights(&self, lambdas: &[f64]) -> Vec<(f64, f64)> {
+        crate::codes::coded_survival_weights(self, lambdas)
     }
 
     /// Structural decomposition for representations built by tiling other
@@ -167,8 +152,8 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for &T {
     fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
         (**self).spans()
     }
-    fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
-        (**self).survival_weight(lambda_cycle)
+    fn survival_weights(&self, lambdas: &[f64]) -> Vec<(f64, f64)> {
+        (**self).survival_weights(lambdas)
     }
     fn tiling(&self) -> Option<Vec<(Arc<dyn VulnerabilityTrace>, u64)>> {
         (**self).tiling()
@@ -200,8 +185,8 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for std::sync::Arc<T> {
     fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
         (**self).spans()
     }
-    fn survival_weight(&self, lambda_cycle: f64) -> (f64, f64) {
-        (**self).survival_weight(lambda_cycle)
+    fn survival_weights(&self, lambdas: &[f64]) -> Vec<(f64, f64)> {
+        (**self).survival_weights(lambdas)
     }
     fn tiling(&self) -> Option<Vec<(Arc<dyn VulnerabilityTrace>, u64)>> {
         (**self).tiling()

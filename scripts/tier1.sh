@@ -55,13 +55,16 @@ RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-m
 # binary exits nonzero on any silently-wrong result).
 cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 7 --trials 3000
 
-# Perf smoke: regenerates BENCH_engines.json (schema v12, carrying a
+# Perf smoke: regenerates BENCH_engines.json (schema v13, carrying a
 # `storage` section — binary journal resume time and mmap-vs-read cache
 # load time — a `models` section: the AVF+SOFR-vs-MC comparison under the
 # ECC/scrub/delay protection transforms — a `sweep_kernel` section: the
-# 32-point shared-stream duel — and a `sim` section: cycles, loop
+# 32-point shared-stream duel — a `sim` section: cycles, loop
 # iterations, ns per iteration and Minstr/s of the timing simulator on
-# gzip, mcf and equake at 300k instructions, recorded with no gate) and
+# gzip, mcf and equake at 300k instructions — and a `refs` section: ns per
+# (span, rate) of the coded renewal and SoftArch passes on the same three
+# traces, for one rate and for a Fig 6a trace group's rate lists; `sim` and
+# `refs` are recorded with no gate) and
 # asserts three perf contracts — the
 # batched inversion sampler stays >=50x faster than the event-loop walk on
 # the low-AVF duel, the no-protection transform path adds <=5% to trace
@@ -93,6 +96,25 @@ awk -v b="$BASE_MTTF" -v s="$SCRUB_MTTF" 'BEGIN {
     exit 1
   }
 }'
+
+# Extreme-rate smoke: at a rate so high that SoftArch's discrete MTTF
+# rounds to zero, a cluster so large that the system rate does, and a rate
+# so low that the Monte Carlo mean overflows, `serr` must stop with a typed
+# error: a nonzero exit, an `error:` line, and no panic.
+extreme_rate_smoke() {
+  local out
+  if out=$(cargo run -q --release --bin serr -- "$@" 2>&1); then
+    echo "extreme-rate smoke: \`serr $*\` exited zero: $out" >&2
+    exit 1
+  fi
+  if ! grep -q '^error:' <<<"$out" || grep -q 'panicked' <<<"$out"; then
+    echo "extreme-rate smoke: \`serr $*\` did not fail with a typed error: $out" >&2
+    exit 1
+  fi
+}
+extreme_rate_smoke mttf --workload day --rate 1e300
+extreme_rate_smoke sofr --workload day --rate 1e10 -c 18446744073709551615
+extreme_rate_smoke mttf --workload day --rate 1e-300
 
 # Tiled-trace smoke: the paper's `combined` workload (two SPEC traces looped
 # twelve hours each, ~10^14 spans) compiles to CompiledTrace's tile level,

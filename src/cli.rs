@@ -1408,6 +1408,35 @@ mod tests {
     }
 
     #[test]
+    fn extreme_rates_are_typed_errors_not_panics() {
+        // A rate so high that SoftArch's discrete MTTF rounds to zero, a
+        // cluster so large that the system rate does the same, and a rate
+        // so low that sampled failure times overflow the Monte Carlo mean.
+        let cases: [&[&str]; 3] = [
+            &["mttf", "--workload", "day", "--rate", "1e300", "--trials", "2000"],
+            &[
+                "sofr",
+                "--workload",
+                "day",
+                "--rate",
+                "1e10",
+                "-c",
+                "18446744073709551615",
+                "--trials",
+                "2000",
+            ],
+            &["mttf", "--workload", "day", "--rate", "1e-300", "--trials", "2000"],
+        ];
+        for args in cases {
+            let cmd = Command::parse(args).unwrap();
+            match run(&cmd) {
+                Err(SerrError::InvalidValue { .. }) => {}
+                other => panic!("{args:?}: expected a typed InvalidValue, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn chaos_commands_parse() {
         let cmd = Command::parse(&[
             "chaos",

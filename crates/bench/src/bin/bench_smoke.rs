@@ -4,8 +4,9 @@
 //! humans; this binary runs a small, fixed subset of the `engines` bench
 //! plus a shared-stream sweep-kernel duel, one figure sweep, a
 //! checkpoint/chaos probe, a `serr serve` service probe, a
-//! timing-simulator probe and an exact-reference probe (both recorded, not
-//! gated), and writes
+//! timing-simulator probe, an exact-reference probe and a Monte Carlo
+//! kernel probe on the SPEC traces (all three recorded, not gated), and
+//! writes
 //! the results as JSON to `BENCH_engines.json`
 //! at the repository root, so successive PRs leave a perf trajectory that
 //! tooling can diff.
@@ -858,6 +859,62 @@ fn main() {
         refs_rows.join(",\n")
     );
 
+    // Monte Carlo kernel probe on the paper's traces (schema v14),
+    // recorded with no gate: the shared-stream kernel
+    // (`component_mttf_multi_compiled`, batched inversion, one thread) on
+    // the gzip, mcf and equake processor traces at 1M instructions, over
+    // one Fig 6a trace group's 20 system rates at 100k trials, min of 3
+    // runs after one untimed warmup, as ns per trial-point. The tiny traces
+    // of the duels above fit in cache; these do not. Also records the
+    // compiled trace's `verify` cost, which is why only a compile whose
+    // bytes can change after it was built (a cache hit, an injected fault)
+    // is re-verified.
+    let kernel_cfg = ExperimentConfig::full();
+    let kernel_trials = 100_000u64;
+    let kernel_mc = MonteCarlo::new(MonteCarloConfig {
+        trials: kernel_trials,
+        threads: 1,
+        ..Default::default()
+    });
+    let mut kernel_rows = Vec::new();
+    for (program, names) in [
+        ("gzip", ["mc_kernel/gzip_fig6a", "mc_kernel/verify_gzip"]),
+        ("mcf", ["mc_kernel/mcf_fig6a", "mc_kernel/verify_mcf"]),
+        ("equake", ["mc_kernel/equake_fig6a", "mc_kernel/verify_equake"]),
+    ] {
+        let trace = spec_processor_trace(program, &kernel_cfg).expect("kernel probe trace");
+        let compiled = serr_mc::compile_for_sampling(&*trace).expect("kernel probe compiles");
+        let run = time(names[0], 3, || {
+            kernel_mc
+                .component_mttf_multi_compiled(&compiled, &system, kernel_cfg.frequency)
+                .expect("kernel probe runs")
+        });
+        let verify = time(names[1], 7, || compiled.verify().expect("kernel probe verifies"));
+        let ns = run.min_ms * 1e6 / (kernel_trials as f64 * system.len() as f64);
+        println!(
+            "mc kernel probe: {program} {} segments, {ns:.1} ns per trial-point over {} rates; \
+             verify {:.2} ms",
+            compiled.segment_count(),
+            system.len(),
+            verify.min_ms
+        );
+        kernel_rows.push(format!(
+            "    {{\"program\": \"{program}\", \"segments\": {}, \"ns_per_trial_point\": {ns:.2}, \
+             \"verify_ms\": {:.3}}}",
+            compiled.segment_count(),
+            verify.min_ms
+        ));
+        timings.push(run);
+        timings.push(verify);
+    }
+    let mc_kernel_json = format!(
+        "  \"mc_kernel\": {{\"instructions\": {}, \"trials\": {kernel_trials}, \"rates\": {}, \
+         \"threads\": 1, \"programs\": [\n{}\n  ]}},",
+        kernel_cfg.sim_instructions,
+        system.len(),
+        kernel_rows.join(",\n")
+    );
+
     let entries: Vec<String> = timings
         .iter()
         .map(|t| {
@@ -868,11 +925,12 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 13,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 14,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
         sampler_json,
         sweep_kernel_json,
         sim_json,
         refs_json,
+        mc_kernel_json,
         checkpoint_json,
         chaos_json,
         service_json,

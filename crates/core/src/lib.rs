@@ -45,7 +45,6 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod design;
 pub mod experiments;
-pub mod guard;
 pub mod jsonio;
 pub mod par;
 pub mod pipeline;
@@ -75,10 +74,11 @@ pub mod prelude {
     pub use crate::chaos::{run_chaos, CampaignOutcome, ChaosConfig, ChaosReport};
     pub use crate::checkpoint::{CheckpointMode, SweepOptions, SweepReport};
     pub use crate::design::{DesignPoint, DesignSpace, Workload};
-    pub use crate::guard::{classify_estimate, Guard, GuardPolicy, GuardedMttf};
     pub use crate::protect::ProtectionSpec;
     pub use crate::rates::UnitRates;
     pub use crate::retry::{retry_with_backoff, BackoffPolicy};
-    pub use crate::validate::{ComponentValidation, SystemValidation, Validator};
+    pub use crate::validate::{
+        verify_or_rebuild, ComponentValidation, SystemValidation, Validator,
+    };
     pub use crate::workspec::WorkloadSpec;
 }

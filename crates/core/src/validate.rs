@@ -13,6 +13,24 @@
 //! Renewal and SoftArch take rate lists: each codes the trace's spans once
 //! and prices every rate in one pass, so a grouped sweep or a `serr serve`
 //! request pays one span walk per trace, not one per design point.
+//!
+//! Every row carries a [`Provenance`] verdict on how far its three
+//! assumption-free MTTFs vouch for each other, on the same path that
+//! produces every number the CLI, the sweeps and `serr serve` emit:
+//!
+//! * a Monte Carlo estimate that fails the sanity screen (a non-finite
+//!   statistic, MTTF ≤ 0, negative dispersion, `min ≤ mean ≤ max`
+//!   violated, zero trials) is `suspect`;
+//! * Monte Carlo farther than max(2%, 4 × its relative CI95) from renewal
+//!   is `degraded` when SoftArch agrees with renewal (the references vouch
+//!   for each other, so the estimate is the odd one out), `suspect`
+//!   otherwise;
+//! * SoftArch more than 2% from renewal floors the row at `degraded`: a
+//!   reference is provably wrong;
+//! * a deadline-truncated estimate floors it at `degraded`.
+//!
+//! [`verify_or_rebuild`] repairs a compiled trace whose bytes can have
+//! changed since its compile.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,8 +39,8 @@ use serr_mc::system::SystemModel;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
 use serr_softarch::SoftArch;
-use serr_trace::VulnerabilityTrace;
-use serr_types::{relative_error, Frequency, Mttf, RawErrorRate, SerrError};
+use serr_trace::{CompiledTrace, VulnerabilityTrace};
+use serr_types::{relative_error, Frequency, Mttf, Provenance, RawErrorRate, SerrError};
 
 use crate::{avf, par, sofr};
 
@@ -46,6 +64,9 @@ pub struct ComponentValidation {
     pub avf_error_vs_renewal: f64,
     /// `|SoftArch − MC| / MC` — the Section 5.4 check.
     pub softarch_error_vs_mc: f64,
+    /// How far the row's Monte Carlo, renewal and SoftArch MTTFs vouch for
+    /// each other (the row verdict; see the module docs).
+    pub provenance: Provenance,
 }
 
 /// Validation of the SOFR step on a system of components (Section 5.3).
@@ -69,6 +90,9 @@ pub struct SystemValidation {
     pub sofr_error_vs_renewal: f64,
     /// `|SoftArch − MC| / MC`.
     pub softarch_error_vs_mc: f64,
+    /// How far the row's Monte Carlo, renewal and SoftArch MTTFs vouch for
+    /// each other (the row verdict; see the module docs).
+    pub provenance: Provenance,
 }
 
 /// Runs all four estimators over components and systems.
@@ -182,7 +206,10 @@ impl Validator {
     /// [`SoftArch::component_mttfs`]). With an observer attached, records
     /// the reference's stage (`stage.renewal_quadrature_ms`,
     /// `stage.softarch_ms`) once per value returned, each with an equal
-    /// share of the pass's wall time.
+    /// share of the pass's wall time. A chaos plan in the Monte Carlo
+    /// configuration that poisons a reference
+    /// ([`serr_inject::FaultPlan::rate_poison_factor`]) scales every
+    /// SoftArch MTTF by its factor.
     pub(crate) fn price(
         &self,
         trace: &dyn VulnerabilityTrace,
@@ -193,9 +220,18 @@ impl Validator {
             Reference::Renewal => self.timed_per_value("renewal_quadrature", rates.len(), || {
                 serr_analytic::renewal::renewal_mttfs(trace, rates, self.frequency)
             }),
-            Reference::SoftArch => self.timed_per_value("softarch", rates.len(), || {
-                SoftArch::new(self.frequency).component_mttfs(trace, rates)
-            }),
+            Reference::SoftArch => {
+                let priced = self.timed_per_value("softarch", rates.len(), || {
+                    SoftArch::new(self.frequency).component_mttfs(trace, rates)
+                });
+                match self.mc.config().chaos.and_then(|p| p.rate_poison_factor()) {
+                    Some(f) => priced
+                        .into_iter()
+                        .map(|m| m.map(|m| Mttf::from_secs(m.as_secs() * f)))
+                        .collect(),
+                    None => priced,
+                }
+            }
         }
     }
 
@@ -251,6 +287,7 @@ impl Validator {
             avf_error_vs_mc: relative_error(mttf_avf.as_secs(), mttf_mc.mttf.as_secs()),
             avf_error_vs_renewal: relative_error(mttf_avf.as_secs(), mttf_renewal.as_secs()),
             softarch_error_vs_mc: relative_error(mttf_softarch.as_secs(), mttf_mc.mttf.as_secs()),
+            provenance: verdict(&mttf_mc, mttf_renewal, mttf_softarch),
         })
     }
 
@@ -382,6 +419,7 @@ impl Validator {
             sofr_error_vs_mc: relative_error(mttf_sofr.as_secs(), mttf_mc.mttf.as_secs()),
             sofr_error_vs_renewal: relative_error(mttf_sofr.as_secs(), mttf_renewal.as_secs()),
             softarch_error_vs_mc: relative_error(mttf_softarch.as_secs(), mttf_mc.mttf.as_secs()),
+            provenance: verdict(&mttf_mc, mttf_renewal, mttf_softarch),
         })
     }
 
@@ -442,7 +480,83 @@ impl Validator {
             sofr_error_vs_mc: relative_error(mttf_sofr.as_secs(), mttf_mc.mttf.as_secs()),
             sofr_error_vs_renewal: relative_error(mttf_sofr.as_secs(), mttf_renewal.as_secs()),
             softarch_error_vs_mc: relative_error(mttf_softarch.as_secs(), mttf_mc.mttf.as_secs()),
+            provenance: verdict(&mttf_mc, mttf_renewal, mttf_softarch),
         })
+    }
+}
+
+/// Baseline relative tolerance for agreement between two estimators.
+const REL_TOL: f64 = 0.02;
+
+/// Monte Carlo may sit `CI_MULT` times its 95% confidence half-width from
+/// renewal when that band is wider than [`REL_TOL`], so a high-variance
+/// run is not flagged for honest sampling noise.
+const CI_MULT: f64 = 4.0;
+
+/// How far a Monte Carlo estimate with relative 95% half-width `rel_ci95`
+/// may sit from the renewal MTTF and still agree with it.
+pub(crate) fn mc_tolerance(rel_ci95: f64) -> f64 {
+    REL_TOL.max(CI_MULT * rel_ci95)
+}
+
+/// A row's provenance from its Monte Carlo estimate and its two exact
+/// references at the same rate, by the rules in the module docs. Pure: the
+/// same inputs give the same tag at any thread count.
+fn verdict(mc: &MttfEstimate, renewal: Mttf, softarch: Mttf) -> Provenance {
+    if !is_sane(mc) {
+        return Provenance::Suspect;
+    }
+    let refs_agree = relative_gap(softarch.as_secs(), renewal.as_secs()) <= REL_TOL;
+    let mut tag = if refs_agree { Provenance::Clean } else { Provenance::Degraded };
+    if relative_gap(mc.mttf.as_secs(), renewal.as_secs()) > mc_tolerance(mc.relative_ci95()) {
+        tag = if refs_agree { Provenance::Degraded } else { Provenance::Suspect };
+    }
+    if mc.truncated {
+        tag = tag.worse(Provenance::Degraded);
+    }
+    tag
+}
+
+/// `|a − b| / |b|`, with non-finite inputs treated as infinitely far apart.
+fn relative_gap(a: f64, b: f64) -> f64 {
+    if !a.is_finite() || !b.is_finite() || b == 0.0 {
+        return f64::INFINITY;
+    }
+    (a - b).abs() / b.abs()
+}
+
+/// The sanity screen for a Monte Carlo estimate: every statistic finite,
+/// the MTTF positive, dispersion non-negative, `min ≤ mean ≤ max`, and at
+/// least one trial.
+fn is_sane(est: &MttfEstimate) -> bool {
+    let s = &est.ttf_seconds;
+    [est.mttf.as_secs(), s.mean, s.std_dev, s.ci95, s.min, s.max].iter().all(|v| v.is_finite())
+        && est.mttf.as_secs() > 0.0
+        && s.ci95 >= 0.0
+        && s.std_dev >= 0.0
+        && s.min <= s.mean
+        && s.mean <= s.max
+        && s.count > 0
+}
+
+/// Trace-integrity repair for a compiled trace whose bytes can have changed
+/// since its compile: a cache hit, or an injected fault. Checks
+/// `compiled(&held)` with [`CompiledTrace::verify`]; if the check fails,
+/// replaces `held` with `rebuild()` and floors the tag at
+/// [`Provenance::Retried`]. A fresh compile needs no check.
+///
+/// # Errors
+///
+/// Propagates `rebuild`'s error.
+pub fn verify_or_rebuild<T>(
+    held: T,
+    compiled: impl Fn(&T) -> &CompiledTrace,
+    rebuild: impl FnOnce() -> Result<T, SerrError>,
+) -> Result<(T, Provenance), SerrError> {
+    if compiled(&held).verify().is_ok() {
+        Ok((held, Provenance::Clean))
+    } else {
+        Ok((rebuild()?, Provenance::Retried))
     }
 }
 
@@ -544,6 +658,9 @@ mod tests {
         assert!(small.sofr_error_vs_renewal < 0.03, "C=2 {}", small.sofr_error_vs_renewal);
         assert!(large.sofr_error_vs_renewal > 0.3, "C=100 {}", large.sofr_error_vs_renewal);
         assert!(large.softarch_error_vs_mc < 0.02);
+        // The SOFR step's error is not the row's provenance: Monte Carlo,
+        // renewal and SoftArch still vouch for each other.
+        assert_eq!((small.provenance, large.provenance), (Provenance::Clean, Provenance::Clean));
     }
 
     #[test]
@@ -558,6 +675,7 @@ mod tests {
         assert!(v.sofr_error_vs_renewal < 1e-6, "{}", v.sofr_error_vs_renewal);
         assert!(v.sofr_error_vs_mc < 0.02);
         assert_eq!(v.components, 2);
+        assert_eq!(v.provenance, Provenance::Clean);
     }
 
     #[test]
@@ -578,6 +696,75 @@ mod tests {
         }
         // The shared sink carries the engine's convergence telemetry too.
         assert!(!sink.events_of("mc.chunk").is_empty());
+    }
+
+    #[test]
+    fn verdict_maps_the_sanity_screen_and_the_checks_to_tags() {
+        let trace = IntervalTrace::busy_idle(3_000, 7_000).unwrap();
+        let row = validator().component(&trace, RawErrorRate::per_year(10.0)).unwrap();
+        let (mc, renewal, softarch) = (row.mttf_mc, row.mttf_renewal, row.mttf_softarch);
+        assert_eq!(row.provenance, Provenance::Clean);
+        assert_eq!(verdict(&mc, renewal, softarch), Provenance::Clean);
+        let mut truncated = mc;
+        truncated.truncated = true;
+        assert_eq!(verdict(&truncated, renewal, softarch), Provenance::Degraded);
+        let mut poisoned = mc;
+        poisoned.ttf_seconds.mean = f64::NAN;
+        assert_eq!(verdict(&poisoned, renewal, softarch), Provenance::Suspect);
+        let mut disordered = mc;
+        disordered.ttf_seconds.min = disordered.ttf_seconds.max * 2.0;
+        assert_eq!(verdict(&disordered, renewal, softarch), Provenance::Suspect);
+        // Monte Carlo off renewal: Degraded while SoftArch vouches for
+        // renewal, Suspect when nothing does.
+        let far = Mttf::from_secs(renewal.as_secs() * 1.5);
+        assert_eq!(verdict(&mc, far, far), Provenance::Degraded);
+        assert_eq!(verdict(&mc, far, softarch), Provenance::Suspect);
+        // SoftArch off renewal alone floors the row at Degraded.
+        let off = Mttf::from_secs(softarch.as_secs() * 1.05);
+        assert_eq!(verdict(&mc, renewal, off), Provenance::Degraded);
+        // Honest noise inside 4·CI95 is not flagged, even past 2%.
+        let band = mc_tolerance(mc.relative_ci95());
+        assert!(0.9 * band > REL_TOL, "band {band} is not CI-driven at this trial count");
+        let noisy = Mttf::from_secs(mc.mttf.as_secs() / (1.0 + 0.9 * band));
+        assert_eq!(verdict(&mc, noisy, noisy), Provenance::Clean);
+    }
+
+    #[test]
+    fn a_poisoned_softarch_is_quarantined_to_degraded() {
+        use serr_inject::{FaultKind, FaultPlan};
+        let trace = IntervalTrace::busy_idle(3_000, 7_000).unwrap();
+        let rate = RawErrorRate::per_year(10.0);
+        let plan = FaultPlan::new(5, FaultKind::RatePoison);
+        let factor = plan.rate_poison_factor().unwrap();
+        assert!(factor >= 1.5, "poison factor {factor} too small to detect");
+        let cfg = MonteCarloConfig { trials: 30_000, ..Default::default() };
+        let clean = Validator::new(Frequency::base(), cfg).component(&trace, rate).unwrap();
+        let cfg = MonteCarloConfig { chaos: Some(plan), ..cfg };
+        let poisoned = Validator::new(Frequency::base(), cfg).component(&trace, rate).unwrap();
+        assert_eq!(poisoned.provenance, Provenance::Degraded);
+        assert_eq!(
+            poisoned.mttf_softarch.as_secs().to_bits(),
+            (clean.mttf_softarch.as_secs() * factor).to_bits()
+        );
+        // The Monte Carlo answer and the renewal reference are untouched.
+        assert_eq!(
+            poisoned.mttf_mc.mttf.as_secs().to_bits(),
+            clean.mttf_mc.mttf.as_secs().to_bits()
+        );
+        assert_eq!(poisoned.mttf_renewal, clean.mttf_renewal);
+    }
+
+    #[test]
+    fn a_failed_verify_rebuilds_and_floors_at_retried() {
+        let trace = IntervalTrace::busy_idle(3_000, 7_000).unwrap();
+        let compile = || serr_mc::compile_for_sampling(&trace);
+        let (_, tag) = verify_or_rebuild(compile().unwrap(), |c| c, || panic!("verifies")).unwrap();
+        assert_eq!(tag, Provenance::Clean);
+        let mut bad = compile().unwrap();
+        bad.chaos_flip_dominant_value_bit(51);
+        let (fixed, tag) = verify_or_rebuild(bad, |c| c, compile).unwrap();
+        assert_eq!(tag, Provenance::Retried);
+        assert!(fixed.verify().is_ok());
     }
 
     #[test]

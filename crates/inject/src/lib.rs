@@ -13,8 +13,9 @@
 //! consult a plan live next to the code they sabotage: `serr-mc` asks
 //! [`FaultPlan::chunk_panics`] and [`FaultPlan::deadline_cut_chunk`] inside
 //! its worker loop, `serr-core::checkpoint` asks [`FaultPlan::io_fault_site`],
-//! and the guard layer in `serr-core` applies [`FaultPlan::trace_fault`] /
-//! [`FaultPlan::rate_poison_factor`] before estimation. Keeping the decision
+//! `serr-core`'s chaos harness applies [`FaultPlan::trace_fault`] to a
+//! compiled trace before its integrity check, and the `Validator` applies
+//! [`FaultPlan::rate_poison_factor`] to its SoftArch reference. Keeping the decision
 //! pure and the application local means production paths pay one `Option`
 //! check and no global state exists to leak between tests.
 
@@ -29,8 +30,7 @@ use crate::rng::{mix, unit};
 
 /// Number of chunk slots the chunk-level injectors target. Victim indices
 /// are drawn from `0..CHUNK_VICTIM_SLOTS`, so plans whose victim lands past
-/// the end of a short run simply never fire — which is how a retry with a
-/// fresh seed can heal an injected panic.
+/// the end of a short run simply never fire.
 pub const CHUNK_VICTIM_SLOTS: u64 = 4;
 
 // Domain-separation salts: each query hashes its own salt so the same seed
@@ -58,8 +58,8 @@ pub enum FaultKind {
     /// table. The event-loop sampler never reads the prefix sums, so under
     /// it only the verifier can catch this; the default inversion sampler
     /// inverts the prefix table on *every trial*, so the corruption must
-    /// be caught by the verifier (or, failing that, the guard's event-loop
-    /// oracle vote) before it poisons the estimate.
+    /// be caught by the verifier (or, failing that, the row verdict's
+    /// Monte Carlo-versus-renewal check) before it poisons the estimate.
     TracePrefixPerturb,
     /// Scale the dominant segment value and recompute every derived field
     /// consistently. Passes structural checks by construction; only the
@@ -360,9 +360,10 @@ impl FaultPlan {
     }
 
     /// True when the Monte Carlo worker processing `chunk` under engine seed
-    /// `run_seed` must panic. The victim chunk depends on `run_seed`, so a
-    /// guarded retry with a fresh seed has a real chance of healing —
-    /// exercising the `Retried` path, not just `Degraded`.
+    /// `run_seed` must panic. The victim chunk depends on `run_seed` and
+    /// lands in `0..CHUNK_VICTIM_SLOTS`, so a run shorter than its victim
+    /// never panics; one that does fails with a typed engine fault, which
+    /// the estimator campaigns tag `Degraded`.
     #[must_use]
     pub fn chunk_panics(&self, run_seed: u64, chunk: u64) -> bool {
         self.kind == FaultKind::ChunkPanic

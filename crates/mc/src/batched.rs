@@ -22,8 +22,9 @@
 //! [`CompiledTrace::phase_at_cumulative`] over the compiled prefix sums.
 //! This sampler therefore reads the prefix table on every trial, so
 //! `TracePrefixPerturb` corruption (invisible to the event loop's point
-//! queries) skews its estimates directly — the guarded path verifies a
-//! compiled trace before trusting it (see [`CompiledTrace::verify`]).
+//! queries) skews its estimates directly — a compiled trace whose bytes can
+//! have changed since its compile (a cache hit, an injected fault) is
+//! verified before it is trusted (see [`CompiledTrace::verify`]).
 //!
 //! # Why a chunk is the unit of work
 //!

@@ -35,7 +35,7 @@ pub enum SamplerKind {
     /// decomposition): geometric period skip + truncated-exponential
     /// within-period draw + Bernoulli masking per event. Costs ~1/AVF
     /// events per trial; reads only point values. Kept as the
-    /// cross-check oracle in the guarded estimation path.
+    /// assumption-free cross-check sampler.
     EventLoop,
     /// Invert the cumulative-vulnerability function: one `Exp(1)` draw per
     /// trial, split into whole periods plus a remainder located in the

@@ -4,10 +4,12 @@
 //! request on the same workload — at any rate, trial count, sampler or
 //! command — reuses both the raw trace (which feeds the analytic
 //! estimators) and its [`CompiledTrace`] (which the Monte Carlo engine
-//! samples directly, and which is re-verified on every hit — a cache entry whose
-//! invariants no longer hold is rebuilt, not served). The compiled form is
-//! exactly `compile(raw)`, the trace the engine would build itself, so
-//! cached and uncached requests are bit-identical.
+//! samples directly, and which is re-verified on every hit by
+//! [`verify_or_rebuild`] — a cache entry whose invariants no longer hold is
+//! rebuilt, not served, and the lookup floors the request's provenance at
+//! `retried`). The compiled form is exactly `compile(raw)`, the trace the
+//! engine would build itself, so cached and uncached requests are
+//! bit-identical.
 //!
 //! The lock guards only the entry list: verification and builds run outside
 //! it, so a large trace being checked or built never stalls lookups of
@@ -21,8 +23,9 @@
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use serr_core::prelude::verify_or_rebuild;
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
-use serr_types::SerrError;
+use serr_types::{Provenance, SerrError};
 
 /// How a lookup was satisfied, for the metrics at the call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +37,18 @@ pub enum CacheOutcome {
     HitRebuilt,
     /// Entry absent; built and inserted (possibly evicting the LRU entry).
     Miss,
+}
+
+impl CacheOutcome {
+    /// The provenance floor of estimates built on the looked-up trace:
+    /// [`Provenance::Retried`] for a rebuilt hit, else clean.
+    #[must_use]
+    pub fn provenance(self) -> Provenance {
+        match self {
+            CacheOutcome::HitRebuilt => Provenance::Retried,
+            CacheOutcome::Hit | CacheOutcome::Miss => Provenance::Clean,
+        }
+    }
 }
 
 /// One cached workload: the raw trace for the analytic estimators and its
@@ -125,12 +140,12 @@ impl TraceCache {
         build_raw: impl FnOnce() -> Result<Arc<dyn VulnerabilityTrace>, SerrError>,
     ) -> Result<(CachedTrace, CacheOutcome, bool), SerrError> {
         let mut g = self.lock();
-        let outcome = loop {
+        loop {
             g.tick += 1;
             let tick = g.tick;
             let Some(e) = g.entries.iter_mut().find(|e| e.key == key) else {
                 g.entries.push(Entry { key: key.to_owned(), cached: None, last_use: tick });
-                break CacheOutcome::Miss;
+                break;
             };
             e.last_use = tick;
             let Some(cached) = e.cached.clone() else {
@@ -141,27 +156,26 @@ impl TraceCache {
                 g = self.built.wait(g).unwrap_or_else(PoisonError::into_inner);
                 continue;
             };
-            // Verify outside the lock (see the module docs).
+            // Verify outside the lock (see the module docs); compiled
+            // tables that fail their invariant check are rebuilt rather
+            // than served.
             drop(g);
-            if cached.compiled.verify().is_ok() {
-                return Ok((cached, CacheOutcome::Hit, false));
+            let (fresh, tag) =
+                verify_or_rebuild(cached.clone(), |c| &*c.compiled, || build(build_raw))?;
+            if tag.is_clean() {
+                return Ok((fresh, CacheOutcome::Hit, false));
             }
-            g = self.lock();
-            match g.entries.iter_mut().find(|e| e.key == key) {
-                // The compiled tables failed their invariant check: rebuild
-                // rather than serve a corrupted estimate.
-                Some(e)
-                    if e.cached
-                        .as_ref()
-                        .is_some_and(|c| Arc::ptr_eq(&c.compiled, &cached.compiled)) =>
-                {
-                    e.cached = None;
-                    break CacheOutcome::HitRebuilt;
-                }
-                // Replaced or evicted while we verified: look again.
-                _ => continue,
+            // Swap the rebuild in, unless the entry was replaced or evicted
+            // while we rebuilt.
+            let mut g = self.lock();
+            if let Some(e) = g.entries.iter_mut().find(|e| {
+                e.key == key
+                    && e.cached.as_ref().is_some_and(|c| Arc::ptr_eq(&c.compiled, &cached.compiled))
+            }) {
+                e.cached = Some(fresh.clone());
             }
-        };
+            return Ok((fresh, CacheOutcome::HitRebuilt, false));
+        }
         drop(g);
         let pending = Pending { cache: self, key };
         let cached = build(build_raw)?;
@@ -190,7 +204,7 @@ impl TraceCache {
         }
         drop(g);
         drop(pending);
-        Ok((cached, outcome, evicted))
+        Ok((cached, CacheOutcome::Miss, evicted))
     }
 
     /// Test hook: corrupt a cached entry's compiled trace so the next hit
@@ -284,7 +298,12 @@ mod tests {
         assert!(cache.poison("k", bad));
         let (got, out, _) = cache.get_or_build("k", || build(100)).expect("rebuilds");
         assert_eq!(out, CacheOutcome::HitRebuilt);
+        assert_eq!(out.provenance(), Provenance::Retried);
         assert!(got.compiled.verify().is_ok(), "the rebuilt entry verifies again");
+        // The rebuild replaced the entry: the next lookup is a clean hit.
+        let (again, out, _) = cache.get_or_build("k", || panic!("hit")).expect("cached");
+        assert_eq!((out, out.provenance()), (CacheOutcome::Hit, Provenance::Clean));
+        assert!(Arc::ptr_eq(&again.compiled, &got.compiled));
     }
 
     /// Blocks until some lookup is waiting on an in-flight build.

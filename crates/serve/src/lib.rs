@@ -16,7 +16,9 @@
 //! - **Graceful degradation**: a request deadline maps onto the Monte
 //!   Carlo engine's wall-clock budget; under pressure the service returns
 //!   a truncated estimate with an honestly wider confidence interval,
-//!   tagged `degraded` through the provenance lattice, instead of lying.
+//!   tagged `degraded` through the provenance lattice, instead of lying;
+//!   a row whose exact references do not vouch for its Monte Carlo
+//!   estimate is tagged by the same `Validator` verdict as the CLI's.
 //! - **Drain, don't drop** ([`server`]): shutdown journals every request
 //!   that had been admitted but not completed; a restarted server replays
 //!   them, and re-requests are answered from the results journal

@@ -3,12 +3,13 @@
 //! One request per line, one response line per request, and **every**
 //! admitted request ends in exactly one of four typed terminal states:
 //!
-//! | state      | meaning                                                  |
-//! |------------|----------------------------------------------------------|
-//! | `result`   | full-fidelity estimate, bit-identical to the batch CLI   |
-//! | `degraded` | honest estimate from a truncated run (deadline pressure) |
-//! | `shed`     | refused by admission control before any work was done    |
-//! | `error`    | typed failure (bad request, injected fault, estimator)   |
+//! | state      | meaning                                                    |
+//! |------------|------------------------------------------------------------|
+//! | `result`   | full-fidelity estimate, bit-identical to the batch CLI     |
+//! | `degraded` | honest estimate that is not `clean`: a truncated run, or a |
+//! |            | row whose exact references do not vouch for it             |
+//! | `shed`     | refused by admission control before any work was done      |
+//! | `error`    | typed failure (bad request, injected fault, estimator)     |
 //!
 //! Requests and responses are encoded with the workspace's own
 //! [`Json`] value (shortest-round-trip floats), so journaled responses
@@ -328,7 +329,10 @@ pub struct Estimate {
     pub mttf_step_s: f64,
     /// The workload's AVF.
     pub avf: f64,
-    /// Provenance label from the guard lattice (`clean`, `degraded`, ...).
+    /// Provenance label (`clean`, `retried`, `degraded`, `suspect`): the
+    /// validation row's verdict — Monte Carlo checked against renewal,
+    /// renewal against SoftArch — floored at `retried` when the cached
+    /// compiled trace failed its check and was rebuilt.
     pub provenance: String,
     /// The sampler that actually ran.
     pub sampler: String,
@@ -343,7 +347,7 @@ pub struct Estimate {
 
 impl Estimate {
     /// The terminal state this estimate reports: `degraded` whenever the
-    /// run was truncated or the guard lattice says anything but clean.
+    /// run was truncated or the provenance is anything but clean.
     #[must_use]
     pub fn state(&self) -> &'static str {
         if self.truncated || self.provenance != "clean" {

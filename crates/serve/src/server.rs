@@ -51,7 +51,7 @@ use serr_core::checkpoint::{fingerprint, Journal};
 use serr_core::experiments::ExperimentConfig;
 use serr_core::jsonio::Json;
 use serr_core::prelude::{
-    classify_estimate, BackoffPolicy, FaultPlan, MonteCarloConfig, MttfEstimate, RawErrorRate,
+    BackoffPolicy, FaultPlan, MonteCarloConfig, MttfEstimate, Provenance, RawErrorRate,
     SamplerKind, Validator, VulnerabilityTrace, WorkloadSpec,
 };
 use serr_inject::ServeFault;
@@ -980,7 +980,7 @@ fn process(state: &Arc<State>, job: &Job) {
     // context); a tight one yields a truncated — honestly widened —
     // estimate tagged Degraded by the provenance lattice.
     let remaining = job.deadline.map(|(at, _)| at.saturating_duration_since(Instant::now()));
-    let result = estimate(state, &job.body, &cached, remaining);
+    let result = estimate(state, &job.body, &cached, outcome.provenance(), remaining);
     let elapsed = started.elapsed();
     match result {
         Ok(points) => {
@@ -1027,11 +1027,15 @@ fn respond_error(state: &Arc<State>, job: &Job, e: serr_types::SerrError, torn: 
 /// [`Validator::component`] / [`Validator::system_identical`] do per
 /// point. Each point is bit-identical to the batch CLI's independent run at any
 /// `SERR_THREADS` (deadline truncation aside), which is also what licenses
-/// publishing clean sweep points under the equivalent `mttf` keys.
+/// publishing clean sweep points under the equivalent `mttf` keys. Each
+/// point's provenance is its row's verdict, floored at `floor` (the cache
+/// lookup's: [`Provenance::Retried`] when the cached compile failed its
+/// check and was rebuilt).
 fn estimate(
     state: &Arc<State>,
     body: &RequestBody,
     cached: &CachedTrace,
+    floor: Provenance,
     deadline: Option<Duration>,
 ) -> Result<Vec<Estimate>, serr_types::SerrError> {
     let (_, rates_per_year, components, trials, sampler) = unpack(body);
@@ -1057,12 +1061,19 @@ fn estimate(
         Some(c) => v
             .systems_identical_with_mc(&*cached.raw, &rates, &vec![c; rates.len()], ests)
             .into_iter()
-            .map(|r| r.map(|r| point(&r.mttf_mc, r.mttf_sofr.as_secs(), cached.raw.avf())))
+            .map(|r| {
+                r.map(|r| {
+                    let tag = r.provenance.worse(floor);
+                    point(&r.mttf_mc, r.mttf_sofr.as_secs(), cached.raw.avf(), tag)
+                })
+            })
             .collect(),
         None => v
             .components_with_mc(&*cached.raw, &rates, ests)
             .into_iter()
-            .map(|r| r.map(|r| point(&r.mttf_mc, r.mttf_avf.as_secs(), r.avf)))
+            .map(|r| {
+                r.map(|r| point(&r.mttf_mc, r.mttf_avf.as_secs(), r.avf, r.provenance.worse(floor)))
+            })
             .collect(),
     }
 }
@@ -1087,15 +1098,15 @@ fn unpack(body: &RequestBody) -> (&WorkloadSpec, &[f64], Option<u64>, u64, Sampl
     }
 }
 
-/// One response point from its Monte Carlo ground truth and the step
-/// estimate it is judged against.
-fn point(mc: &MttfEstimate, mttf_step_s: f64, avf: f64) -> Estimate {
+/// One response point from its Monte Carlo ground truth, the step
+/// estimate it is judged against, and its provenance.
+fn point(mc: &MttfEstimate, mttf_step_s: f64, avf: f64, provenance: Provenance) -> Estimate {
     Estimate {
         mttf_mc_s: mc.mttf.as_secs(),
         rel_ci95: mc.relative_ci95(),
         mttf_step_s,
         avf,
-        provenance: classify_estimate(mc).label().to_owned(),
+        provenance: provenance.label().to_owned(),
         sampler: mc.sampler.label().to_owned(),
         trials_done: mc.ttf_seconds.count,
         truncated: mc.truncated,

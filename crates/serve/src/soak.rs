@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use serr_core::experiments::ExperimentConfig;
 use serr_core::prelude::{
-    classify_estimate, FaultKind, FaultPlan, MonteCarloConfig, RawErrorRate, SamplerKind,
-    Validator, VulnerabilityTrace, WorkloadSpec,
+    FaultKind, FaultPlan, MonteCarloConfig, RawErrorRate, SamplerKind, Validator,
+    VulnerabilityTrace, WorkloadSpec,
 };
 use serr_inject::ServeFault;
 use serr_obs::Obs;
@@ -54,16 +54,16 @@ pub(crate) fn direct_estimate(body: &RequestBody, threads: usize) -> Estimate {
     let rate = RawErrorRate::try_per_year(rate_per_year).expect("positive rate");
     let mc = MonteCarloConfig { trials, threads, sampler, deadline: None, ..Default::default() };
     let v = Validator::new(cfg.frequency, mc);
-    let (avf, mttf_step_s, mc_est) = match body {
+    let (avf, mttf_step_s, mc_est, provenance) = match body {
         RequestBody::Mttf { .. } => {
             let r = v.component(&*trace, rate).expect("component validation");
-            (r.avf, r.mttf_avf.as_secs(), r.mttf_mc)
+            (r.avf, r.mttf_avf.as_secs(), r.mttf_mc, r.provenance)
         }
         RequestBody::Sofr { components, .. } => {
             let r = v
                 .system_identical(Arc::clone(&trace), rate, *components)
                 .expect("system validation");
-            (trace.avf(), r.mttf_sofr.as_secs(), r.mttf_mc)
+            (trace.avf(), r.mttf_sofr.as_secs(), r.mttf_mc, r.provenance)
         }
         RequestBody::Sweep { .. } | RequestBody::Stats | RequestBody::Shutdown => {
             unreachable!("gated above")
@@ -74,7 +74,7 @@ pub(crate) fn direct_estimate(body: &RequestBody, threads: usize) -> Estimate {
         rel_ci95: mc_est.relative_ci95(),
         mttf_step_s,
         avf,
-        provenance: classify_estimate(&mc_est).label().to_owned(),
+        provenance: provenance.label().to_owned(),
         sampler: mc_est.sampler.label().to_owned(),
         trials_done: mc_est.ttf_seconds.count,
         truncated: mc_est.truncated,

@@ -1,10 +1,14 @@
 //! Provenance tags for reliability estimates.
 //!
-//! Every number the guarded estimation path emits carries a [`Provenance`]
-//! tag describing how much of the normal pipeline actually produced it. The
-//! tags form a severity lattice — `Clean < Retried < Degraded < Suspect` —
-//! and combine with [`Provenance::worse`], so a result that was both retried
-//! and deadline-truncated ends up `Degraded`, not `Retried`.
+//! Every validation row carries a [`Provenance`] tag: the `Validator`'s
+//! verdict on how far the row's Monte Carlo estimate and its two exact
+//! references (renewal and SoftArch) vouch for each other, floored by any
+//! repair on the way (a compiled trace rebuilt after a failed integrity
+//! check). The CLI, the sweeps, `serr serve` and the chaos harness all read
+//! it from the row. The tags form a severity lattice — `Clean < Retried <
+//! Degraded < Suspect` — and combine with [`Provenance::worse`], so a
+//! result that was both repaired and deadline-truncated ends up `Degraded`,
+//! not `Retried`.
 
 use std::fmt;
 
@@ -14,18 +18,22 @@ use std::fmt;
 /// `Clean < Retried < Degraded < Suspect`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Provenance {
-    /// The primary estimator ran once and passed every consistency check.
+    /// The estimate passed every check: sane statistics, Monte Carlo within
+    /// noise of renewal, SoftArch within tolerance of renewal.
     #[default]
     Clean,
-    /// The primary estimator failed at least once but a retry (fresh seed,
-    /// recompiled trace) produced a value that passed every check.
+    /// A fault was detected and repaired before the estimate ran (a
+    /// compiled trace rebuilt after a failed integrity check, a damaged
+    /// journal recomputed), and the result passed every check.
     Retried,
-    /// The primary estimator never produced an acceptable value; the result
-    /// is a labeled fallback (analytic renewal estimate, truncated partial
-    /// estimate, or a journal-less sweep).
+    /// The result is honest but something it rests on is not: a truncated
+    /// run, a Monte Carlo estimate that both exact references contradict, a
+    /// SoftArch reference off renewal, a point that failed with a typed
+    /// error, or a journal-less sweep.
     Degraded,
-    /// Independent references disagree beyond tolerance, so no single value
-    /// can be trusted; the reported number is best-effort only.
+    /// The estimate failed its sanity screen, or it disagrees with renewal
+    /// and SoftArch disagrees too, so nothing vouches for the number; it is
+    /// best-effort only.
     Suspect,
 }
 

@@ -55,7 +55,7 @@ RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-m
 # binary exits nonzero on any silently-wrong result).
 cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 7 --trials 3000
 
-# Perf smoke: regenerates BENCH_engines.json (schema v13, carrying a
+# Perf smoke: regenerates BENCH_engines.json (schema v14, carrying a
 # `storage` section — binary journal resume time and mmap-vs-read cache
 # load time — a `models` section: the AVF+SOFR-vs-MC comparison under the
 # ECC/scrub/delay protection transforms — a `sweep_kernel` section: the
@@ -63,8 +63,11 @@ cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 
 # iterations, ns per iteration and Minstr/s of the timing simulator on
 # gzip, mcf and equake at 300k instructions — and a `refs` section: ns per
 # (span, rate) of the coded renewal and SoftArch passes on the same three
-# traces, for one rate and for a Fig 6a trace group's rate lists; `sim` and
-# `refs` are recorded with no gate) and
+# traces, for one rate and for a Fig 6a trace group's rate lists — and an
+# `mc_kernel` section: ns per trial-point of the shared-stream Monte Carlo
+# kernel and the compiled trace's verify time on the same three traces at
+# 1M instructions; `sim`, `refs` and `mc_kernel` are recorded with no
+# gate) and
 # asserts three perf contracts — the
 # batched inversion sampler stays >=50x faster than the event-loop walk on
 # the low-AVF duel, the no-protection transform path adds <=5% to trace
@@ -96,6 +99,18 @@ awk -v b="$BASE_MTTF" -v s="$SCRUB_MTTF" 'BEGIN {
     exit 1
   }
 }'
+
+# Provenance smoke: every validation row carries the Validator's verdict
+# (Monte Carlo within max(2%, 4x CI95) of renewal, SoftArch within 2% of
+# renewal), and a fault-free `mttf` and `sofr` must print it as clean.
+# The output is captured first so an early-exiting grep cannot SIGPIPE serr.
+for args in "mttf --workload day --n-s 1e8 --trials 20000" \
+            "sofr --workload week --n-s 1e8 -c 5000 --trials 20000"; do
+  # shellcheck disable=SC2086 # the argument list is split on purpose
+  PROV_OUT=$(cargo run -q --release --bin serr -- $args)
+  grep -qx 'provenance      : clean' <<<"$PROV_OUT" \
+    || { echo "provenance smoke: \`serr $args\` is not clean: $PROV_OUT" >&2; exit 1; }
+done
 
 # Extreme-rate smoke: at a rate so high that SoftArch's discrete MTTF
 # rounds to zero, a cluster so large that the system rate does, and a rate

@@ -91,9 +91,9 @@ pub enum Command {
         campaigns: usize,
         /// Master seed (campaign `i` uses plan seed `mix(seed, i)`).
         seed: u64,
-        /// Monte Carlo trials per guarded estimate.
+        /// Monte Carlo trials per estimate.
         trials: u64,
-        /// Which sampler the guarded campaigns run.
+        /// Which sampler the estimator campaigns run.
         sampler: SamplerKind,
         /// Restrict campaigns to these fault kinds (`None` = all ten).
         kinds: Option<Vec<FaultKind>>,
@@ -665,7 +665,8 @@ WIRE PROTOCOL (serr serve):
   JSON Lines, one request and one response per line. Every request ends in
   exactly one typed terminal state:
     result    full-fidelity estimate, bit-identical to the batch CLI
-    degraded  honest estimate from a truncated run (deadline pressure)
+    degraded  honest estimate that is not clean (a truncated run under
+              deadline pressure, or references that disagree with it)
     shed      refused by admission control before any work was done
     error     typed failure (bad frame, estimator error, injected fault)
   request : {\"id\":1,\"cmd\":\"mttf\",\"workload\":\"day\",\"rate_per_year\":1.0,
@@ -735,7 +736,7 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
                 r.mttf_mc.relative_ci95() * 100.0,
                 r.mttf_mc.sampler.label()
             );
-            println!("provenance      : {}", classify_estimate(&r.mttf_mc));
+            println!("provenance      : {}", r.provenance);
             if r.mttf_mc.truncated {
                 println!(
                     "note: deadline hit after {} of {trials} trials; the CI above \
@@ -782,7 +783,7 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
                 r.mttf_mc.relative_ci95() * 100.0,
                 r.mttf_mc.sampler.label()
             );
-            println!("provenance      : {}", classify_estimate(&r.mttf_mc));
+            println!("provenance      : {}", r.provenance);
             if r.mttf_mc.truncated {
                 println!(
                     "note: deadline hit after {} of {trials} trials; the CI above \

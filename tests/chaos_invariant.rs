@@ -12,7 +12,7 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 /// ≥ 200 campaigns over every estimator-level injector kind (the
 /// `FaultKind::CORE` family — the serve-layer kinds need a running service
 /// and are soaked by `serr-serve` instead), zero misses. Moderate trial
-/// counts keep the suite fast; the guard's CI-derived acceptance band
+/// counts keep the suite fast; the row verdict's CI-derived acceptance band
 /// scales with the extra sampling noise, so the invariant is exactly as
 /// strict as at paper scale.
 #[test]
@@ -104,8 +104,8 @@ fn two_hundred_campaigns_cover_every_injector_with_zero_misses() {
 /// event loop never reads it — see the `FaultKind::TracePrefixPerturb`
 /// taxonomy entry). Under *every* sampler each such campaign must come
 /// back detected: the compiled-trace verifier catches the damaged table
-/// before any trial runs, and the guard's event-loop oracle vote backstops
-/// the verifier — never as a silently wrong Clean result.
+/// before any trial runs, and the row verdict's Monte Carlo-versus-renewal
+/// check backstops the verifier — never as a silently wrong Clean result.
 #[test]
 fn prefix_corruption_is_detect_or_degrade_under_every_sampler() {
     for (tag, sampler) in

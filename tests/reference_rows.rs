@@ -4,6 +4,11 @@
 //! `SERR_THREADS` fan-out, and when a resumed sweep prices only the points
 //! its journal did not restore.
 //!
+//! Every quick-scale Fig 5, Fig 6a, Fig 6b and Section 5.4 validation row
+//! must also read `clean` with no fault injected, with the same provenance
+//! at any thread count: the row verdict never flags honest Monte Carlo
+//! noise.
+//!
 //! One test in its own binary: it sets `SERR_THREADS`, which no other test
 //! may read concurrently.
 
@@ -12,10 +17,10 @@ use std::path::{Path, PathBuf};
 use serr_core::checkpoint::{Journal, JournalRow, SweepOptions, SweepReport};
 use serr_core::design::Workload;
 use serr_core::experiments::{
-    fig5_sweep, fig6b_sweep, sec5_4_sweep, synthesized_trace, ExperimentConfig, Fig5Row, Fig6Row,
-    Sec54Row,
+    fig5_sweep, fig6b_sweep, sec5_4_sweep, spec_processor_trace, synthesized_trace,
+    ExperimentConfig, Fig5Row, Fig6Row, Sec54Row, REPRESENTATIVE_BENCHMARKS,
 };
-use serr_core::prelude::Validator;
+use serr_core::prelude::{Provenance, Validator, VulnerabilityTrace};
 use serr_mc::MonteCarloConfig;
 use serr_types::{relative_error, RawErrorRate};
 
@@ -103,6 +108,69 @@ fn per_point(cfg: &ExperimentConfig) -> PerPoint {
     PerPoint { fig5, fig6b, sec5_4 }
 }
 
+/// The axes the `fig5`, `fig6a`, `fig6b` and `sec5_4` binaries sweep.
+const FIG5_N_S: [f64; 7] = [1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 5e12];
+const FIG6_CS: [u64; 5] = [2, 8, 5_000, 50_000, 500_000];
+const FIG6A_N_S: [f64; 4] = [1e8, 1e9, 2e12, 5e12];
+const FIG6B_N_S: [f64; 3] = [1e7, 1e8, 1e9];
+const SEC54_CS: [u64; 6] = [1, 2, 8, 5_000, 50_000, 500_000];
+const SEC54_N_S: [f64; 4] = [1e7, 1e8, 1e9, 1e12];
+
+/// Labelled provenance of one trace group's system rows over `cs × n_s`,
+/// from the calls a sweep makes per group: one shared-stream kernel run
+/// over the system rates, then one rate-list `Validator` call.
+fn system_tags(
+    v: &Validator,
+    fig: &str,
+    label: &str,
+    trace: &dyn VulnerabilityTrace,
+    cs: &[u64],
+    n_s: &[f64],
+) -> Vec<(String, Provenance)> {
+    let points: Vec<(u64, f64)> =
+        cs.iter().flat_map(|&c| n_s.iter().map(move |&p| (c, p))).collect();
+    let rates: Vec<RawErrorRate> =
+        points.iter().map(|&(_, p)| RawErrorRate::baseline_per_bit().scale(p)).collect();
+    let cs: Vec<u64> = points.iter().map(|&(c, _)| c).collect();
+    let system_rates: Vec<RawErrorRate> =
+        rates.iter().zip(&cs).map(|(r, &c)| r.scale(c as f64)).collect();
+    let freq = ExperimentConfig::quick().frequency;
+    let ests = v.monte_carlo().component_mttf_multi(trace, &system_rates, freq).expect("kernel");
+    let rows = v.systems_identical_with_mc(trace, &rates, &cs, ests);
+    points
+        .iter()
+        .zip(rows)
+        .map(|((c, p), row)| {
+            (format!("{fig} {label} C={c} N*S={p:e}"), row.expect("row").provenance)
+        })
+        .collect()
+}
+
+/// The provenance of every quick-scale figure row with `threads` Monte
+/// Carlo workers.
+fn quick_scale_tags(threads: usize) -> Vec<(String, Provenance)> {
+    let cfg = ExperimentConfig::quick();
+    let v = Validator::new(cfg.frequency, MonteCarloConfig { threads, ..cfg.mc });
+    let mut tags = Vec::new();
+    for w in Workload::synthesized() {
+        let trace = synthesized_trace(w, &cfg).expect("synthesized trace");
+        let rates: Vec<RawErrorRate> =
+            FIG5_N_S.iter().map(|&p| RawErrorRate::baseline_per_bit().scale(p)).collect();
+        let ests =
+            v.monte_carlo().component_mttf_multi(&*trace, &rates, cfg.frequency).expect("kernel");
+        for (p, row) in FIG5_N_S.iter().zip(v.components_with_mc(&*trace, &rates, ests)) {
+            tags.push((format!("fig5 {} N*S={p:e}", w.label()), row.expect("row").provenance));
+        }
+        tags.extend(system_tags(&v, "fig6b", w.label(), &*trace, &FIG6_CS, &FIG6B_N_S));
+        tags.extend(system_tags(&v, "sec5_4", w.label(), &*trace, &SEC54_CS, &SEC54_N_S));
+    }
+    for name in REPRESENTATIVE_BENCHMARKS {
+        let trace = spec_processor_trace(name, &cfg).expect("SPEC trace");
+        tags.extend(system_tags(&v, "fig6a", name, &*trace, &FIG6_CS, &FIG6A_N_S));
+    }
+    tags
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("serr-reference-rows-{}-{tag}", std::process::id()));
@@ -155,8 +223,10 @@ fn fresh_and_half_resumed<R: JournalRow>(
 fn grouped_reference_rows_match_per_point_validator_calls() {
     let cfg = cfg();
     let want = per_point(&cfg);
+    let mut quick_tags = Vec::new();
     for threads in ["1", "3"] {
         std::env::set_var("SERR_THREADS", threads);
+        quick_tags.push(quick_scale_tags(threads.parse().expect("thread count")));
         let (fresh, resumed) = fresh_and_half_resumed(&format!("fig5-t{threads}"), |opts| {
             fig5_sweep(&WORKLOADS, &N_TIMES_S, &cfg, opts).expect("fig5 sweep")
         });
@@ -182,4 +252,9 @@ fn grouped_reference_rows_match_per_point_validator_calls() {
         }
     }
     std::env::remove_var("SERR_THREADS");
+
+    let flagged: Vec<_> = quick_tags[0].iter().filter(|(_, tag)| !tag.is_clean()).collect();
+    assert!(flagged.is_empty(), "fault-free rows flagged: {flagged:?}");
+    assert_eq!(quick_tags[0].len(), 3 * (7 + 5 * 3 + 6 * 4) + 3 * 5 * 4);
+    assert_eq!(quick_tags[0], quick_tags[1], "provenance moved with the thread count");
 }

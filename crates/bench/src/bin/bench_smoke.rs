@@ -5,9 +5,8 @@
 //! plus a shared-stream sweep-kernel duel, one figure sweep, a
 //! checkpoint/chaos probe, a `serr serve` service probe, a
 //! timing-simulator probe, an exact-reference probe and a Monte Carlo
-//! kernel probe on the SPEC traces (all three recorded, not gated), and
-//! writes
-//! the results as JSON to `BENCH_engines.json`
+//! kernel probe on the SPEC traces and the tiled `combined` trace (all
+//! three recorded, not gated), and writes the results as JSON to `BENCH_engines.json`
 //! at the repository root, so successive PRs leave a perf trajectory that
 //! tooling can diff.
 //!
@@ -17,7 +16,9 @@ use std::time::{Duration, Instant};
 
 use serr_analytic::renewal::renewal_mttfs;
 use serr_core::checkpoint::{fingerprint, Journal};
-use serr_core::experiments::{fig5, fig5_sweep, spec_processor_trace, ExperimentConfig};
+use serr_core::experiments::{
+    combined_trace, fig5, fig5_sweep, spec_processor_trace, ExperimentConfig,
+};
 use serr_core::jsonio::Json;
 use serr_core::pipeline::{
     load_cache_entry_mmap, load_cache_entry_read, simulate_benchmark, write_cache_entry,
@@ -859,16 +860,17 @@ fn main() {
         refs_rows.join(",\n")
     );
 
-    // Monte Carlo kernel probe on the paper's traces (schema v14),
-    // recorded with no gate: the shared-stream kernel
-    // (`component_mttf_multi_compiled`, batched inversion, one thread) on
-    // the gzip, mcf and equake processor traces at 1M instructions, over
-    // one Fig 6a trace group's 20 system rates at 100k trials, min of 3
-    // runs after one untimed warmup, as ns per trial-point. The tiny traces
-    // of the duels above fit in cache; these do not. Also records the
-    // compiled trace's `verify` cost, which is why only a compile whose
-    // bytes can change after it was built (a cache hit, an injected fault)
-    // is re-verified.
+    // Monte Carlo kernel probe on the paper's traces (schema v14; the
+    // tiled `combined` row since v15), recorded with no gate: the
+    // shared-stream kernel (`component_mttf_multi_compiled`, batched
+    // inversion, one thread) on the gzip, mcf and equake processor traces
+    // at 1M instructions over one Fig 6a trace group's 20 system rates,
+    // and on the tile level of the `combined` workload over Fig 5's 7
+    // rates, at 100k trials, min of 3 runs after one untimed warmup, as ns
+    // per trial-point. The tiny traces of the duels above fit in cache;
+    // these do not. Also records the compiled trace's `verify` cost, which
+    // is why only a compile whose bytes can change after it was built (a
+    // cache hit, an injected fault) is re-verified.
     let kernel_cfg = ExperimentConfig::full();
     let kernel_trials = 100_000u64;
     let kernel_mc = MonteCarlo::new(MonteCarloConfig {
@@ -876,42 +878,53 @@ fn main() {
         threads: 1,
         ..Default::default()
     });
+    let fig5_rates: Vec<RawErrorRate> = [1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 5e12]
+        .iter()
+        .map(|&n_s| RawErrorRate::baseline_per_bit().scale(n_s))
+        .collect();
     let mut kernel_rows = Vec::new();
-    for (program, names) in [
-        ("gzip", ["mc_kernel/gzip_fig6a", "mc_kernel/verify_gzip"]),
-        ("mcf", ["mc_kernel/mcf_fig6a", "mc_kernel/verify_mcf"]),
-        ("equake", ["mc_kernel/equake_fig6a", "mc_kernel/verify_equake"]),
+    for (program, rates, names) in [
+        ("gzip", &system, ["mc_kernel/gzip_fig6a", "mc_kernel/verify_gzip"]),
+        ("mcf", &system, ["mc_kernel/mcf_fig6a", "mc_kernel/verify_mcf"]),
+        ("equake", &system, ["mc_kernel/equake_fig6a", "mc_kernel/verify_equake"]),
+        ("combined", &fig5_rates, ["mc_kernel/combined_fig5", "mc_kernel/verify_combined"]),
     ] {
-        let trace = spec_processor_trace(program, &kernel_cfg).expect("kernel probe trace");
+        let trace: std::sync::Arc<dyn VulnerabilityTrace> = if program == "combined" {
+            std::sync::Arc::new(combined_trace(&kernel_cfg, None).expect("kernel probe trace"))
+        } else {
+            spec_processor_trace(program, &kernel_cfg).expect("kernel probe trace")
+        };
         let compiled = serr_mc::compile_for_sampling(&*trace).expect("kernel probe compiles");
         let run = time(names[0], 3, || {
             kernel_mc
-                .component_mttf_multi_compiled(&compiled, &system, kernel_cfg.frequency)
+                .component_mttf_multi_compiled(&compiled, rates, kernel_cfg.frequency)
                 .expect("kernel probe runs")
         });
         let verify = time(names[1], 7, || compiled.verify().expect("kernel probe verifies"));
-        let ns = run.min_ms * 1e6 / (kernel_trials as f64 * system.len() as f64);
+        let ns = run.min_ms * 1e6 / (kernel_trials as f64 * rates.len() as f64);
         println!(
-            "mc kernel probe: {program} {} segments, {ns:.1} ns per trial-point over {} rates; \
-             verify {:.2} ms",
+            "mc kernel probe: {program} {} segments{}, {ns:.1} ns per trial-point over {} \
+             rates; verify {:.2} ms",
             compiled.segment_count(),
-            system.len(),
+            if compiled.is_tiled() { " (tiled)" } else { "" },
+            rates.len(),
             verify.min_ms
         );
         kernel_rows.push(format!(
-            "    {{\"program\": \"{program}\", \"segments\": {}, \"ns_per_trial_point\": {ns:.2}, \
-             \"verify_ms\": {:.3}}}",
+            "    {{\"program\": \"{program}\", \"segments\": {}, \"tiled\": {}, \"rates\": {}, \
+             \"ns_per_trial_point\": {ns:.2}, \"verify_ms\": {:.3}}}",
             compiled.segment_count(),
+            compiled.is_tiled(),
+            rates.len(),
             verify.min_ms
         ));
         timings.push(run);
         timings.push(verify);
     }
     let mc_kernel_json = format!(
-        "  \"mc_kernel\": {{\"instructions\": {}, \"trials\": {kernel_trials}, \"rates\": {}, \
+        "  \"mc_kernel\": {{\"instructions\": {}, \"trials\": {kernel_trials}, \
          \"threads\": 1, \"programs\": [\n{}\n  ]}},",
         kernel_cfg.sim_instructions,
-        system.len(),
         kernel_rows.join(",\n")
     );
 
@@ -925,7 +938,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 14,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 15,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
         sampler_json,
         sweep_kernel_json,
         sim_json,

@@ -28,9 +28,9 @@ use std::fmt;
 
 use crate::rng::{mix, unit};
 
-/// Number of chunk slots the chunk-level injectors target. Victim indices
-/// are drawn from `0..CHUNK_VICTIM_SLOTS`, so plans whose victim lands past
-/// the end of a short run simply never fire.
+/// Most chunk slots the chunk-level injectors target. Victim indices are
+/// drawn from `0..min(CHUNK_VICTIM_SLOTS, chunks)` for a run of `chunks`
+/// chunks, so every plan fires, even on a run shorter than four chunks.
 pub const CHUNK_VICTIM_SLOTS: u64 = 4;
 
 // Domain-separation salts: each query hashes its own salt so the same seed
@@ -359,25 +359,33 @@ impl FaultPlan {
         mix(&[self.seed, salt])
     }
 
-    /// True when the Monte Carlo worker processing `chunk` under engine seed
-    /// `run_seed` must panic. The victim chunk depends on `run_seed` and
-    /// lands in `0..CHUNK_VICTIM_SLOTS`, so a run shorter than its victim
-    /// never panics; one that does fails with a typed engine fault, which
-    /// the estimator campaigns tag `Degraded`.
-    #[must_use]
-    pub fn chunk_panics(&self, run_seed: u64, chunk: u64) -> bool {
-        self.kind == FaultKind::ChunkPanic
-            && chunk == mix(&[self.seed, SALT_PANIC, run_seed]) % CHUNK_VICTIM_SLOTS
+    /// The victim slots of a run of `chunks` chunks: the first
+    /// [`CHUNK_VICTIM_SLOTS`] chunks, or all of them (at least one).
+    fn victim_slots(chunks: u64) -> u64 {
+        chunks.clamp(1, CHUNK_VICTIM_SLOTS)
     }
 
-    /// For [`FaultKind::DeadlineExhaust`] plans, the chunk index at which the
-    /// deadline is considered exhausted: `Some(0)` means before any work (the
-    /// engine must return the typed deadline error), `Some(k > 0)` means the
-    /// run is truncated to the chunks claimed before slot `k`.
+    /// True when the Monte Carlo worker processing `chunk` of a run of
+    /// `chunks` chunks under engine seed `run_seed` must panic. The victim
+    /// chunk depends on `run_seed` and lands in `0..min(CHUNK_VICTIM_SLOTS,
+    /// chunks)`, so every run panics in exactly one chunk and fails with a
+    /// typed engine fault, which the estimator campaigns tag `Degraded`.
     #[must_use]
-    pub fn deadline_cut_chunk(&self) -> Option<u64> {
+    pub fn chunk_panics(&self, run_seed: u64, chunk: u64, chunks: u64) -> bool {
+        self.kind == FaultKind::ChunkPanic
+            && chunk == mix(&[self.seed, SALT_PANIC, run_seed]) % Self::victim_slots(chunks)
+    }
+
+    /// For [`FaultKind::DeadlineExhaust`] plans, the chunk index at which
+    /// the deadline of a run of `chunks` chunks is considered exhausted,
+    /// in `0..min(CHUNK_VICTIM_SLOTS, chunks)`: `Some(0)` means before any
+    /// work (the engine must return the typed deadline error), `Some(k >
+    /// 0)` means the run is truncated to the chunks claimed before slot
+    /// `k`, which is always before its last chunk.
+    #[must_use]
+    pub fn deadline_cut_chunk(&self, chunks: u64) -> Option<u64> {
         (self.kind == FaultKind::DeadlineExhaust)
-            .then(|| self.h(SALT_DEADLINE) % CHUNK_VICTIM_SLOTS)
+            .then(|| self.h(SALT_DEADLINE) % Self::victim_slots(chunks))
     }
 
     /// The trace-level fault this plan applies, if it is a trace plan.
@@ -529,7 +537,7 @@ mod tests {
     fn queries_fire_only_for_their_own_kind() {
         for kind in FaultKind::ALL {
             let p = FaultPlan::new(7, kind);
-            assert_eq!(p.deadline_cut_chunk().is_some(), kind == FaultKind::DeadlineExhaust);
+            assert_eq!(p.deadline_cut_chunk(8).is_some(), kind == FaultKind::DeadlineExhaust);
             assert_eq!(p.rate_poison_factor().is_some(), kind == FaultKind::RatePoison);
             assert_eq!(p.io_fault_site().is_some(), kind == FaultKind::CheckpointIo);
             assert_eq!(
@@ -557,7 +565,7 @@ mod tests {
                 )
             );
             if kind != FaultKind::ChunkPanic {
-                assert!(!(0..64).any(|c| p.chunk_panics(1, c)));
+                assert!(!(0..64).any(|c| p.chunk_panics(1, c, 64)));
             }
             assert_eq!((0..64).any(|r| p.serve_fault(r).is_some()), kind.is_serve());
         }
@@ -618,7 +626,7 @@ mod tests {
     #[test]
     fn panic_victim_depends_on_run_seed_so_retries_can_heal() {
         let p = FaultPlan::new(0xABCD, FaultKind::ChunkPanic);
-        let victim = |rs: u64| (0..CHUNK_VICTIM_SLOTS).find(|&c| p.chunk_panics(rs, c));
+        let victim = |rs: u64| (0..CHUNK_VICTIM_SLOTS).find(|&c| p.chunk_panics(rs, c, 8));
         // Every run seed has exactly one victim slot...
         for rs in 0..64 {
             assert!(victim(rs).is_some());
@@ -626,6 +634,22 @@ mod tests {
         // ...and different run seeds hit different slots.
         let distinct: std::collections::HashSet<_> = (0..64).filter_map(victim).collect();
         assert!(distinct.len() > 1, "victim slot never moved across 64 run seeds");
+    }
+
+    #[test]
+    fn chunk_faults_fire_on_runs_shorter_than_the_victim_slots() {
+        // A 3,000-trial chaos run has three chunks: every plan must still
+        // panic in exactly one of them, and cut its deadline before the last.
+        for chunks in 1..=CHUNK_VICTIM_SLOTS + 1 {
+            for seed in 0..64u64 {
+                let panic = FaultPlan::new(seed, FaultKind::ChunkPanic);
+                let victims = (0..chunks).filter(|&c| panic.chunk_panics(99, c, chunks)).count();
+                assert_eq!(victims, 1, "seed {seed}, {chunks} chunks");
+                let cut =
+                    FaultPlan::new(seed, FaultKind::DeadlineExhaust).deadline_cut_chunk(chunks);
+                assert!(cut.is_some_and(|k| k < chunks), "seed {seed}, {chunks} chunks: {cut:?}");
+            }
+        }
     }
 
     proptest! {
@@ -645,8 +669,10 @@ mod tests {
                 if let Some(f) = p.rate_poison_factor() {
                     prop_assert!((1.5..3.0).contains(&f));
                 }
-                if let Some(k) = p.deadline_cut_chunk() {
-                    prop_assert!(k < CHUNK_VICTIM_SLOTS);
+                for chunks in [1u64, 2, 3, 4, 9] {
+                    if let Some(k) = p.deadline_cut_chunk(chunks) {
+                        prop_assert!(k < CHUNK_VICTIM_SLOTS.min(chunks));
+                    }
                 }
                 if let Some(c) = p.file_corruption(len) {
                     prop_assert!(c.offset < len);

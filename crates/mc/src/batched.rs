@@ -47,9 +47,14 @@
 //!    geometric multiply/floor (the period-skip count) fused into the
 //!    final fold.
 //! 3. **Batched inversion**: all final-window phases resolve through
-//!    [`CompiledTrace::phase_at_cumulative_batch`] — a branchless
+//!    [`CompiledTrace::phase_at_cumulative_batch`]. On a table of at most
+//!    [`CompiledTrace::BATCH_SCAN_SEGMENTS`] segments that is a branchless
 //!    select-chain whose prefix table lives in registers across the whole
-//!    chunk instead of being re-probed per trial.
+//!    chunk; on the paper's processor traces (10⁵–10⁶ segments, far past
+//!    the caches) and the tile level it is a staged probe whose passes
+//!    each sweep the whole chunk, so the cache misses of many trials
+//!    overlap instead of queueing one behind the other. The stage buffers
+//!    live in [`PointScratch`], so the steady state allocates nothing.
 //! 4. **One fold**: each chunk's statistics come from a single compensated
 //!    pass fused into the kernel's final TTF fold
 //!    ([`serr_numeric::stats::RunningStats::from_mapped_slice`]) — the
@@ -103,7 +108,7 @@
 
 use serr_numeric::stats::RunningStats;
 use serr_numeric::vecmath::{ln_in_place, ln_one_minus_scaled_in_place};
-use serr_trace::{CompiledTrace, VulnerabilityTrace};
+use serr_trace::{CompiledTrace, InverseScratch, VulnerabilityTrace};
 
 use crate::config::StartPhase;
 
@@ -198,10 +203,13 @@ pub struct PointScratch {
     residual_masses: Vec<f64>,
     /// Additive TTF base per trial (stationary starts only).
     bases: Vec<f64>,
-    /// Per-trial segment of the last inverse lookup, carried from one
-    /// design point's finish to the next within a chunk (workload-start
-    /// finishes of a sweep only; `None` for a single-point run).
-    segment_hints: Option<Vec<u32>>,
+    /// The batched inverse lookup's stage buffers, including the segment
+    /// each trial landed in.
+    probe: InverseScratch,
+    /// Whether a workload-start finish starts its lookups from the
+    /// segments of the previous finish on this scratch (a sweep's points
+    /// within one chunk) instead of searching every mass cold.
+    hinted: bool,
 }
 
 impl PointScratch {
@@ -218,16 +226,14 @@ impl PointScratch {
     /// (see [`CompiledTrace::phase_at_cumulative_batch_hinted`]).
     #[must_use]
     pub fn with_segment_hints() -> Self {
-        PointScratch { segment_hints: Some(Vec::new()), ..Self::default() }
+        PointScratch { hinted: true, ..Self::default() }
     }
 
     /// Forgets the segment hints: call once per chunk, after its prepare,
     /// so a chunk's lookups never depend on which chunk this scratch
     /// served before.
     pub fn forget_segment_hints(&mut self) {
-        if let Some(hints) = &mut self.segment_hints {
-            hints.clear();
-        }
+        self.probe.forget_hints();
     }
 
     /// The TTF buffer (in cycles) the most recent finish pass produced.
@@ -422,11 +428,10 @@ impl<'a> BatchedInversionSampler<'a> {
         ln_one_minus_scaled_in_place(&mut p.residual_masses, self.neg_inv_lambda, self.mass_cap);
 
         // All final-window phases in one batched inverse lookup.
-        match &mut p.segment_hints {
-            Some(hints) => {
-                self.trace.phase_at_cumulative_batch_hinted(&mut p.residual_masses, hints)
-            }
-            None => self.trace.phase_at_cumulative_batch(&mut p.residual_masses),
+        if p.hinted {
+            self.trace.phase_at_cumulative_batch_hinted(&mut p.residual_masses, &mut p.probe);
+        } else {
+            self.trace.phase_at_cumulative_batch(&mut p.residual_masses, &mut p.probe);
         }
 
         // Fold TTF = K·L + ψ in place — K = ⌊E/(λW)⌋ whole periods
@@ -513,7 +518,7 @@ impl<'a> BatchedInversionSampler<'a> {
         // Batched inverse lookup, then TTF = base + ψ folded in place,
         // clamped at zero for the hit branch's φ subtraction — with the
         // chunk's statistics fold riding the same traversal.
-        self.trace.phase_at_cumulative_batch(&mut p.residual_masses);
+        self.trace.phase_at_cumulative_batch(&mut p.residual_masses, &mut p.probe);
         RunningStats::from_mapped_slice(&mut p.residual_masses, |i, psi| {
             (p.bases[i] + psi).max(0.0)
         })

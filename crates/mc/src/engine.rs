@@ -554,7 +554,8 @@ impl MonteCarlo {
             });
         }
         // Injected deadline exhaustion at chunk 0 models the same condition.
-        if chaos.and_then(|p| p.deadline_cut_chunk()) == Some(0) {
+        let cut_chunk = chaos.and_then(|p| p.deadline_cut_chunk(n_chunks));
+        if cut_chunk == Some(0) {
             return Err(SerrError::DeadlineExhausted {
                 budget_s: deadline.map_or(0.0, |d| d.as_secs_f64()),
                 elapsed_s: started.elapsed().as_secs_f64(),
@@ -569,7 +570,7 @@ impl MonteCarlo {
                 // Injected deadline cut: unlike the wall-clock budget this
                 // keys on the chunk *index*, so the completed set {0..k} is
                 // identical at any thread count.
-                if let Some(k) = chaos.and_then(|p| p.deadline_cut_chunk()) {
+                if let Some(k) = cut_chunk {
                     if chunk >= k {
                         break;
                     }
@@ -585,7 +586,7 @@ impl MonteCarlo {
                 }
                 first = false;
                 if let Some(plan) = chaos {
-                    if plan.chunk_panics(seed, chunk) {
+                    if plan.chunk_panics(seed, chunk, n_chunks) {
                         panic!("chaos: injected panic in chunk {chunk}");
                     }
                 }
@@ -905,7 +906,7 @@ mod tests {
         // matter how many workers race for them.
         let plan = (0..1_000u64)
             .map(|s| FaultPlan::new(s, FaultKind::DeadlineExhaust))
-            .find(|p| p.deadline_cut_chunk() == Some(2))
+            .find(|p| p.deadline_cut_chunk(40) == Some(2))
             .expect("some seed cuts at chunk 2");
         let cut_cfg = MonteCarloConfig { chaos: Some(plan), ..full_cfg };
         let cut = MonteCarlo::new(cut_cfg).component_mttf(&trace, rate, freq).unwrap();
@@ -937,7 +938,7 @@ mod tests {
         let trace = IntervalTrace::busy_idle(10, 10).unwrap();
         let plan = (0..1_000u64)
             .map(|s| FaultPlan::new(s, FaultKind::DeadlineExhaust))
-            .find(|p| p.deadline_cut_chunk() == Some(0))
+            .find(|p| p.deadline_cut_chunk(4) == Some(0))
             .expect("some seed cuts at chunk 0");
         let cfg = MonteCarloConfig { trials: 4_096, chaos: Some(plan), ..Default::default() };
         let res = MonteCarlo::new(cfg).component_mttf(
@@ -957,10 +958,10 @@ mod tests {
         let trace = IntervalTrace::busy_idle(10, 10).unwrap();
         let rate = RawErrorRate::per_year(5.0);
         let base = MonteCarloConfig { trials: 8_192, threads: 1, ..Default::default() };
-        // Pick a plan whose victim chunk actually exists for this run seed.
+        // Every chunk-panic plan has a victim among the run's 8 chunks.
         let plan = (0..1_000u64)
             .map(|s| FaultPlan::new(s, FaultKind::ChunkPanic))
-            .find(|p| (0..8).any(|c| p.chunk_panics(base.seed, c)))
+            .find(|p| (0..8).any(|c| p.chunk_panics(base.seed, c, 8)))
             .expect("some seed panics within the first 8 chunks");
         // Quiet the default panic hook for the injected panics; restoring it
         // would race other tests, and the filter chains to the previous hook

@@ -19,11 +19,11 @@
 //! `neg_inv_lambda_w` scaling plus `phase_at_cumulative_batch`). Each
 //! finish also starts its inverse lookups from the segments the previous
 //! point landed in: neighboring rates put a trial's final-window mass in
-//! the same segment, so on traces too large for the select-chain most
-//! lookups skip the bucket search, with identical phases. For an
-//! M-point sweep the RNG + log work is paid once instead of M times, and
-//! because every point consumes the *same* draws, sampling noise is
-//! positively correlated across the curve — crossing points stop
+//! the same segment, so on flat traces too large for the select-chain
+//! about half the lookups skip the bucket search, with identical phases.
+//! For an M-point sweep the RNG + log work is paid once instead of M
+//! times, and because every point consumes the *same* draws, sampling
+//! noise is positively correlated across the curve — crossing points stop
 //! jittering between neighboring design points.
 //!
 //! # Bit-identity contract
@@ -52,11 +52,13 @@
 //!
 //! The kernel reads its trace only through
 //! [`CompiledTrace::cumulative_at_batch`] (prepare) and
-//! [`CompiledTrace::phase_at_cumulative_batch`] (finish), and the tile level
-//! of [`CompiledTrace`] answers both — so the paper's day-scale `combined`
-//! tiling runs the same kernel as the flat day/week and SPEC traces. A
-//! trace that compiles neither flat nor tiled is a typed
-//! [`SerrError::InvalidTrace`] for the whole sweep.
+//! [`CompiledTrace::phase_at_cumulative_batch_hinted`] (finish), and both
+//! layouts of [`CompiledTrace`] answer them with one batch call per chunk:
+//! the two-span day/week loops through the select-chain, and the SPEC
+//! processor traces and the tile level of the paper's day-scale `combined`
+//! tiling through the staged probe, whose stage buffers the per-worker
+//! [`PointScratch`] owns. A trace that compiles neither flat nor tiled is
+//! a typed [`SerrError::InvalidTrace`] for the whole sweep.
 
 use std::time::Instant;
 
@@ -354,7 +356,7 @@ mod tests {
         let base = MonteCarloConfig { trials: 8_192, threads: 1, ..Default::default() };
         let plan = (0..1_000u64)
             .map(|s| FaultPlan::new(s, FaultKind::DeadlineExhaust))
-            .find(|p| p.deadline_cut_chunk() == Some(3))
+            .find(|p| p.deadline_cut_chunk(8) == Some(3))
             .expect("some seed cuts at chunk 3");
         let cfg = MonteCarloConfig { chaos: Some(plan), ..base };
         let mc = MonteCarlo::new(cfg);

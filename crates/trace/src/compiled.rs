@@ -11,8 +11,10 @@
 //! **Flat** — every trace whose span count fits
 //! [`CompiledTrace::MAX_SEGMENTS`]:
 //!
-//! * run-length segments (`ends`/`values`) with prefix sums, like
-//!   [`crate::IntervalTrace`];
+//! * run-length segments with prefix sums, like [`crate::IntervalTrace`],
+//!   stored as one table of 24-byte `{prefix, start, value}` records
+//!   closed by a sentinel `{+∞, period, 0}`: segment `i` ends where record
+//!   `i + 1` starts, so a resolved segment costs one or two cache lines;
 //! * a **bucketed phase→segment index**: the period is divided into
 //!   2ᵏ-cycle buckets and each bucket records the index of the segment
 //!   containing its first cycle, so a point query is one shift, one table
@@ -47,8 +49,14 @@
 //! prefix over parts, take the tile `k = ⌊(m − mass_before)/inner_mass⌋`,
 //! invert the remainder in the inner tables and add `start + k·inner_period`.
 //!
-//! Which layout a trace has is decided once per call, never per element, so
-//! the flat per-element loops are exactly the ones a flat-only compiler ran.
+//! Which layout a trace has is decided once per call, never per element.
+//! Batched inversion ([`CompiledTrace::phase_at_cumulative_batch`]) runs
+//! a branchless select-chain on flat tables of up to
+//! [`CompiledTrace::BATCH_SCAN_SEGMENTS`] segments; larger flat tables, and
+//! every tile part's inner tables, run one staged probe whose passes each
+//! sweep the whole batch, so the cache misses of many masses overlap
+//! instead of queueing behind one another.
+//!
 //! A trace that is over the cap and has no tiling (say a phase-shifted
 //! `combined`) is irreducible: [`CompiledTrace::compile`] returns `None`.
 //!
@@ -103,13 +111,10 @@ enum Layout {
 /// The flat layout: merged run-length segments plus their bucket indexes.
 #[derive(Debug, Clone)]
 struct Flat {
-    /// Exclusive end cycle of each segment; strictly increasing, last =
-    /// period.
-    ends: Vec<u64>,
-    /// Vulnerability of each segment.
-    values: Vec<f64>,
-    /// Cumulative vulnerability before each segment start.
-    prefix: Vec<f64>,
+    /// One record per segment, in cycle order, then the sentinel
+    /// `{+∞, period, 0}`: starts strictly increase from 0, and segment `i`
+    /// spans `recs[i].start..recs[i + 1].start`.
+    recs: Vec<Rec>,
     period: u64,
     /// Cumulative vulnerability over the whole period (= `avf × period`).
     total: f64,
@@ -118,15 +123,26 @@ struct Flat {
     /// Bucket width is `1 << bucket_shift` cycles.
     bucket_shift: u32,
     /// `buckets[b]` = index of the segment containing cycle `b <<
-    /// bucket_shift` (equivalently `ends.partition_point(|e| e <= start)`).
+    /// bucket_shift`.
     buckets: Vec<u32>,
-    /// Inverse (mass→segment) bucket table: `inv_buckets[b]` =
-    /// `prefix.partition_point(|p| p <= b·w)` where `w = total /
+    /// Inverse (mass→segment) bucket table: `inv_buckets[b]` = the number
+    /// of segments whose prefix is `≤ b·w`, where `w = total /
     /// inv_buckets.len()` — the search window start for any mass coordinate
     /// inside bucket `b`. Empty when `total == 0` (nothing to invert).
     inv_buckets: Vec<u32>,
     /// Index density both bucket tables were sized with.
     buckets_per_segment: u64,
+}
+
+/// One flat segment: everything a resolved lookup reads, side by side.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rec {
+    /// Cumulative vulnerability before the segment starts.
+    prefix: f64,
+    /// First cycle of the segment.
+    start: u64,
+    /// Vulnerability of every cycle in the segment.
+    value: f64,
 }
 
 /// The tile level: parts run one after another, each a flat inner trace
@@ -153,6 +169,64 @@ struct TilePart {
     mass_before: f64,
 }
 
+/// Reusable stage buffers of [`CompiledTrace::phase_at_cumulative_batch`]
+/// and [`CompiledTrace::phase_at_cumulative_batch_hinted`]: the segment
+/// each entry landed in (the hints of the next hinted call), the staged
+/// probe's miss list and search windows, and the tile level's part, tile
+/// base and grouping per entry. The buffers grow to the largest batch once
+/// and are reused, so a caller that keeps one scratch allocates nothing in
+/// its steady state.
+#[derive(Debug, Default, Clone)]
+pub struct InverseScratch {
+    /// Segment per entry: hints in, landing segments out.
+    segs: Vec<u32>,
+    stage: Stage,
+    tile: TileStage,
+}
+
+impl InverseScratch {
+    /// Fresh, empty scratch. Buffers size themselves on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drops every segment hint, so the next hinted call starts cold.
+    pub fn forget_hints(&mut self) {
+        self.segs.clear();
+    }
+}
+
+/// The staged probe's per-batch buffers for one flat table.
+#[derive(Debug, Default, Clone)]
+struct Stage {
+    /// Entries whose hint missed, in batch order.
+    misses: Vec<u32>,
+    /// The search window `lo..hi` of each miss.
+    windows: Vec<(usize, usize)>,
+}
+
+/// The tile level's per-batch buffers.
+#[derive(Debug, Default, Clone)]
+struct TileStage {
+    /// Part per entry; the part count stands for "no part holds mass".
+    parts: Vec<u32>,
+    /// First cycle of each entry's tile.
+    bases: Vec<u64>,
+    /// Counting-sort bounds: part `q`'s entries are
+    /// `order[starts[q]..starts[q + 1]]`.
+    starts: Vec<u32>,
+    /// Entry indices grouped by part.
+    order: Vec<u32>,
+    /// One part's local masses (phases after its probe), gathered.
+    locals: Vec<f64>,
+    /// One part's landing segments (its probe takes no hints).
+    local_segs: Vec<u32>,
+}
+
+/// A segment slot holding no hint: out of range for every table.
+const NO_HINT: u32 = u32::MAX;
+
 impl CompiledTrace {
     /// Hard cap on the flattened segment count. Kept at the threshold above
     /// which [`crate::ConcatTrace::breakpoints`] refuses to enumerate, so
@@ -166,8 +240,8 @@ impl CompiledTrace {
     pub const MAX_BUCKETS: u64 = 1 << 21;
 
     /// Longest segment table resolved by the branchless select-chain in
-    /// [`CompiledTrace::phase_at_cumulative_batch`]; longer tables fall
-    /// back to the bucketed scalar probe per element.
+    /// [`CompiledTrace::phase_at_cumulative_batch`]; longer tables run the
+    /// staged batch probe.
     pub const BATCH_SCAN_SEGMENTS: usize = 32;
 
     /// Lowers `trace` into the compiled form.
@@ -200,7 +274,7 @@ impl CompiledTrace {
     /// segment count, or the sum over a tiled trace's inner tables.
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        self.tables().map(|f| f.values.len()).sum()
+        self.tables().map(Flat::len).sum()
     }
 
     /// Number of entries in the phase→segment bucket tables (summed over
@@ -273,10 +347,11 @@ impl CompiledTrace {
     /// in the part's inner tables.
     ///
     /// Out-of-range or non-finite `m` (possible only through corrupted
-    /// tables feeding the caller) is clamped, never a panic: the guarded
-    /// estimation path runs [`CompiledTrace::verify`] before trusting a
-    /// compiled trace, and chaos campaigns rely on corruption surfacing
-    /// there rather than as a crash here.
+    /// tables feeding the caller) is clamped, never a panic: a compiled
+    /// trace whose bytes can have changed since its compile (a cache hit,
+    /// an injected fault) is re-checked with [`CompiledTrace::verify`]
+    /// before it is trusted, and chaos campaigns rely on corruption
+    /// surfacing there rather than as a crash here.
     #[must_use]
     pub fn phase_at_cumulative(&self, m: f64) -> f64 {
         match &self.layout {
@@ -286,7 +361,9 @@ impl CompiledTrace {
     }
 
     /// Batched [`CompiledTrace::phase_at_cumulative`]: replaces every mass
-    /// coordinate in `masses` with its inverse phase, in place.
+    /// coordinate in `masses` with its inverse phase, in place. `scratch`
+    /// holds the stage buffers, so a caller that reuses it allocates
+    /// nothing once the buffers have grown to its batch size.
     ///
     /// For flat tables up to [`CompiledTrace::BATCH_SCAN_SEGMENTS`]
     /// segments — the overwhelmingly common case after compile-time
@@ -299,45 +376,57 @@ impl CompiledTrace {
     /// with `+∞` prefixes that never win), no data-dependent branches, and
     /// no gathers — every table entry is a loop-invariant scalar — which is
     /// what lets the compiler keep the prefix data in registers and
-    /// vectorize across the batch. Larger tables, and tiled traces, run
-    /// [`CompiledTrace::phase_at_cumulative`] per element, which is still
-    /// `O(1)` amortized through the inverse bucket index.
-    ///
-    /// The returned phases land in the same segment the scalar probe picks
-    /// for every input; within the segment the select-chain computes the
+    /// vectorize across the batch. Within the segment it computes the
     /// offset with a precomputed reciprocal (one ulp-level difference from
     /// the scalar division), which is why the batched sampler carries its
     /// own RNG schedule version instead of claiming bit-equality with the
     /// scalar sampler.
-    pub fn phase_at_cumulative_batch(&self, masses: &mut [f64]) {
-        match &self.layout {
-            Layout::Flat(f) => f.phase_at_cumulative_batch(masses),
-            Layout::Tiled(t) => {
-                for m in masses {
-                    *m = t.phase_at_cumulative(*m);
-                }
-            }
-        }
+    ///
+    /// Larger flat tables, and the inner tables of every tile part, run the
+    /// staged probe: straight-line passes over the whole batch that clamp
+    /// every mass, gather its inverse-bucket window, touch the window's
+    /// first record, then resolve each segment with the scalar probe's walk
+    /// and compute each phase with its operations in its order. The
+    /// independent loads of many masses overlap instead of each waiting on
+    /// the last, and the phases are bit-identical to the scalar probe's. A
+    /// tiled trace first computes each mass's part, tile and local mass in
+    /// one pass, runs each part's staged probe over the masses that land in
+    /// it, and places the phases in their tiles.
+    pub fn phase_at_cumulative_batch(&self, masses: &mut [f64], scratch: &mut InverseScratch) {
+        scratch.segs.clear();
+        self.invert_batch(masses, scratch);
     }
 
-    /// [`CompiledTrace::phase_at_cumulative_batch`] warm-started from one
-    /// segment hint per entry, for callers that invert many batches of
-    /// nearby masses entry by entry — the sweep kernel, whose neighboring
-    /// rates put each trial's mass in the same segment point after point.
-    /// `hints` is resized to `masses.len()` (new entries start at segment
-    /// 0) and updated with the segment each entry landed in.
+    /// [`CompiledTrace::phase_at_cumulative_batch`] warm-started from the
+    /// segments the previous call on `scratch` landed in, for callers that
+    /// invert many batches of nearby masses entry by entry — the sweep
+    /// kernel, whose neighboring rates put each trial's mass in the same
+    /// segment point after point. Entries beyond the previous batch start
+    /// cold; [`InverseScratch::forget_hints`] drops every hint.
     ///
-    /// Flat tables past [`CompiledTrace::BATCH_SCAN_SEGMENTS`] segments try
-    /// the hinted segment before searching; a hint is accepted only when
-    /// that segment holds the mass, so on a self-consistent table the
-    /// result is bit-identical to the unhinted batch for any hints. Other
-    /// layouts ignore the hints.
-    pub fn phase_at_cumulative_batch_hinted(&self, masses: &mut [f64], hints: &mut Vec<u32>) {
+    /// The staged probe on a large flat table tries each hinted segment
+    /// before searching; a hint is accepted only when that segment holds
+    /// the mass, so on a self-consistent table the result is bit-identical
+    /// to the unhinted batch for any hints. The select-chain and the tile
+    /// level ignore the hints.
+    pub fn phase_at_cumulative_batch_hinted(
+        &self,
+        masses: &mut [f64],
+        scratch: &mut InverseScratch,
+    ) {
+        self.invert_batch(masses, scratch);
+    }
+
+    /// The body of both batched inversions: `scratch.segs` holds the hints
+    /// (none after a clear) and receives the landing segments.
+    fn invert_batch(&self, masses: &mut [f64], scratch: &mut InverseScratch) {
         match &self.layout {
-            Layout::Flat(f) if f.values.len() > Self::BATCH_SCAN_SEGMENTS => {
-                f.phase_at_cumulative_hinted(masses, hints);
+            Layout::Flat(f) if f.len() > Self::BATCH_SCAN_SEGMENTS => {
+                scratch.segs.resize(masses.len(), NO_HINT);
+                f.invert_staged(masses, &mut scratch.segs, &mut scratch.stage);
             }
-            _ => self.phase_at_cumulative_batch(masses),
+            Layout::Flat(f) => f.invert_small(masses),
+            Layout::Tiled(t) => t.invert_staged(masses, &mut scratch.stage, &mut scratch.tile),
         }
     }
 
@@ -396,7 +485,7 @@ impl CompiledTrace {
         debug_assert!(bit < 64, "f64 has 64 bits, got bit index {bit}");
         let f = self.chaos_target();
         let i = f.dominant_segment();
-        f.values[i] = f64::from_bits(f.values[i].to_bits() ^ (1u64 << bit));
+        f.recs[i].value = f64::from_bits(f.recs[i].value.to_bits() ^ (1u64 << bit));
     }
 
     /// Fault injection: adds `delta_frac` of the total vulnerability mass to
@@ -407,13 +496,15 @@ impl CompiledTrace {
     /// ([`CompiledTrace::phase_at_cumulative`]), so a perturbed entry skews
     /// the sampled failure phases directly. Either way the corruption must
     /// be caught *before* estimation by [`CompiledTrace::verify`]'s
-    /// recomputation — which is exactly what the guarded path does.
+    /// recomputation — which is why a cache hit or a chaos campaign
+    /// re-verifies a compiled trace before estimating with it. The
+    /// sentinel record is never a target.
     pub fn chaos_perturb_prefix(&mut self, selector: u64, delta_frac: f64) {
         debug_assert!(delta_frac != 0.0, "a zero perturbation injects nothing");
         let f = self.chaos_target();
-        let i = (selector % f.prefix.len() as u64) as usize;
+        let i = (selector % f.len() as u64) as usize;
         let scale = if f.total > 0.0 { f.total } else { 1.0 };
-        f.prefix[i] += delta_frac * scale;
+        f.recs[i].prefix += delta_frac * scale;
     }
 
     /// Fault injection: multiplies the dominant segment's value by `factor`
@@ -441,9 +532,10 @@ impl CompiledTrace {
     /// the same way, then recomputes the part starts, tile counts,
     /// masses-before, period, total, AVF and binary flag.
     ///
-    /// This is the poisoning detector the guarded estimation path runs
-    /// before trusting a compiled trace: an undetected bit flip in the
-    /// segment table silently rescales every estimate, which is exactly the
+    /// This is the poisoning detector run on every compiled trace whose
+    /// bytes can have changed since its compile (a cache hit, an injected
+    /// fault) before it is trusted: an undetected bit flip in the segment
+    /// table silently rescales every estimate, which is exactly the
     /// "silently wrong" failure mode the paper warns about. The prefix
     /// tolerance scales with segment count because [`CompiledTrace::compile`]
     /// accumulates its sums over pre-merge source spans, which legitimately
@@ -470,9 +562,7 @@ impl Flat {
     ) -> Option<Flat> {
         let walk = trace.spans();
         let capacity = walk.size_hint().0.min(CompiledTrace::MAX_SEGMENTS as usize);
-        let mut ends: Vec<u64> = Vec::with_capacity(capacity);
-        let mut values: Vec<f64> = Vec::with_capacity(capacity);
-        let mut prefix: Vec<f64> = Vec::with_capacity(capacity);
+        let mut recs: Vec<Rec> = Vec::with_capacity(capacity + 1);
         let mut start = 0u64;
         let mut cum = 0.0f64;
         for (walked, (end, v)) in walk.enumerate() {
@@ -488,32 +578,27 @@ impl Flat {
                 // Defensive: tolerate unsorted/duplicate breakpoints.
                 continue;
             }
-            if values.last() == Some(&v) {
-                *ends.last_mut().expect("values and ends stay in lockstep") = end;
-            } else {
-                prefix.push(cum);
-                ends.push(end);
-                values.push(v);
+            if recs.last().map(|r| r.value) != Some(v) {
+                recs.push(Rec { prefix: cum, start, value: v });
             }
             cum += (end - start) as f64 * v;
             start = end;
         }
-        if ends.is_empty() {
+        if recs.is_empty() {
             return None;
         }
         let period = start;
-        let binary = values.iter().all(|&v| v == 0.0 || v == 1.0);
+        let binary = recs.iter().all(|r| r.value == 0.0 || r.value == 1.0);
+        recs.push(Rec::sentinel(period));
         // The segment cap above keeps the index conversions inside u32, so a
         // conversion failure is unreachable here; treat it as a refusal all
         // the same.
-        let (bucket_shift, buckets) = build_buckets(&ends, period, buckets_per_segment).ok()?;
-        let inv_buckets = build_inv_buckets(&prefix, cum, buckets_per_segment).ok()?;
+        let (bucket_shift, buckets) = build_buckets(&recs, period, buckets_per_segment).ok()?;
+        let inv_buckets = build_inv_buckets(&recs, cum, buckets_per_segment).ok()?;
         Some(Flat {
             avf: cum / period as f64,
             total: cum,
-            ends,
-            values,
-            prefix,
+            recs,
             period,
             binary,
             bucket_shift,
@@ -521,6 +606,16 @@ impl Flat {
             inv_buckets,
             buckets_per_segment,
         })
+    }
+
+    /// Number of segments (the sentinel record excluded).
+    fn len(&self) -> usize {
+        self.recs.len() - 1
+    }
+
+    /// `(end, value)` per segment, in cycle order.
+    fn end_values(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.recs.windows(2).map(|w| (w[1].start, w[0].value))
     }
 
     fn cumulative_at(&self, phase: f64) -> f64 {
@@ -533,9 +628,8 @@ impl Flat {
             return self.total;
         }
         let c = (phase as u64).min(self.period - 1);
-        let i = self.segment_index(c);
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        self.prefix[i] + (phase - start as f64) * self.values[i]
+        let r = &self.recs[self.segment_index(c)];
+        r.prefix + (phase - r.start as f64) * r.value
     }
 
     fn phase_at_cumulative(&self, m: f64) -> f64 {
@@ -544,134 +638,181 @@ impl Flat {
             "mass {m} outside [0, {})",
             self.total
         );
-        if self.inv_buckets.is_empty() || !has_positive_mass(self.total) {
+        if !self.invertible() {
             // Never-vulnerable (or corrupted-to-empty) trace: nothing to
             // invert; callers cannot reach here through the sampler because
             // AVF = 0 traces never fail.
             return 0.0;
         }
         let m = m.clamp(0.0, self.total);
-        self.phase_in_segment(self.mass_segment(m), m)
+        let (lo, hi) = self.mass_window(m);
+        self.phase_in_segment(self.resolve(lo, hi, m), m)
     }
 
-    /// The segment holding mass `m` (already clamped to `[0, total]`): the
-    /// last index with `prefix ≤ m`, found through the inverse buckets.
-    fn mass_segment(&self, m: f64) -> usize {
-        let n = self.values.len();
+    /// True when there is mass to invert.
+    fn invertible(&self) -> bool {
+        !self.inv_buckets.is_empty() && has_positive_mass(self.total)
+    }
+
+    /// The search window `lo..hi` for mass `m` (already clamped to `[0,
+    /// total]`): its inverse bucket's entry and the next one, with ±1
+    /// slack. [`Flat::resolve`] makes the result independent of any
+    /// rounding in the bucket choice.
+    #[inline]
+    fn mass_window(&self, m: f64) -> (usize, usize) {
+        let n = self.len();
         let n_inv = self.inv_buckets.len();
         let w = self.total / n_inv as f64;
         let b = ((m / w) as usize).min(n_inv - 1);
-        // ±1 slack around the bucket's window; the walk below makes
-        // correctness independent of any rounding in `b`.
         let lo = (self.inv_buckets[b] as usize).saturating_sub(1).min(n - 1);
         let hi = self.inv_buckets.get(b + 1).map_or(n, |&j| (j as usize + 1).min(n));
+        (lo, hi)
+    }
+
+    /// The segment holding mass `m` (already clamped to `[0, total]`): the
+    /// last index with `prefix ≤ m`, searched from the window `lo..hi`.
+    #[inline]
+    fn resolve(&self, lo: usize, hi: usize, m: f64) -> usize {
+        let n = self.len();
         let j = if hi.saturating_sub(lo) <= LINEAR_SCAN_MAX {
             let mut j = lo;
-            while j < hi && self.prefix[j] <= m {
+            while j < hi && self.recs[j].prefix <= m {
                 j += 1;
             }
             j
         } else {
-            lo + self.prefix[lo..hi].partition_point(|&p| p <= m)
+            lo + self.recs[lo..hi].partition_point(|r| r.prefix <= m)
         };
         // Pin the true last index with prefix[i] <= m (walks are O(1): they
         // only move past entries inside the one-ulp boundary window or
         // across zero-mass segments sharing a prefix value).
         let mut i = j.saturating_sub(1).min(n - 1);
-        while i > 0 && self.prefix[i] > m {
+        while i > 0 && self.recs[i].prefix > m {
             i -= 1;
         }
-        while i + 1 < n && self.prefix[i + 1] <= m {
+        while i + 1 < n && self.recs[i + 1].prefix <= m {
             i += 1;
         }
         i
     }
 
     /// The phase at mass `m` inside segment `i`.
+    #[inline]
     fn phase_in_segment(&self, i: usize, m: f64) -> f64 {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        let v = self.values[i];
-        let off = if v > 0.0 { (m - self.prefix[i]).max(0.0) / v } else { 0.0 };
-        let end = self.ends[i] as f64;
-        let phase = start as f64 + off;
+        let (r, start) = (&self.recs[i], self.recs[i].start as f64);
+        let off = if r.value > 0.0 { (m - r.prefix).max(0.0) / r.value } else { 0.0 };
+        let end = self.recs[i + 1].start as f64;
+        let phase = start + off;
         if phase >= end {
             // Division rounded up to (or past) the segment boundary; step
             // back inside so the returned cycle is always vulnerable.
-            end.next_down().max(start as f64)
+            end.next_down().max(start)
         } else {
             phase
         }
     }
 
-    /// [`Flat::phase_at_cumulative`] over a batch, trying each entry's
-    /// segment from `hints` first and recording the segment it lands in.
-    /// A hint is taken only when it holds the mass (`prefix[h] ≤ m <
-    /// prefix[h + 1]`), which on a sorted prefix table is exactly the
-    /// segment the search finds, so the phases are bit-identical to the
-    /// unhinted lookup whatever the hints hold.
-    fn phase_at_cumulative_hinted(&self, masses: &mut [f64], hints: &mut Vec<u32>) {
-        if self.inv_buckets.is_empty() || !has_positive_mass(self.total) {
+    /// The staged batch probe: [`Flat::phase_at_cumulative`] over a whole
+    /// batch, one pass per step, so the cache misses of different masses
+    /// overlap instead of each waiting behind the last one's dependent
+    /// loads. `segs` (one entry per mass) holds a segment hint per entry,
+    /// [`NO_HINT`] or anything out of range for none, and receives the
+    /// segment each entry lands in.
+    ///
+    /// 1. Clamp every mass and test its hint: segment `h` is taken only
+    ///    when it holds the mass (`prefix[h] ≤ m < prefix[h + 1]`, the
+    ///    sentinel's `+∞` closing the last segment), which on a sorted
+    ///    table is the segment the search finds. The loads are branch-free;
+    ///    misses are appended to a list without a branch.
+    /// 2. Gather the inverse-bucket window of each miss.
+    /// 3. Touch the first record of each window, so those misses overlap.
+    /// 4. Resolve each miss with the scalar walk.
+    /// 5. Compute each phase from its segment's record and the next.
+    ///
+    /// Every step uses the scalar probe's operations in its order, so the
+    /// phases are bit-identical to it for any hints.
+    fn invert_staged(&self, masses: &mut [f64], segs: &mut [u32], stage: &mut Stage) {
+        debug_assert_eq!(masses.len(), segs.len(), "one segment slot per mass");
+        if !self.invertible() {
             masses.fill(0.0);
             return;
         }
-        let n = self.values.len();
-        hints.resize(masses.len(), 0);
-        for (m, hint) in masses.iter_mut().zip(hints.iter_mut()) {
+        let n = self.len();
+        let total = self.total;
+        let recs = &self.recs[..];
+
+        let misses = &mut stage.misses;
+        misses.clear();
+        misses.resize(masses.len(), 0);
+        let mut missed = 0usize;
+        for (j, (m, &h)) in masses.iter_mut().zip(segs.iter()).enumerate() {
             debug_assert!(
-                m.is_finite() && (0.0..self.total.max(f64::MIN_POSITIVE)).contains(m),
-                "mass {m} outside [0, {})",
-                self.total
+                m.is_finite() && (0.0..total.max(f64::MIN_POSITIVE)).contains(m),
+                "mass {m} outside [0, {total})"
             );
-            let mm = m.clamp(0.0, self.total);
-            let h = *hint as usize;
-            let i = if h < n && self.prefix[h] <= mm && (h + 1 == n || self.prefix[h + 1] > mm) {
-                h
-            } else {
-                let i = self.mass_segment(mm);
-                *hint = u32::try_from(i).unwrap_or(u32::MAX);
-                i
-            };
-            *m = self.phase_in_segment(i, mm);
+            let mm = m.clamp(0.0, total);
+            *m = mm;
+            let h = h as usize;
+            let hc = h.min(n - 1);
+            let hit = (h < n) & (recs[hc].prefix <= mm) & (recs[hc + 1].prefix > mm);
+            misses[missed] = j as u32;
+            missed += usize::from(!hit);
+        }
+        misses.truncate(missed);
+
+        let windows = &mut stage.windows;
+        windows.clear();
+        windows.extend(misses.iter().map(|&j| self.mass_window(masses[j as usize])));
+
+        let mut touched = 0u64;
+        for &(lo, _) in windows.iter() {
+            touched ^= recs[lo].start;
+        }
+        std::hint::black_box(touched);
+
+        for (&j, &(lo, hi)) in misses.iter().zip(windows.iter()) {
+            let j = j as usize;
+            // Below MAX_SEGMENTS, so the index fits the u32 slot.
+            segs[j] = self.resolve(lo, hi, masses[j]) as u32;
+        }
+
+        for (m, &i) in masses.iter_mut().zip(segs.iter()) {
+            *m = self.phase_in_segment(i as usize, *m);
         }
     }
 
-    fn phase_at_cumulative_batch(&self, masses: &mut [f64]) {
-        if self.inv_buckets.is_empty() || !has_positive_mass(self.total) {
+    /// The select-chain dispatch of [`CompiledTrace::phase_at_cumulative_batch`]
+    /// for tables of at most [`CompiledTrace::BATCH_SCAN_SEGMENTS`]
+    /// segments.
+    fn invert_small(&self, masses: &mut [f64]) {
+        if !self.invertible() {
             masses.fill(0.0);
             return;
         }
-        let n = self.values.len();
-        match n {
+        match self.len() {
             0..=2 => self.invert_select_chain::<2>(masses),
             3..=4 => self.invert_select_chain::<4>(masses),
             5..=8 => self.invert_select_chain::<8>(masses),
             9..=16 => self.invert_select_chain::<16>(masses),
-            17..=CompiledTrace::BATCH_SCAN_SEGMENTS => {
-                self.invert_select_chain::<{ CompiledTrace::BATCH_SCAN_SEGMENTS }>(masses);
-            }
-            _ => {
-                for m in masses {
-                    *m = self.phase_at_cumulative(*m);
-                }
-            }
+            _ => self.invert_select_chain::<{ CompiledTrace::BATCH_SCAN_SEGMENTS }>(masses),
         }
     }
 
     /// The tiered select-chain body of
     /// [`CompiledTrace::phase_at_cumulative_batch`]: `LANES` is the padded
-    /// compile-time segment count (`≥ self.values.len()`).
+    /// compile-time segment count (`≥ self.len()`).
     fn invert_select_chain<const LANES: usize>(&self, masses: &mut [f64]) {
-        let n = self.values.len();
+        let n = self.len();
         debug_assert!((1..=LANES).contains(&n));
         let mut pre = [f64::INFINITY; LANES];
         let mut inv_v = [0.0f64; LANES];
         let mut start_f = [0.0f64; LANES];
         let mut end_down = [0.0f64; LANES];
-        for j in 0..n {
-            pre[j] = self.prefix[j];
-            inv_v[j] = if self.values[j] > 0.0 { 1.0 / self.values[j] } else { 0.0 };
-            start_f[j] = if j == 0 { 0.0 } else { self.ends[j - 1] as f64 };
-            end_down[j] = (self.ends[j] as f64).next_down().max(start_f[j]);
+        for (j, w) in self.recs.windows(2).enumerate() {
+            pre[j] = w[0].prefix;
+            inv_v[j] = if w[0].value > 0.0 { 1.0 / w[0].value } else { 0.0 };
+            start_f[j] = w[0].start as f64;
+            end_down[j] = (w[1].start as f64).next_down().max(start_f[j]);
         }
         let total = self.total;
         for m in masses {
@@ -695,22 +836,22 @@ impl Flat {
 
     /// Index of the segment containing `c` (already reduced mod period):
     /// one shift + one table read, then a bounded scan or an in-bucket
-    /// binary search.
+    /// binary search over the records' starts.
     #[inline]
     fn segment_index(&self, c: u64) -> usize {
         let b = (c >> self.bucket_shift) as usize;
         let lo = self.buckets[b] as usize;
-        let hi = self.buckets.get(b + 1).map_or(self.ends.len(), |&i| i as usize);
+        let hi = self.buckets.get(b + 1).map_or(self.len(), |&i| i as usize);
         if hi - lo <= LINEAR_SCAN_MAX {
             let mut i = lo;
-            // Safe: some segment in lo..=hi has `end > c` (the last end is
-            // the period, and c < period).
-            while self.ends[i] <= c {
+            // Safe: some segment in lo..=hi ends after c (the sentinel
+            // starts at the period, and c < period).
+            while self.recs[i + 1].start <= c {
                 i += 1;
             }
             i
         } else {
-            lo + self.ends[lo..hi].partition_point(|&e| e <= c)
+            lo + self.recs[lo + 1..=hi].partition_point(|r| r.start <= c)
         }
     }
 
@@ -720,14 +861,12 @@ impl Flat {
     fn dominant_segment(&self) -> usize {
         let mut best = 0usize;
         let mut best_mass = -1.0f64;
-        let mut start = 0u64;
-        for (i, (&end, &v)) in self.ends.iter().zip(&self.values).enumerate() {
-            let mass = (end - start) as f64 * v;
+        for (i, w) in self.recs.windows(2).enumerate() {
+            let mass = (w[1].start - w[0].start) as f64 * w[0].value;
             if mass > best_mass {
                 best_mass = mass;
                 best = i;
             }
-            start = end;
         }
         best
     }
@@ -736,47 +875,50 @@ impl Flat {
     /// flat table.
     fn scale_dominant_value(&mut self, factor: f64) {
         let i = self.dominant_segment();
-        self.values[i] *= factor;
+        self.recs[i].value *= factor;
         let mut cum = 0.0f64;
-        let mut start = 0u64;
-        for (j, (&end, &v)) in self.ends.iter().zip(&self.values).enumerate() {
-            self.prefix[j] = cum;
-            cum += (end - start) as f64 * v;
-            start = end;
+        let n = self.len();
+        for j in 0..n {
+            self.recs[j].prefix = cum;
+            cum += (self.recs[j + 1].start - self.recs[j].start) as f64 * self.recs[j].value;
         }
         self.total = cum;
         self.avf = cum / self.period as f64;
-        self.binary = self.values.iter().all(|&v| v == 0.0 || v == 1.0);
-        self.inv_buckets = build_inv_buckets(&self.prefix, self.total, self.buckets_per_segment)
+        // The sentinel's value is 0, so it never clears the flag.
+        self.binary = self.recs.iter().all(|r| r.value == 0.0 || r.value == 1.0);
+        self.inv_buckets = build_inv_buckets(&self.recs, self.total, self.buckets_per_segment)
             .expect("segment count is unchanged from a previously valid compile");
     }
 
     fn verify(&self) -> Result<(), SerrError> {
-        let n = self.values.len();
-        if n == 0 || self.ends.len() != n || self.prefix.len() != n {
+        let n = self.recs.len().saturating_sub(1);
+        if n == 0 || self.period == 0 || self.recs[n] != Rec::sentinel(self.period) {
             return Err(SerrError::invalid_trace(format!(
-                "compiled tables out of lockstep: {} ends, {n} values, {} prefixes",
-                self.ends.len(),
-                self.prefix.len()
-            )));
-        }
-        if self.period == 0 || *self.ends.last().expect("checked non-empty") != self.period {
-            return Err(SerrError::invalid_trace(format!(
-                "last segment ends at {}, period is {}",
-                self.ends.last().expect("checked non-empty"),
+                "{n} segments closed by {:?}, period is {}",
+                self.recs.last(),
                 self.period
             )));
         }
-        let mut start = 0u64;
-        for (i, &end) in self.ends.iter().enumerate() {
-            if end <= start {
+        if self.recs[0].start != 0 {
+            return Err(SerrError::invalid_trace(format!(
+                "segment 0 starts at {}, not at cycle 0",
+                self.recs[0].start
+            )));
+        }
+        // One pass over the records: geometry and value range first, so
+        // the prefix recomputation never reads a segment that failed them.
+        let scale = if self.total.is_finite() { self.total.abs().max(1.0) } else { 1.0 };
+        let tol = scale * 1e-15 * (n as f64).max(1e3);
+        let mut cum = 0.0f64;
+        for (i, w) in self.recs.windows(2).enumerate() {
+            let (r, end) = (&w[0], w[1].start);
+            if end <= r.start {
                 return Err(SerrError::invalid_trace(format!(
-                    "segment {i} ends at {end}, not after its start {start}"
+                    "segment {i} ends at {end}, not after its start {}",
+                    r.start
                 )));
             }
-            start = end;
-        }
-        for (i, &v) in self.values.iter().enumerate() {
+            let v = r.value;
             if !v.is_finite() || !(0.0..=1.0).contains(&v) {
                 return Err(SerrError::invalid_trace(format!(
                     "segment {i} vulnerability is {v}, outside [0, 1]"
@@ -787,20 +929,13 @@ impl Flat {
                     "trace is flagged binary but segment {i} has vulnerability {v}"
                 )));
             }
-        }
-        let scale = if self.total.is_finite() { self.total.abs().max(1.0) } else { 1.0 };
-        let tol = scale * 1e-15 * (n as f64).max(1e3);
-        let mut cum = 0.0f64;
-        start = 0;
-        for (i, (&end, &v)) in self.ends.iter().zip(&self.values).enumerate() {
-            if (self.prefix[i] - cum).abs() > tol {
+            if (r.prefix - cum).abs() > tol {
                 return Err(SerrError::invalid_trace(format!(
                     "prefix sum {i} is {}, recomputation gives {cum}",
-                    self.prefix[i]
+                    r.prefix
                 )));
             }
-            cum += (end - start) as f64 * v;
-            start = end;
+            cum += (end - r.start) as f64 * v;
         }
         if !self.total.is_finite() || (self.total - cum).abs() > tol {
             return Err(SerrError::invalid_trace(format!(
@@ -819,8 +954,7 @@ impl Flat {
         // prefix search; a stale or truncated table silently widens (or
         // misdirects) every mass lookup, so rebuild-and-compare it like the
         // other derived fields.
-        if self.inv_buckets
-            != build_inv_buckets(&self.prefix, self.total, self.buckets_per_segment)?
+        if self.inv_buckets != build_inv_buckets(&self.recs, self.total, self.buckets_per_segment)?
         {
             return Err(SerrError::invalid_trace(format!(
                 "inverse bucket index ({} entries) disagrees with a rebuild from the prefix table",
@@ -828,6 +962,14 @@ impl Flat {
             )));
         }
         Ok(())
+    }
+}
+
+impl Rec {
+    /// The record closing a table of period `period`: it starts where the
+    /// last segment ends, and its `+∞` prefix is above every mass.
+    fn sentinel(period: u64) -> Rec {
+        Rec { prefix: f64::INFINITY, start: period, value: 0.0 }
     }
 }
 
@@ -908,13 +1050,12 @@ impl Tiled {
         p.mass_before + k as f64 * p.inner.total + p.inner.cumulative_at(local)
     }
 
-    /// Λ-inversion in three steps: the part from the prefix over parts, the
-    /// tile by one division, then the inner tables' own inversion offset
-    /// by the tile's first cycle.
-    fn phase_at_cumulative(&self, m: f64) -> f64 {
-        if !has_positive_mass(self.total) {
-            return 0.0;
-        }
+    /// The first step of Λ-inversion: for mass `m`, the index of the part
+    /// holding it (`None` when no part holds mass, which only corrupted
+    /// tables allow), the first cycle of its tile, and the mass left to
+    /// invert inside that tile. The part comes from the prefix over parts
+    /// and the tile from one division.
+    fn locate_mass(&self, m: f64) -> (Option<usize>, u64, f64) {
         let m = m.clamp(0.0, self.total);
         // The last part whose mass starts at or below m. A never-vulnerable
         // part shares its successor's mass-before, so it is only picked at
@@ -926,8 +1067,7 @@ impl Tiled {
         let p = &self.parts[i];
         let inner_mass = p.inner.total;
         if !has_positive_mass(inner_mass) {
-            // Only corrupted tables leave no part holding mass.
-            return p.start as f64;
+            return (None, p.start, 0.0);
         }
         let rest = (m - p.mass_before).max(0.0);
         let k = ((rest / inner_mass) as u64).min(p.tiles.saturating_sub(1));
@@ -935,15 +1075,89 @@ impl Tiled {
         // one tile's mass; clamp it below the inner total like the sampler
         // clamps its own draws.
         let local = (rest - k as f64 * inner_mass).max(0.0).min(inner_mass.next_down());
-        let psi = p.inner.phase_at_cumulative(local);
-        place(p.start + k * p.inner.period, psi)
+        (Some(i), p.start + k * p.inner.period, local)
+    }
+
+    /// Λ-inversion in three steps: the part and tile
+    /// ([`Tiled::locate_mass`]), then the inner tables' own inversion
+    /// offset by the tile's first cycle.
+    fn phase_at_cumulative(&self, m: f64) -> f64 {
+        if !has_positive_mass(self.total) {
+            return 0.0;
+        }
+        match self.locate_mass(m) {
+            (Some(i), base, local) => place(base, self.parts[i].inner.phase_at_cumulative(local)),
+            (None, start, _) => start as f64,
+        }
+    }
+
+    /// [`Tiled::phase_at_cumulative`] over a batch: one pass locates every
+    /// mass's part and tile, a counting sort groups the entries by part,
+    /// each part's inner tables run the staged probe over their entries'
+    /// local masses, and a last pass places the phases in their tiles. The
+    /// per-entry operations are the scalar ones, so the phases are
+    /// bit-identical to it. The inner probes take no hints: the next rate of
+    /// a sweep moves a mass across many tiles, so an entry's previous inner
+    /// segment almost never holds its new local mass.
+    fn invert_staged(&self, masses: &mut [f64], stage: &mut Stage, tile: &mut TileStage) {
+        if !has_positive_mass(self.total) {
+            masses.fill(0.0);
+            return;
+        }
+        // Entries no part holds are grouped after the last part.
+        let none = self.parts.len();
+        tile.parts.clear();
+        tile.bases.clear();
+        for m in masses.iter_mut() {
+            let (part, base, local) = self.locate_mass(*m);
+            tile.parts.push(part.unwrap_or(none) as u32);
+            tile.bases.push(base);
+            *m = local;
+        }
+
+        // Counting sort: after the scatter, part q's entries are
+        // order[starts[q]..starts[q + 1]].
+        let starts = &mut tile.starts;
+        starts.clear();
+        starts.resize(none + 3, 0);
+        for &q in &tile.parts {
+            starts[q as usize + 2] += 1;
+        }
+        for q in 2..starts.len() {
+            starts[q] += starts[q - 1];
+        }
+        tile.order.resize(masses.len(), 0);
+        for (j, &q) in tile.parts.iter().enumerate() {
+            let slot = &mut starts[q as usize + 1];
+            tile.order[*slot as usize] = j as u32;
+            *slot += 1;
+        }
+
+        for (q, p) in self.parts.iter().enumerate() {
+            let members = &tile.order[starts[q] as usize..starts[q + 1] as usize];
+            if members.is_empty() {
+                continue;
+            }
+            tile.locals.clear();
+            tile.locals.extend(members.iter().map(|&j| masses[j as usize]));
+            tile.local_segs.clear();
+            tile.local_segs.resize(members.len(), NO_HINT);
+            p.inner.invert_staged(&mut tile.locals, &mut tile.local_segs, stage);
+            for (&j, &psi) in members.iter().zip(&tile.locals) {
+                masses[j as usize] = psi;
+            }
+        }
+
+        for ((m, &q), &base) in masses.iter_mut().zip(&tile.parts).zip(&tile.bases) {
+            *m = if q as usize == none { base as f64 } else { place(base, *m) };
+        }
     }
 
     fn breakpoints(&self) -> Vec<u64> {
         let total = self
             .parts
             .iter()
-            .map(|p| p.tiles.saturating_mul(p.inner.ends.len() as u64))
+            .map(|p| p.tiles.saturating_mul(p.inner.len() as u64))
             .fold(0u64, u64::saturating_add);
         assert!(
             total <= CompiledTrace::MAX_SEGMENTS,
@@ -953,7 +1167,7 @@ impl Tiled {
         for p in &self.parts {
             for tile in 0..p.tiles {
                 let base = p.start + tile * p.inner.period;
-                out.extend(p.inner.ends.iter().map(|&e| base + e));
+                out.extend(p.inner.end_values().map(|(e, _)| base + e));
             }
         }
         out
@@ -1081,11 +1295,11 @@ fn checked_bucket_index(i: usize) -> Result<u32, SerrError> {
 /// `u32` table entries; unreachable for tables within
 /// [`CompiledTrace::MAX_SEGMENTS`].
 fn build_buckets(
-    ends: &[u64],
+    recs: &[Rec],
     period: u64,
     per_segment: u64,
 ) -> Result<(u32, Vec<u32>), SerrError> {
-    let seg_count = ends.len() as u64;
+    let seg_count = recs.len() as u64 - 1;
     let target =
         seg_count.saturating_mul(per_segment).clamp(64, CompiledTrace::MAX_BUCKETS).min(period);
     let mut shift = 0u32;
@@ -1097,7 +1311,7 @@ fn build_buckets(
     let mut seg = 0usize;
     for b in 0..bucket_count {
         let start = b << shift;
-        while ends[seg] <= start {
+        while recs[seg + 1].start <= start {
             seg += 1;
         }
         buckets.push(checked_bucket_index(seg)?);
@@ -1105,11 +1319,12 @@ fn build_buckets(
     Ok((shift, buckets))
 }
 
-/// Fills the inverse (mass→segment) bucket table: `total` is divided into
-/// equal-width mass buckets (`per_segment` per segment, same sizing policy
-/// as the phase index, minus the power-of-two constraint — mass coordinates
-/// are `f64`, so the width need not be shiftable) and entry `b` records
-/// `prefix.partition_point(|p| p <= b·w)`. A query for mass `m` starts its
+/// Fills the inverse (mass→segment) bucket table of a record table (its
+/// sentinel last): `total` is divided into equal-width mass buckets
+/// (`per_segment` per segment, same sizing policy as the phase index, minus
+/// the power-of-two constraint — mass coordinates are `f64`, so the width
+/// need not be shiftable) and entry `b` records how many segments have
+/// `prefix <= b·w`. A query for mass `m` starts its
 /// prefix search at `inv_buckets[floor(m/w)] - 1`. Returns an empty table
 /// when `total` is not positive: a never-vulnerable trace has no mass to
 /// invert.
@@ -1119,13 +1334,13 @@ fn build_buckets(
 /// Returns [`SerrError::InvalidTrace`] if a segment index does not fit the
 /// `u32` table entries; unreachable for tables within
 /// [`CompiledTrace::MAX_SEGMENTS`].
-fn build_inv_buckets(prefix: &[f64], total: f64, per_segment: u64) -> Result<Vec<u32>, SerrError> {
-    if !has_positive_mass(total) || prefix.is_empty() {
+fn build_inv_buckets(recs: &[Rec], total: f64, per_segment: u64) -> Result<Vec<u32>, SerrError> {
+    let n = recs.len().saturating_sub(1);
+    if !has_positive_mass(total) || n == 0 {
         return Ok(Vec::new());
     }
-    let n_inv = (prefix.len() as u64)
-        .saturating_mul(per_segment)
-        .clamp(64, CompiledTrace::MAX_BUCKETS) as usize;
+    let n_inv =
+        (n as u64).saturating_mul(per_segment).clamp(64, CompiledTrace::MAX_BUCKETS) as usize;
     let w = total / n_inv as f64;
     let mut buckets = Vec::with_capacity(n_inv);
     // partition_point of a sorted table at an increasing boundary is
@@ -1133,7 +1348,7 @@ fn build_inv_buckets(prefix: &[f64], total: f64, per_segment: u64) -> Result<Vec
     let mut j = 0usize;
     for b in 0..n_inv {
         let boundary = b as f64 * w;
-        while j < prefix.len() && prefix[j] <= boundary {
+        while j < n && recs[j].prefix <= boundary {
             j += 1;
         }
         buckets.push(checked_bucket_index(j)?);
@@ -1149,7 +1364,7 @@ impl VulnerabilityTrace for Flat {
     #[inline]
     fn vulnerability_at(&self, cycle: u64) -> f64 {
         let c = cycle % self.period;
-        self.values[self.segment_index(c)]
+        self.recs[self.segment_index(c)].value
     }
 
     fn cumulative_within_period(&self, r: u64) -> f64 {
@@ -1157,9 +1372,8 @@ impl VulnerabilityTrace for Flat {
         if r == self.period {
             return self.total;
         }
-        let i = self.segment_index(r);
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        self.prefix[i] + (r - start) as f64 * self.values[i]
+        let rec = &self.recs[self.segment_index(r)];
+        rec.prefix + (r - rec.start) as f64 * rec.value
     }
 
     fn avf(&self) -> f64 {
@@ -1171,15 +1385,15 @@ impl VulnerabilityTrace for Flat {
     }
 
     fn breakpoints(&self) -> Vec<u64> {
-        self.ends.clone()
+        self.recs[1..].iter().map(|r| r.start).collect()
     }
 
     fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
-        Box::new(self.ends.iter().copied().zip(self.values.iter().copied()))
+        Box::new(self.end_values())
     }
 
     fn span_count_hint(&self) -> u64 {
-        self.ends.len() as u64
+        self.len() as u64
     }
 
     fn is_binary(&self) -> bool {
@@ -1481,7 +1695,7 @@ mod tests {
             masses.extend(boundary_cycles(&reference).iter().map(|&cy| c.cumulative_at(cy as f64)));
             let scalar: Vec<f64> = masses.iter().map(|&m| c.phase_at_cumulative(m)).collect();
             let mut batch = masses.clone();
-            c.phase_at_cumulative_batch(&mut batch);
+            c.phase_at_cumulative_batch(&mut batch, &mut InverseScratch::new());
             for ((&m, &s), &b) in masses.iter().zip(&scalar).zip(&batch) {
                 assert!((0.0..c.period_cycles() as f64).contains(&s), "m={m} phase={s}");
                 let back = c.cumulative_at(s);
@@ -1501,7 +1715,7 @@ mod tests {
             let period = c.period_cycles() as f64;
             let mut masses = [c.total_mass().next_down()];
             let scalar = c.phase_at_cumulative(masses[0]);
-            c.phase_at_cumulative_batch(&mut masses);
+            c.phase_at_cumulative_batch(&mut masses, &mut InverseScratch::new());
             for phase in [scalar, masses[0]] {
                 assert!(phase >= period - f64::from(lo), "m→total⁻ left the last run: {phase}");
                 assert!(phase < period - f64::from(hi), "m→total⁻ escaped the run: {phase}");
@@ -1823,18 +2037,24 @@ mod tests {
 
     #[test]
     fn batch_inverse_agrees_with_scalar_probe() {
-        // Small tables take the branchless count-scan; large ones fall back
-        // to the scalar probe. Either way each mass must land in the same
-        // segment as the scalar lookup, with the in-segment offset equal up
-        // to the reciprocal-vs-division rounding.
-        for (seed, n) in [(3u64, 4usize), (7, 20), (5, 32), (13, 1_000)] {
+        // Small tables take the branchless select-chain: each mass must land
+        // in the same segment as the scalar lookup, with the in-segment
+        // offset equal up to the reciprocal-vs-division rounding. Larger
+        // tables take the staged probe, which must equal the scalar probe
+        // bit for bit.
+        for (seed, n) in [(3u64, 4usize), (7, 20), (5, 32), (13, 1_000), (17, 40)] {
             let src = IntervalTrace::from_levels(&random_levels(seed, n)).unwrap();
             let c = CompiledTrace::compile(&src).unwrap();
             let total = c.total_mass();
             let mut masses: Vec<f64> = (0..997).map(|k| total * (f64::from(k) / 997.0)).collect();
+            masses.push(total.next_down());
             let scalar: Vec<f64> = masses.iter().map(|&m| c.phase_at_cumulative(m)).collect();
-            c.phase_at_cumulative_batch(&mut masses);
+            c.phase_at_cumulative_batch(&mut masses, &mut InverseScratch::new());
+            let staged = c.segment_count() > CompiledTrace::BATCH_SCAN_SEGMENTS;
             for (i, (&b, &s)) in masses.iter().zip(&scalar).enumerate() {
+                if staged {
+                    assert_eq!(b.to_bits(), s.to_bits(), "seed {seed} n {n} mass #{i}: {b} vs {s}");
+                }
                 assert!(
                     (b - s).abs() <= 1e-12 * c.period_cycles() as f64,
                     "seed {seed} n {n} mass #{i}: batch {b} vs scalar {s}"
@@ -1852,27 +2072,139 @@ mod tests {
         let zero_runs: Vec<f64> = pattern.iter().cycle().take(400).copied().collect();
         for levels in [random_levels(13, 1_000), zero_runs, random_levels(5, 20)] {
             let c = CompiledTrace::compile(&IntervalTrace::from_levels(&levels).unwrap()).unwrap();
+            let n = c.segment_count() as u32;
             let total = c.total_mass();
             let boundaries = (1..=levels.len()).map(|r| c.cumulative_within_period(r as u64));
             let masses: Vec<f64> = (0..997)
                 .map(|k| total * (f64::from(k) / 997.0))
                 .chain(boundaries.filter(|&m| m < total))
+                .chain([total.next_down()])
                 .collect();
             let mut want = masses.clone();
-            c.phase_at_cumulative_batch(&mut want);
+            c.phase_at_cumulative_batch(&mut want, &mut InverseScratch::new());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            // Cold, garbage, then warm hints (each batch's own landings).
-            let mut hints: Vec<u32> =
-                (0..masses.len() as u32).map(|k| k.wrapping_mul(2_654_435_761)).collect();
-            for round in 0..3 {
-                let mut got = masses.clone();
-                if round == 0 {
-                    hints.clear();
+            // Garbage hints, some past the table (`n`, `n + 1 + k`, and
+            // `u32::MAX` and its neighbors), then cold, then warm (each
+            // batch's own landings).
+            let garbage: Vec<u32> = (0..masses.len() as u32)
+                .map(|k| match k % 4 {
+                    0 => n,
+                    1 => u32::MAX - k % 3,
+                    2 => n + 1 + k,
+                    _ => k.wrapping_mul(2_654_435_761),
+                })
+                .collect();
+            let mut scratch = InverseScratch::new();
+            for round in 0..4 {
+                match round {
+                    0 => scratch.segs.clone_from(&garbage),
+                    1 => scratch.forget_hints(),
+                    _ => {}
                 }
-                c.phase_at_cumulative_batch_hinted(&mut got, &mut hints);
+                let mut got = masses.clone();
+                c.phase_at_cumulative_batch_hinted(&mut got, &mut scratch);
                 assert_eq!(bits(&got), bits(&want), "round {round}");
                 if c.segment_count() > CompiledTrace::BATCH_SCAN_SEGMENTS {
-                    assert_eq!(hints.len(), masses.len(), "hints track every entry");
+                    assert_eq!(scratch.segs.len(), masses.len(), "hints track every entry");
+                    assert!(scratch.segs.iter().all(|&s| s < n), "landings are segments");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_batch_inverse_is_bit_identical_to_the_scalar_probe() {
+        // Never-vulnerable parts before, between and after the parts that
+        // carry mass exercise the zero-mass part handling; the fixtures
+        // hold masses on every tile and part boundary and at total⁻.
+        let dead: Arc<dyn VulnerabilityTrace> =
+            Arc::new(IntervalTrace::from_levels(&[0.0, 0.0, 0.0]).unwrap());
+        let live: Arc<dyn VulnerabilityTrace> =
+            Arc::new(IntervalTrace::from_levels(&random_levels(19, 60)).unwrap());
+        let small: Arc<dyn VulnerabilityTrace> =
+            Arc::new(IntervalTrace::from_levels(&[0.0, 1.0, 0.5]).unwrap());
+        let with_dead = crate::ConcatTrace::new(vec![
+            (Arc::clone(&dead), 1_000_000),
+            (live, 70_000),
+            (Arc::clone(&dead), 500_000),
+            (small, 900_000),
+            (dead, 3),
+        ])
+        .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for reference in [binary_tiling(), fractional_tiling(), with_dead] {
+            let c = CompiledTrace::compile(&reference).unwrap();
+            assert!(c.is_tiled());
+            let total = c.total_mass();
+            let mut masses: Vec<f64> = (0..997).map(|k| total * (f64::from(k) / 997.0)).collect();
+            masses.extend(boundary_cycles(&reference).iter().map(|&cy| c.cumulative_at(cy as f64)));
+            masses.push(total.next_down());
+            let want: Vec<f64> = masses.iter().map(|&m| c.phase_at_cumulative(m)).collect();
+            let mut scratch = InverseScratch::new();
+            let mut got = masses.clone();
+            c.phase_at_cumulative_batch(&mut got, &mut scratch);
+            assert_eq!(bits(&got), bits(&want), "unhinted batch");
+            // The tile level takes no hints, so no content of the segment
+            // slots may matter: an unhinted batch's, reversed, garbage.
+            for round in 0..3 {
+                match round {
+                    1 => scratch.segs.reverse(),
+                    2 => scratch.segs.iter_mut().enumerate().for_each(|(k, s)| *s = k as u32),
+                    _ => {}
+                }
+                let mut got = masses.clone();
+                c.phase_at_cumulative_batch_hinted(&mut got, &mut scratch);
+                assert_eq!(bits(&got), bits(&want), "hinted batch, round {round}");
+            }
+            for &p in &want {
+                assert!((0.0..c.period_cycles() as f64).contains(&p));
+                assert!(c.vulnerability_at(p as u64) > 0.0, "landed on dead cycle {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn staged_probe_survives_corrupted_tables() {
+        // Corruption that verify catches must still never crash the probe
+        // or leave the period: prefix perturbations (which unsort the
+        // prefix table) and value bit flips, flat and tiled, hinted or not.
+        let flat = IntervalTrace::from_levels(&random_levels(23, 500)).unwrap();
+        let big_inner: Arc<dyn VulnerabilityTrace> =
+            Arc::new(IntervalTrace::from_levels(&random_levels(29, 300)).unwrap());
+        let tiled = crate::ConcatTrace::new(vec![(big_inner, 20_000)]).unwrap();
+        for clean in [CompiledTrace::compile(&flat), CompiledTrace::compile(&tiled)] {
+            let clean = clean.unwrap();
+            assert!(clean.segment_count() > CompiledTrace::BATCH_SCAN_SEGMENTS);
+            let total = clean.total_mass();
+            let masses: Vec<f64> = (0..2_000)
+                .map(|k| total * (f64::from(k) / 2_000.0))
+                .chain([total.next_down()])
+                .collect();
+            let mut corrupted = Vec::new();
+            for (selector, delta) in [(0u64, 0.3), (7, -0.2), (123, 0.45), (299, -0.45)] {
+                let mut c = clean.clone();
+                c.chaos_perturb_prefix(selector, delta);
+                corrupted.push(c);
+            }
+            for bit in [30u32, 52, 55, 62, 63] {
+                let mut c = clean.clone();
+                c.chaos_flip_dominant_value_bit(bit);
+                corrupted.push(c);
+            }
+            for c in &corrupted {
+                assert!(c.verify().is_err());
+                let period = c.period_cycles() as f64;
+                let mut scratch = InverseScratch::new();
+                for hinted in [false, true, true] {
+                    let mut got = masses.clone();
+                    if hinted {
+                        c.phase_at_cumulative_batch_hinted(&mut got, &mut scratch);
+                    } else {
+                        c.phase_at_cumulative_batch(&mut got, &mut scratch);
+                    }
+                    for (&m, &p) in masses.iter().zip(&got) {
+                        assert!(p.is_finite() && (0.0..period).contains(&p), "m={m}: phase {p}");
+                    }
                 }
             }
         }
@@ -1886,7 +2218,7 @@ mod tests {
         let src = IntervalTrace::from_levels(&[1.0, 0.0, 0.0, 0.5, 0.0, 1.0, 0.0]).unwrap();
         let c = CompiledTrace::compile(&src).unwrap();
         let mut masses = [1.0, 1.5, 0.0, 1.25, 2.0];
-        c.phase_at_cumulative_batch(&mut masses);
+        c.phase_at_cumulative_batch(&mut masses, &mut InverseScratch::new());
         assert_eq!(masses[0], 3.0);
         assert_eq!(masses[1], 5.0);
         assert_eq!(masses[2], 0.0);
@@ -1901,7 +2233,7 @@ mod tests {
         // At m → total⁻ the phase must stay strictly inside the vulnerable
         // segment; slight underflow clamps to phase 0 instead of NaN-ing.
         let mut masses = [c.total_mass().next_down(), -1e-12, 0.0];
-        c.phase_at_cumulative_batch(&mut masses);
+        c.phase_at_cumulative_batch(&mut masses, &mut InverseScratch::new());
         assert!(masses[0] < 25.0, "m→total⁻ escaped the busy half: {}", masses[0]);
         assert_eq!(masses[1], 0.0);
         assert_eq!(masses[2], 0.0);
@@ -1911,7 +2243,7 @@ mod tests {
 
         let dead = CompiledTrace::compile(&IntervalTrace::from_levels(&[0.0, 0.0]).unwrap());
         let mut masses = [0.5, 0.0];
-        dead.unwrap().phase_at_cumulative_batch(&mut masses);
+        dead.unwrap().phase_at_cumulative_batch(&mut masses, &mut InverseScratch::new());
         assert_eq!(masses, [0.0, 0.0]);
     }
 

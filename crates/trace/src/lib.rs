@@ -57,7 +57,7 @@ mod traits;
 mod transform;
 
 pub use codes::{fold_rates, RateFold};
-pub use compiled::CompiledTrace;
+pub use compiled::{CompiledTrace, InverseScratch};
 pub use compose::CompositeTrace;
 pub use concat::ConcatTrace;
 pub use dense::DenseTrace;

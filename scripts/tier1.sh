@@ -38,15 +38,18 @@ cargo test -q --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.tom
 # a diff that disagrees with it fails fast here rather than in review.
 cargo fmt --check
 
-# Fault-injection and simulator tests again in release mode with debug
-# assertions armed: the injectors and the Monte Carlo chaos hooks carry
-# debug_assert range checks (bit positions, corruption offsets, poison
-# factors, chunk accounting) that plain --release would compile out and
-# that the dev profile runs without release codegen; the timing simulator
-# asserts before every issue stage that its ready queue and completion heap
-# match a scan of the ROB, here over the 60k power4 and non-default-machine
-# goldens. Scoped to those three crates so the gate stays fast.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-mc -p serr-sim
+# Fault-injection, compiled-trace and simulator tests again in release
+# mode with debug assertions armed: the injectors and the Monte Carlo chaos
+# hooks carry debug_assert range checks (bit positions, corruption offsets,
+# poison factors, chunk accounting) that plain --release would compile out
+# and that the dev profile runs without release codegen; the compiled
+# trace's staged inverse probe asserts every mass it clamps lies in
+# [0, total); the timing simulator asserts before every issue stage that
+# its ready queue and completion heap match a scan of the ROB, here over
+# the 60k power4 and non-default-machine goldens. Scoped to those four
+# crates so the gate stays fast.
+RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-mc -p serr-sim \
+  -p serr-trace
 
 # Chaos smoke campaign: a small fixed-seed fault-injection run across all
 # fifteen estimator-level injector kinds (the four store-* faults against
@@ -55,7 +58,7 @@ RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-m
 # binary exits nonzero on any silently-wrong result).
 cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 7 --trials 3000
 
-# Perf smoke: regenerates BENCH_engines.json (schema v14, carrying a
+# Perf smoke: regenerates BENCH_engines.json (schema v15, carrying a
 # `storage` section — binary journal resume time and mmap-vs-read cache
 # load time — a `models` section: the AVF+SOFR-vs-MC comparison under the
 # ECC/scrub/delay protection transforms — a `sweep_kernel` section: the
@@ -66,9 +69,9 @@ cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 
 # traces, for one rate and for a Fig 6a trace group's rate lists — and an
 # `mc_kernel` section: ns per trial-point of the shared-stream Monte Carlo
 # kernel and the compiled trace's verify time on the same three traces at
-# 1M instructions; `sim`, `refs` and `mc_kernel` are recorded with no
-# gate) and
-# asserts three perf contracts — the
+# 1M instructions over a Fig 6a group's 20 rates, and on the tiled
+# `combined` trace over Fig 5's 7 rates; `sim`, `refs` and `mc_kernel` are
+# recorded with no gate) and asserts three perf contracts — the
 # batched inversion sampler stays >=50x faster than the event-loop walk on
 # the low-AVF duel, the no-protection transform path adds <=5% to trace
 # compilation (raw and identity compiles timed interleaved over 400

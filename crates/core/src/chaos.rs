@@ -1018,7 +1018,7 @@ mod tests {
         // tables.
         let unit: Arc<dyn VulnerabilityTrace> = Arc::new(campaign_trace());
         let trace: Arc<dyn VulnerabilityTrace> =
-            Arc::new(serr_trace::ConcatTrace::new(vec![(unit, 2_000_000)]).unwrap());
+            Arc::new(serr_trace::ConcatTrace::new(vec![(unit, 3_000_000)]).unwrap());
         assert!(CompiledTrace::compile(&*trace).is_some_and(|c| c.is_tiled()));
         let kinds = [
             FaultKind::TraceValueFlip,

@@ -15,7 +15,7 @@ use crate::checkpoint::{self, JournalRow, SweepOptions, SweepReport};
 use crate::design::Workload;
 use crate::jsonio::Json;
 use crate::par;
-use crate::pipeline::{processor_trace, simulate_benchmarks_with, BenchmarkRun};
+use crate::pipeline::{processor_trace, simulate_benchmarks_with};
 use crate::rates::UnitRates;
 use crate::validate::{
     component_reference_rates, system_reference_rates, ComponentValidation, Reference,
@@ -80,8 +80,9 @@ impl ExperimentConfig {
     /// Paper-scale trace lengths: 8M instructions of detailed simulation
     /// per benchmark (the paper uses 100M). At this length the SPEC
     /// program-phase windows are long enough for the Figure 6(a) corner
-    /// discrepancies to appear; unit traces are transparently coarsened to
-    /// keep queries fast (AVF preserved exactly).
+    /// discrepancies to appear. The traces are used as simulated: the
+    /// longest processor trace (equake, about 4.3M spans) compiles flat
+    /// within [`serr_trace::CompiledTrace::MAX_SEGMENTS`].
     #[must_use]
     pub fn paper_scale() -> Self {
         ExperimentConfig { sim_instructions: 8_000_000, ..Self::full() }
@@ -415,26 +416,7 @@ pub(crate) fn spec_processor_trace_with(
     obs: Option<&Obs>,
 ) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
     let runs = simulate_benchmarks_with(&[benchmark], cfg.sim_instructions, cfg.seed, obs)?;
-    spec_trace_of(&runs[0])
-}
-
-fn spec_trace_of(run: &BenchmarkRun) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
-    let cycles = run.output.stats.cycles;
-    // Long simulations produce multi-million-segment unit traces; aggregate
-    // to ≤ ~2¹⁷ windows (AVF exact, cumulative drift ≤ one window — far
-    // below the cycle scales any Table 2 rate can resolve).
-    if cycles > 16_777_216 {
-        let window = cycles / 131_072;
-        let rates = UnitRates::paper();
-        let t = &run.output.traces;
-        let parts: Vec<(f64, Arc<dyn VulnerabilityTrace>)> = vec![
-            (rates.int_unit.per_second_value(), Arc::new(t.int_unit.coarsen(window)?) as _),
-            (rates.fp_unit.per_second_value(), Arc::new(t.fp_unit.coarsen(window)?) as _),
-            (rates.decode.per_second_value(), Arc::new(t.decode.coarsen(window)?) as _),
-        ];
-        return Ok(Arc::new(serr_trace::CompositeTrace::new(parts)?));
-    }
-    Ok(Arc::new(processor_trace(run, &UnitRates::paper())?))
+    Ok(Arc::new(processor_trace(&runs[0], &UnitRates::paper())?))
 }
 
 // ---------------------------------------------------------------------------
@@ -802,7 +784,8 @@ pub fn fig6a_sweep(
     let runs =
         simulate_benchmarks_with(benchmarks, cfg.sim_instructions, cfg.seed, opts.obs.as_ref())?;
     for (name, run) in benchmarks.iter().zip(runs) {
-        let trace = spec_trace_of(&run)?;
+        let trace: Arc<dyn VulnerabilityTrace> =
+            Arc::new(processor_trace(&run, &UnitRates::paper())?);
         collect_fig6_points(&mut points, name, &trace, c_values, n_times_s);
     }
     fig6_rows_sweep("fig6a", points, cfg, opts)

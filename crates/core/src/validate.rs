@@ -767,6 +767,60 @@ mod tests {
         assert!(fixed.verify().is_ok());
     }
 
+    /// Every answer a trace gives that a corrupted compile could leak
+    /// into: its spans, the cumulative vulnerability at each span end, a
+    /// point query inside each span, and its AVF, as bit patterns.
+    fn answers(t: &dyn VulnerabilityTrace) -> Vec<u64> {
+        let mut bits = vec![t.avf().to_bits()];
+        let mut start = 0;
+        for (end, v) in t.spans() {
+            let at = t.vulnerability_at(start).to_bits();
+            bits.extend([end, v.to_bits(), at, t.cumulative_within_period(end).to_bits()]);
+            start = end;
+        }
+        bits
+    }
+
+    #[test]
+    fn chaos_injectors_write_copy_on_write() {
+        let levels: Vec<f64> = (0..600).map(|i| f64::from((i * 7) % 5) / 4.0).collect();
+        let unit = IntervalTrace::from_levels(&levels).unwrap();
+        let other = IntervalTrace::busy_idle(200, 400).unwrap();
+        let composite = serr_trace::CompositeTrace::new(vec![
+            (1.0, Arc::new(unit.clone()) as Arc<dyn VulnerabilityTrace>),
+            (3.0, Arc::new(other) as Arc<dyn VulnerabilityTrace>),
+        ])
+        .unwrap();
+        let sources: [&dyn VulnerabilityTrace; 2] = [&unit, &composite];
+        let injectors: [(&str, fn(&mut CompiledTrace)); 3] = [
+            ("value bit flip", |c| c.chaos_flip_dominant_value_bit(51)),
+            ("prefix perturbation", |c| c.chaos_perturb_prefix(3, 0.05)),
+            ("consistent scale", |c| c.chaos_scale_dominant_value(0.25)),
+        ];
+        for source in sources {
+            let before = answers(source);
+            let clean = serr_mc::compile_for_sampling(source).unwrap();
+            let compiled = answers(&clean);
+            for (name, inject) in injectors {
+                let mut bad = clean.clone();
+                inject(&mut bad);
+                assert_ne!(answers(&bad), compiled, "{name} changed nothing");
+                assert_eq!(answers(source), before, "{name} reached the source");
+                assert_eq!(answers(&clean), compiled, "{name} reached a sibling compile");
+                let rebuild = || serr_mc::compile_for_sampling(source);
+                assert!(rebuild().unwrap().verify().is_ok(), "{name}: the rebuild fails verify");
+                let (fixed, _) = verify_or_rebuild(bad, |c| c, rebuild).unwrap();
+                if name != "consistent scale" {
+                    assert_eq!(
+                        answers(&fixed),
+                        compiled,
+                        "{name}: repair is not the clean compile"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn rejects_degenerate_systems() {
         let v = validator();

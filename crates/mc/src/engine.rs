@@ -201,9 +201,10 @@ impl MttfEstimate {
 ///
 /// Results are deterministic for a given `(config.seed, trials)` regardless
 /// of thread count: RNG streams are derived per fixed-size trial *chunk*
-/// from `(seed, chunk index)` and per-chunk results are folded in chunk
-/// order — see the [module docs](self) for the scheme and the
-/// `deterministic_across_thread_counts` test for the bit-equality check.
+/// from `(seed, chunk index)` alone, never from the worker that runs the
+/// chunk, and per-chunk results are folded in ascending chunk order, so
+/// the floating-point reduction order is fixed too. The
+/// `deterministic_across_thread_counts` test checks the bit-equality.
 #[derive(Debug, Clone, Default)]
 pub struct MonteCarlo {
     pub(crate) config: MonteCarloConfig,
@@ -760,7 +761,7 @@ mod tests {
         assert_eq!(batched.sampler, SamplerKind::BatchedInversion);
     }
 
-    /// `busy_idle(3, 5)` tiled 10⁷ times: five times the flat segment cap.
+    /// `busy_idle(3, 5)` tiled 10⁷ times: over twice the flat segment cap.
     fn over_cap_tiling() -> serr_trace::ConcatTrace {
         use std::sync::Arc;
         let unit: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(3, 5).unwrap());

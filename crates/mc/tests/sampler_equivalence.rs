@@ -150,7 +150,7 @@ fn batched_inversion_on_a_tiled_compile_matches_the_event_loop_on_the_raw_concat
         IntervalTrace::from_levels(&[1.0, 0.25, 0.0, 0.5, 0.0, 0.75, 0.0, 0.0]).expect("valid"),
     );
     let b: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(30, 70).expect("valid"));
-    let concat = ConcatTrace::new(vec![(a, 600_000), (b, 50_000)]).expect("valid tiling");
+    let concat = ConcatTrace::new(vec![(a, 1_200_000), (b, 100_000)]).expect("valid tiling");
     assert!(CompiledTrace::compile(&concat).is_some_and(|c| c.is_tiled()));
     let freq = Frequency::base();
     let period = concat.period_cycles() as f64;

@@ -16,7 +16,7 @@
 //!   appends resume there. Used by checkpoint and serve journals.
 //!
 //! The recovery contract, everywhere: **never panic** on foreign bytes —
-//! return a typed [`SerrError`] (damaged/missing header, wrong format
+//! return a typed [`SerrError`](serr_types::SerrError) (damaged/missing header, wrong format
 //! version) or a degraded-but-usable prefix (any damage at or after the
 //! first page).
 //!

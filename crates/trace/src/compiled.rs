@@ -1,81 +1,9 @@
-//! Compiled vulnerability traces: the hot-loop representation.
-//!
-//! Every other representation in this crate optimizes for *construction*
-//! (simulator output, day-scale synthesis, composition) and answers point
-//! queries in `O(log n)` through at least one virtual call. The Monte Carlo
-//! sampler, by contrast, issues one `vulnerability_at` per raw-error event —
-//! hundreds of millions of times per sweep — so [`CompiledTrace`] lowers any
-//! [`VulnerabilityTrace`] into a query-optimized form once per run. There are
-//! two layouts, chosen once at compile time:
-//!
-//! **Flat** — every trace whose span count fits
-//! [`CompiledTrace::MAX_SEGMENTS`]:
-//!
-//! * run-length segments with prefix sums, like [`crate::IntervalTrace`],
-//!   stored as one table of 24-byte `{prefix, start, value}` records
-//!   closed by a sentinel `{+∞, period, 0}`: segment `i` ends where record
-//!   `i + 1` starts, so a resolved segment costs one or two cache lines;
-//! * a **bucketed phase→segment index**: the period is divided into
-//!   2ᵏ-cycle buckets and each bucket records the index of the segment
-//!   containing its first cycle, so a point query is one shift, one table
-//!   read, and a scan over the (almost always 0 or 1) segment boundaries
-//!   inside the bucket — `O(1)` instead of `partition_point`'s `O(log n)`;
-//! * a **bucketed inverse (mass→segment) index** over the prefix sums,
-//!   mirroring the phase index: the total vulnerability mass is divided
-//!   into equal-width buckets and each bucket records where its first mass
-//!   coordinate lands in the prefix table, so
-//!   [`CompiledTrace::phase_at_cumulative`] — the inner loop of the
-//!   inversion sampler, which turns an `Exp(1)` draw into a failing cycle —
-//!   is also `O(1)` amortized;
-//! * cached period / AVF / total cumulative vulnerability;
-//! * a precomputed [`is_binary`](VulnerabilityTrace::is_binary) flag that
-//!   lets the sampler skip the Bernoulli masking draw for 0/1 traces.
-//!
-//! The bucket table is capped at [`CompiledTrace::MAX_BUCKETS`] entries
-//! (a few MiB) so day/week-scale periods (10¹⁴ cycles) stay cheap to index;
-//! when a bucket then spans many segments, the query falls back to a binary
-//! search *within that bucket's segment range*, which is still at worst the
-//! old `O(log n)` and in practice far better.
-//!
-//! **Tiled** — a trace whose
-//! [`span_count_hint`](VulnerabilityTrace::span_count_hint) exceeds the
-//! segment cap but which exposes a [`tiling`](VulnerabilityTrace::tiling)
-//! (the paper's `combined` workload: a [`crate::ConcatTrace`] looping one
-//! benchmark trace ~4×10⁷ times per half-day, or a [`crate::ScaledTrace`]
-//! over one). Each part keeps its inner trace compiled flat, its tile count,
-//! its start cycle, and the vulnerability mass before it. Every query is the
-//! flat query one level down: locate the part, divide out the tile, ask the
-//! inner tables. Λ-inversion becomes three steps — pick the part from the
-//! prefix over parts, take the tile `k = ⌊(m − mass_before)/inner_mass⌋`,
-//! invert the remainder in the inner tables and add `start + k·inner_period`.
-//!
-//! Which layout a trace has is decided once per call, never per element.
-//! Batched inversion ([`CompiledTrace::phase_at_cumulative_batch`]) runs
-//! a branchless select-chain on flat tables of up to
-//! [`CompiledTrace::BATCH_SCAN_SEGMENTS`] segments; larger flat tables, and
-//! every tile part's inner tables, run one staged probe whose passes each
-//! sweep the whole batch, so the cache misses of many masses overlap
-//! instead of queueing behind one another.
-//!
-//! A trace that is over the cap and has no tiling (say a phase-shifted
-//! `combined`) is irreducible: [`CompiledTrace::compile`] returns `None`.
-//!
-//! ```
-//! use serr_trace::{CompiledTrace, IntervalTrace, VulnerabilityTrace};
-//!
-//! let source = IntervalTrace::busy_idle(25, 75).unwrap();
-//! let compiled = CompiledTrace::compile(&source).expect("two segments compile");
-//! assert_eq!(compiled.period_cycles(), 100);
-//! assert_eq!(compiled.avf(), 0.25);
-//! assert!(compiled.is_binary());
-//! for c in 0..200 {
-//!     assert_eq!(compiled.vulnerability_at(c), source.vulnerability_at(c));
-//! }
-//! ```
+//! Compiled vulnerability traces: the hot-loop representation, [`CompiledTrace`].
 
 use std::sync::Arc;
 
-use crate::VulnerabilityTrace;
+use crate::interval::Rec;
+use crate::{IntervalTrace, VulnerabilityTrace};
 use serr_types::SerrError;
 
 /// Longest within-bucket segment range resolved by linear scan before
@@ -95,8 +23,81 @@ const TILE_BUCKETS_PER_SEGMENT: u64 = 1;
 
 /// A query-optimized lowering of a [`VulnerabilityTrace`] with `O(1)`
 /// expected point and cumulative queries: flat bucket-indexed segment
-/// tables, or a tile level over such tables. See the [module docs](self)
-/// for both layouts.
+/// tables, or a tile level over such tables.
+///
+/// Every other representation in this crate optimizes for *construction*
+/// (simulator output, day-scale synthesis, composition) and answers point
+/// queries in `O(log n)` through at least one virtual call. The Monte Carlo
+/// sampler, by contrast, issues one `vulnerability_at` per raw-error event —
+/// hundreds of millions of times per sweep — so [`CompiledTrace`] lowers any
+/// [`VulnerabilityTrace`] into a query-optimized form once per run. There are
+/// two layouts, chosen once at compile time:
+///
+/// **Flat** — every trace whose span count fits
+/// [`CompiledTrace::MAX_SEGMENTS`]:
+///
+/// * the trace's [`crate::IntervalTrace`] span table — 24-byte
+///   `{prefix, start, value}` records closed by a sentinel
+///   `{+∞, period, 0}`, so a resolved segment costs one or two cache
+///   lines — shared with the source when it holds one (an
+///   `IntervalTrace`, a [`crate::CompositeTrace`]'s memo), built from its
+///   span walk otherwise;
+/// * a **bucketed phase→segment index**: the period is divided into
+///   2ᵏ-cycle buckets and each bucket records the index of the segment
+///   containing its first cycle, so a point query is one shift, one table
+///   read, and a scan over the (almost always 0 or 1) segment boundaries
+///   inside the bucket — `O(1)` instead of `partition_point`'s `O(log n)`;
+/// * a **bucketed inverse (mass→segment) index** over the prefix sums,
+///   mirroring the phase index: the total vulnerability mass is divided
+///   into equal-width buckets and each bucket records where its first mass
+///   coordinate lands in the prefix table, so
+///   [`CompiledTrace::phase_at_cumulative`] — the inner loop of the
+///   inversion sampler, which turns an `Exp(1)` draw into a failing cycle —
+///   is also `O(1)` amortized;
+/// * a precomputed [`is_binary`](VulnerabilityTrace::is_binary) flag that
+///   lets the sampler skip the Bernoulli masking draw for 0/1 traces.
+///
+/// The bucket table is capped at [`CompiledTrace::MAX_BUCKETS`] entries
+/// (a few MiB) so day/week-scale periods (10¹⁴ cycles) stay cheap to index;
+/// when a bucket then spans many segments, the query falls back to a binary
+/// search *within that bucket's segment range*, which is still at worst the
+/// old `O(log n)` and in practice far better.
+///
+/// **Tiled** — a trace whose
+/// [`span_count_hint`](VulnerabilityTrace::span_count_hint) exceeds the
+/// segment cap but which exposes a [`tiling`](VulnerabilityTrace::tiling)
+/// (the paper's `combined` workload: a [`crate::ConcatTrace`] looping one
+/// benchmark trace ~4×10⁷ times per half-day, or a [`crate::ScaledTrace`]
+/// over one). Each part keeps its inner trace compiled flat, its tile count,
+/// its start cycle, and the vulnerability mass before it. Every query is the
+/// flat query one level down: locate the part, divide out the tile, ask the
+/// inner tables. Λ-inversion becomes three steps — pick the part from the
+/// prefix over parts, take the tile `k = ⌊(m − mass_before)/inner_mass⌋`,
+/// invert the remainder in the inner tables and add `start + k·inner_period`.
+///
+/// Which layout a trace has is decided once per call, never per element.
+/// Batched inversion ([`CompiledTrace::phase_at_cumulative_batch`]) runs
+/// a branchless select-chain on flat tables of up to
+/// [`CompiledTrace::BATCH_SCAN_SEGMENTS`] segments; larger flat tables, and
+/// every tile part's inner tables, run one staged probe whose passes each
+/// sweep the whole batch, so the cache misses of many masses overlap
+/// instead of queueing behind one another.
+///
+/// A trace that is over the cap and has no tiling (say a phase-shifted
+/// `combined`) is irreducible: [`CompiledTrace::compile`] returns `None`.
+///
+/// ```
+/// use serr_trace::{CompiledTrace, IntervalTrace, VulnerabilityTrace};
+///
+/// let source = IntervalTrace::busy_idle(25, 75).unwrap();
+/// let compiled = CompiledTrace::compile(&source).expect("two segments compile");
+/// assert_eq!(compiled.period_cycles(), 100);
+/// assert_eq!(compiled.avf(), 0.25);
+/// assert!(compiled.is_binary());
+/// for c in 0..200 {
+///     assert_eq!(compiled.vulnerability_at(c), source.vulnerability_at(c));
+/// }
+/// ```
 #[derive(Debug, Clone)]
 pub struct CompiledTrace {
     layout: Layout,
@@ -108,17 +109,12 @@ enum Layout {
     Tiled(Tiled),
 }
 
-/// The flat layout: merged run-length segments plus their bucket indexes.
+/// The flat layout: a span table plus its bucket indexes.
 #[derive(Debug, Clone)]
 struct Flat {
-    /// One record per segment, in cycle order, then the sentinel
-    /// `{+∞, period, 0}`: starts strictly increase from 0, and segment `i`
-    /// spans `recs[i].start..recs[i + 1].start`.
-    recs: Vec<Rec>,
-    period: u64,
-    /// Cumulative vulnerability over the whole period (= `avf × period`).
-    total: f64,
-    avf: f64,
+    /// The segment records, their period and total mass; shared with the
+    /// source trace the table came from.
+    table: IntervalTrace,
     binary: bool,
     /// Bucket width is `1 << bucket_shift` cycles.
     bucket_shift: u32,
@@ -132,17 +128,6 @@ struct Flat {
     inv_buckets: Vec<u32>,
     /// Index density both bucket tables were sized with.
     buckets_per_segment: u64,
-}
-
-/// One flat segment: everything a resolved lookup reads, side by side.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Rec {
-    /// Cumulative vulnerability before the segment starts.
-    prefix: f64,
-    /// First cycle of the segment.
-    start: u64,
-    /// Vulnerability of every cycle in the segment.
-    value: f64,
 }
 
 /// The tile level: parts run one after another, each a flat inner trace
@@ -228,11 +213,12 @@ struct TileStage {
 const NO_HINT: u32 = u32::MAX;
 
 impl CompiledTrace {
-    /// Hard cap on the flattened segment count. Kept at the threshold above
+    /// Hard cap on the flattened segment count, and the threshold above
     /// which [`crate::ConcatTrace::breakpoints`] refuses to enumerate, so
     /// compilation never triggers that panic. Traces above it compile to
-    /// the tile level when they expose a tiling.
-    pub const MAX_SEGMENTS: u64 = 4_000_000;
+    /// the tile level when they expose a tiling. The longest product trace
+    /// (equake at `--paper` scale) has about 4.3M spans, half the cap.
+    pub const MAX_SEGMENTS: u64 = 1 << 23;
 
     /// Memory cap on the bucket table (entries are `u32`, so this is 8 MiB).
     /// Periods longer than this many cycles get proportionally wider
@@ -247,8 +233,10 @@ impl CompiledTrace {
     /// Lowers `trace` into the compiled form.
     ///
     /// A trace whose [`span_count_hint`](VulnerabilityTrace::span_count_hint)
-    /// fits [`CompiledTrace::MAX_SEGMENTS`] compiles flat, at the cost of
-    /// one [`spans`](VulnerabilityTrace::spans) walk. An over-cap trace
+    /// fits [`CompiledTrace::MAX_SEGMENTS`] compiles flat: it shares the
+    /// trace's [`span_table`](VulnerabilityTrace::span_table) when it holds
+    /// one, and otherwise costs one [`spans`](VulnerabilityTrace::spans)
+    /// walk into a new table. An over-cap trace
     /// compiles tiled when its [`tiling`](VulnerabilityTrace::tiling) has
     /// parts that each compile flat. Returns `None` for everything else: an
     /// over-cap trace without a tiling (or with nested tilings), or a trace
@@ -313,7 +301,7 @@ impl CompiledTrace {
     #[must_use]
     pub fn total_mass(&self) -> f64 {
         match &self.layout {
-            Layout::Flat(f) => f.total,
+            Layout::Flat(f) => f.total(),
             Layout::Tiled(t) => t.total,
         }
     }
@@ -456,8 +444,8 @@ impl CompiledTrace {
     /// The flat tables the fault injectors target: the trace's own, or the
     /// inner tables of the part carrying the most vulnerability mass
     /// (`tiles × inner mass`) — the corruption that moves the estimate the
-    /// most. Copy-on-write, so tables shared with other compiled traces
-    /// stay intact.
+    /// most. The injectors write copy-on-write, so tables shared with the
+    /// source trace or other compiled traces stay intact.
     fn chaos_target(&mut self) -> &mut Flat {
         match &mut self.layout {
             Layout::Flat(f) => f,
@@ -465,7 +453,7 @@ impl CompiledTrace {
                 let mut best = 0usize;
                 let mut best_mass = -1.0f64;
                 for (i, p) in t.parts.iter().enumerate() {
-                    let mass = p.tiles as f64 * p.inner.total;
+                    let mass = p.tiles as f64 * p.inner.total();
                     if mass > best_mass {
                         best_mass = mass;
                         best = i;
@@ -485,7 +473,8 @@ impl CompiledTrace {
         debug_assert!(bit < 64, "f64 has 64 bits, got bit index {bit}");
         let f = self.chaos_target();
         let i = f.dominant_segment();
-        f.recs[i].value = f64::from_bits(f.recs[i].value.to_bits() ^ (1u64 << bit));
+        let rec = &mut Arc::make_mut(&mut f.table.recs)[i];
+        rec.value = f64::from_bits(rec.value.to_bits() ^ (1u64 << bit));
     }
 
     /// Fault injection: adds `delta_frac` of the total vulnerability mass to
@@ -503,8 +492,8 @@ impl CompiledTrace {
         debug_assert!(delta_frac != 0.0, "a zero perturbation injects nothing");
         let f = self.chaos_target();
         let i = (selector % f.len() as u64) as usize;
-        let scale = if f.total > 0.0 { f.total } else { 1.0 };
-        f.recs[i].prefix += delta_frac * scale;
+        let scale = if f.total() > 0.0 { f.total() } else { 1.0 };
+        Arc::make_mut(&mut f.table.recs)[i].prefix += delta_frac * scale;
     }
 
     /// Fault injection: multiplies the dominant segment's value by `factor`
@@ -555,88 +544,60 @@ impl CompiledTrace {
 impl Flat {
     /// The flat compiler behind [`CompiledTrace::compile`], with bucket
     /// indexes sized at `buckets_per_segment`; the caller has already
-    /// checked the span-count hint.
+    /// checked the span-count hint. The hint is advisory, so a table past
+    /// the segment cap still refuses here, before the u32 bucket indexes.
     fn compile(
         trace: &(impl VulnerabilityTrace + ?Sized),
         buckets_per_segment: u64,
     ) -> Option<Flat> {
-        let walk = trace.spans();
-        let capacity = walk.size_hint().0.min(CompiledTrace::MAX_SEGMENTS as usize);
-        let mut recs: Vec<Rec> = Vec::with_capacity(capacity + 1);
-        let mut start = 0u64;
-        let mut cum = 0.0f64;
-        for (walked, (end, v)) in walk.enumerate() {
-            if walked as u64 >= CompiledTrace::MAX_SEGMENTS {
-                // The hint is advisory (the trait default is just the period);
-                // a trace that under-reports its span count must still refuse
-                // here rather than build an oversized table — and,
-                // transitively, rather than ever reach the u32 bucket-index
-                // conversions below with an index they cannot represent.
-                return None;
-            }
-            if end <= start {
-                // Defensive: tolerate unsorted/duplicate breakpoints.
-                continue;
-            }
-            if recs.last().map(|r| r.value) != Some(v) {
-                recs.push(Rec { prefix: cum, start, value: v });
-            }
-            cum += (end - start) as f64 * v;
-            start = end;
-        }
-        if recs.is_empty() {
-            return None;
-        }
-        let period = start;
+        let table = IntervalTrace::of(trace, CompiledTrace::MAX_SEGMENTS).ok()?;
+        let recs = &table.recs;
+        // The sentinel's value is 0, so it never clears the flag.
         let binary = recs.iter().all(|r| r.value == 0.0 || r.value == 1.0);
-        recs.push(Rec::sentinel(period));
-        // The segment cap above keeps the index conversions inside u32, so a
+        // The segment cap keeps the index conversions inside u32, so a
         // conversion failure is unreachable here; treat it as a refusal all
         // the same.
-        let (bucket_shift, buckets) = build_buckets(&recs, period, buckets_per_segment).ok()?;
-        let inv_buckets = build_inv_buckets(&recs, cum, buckets_per_segment).ok()?;
-        Some(Flat {
-            avf: cum / period as f64,
-            total: cum,
-            recs,
-            period,
-            binary,
-            bucket_shift,
-            buckets,
-            inv_buckets,
-            buckets_per_segment,
-        })
+        let (bucket_shift, buckets) =
+            build_buckets(recs, table.period_cycles(), buckets_per_segment).ok()?;
+        let inv_buckets = build_inv_buckets(recs, table.total, buckets_per_segment).ok()?;
+        Some(Flat { table, binary, bucket_shift, buckets, inv_buckets, buckets_per_segment })
+    }
+
+    /// The segment records, sentinel last.
+    #[inline]
+    fn recs(&self) -> &[Rec] {
+        &self.table.recs
+    }
+
+    /// Cumulative vulnerability over the whole period (= `avf × period`).
+    fn total(&self) -> f64 {
+        self.table.total
     }
 
     /// Number of segments (the sentinel record excluded).
     fn len(&self) -> usize {
-        self.recs.len() - 1
-    }
-
-    /// `(end, value)` per segment, in cycle order.
-    fn end_values(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.recs.windows(2).map(|w| (w[1].start, w[0].value))
+        self.table.segment_count()
     }
 
     fn cumulative_at(&self, phase: f64) -> f64 {
         debug_assert!(
-            phase.is_finite() && (0.0..=self.period as f64).contains(&phase),
+            phase.is_finite() && (0.0..=self.period_cycles() as f64).contains(&phase),
             "phase {phase} outside [0, {}]",
-            self.period
+            self.period_cycles()
         );
-        if phase >= self.period as f64 {
-            return self.total;
+        if phase >= self.period_cycles() as f64 {
+            return self.total();
         }
-        let c = (phase as u64).min(self.period - 1);
-        let r = &self.recs[self.segment_index(c)];
+        let c = (phase as u64).min(self.period_cycles() - 1);
+        let r = &self.recs()[self.segment_index(c)];
         r.prefix + (phase - r.start as f64) * r.value
     }
 
     fn phase_at_cumulative(&self, m: f64) -> f64 {
         debug_assert!(
-            m.is_finite() && (0.0..self.total.max(f64::MIN_POSITIVE)).contains(&m),
+            m.is_finite() && (0.0..self.total().max(f64::MIN_POSITIVE)).contains(&m),
             "mass {m} outside [0, {})",
-            self.total
+            self.total()
         );
         if !self.invertible() {
             // Never-vulnerable (or corrupted-to-empty) trace: nothing to
@@ -644,14 +605,14 @@ impl Flat {
             // AVF = 0 traces never fail.
             return 0.0;
         }
-        let m = m.clamp(0.0, self.total);
+        let m = m.clamp(0.0, self.total());
         let (lo, hi) = self.mass_window(m);
         self.phase_in_segment(self.resolve(lo, hi, m), m)
     }
 
     /// True when there is mass to invert.
     fn invertible(&self) -> bool {
-        !self.inv_buckets.is_empty() && has_positive_mass(self.total)
+        !self.inv_buckets.is_empty() && has_positive_mass(self.total())
     }
 
     /// The search window `lo..hi` for mass `m` (already clamped to `[0,
@@ -662,7 +623,7 @@ impl Flat {
     fn mass_window(&self, m: f64) -> (usize, usize) {
         let n = self.len();
         let n_inv = self.inv_buckets.len();
-        let w = self.total / n_inv as f64;
+        let w = self.total() / n_inv as f64;
         let b = ((m / w) as usize).min(n_inv - 1);
         let lo = (self.inv_buckets[b] as usize).saturating_sub(1).min(n - 1);
         let hi = self.inv_buckets.get(b + 1).map_or(n, |&j| (j as usize + 1).min(n));
@@ -673,24 +634,24 @@ impl Flat {
     /// last index with `prefix ≤ m`, searched from the window `lo..hi`.
     #[inline]
     fn resolve(&self, lo: usize, hi: usize, m: f64) -> usize {
-        let n = self.len();
+        let (recs, n) = (self.recs(), self.len());
         let j = if hi.saturating_sub(lo) <= LINEAR_SCAN_MAX {
             let mut j = lo;
-            while j < hi && self.recs[j].prefix <= m {
+            while j < hi && recs[j].prefix <= m {
                 j += 1;
             }
             j
         } else {
-            lo + self.recs[lo..hi].partition_point(|r| r.prefix <= m)
+            lo + recs[lo..hi].partition_point(|r| r.prefix <= m)
         };
         // Pin the true last index with prefix[i] <= m (walks are O(1): they
         // only move past entries inside the one-ulp boundary window or
         // across zero-mass segments sharing a prefix value).
         let mut i = j.saturating_sub(1).min(n - 1);
-        while i > 0 && self.recs[i].prefix > m {
+        while i > 0 && recs[i].prefix > m {
             i -= 1;
         }
-        while i + 1 < n && self.recs[i + 1].prefix <= m {
+        while i + 1 < n && recs[i + 1].prefix <= m {
             i += 1;
         }
         i
@@ -699,9 +660,10 @@ impl Flat {
     /// The phase at mass `m` inside segment `i`.
     #[inline]
     fn phase_in_segment(&self, i: usize, m: f64) -> f64 {
-        let (r, start) = (&self.recs[i], self.recs[i].start as f64);
+        let recs = self.recs();
+        let (r, start) = (&recs[i], recs[i].start as f64);
         let off = if r.value > 0.0 { (m - r.prefix).max(0.0) / r.value } else { 0.0 };
-        let end = self.recs[i + 1].start as f64;
+        let end = recs[i + 1].start as f64;
         let phase = start + off;
         if phase >= end {
             // Division rounded up to (or past) the segment boundary; step
@@ -738,8 +700,8 @@ impl Flat {
             return;
         }
         let n = self.len();
-        let total = self.total;
-        let recs = &self.recs[..];
+        let total = self.total();
+        let recs = self.recs();
 
         let misses = &mut stage.misses;
         misses.clear();
@@ -808,13 +770,13 @@ impl Flat {
         let mut inv_v = [0.0f64; LANES];
         let mut start_f = [0.0f64; LANES];
         let mut end_down = [0.0f64; LANES];
-        for (j, w) in self.recs.windows(2).enumerate() {
+        for (j, w) in self.recs().windows(2).enumerate() {
             pre[j] = w[0].prefix;
             inv_v[j] = if w[0].value > 0.0 { 1.0 / w[0].value } else { 0.0 };
             start_f[j] = w[0].start as f64;
             end_down[j] = (w[1].start as f64).next_down().max(start_f[j]);
         }
-        let total = self.total;
+        let total = self.total();
         for m in masses {
             let mm = m.clamp(0.0, total);
             // Lane 0 always qualifies (prefix[0] = 0 ≤ mm); later lanes
@@ -839,19 +801,20 @@ impl Flat {
     /// binary search over the records' starts.
     #[inline]
     fn segment_index(&self, c: u64) -> usize {
+        let recs = self.recs();
         let b = (c >> self.bucket_shift) as usize;
         let lo = self.buckets[b] as usize;
-        let hi = self.buckets.get(b + 1).map_or(self.len(), |&i| i as usize);
+        let hi = self.buckets.get(b + 1).map_or(recs.len() - 1, |&i| i as usize);
         if hi - lo <= LINEAR_SCAN_MAX {
             let mut i = lo;
             // Safe: some segment in lo..=hi ends after c (the sentinel
             // starts at the period, and c < period).
-            while self.recs[i + 1].start <= c {
+            while recs[i + 1].start <= c {
                 i += 1;
             }
             i
         } else {
-            lo + self.recs[lo + 1..=hi].partition_point(|r| r.start <= c)
+            lo + recs[lo + 1..=hi].partition_point(|r| r.start <= c)
         }
     }
 
@@ -861,7 +824,7 @@ impl Flat {
     fn dominant_segment(&self) -> usize {
         let mut best = 0usize;
         let mut best_mass = -1.0f64;
-        for (i, w) in self.recs.windows(2).enumerate() {
+        for (i, w) in self.recs().windows(2).enumerate() {
             let mass = (w[1].start - w[0].start) as f64 * w[0].value;
             if mass > best_mass {
                 best_mass = mass;
@@ -875,42 +838,40 @@ impl Flat {
     /// flat table.
     fn scale_dominant_value(&mut self, factor: f64) {
         let i = self.dominant_segment();
-        self.recs[i].value *= factor;
+        let recs = Arc::make_mut(&mut self.table.recs);
+        recs[i].value *= factor;
         let mut cum = 0.0f64;
-        let n = self.len();
-        for j in 0..n {
-            self.recs[j].prefix = cum;
-            cum += (self.recs[j + 1].start - self.recs[j].start) as f64 * self.recs[j].value;
+        for j in 0..recs.len() - 1 {
+            recs[j].prefix = cum;
+            cum += (recs[j + 1].start - recs[j].start) as f64 * recs[j].value;
         }
-        self.total = cum;
-        self.avf = cum / self.period as f64;
+        self.table.total = cum;
         // The sentinel's value is 0, so it never clears the flag.
-        self.binary = self.recs.iter().all(|r| r.value == 0.0 || r.value == 1.0);
-        self.inv_buckets = build_inv_buckets(&self.recs, self.total, self.buckets_per_segment)
+        self.binary = self.recs().iter().all(|r| r.value == 0.0 || r.value == 1.0);
+        self.inv_buckets = build_inv_buckets(self.recs(), cum, self.buckets_per_segment)
             .expect("segment count is unchanged from a previously valid compile");
     }
 
     fn verify(&self) -> Result<(), SerrError> {
-        let n = self.recs.len().saturating_sub(1);
-        if n == 0 || self.period == 0 || self.recs[n] != Rec::sentinel(self.period) {
+        let (recs, n) = (self.recs(), self.len());
+        if n == 0 || recs[n] != Rec::sentinel(recs[n].start) {
             return Err(SerrError::invalid_trace(format!(
-                "{n} segments closed by {:?}, period is {}",
-                self.recs.last(),
-                self.period
+                "{n} segments closed by {:?}",
+                recs.last()
             )));
         }
-        if self.recs[0].start != 0 {
+        if recs[0].start != 0 {
             return Err(SerrError::invalid_trace(format!(
                 "segment 0 starts at {}, not at cycle 0",
-                self.recs[0].start
+                recs[0].start
             )));
         }
         // One pass over the records: geometry and value range first, so
         // the prefix recomputation never reads a segment that failed them.
-        let scale = if self.total.is_finite() { self.total.abs().max(1.0) } else { 1.0 };
+        let scale = if self.total().is_finite() { self.total().abs().max(1.0) } else { 1.0 };
         let tol = scale * 1e-15 * (n as f64).max(1e3);
         let mut cum = 0.0f64;
-        for (i, w) in self.recs.windows(2).enumerate() {
+        for (i, w) in recs.windows(2).enumerate() {
             let (r, end) = (&w[0], w[1].start);
             if end <= r.start {
                 return Err(SerrError::invalid_trace(format!(
@@ -937,24 +898,18 @@ impl Flat {
             }
             cum += (end - r.start) as f64 * v;
         }
-        if !self.total.is_finite() || (self.total - cum).abs() > tol {
+        if !self.total().is_finite() || (self.total() - cum).abs() > tol {
             return Err(SerrError::invalid_trace(format!(
                 "total vulnerability mass is {}, recomputation gives {cum}",
-                self.total
-            )));
-        }
-        let avf = self.total / self.period as f64;
-        if !self.avf.is_finite() || (self.avf - avf).abs() > tol / self.period as f64 + 1e-12 {
-            return Err(SerrError::invalid_trace(format!(
-                "cached AVF is {}, total/period gives {avf}",
-                self.avf
+                self.total()
             )));
         }
         // The inversion sampler trusts the inverse index to bracket its
         // prefix search; a stale or truncated table silently widens (or
         // misdirects) every mass lookup, so rebuild-and-compare it like the
         // other derived fields.
-        if self.inv_buckets != build_inv_buckets(&self.recs, self.total, self.buckets_per_segment)?
+        if self.inv_buckets
+            != build_inv_buckets(self.recs(), self.total(), self.buckets_per_segment)?
         {
             return Err(SerrError::invalid_trace(format!(
                 "inverse bucket index ({} entries) disagrees with a rebuild from the prefix table",
@@ -962,14 +917,6 @@ impl Flat {
             )));
         }
         Ok(())
-    }
-}
-
-impl Rec {
-    /// The record closing a table of period `period`: it starts where the
-    /// last segment ends, and its `+∞` prefix is above every mass.
-    fn sentinel(period: u64) -> Rec {
-        Rec { prefix: f64::INFINITY, start: period, value: 0.0 }
     }
 }
 
@@ -1027,10 +974,10 @@ impl Tiled {
         }
         let p = self.locate(r);
         let off = r - p.start;
-        let k = off / p.inner.period;
+        let k = off / p.inner.period_cycles();
         p.mass_before
-            + k as f64 * p.inner.total
-            + p.inner.cumulative_within_period(off % p.inner.period)
+            + k as f64 * p.inner.total()
+            + p.inner.cumulative_within_period(off % p.inner.period_cycles())
     }
 
     fn cumulative_at(&self, phase: f64) -> f64 {
@@ -1044,10 +991,10 @@ impl Tiled {
         }
         let c = (phase as u64).min(self.period - 1);
         let p = self.locate(c);
-        let k = (c - p.start) / p.inner.period;
-        let base = p.start + k * p.inner.period;
-        let local = (phase - base as f64).max(0.0).min(p.inner.period as f64);
-        p.mass_before + k as f64 * p.inner.total + p.inner.cumulative_at(local)
+        let k = (c - p.start) / p.inner.period_cycles();
+        let base = p.start + k * p.inner.period_cycles();
+        let local = (phase - base as f64).max(0.0).min(p.inner.period_cycles() as f64);
+        p.mass_before + k as f64 * p.inner.total() + p.inner.cumulative_at(local)
     }
 
     /// The first step of Λ-inversion: for mass `m`, the index of the part
@@ -1061,11 +1008,11 @@ impl Tiled {
         // part shares its successor's mass-before, so it is only picked at
         // m = total when it is last; step back to the part holding the mass.
         let mut i = self.parts.partition_point(|p| p.mass_before <= m).saturating_sub(1);
-        while i > 0 && !has_positive_mass(self.parts[i].inner.total) {
+        while i > 0 && !has_positive_mass(self.parts[i].inner.total()) {
             i -= 1;
         }
         let p = &self.parts[i];
-        let inner_mass = p.inner.total;
+        let inner_mass = p.inner.total();
         if !has_positive_mass(inner_mass) {
             return (None, p.start, 0.0);
         }
@@ -1075,7 +1022,7 @@ impl Tiled {
         // one tile's mass; clamp it below the inner total like the sampler
         // clamps its own draws.
         let local = (rest - k as f64 * inner_mass).max(0.0).min(inner_mass.next_down());
-        (Some(i), p.start + k * p.inner.period, local)
+        (Some(i), p.start + k * p.inner.period_cycles(), local)
     }
 
     /// Λ-inversion in three steps: the part and tile
@@ -1166,8 +1113,8 @@ impl Tiled {
         let mut out = Vec::with_capacity(total as usize);
         for p in &self.parts {
             for tile in 0..p.tiles {
-                let base = p.start + tile * p.inner.period;
-                out.extend(p.inner.end_values().map(|(e, _)| base + e));
+                let base = p.start + tile * p.inner.period_cycles();
+                out.extend(p.inner.spans().map(|(e, _)| base + e));
             }
         }
         out
@@ -1243,8 +1190,8 @@ fn part_offsets<'a>(parts: impl Iterator<Item = (&'a Flat, u64)>) -> Option<Vec<
             return None;
         }
         let &(start, mass) = offsets.last().expect("seeded with the origin");
-        let end = start.checked_add(inner.period.checked_mul(tiles)?)?;
-        offsets.push((end, mass + tiles as f64 * inner.total));
+        let end = start.checked_add(inner.period_cycles().checked_mul(tiles)?)?;
+        offsets.push((end, mass + tiles as f64 * inner.total()));
     }
     (offsets.len() > 1).then_some(offsets)
 }
@@ -1358,42 +1305,39 @@ fn build_inv_buckets(recs: &[Rec], total: f64, per_segment: u64) -> Result<Vec<u
 
 impl VulnerabilityTrace for Flat {
     fn period_cycles(&self) -> u64 {
-        self.period
+        self.table.period_cycles()
     }
 
     #[inline]
     fn vulnerability_at(&self, cycle: u64) -> f64 {
-        let c = cycle % self.period;
-        self.recs[self.segment_index(c)].value
+        let c = cycle % self.period_cycles();
+        self.recs()[self.segment_index(c)].value
     }
 
     fn cumulative_within_period(&self, r: u64) -> f64 {
-        assert!(r <= self.period, "cycle {r} beyond period {}", self.period);
-        if r == self.period {
-            return self.total;
+        let period = self.period_cycles();
+        assert!(r <= period, "cycle {r} beyond period {period}");
+        if r == period {
+            return self.total();
         }
-        let rec = &self.recs[self.segment_index(r)];
+        let rec = &self.recs()[self.segment_index(r)];
         rec.prefix + (r - rec.start) as f64 * rec.value
     }
 
-    fn avf(&self) -> f64 {
-        self.avf
-    }
-
-    fn is_never_vulnerable(&self) -> bool {
-        self.total == 0.0
-    }
-
     fn breakpoints(&self) -> Vec<u64> {
-        self.recs[1..].iter().map(|r| r.start).collect()
+        self.table.breakpoints()
     }
 
     fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
-        Box::new(self.end_values())
+        self.table.spans()
     }
 
     fn span_count_hint(&self) -> u64 {
-        self.len() as u64
+        self.table.span_count_hint()
+    }
+
+    fn span_table(&self) -> Option<IntervalTrace> {
+        Some(self.table.clone())
     }
 
     fn is_binary(&self) -> bool {
@@ -1404,7 +1348,7 @@ impl VulnerabilityTrace for Flat {
 impl VulnerabilityTrace for CompiledTrace {
     fn period_cycles(&self) -> u64 {
         match &self.layout {
-            Layout::Flat(f) => f.period,
+            Layout::Flat(f) => f.period_cycles(),
             Layout::Tiled(t) => t.period,
         }
     }
@@ -1426,7 +1370,7 @@ impl VulnerabilityTrace for CompiledTrace {
 
     fn avf(&self) -> f64 {
         match &self.layout {
-            Layout::Flat(f) => f.avf,
+            Layout::Flat(f) => f.avf(),
             Layout::Tiled(t) => t.avf,
         }
     }
@@ -1488,6 +1432,13 @@ impl VulnerabilityTrace for CompiledTrace {
             .into_iter()
             .map(|i| (i, t.total))
             .collect(),
+        }
+    }
+
+    fn span_table(&self) -> Option<IntervalTrace> {
+        match &self.layout {
+            Layout::Flat(f) => f.span_table(),
+            Layout::Tiled(_) => None,
         }
     }
 
@@ -1606,7 +1557,7 @@ mod tests {
         }
     }
 
-    /// `busy_idle(3, 5)` tiled 10⁷ times: 2×10⁷ spans, five times the cap.
+    /// `busy_idle(3, 5)` tiled 10⁷ times: 2×10⁷ spans, over twice the cap.
     fn binary_tiling() -> crate::ConcatTrace {
         let unit: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(3, 5).unwrap());
         crate::ConcatTrace::new(vec![(unit, 10_000_000)]).unwrap()
@@ -2125,7 +2076,7 @@ mod tests {
             Arc::new(IntervalTrace::from_levels(&[0.0, 1.0, 0.5]).unwrap());
         let with_dead = crate::ConcatTrace::new(vec![
             (Arc::clone(&dead), 1_000_000),
-            (live, 70_000),
+            (live, 140_000),
             (Arc::clone(&dead), 500_000),
             (small, 900_000),
             (dead, 3),
@@ -2256,6 +2207,84 @@ mod tests {
         c.cumulative_at_batch(&phases, &mut out);
         for (&p, &got) in phases.iter().zip(&out) {
             assert_eq!(got, c.cumulative_at(p), "phase {p}");
+        }
+    }
+
+    /// The record table a flat compile holds.
+    fn flat_table(c: &CompiledTrace) -> &IntervalTrace {
+        match &c.layout {
+            Layout::Flat(f) => &f.table,
+            Layout::Tiled(_) => panic!("expected a flat compile"),
+        }
+    }
+
+    #[test]
+    fn compiling_shares_the_source_record_table() {
+        let src = IntervalTrace::from_levels(&random_levels(31, 500)).unwrap();
+        let c = CompiledTrace::compile(&src).unwrap();
+        assert!(Arc::ptr_eq(&flat_table(&c).recs, &src.recs), "interval trace copied");
+        let again = CompiledTrace::compile(&c).unwrap();
+        assert!(Arc::ptr_eq(&flat_table(&again).recs, &src.recs), "recompile copied");
+
+        let other = IntervalTrace::from_levels(&random_levels(37, 500)).unwrap();
+        let comp = CompositeTrace::new(vec![
+            (1.0, Arc::new(src) as Arc<dyn VulnerabilityTrace>),
+            (2.0, Arc::new(other) as Arc<dyn VulnerabilityTrace>),
+        ])
+        .unwrap();
+        let cc = CompiledTrace::compile(&comp).unwrap();
+        let memo = comp.span_table().expect("a composite memoizes its table");
+        assert!(Arc::ptr_eq(&flat_table(&cc).recs, &memo.recs), "composite memo copied");
+        let through_arc: Arc<dyn VulnerabilityTrace> = Arc::new(comp);
+        let ca = CompiledTrace::compile(&through_arc).unwrap();
+        assert!(Arc::ptr_eq(&flat_table(&ca).recs, &memo.recs), "Arc forward copied");
+    }
+
+    #[test]
+    fn a_trace_one_past_the_old_cap_compiles_flat() {
+        // 4,000,001 segments alternating between two values, with lengths
+        // cycling through 1, 2, 3: one more segment than the cap used to
+        // allow.
+        let n = 4_000_001u64;
+        let mut b = crate::IntervalTraceBuilder::new();
+        for i in 0..n {
+            b.push_cycles(1 + i % 3, if i % 2 == 0 { 1.0 } else { 0.25 }).unwrap();
+        }
+        let src = b.finish().unwrap();
+        assert_eq!(src.segment_count() as u64, n);
+        let c = CompiledTrace::compile(&src).expect("under the cap");
+        assert!(!c.is_tiled());
+        assert_eq!(c.segment_count() as u64, n);
+        assert_eq!(c.period_cycles(), src.period_cycles());
+        assert_eq!(
+            c.total_mass().to_bits(),
+            src.cumulative_within_period(c.period_cycles()).to_bits()
+        );
+        c.verify().unwrap();
+
+        let mut masses = Vec::new();
+        let mut start = 0u64;
+        for (i, (end, v)) in src.spans().enumerate() {
+            for cyc in [start, end - 1] {
+                assert_eq!(c.vulnerability_at(cyc), src.vulnerability_at(cyc), "cycle {cyc}");
+            }
+            let (got, want) =
+                (c.cumulative_within_period(start), src.cumulative_within_period(start));
+            assert_eq!(got.to_bits(), want.to_bits(), "V({start})");
+            if i % 997 == 0 {
+                masses.extend([want, want + 0.5 * v]);
+            }
+            start = end;
+        }
+        let total = c.total_mass();
+        masses.push(total.next_down());
+        let scalar: Vec<f64> = masses.iter().map(|&m| c.phase_at_cumulative(m)).collect();
+        let mut batch = masses.clone();
+        c.phase_at_cumulative_batch(&mut batch, &mut InverseScratch::new());
+        for ((&m, &p), &b) in masses.iter().zip(&scalar).zip(&batch) {
+            assert!((0.0..c.period_cycles() as f64).contains(&p), "m={m}: phase {p}");
+            assert!((c.cumulative_at(p) - m).abs() <= 1e-12 * total, "V(phase_at({m}))");
+            assert_eq!(b.to_bits(), p.to_bits(), "batch and scalar disagree at m={m}");
         }
     }
 

@@ -1,11 +1,10 @@
 //! Rate-weighted composition of unit traces into a processor-level trace.
 
-use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
 use serr_types::SerrError;
 
-use crate::VulnerabilityTrace;
+use crate::{IntervalTrace, IntervalTraceBuilder, VulnerabilityTrace};
 
 /// Combines several unit traces into one processor-level vulnerability
 /// trace, weighting each unit by its share of the processor's raw error
@@ -34,11 +33,13 @@ use crate::VulnerabilityTrace;
 /// assert!((cpu.vulnerability_at(3) - 1.0 / 3.0).abs() < 1e-12);
 /// ```
 ///
-/// The merged span table (the union of the parts' breakpoints, with each
-/// span's weighted value) is built at most once, on first use, by merging
-/// the parts' [`spans`](VulnerabilityTrace::spans) walks, and shared across
-/// threads via [`OnceLock`]: concurrent first queries race only on who
-/// stores the identical table. `breakpoints` and `spans` answer from it;
+/// The merged span table — the union of the parts' breakpoints, each
+/// span carrying its weighted value, equal neighbours merged — is an
+/// [`IntervalTrace`] built at most once, on first use, from one merge of
+/// the parts' [`spans`](VulnerabilityTrace::spans) walks, and shared
+/// across threads via [`OnceLock`]: concurrent first queries race only on
+/// who stores the identical table. `breakpoints` and `spans` answer from
+/// it, and compiling the composite shares its records;
 /// `vulnerability_at`, `cumulative_within_period` and `avf` keep weighting
 /// the parts' own answers, with the same expression the table uses.
 #[derive(Clone)]
@@ -46,15 +47,7 @@ pub struct CompositeTrace {
     parts: Vec<(f64, Arc<dyn VulnerabilityTrace>)>,
     total_weight: f64,
     period: u64,
-    table: OnceLock<SpanTable>,
-}
-
-/// A composite's merged spans: exclusive span ends (strictly increasing,
-/// last = period) and the weighted vulnerability over each.
-#[derive(Clone)]
-struct SpanTable {
-    ends: Vec<u64>,
-    values: Vec<f64>,
+    table: OnceLock<IntervalTrace>,
 }
 
 impl std::fmt::Debug for CompositeTrace {
@@ -122,18 +115,14 @@ impl CompositeTrace {
     }
 
     /// The memoized span table, built by one merge of the parts' walks.
-    fn table(&self) -> &SpanTable {
+    fn table(&self) -> &IntervalTrace {
         self.table.get_or_init(|| {
-            let mut ends = Vec::new();
-            let mut values = Vec::new();
-            let Ok(()) = merge_spans(self.parts.iter().map(|(_, t)| &**t), |end, vs| {
-                ends.push(end);
-                values.push(self.mix(vs.iter().copied()));
-                Ok::<(), Infallible>(())
-            });
-            ends.shrink_to_fit();
-            values.shrink_to_fit();
-            SpanTable { ends, values }
+            let mut table = IntervalTraceBuilder::new();
+            merge_spans(self.parts.iter().map(|(_, t)| &**t), |end, vs| {
+                table.push_span(end, self.mix(vs.iter().copied()))
+            })
+            .and_then(|()| table.finish())
+            .expect("a weighted mean of vulnerabilities is a vulnerability")
         })
     }
 }
@@ -180,17 +169,20 @@ impl VulnerabilityTrace for CompositeTrace {
     }
 
     fn breakpoints(&self) -> Vec<u64> {
-        self.table().ends.clone()
+        self.table().breakpoints()
     }
 
     fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
-        let table = self.table();
-        Box::new(table.ends.iter().copied().zip(table.values.iter().copied()))
+        self.table().spans()
+    }
+
+    fn span_table(&self) -> Option<IntervalTrace> {
+        Some(self.table().clone())
     }
 
     fn span_count_hint(&self) -> u64 {
         match self.table.get() {
-            Some(table) => table.ends.len() as u64,
+            Some(table) => table.span_count_hint(),
             // The merged breakpoint set is at most the sum of the parts'.
             None => {
                 self.parts.iter().map(|(_, t)| t.span_count_hint()).fold(0u64, u64::saturating_add)
@@ -202,7 +194,6 @@ impl VulnerabilityTrace for CompositeTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IntervalTrace;
 
     fn arc(t: IntervalTrace) -> Arc<dyn VulnerabilityTrace> {
         Arc::new(t)

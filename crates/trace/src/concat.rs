@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use serr_types::SerrError;
 
-use crate::VulnerabilityTrace;
+use crate::{CompiledTrace, VulnerabilityTrace};
 
 /// Stable `1 − e^{−x}`.
 fn omen(x: f64) -> f64 {
@@ -150,14 +150,14 @@ impl VulnerabilityTrace for ConcatTrace {
 
     /// # Panics
     ///
-    /// Panics if the expanded breakpoint list would exceed 4,000,000 entries
-    /// (e.g. a day-scale `combined` workload); the analytic path never needs
-    /// it because [`ConcatTrace`] overrides `survival_weights`.
+    /// Panics if the expanded breakpoint list could exceed
+    /// [`CompiledTrace::MAX_SEGMENTS`] entries by the parts' span-count
+    /// hints (e.g. a day-scale `combined` workload); the analytic path
+    /// never needs it because [`ConcatTrace`] overrides `survival_weights`.
     fn breakpoints(&self) -> Vec<u64> {
-        let total: u64 =
-            self.parts.iter().map(|p| p.tiles * p.trace.breakpoints().len() as u64).sum();
+        let total = self.span_count_hint();
         assert!(
-            total <= 4_000_000,
+            total <= CompiledTrace::MAX_SEGMENTS,
             "expanding {total} breakpoints is infeasible; use survival_weights instead"
         );
         let mut out = Vec::with_capacity(total as usize);

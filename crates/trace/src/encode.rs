@@ -8,7 +8,7 @@
 
 use serr_types::SerrError;
 
-use crate::{IntervalTrace, Segment};
+use crate::{IntervalTrace, IntervalTraceBuilder, Segment};
 
 const MAGIC: &[u8; 4] = b"SERT";
 const VERSION: u8 = 1;
@@ -25,12 +25,12 @@ const HEADER_LEN: usize = 4 + 1 + 8;
 /// ```
 #[must_use]
 pub fn encode_interval_trace(trace: &IntervalTrace) -> Vec<u8> {
-    let segs: Vec<Segment> = trace.segments().collect();
-    let mut buf = Vec::with_capacity(HEADER_LEN + segs.len() * 16);
+    let count = trace.segment_count();
+    let mut buf = Vec::with_capacity(HEADER_LEN + count * 16);
     buf.extend_from_slice(MAGIC);
     buf.push(VERSION);
-    buf.extend_from_slice(&(segs.len() as u64).to_le_bytes());
-    for s in segs {
+    buf.extend_from_slice(&(count as u64).to_le_bytes());
+    for s in trace.segments() {
         buf.extend_from_slice(&s.len.to_le_bytes());
         buf.extend_from_slice(&s.vulnerability.to_le_bytes());
     }
@@ -67,11 +67,12 @@ pub fn decode_interval_trace(bytes: &[u8]) -> Result<IntervalTrace, SerrError> {
             body.len()
         )));
     }
-    let segments = body
-        .chunks_exact(16)
-        .map(|pair| Segment::new(le_u64(&pair[..8]), f64::from_bits(le_u64(&pair[8..]))))
-        .collect::<Result<Vec<_>, _>>()?;
-    IntervalTrace::from_segments(segments)
+    let mut table = IntervalTraceBuilder::with_capacity(body.len() / 16);
+    for pair in body.chunks_exact(16) {
+        let seg = Segment::new(le_u64(&pair[..8]), f64::from_bits(le_u64(&pair[8..])))?;
+        table.push_segment(seg.len, seg.vulnerability)?;
+    }
+    table.finish()
 }
 
 #[cfg(test)]

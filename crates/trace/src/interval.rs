@@ -1,4 +1,6 @@
-//! Run-length-encoded vulnerability traces.
+//! Run-length-encoded vulnerability traces: the crate's one span table.
+
+use std::sync::Arc;
 
 use serr_types::SerrError;
 
@@ -24,21 +26,20 @@ impl Segment {
         if len == 0 {
             return Err(SerrError::invalid_trace("segment length must be positive"));
         }
-        if !(0.0..=1.0).contains(&vulnerability) {
-            return Err(SerrError::invalid_trace(format!(
-                "vulnerability {vulnerability} outside [0,1]"
-            )));
-        }
+        check_value(vulnerability)?;
         Ok(Segment { len, vulnerability })
     }
 }
 
-/// A periodic vulnerability trace stored as run-length-encoded segments with
-/// prefix sums, giving `O(log n)` point and cumulative queries.
+/// A periodic vulnerability trace stored as one table of run-length
+/// records with prefix sums, giving `O(log n)` point and cumulative
+/// queries.
 ///
-/// This is the workhorse representation: the timing simulator's dense output
-/// is compressed into it, and the paper's synthesized day/week workloads
-/// (periods around 10¹⁴ cycles) are just two segments.
+/// This is the crate's one span table: the simulator builds its traces
+/// into it, day/week workloads (periods around 10¹⁴ cycles) are two
+/// records, a [`crate::CompositeTrace`] memoizes its spans as one, and a
+/// flat [`crate::CompiledTrace`] is one plus bucket indexes. The records
+/// sit behind an [`Arc`], so clones and compiles share them.
 ///
 /// ```
 /// use serr_trace::{IntervalTrace, Segment, VulnerabilityTrace};
@@ -52,21 +53,40 @@ impl Segment {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IntervalTrace {
-    /// Exclusive end cycle of each segment (strictly increasing; last =
-    /// period).
-    ends: Vec<u64>,
-    /// Vulnerability of each segment.
-    values: Vec<f64>,
-    /// Cumulative vulnerability up to each segment start:
-    /// `prefix[i] = Σ_{j<i} len_j · v_j`.
-    prefix: Vec<f64>,
+    /// One record per segment, in cycle order, then the sentinel
+    /// `{+∞, period, 0}`: starts strictly increase from 0, and segment `i`
+    /// spans `recs[i].start..recs[i + 1].start`. Shared by every clone;
+    /// writers go through [`Arc::make_mut`].
+    pub(crate) recs: Arc<Vec<Rec>>,
+    /// Cumulative vulnerability over the whole period.
+    pub(crate) total: f64,
+}
+
+/// One segment of a span table: everything a resolved lookup reads, side
+/// by side in 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Rec {
+    /// Cumulative vulnerability before the segment starts.
+    pub(crate) prefix: f64,
+    /// First cycle of the segment.
+    pub(crate) start: u64,
+    /// Vulnerability of every cycle in the segment.
+    pub(crate) value: f64,
+}
+
+impl Rec {
+    /// The record closing a table of period `period`: it starts where the
+    /// last segment ends, and its `+∞` prefix is above every mass.
+    pub(crate) fn sentinel(period: u64) -> Rec {
+        Rec { prefix: f64::INFINITY, start: period, value: 0.0 }
+    }
 }
 
 impl PartialEq for IntervalTrace {
-    /// Compares the defining run-length data; the `prefix` cache is derived
+    /// Compares the defining run-length data; the prefix sums are derived
     /// from it (up to floating-point association order) and excluded.
     fn eq(&self, other: &Self) -> bool {
-        self.ends == other.ends && self.values == other.values
+        self.segments().eq(other.segments())
     }
 }
 
@@ -77,37 +97,44 @@ impl IntervalTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`SerrError::InvalidTrace`] if `segments` is empty or the
-    /// total period overflows `u64`.
+    /// Returns [`SerrError::InvalidTrace`] if `segments` is empty, a value
+    /// is outside `[0, 1]`, or the total period overflows `u64`.
     pub fn from_segments(segments: Vec<Segment>) -> Result<Self, SerrError> {
-        if segments.is_empty() {
-            return Err(SerrError::invalid_trace("trace must contain at least one segment"));
-        }
-        let mut ends: Vec<u64> = Vec::with_capacity(segments.len());
-        let mut values: Vec<f64> = Vec::with_capacity(segments.len());
-        let mut prefix = Vec::with_capacity(segments.len());
-        let mut end: u64 = 0;
-        let mut cum = 0.0_f64;
+        let mut table = IntervalTraceBuilder::with_capacity(segments.len());
         for seg in segments {
-            if let (Some(last_v), Some(last_e)) = (values.last_mut(), ends.last_mut()) {
-                if *last_v == seg.vulnerability {
-                    *last_e = last_e
-                        .checked_add(seg.len)
-                        .ok_or_else(|| SerrError::invalid_trace("period overflows u64"))?;
-                    end = *last_e;
-                    cum += seg.len as f64 * seg.vulnerability;
-                    continue;
-                }
-            }
-            prefix.push(cum);
-            end = end
-                .checked_add(seg.len)
-                .ok_or_else(|| SerrError::invalid_trace("period overflows u64"))?;
-            ends.push(end);
-            values.push(seg.vulnerability);
-            cum += seg.len as f64 * seg.vulnerability;
+            table.push_segment(seg.len, seg.vulnerability)?;
         }
-        Ok(IntervalTrace { ends, values, prefix })
+        table.finish()
+    }
+
+    /// The span table `trace` holds, or one built from its span walk.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SerrError::InvalidTrace`] if the table would hold more
+    /// than `max_segments` segments or the walk has a value outside `[0, 1]`.
+    pub(crate) fn of(
+        trace: &(impl VulnerabilityTrace + ?Sized),
+        max_segments: u64,
+    ) -> Result<Self, SerrError> {
+        let limit = usize::try_from(max_segments).unwrap_or(usize::MAX);
+        let table = match trace.span_table() {
+            Some(table) => table,
+            None => {
+                // One span past the cap is as far as an over-cap walk goes.
+                let walk = trace.spans().take(limit.saturating_add(1));
+                let mut table = IntervalTraceBuilder::with_capacity(walk.size_hint().0.min(limit));
+                for (end, v) in walk {
+                    table.push_span(end, v)?;
+                }
+                table.finish()?
+            }
+        };
+        // A walk cut short by the cap ends before the period.
+        if table.segment_count() > limit || table.period_cycles() != trace.period_cycles() {
+            return Err(SerrError::invalid_trace(format!("span table exceeds {limit} segments")));
+        }
+        Ok(table)
     }
 
     /// A trace with one segment: constant vulnerability for `period` cycles.
@@ -146,9 +173,6 @@ impl IntervalTrace {
     /// Returns [`SerrError::InvalidTrace`] if `levels` is empty or any value
     /// is outside `[0, 1]`.
     pub fn from_levels(levels: &[f64]) -> Result<Self, SerrError> {
-        if levels.is_empty() {
-            return Err(SerrError::invalid_trace("trace must contain at least one cycle"));
-        }
         let mut builder = IntervalTraceBuilder::new();
         for &v in levels {
             builder.push_cycles(1, v)?;
@@ -162,9 +186,6 @@ impl IntervalTrace {
     ///
     /// Returns [`SerrError::InvalidTrace`] if `flags` is empty.
     pub fn from_bools(flags: &[bool]) -> Result<Self, SerrError> {
-        if flags.is_empty() {
-            return Err(SerrError::invalid_trace("trace must contain at least one cycle"));
-        }
         let mut builder = IntervalTraceBuilder::new();
         for &b in flags {
             builder.push_cycles(1, if b { 1.0 } else { 0.0 })?;
@@ -175,93 +196,62 @@ impl IntervalTrace {
     /// Number of stored segments (after merging).
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Aggregates the trace into fixed windows of `window` cycles, each
-    /// carrying the *average* vulnerability of the cycles it covers (the
-    /// final window may be shorter).
-    ///
-    /// Coarsening preserves the AVF exactly and the cumulative
-    /// vulnerability to within one window; it is the standard way to keep
-    /// 10⁸-cycle simulator traces compact when the analysis horizon (mean
-    /// time between raw errors) is many windows long.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerrError::InvalidTrace`] if `window` is zero.
-    pub fn coarsen(&self, window: u64) -> Result<IntervalTrace, SerrError> {
-        if window == 0 {
-            return Err(SerrError::invalid_trace("window must be positive"));
-        }
-        let period = self.period_cycles();
-        if window >= period {
-            return IntervalTrace::constant(period, self.avf());
-        }
-        let mut builder = IntervalTraceBuilder::new();
-        let mut start = 0u64;
-        while start < period {
-            let end = (start + window).min(period);
-            let mass = self.cumulative_within_period(end) - self.cumulative_within_period(start);
-            let v = (mass / (end - start) as f64).clamp(0.0, 1.0);
-            builder.push_cycles(end - start, v)?;
-            start = end;
-        }
-        builder.finish()
+        self.recs.len() - 1
     }
 
     /// Iterates over the segments in order.
     pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
-        self.ends.iter().enumerate().map(move |(i, &end)| {
-            let start = if i == 0 { 0 } else { self.ends[i - 1] };
-            Segment { len: end - start, vulnerability: self.values[i] }
-        })
+        self.recs
+            .windows(2)
+            .map(|w| Segment { len: w[1].start - w[0].start, vulnerability: w[0].value })
     }
 
     /// Index of the segment containing `cycle` (already reduced mod period).
     fn segment_index(&self, cycle_in_period: u64) -> usize {
-        self.ends.partition_point(|&e| e <= cycle_in_period)
+        self.recs[1..].partition_point(|r| r.start <= cycle_in_period)
     }
 }
 
 impl VulnerabilityTrace for IntervalTrace {
     fn period_cycles(&self) -> u64 {
-        *self.ends.last().expect("non-empty by construction")
+        self.recs[self.recs.len() - 1].start
     }
 
     fn vulnerability_at(&self, cycle: u64) -> f64 {
         let c = cycle % self.period_cycles();
-        self.values[self.segment_index(c)]
+        self.recs[self.segment_index(c)].value
     }
 
     fn cumulative_within_period(&self, r: u64) -> f64 {
         let period = self.period_cycles();
         assert!(r <= period, "cycle {r} beyond period {period}");
         if r == period {
-            let last = self.values.len() - 1;
-            let start = if last == 0 { 0 } else { self.ends[last - 1] };
-            return self.prefix[last] + (period - start) as f64 * self.values[last];
+            return self.total;
         }
-        let i = self.segment_index(r);
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        self.prefix[i] + (r - start) as f64 * self.values[i]
+        let rec = &self.recs[self.segment_index(r)];
+        rec.prefix + (r - rec.start) as f64 * rec.value
     }
 
     fn breakpoints(&self) -> Vec<u64> {
-        self.ends.clone()
+        self.recs[1..].iter().map(|r| r.start).collect()
     }
 
     fn spans(&self) -> Box<dyn Iterator<Item = (u64, f64)> + '_> {
-        Box::new(self.ends.iter().copied().zip(self.values.iter().copied()))
+        Box::new(self.recs.windows(2).map(|w| (w[1].start, w[0].value)))
     }
 
     fn span_count_hint(&self) -> u64 {
-        self.ends.len() as u64
+        self.segment_count() as u64
+    }
+
+    fn span_table(&self) -> Option<IntervalTrace> {
+        Some(self.clone())
     }
 }
 
-/// Incremental builder for [`IntervalTrace`], used by the timing simulator
-/// to append per-cycle observations without buffering the whole execution.
+/// The one writer of span tables, behind every [`IntervalTrace`]: the
+/// timing simulator appends per-cycle observations to it without
+/// buffering the whole execution, and the crate feeds it span walks.
 ///
 /// ```
 /// use serr_trace::{IntervalTraceBuilder, VulnerabilityTrace};
@@ -276,7 +266,15 @@ impl VulnerabilityTrace for IntervalTrace {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IntervalTraceBuilder {
-    segments: Vec<Segment>,
+    /// The records written so far; the sentinel is added by `finish`.
+    recs: Vec<Rec>,
+    /// End of the last span written: the next span's first cycle.
+    end: u64,
+    /// Cumulative vulnerability over `0..end`.
+    cum: f64,
+    /// The run [`IntervalTraceBuilder::push_cycles`] is still extending,
+    /// as `(len, value)`; it is written once the value changes.
+    run: Option<(u64, f64)>,
 }
 
 impl IntervalTraceBuilder {
@@ -286,46 +284,96 @@ impl IntervalTraceBuilder {
         IntervalTraceBuilder::default()
     }
 
+    /// An empty builder with room for `segments` segments.
+    pub(crate) fn with_capacity(segments: usize) -> Self {
+        let recs = Vec::with_capacity(segments.saturating_add(1));
+        IntervalTraceBuilder { recs, ..Self::default() }
+    }
+
     /// Appends `len` cycles at `vulnerability`, merging with the previous run
-    /// when the value repeats. Zero-length pushes are ignored.
+    /// when the value repeats. Zero-length pushes are ignored. A run pushed
+    /// in pieces adds its mass to the prefix sums as one product, so a
+    /// table built here equals the one built from its segments.
     ///
     /// # Errors
     ///
     /// Returns [`SerrError::InvalidTrace`] if `vulnerability` is outside
-    /// `[0, 1]`.
+    /// `[0, 1]` or the period overflows `u64`.
     pub fn push_cycles(&mut self, len: u64, vulnerability: f64) -> Result<&mut Self, SerrError> {
         if len == 0 {
             return Ok(self);
         }
-        if !(0.0..=1.0).contains(&vulnerability) {
-            return Err(SerrError::invalid_trace(format!(
-                "vulnerability {vulnerability} outside [0,1]"
-            )));
-        }
-        if let Some(last) = self.segments.last_mut() {
-            if last.vulnerability == vulnerability {
-                last.len += len;
+        check_value(vulnerability)?;
+        if let Some((run_len, v)) = &mut self.run {
+            if *v == vulnerability {
+                *run_len = run_len.checked_add(len).ok_or_else(period_overflow)?;
                 return Ok(self);
             }
         }
-        self.segments.push(Segment { len, vulnerability });
+        if let Some((run_len, v)) = self.run.replace((len, vulnerability)) {
+            self.push_segment(run_len, v)?;
+        }
         Ok(self)
     }
 
     /// Number of cycles appended so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.segments.iter().map(|s| s.len).sum()
+        self.end + self.run.map_or(0, |(len, _)| len)
     }
 
-    /// Finalizes the trace.
+    /// Writes the segment of `len` cycles at `v` after the last one.
+    pub(crate) fn push_segment(&mut self, len: u64, v: f64) -> Result<(), SerrError> {
+        let end = self.end.checked_add(len).ok_or_else(period_overflow)?;
+        self.push_span(end, v)
+    }
+
+    /// Writes the span `[end of the last span, end)` at `v`, the table's
+    /// one record rule: a span opens a record unless its value equals the
+    /// last record's, and adds its own mass to the running prefix sum. An
+    /// `end` at or before the last one is skipped.
+    pub(crate) fn push_span(&mut self, end: u64, v: f64) -> Result<(), SerrError> {
+        check_value(v)?;
+        if end <= self.end {
+            return Ok(());
+        }
+        if self.recs.last().map(|r| r.value) != Some(v) {
+            self.recs.push(Rec { prefix: self.cum, start: self.end, value: v });
+        }
+        self.cum += (end - self.end) as f64 * v;
+        self.end = end;
+        Ok(())
+    }
+
+    /// Finalizes the trace. The records move into it as they are.
     ///
     /// # Errors
     ///
     /// Returns [`SerrError::InvalidTrace`] if nothing was appended.
-    pub fn finish(self) -> Result<IntervalTrace, SerrError> {
-        IntervalTrace::from_segments(self.segments)
+    pub fn finish(mut self) -> Result<IntervalTrace, SerrError> {
+        if let Some((len, v)) = self.run.take() {
+            self.push_segment(len, v)?;
+        }
+        if self.recs.is_empty() {
+            return Err(SerrError::invalid_trace("trace must contain at least one segment"));
+        }
+        self.recs.push(Rec::sentinel(self.end));
+        self.recs.shrink_to_fit();
+        Ok(IntervalTrace { recs: Arc::new(self.recs), total: self.cum })
     }
+}
+
+/// Rejects a vulnerability outside `[0, 1]` (NaN included).
+fn check_value(v: f64) -> Result<(), SerrError> {
+    if (0.0..=1.0).contains(&v) {
+        Ok(())
+    } else {
+        Err(SerrError::invalid_trace(format!("vulnerability {v} outside [0,1]")))
+    }
+}
+
+fn period_overflow() -> SerrError {
+    SerrError::invalid_trace("period overflows u64")
 }
 
 #[cfg(test)]
@@ -441,31 +489,6 @@ mod tests {
     #[test]
     fn empty_builder_errors() {
         assert!(IntervalTraceBuilder::new().finish().is_err());
-    }
-
-    #[test]
-    fn coarsen_preserves_avf_and_bounds_cumulative_drift() {
-        let levels: Vec<f64> = (0..10_000)
-            .map(|i| if (i / 100) % 3 == 0 { 1.0 } else { (i % 5) as f64 / 8.0 })
-            .collect();
-        let fine = IntervalTrace::from_levels(&levels).unwrap();
-        for window in [7u64, 64, 1000] {
-            let coarse = fine.coarsen(window).unwrap();
-            assert_eq!(coarse.period_cycles(), fine.period_cycles());
-            assert!((coarse.avf() - fine.avf()).abs() < 1e-12, "window {window}");
-            assert!(coarse.segment_count() <= (10_000 / window + 2) as usize);
-            // Cumulative drift bounded by one window of mass.
-            for r in (0..=10_000).step_by(500) {
-                let d =
-                    (coarse.cumulative_within_period(r) - fine.cumulative_within_period(r)).abs();
-                assert!(d <= window as f64, "window {window}, r {r}: drift {d}");
-            }
-        }
-        // Degenerate cases.
-        assert!(fine.coarsen(0).is_err());
-        let flat = fine.coarsen(1_000_000).unwrap();
-        assert_eq!(flat.segment_count(), 1);
-        assert!((flat.avf() - fine.avf()).abs() < 1e-12);
     }
 
     #[test]

@@ -12,16 +12,17 @@
 //!   live entries fail) is `live(t)/256`;
 //! * a multi-unit processor is a rate-weighted composition of unit traces.
 //!
-//! Three representations are provided behind the [`VulnerabilityTrace`]
-//! trait:
+//! The representations behind the [`VulnerabilityTrace`] trait:
 //!
-//! * [`DenseTrace`] — one value per cycle; what a timing simulator emits.
-//! * [`IntervalTrace`] — run-length encoded with prefix sums; `O(log n)`
-//!   queries, compact enough for day/week-scale periods (10¹⁴ cycles).
+//! * [`IntervalTrace`] — the one span table: run-length records with
+//!   prefix sums and `O(log n)` queries, shared by its clones.
+//! * [`DenseTrace`] — one value per cycle.
 //! * [`CompositeTrace`] — rate-weighted combination of unit traces into a
-//!   processor-level trace.
-//! * [`CompiledTrace`] — a flat, bucket-indexed lowering of any of the
-//!   above with `O(1)` point queries; what the Monte Carlo hot loop runs
+//!   processor-level trace, its merged spans memoized as a span table.
+//! * [`ConcatTrace`], [`ScaledTrace`], [`ShiftedTrace`] — tiled, derated
+//!   and phase-shifted views of other traces.
+//! * [`CompiledTrace`] — a span table plus `O(1)` bucket indexes (or a
+//!   tile level over such tables); what the Monte Carlo hot loop runs
 //!   against.
 //!
 //! All traces are periodic: the paper assumes "the workload runs in an

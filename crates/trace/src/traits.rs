@@ -2,6 +2,8 @@
 
 use std::sync::Arc;
 
+use crate::IntervalTrace;
+
 /// A periodic per-cycle vulnerability function `v(c) ∈ [0, 1]`.
 ///
 /// `v(c)` is the probability that a raw error event striking the component in
@@ -70,8 +72,9 @@ pub trait VulnerabilityTrace: Send + Sync {
     /// `vulnerability_at(previous end)`.
     ///
     /// Span-by-span consumers (the span coding behind the renewal integral
-    /// and SoftArch's block fold, compilation, transforms) read the walk
-    /// instead of looking each span up by cycle. The default is exactly
+    /// and SoftArch's block fold; compilation and transforms of a trace
+    /// without a [`span_table`](VulnerabilityTrace::span_table)) read the
+    /// walk instead of looking each span up by cycle. The default is exactly
     /// that lookup loop; table-backed representations override it to read
     /// their tables in order.
     ///
@@ -131,6 +134,13 @@ pub trait VulnerabilityTrace: Send + Sync {
     fn is_binary(&self) -> bool {
         false
     }
+
+    /// The trace's span table when it holds one (an [`IntervalTrace`], a
+    /// composite's memo, a flat compile's records), as a clone sharing the
+    /// records; `None` (the default) for traces that only walk their spans.
+    fn span_table(&self) -> Option<IntervalTrace> {
+        None
+    }
 }
 
 impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for &T {
@@ -163,6 +173,9 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for &T {
     }
     fn is_binary(&self) -> bool {
         (**self).is_binary()
+    }
+    fn span_table(&self) -> Option<IntervalTrace> {
+        (**self).span_table()
     }
 }
 
@@ -197,6 +210,9 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for std::sync::Arc<T> {
     fn is_binary(&self) -> bool {
         (**self).is_binary()
     }
+    fn span_table(&self) -> Option<IntervalTrace> {
+        (**self).span_table()
+    }
 }
 
 /// The [`VulnerabilityTrace::spans`] default: one `vulnerability_at` lookup
@@ -216,7 +232,6 @@ pub(crate) fn lookup_spans<T: VulnerabilityTrace + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IntervalTrace;
     use std::sync::Arc;
 
     #[test]

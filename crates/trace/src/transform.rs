@@ -192,10 +192,11 @@ impl TransformPipeline {
         Ok(current)
     }
 
-    /// Rewrites any vulnerability trace: materializes it once into an
-    /// [`IntervalTrace`] (refusing traces whose span structure is too
-    /// large to enumerate), runs every stage as a segment-vector pass, and
-    /// returns the result behind a fresh `Arc`.
+    /// Rewrites any vulnerability trace: takes its [`IntervalTrace`] span
+    /// table (shared when it holds one, built from its walk otherwise;
+    /// refusing traces whose span structure is too large to enumerate),
+    /// runs every stage as a segment-vector pass, and returns the result
+    /// behind a fresh `Arc`.
     ///
     /// An identity pipeline returns the input `Arc` unchanged — zero cost
     /// for unprotected runs, and the guarantee behind the benchmark
@@ -237,7 +238,7 @@ impl fmt::Display for TransformPipeline {
     }
 }
 
-/// Enumerates a trace's spans into an owned [`IntervalTrace`].
+/// The span table of a trace, shared when it holds one.
 ///
 /// # Errors
 ///
@@ -254,13 +255,7 @@ fn materialize(trace: &dyn VulnerabilityTrace) -> Result<IntervalTrace, SerrErro
             CompiledTrace::MAX_SEGMENTS
         )));
     }
-    let mut builder = IntervalTraceBuilder::new();
-    let mut start = 0u64;
-    for (end, v) in trace.spans() {
-        builder.push_cycles(end - start, v)?;
-        start = end;
-    }
-    builder.finish()
+    IntervalTrace::of(trace, CompiledTrace::MAX_SEGMENTS)
 }
 
 /// SEC-DED rewrite: `v ↦ v · (1 − (1 − v)^(word_bits−1))`, per segment.

@@ -19,6 +19,11 @@ cargo test -q --release -p serr-sim -- --include-ignored
 # cannot leave a criterion bench calling code that no longer exists.
 cargo check --workspace --all-targets
 
+# Rustdoc gate: the workspace's API docs must build without one warning,
+# so an intra-doc link to a deleted, renamed or private item fails here
+# instead of rotting in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # Storage gate: the durable-store suites by name — the CRC-paged container
 # (serr-store), the binary journal/cache ports in serr-core, and the
 # workspace-level durability acceptance (torn-write recovery and a stray

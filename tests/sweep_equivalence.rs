@@ -127,7 +127,7 @@ fn kernel_sweeps_are_bit_identical_across_thread_counts() {
 fn tiled_trace() -> ConcatTrace {
     let a: Arc<dyn VulnerabilityTrace> = Arc::new(raw_trace());
     let b: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(3, 5).expect("valid"));
-    ConcatTrace::new(vec![(a, 40_000), (b, 1_000_000)]).expect("valid tiling")
+    ConcatTrace::new(vec![(a, 80_000), (b, 2_000_000)]).expect("valid tiling")
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! humans; this binary runs a small, fixed subset of the `engines` bench
 //! plus a shared-stream sweep-kernel duel, one figure sweep, a
 //! checkpoint/chaos probe, a `serr serve` service probe, a
-//! timing-simulator probe, an exact-reference probe and a Monte Carlo
-//! kernel probe on the SPEC traces and the tiled `combined` trace (all
-//! three recorded, not gated), and writes the results as JSON to `BENCH_engines.json`
+//! timing-simulator probe, an exact-reference probe, a Monte Carlo
+//! kernel probe on the SPEC traces and the tiled `combined` trace and a
+//! mass-transform tier probe on the `day` trace (all four recorded, not
+//! gated), and writes the results as JSON to `BENCH_engines.json`
 //! at the repository root, so successive PRs leave a perf trajectory that
 //! tooling can diff.
 //!
@@ -17,7 +18,7 @@ use std::time::{Duration, Instant};
 use serr_analytic::renewal::renewal_mttfs;
 use serr_core::checkpoint::{fingerprint, Journal};
 use serr_core::experiments::{
-    combined_trace, fig5, fig5_sweep, spec_processor_trace, ExperimentConfig,
+    combined_trace, fig5, fig5_sweep, spec_processor_trace, synthesized_trace, ExperimentConfig,
 };
 use serr_core::jsonio::Json;
 use serr_core::pipeline::{
@@ -928,6 +929,59 @@ fn main() {
         kernel_rows.join(",\n")
     );
 
+    // Mass-transform tier probe (schema v16), recorded with no gate: the
+    // same kernel on the `day` trace, one thread, over three 16-rate groups
+    // — 16 consecutive points of `dense_sweep`'s log grid (1e6…1e13, 256
+    // points) around N×S = 3e6, 1e10 and 1e12 — as ns per trial-point. The
+    // finish pass picks its mass-log tier from the batch maximum
+    // y ≈ 1 − e^{−λW}: the lowest group runs the Taylor tier, the other two
+    // the branch-free general tier. Schedule v1 ran the 1e10 group on an
+    // atanh series and the 1e12 group on per-element libm `ln_1p`.
+    let tier_cfg = ExperimentConfig::full();
+    let tier_trials = 200_000u64;
+    let tier_mc =
+        MonteCarlo::new(MonteCarloConfig { trials: tier_trials, threads: 1, ..Default::default() });
+    let day = synthesized_trace(Workload::Day, &tier_cfg).expect("tier probe trace");
+    let day = serr_mc::compile_for_sampling(&*day).expect("tier probe compiles");
+    let grid_step = 10f64.powf(7.0 / 255.0);
+    let mut tier_rows = Vec::new();
+    for (n_s, name) in [
+        (3e6, "finish_tiers/day_3e6"),
+        (1e10, "finish_tiers/day_1e10"),
+        (1e12, "finish_tiers/day_1e12"),
+    ] {
+        let rates: Vec<RawErrorRate> = (0..16)
+            .map(|k| {
+                RawErrorRate::baseline_per_bit().scale(n_s * grid_step.powf(f64::from(k) - 7.5))
+            })
+            .collect();
+        let lambda_w = rates[15].per_second_value() / tier_cfg.frequency.hz() * day.total_mass();
+        let y_max = serr_numeric::special::one_minus_exp_neg(lambda_w);
+        let tier = if y_max <= 1e-4 { "taylor" } else { "general" };
+        let run = time(name, 3, || {
+            tier_mc
+                .component_mttf_multi_compiled(&day, &rates, tier_cfg.frequency)
+                .expect("tier probe runs")
+        });
+        let ns = run.min_ms * 1e6 / (tier_trials as f64 * rates.len() as f64);
+        println!(
+            "finish tier probe: day N×S {n_s:e}, y_max {y_max:.3e} ({tier} tier), {ns:.2} ns per \
+             trial-point over {} rates",
+            rates.len()
+        );
+        tier_rows.push(format!(
+            "    {{\"n_s\": {n_s:e}, \"rates\": {}, \"y_max\": {y_max:.4e}, \"tier\": \"{tier}\", \
+             \"ns_per_trial_point\": {ns:.2}}}",
+            rates.len()
+        ));
+        timings.push(run);
+    }
+    let finish_tiers_json = format!(
+        "  \"finish_tiers\": {{\"trace\": \"day\", \"trials\": {tier_trials}, \"threads\": 1, \
+         \"groups\": [\n{}\n  ]}},",
+        tier_rows.join(",\n")
+    );
+
     let entries: Vec<String> = timings
         .iter()
         .map(|t| {
@@ -938,12 +992,13 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 15,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 16,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
         sampler_json,
         sweep_kernel_json,
         sim_json,
         refs_json,
         mc_kernel_json,
+        finish_tiers_json,
         checkpoint_json,
         chaos_json,
         service_json,

@@ -15,7 +15,7 @@ use crate::checkpoint::{self, JournalRow, SweepOptions, SweepReport};
 use crate::design::Workload;
 use crate::jsonio::Json;
 use crate::par;
-use crate::pipeline::{processor_trace, simulate_benchmarks_with};
+use crate::pipeline::{processor_trace, simulate_benchmarks_with, CACHE_VERSION};
 use crate::rates::UnitRates;
 use crate::validate::{
     component_reference_rates, system_reference_rates, ComponentValidation, Reference,
@@ -115,9 +115,16 @@ impl Default for ExperimentConfig {
 }
 
 /// The checkpoint-journal fingerprint of a sweep: the sweep kind, the full
-/// configuration, and every design-point coordinate. Any change to any of
-/// them lands in a different journal file, so a resumed run can never mix
-/// rows computed under different settings.
+/// configuration, the versions of the code that computes its rows, and
+/// every design-point coordinate. Any change to any of them lands in a
+/// different journal file, so a resumed run can never mix rows computed
+/// under different settings.
+///
+/// The versions are the batched sampler's draw schedule
+/// ([`BATCHED_RNG_SCHEDULE_VERSION`], which moves every Monte Carlo
+/// estimate) and the trace cache's format (`CACHE_VERSION`, bumped when the
+/// simulator's traces change). A code revision is deliberately not folded
+/// in: that would discard every journal on every commit.
 ///
 /// `mc.threads` is canonicalised to zero first: the engine's chunked RNG
 /// makes every estimate bit-identical at any thread count, so a journal
@@ -126,19 +133,10 @@ fn sweep_fingerprint(kind: &str, cfg: &ExperimentConfig, coords: &[String]) -> u
     let mut canon = *cfg;
     canon.mc.threads = 0;
     let cfg_str = format!("{canon:?}");
-    // The RNG schedule version joins the fingerprint only once it moves off
-    // v1. The shared-stream sweep kernel consumes the v1 word schedule
-    // exactly like the independent per-point path did, so rows journaled by
-    // either are bit-identical and legacy journals stay resumable; a future
-    // schedule bump changes the sampled bits themselves and must send
-    // resumed runs to a fresh journal.
     let schedule = format!("rng-schedule-v{BATCHED_RNG_SCHEDULE_VERSION}");
-    let mut parts: Vec<&str> = Vec::with_capacity(3 + coords.len());
-    parts.push(kind);
-    parts.push(&cfg_str);
-    if BATCHED_RNG_SCHEDULE_VERSION != 1 {
-        parts.push(&schedule);
-    }
+    let cache = format!("trace-cache-v{CACHE_VERSION}");
+    let mut parts: Vec<&str> = Vec::with_capacity(4 + coords.len());
+    parts.extend([kind, &cfg_str, &schedule, &cache]);
     parts.extend(coords.iter().map(String::as_str));
     checkpoint::fingerprint(&parts)
 }
@@ -1155,11 +1153,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A journal written by the pre-kernel per-point path — one independent
-    /// Monte Carlo engine run per design point through
-    /// [`Validator::component`] — must resume bit-identically under the
-    /// shared-stream kernel: same sweep name, same fingerprint (the RNG
-    /// schedule is still v1), same bits in every restored row, and the
+    /// A journal written by the per-point path — one independent Monte
+    /// Carlo engine run per design point through [`Validator::component`] —
+    /// must resume bit-identically under the shared-stream kernel: same
+    /// sweep name, same fingerprint (both paths consume the same draw
+    /// schedule), same bits in every restored row, and the
     /// points the legacy run never reached compute on the kernel path to
     /// exactly the values the legacy path would have produced.
     #[test]
@@ -1225,6 +1223,58 @@ mod tests {
             assert_eq!(a.error.to_bits(), b.error.to_bits());
             assert_eq!(a.softarch_error.to_bits(), b.softarch_error.to_bits());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sweep journal written under the fingerprint that left out the
+    /// draw-schedule and trace-cache versions — rows computed by schedule
+    /// v1 — is never resumed: every point recomputes under the current
+    /// schedule, and the stale file is left unread.
+    #[test]
+    fn journal_from_the_unversioned_fingerprint_is_not_resumed() {
+        let dir = std::env::temp_dir().join(format!("serr-fig5-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = cfg();
+        let n_points: &[f64] = &[1e7, 1e13];
+        let coords: Vec<String> =
+            n_points.iter().map(|prod| format!("{}@{prod:?}", Workload::Day.label())).collect();
+        let mut canon = c;
+        canon.mc.threads = 0;
+        let cfg_str = format!("{canon:?}");
+        let mut parts = vec!["fig5", cfg_str.as_str()];
+        parts.extend(coords.iter().map(String::as_str));
+        let stale_fp = checkpoint::fingerprint(&parts);
+        assert_ne!(stale_fp, sweep_fingerprint("fig5", &c, &coords));
+
+        // Journal both points under the stale fingerprint with rows no
+        // estimator would produce, so a resumed row is unmistakable.
+        let stale = checkpoint::run_sweep(
+            "fig5",
+            stale_fp,
+            n_points,
+            1,
+            &SweepOptions::fresh().in_dir(&dir),
+            |_, &prod| {
+                Ok(Fig5Row {
+                    workload: Workload::Day.label().to_owned(),
+                    n_times_s: prod,
+                    avf: -1.0,
+                    mttf_avf_years: -1.0,
+                    mttf_mc_years: -1.0,
+                    error: -1.0,
+                    softarch_error: -1.0,
+                })
+            },
+        )
+        .unwrap();
+        assert_eq!((stale.computed, stale.resumed), (2, 0));
+
+        let resumed =
+            fig5_sweep(&[Workload::Day], n_points, &c, &SweepOptions::resume().in_dir(&dir))
+                .unwrap();
+        assert!(resumed.failures.is_empty());
+        assert_eq!((resumed.computed, resumed.resumed), (2, 0));
+        assert!(resumed.rows.iter().all(|r| r.mttf_mc_years > 0.0 && r.avf >= 0.0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

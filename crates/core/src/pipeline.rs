@@ -29,12 +29,14 @@ use crate::rates::UnitRates;
 
 /// Bump when generator or trace-format changes invalidate cached traces
 /// (machine-configuration changes are covered by the config fingerprint).
+/// Sweep checkpoint journals fold it into their fingerprint too, so a bump
+/// also stops sweeps resuming rows computed from the old traces.
 /// v4: a leading FNV-1a content checksum guards the whole payload.
 /// v5: the `serr-store` CRC-paged container (`.store` extension, stream
 /// kind [`serr_store::kind::TRACE_CACHE`], this constant as the `app`
 /// header field) with five records — the stats block and the four unit
 /// traces — and memory-mapped zero-copy loads.
-const CACHE_VERSION: u32 = 5;
+pub(crate) const CACHE_VERSION: u32 = 5;
 
 /// FNV-1a over arbitrary bytes — the config fingerprint.
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -42,10 +42,16 @@
 //! 2. **Branchless transforms**: uniforms come from an exponent-splice bit
 //!    trick (exact on the `2⁻⁵²` grid, so `1 − u` is *exact* and the log
 //!    inputs never leave `[2⁻⁵², 1]` — no NaN/∞ guards needed anywhere);
-//!    the Exp and geometric draws are two [`serr_numeric::vecmath`] log
-//!    passes over the `exp_draws` and `residual_masses` buffers, with the
+//!    the Exp and mass draws are two [`serr_numeric::vecmath`] log
+//!    passes over the `neg_exp` and `residual_masses` buffers, with the
 //!    geometric multiply/floor (the period-skip count) fused into the
-//!    final fold.
+//!    final fold. The mass pass has two tiers, picked by the batch
+//!    maximum `y ≈ 1 − e^{−λW}`: a division-free Taylor series when
+//!    every `y ≤ 1e-4` (the low-λW hot path), otherwise the branch-free
+//!    log1p correction [`serr_numeric::vecmath::ln_one_minus`] at any
+//!    `y` up to `1 − 2⁻⁵²` — straight-line code in both, however large
+//!    λW grows. The stationary miss branch calls the same scalar cores,
+//!    so the sampler makes no libm log call.
 //! 3. **Batched inversion**: all final-window phases resolve through
 //!    [`CompiledTrace::phase_at_cumulative_batch`]. On a table of at most
 //!    [`CompiledTrace::BATCH_SCAN_SEGMENTS`] segments that is a branchless
@@ -85,7 +91,9 @@
 //! reads words planar-by-variable (uniform A at index `i`, uniform B at
 //! `n + i`; stationary starts prepend the phase plane and append the
 //! geometric plane). Changing the layout, the finalizer, or the
-//! bit-to-uniform mapping is a schedule bump that must re-pin
+//! bit-to-uniform mapping — or the log passes that turn a uniform into an
+//! `Exp(1)` draw or a mass (v2 replaced the atanh and `ln_1p` mass tiers
+//! with one log1p-correction tier) — is a schedule bump that must re-pin
 //! `sampler_equivalence`. The per-chunk `(seed, chunk)` derivation and the
 //! ascending-chunk fold are the engine's, so estimates are bit-identical at
 //! any `SERR_THREADS`.
@@ -98,8 +106,8 @@
 //! `(stream_seed, n)`. The chunk kernel is therefore split into a
 //! [`BatchedInversionSampler::prepare_chunk`] pass that materializes those
 //! planes once and a [`BatchedInversionSampler::finish_chunk`] pass that
-//! applies one design point's λ-dependent scale, tiered log, inversion,
-//! and fold. [`BatchedInversionSampler::sample_chunk_with_stats`] *is*
+//! applies one design point's λ-dependent scale, two-tier mass log,
+//! inversion, and fold. [`BatchedInversionSampler::sample_chunk_with_stats`] *is*
 //! prepare followed by finish, so a sweep that prepares once and finishes
 //! per λ (see `serr_mc::sweep`) produces every point bit-identical to an
 //! independent run — the same `(seed, chunk)` word schedule with the
@@ -107,16 +115,30 @@
 //! passes once instead of once per point.
 
 use serr_numeric::stats::RunningStats;
-use serr_numeric::vecmath::{ln_in_place, ln_one_minus_scaled_in_place};
+use serr_numeric::vecmath::{ln, ln_in_place, ln_one_minus, ln_one_minus_scaled_in_place};
 use serr_trace::{CompiledTrace, InverseScratch, VulnerabilityTrace};
 
 use crate::config::StartPhase;
 
-/// Version of the batched sampler's counter-RNG word schedule (layout,
-/// finalizer, and bit-to-uniform mapping). Bump on any change that moves a
-/// draw to a different word or changes how a word becomes a uniform, and
-/// re-pin the `sampler_equivalence` bit-identity tests.
-pub const BATCHED_RNG_SCHEDULE_VERSION: u32 = 1;
+/// Version of the batched sampler's draw schedule: the counter-RNG word
+/// layout, the finalizer, the bit-to-uniform mapping, and the log passes
+/// that turn a uniform into an `Exp(1)` draw or a truncated-exponential
+/// mass. Bump on any change that moves a draw to a different word or
+/// changes the bits a word becomes, and re-pin the `sampler_equivalence`
+/// bit-identity tests. Sweep checkpoint journals and the daemon's results
+/// journal are keyed by it, so rows from another schedule never resume.
+///
+/// * v1 — the original schedule: masses whose batch maximum exceeds 0.5
+///   ran libm `ln_1p` per element, those up to 0.5 an atanh series, and
+///   the stationary miss branch libm `ln`/`ln_1p`.
+/// * v2 — every mass batch above the Taylor tier (maximum > 1e-4) and the
+///   stationary miss branch run the branch-free
+///   [`serr_numeric::vecmath::ln_one_minus`] (log1p correction over the
+///   branch-free `ln`), and the miss branch's geometric draw uses
+///   [`serr_numeric::vecmath::ln`]: the sampler makes no libm log call.
+///   Masses move by at most a few ulp; the word layout and Taylor-tier
+///   results are unchanged.
+pub const BATCHED_RNG_SCHEDULE_VERSION: u32 = 2;
 
 /// Counter-based word derivation: a SplitMix64 finalizer over
 /// `(stream_seed, index)` — the same construction the engine uses for
@@ -168,7 +190,7 @@ pub struct SharedChunk {
     neg_exp: Vec<f64>,
     /// Raw uniform residual-mass plane, **unscaled** (workload-start
     /// chunks only): the λ-dependent `· (1 − e^{−λW})` multiply and the
-    /// tiered log pass both belong to the finish pass (the log tier is
+    /// two-tier mass log both belong to the finish pass (the log tier is
     /// chosen from the batch maximum, which moves with λ). Each point
     /// applies them to identical operands, so per-point results stay
     /// bit-identical to an unshared run.
@@ -360,7 +382,7 @@ impl<'a> BatchedInversionSampler<'a> {
     }
 
     /// Finishes one design point over a prepared chunk: the λ-dependent
-    /// mass scale and tiered log pass, the batched inverse lookup, and the
+    /// mass scale and two-tier mass log, the batched inverse lookup, and the
     /// TTF/statistics fold. Consumes the shared draws with the same
     /// operands in the same operation order as the fused single-point
     /// kernel, so the result is bit-identical to
@@ -385,7 +407,7 @@ impl<'a> BatchedInversionSampler<'a> {
     }
 
     /// Workload-start shared pass (`φ = 0`): two words per trial, zero
-    /// branches per element. Schedule v1 layout: uniform A (Exp draw) at
+    /// branches per element. Schedule layout (unchanged since v1): uniform A (Exp draw) at
     /// word `i`, uniform B (residual mass) at word `n + i`. The counter
     /// words are generated inline in each plane's pass — being pure
     /// functions of `(stream_seed, index)` they need no staging buffer,
@@ -446,7 +468,7 @@ impl<'a> BatchedInversionSampler<'a> {
         })
     }
 
-    /// Stationary shared pass: four words per trial. Schedule v1 layout:
+    /// Stationary shared pass: four words per trial. Schedule layout (unchanged since v1):
     /// phase at word `i`, uniform A (Exp draw / first-window test) at
     /// `n + i`, uniform B (residual mass) at `2n + i`, uniform C
     /// (miss-branch geometric) at `3n + i`. The miss planes (B, C) are
@@ -507,9 +529,9 @@ impl<'a> BatchedInversionSampler<'a> {
                 let u_c = uniform_from_word(s.words[n + i]);
                 // When e^{−λW} underflows (λW > 700), neg_inv_lambda_w ≈ 0
                 // collapses the skip count to 0.
-                let k = ((1.0 - u_c).ln() * self.neg_inv_lambda_w).floor();
+                let k = (ln(1.0 - u_c) * self.neg_inv_lambda_w).floor();
                 let y = uniform_from_word(s.words[i]) * self.one_minus_q;
-                let m = ((-y).ln_1p() * self.neg_inv_lambda).min(self.mass_cap);
+                let m = (ln_one_minus(y) * self.neg_inv_lambda).min(self.mass_cap);
                 p.residual_masses.push(m);
                 p.bases.push((self.period - phi) + k * self.period);
             }
@@ -565,7 +587,7 @@ mod tests {
     fn schedule_version_is_pinned() {
         // A schedule bump must be deliberate: it changes every sampled
         // stream, so sampler_equivalence's bit-identity pins move with it.
-        assert_eq!(BATCHED_RNG_SCHEDULE_VERSION, 1);
+        assert_eq!(BATCHED_RNG_SCHEDULE_VERSION, 2);
     }
 
     #[test]

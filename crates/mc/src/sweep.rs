@@ -6,7 +6,7 @@
 //! The paper's headline artifacts are sweeps — MTTF vs raw error rate
 //! (Fig 5), MTTF/SOFR over `c × N·S` grids (Fig 6a/6b) — and a sweep
 //! evaluated point-by-point regenerates an identical counter-RNG word
-//! stream and identical `ln`/`ln_1p` batch passes for every λ, even
+//! stream and an identical `Exp(1)` log pass for every λ, even
 //! though the `Exp(1)` draws are λ-independent (`TTF = Λ⁻¹(E)`; only the
 //! cheap inversion depends on the point). This is the classic
 //! common-random-numbers design from the simulation literature: per

@@ -11,7 +11,9 @@ use serr_obs::Obs;
 use crate::client::Client;
 use crate::protocol::{Request, RequestBody, Response};
 use crate::server::{Bind, ServeConfig, Server};
-use crate::soak::{counter, direct_estimate, shut_down, stats, temp_dir, wait_for_counter};
+use crate::soak::{
+    canonical_of, counter, direct_estimate, shut_down, stats, temp_dir, wait_for_counter,
+};
 
 #[test]
 fn shutdown_drains_in_flight_work_and_a_fresh_server_resumes_bit_identically() {
@@ -215,5 +217,55 @@ fn an_unparsable_pending_body_is_dropped_with_a_warning_and_the_rest_replays() {
         Response::Estimate { est, .. } => assert!(est.resumed, "the valid body replayed"),
         other => panic!("expected the replayed estimate, got {other:?}"),
     }
+    shut_down(&mut ctl, server);
+}
+
+#[test]
+fn a_results_journal_from_an_older_draw_schedule_is_not_resumed() {
+    use serr_core::checkpoint::{fingerprint, Journal};
+    use serr_core::jsonio::Json;
+
+    let dir = temp_dir("stale-schedule");
+    let journal = dir.join("journal");
+    let body = RequestBody::Mttf {
+        workload: WorkloadSpec::parse("duty:0.002:0.5").expect("valid spec"),
+        rate_per_year: 2e6,
+        trials: 1_500,
+        sampler: SamplerKind::default(),
+    };
+    let (obs, _sink) = Obs::memory();
+    let mut cfg = ServeConfig::new(Bind::Unix(dir.join("s.sock")));
+
+    // The fingerprint before the draw-schedule version joined it: a
+    // results journal a schedule-v1 daemon wrote. Its row carries an
+    // estimate no estimator produces, so answering from it is unmistakable.
+    let mut canon = cfg.experiment;
+    canon.mc.threads = 0;
+    let stale_fp = fingerprint(&["serve", &format!("{canon:?}")]);
+    assert_ne!(stale_fp, crate::server::journal_fingerprint(&cfg.experiment));
+    {
+        let results =
+            Journal::open(&journal, "serve-results", stale_fp, false).expect("results opens");
+        let mut stale = direct_estimate(&body, 1);
+        stale.mttf_mc_s = 1.0;
+        let mut fields = vec![("body".to_owned(), Json::Str(canonical_of(&body)))];
+        fields.extend(stale.to_fields());
+        results.record(0, &Json::Obj(fields)).expect("stale row records");
+    }
+    cfg.journal_dir = Some(journal);
+    cfg.obs = obs;
+    cfg.mc_threads = 1;
+    let server = Server::start(cfg).expect("server starts");
+    let mut ctl = Client::connect(server.bind_addr()).expect("connect");
+
+    let req = Request { id: 1, deadline_ms: None, tag: None, body: body.clone() };
+    let est = match ctl.roundtrip(&req).expect("io").expect("response") {
+        Response::Estimate { est, .. } => est,
+        other => panic!("expected estimate, got {other:?}"),
+    };
+    assert!(!est.resumed, "a stale-schedule row must not answer");
+    assert_eq!(est.mttf_mc_s.to_bits(), direct_estimate(&body, 1).mttf_mc_s.to_bits());
+    let counters = stats(&mut ctl, 2);
+    assert_eq!(counter(&counters, "serve.journal_results_loaded"), 0, "{counters:?}");
     shut_down(&mut ctl, server);
 }

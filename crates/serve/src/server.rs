@@ -55,6 +55,7 @@ use serr_core::prelude::{
     SamplerKind, Validator, VulnerabilityTrace, WorkloadSpec,
 };
 use serr_inject::ServeFault;
+use serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION;
 use serr_obs::{Event, Obs};
 
 use crate::cache::{CacheOutcome, CachedTrace, TraceCache};
@@ -1116,11 +1117,14 @@ fn point(mc: &MttfEstimate, mttf_step_s: f64, avf: f64, provenance: Provenance) 
 
 /// The journals' configuration fingerprint: the experiment config with
 /// threads pinned to 0, so hosts with different core counts share journals —
-/// estimates are thread-count invariant by construction.
+/// estimates are thread-count invariant by construction — and the batched
+/// sampler's draw schedule version, so a daemon never answers from results
+/// another schedule computed.
 pub(crate) fn journal_fingerprint(experiment: &ExperimentConfig) -> u64 {
     let mut canon = *experiment;
     canon.mc.threads = 0;
-    fingerprint(&["serve", &format!("{canon:?}")])
+    let schedule = format!("rng-schedule-v{BATCHED_RNG_SCHEDULE_VERSION}");
+    fingerprint(&["serve", &format!("{canon:?}"), &schedule])
 }
 
 /// Reconstructs a request body from its canonical spelling (the form the

@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# Workspace test gate: a plain `cargo test` at the root runs only the root
+# package's tests, because the workspace has a root package. This runs
+# every crate's unit, integration and doc tests — serr-numeric's accuracy
+# pins, serr-core's journal and sweep tests, serr-serve's daemon tests —
+# in release, where the Monte Carlo-heavy tests are fast.
+cargo test -q --release --workspace
+
 # Simulator golden gate: the timing simulator's bit-identity goldens
 # (FNV-1a of the stats and "SERT" trace bytes for gzip, mcf, equake and
 # swim at 60k, 300k and 1M instructions) with the rest of its suite, in
@@ -63,7 +70,7 @@ RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-m
 # binary exits nonzero on any silently-wrong result).
 cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 7 --trials 3000
 
-# Perf smoke: regenerates BENCH_engines.json (schema v15, carrying a
+# Perf smoke: regenerates BENCH_engines.json (schema v16, carrying a
 # `storage` section — binary journal resume time and mmap-vs-read cache
 # load time — a `models` section: the AVF+SOFR-vs-MC comparison under the
 # ECC/scrub/delay protection transforms — a `sweep_kernel` section: the
@@ -75,8 +82,11 @@ cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 
 # `mc_kernel` section: ns per trial-point of the shared-stream Monte Carlo
 # kernel and the compiled trace's verify time on the same three traces at
 # 1M instructions over a Fig 6a group's 20 rates, and on the tiled
-# `combined` trace over Fig 5's 7 rates; `sim`, `refs` and `mc_kernel` are
-# recorded with no gate) and asserts three perf contracts — the
+# `combined` trace over Fig 5's 7 rates — and a `finish_tiers` section: ns
+# per trial-point of the same kernel on the `day` trace over three 16-rate
+# groups at N×S ≈ 3e6, 1e10 and 1e12, one per side of the mass transform's
+# Taylor/general tier split; `sim`, `refs`, `mc_kernel` and `finish_tiers`
+# are recorded with no gate) and asserts three perf contracts — the
 # batched inversion sampler stays >=50x faster than the event-loop walk on
 # the low-AVF duel, the no-protection transform path adds <=5% to trace
 # compilation (raw and identity compiles timed interleaved over 400

@@ -25,7 +25,7 @@ use serr_inject::{FaultKind, FaultPlan, StoreFault, TraceFault};
 use serr_mc::{compile_for_sampling, MonteCarloConfig, MttfEstimate, SamplerKind};
 use serr_obs::{Event, Obs};
 use serr_trace::{CompiledTrace, IntervalTrace, Transform, TransformPipeline, VulnerabilityTrace};
-use serr_types::{Frequency, Provenance, RawErrorRate, SerrError};
+use serr_types::{panic_payload_string, Frequency, Provenance, RawErrorRate, SerrError};
 
 use crate::checkpoint::{self, Journal, JournalRow, SweepOptions};
 use crate::jsonio::Json;
@@ -205,12 +205,7 @@ pub fn install_chaos_panic_filter() {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let injected = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .is_some_and(|s| s.contains("chaos: injected"));
+            let injected = panic_payload_string(info.payload()).contains("chaos: injected");
             if !injected {
                 prev(info);
             }

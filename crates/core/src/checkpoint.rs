@@ -58,6 +58,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use serr_inject::{FaultPlan, IoSite};
+use serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION;
 use serr_obs::{Event, Obs};
 use serr_store::pages::PageJournal;
 use serr_store::{kind as store_kind, varint};
@@ -66,6 +67,7 @@ use serr_types::SerrError;
 use crate::binjson;
 use crate::jsonio::Json;
 use crate::par;
+use crate::pipeline::CACHE_VERSION;
 use crate::retry::{retry_with_backoff, BackoffPolicy};
 
 /// Application-level schema version of the checkpoint record encoding
@@ -229,6 +231,19 @@ pub fn fingerprint(parts: &[&str]) -> u64 {
         h = (h ^ 0xff).wrapping_mul(PRIME);
     }
     h
+}
+
+/// The version of every stored estimate: the batched sampler's draw
+/// schedule ([`BATCHED_RNG_SCHEDULE_VERSION`], which moves every Monte
+/// Carlo estimate) and the trace cache's format (bumped when the
+/// simulator's traces change). The sweeps' checkpoint journals and the
+/// daemon's results journal fold it into their fingerprints, so rows that
+/// another schedule or other traces computed never resume. A code revision
+/// is deliberately not part of it: that would discard every journal on
+/// every commit.
+#[must_use]
+pub fn results_version() -> String {
+    format!("rng-schedule-v{BATCHED_RNG_SCHEDULE_VERSION}+trace-cache-v{CACHE_VERSION}")
 }
 
 /// The binary journal file path for `(kind, fingerprint)` under `dir`.
@@ -632,7 +647,7 @@ where
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepare(&pending))) {
             Ok(p) => p,
             Err(payload) => {
-                let payload = par::panic_payload_string(payload.as_ref());
+                let payload = serr_types::panic_payload_string(payload.as_ref());
                 let failures: Vec<PointFailure> = pending
                     .iter()
                     .map(|&i| PointFailure {

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
 use serr_trace::{ConcatTrace, VulnerabilityTrace};
@@ -15,7 +14,7 @@ use crate::checkpoint::{self, JournalRow, SweepOptions, SweepReport};
 use crate::design::Workload;
 use crate::jsonio::Json;
 use crate::par;
-use crate::pipeline::{processor_trace, simulate_benchmarks_with, CACHE_VERSION};
+use crate::pipeline::{processor_trace, simulate_benchmarks_with};
 use crate::rates::UnitRates;
 use crate::validate::{
     component_reference_rates, system_reference_rates, ComponentValidation, Reference,
@@ -115,16 +114,10 @@ impl Default for ExperimentConfig {
 }
 
 /// The checkpoint-journal fingerprint of a sweep: the sweep kind, the full
-/// configuration, the versions of the code that computes its rows, and
-/// every design-point coordinate. Any change to any of them lands in a
-/// different journal file, so a resumed run can never mix rows computed
-/// under different settings.
-///
-/// The versions are the batched sampler's draw schedule
-/// ([`BATCHED_RNG_SCHEDULE_VERSION`], which moves every Monte Carlo
-/// estimate) and the trace cache's format (`CACHE_VERSION`, bumped when the
-/// simulator's traces change). A code revision is deliberately not folded
-/// in: that would discard every journal on every commit.
+/// configuration, the [`checkpoint::results_version`] of the code that
+/// computes its rows, and every design-point coordinate. Any change to any
+/// of them lands in a different journal file, so a resumed run can never
+/// mix rows computed under different settings.
 ///
 /// `mc.threads` is canonicalised to zero first: the engine's chunked RNG
 /// makes every estimate bit-identical at any thread count, so a journal
@@ -133,10 +126,9 @@ fn sweep_fingerprint(kind: &str, cfg: &ExperimentConfig, coords: &[String]) -> u
     let mut canon = *cfg;
     canon.mc.threads = 0;
     let cfg_str = format!("{canon:?}");
-    let schedule = format!("rng-schedule-v{BATCHED_RNG_SCHEDULE_VERSION}");
-    let cache = format!("trace-cache-v{CACHE_VERSION}");
-    let mut parts: Vec<&str> = Vec::with_capacity(4 + coords.len());
-    parts.extend([kind, &cfg_str, &schedule, &cache]);
+    let version = checkpoint::results_version();
+    let mut parts: Vec<&str> = Vec::with_capacity(3 + coords.len());
+    parts.extend([kind, &cfg_str, &version]);
     parts.extend(coords.iter().map(String::as_str));
     checkpoint::fingerprint(&parts)
 }

@@ -11,7 +11,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serr_types::SerrError;
+use serr_types::{panic_payload_string, SerrError};
 
 /// The number of worker threads to use for a fan-out over `jobs` independent
 /// items: the `SERR_THREADS` override when set, else `available_parallelism`,
@@ -94,19 +94,6 @@ where
         slots[i] = Some(value);
     }
     slots.into_iter().map(|s| s.expect("every index claimed exactly once")).collect()
-}
-
-/// Renders a caught panic payload for error reporting: `panic!` with a
-/// string message covers practically every panic in this workspace
-/// (asserts included); anything else gets a placeholder.
-pub(crate) fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 /// Panic-isolating variant of [`par_map`] for fallible work items: applies

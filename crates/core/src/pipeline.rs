@@ -29,8 +29,8 @@ use crate::rates::UnitRates;
 
 /// Bump when generator or trace-format changes invalidate cached traces
 /// (machine-configuration changes are covered by the config fingerprint).
-/// Sweep checkpoint journals fold it into their fingerprint too, so a bump
-/// also stops sweeps resuming rows computed from the old traces.
+/// It is part of [`crate::checkpoint::results_version`], so a bump also
+/// stops sweeps and the daemon resuming rows computed from the old traces.
 /// v4: a leading FNV-1a content checksum guards the whole payload.
 /// v5: the `serr-store` CRC-paged container (`.store` extension, stream
 /// kind [`serr_store::kind::TRACE_CACHE`], this constant as the `app`

@@ -92,27 +92,26 @@
 //! `n + i`; stationary starts prepend the phase plane and append the
 //! geometric plane). Changing the layout, the finalizer, or the
 //! bit-to-uniform mapping — or the log passes that turn a uniform into an
-//! `Exp(1)` draw or a mass (v2 replaced the atanh and `ln_1p` mass tiers
-//! with one log1p-correction tier) — is a schedule bump that must re-pin
+//! `Exp(1)` draw or a mass — is a schedule bump that must re-pin
 //! `sampler_equivalence`. The per-chunk `(seed, chunk)` derivation and the
 //! ascending-chunk fold are the engine's, so estimates are bit-identical at
 //! any `SERR_THREADS`.
 //!
-//! # Shared streams across a sweep (common random numbers)
+//! # Prepare once, finish per rate (common random numbers)
 //!
 //! Every word plane except the final inversion is λ-independent: the
 //! `Exp(1)` draws, the residual-mass uniforms, and (stationary) the phase
 //! plane with its `V(φ)` pricing depend only on the trace and
-//! `(stream_seed, n)`. The chunk kernel is therefore split into a
+//! `(stream_seed, n)`. A chunk is therefore two passes: a
 //! [`BatchedInversionSampler::prepare_chunk`] pass that materializes those
-//! planes once and a [`BatchedInversionSampler::finish_chunk`] pass that
-//! applies one design point's λ-dependent scale, two-tier mass log,
-//! inversion, and fold. [`BatchedInversionSampler::sample_chunk_with_stats`] *is*
-//! prepare followed by finish, so a sweep that prepares once and finishes
-//! per λ (see `serr_mc::sweep`) produces every point bit-identical to an
-//! independent run — the same `(seed, chunk)` word schedule with the
-//! shared draws consumed identically — while paying the RNG and log
-//! passes once instead of once per point.
+//! planes into a [`SharedChunk`], and a
+//! [`BatchedInversionSampler::finish_chunk`] pass per rate that applies
+//! that rate's λ-dependent scale, two-tier mass log, inversion, and fold.
+//! The engine runs one prepare and one finish per rate for every chunk, so
+//! a one-rate estimate is the same code as one point of a sweep: each point
+//! reads the same `(seed, chunk)` word schedule with the shared draws
+//! consumed identically, while the RNG and log passes are paid once per
+//! chunk instead of once per point.
 
 use serr_numeric::stats::RunningStats;
 use serr_numeric::vecmath::{ln, ln_in_place, ln_one_minus, ln_one_minus_scaled_in_place};
@@ -180,8 +179,9 @@ pub fn one_minus_uniform_from_word(word: u64) -> f64 {
 /// Prepared once per chunk by [`BatchedInversionSampler::prepare_chunk`], a
 /// `SharedChunk` serves any number of per-λ
 /// [`BatchedInversionSampler::finish_chunk`] calls — the common-random-
-/// numbers axis the sweep kernel (`serr_mc::sweep`) amortizes across every
-/// design point of a sweep.
+/// numbers axis the engine amortizes across every rate of a run. A
+/// default-built one is empty; its buffers size themselves on the first
+/// prepare.
 #[derive(Debug, Default)]
 pub struct SharedChunk {
     /// `ln(1 − u) = −E` per trial: the `Exp(1)` plane after its batch log.
@@ -192,8 +192,8 @@ pub struct SharedChunk {
     /// chunks only): the λ-dependent `· (1 − e^{−λW})` multiply and the
     /// two-tier mass log both belong to the finish pass (the log tier is
     /// chosen from the batch maximum, which moves with λ). Each point
-    /// applies them to identical operands, so per-point results stay
-    /// bit-identical to an unshared run.
+    /// applies them to identical operands, so per-point results do not
+    /// depend on which other points share the chunk.
     mass_uniforms: Vec<f64>,
     /// Per-trial initial phases (stationary starts only).
     phases: Vec<f64>,
@@ -205,17 +205,13 @@ pub struct SharedChunk {
     words: Vec<u64>,
 }
 
-impl SharedChunk {
-    /// Fresh, empty shared buffers. They size themselves on first prepare.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Per-point scratch: the buffers one design point's finish pass
 /// overwrites. A single instance can serve many points serially — each
-/// finish rewrites it completely.
+/// finish rewrites it completely, and starts its inverse lookups from the
+/// segments the previous finish landed in: nearby rates put a trial's
+/// final-window mass in the same segment, so most lookups skip the search,
+/// with bit-identical phases (see
+/// [`CompiledTrace::phase_at_cumulative_batch`]).
 #[derive(Debug, Default)]
 pub struct PointScratch {
     /// Truncated-Exp mass in the final window, overwritten in place by the
@@ -228,29 +224,9 @@ pub struct PointScratch {
     /// The batched inverse lookup's stage buffers, including the segment
     /// each trial landed in.
     probe: InverseScratch,
-    /// Whether a workload-start finish starts its lookups from the
-    /// segments of the previous finish on this scratch (a sweep's points
-    /// within one chunk) instead of searching every mass cold.
-    hinted: bool,
 }
 
 impl PointScratch {
-    /// Fresh, empty per-point scratch.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Scratch for the sweep kernel: each finish starts its inverse lookups
-    /// from the segments the previous point's finish landed in. Nearby
-    /// rates put a trial's final-window mass in the same segment, so most
-    /// lookups skip the search. The phases are bit-identical either way
-    /// (see [`CompiledTrace::phase_at_cumulative_batch_hinted`]).
-    #[must_use]
-    pub fn with_segment_hints() -> Self {
-        PointScratch { hinted: true, ..Self::default() }
-    }
-
     /// Forgets the segment hints: call once per chunk, after its prepare,
     /// so a chunk's lookups never depend on which chunk this scratch
     /// served before.
@@ -265,27 +241,11 @@ impl PointScratch {
     }
 }
 
-/// Reusable per-worker scratch for [`BatchedInversionSampler::sample_chunk`]:
-/// the shared planes plus one point's finish buffers. The SoA buffers grow
-/// to the chunk size once and are reused across every chunk the worker
-/// claims, so the steady state allocates nothing.
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    shared: SharedChunk,
-    point: PointScratch,
-}
-
-impl BatchScratch {
-    /// Fresh, empty scratch. Buffers size themselves on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The chunk-at-a-time inversion sampler. Immutable after construction
 /// (all λ-dependent constants are precomputed), so one instance is shared
-/// by every worker; each worker brings its own [`BatchScratch`].
+/// by every worker; each worker brings its own [`SharedChunk`] and
+/// [`PointScratch`], whose buffers grow to the chunk size once and are
+/// reused across every chunk the worker claims.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchedInversionSampler<'a> {
     trace: &'a CompiledTrace,
@@ -334,40 +294,6 @@ impl<'a> BatchedInversionSampler<'a> {
         }
     }
 
-    /// Samples `n` times to failure (in cycles) for the chunk stream
-    /// `stream_seed`, returning a borrow of the scratch TTF buffer. Every
-    /// trial consumes a fixed set of counter-RNG words (see the module
-    /// docs), so the result is a pure function of `(stream_seed, n)` —
-    /// never of thread count, previous chunks, or scratch reuse.
-    pub fn sample_chunk<'s>(
-        &self,
-        scratch: &'s mut BatchScratch,
-        stream_seed: u64,
-        n: usize,
-    ) -> &'s [f64] {
-        self.sample_chunk_with_stats(scratch, stream_seed, n).0
-    }
-
-    /// [`Self::sample_chunk`] plus the chunk's statistics — the compensated
-    /// fold the engine feeds into its per-chunk merge. The statistics pass
-    /// is fused into each kernel's final TTF fold
-    /// ([`RunningStats::from_mapped_slice`]), so it costs no extra
-    /// traversal of the chunk buffers.
-    pub fn sample_chunk_with_stats<'s>(
-        &self,
-        scratch: &'s mut BatchScratch,
-        stream_seed: u64,
-        n: usize,
-    ) -> (&'s [f64], RunningStats) {
-        // Prepare + finish *is* the single-point path: the sweep kernel
-        // runs the same two passes with the prepare amortized across
-        // points, so shared-stream sweep results are bit-identical to a
-        // solo run by construction.
-        self.prepare_chunk(&mut scratch.shared, stream_seed, n);
-        let stats = self.finish_chunk(&scratch.shared, &mut scratch.point, n);
-        (&scratch.point.residual_masses, stats)
-    }
-
     /// Prepares the λ-independent planes of one chunk: counter-RNG words,
     /// exponent-splice uniforms, the `Exp(1)` batch log, and (stationary
     /// starts) the phase plane with its batched `V(φ)` pricing. Reads only
@@ -383,10 +309,13 @@ impl<'a> BatchedInversionSampler<'a> {
 
     /// Finishes one design point over a prepared chunk: the λ-dependent
     /// mass scale and two-tier mass log, the batched inverse lookup, and the
-    /// TTF/statistics fold. Consumes the shared draws with the same
-    /// operands in the same operation order as the fused single-point
-    /// kernel, so the result is bit-identical to
-    /// [`Self::sample_chunk_with_stats`] at the same `(stream_seed, n)`.
+    /// TTF fold, which leaves the chunk's times to failure (in cycles) in
+    /// [`PointScratch::ttfs`] and returns their statistics — computed in
+    /// the same traversal ([`RunningStats::from_mapped_slice`]). Every
+    /// trial consumes a fixed set of counter-RNG words (see the module
+    /// docs), so the result is a pure function of the sampler and
+    /// `(stream_seed, n)` — never of thread count, previous chunks, other
+    /// points finished on the same chunk, or scratch reuse.
     ///
     /// # Panics
     ///
@@ -407,7 +336,7 @@ impl<'a> BatchedInversionSampler<'a> {
     }
 
     /// Workload-start shared pass (`φ = 0`): two words per trial, zero
-    /// branches per element. Schedule layout (unchanged since v1): uniform A (Exp draw) at
+    /// branches per element. Schedule layout: uniform A (Exp draw) at
     /// word `i`, uniform B (residual mass) at word `n + i`. The counter
     /// words are generated inline in each plane's pass — being pure
     /// functions of `(stream_seed, index)` they need no staging buffer,
@@ -433,7 +362,7 @@ impl<'a> BatchedInversionSampler<'a> {
         s.mass_uniforms.extend((n64..2 * n64).map(|i| uniform_from_word(rng_word(stream_seed, i))));
     }
 
-    /// Workload-start finish: the λ-dependent tail of the fused kernel.
+    /// Workload-start finish: the λ-dependent tail of the chunk.
     fn finish_workload_start(
         &self,
         shared: &SharedChunk,
@@ -442,19 +371,14 @@ impl<'a> BatchedInversionSampler<'a> {
         let p = point;
 
         // Truncated-Exp(λ) mass on [0, W): m = −ln(1 − u·p)/λ, capped
-        // below W for the inverse lookup — the scale and cap are fused into the log pass. The multiply reads
-        // the identical uniform the fused kernel generated inline, so
-        // sharing the plane across points changes no bits.
+        // below W for the inverse lookup — the scale and cap are fused
+        // into the log pass.
         p.residual_masses.clear();
         p.residual_masses.extend(shared.mass_uniforms.iter().map(|&u| u * self.one_minus_q));
         ln_one_minus_scaled_in_place(&mut p.residual_masses, self.neg_inv_lambda, self.mass_cap);
 
         // All final-window phases in one batched inverse lookup.
-        if p.hinted {
-            self.trace.phase_at_cumulative_batch_hinted(&mut p.residual_masses, &mut p.probe);
-        } else {
-            self.trace.phase_at_cumulative_batch(&mut p.residual_masses, &mut p.probe);
-        }
+        self.trace.phase_at_cumulative_batch(&mut p.residual_masses, &mut p.probe);
 
         // Fold TTF = K·L + ψ in place — K = ⌊E/(λW)⌋ whole periods
         // survived (λW > 700 needs no guard: E ≤ 36.04 forces K = 0
@@ -468,7 +392,7 @@ impl<'a> BatchedInversionSampler<'a> {
         })
     }
 
-    /// Stationary shared pass: four words per trial. Schedule layout (unchanged since v1):
+    /// Stationary shared pass: four words per trial. Schedule layout:
     /// phase at word `i`, uniform A (Exp draw / first-window test) at
     /// `n + i`, uniform B (residual mass) at `2n + i`, uniform C
     /// (miss-branch geometric) at `3n + i`. The miss planes (B, C) are
@@ -564,6 +488,34 @@ mod tests {
         CompiledTrace::compile(trace).expect("test traces compile")
     }
 
+    /// One worker's buffers, driven the way the engine drives a chunk.
+    #[derive(Default)]
+    struct Chunk {
+        shared: SharedChunk,
+        point: PointScratch,
+    }
+
+    impl Chunk {
+        /// Prepares the chunk, forgets the segment hints, and finishes one
+        /// rate: the engine's per-chunk sequence for a one-rate run.
+        fn sample(
+            &mut self,
+            sampler: &BatchedInversionSampler,
+            seed: u64,
+            n: usize,
+        ) -> RunningStats {
+            sampler.prepare_chunk(&mut self.shared, seed, n);
+            self.point.forget_segment_hints();
+            sampler.finish_chunk(&self.shared, &mut self.point, n)
+        }
+
+        /// [`Chunk::sample`]'s times to failure.
+        fn ttfs(&mut self, sampler: &BatchedInversionSampler, seed: u64, n: usize) -> Vec<f64> {
+            self.sample(sampler, seed, n);
+            self.point.ttfs().to_vec()
+        }
+    }
+
     fn run_stats(
         trace: &IntervalTrace,
         lambda: f64,
@@ -573,12 +525,10 @@ mod tests {
     ) -> RunningStats {
         let c = compiled(trace);
         let sampler = BatchedInversionSampler::new(&c, lambda, start);
-        let mut scratch = BatchScratch::new();
+        let mut scratch = Chunk::default();
         let mut stats = RunningStats::new();
         for chunk in 0..chunks {
-            let (_, chunk_stats) =
-                sampler.sample_chunk_with_stats(&mut scratch, 0xBA7C_0000 + chunk, chunk_len);
-            stats.merge(&chunk_stats);
+            stats.merge(&scratch.sample(&sampler, 0xBA7C_0000 + chunk, chunk_len));
         }
         stats
     }
@@ -669,10 +619,9 @@ mod tests {
         let lambda = 1.0;
         let c = compiled(&trace);
         let sampler = BatchedInversionSampler::new(&c, lambda, StartPhase::WorkloadStart);
-        let mut scratch = BatchScratch::new();
-        let ttfs = sampler.sample_chunk(&mut scratch, 99, 20_000);
+        let ttfs = Chunk::default().ttfs(&sampler, 99, 20_000);
         let mut mean = 0.0;
-        for &t in ttfs {
+        for &t in &ttfs {
             assert!(t.is_finite() && t >= 0.0, "non-finite TTF {t}");
             assert!(t < 1000.0, "λW = 2000 trial escaped the first busy window: {t}");
             mean += t;
@@ -693,9 +642,9 @@ mod tests {
         let c = compiled(&trace);
         for lambda in [1e-12, 1e-3, 10.0] {
             let sampler = BatchedInversionSampler::new(&c, lambda, StartPhase::WorkloadStart);
-            let mut scratch = BatchScratch::new();
+            let mut scratch = Chunk::default();
             for seed in 0..8 {
-                for &t in sampler.sample_chunk(&mut scratch, seed, 512) {
+                for t in scratch.ttfs(&sampler, seed, 512) {
                     assert!(t.is_finite() && t >= 0.0, "λ={lambda}: bad TTF {t}");
                 }
             }
@@ -726,9 +675,9 @@ mod tests {
         let trace = IntervalTrace::from_levels(&[0.0, 1.0, 0.0, 0.5]).unwrap();
         let c = compiled(&trace);
         let sampler = BatchedInversionSampler::new(&c, 0.3, StartPhase::Stationary);
-        let mut scratch = BatchScratch::new();
+        let mut scratch = Chunk::default();
         for seed in 0..16 {
-            for &t in sampler.sample_chunk(&mut scratch, seed, 512) {
+            for t in scratch.ttfs(&sampler, seed, 512) {
                 assert!(t.is_finite() && t >= 0.0, "bad stationary TTF {t}");
             }
         }
@@ -741,40 +690,48 @@ mod tests {
         let sampler = BatchedInversionSampler::new(&c, 0.01, StartPhase::WorkloadStart);
         // Fresh scratch per call vs one reused scratch (including a
         // different-length chunk in between): bit-identical streams.
-        let mut reused = BatchScratch::new();
-        let first: Vec<f64> = sampler.sample_chunk(&mut reused, 42, 1024).to_vec();
-        let _ = sampler.sample_chunk(&mut reused, 43, 100);
-        let again: Vec<f64> = sampler.sample_chunk(&mut reused, 42, 1024).to_vec();
+        let mut reused = Chunk::default();
+        let first = reused.ttfs(&sampler, 42, 1024);
+        let _ = reused.ttfs(&sampler, 43, 100);
+        let again = reused.ttfs(&sampler, 42, 1024);
         assert_eq!(first, again, "scratch reuse changed the stream");
-        let mut fresh = BatchScratch::new();
-        assert_eq!(first, sampler.sample_chunk(&mut fresh, 42, 1024), "scratch state leaked");
+        let mut fresh = Chunk::default();
+        assert_eq!(first, fresh.ttfs(&sampler, 42, 1024), "scratch state leaked");
         // Distinct stream seeds decorrelate.
-        assert_ne!(first, sampler.sample_chunk(&mut fresh, 77, 1024));
+        assert_ne!(first, fresh.ttfs(&sampler, 77, 1024));
     }
 
     #[test]
-    fn shared_prepare_plus_finish_is_bit_identical_to_the_fused_kernel() {
-        // The sweep-kernel contract: one prepared chunk, finished per λ,
-        // must reproduce each λ's fused single-point chunk bit for bit —
-        // in both start-phase conventions, across several chunk seeds.
-        let trace =
+    fn shared_prepare_plus_finish_is_bit_identical_to_a_one_rate_chunk() {
+        // The rate-list contract: one prepared chunk, finished per λ on one
+        // point scratch (hints carried from point to point), must reproduce
+        // each λ's own one-rate chunk bit for bit — in both start-phase
+        // conventions, across several chunk seeds, on the select-chain and
+        // on the staged probe.
+        let small =
             IntervalTrace::from_levels(&[1.0, 0.25, 0.25, 0.0, 0.5, 0.0, 0.0, 0.0]).unwrap();
-        let c = compiled(&trace);
+        let levels: Vec<f64> = (0..200).map(|i| f64::from(i % 7) / 6.0).collect();
+        let large = IntervalTrace::from_levels(&levels).unwrap();
         let lambdas = [1e-9, 3e-4, 0.02, 0.7];
-        for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
+        for (trace, start) in [&small, &large]
+            .into_iter()
+            .flat_map(|t| [StartPhase::WorkloadStart, StartPhase::Stationary].map(|s| (t, s)))
+        {
+            let c = compiled(trace);
             let samplers: Vec<_> =
                 lambdas.iter().map(|&l| BatchedInversionSampler::new(&c, l, start)).collect();
-            let mut shared = SharedChunk::new();
-            let mut point = PointScratch::new();
+            let mut shared = SharedChunk::default();
+            let mut point = PointScratch::default();
             for seed in [3u64, 0xBA7C_0001, u64::MAX - 5] {
                 // Shared pass once (any sampler may run it: λ is unread).
                 samplers[0].prepare_chunk(&mut shared, seed, 1024);
+                point.forget_segment_hints();
                 for sampler in &samplers {
                     let stats = sampler.finish_chunk(&shared, &mut point, 1024);
                     let shared_ttfs = point.ttfs().to_vec();
-                    let mut solo = BatchScratch::new();
-                    let (solo_ttfs, solo_stats) =
-                        sampler.sample_chunk_with_stats(&mut solo, seed, 1024);
+                    let mut solo = Chunk::default();
+                    let solo_stats = solo.sample(sampler, seed, 1024);
+                    let solo_ttfs = solo.point.ttfs();
                     assert_eq!(shared_ttfs, solo_ttfs, "{start:?}: TTF stream diverged");
                     assert_eq!(stats.mean().to_bits(), solo_stats.mean().to_bits());
                     assert_eq!(stats.min().to_bits(), solo_stats.min().to_bits());
@@ -796,13 +753,13 @@ mod tests {
         let c = compiled(&trace);
         let a = BatchedInversionSampler::new(&c, 0.01, StartPhase::WorkloadStart);
         let b = BatchedInversionSampler::new(&c, 0.3, StartPhase::WorkloadStart);
-        let mut shared = SharedChunk::new();
+        let mut shared = SharedChunk::default();
         a.prepare_chunk(&mut shared, 42, 1024);
-        let mut fresh_a = PointScratch::new();
-        let mut fresh_b = PointScratch::new();
+        let mut fresh_a = PointScratch::default();
+        let mut fresh_b = PointScratch::default();
         a.finish_chunk(&shared, &mut fresh_a, 1024);
         b.finish_chunk(&shared, &mut fresh_b, 1024);
-        let mut reused = PointScratch::new();
+        let mut reused = PointScratch::default();
         a.finish_chunk(&shared, &mut reused, 1024);
         assert_eq!(reused.ttfs(), fresh_a.ttfs());
         b.finish_chunk(&shared, &mut reused, 1024);
@@ -816,9 +773,9 @@ mod tests {
         let trace = IntervalTrace::busy_idle(30, 70).unwrap();
         let c = compiled(&trace);
         let sampler = BatchedInversionSampler::new(&c, 0.01, StartPhase::WorkloadStart);
-        let mut scratch = BatchScratch::new();
-        let ttfs: Vec<f64> = sampler.sample_chunk(&mut scratch, 5, 1024).to_vec();
-        let (_, stats) = sampler.sample_chunk_with_stats(&mut scratch, 5, 1024);
+        let mut scratch = Chunk::default();
+        let stats = scratch.sample(&sampler, 5, 1024);
+        let ttfs = scratch.point.ttfs();
         assert_eq!(stats.count(), 1024);
         assert_eq!(stats.min(), ttfs.iter().copied().fold(f64::INFINITY, f64::min));
         assert_eq!(stats.max(), ttfs.iter().copied().fold(f64::NEG_INFINITY, f64::max));

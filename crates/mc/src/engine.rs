@@ -1,16 +1,23 @@
-//! The parallel Monte Carlo driver.
+//! The parallel Monte Carlo engine: every estimate — one rate or a rate
+//! list — runs through one chunked loop.
 //!
 //! # Determinism contract
 //!
 //! Results are **bit-identical** for a given `(config.seed, config.trials)`
-//! at any thread count. The trial space is split into fixed-size chunks of
-//! [`TRIAL_CHUNK`] trials; chunk `j` seeds its own RNG with a SplitMix64
-//! finalizer over `(seed, j)` — a pure counter-based derivation that never
-//! looks at which worker thread runs the chunk. Workers pick up chunks
-//! round-robin by index, and the main thread folds per-chunk statistics in
-//! ascending chunk order, so the floating-point reduction order is fixed
-//! too. (An earlier implementation derived streams from *thread* ids, which
-//! silently broke this promise for `threads > 1`.)
+//! at any thread count, and a rate's estimate is the same whether it runs
+//! alone ([`MonteCarlo::component_mttf`]) or as one point of a rate list
+//! ([`MonteCarlo::component_mttf_multi`]). The trial space is split into
+//! fixed-size chunks of [`TRIAL_CHUNK`] trials; chunk `j` derives its
+//! stream seed with a SplitMix64 finalizer over `(seed, j)` — a pure
+//! counter-based derivation that never looks at which worker thread runs
+//! the chunk — and every rate of the list consumes that same stream: the
+//! batched sampler prepares the λ-independent planes once and finishes
+//! each rate over them, and the event loop reseeds its `SmallRng` from the
+//! chunk seed for each rate. Workers claim chunks round-robin by index, and
+//! the main thread folds each rate's per-chunk statistics in ascending
+//! chunk order, so the floating-point reduction order is fixed too.
+//! `tests/sweep_equivalence.rs` and `tests/metrics_invariant.rs` pin both
+//! properties, the latter for the telemetry as well.
 //!
 //! # Compiled hot path and sampler dispatch
 //!
@@ -18,15 +25,16 @@
 //! [`CompiledTrace`] (flat segments + bucketed `O(1)` phase index and a
 //! bucketed inverse index over the prefix sums, or a tile level over such
 //! tables for day-scale tilings like the paper's `combined` workload) and
-//! monomorphizes the trial loop over the configured [`SamplerKind`]:
+//! monomorphizes the chunk loop over the configured [`SamplerKind`]:
 //!
 //! * [`SamplerKind::BatchedInversion`] (the default) makes the whole
-//!   chunk the unit of work: counter-based RNG words and branchless
-//!   structure-of-arrays passes produce all [`TRIAL_CHUNK`] times to
-//!   failure per dispatch — see [`crate::batched`];
+//!   chunk the unit of work: per chunk one shared prepare pass and one
+//!   finish pass per rate, counter-based RNG words and branchless
+//!   structure-of-arrays passes producing all [`TRIAL_CHUNK`] times to
+//!   failure per finish — see [`crate::batched`];
 //! * [`SamplerKind::EventLoop`] walks raw-error events one at a time (the
-//!   paper's Appendix A decomposition) over the compiled point queries —
-//!   kept as the cross-check oracle.
+//!   paper's Appendix A decomposition) over the compiled point queries,
+//!   each rate in turn — kept as the cross-check oracle.
 //!
 //! Every sampler runs on the compiled trace, so the sampler that ran is
 //! always the configured one. A trace that cannot be compiled at all — over
@@ -34,16 +42,18 @@
 //! `combined` — is a typed [`SerrError::InvalidTrace`], never a silent
 //! change of sampler.
 
+use std::time::Instant;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serr_numeric::stats::{RunningStats, Summary};
-use serr_obs::{Event, Obs};
+use serr_obs::Obs;
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
-use serr_types::{Frequency, Mttf, RawErrorRate, SerrError};
+use serr_types::{panic_payload_string, Frequency, Mttf, RawErrorRate, SerrError};
 
-use crate::batched::{BatchScratch, BatchedInversionSampler};
+use crate::batched::{BatchedInversionSampler, PointScratch, SharedChunk};
 use crate::config::{SamplerKind, StartPhase};
-use crate::sampler::{sample_time_to_failure, TrialOutcome};
+use crate::sampler::sample_time_to_failure;
 use crate::system::SystemModel;
 use crate::MonteCarloConfig;
 
@@ -63,8 +73,7 @@ pub(crate) fn chunk_seed(seed: u64, chunk: u64) -> u64 {
 }
 
 /// The single wall-clock deadline test shared by the pre-run gate and the
-/// between-chunks check, so the two paths cannot drift (PR 3 fixed exactly
-/// such a drift). Semantics:
+/// between-chunks check, so the two paths cannot drift. Semantics:
 ///
 /// * no deadline configured → never expired;
 /// * once any caller has observed expiry, the sticky `expired` flag makes
@@ -92,23 +101,24 @@ fn deadline_expired(
     false
 }
 
-/// Renders a panic payload for the typed worker-fault error, mirroring the
-/// helper in `serr-core::par` (the two crates cannot share it without a
-/// dependency cycle).
-fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Milliseconds elapsed since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
 }
 
-/// Assembles an [`MttfEstimate`] from cycle-domain statistics folded in
-/// ascending chunk order — the one place the cycles → seconds conversion
-/// lives, shared by the single-point run and the sweep kernel so the two
-/// paths cannot round differently.
+/// The error of a zero raw error rate, whose MTTF is infinite.
+pub(crate) fn zero_rate() -> SerrError {
+    SerrError::invalid_config("raw error rate is zero; MTTF is infinite")
+}
+
+/// The error of a trace with AVF = 0, whose component can never fail.
+pub(crate) fn never_vulnerable() -> SerrError {
+    SerrError::invalid_trace("trace has AVF = 0; the component can never fail")
+}
+
+/// Assembles an [`MttfEstimate`] from one point's cycle-domain statistics
+/// folded in ascending chunk order — the one place the cycles → seconds
+/// conversion lives.
 ///
 /// # Errors
 ///
@@ -160,13 +170,54 @@ pub fn compile_for_sampling(trace: &dyn VulnerabilityTrace) -> Result<CompiledTr
     })
 }
 
-/// Everything one chunk of trials produces.
-struct ChunkOutcome {
-    stats: RunningStats,
-    events: u64,
-    /// Raw per-trial TTFs in cycles, populated only when the caller asked
-    /// for samples.
-    ttfs: Vec<f64>,
+/// One chunk across every rate of a run, in rate order. It is kept until
+/// the fold for every (rate, chunk), so a rate's entry is only its
+/// statistics and what the caller kept.
+pub(crate) struct Chunk<K> {
+    /// Each rate's statistics and what the caller kept of its times to
+    /// failure; empty statistics for a rate listed in `failed`.
+    pub(crate) points: Vec<(RunningStats, K)>,
+    /// Each rate's raw-error events: the event loop's count, or empty for
+    /// the batched sampler, whose every trial consumes exactly one (the
+    /// failing one).
+    pub(crate) events: Vec<u64>,
+    /// The rates that failed in this chunk, with their errors.
+    pub(crate) failed: Vec<(usize, SerrError)>,
+    /// The batched sampler's wall time in the shared prepare pass and in
+    /// the per-rate finish passes (zero for the event loop, which is timed
+    /// whole).
+    pub(crate) shared_ms: f64,
+    pub(crate) point_ms: f64,
+}
+
+/// One rate's share of one completed chunk.
+pub(crate) struct PointChunk<'a, K> {
+    pub(crate) chunk: u64,
+    pub(crate) stats: &'a RunningStats,
+    /// Raw-error events consumed.
+    pub(crate) events: u64,
+    pub(crate) kept: &'a K,
+}
+
+/// Rate `p`'s share of every completed chunk in ascending chunk order, or
+/// its error in the lowest chunk that failed — deterministic at any thread
+/// count, since a worker skips a rate only after that rate failed in a
+/// lower chunk of its own.
+pub(crate) fn point_chunks<K>(
+    chunks: &[(u64, Chunk<K>)],
+    p: usize,
+) -> Result<Vec<PointChunk<'_, K>>, SerrError> {
+    chunks
+        .iter()
+        .map(|(chunk, c)| {
+            if let Some((_, e)) = c.failed.iter().find(|(q, _)| *q == p) {
+                return Err(e.clone());
+            }
+            let (stats, kept) = &c.points[p];
+            let events = c.events.get(p).copied().unwrap_or(stats.count());
+            Ok(PointChunk { chunk: *chunk, stats, events, kept })
+        })
+        .collect()
 }
 
 /// A Monte Carlo MTTF estimate with sampling diagnostics.
@@ -200,11 +251,9 @@ impl MttfEstimate {
 /// and reports MTTF estimates with confidence intervals.
 ///
 /// Results are deterministic for a given `(config.seed, trials)` regardless
-/// of thread count: RNG streams are derived per fixed-size trial *chunk*
-/// from `(seed, chunk index)` alone, never from the worker that runs the
-/// chunk, and per-chunk results are folded in ascending chunk order, so
-/// the floating-point reduction order is fixed too. The
-/// `deterministic_across_thread_counts` test checks the bit-equality.
+/// of thread count and of the other rates a run carries: chunk `j` of every
+/// rate draws from a stream derived from `(seed, j)` alone, and each rate's
+/// chunks fold in ascending chunk order on the main thread.
 #[derive(Debug, Clone, Default)]
 pub struct MonteCarlo {
     pub(crate) config: MonteCarloConfig,
@@ -222,11 +271,14 @@ impl MonteCarlo {
         MonteCarlo { config, obs: None }
     }
 
-    /// Attaches an observability handle. The engine then records per-stage
-    /// wall time (`stage.trace_compile_ms`, `stage.mc_run_ms`), chunk /
-    /// trial / raw-event counters, a samples-per-second gauge, and emits
-    /// one `mc.chunk` convergence event per completed chunk (running mean
-    /// and CI half-width after folding that chunk, keyed by chunk index).
+    /// Attaches an observability handle. Every run then records the same
+    /// vocabulary, whatever the number of rates: per-stage wall time
+    /// (`stage.trace_compile_ms`; `stage.sweep_shared_ms` and
+    /// `stage.sweep_point_ms` for the batched sampler, `stage.mc_run_ms`
+    /// for the event loop), run / chunk / trial / raw-event counters, a
+    /// samples-per-second gauge, and one `mc.chunk` convergence event per
+    /// completed (rate, chunk) — the rate's running mean and CI half-width
+    /// after folding that chunk (see [`MonteCarlo::component_mttf_multi`]).
     #[must_use]
     pub fn with_observer(mut self, obs: Obs) -> Self {
         self.obs = Some(obs);
@@ -241,66 +293,44 @@ impl MonteCarlo {
 
     /// Estimates the MTTF of a single component with raw error rate `rate`
     /// running `trace` at `freq` — the ground truth against which the AVF
-    /// step is judged.
+    /// step is judged. The one-rate case of
+    /// [`MonteCarlo::component_mttf_multi`].
     ///
     /// # Errors
     ///
     /// Returns [`SerrError::InvalidConfig`] for a zero rate or zero trials,
     /// [`SerrError::InvalidTrace`] for an AVF-0 trace or one that cannot be
-    /// compiled, and propagates a trial that exceeds the per-trial event
-    /// cap.
+    /// compiled, propagates a trial that exceeds the per-trial event cap,
+    /// and returns [`SerrError::InvalidValue`] when the mean time to failure
+    /// overflows.
     pub fn component_mttf(
         &self,
         trace: &dyn VulnerabilityTrace,
         rate: RawErrorRate,
         freq: Frequency,
     ) -> Result<MttfEstimate, SerrError> {
-        self.validate(trace, rate)?;
-        let compiled = self.compile(trace)?;
-        self.run(&compiled, rate, freq)
-    }
-
-    /// [`MonteCarlo::component_mttf`] on a trace compiled ahead of time —
-    /// for callers that hold a [`CompiledTrace`] across many estimates
-    /// (the service's trace cache). Since [`MonteCarlo::component_mttf`] is
-    /// exactly `compile` followed by this, passing `compile(trace)` gives a
-    /// bit-identical estimate.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MonteCarlo::component_mttf`].
-    pub fn component_mttf_compiled(
-        &self,
-        trace: &CompiledTrace,
-        rate: RawErrorRate,
-        freq: Frequency,
-    ) -> Result<MttfEstimate, SerrError> {
-        self.validate(trace, rate)?;
-        self.run(trace, rate, freq)
+        self.component_mttf_multi(trace, &[rate], freq)?.pop().expect("one estimate per rate")
     }
 
     /// Estimates the MTTF of a whole system — the ground truth against which
-    /// the SOFR step is judged. See [`SystemModel`] for construction.
+    /// the SOFR step is judged: [`MonteCarlo::component_mttf`] on the
+    /// system's combined trace at its total rate. See [`SystemModel`] for
+    /// construction.
     ///
     /// # Errors
     ///
     /// As for [`MonteCarlo::component_mttf`].
     pub fn system_mttf(&self, system: &SystemModel) -> Result<MttfEstimate, SerrError> {
-        let trace = system.combined_trace();
-        let rate = system.total_rate();
-        self.validate(&trace, rate)?;
-        let compiled = self.compile(&trace)?;
-        self.run(&compiled, rate, system.frequency())
+        self.component_mttf(&system.combined_trace(), system.total_rate(), system.frequency())
     }
 
     /// Draws `n` raw time-to-failure samples (in seconds) for distribution
     /// analysis — e.g. Kolmogorov–Smirnov tests of the SOFR exponentiality
     /// assumption.
     ///
-    /// Shares the compiled-trace chunked trial loop with
-    /// [`MonteCarlo::component_mttf`]: it honors `config.threads`, and the
-    /// returned sample vector is in deterministic trial order (chunk-major)
-    /// for any thread count.
+    /// Runs the same chunk loop as [`MonteCarlo::component_mttf`]: it
+    /// honors `config.threads`, and the returned sample vector is in
+    /// deterministic trial order (chunk-major) for any thread count.
     ///
     /// # Errors
     ///
@@ -312,13 +342,20 @@ impl MonteCarlo {
         freq: Frequency,
         n: u64,
     ) -> Result<Vec<f64>, SerrError> {
-        self.validate(trace, rate)?;
-        let lambda_cycle = rate.per_second_value() / freq.hz();
-        let engine = MonteCarlo::new(MonteCarloConfig { trials: n, ..self.config });
+        self.config.validate()?;
+        if rate.is_zero() {
+            return Err(zero_rate());
+        }
         let compiled = compile_for_sampling(trace)?;
-        let (chunks, _truncated) = engine.run_sampler(&compiled, lambda_cycle, true)?;
+        if compiled.is_never_vulnerable() {
+            return Err(never_vulnerable());
+        }
         let hz = freq.hz();
-        Ok(chunks.into_iter().flat_map(|(_, c)| c.ttfs).map(|t| t / hz).collect())
+        let engine = MonteCarlo::new(MonteCarloConfig { trials: n, ..self.config });
+        let (chunks, _) =
+            engine.run_rates(&compiled, &[rate.per_second_value() / hz], <[f64]>::to_vec)?;
+        let parts = point_chunks(&chunks, 0)?;
+        Ok(parts.into_iter().flat_map(|pc| pc.kept.iter().map(|t| t / hz)).collect())
     }
 
     /// Compiles `trace` once for a run, recording the `trace_compile`
@@ -328,191 +365,116 @@ impl MonteCarlo {
         &self,
         trace: &dyn VulnerabilityTrace,
     ) -> Result<CompiledTrace, SerrError> {
-        let t_compile = std::time::Instant::now();
+        let t_compile = Instant::now();
         let compiled = compile_for_sampling(trace);
         if let Some(obs) = &self.obs {
-            obs.record_stage("trace_compile", t_compile.elapsed().as_secs_f64() * 1e3);
+            obs.record_stage("trace_compile", ms_since(t_compile));
         }
         compiled
     }
 
-    fn validate(
-        &self,
-        trace: &dyn VulnerabilityTrace,
-        rate: RawErrorRate,
-    ) -> Result<(), SerrError> {
-        self.config.validate()?;
-        if rate.is_zero() {
-            return Err(SerrError::invalid_config("raw error rate is zero; MTTF is infinite"));
-        }
-        if trace.is_never_vulnerable() {
-            return Err(SerrError::invalid_trace(
-                "trace has AVF = 0; the component can never fail",
-            ));
-        }
-        Ok(())
-    }
-
-    fn run(
-        &self,
-        compiled: &CompiledTrace,
-        rate: RawErrorRate,
-        freq: Frequency,
-    ) -> Result<MttfEstimate, SerrError> {
-        let lambda_cycle = rate.per_second_value() / freq.hz();
-        let t_run = std::time::Instant::now();
-        let (chunks, truncated) = self.run_sampler(compiled, lambda_cycle, false)?;
-        let sampler = self.config.sampler;
-
-        // Fold in ascending chunk order: the reduction order (and thus the
-        // result, bit for bit) is independent of the thread count. The
-        // per-chunk convergence snapshots ride on this fold — emitted from
-        // the main thread in chunk order and keyed by chunk index, they are
-        // byte-identical at any thread count.
-        let hz = freq.hz();
-        let mut stats = RunningStats::new();
-        let mut total_events = 0u64;
-        for (chunk, c) in &chunks {
-            stats.merge(&c.stats);
-            total_events += c.events;
-            if let Some(obs) = &self.obs {
-                obs.emit(
-                    Event::new("mc.chunk", *chunk)
-                        .with("chunk", *chunk)
-                        .with("n", stats.count())
-                        .with("mean_s", stats.mean() / hz)
-                        .with("ci95_s", stats.ci95_half_width() / hz),
-                );
-            }
-        }
-
-        // Convert cycle statistics to seconds. Normalize events by the
-        // trials that actually ran — under a deadline that is fewer than
-        // `config.trials`.
-        let completed = stats.count();
-        if let Some(obs) = &self.obs {
-            let secs = t_run.elapsed().as_secs_f64();
-            obs.record_stage("mc_run", secs * 1e3);
-            let metrics = obs.metrics();
-            metrics.add("mc.runs", 1);
-            metrics.add(
-                match sampler {
-                    SamplerKind::EventLoop => "mc.runs_event_loop",
-                    SamplerKind::BatchedInversion => "mc.runs_batched_inversion",
-                },
-                1,
-            );
-            metrics.add("mc.rng_chunks", chunks.len() as u64);
-            metrics.add("mc.trials_completed", completed);
-            metrics.add("mc.raw_error_events", total_events);
-            if truncated {
-                metrics.add("mc.truncated_runs", 1);
-            }
-            if secs > 0.0 {
-                metrics.set_gauge("mc.samples_per_sec", completed as f64 / secs);
-            }
-        }
-        estimate_from_cycle_stats(&stats, hz, total_events, truncated, sampler)
-    }
-
-    /// Dispatches the configured [`SamplerKind`] over the compiled trace
-    /// and runs the chunked trial loop, monomorphizing it over the
-    /// per-trial closure. Returns the chunk outcomes and the truncation
-    /// flag.
-    fn run_sampler(
+    /// The one chunk loop: runs the configured trial count for every
+    /// per-cycle rate in `lambdas` (each positive) on `c`, and returns the
+    /// completed chunks in ascending index order with the truncation flag.
+    /// `keep` maps one rate's chunk of times to failure (in cycles, trial
+    /// order) to what the caller keeps of it — nothing for an estimate, the
+    /// samples for [`MonteCarlo::sample_ttfs`].
+    ///
+    /// The batched sampler prepares each chunk once and finishes it per
+    /// rate; the event loop walks each rate's trials in turn from the
+    /// chunk's seed. A rate whose event loop fails (the per-trial event
+    /// cap) is listed with its error in the chunk's `failed`, and the
+    /// worker skips it in later chunks; the other rates run on.
+    pub(crate) fn run_rates<K: Send>(
         &self,
         c: &CompiledTrace,
-        lambda_cycle: f64,
-        collect_samples: bool,
-    ) -> Result<(Vec<(u64, ChunkOutcome)>, bool), SerrError> {
-        let cap = self.config.max_events_per_trial;
+        lambdas: &[f64],
+        keep: impl Fn(&[f64]) -> K + Sync,
+    ) -> Result<(Vec<(u64, Chunk<K>)>, bool), SerrError> {
+        let seed = self.config.seed;
+        let start_phase = self.config.start_phase;
         match self.config.sampler {
             SamplerKind::BatchedInversion => {
-                // Chunk-at-a-time path: the sampler consumes its own
-                // versioned counter-RNG stream derived from the same
-                // `chunk_seed(seed, chunk)` values, so the determinism
-                // contract (bit-identical at any thread count) holds by the
-                // same argument as the per-trial path. `StartPhase` is
-                // resolved inside the batched kernels — the stationary
-                // variant draws its phase plane from the counter stream.
-                let sampler =
-                    BatchedInversionSampler::new(c, lambda_cycle, self.config.start_phase);
-                let seed = self.config.seed;
-                self.run_chunks_scaffold(BatchScratch::new, |scratch, chunk, n| {
-                    let (ttfs, stats) = sampler.sample_chunk_with_stats(
-                        scratch,
-                        chunk_seed(seed, chunk),
-                        n as usize,
-                    );
-                    Ok(ChunkOutcome {
-                        stats,
-                        // One raw-error event (the failing one) per trial.
-                        events: n,
-                        ttfs: if collect_samples { ttfs.to_vec() } else { Vec::new() },
-                    })
-                })
+                let samplers: Vec<BatchedInversionSampler> = lambdas
+                    .iter()
+                    .map(|&lambda| BatchedInversionSampler::new(c, lambda, start_phase))
+                    .collect();
+                self.run_chunks_scaffold(
+                    <(SharedChunk, PointScratch)>::default,
+                    |(shared, point), chunk, n| {
+                        let n = n as usize;
+                        // The shared pass runs once per chunk; any sampler
+                        // may drive it (λ is unread there). Hints never
+                        // cross chunks, so a chunk's lookups do not depend
+                        // on which chunk this worker served before.
+                        let t_shared = Instant::now();
+                        samplers[0].prepare_chunk(shared, chunk_seed(seed, chunk), n);
+                        point.forget_segment_hints();
+                        let shared_ms = ms_since(t_shared);
+                        let t_point = Instant::now();
+                        let points = samplers
+                            .iter()
+                            .map(|s| (s.finish_chunk(shared, point, n), keep(point.ttfs())))
+                            .collect();
+                        Ok(Chunk {
+                            points,
+                            events: Vec::new(),
+                            failed: Vec::new(),
+                            shared_ms,
+                            point_ms: ms_since(t_point),
+                        })
+                    },
+                )
             }
             SamplerKind::EventLoop => {
-                self.run_chunks(c.period_cycles(), collect_samples, |rng, phase| {
-                    sample_time_to_failure(c, lambda_cycle, cap, rng, phase)
-                })
+                let cap = self.config.max_events_per_trial;
+                self.run_chunks_scaffold(
+                    <(Vec<f64>, Vec<Option<SerrError>>)>::default,
+                    |(ttfs, failed_before), chunk, n| {
+                        failed_before.resize(lambdas.len(), None);
+                        let mut out = Chunk {
+                            points: Vec::with_capacity(lambdas.len()),
+                            events: Vec::with_capacity(lambdas.len()),
+                            failed: Vec::new(),
+                            shared_ms: 0.0,
+                            point_ms: 0.0,
+                        };
+                        let stream = chunk_seed(seed, chunk);
+                        for (p, &lambda) in lambdas.iter().enumerate() {
+                            let run = match &failed_before[p] {
+                                Some(e) => Err(e.clone()),
+                                None => {
+                                    event_loop_chunk(c, lambda, cap, start_phase, stream, n, ttfs)
+                                }
+                            };
+                            match run {
+                                Ok((stats, events)) => {
+                                    out.points.push((stats, keep(ttfs)));
+                                    out.events.push(events);
+                                }
+                                Err(e) => {
+                                    failed_before[p] = Some(e.clone());
+                                    out.points.push((RunningStats::new(), keep(&[])));
+                                    out.events.push(0);
+                                    out.failed.push((p, e));
+                                }
+                            }
+                        }
+                        Ok(out)
+                    },
+                )
             }
         }
     }
 
-    /// The per-trial loop over [`run_chunks_scaffold`] that the event loop
-    /// runs: one chunk-seeded `SmallRng` per chunk, one closure call per
-    /// trial, monomorphized over the closure so the walk inlines end to
-    /// end. The `StartPhase` draw happens *before* the trial call, so the
-    /// phase stream is fixed by the chunk seed alone.
-    ///
-    /// [`run_chunks_scaffold`]: MonteCarlo::run_chunks_scaffold
-    fn run_chunks<F>(
-        &self,
-        period_cycles: u64,
-        collect_samples: bool,
-        trial: F,
-    ) -> Result<(Vec<(u64, ChunkOutcome)>, bool), SerrError>
-    where
-        F: Fn(&mut SmallRng, f64) -> Result<TrialOutcome, SerrError> + Sync,
-    {
-        let seed = self.config.seed;
-        let start_phase = self.config.start_phase;
-        let period = period_cycles as f64;
-        self.run_chunks_scaffold(
-            || (),
-            |(), chunk, n| {
-                let mut rng = SmallRng::seed_from_u64(chunk_seed(seed, chunk));
-                let mut stats = RunningStats::new();
-                let mut events = 0u64;
-                let mut ttfs = Vec::with_capacity(if collect_samples { n as usize } else { 0 });
-                for _ in 0..n {
-                    // The `StartPhase` draw must stay *before* the trial
-                    // call: moving it would reorder the RNG stream.
-                    let phase = match start_phase {
-                        StartPhase::WorkloadStart => 0.0,
-                        StartPhase::Stationary => rng.gen_range(0.0..period),
-                    };
-                    let t = trial(&mut rng, phase)?;
-                    stats.push(t.ttf_cycles);
-                    events += t.events;
-                    if collect_samples {
-                        ttfs.push(t.ttf_cycles);
-                    }
-                }
-                Ok(ChunkOutcome { stats, events, ttfs })
-            },
-        )
-    }
-
-    /// The chunk scaffolding shared by the per-trial and batched paths:
-    /// claims chunks round-robin by index across workers, honors real and
-    /// injected deadlines at chunk boundaries, maps worker panics to the
-    /// typed engine fault, and returns outcomes sorted by chunk index.
-    /// `scratch_init` runs once per worker (the batched sampler reuses its
-    /// structure-of-arrays buffers across every chunk a worker claims);
-    /// `chunk_body(scratch, chunk, n)` produces the outcome of `n` trials
-    /// on chunk `chunk`'s deterministic stream.
+    /// The chunk scaffolding under [`MonteCarlo::run_rates`]: claims
+    /// chunks round-robin by index across workers, honors real and injected
+    /// deadlines at chunk boundaries, maps worker panics to the typed
+    /// engine fault, and returns outcomes sorted by chunk index.
+    /// `scratch_init` runs once per worker (the samplers reuse their
+    /// buffers across every chunk a worker claims); `chunk_body(scratch,
+    /// chunk, n)` produces the outcome of `n` trials on chunk `chunk`'s
+    /// deterministic stream.
     ///
     /// Deadline semantics: the budget is checked at chunk boundaries only —
     /// a chunk that has started always finishes, and every worker completes
@@ -521,8 +483,8 @@ impl MonteCarlo {
     /// empty. Because each chunk's stream depends only on its index, the
     /// truncated result is still a deterministic function of *which* chunks
     /// completed (e.g. a zero deadline with one thread always yields
-    /// exactly chunk 0).
-    pub(crate) fn run_chunks_scaffold<S, I, G, O>(
+    /// exactly chunk 0). One budget covers every rate of the run.
+    fn run_chunks_scaffold<S, I, G, O>(
         &self,
         scratch_init: I,
         chunk_body: G,
@@ -538,7 +500,7 @@ impl MonteCarlo {
         let seed = self.config.seed;
         let deadline = self.config.deadline;
         let chaos = self.config.chaos;
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let expired = std::sync::atomic::AtomicBool::new(false);
 
         // A budget that is already spent buys zero chunks: fail fast with
@@ -643,6 +605,37 @@ impl MonteCarlo {
         // telemetry deterministically.
         Ok((completed, truncated))
     }
+}
+
+/// One rate's chunk of event-loop trials: a `SmallRng` seeded from the
+/// chunk's stream, the `StartPhase` draw *before* each trial (moving it
+/// would reorder the stream), and the times to failure left in `ttfs` in
+/// trial order. Returns the chunk's statistics and raw-error event count.
+fn event_loop_chunk(
+    c: &CompiledTrace,
+    lambda: f64,
+    cap: u64,
+    start_phase: StartPhase,
+    stream_seed: u64,
+    n: u64,
+    ttfs: &mut Vec<f64>,
+) -> Result<(RunningStats, u64), SerrError> {
+    let period = c.period_cycles() as f64;
+    let mut rng = SmallRng::seed_from_u64(stream_seed);
+    let mut stats = RunningStats::new();
+    let mut events = 0u64;
+    ttfs.clear();
+    for _ in 0..n {
+        let phase = match start_phase {
+            StartPhase::WorkloadStart => 0.0,
+            StartPhase::Stationary => rng.gen_range(0.0..period),
+        };
+        let t = sample_time_to_failure(c, lambda, cap, &mut rng, phase)?;
+        stats.push(t.ttf_cycles);
+        events += t.events;
+        ttfs.push(t.ttf_cycles);
+    }
+    Ok((stats, events))
 }
 
 #[cfg(test)]
@@ -1085,37 +1078,62 @@ mod tests {
     fn observer_telemetry_is_readonly_and_chunk_ordered() {
         use serr_obs::Value;
         // Attaching an observer must not change the estimate, and the
-        // mc.chunk convergence snapshots arrive in ascending chunk order
-        // with a running sample count.
+        // mc.chunk convergence snapshots of a one-rate run arrive in
+        // ascending chunk order, keyed by chunk index, with a running
+        // sample count. The stages follow the sampler.
         let trace = IntervalTrace::busy_idle(10, 10).unwrap();
         let rate = RawErrorRate::per_year(5.0);
-        let cfg = MonteCarloConfig { trials: 5_000, threads: 4, ..Default::default() };
-        let plain = MonteCarlo::new(cfg).component_mttf(&trace, rate, Frequency::base()).unwrap();
-        let (obs, sink) = Obs::memory();
-        let observed = MonteCarlo::new(cfg)
-            .with_observer(obs.clone())
-            .component_mttf(&trace, rate, Frequency::base())
-            .unwrap();
-        assert_eq!(plain, observed);
+        for sampler in [SamplerKind::BatchedInversion, SamplerKind::EventLoop] {
+            let cfg = MonteCarloConfig { trials: 5_000, threads: 4, sampler, ..Default::default() };
+            let plain =
+                MonteCarlo::new(cfg).component_mttf(&trace, rate, Frequency::base()).unwrap();
+            let (obs, sink) = Obs::memory();
+            let observed = MonteCarlo::new(cfg)
+                .with_observer(obs.clone())
+                .component_mttf(&trace, rate, Frequency::base())
+                .unwrap();
+            assert_eq!(plain, observed);
 
-        let chunks = sink.events_of("mc.chunk");
-        assert_eq!(chunks.len(), 5, "5000 trials -> 5 chunks of 1024");
-        let seqs: Vec<u64> = chunks.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-        let last = &chunks[4];
-        assert!(last.fields.iter().any(|(k, v)| *k == "n" && *v == Value::U64(5_000)));
+            let chunks = sink.events_of("mc.chunk");
+            assert_eq!(chunks.len(), 5, "5000 trials -> 5 chunks of 1024");
+            let seqs: Vec<u64> = chunks.iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+            for (k, e) in chunks.iter().enumerate() {
+                assert!(e.fields.iter().any(|(f, v)| *f == "point" && *v == Value::U64(0)));
+                assert!(e.fields.iter().any(|(f, v)| *f == "chunk" && *v == Value::U64(k as u64)));
+            }
+            let last = &chunks[4];
+            assert!(last.fields.iter().any(|(k, v)| *k == "n" && *v == Value::U64(5_000)));
 
-        let snap = obs.metrics().snapshot();
-        assert_eq!(snap.counters["mc.rng_chunks"], 5);
-        assert_eq!(
-            snap.counters["mc.runs_batched_inversion"], 1,
-            "default sampler is batched inversion"
-        );
-        assert!(!snap.counters.contains_key("mc.runs_event_loop"));
-        assert_eq!(snap.counters["mc.trials_completed"], 5_000);
-        assert_eq!(snap.histograms["stage.mc_run_ms"].count(), 1);
-        assert_eq!(snap.histograms["stage.trace_compile_ms"].count(), 1);
-        assert!(snap.gauges["mc.samples_per_sec"] > 0.0);
+            let snap = obs.metrics().snapshot();
+            let (ran, absent) = match sampler {
+                SamplerKind::BatchedInversion => {
+                    ("mc.runs_batched_inversion", "mc.runs_event_loop")
+                }
+                SamplerKind::EventLoop => ("mc.runs_event_loop", "mc.runs_batched_inversion"),
+            };
+            assert_eq!(snap.counters["mc.runs"], 1);
+            assert_eq!(snap.counters[ran], 1, "{sampler:?}");
+            assert!(!snap.counters.contains_key(absent));
+            assert_eq!(snap.counters["mc.rng_chunks"], 5);
+            assert_eq!(snap.counters["mc.trials_completed"], 5_000);
+            assert!(snap.counters["mc.raw_error_events"] >= 5_000);
+            assert!(!snap.counters.contains_key("mc.truncated_runs"));
+            assert_eq!(snap.histograms["stage.trace_compile_ms"].count(), 1);
+            let stages: &[&str] = match sampler {
+                SamplerKind::BatchedInversion => &["stage.sweep_shared_ms", "stage.sweep_point_ms"],
+                SamplerKind::EventLoop => &["stage.mc_run_ms"],
+            };
+            for (name, h) in snap.histograms.iter().filter(|(n, _)| n.starts_with("stage.")) {
+                let expected = usize::from(stages.contains(&name.as_str()))
+                    + usize::from(name == "stage.trace_compile_ms");
+                assert_eq!(h.count() as usize, expected, "{sampler:?}: {name}");
+            }
+            for name in stages {
+                assert!(snap.histograms.contains_key(*name), "{sampler:?}: no {name}");
+            }
+            assert!(snap.gauges["mc.samples_per_sec"] > 0.0);
+        }
     }
 
     #[test]

@@ -37,6 +37,14 @@
 //!    500,000-processor cluster therefore costs the same per trial as a
 //!    single component (see [`system::SystemModel`]).
 //!
+//! Every estimate runs through one chunk loop: [`MonteCarlo::component_mttf_multi`]
+//! estimates a list of rates on one trace in one chunked pass, sharing
+//! each chunk's λ-independent draws across the rates (see [`sweep`]), and
+//! [`MonteCarlo::component_mttf`], [`MonteCarlo::system_mttf`] and
+//! [`MonteCarlo::sample_ttfs`] are its one-rate case. Estimates are
+//! bit-identical at any thread count and whether a rate runs alone or in
+//! a list.
+//!
 //! # Example
 //!
 //! ```

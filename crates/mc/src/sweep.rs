@@ -1,64 +1,65 @@
-//! The shared-stream sweep kernel: one Monte Carlo pass over *many*
-//! design points.
+//! Rate lists: one Monte Carlo pass over *many* design points, and the
+//! fold and telemetry every estimate goes through.
 //!
-//! # Why sweeps deserve their own kernel
+//! # Why rate lists share a pass
 //!
 //! The paper's headline artifacts are sweeps — MTTF vs raw error rate
 //! (Fig 5), MTTF/SOFR over `c × N·S` grids (Fig 6a/6b) — and a sweep
-//! evaluated point-by-point regenerates an identical counter-RNG word
-//! stream and an identical `Exp(1)` log pass for every λ, even
-//! though the `Exp(1)` draws are λ-independent (`TTF = Λ⁻¹(E)`; only the
-//! cheap inversion depends on the point). This is the classic
+//! evaluated point-by-point would regenerate an identical counter-RNG word
+//! stream and an identical `Exp(1)` log pass for every λ, even though the
+//! `Exp(1)` draws are λ-independent (`TTF = Λ⁻¹(E)`; only the cheap
+//! inversion depends on the point). This is the classic
 //! common-random-numbers design from the simulation literature: per
-//! 1024-trial chunk the kernel runs
-//! [`BatchedInversionSampler::prepare_chunk`] **once** — RNG words,
+//! 1024-trial chunk the engine runs
+//! [`BatchedInversionSampler::prepare_chunk`](crate::batched::BatchedInversionSampler::prepare_chunk) **once** — RNG words,
 //! exponent-splice uniforms, the vectorized `Exp(1)` log, and
 //! (stationary) the phase plane with its `V(φ)` pricing — then
 //! re-inverts the shared buffers for each λ with
-//! [`BatchedInversionSampler::finish_chunk`] (the per-point
-//! `neg_inv_lambda_w` scaling plus `phase_at_cumulative_batch`). Each
-//! finish also starts its inverse lookups from the segments the previous
-//! point landed in: neighboring rates put a trial's final-window mass in
-//! the same segment, so on flat traces too large for the select-chain
-//! about half the lookups skip the bucket search, with identical phases.
-//! For an M-point sweep the RNG + log work is paid once instead of M
-//! times, and because every point consumes the *same* draws, sampling
-//! noise is positively correlated across the curve — crossing points stop
-//! jittering between neighboring design points.
+//! [`BatchedInversionSampler::finish_chunk`](crate::batched::BatchedInversionSampler::finish_chunk) (the per-point
+//! `neg_inv_lambda_w` scaling plus [`CompiledTrace::phase_at_cumulative_batch`]).
+//! Each finish also starts its inverse lookups from the segments the
+//! previous point landed in: neighboring rates put a trial's final-window
+//! mass in the same segment, so on flat traces too large for the
+//! select-chain about half the lookups skip the bucket search, with
+//! identical phases. For an M-point sweep the RNG + log work is paid once
+//! instead of M times, and because every point consumes the *same* draws,
+//! sampling noise is positively correlated across the curve — crossing
+//! points stop jittering between neighboring design points.
 //!
-//! # Bit-identity contract
+//! A one-rate estimate ([`MonteCarlo::component_mttf`]) is the one-point
+//! case of the same call, so each point of a list is bit-identical to the
+//! rate run alone, at any `SERR_THREADS` (see [`MonteCarlo`]).
 //!
-//! Each point's estimate is **bit-identical** to an independent
-//! [`MonteCarlo::component_mttf`] run with the same seed: the kernel uses
-//! the same `(seed, chunk)` word schedule, the shared draws are consumed
-//! with identical operands in identical operation order (the fused
-//! single-point kernel *is* prepare + finish — see `crate::batched`), and
-//! the per-point fold walks chunks in the same ascending order. The
-//! kernel is likewise thread-count invariant at any `SERR_THREADS`, by
-//! the same argument as the single-point engine: chunk streams key on the
-//! chunk index, never the worker. `tests/sweep_equivalence.rs` pins both
-//! properties.
-//!
-//! # The c-axis of Fig 6 rides the same kernel
+//! # The c-axis of Fig 6 rides the same pass
 //!
 //! A system of `c` identical phase-aligned components superposes into a
 //! single component at rate `c·λ` over the same trace
 //! (`serr_mc::system`), so the c-axis of the Fig 6 grids *is* a λ-axis:
 //! grouping a grid by trace reduces every cell to one shared-stream rate
-//! sweep, reusing the per-component draw planes across `c` without
+//! list, reusing the per-component draw planes across `c` without
 //! changing a single sampled bit.
 //!
 //! # Every workload rides it
 //!
-//! The kernel reads its trace only through
+//! The batched sampler reads its trace only through
 //! [`CompiledTrace::cumulative_at_batch`] (prepare) and
-//! [`CompiledTrace::phase_at_cumulative_batch_hinted`] (finish), and both
+//! [`CompiledTrace::phase_at_cumulative_batch`] (finish), and both
 //! layouts of [`CompiledTrace`] answer them with one batch call per chunk:
 //! the two-span day/week loops through the select-chain, and the SPEC
 //! processor traces and the tile level of the paper's day-scale `combined`
 //! tiling through the staged probe, whose stage buffers the per-worker
-//! [`PointScratch`] owns. A trace that compiles neither flat nor tiled is
-//! a typed [`SerrError::InvalidTrace`] for the whole sweep.
+//! [`crate::batched::PointScratch`] owns. A trace that compiles neither
+//! flat nor tiled is a typed [`SerrError::InvalidTrace`] for the whole
+//! list.
+//!
+//! # Telemetry
+//!
+//! One vocabulary for any number of rates, emitted from the main-thread
+//! fold only when an observer is attached: an `mc.chunk` event per
+//! (point, chunk) with `seq = point·n_chunks + chunk` (so a one-rate run
+//! keys its events by chunk index), the stages named by the sampler
+//! (`sweep_shared` + `sweep_point` for the batched sampler, `mc_run` for
+//! the event loop), and the `mc.*` counters and gauge.
 
 use std::time::Instant;
 
@@ -67,33 +68,23 @@ use serr_obs::Event;
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate, SerrError};
 
-use crate::batched::{BatchedInversionSampler, PointScratch, SharedChunk};
 use crate::config::SamplerKind;
-use crate::engine::{chunk_seed, estimate_from_cycle_stats, MonteCarlo, MttfEstimate};
-
-/// One chunk's outcome across every valid design point: per-point
-/// statistics in point order, plus the chunk's wall time split between the
-/// shared prepare pass and the per-point finish passes (folded into the
-/// `stage.sweep_shared_ms` / `stage.sweep_point_ms` histograms on the main
-/// thread).
-struct MultiChunk {
-    stats: Vec<RunningStats>,
-    shared_ms: f64,
-    point_ms: f64,
-}
+use crate::engine::{
+    estimate_from_cycle_stats, never_vulnerable, point_chunks, zero_rate, MonteCarlo, MttfEstimate,
+    TRIAL_CHUNK,
+};
 
 impl MonteCarlo {
     /// Estimates the MTTF of one component under *each* raw error rate in
     /// `rates`, sharing the expensive λ-independent sampling passes across
     /// all of them (see the [module docs](self)).
     ///
-    /// Per-point semantics match [`MonteCarlo::component_mttf`] exactly:
-    /// each returned entry is bit-identical to an independent run at that
-    /// rate with the same configuration. A rate that is individually
-    /// invalid (zero) yields a per-point `Err` without disturbing its
-    /// neighbors. The event loop ([`SamplerKind::EventLoop`]) runs each
-    /// point independently on the shared compiled trace, which *defines*
-    /// the per-point result, so the equivalence is trivial there.
+    /// Each returned entry is bit-identical to
+    /// [`MonteCarlo::component_mttf`] at that rate with the same
+    /// configuration. A rate that fails on its own — a zero rate, a trial
+    /// over the event loop's per-trial event cap, a mean time to failure
+    /// that overflows — yields a per-point `Err` without disturbing its
+    /// neighbors.
     ///
     /// # Errors
     ///
@@ -110,15 +101,18 @@ impl MonteCarlo {
         freq: Frequency,
     ) -> Result<Vec<Result<MttfEstimate, SerrError>>, SerrError> {
         self.config.validate()?;
-        if rates.is_empty() {
-            return Ok(Vec::new());
+        // Nothing to sample: answer before paying for a compile.
+        if rates.iter().all(|r| r.is_zero()) {
+            return Ok(rates.iter().map(|_| Err(zero_rate())).collect());
         }
         let compiled = self.compile(trace)?;
         self.component_mttf_multi_compiled(&compiled, rates, freq)
     }
 
     /// [`MonteCarlo::component_mttf_multi`] on a trace compiled ahead of
-    /// time; with `compile(trace)` every point is bit-identical to it.
+    /// time — for callers that hold a [`CompiledTrace`] across many
+    /// estimates (the service's trace cache); with `compile(trace)` every
+    /// point is bit-identical to it.
     ///
     /// # Errors
     ///
@@ -131,20 +125,11 @@ impl MonteCarlo {
     ) -> Result<Vec<Result<MttfEstimate, SerrError>>, SerrError> {
         self.config.validate()?;
         if c.is_never_vulnerable() {
-            return Err(SerrError::invalid_trace(
-                "trace has AVF = 0; the component can never fail",
-            ));
+            return Err(never_vulnerable());
         }
-        if self.config.sampler != SamplerKind::BatchedInversion {
-            // Per-point runs on the shared compiled trace: the definition
-            // of the per-point result, so equivalence holds trivially.
-            return Ok(rates.iter().map(|&r| self.component_mttf_compiled(c, r, freq)).collect());
-        }
-
-        let zero_rate = || SerrError::invalid_config("raw error rate is zero; MTTF is infinite");
         let hz = freq.hz();
         // Valid points carry their input index so per-point errors keep
-        // their slots; the kernel only ever sees positive rates.
+        // their slots; the chunk loop only ever sees positive rates.
         let valid: Vec<(usize, f64)> = rates
             .iter()
             .enumerate()
@@ -157,92 +142,68 @@ impl MonteCarlo {
             return Ok(out);
         }
 
-        let samplers: Vec<BatchedInversionSampler> = valid
-            .iter()
-            .map(|&(_, lambda)| BatchedInversionSampler::new(c, lambda, self.config.start_phase))
-            .collect();
-        let seed = self.config.seed;
+        let lambdas: Vec<f64> = valid.iter().map(|&(_, lambda)| lambda).collect();
         let t_run = Instant::now();
-        let (chunks, truncated) = self.run_chunks_scaffold(
-            || (SharedChunk::new(), PointScratch::with_segment_hints()),
-            |(shared, point), chunk, n| {
-                let n = n as usize;
-                // The shared pass runs once per chunk on the exact stream
-                // seed every independent run would use; any sampler may
-                // drive it (λ is unread there).
-                let t_shared = Instant::now();
-                samplers[0].prepare_chunk(shared, chunk_seed(seed, chunk), n);
-                point.forget_segment_hints();
-                let shared_ms = t_shared.elapsed().as_secs_f64() * 1e3;
-                let t_point = Instant::now();
-                let stats = samplers.iter().map(|s| s.finish_chunk(shared, point, n)).collect();
-                Ok(MultiChunk { stats, shared_ms, point_ms: t_point.elapsed().as_secs_f64() * 1e3 })
-            },
-        )?;
+        let (chunks, truncated) = self.run_rates(c, &lambdas, |_| ())?;
+        let sampler = self.config.sampler;
+        let n_chunks = self.config.trials.div_ceil(TRIAL_CHUNK);
 
-        // Fold per point in ascending chunk order — the identical
-        // reduction order an independent run uses, so the merge is
-        // bit-identical too (the scaffold returns chunks sorted by index).
-        let mut per_point: Vec<RunningStats> =
-            (0..valid.len()).map(|_| RunningStats::new()).collect();
-        let mut shared_ms = 0.0;
-        let mut point_ms = 0.0;
-        for (_, mc) in &chunks {
-            for (p, s) in mc.stats.iter().enumerate() {
-                per_point[p].merge(s);
-            }
-            shared_ms += mc.shared_ms;
-            point_ms += mc.point_ms;
+        // Fold each point in ascending chunk order: the same reduction
+        // order for any thread count and any rate list. The convergence
+        // snapshots ride on this fold, keyed by (point, chunk).
+        let (mut trials, mut events) = (0u64, 0u64);
+        for (p, &(i, _)) in valid.iter().enumerate() {
+            out[i] = point_chunks(&chunks, p).and_then(|parts| {
+                let mut stats = RunningStats::new();
+                let mut point_events = 0u64;
+                for pc in parts {
+                    stats.merge(pc.stats);
+                    point_events += pc.events;
+                    if let Some(obs) = &self.obs {
+                        obs.emit(
+                            Event::new("mc.chunk", i as u64 * n_chunks + pc.chunk)
+                                .with("point", i)
+                                .with("chunk", pc.chunk)
+                                .with("n", stats.count())
+                                .with("mean_s", stats.mean() / hz)
+                                .with("ci95_s", stats.ci95_half_width() / hz),
+                        );
+                    }
+                }
+                trials += stats.count();
+                events += point_events;
+                estimate_from_cycle_stats(&stats, hz, point_events, truncated, sampler)
+            });
         }
 
         if let Some(obs) = &self.obs {
             let secs = t_run.elapsed().as_secs_f64();
-            obs.record_stage("sweep_shared", shared_ms);
-            obs.record_stage("sweep_point", point_ms);
-            let metrics = obs.metrics();
-            metrics.add("sweep.kernel_runs", 1);
-            metrics.add("sweep.points", valid.len() as u64);
-            metrics.add("sweep.rng_chunks", chunks.len() as u64);
-            if valid.len() > 1 {
-                // The trace was compiled once for all points instead of
-                // once per point.
-                metrics.add("sweep.trace_reuse", valid.len() as u64 - 1);
+            match sampler {
+                SamplerKind::BatchedInversion => {
+                    obs.record_stage("sweep_shared", chunks.iter().map(|(_, c)| c.shared_ms).sum());
+                    obs.record_stage("sweep_point", chunks.iter().map(|(_, c)| c.point_ms).sum());
+                }
+                SamplerKind::EventLoop => obs.record_stage("mc_run", secs * 1e3),
             }
-            let trials: u64 = per_point.iter().map(RunningStats::count).sum();
+            let metrics = obs.metrics();
+            let runs = valid.len() as u64;
+            metrics.add("mc.runs", runs);
+            metrics.add(
+                match sampler {
+                    SamplerKind::EventLoop => "mc.runs_event_loop",
+                    SamplerKind::BatchedInversion => "mc.runs_batched_inversion",
+                },
+                runs,
+            );
+            metrics.add("mc.rng_chunks", chunks.len() as u64);
+            metrics.add("mc.trials_completed", trials);
+            metrics.add("mc.raw_error_events", events);
+            if truncated {
+                metrics.add("mc.truncated_runs", runs);
+            }
             if secs > 0.0 {
                 metrics.set_gauge("mc.samples_per_sec", trials as f64 / secs);
             }
-        }
-
-        for (&(i, _), stats) in valid.iter().zip(&per_point) {
-            // One raw-error event (the failing one) per trial.
-            let est = match estimate_from_cycle_stats(
-                stats,
-                hz,
-                stats.count(),
-                truncated,
-                SamplerKind::BatchedInversion,
-            ) {
-                Ok(est) => est,
-                Err(e) => {
-                    out[i] = Err(e);
-                    continue;
-                }
-            };
-            if let Some(obs) = &self.obs {
-                // Per-point telemetry is emitted from this main-thread
-                // fold, keyed by input point index: byte-identical fields
-                // at any thread count.
-                obs.emit(
-                    Event::new("sweep.point", i as u64)
-                        .with("point", i)
-                        .with("rate_per_s", rates[i].per_second_value())
-                        .with("n", est.ttf_seconds.count)
-                        .with("mean_s", est.ttf_seconds.mean)
-                        .with("ci95_s", est.ttf_seconds.ci95),
-                );
-            }
-            out[i] = Ok(est);
         }
         Ok(out)
     }
@@ -253,6 +214,12 @@ mod tests {
     use super::*;
     use crate::config::{MonteCarloConfig, StartPhase};
     use serr_trace::IntervalTrace;
+
+    /// A rate so low that sampled failure times overflow `f64`, yet high
+    /// enough that its per-cycle rate (3e-308 at the base frequency) and
+    /// `1/λ` stay normal, so each event-loop trial still ends in a few
+    /// events.
+    const OVERFLOWING_RATE_PER_S: f64 = 6e-299;
 
     fn rates_sweep() -> Vec<RawErrorRate> {
         (0..8).map(|i| RawErrorRate::per_year(2.0f64.powi(i) * 0.5)).collect()
@@ -333,18 +300,76 @@ mod tests {
     }
 
     #[test]
-    fn the_event_loop_falls_back_to_independent_runs() {
+    fn the_event_loop_runs_a_rate_list_in_one_pass() {
+        use serr_obs::Obs;
+        // The event loop walks every rate of the list inside each chunk,
+        // each from the chunk's seed: every point is bit-identical to the
+        // rate run alone, and the run reports itself once, as the event
+        // loop, in the one telemetry vocabulary.
         let trace = IntervalTrace::busy_idle(30, 70).unwrap();
         let rates: Vec<RawErrorRate> =
             (0..3).map(|i| RawErrorRate::per_year(2.0 + f64::from(i))).collect();
         let sampler = SamplerKind::EventLoop;
         let cfg = MonteCarloConfig { trials: 2_000, sampler, ..Default::default() };
         let mc = MonteCarlo::new(cfg);
-        let multi = mc.component_mttf_multi(&trace, &rates, Frequency::base()).unwrap();
+        let (obs, sink) = Obs::memory();
+        let multi = mc
+            .clone()
+            .with_observer(obs.clone())
+            .component_mttf_multi(&trace, &rates, Frequency::base())
+            .unwrap();
         for (r, m) in rates.iter().zip(&multi) {
             let solo = mc.component_mttf(&trace, *r, Frequency::base()).unwrap();
             assert_bit_identical(m.as_ref().unwrap(), &solo);
             assert_eq!(m.as_ref().unwrap().sampler, sampler);
+        }
+        let snap = obs.metrics().snapshot();
+        assert_eq!(snap.counters["mc.runs"], 3);
+        assert_eq!(snap.counters["mc.runs_event_loop"], 3);
+        assert_eq!(snap.counters["mc.rng_chunks"], 2);
+        assert_eq!(snap.counters["mc.trials_completed"], 6_000);
+        assert_eq!(snap.histograms["stage.mc_run_ms"].count(), 1);
+        assert_eq!(snap.histograms["stage.trace_compile_ms"].count(), 1);
+        assert!(!snap.histograms.contains_key("stage.sweep_shared_ms"));
+        assert!(!snap.histograms.contains_key("stage.sweep_point_ms"));
+        let seqs: Vec<u64> = sink.events_of("mc.chunk").iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5], "seq = point * 2 chunks + chunk");
+    }
+
+    #[test]
+    fn an_event_loop_point_that_overflows_fails_alone() {
+        // The lowest rate of a mixed event-loop list samples failure times
+        // past f64's range, so its mean overflows: that point fails, and
+        // every other point is bit-identical to its one-rate run, at 1 and
+        // 8 threads.
+        let trace = IntervalTrace::busy_idle(30, 70).unwrap();
+        let rates = vec![
+            RawErrorRate::per_year(2.0),
+            RawErrorRate::per_second(OVERFLOWING_RATE_PER_S),
+            RawErrorRate::per_year(8.0),
+        ];
+        for threads in [1usize, 8] {
+            let cfg = MonteCarloConfig {
+                trials: 3_000,
+                threads,
+                sampler: SamplerKind::EventLoop,
+                ..Default::default()
+            };
+            let mc = MonteCarlo::new(cfg);
+            let multi = mc.component_mttf_multi(&trace, &rates, Frequency::base()).unwrap();
+            assert!(
+                matches!(multi[1], Err(SerrError::InvalidValue { .. })),
+                "threads={threads}: {:?}",
+                multi[1]
+            );
+            assert!(matches!(
+                mc.component_mttf(&trace, rates[1], Frequency::base()),
+                Err(SerrError::InvalidValue { .. })
+            ));
+            for k in [0, 2] {
+                let solo = mc.component_mttf(&trace, rates[k], Frequency::base()).unwrap();
+                assert_bit_identical(multi[k].as_ref().unwrap(), &solo);
+            }
         }
     }
 
@@ -374,32 +399,48 @@ mod tests {
 
     #[test]
     fn sweep_telemetry_is_deterministic_and_keyed_by_point() {
-        use serr_obs::Obs;
+        use serr_obs::{Obs, Value};
         let trace = IntervalTrace::busy_idle(30, 70).unwrap();
         let rates = rates_sweep();
         let events_at = |threads: usize| {
             let cfg = MonteCarloConfig { trials: 4_096, threads, ..Default::default() };
             let (obs, sink) = Obs::memory();
-            MonteCarlo::new(cfg)
+            let multi = MonteCarlo::new(cfg)
                 .with_observer(obs.clone())
                 .component_mttf_multi(&trace, &rates, Frequency::base())
                 .unwrap();
             let snap = obs.metrics().snapshot();
-            assert_eq!(snap.counters["sweep.kernel_runs"], 1);
-            assert_eq!(snap.counters["sweep.points"], rates.len() as u64);
-            assert_eq!(snap.counters["sweep.rng_chunks"], 4);
-            assert_eq!(snap.counters["sweep.trace_reuse"], rates.len() as u64 - 1);
+            assert_eq!(snap.counters["mc.runs"], rates.len() as u64);
+            assert_eq!(snap.counters["mc.runs_batched_inversion"], rates.len() as u64);
+            assert_eq!(snap.counters["mc.rng_chunks"], 4);
+            assert_eq!(snap.counters["mc.trials_completed"], 4_096 * rates.len() as u64);
+            assert_eq!(snap.counters["mc.raw_error_events"], 4_096 * rates.len() as u64);
             assert_eq!(snap.histograms["stage.sweep_shared_ms"].count(), 1);
             assert_eq!(snap.histograms["stage.sweep_point_ms"].count(), 1);
-            let mut events = sink.events_of("sweep.point");
-            events.sort_by_key(|e| e.seq);
+            assert_eq!(snap.histograms["stage.trace_compile_ms"].count(), 1);
+            assert!(!snap.histograms.contains_key("stage.mc_run_ms"));
+            let events = sink.events_of("mc.chunk");
+            assert_eq!(events.len(), 4 * rates.len());
+            for (k, e) in events.iter().enumerate() {
+                let (point, chunk) = (k / 4, k % 4);
+                assert_eq!(e.seq, (point * 4 + chunk) as u64, "seq = point * n_chunks + chunk");
+                assert!(e
+                    .fields
+                    .iter()
+                    .any(|(f, v)| *f == "point" && *v == Value::U64(point as u64)));
+                // A point's last snapshot is its estimate.
+                if chunk == 3 {
+                    let est = multi[point].as_ref().unwrap();
+                    let mean = e.fields.iter().find(|(f, _)| *f == "mean_s").map(|(_, v)| v);
+                    assert_eq!(mean, Some(&Value::F64(est.ttf_seconds.mean)));
+                }
+            }
             events
         };
         let one = events_at(1);
         let eight = events_at(8);
-        assert_eq!(one.len(), rates.len());
         let one_fields: Vec<_> = one.iter().map(|e| (e.seq, e.fields.clone())).collect();
         let eight_fields: Vec<_> = eight.iter().map(|e| (e.seq, e.fields.clone())).collect();
-        assert_eq!(one_fields, eight_fields, "sweep.point events must be thread-invariant");
+        assert_eq!(one_fields, eight_fields, "mc.chunk events must be thread-invariant");
     }
 }

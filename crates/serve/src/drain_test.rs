@@ -220,12 +220,15 @@ fn an_unparsable_pending_body_is_dropped_with_a_warning_and_the_rest_replays() {
     shut_down(&mut ctl, server);
 }
 
-#[test]
-fn a_results_journal_from_an_older_draw_schedule_is_not_resumed() {
-    use serr_core::checkpoint::{fingerprint, Journal};
+/// Journals one row under `stale_fp` — the key some other daemon build
+/// wrote its results journal under — whose estimate no estimator produces,
+/// then asks a fresh daemon for the same body: it must compute the answer,
+/// never resume the stale row. `tag` names the temp directory.
+fn stale_results_journal_is_not_resumed(tag: &str, stale_fp: impl Fn(&str) -> u64) {
+    use serr_core::checkpoint::Journal;
     use serr_core::jsonio::Json;
 
-    let dir = temp_dir("stale-schedule");
+    let dir = temp_dir(tag);
     let journal = dir.join("journal");
     let body = RequestBody::Mttf {
         workload: WorkloadSpec::parse("duty:0.002:0.5").expect("valid spec"),
@@ -236,12 +239,9 @@ fn a_results_journal_from_an_older_draw_schedule_is_not_resumed() {
     let (obs, _sink) = Obs::memory();
     let mut cfg = ServeConfig::new(Bind::Unix(dir.join("s.sock")));
 
-    // The fingerprint before the draw-schedule version joined it: a
-    // results journal a schedule-v1 daemon wrote. Its row carries an
-    // estimate no estimator produces, so answering from it is unmistakable.
     let mut canon = cfg.experiment;
     canon.mc.threads = 0;
-    let stale_fp = fingerprint(&["serve", &format!("{canon:?}")]);
+    let stale_fp = stale_fp(&format!("{canon:?}"));
     assert_ne!(stale_fp, crate::server::journal_fingerprint(&cfg.experiment));
     {
         let results =
@@ -263,9 +263,34 @@ fn a_results_journal_from_an_older_draw_schedule_is_not_resumed() {
         Response::Estimate { est, .. } => est,
         other => panic!("expected estimate, got {other:?}"),
     };
-    assert!(!est.resumed, "a stale-schedule row must not answer");
+    assert!(!est.resumed, "a stale row must not answer");
     assert_eq!(est.mttf_mc_s.to_bits(), direct_estimate(&body, 1).mttf_mc_s.to_bits());
     let counters = stats(&mut ctl, 2);
     assert_eq!(counter(&counters, "serve.journal_results_loaded"), 0, "{counters:?}");
     shut_down(&mut ctl, server);
+}
+
+#[test]
+fn a_results_journal_from_an_older_draw_schedule_is_not_resumed() {
+    // The key before the draw-schedule version joined it: a results
+    // journal a schedule-v1 daemon wrote.
+    stale_results_journal_is_not_resumed("stale-schedule", |canon| {
+        serr_core::checkpoint::fingerprint(&["serve", canon])
+    });
+}
+
+#[test]
+fn a_results_journal_keyed_under_another_trace_cache_version_is_not_resumed() {
+    // The key of a daemon whose simulated traces came from another trace
+    // cache version: the current draw schedule, but no trace-cache version
+    // (as every daemon wrote before the version joined the key) or another
+    // one.
+    let schedule = format!("rng-schedule-v{}", serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION);
+    stale_results_journal_is_not_resumed("stale-cache-unversioned", |canon| {
+        serr_core::checkpoint::fingerprint(&["serve", canon, &schedule])
+    });
+    let other = serr_core::checkpoint::results_version().replace("trace-cache-v", "trace-cache-v9");
+    stale_results_journal_is_not_resumed("stale-cache-other", |canon| {
+        serr_core::checkpoint::fingerprint(&["serve", canon, &other])
+    });
 }

@@ -47,7 +47,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serr_core::checkpoint::{fingerprint, Journal};
+use serr_core::checkpoint::{fingerprint, results_version, Journal};
 use serr_core::experiments::ExperimentConfig;
 use serr_core::jsonio::Json;
 use serr_core::prelude::{
@@ -55,7 +55,6 @@ use serr_core::prelude::{
     SamplerKind, Validator, VulnerabilityTrace, WorkloadSpec,
 };
 use serr_inject::ServeFault;
-use serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION;
 use serr_obs::{Event, Obs};
 
 use crate::cache::{CacheOutcome, CachedTrace, TraceCache};
@@ -1117,14 +1116,13 @@ fn point(mc: &MttfEstimate, mttf_step_s: f64, avf: f64, provenance: Provenance) 
 
 /// The journals' configuration fingerprint: the experiment config with
 /// threads pinned to 0, so hosts with different core counts share journals —
-/// estimates are thread-count invariant by construction — and the batched
-/// sampler's draw schedule version, so a daemon never answers from results
-/// another schedule computed.
+/// estimates are thread-count invariant by construction — and the
+/// [`results_version`], so a daemon never answers from results another
+/// draw schedule or other simulated traces computed.
 pub(crate) fn journal_fingerprint(experiment: &ExperimentConfig) -> u64 {
     let mut canon = *experiment;
     canon.mc.threads = 0;
-    let schedule = format!("rng-schedule-v{BATCHED_RNG_SCHEDULE_VERSION}");
-    fingerprint(&["serve", &format!("{canon:?}"), &schedule])
+    fingerprint(&["serve", &format!("{canon:?}"), &results_version()])
 }
 
 /// Reconstructs a request body from its canonical spelling (the form the

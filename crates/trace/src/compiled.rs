@@ -154,9 +154,8 @@ struct TilePart {
     mass_before: f64,
 }
 
-/// Reusable stage buffers of [`CompiledTrace::phase_at_cumulative_batch`]
-/// and [`CompiledTrace::phase_at_cumulative_batch_hinted`]: the segment
-/// each entry landed in (the hints of the next hinted call), the staged
+/// Reusable stage buffers of [`CompiledTrace::phase_at_cumulative_batch`]:
+/// the segment each entry landed in (the hints of the next call), the staged
 /// probe's miss list and search windows, and the tile level's part, tile
 /// base and grouping per entry. The buffers grow to the largest batch once
 /// and are reused, so a caller that keeps one scratch allocates nothing in
@@ -176,7 +175,7 @@ impl InverseScratch {
         Self::default()
     }
 
-    /// Drops every segment hint, so the next hinted call starts cold.
+    /// Drops every segment hint, so the next call starts cold.
     pub fn forget_hints(&mut self) {
         self.segs.clear();
     }
@@ -380,34 +379,16 @@ impl CompiledTrace {
     /// tiled trace first computes each mass's part, tile and local mass in
     /// one pass, runs each part's staged probe over the masses that land in
     /// it, and places the phases in their tiles.
-    pub fn phase_at_cumulative_batch(&self, masses: &mut [f64], scratch: &mut InverseScratch) {
-        scratch.segs.clear();
-        self.invert_batch(masses, scratch);
-    }
-
-    /// [`CompiledTrace::phase_at_cumulative_batch`] warm-started from the
-    /// segments the previous call on `scratch` landed in, for callers that
-    /// invert many batches of nearby masses entry by entry — the sweep
-    /// kernel, whose neighboring rates put each trial's mass in the same
-    /// segment point after point. Entries beyond the previous batch start
-    /// cold; [`InverseScratch::forget_hints`] drops every hint.
     ///
-    /// The staged probe on a large flat table tries each hinted segment
-    /// before searching; a hint is accepted only when that segment holds
-    /// the mass, so on a self-consistent table the result is bit-identical
-    /// to the unhinted batch for any hints. The select-chain and the tile
-    /// level ignore the hints.
-    pub fn phase_at_cumulative_batch_hinted(
-        &self,
-        masses: &mut [f64],
-        scratch: &mut InverseScratch,
-    ) {
-        self.invert_batch(masses, scratch);
-    }
-
-    /// The body of both batched inversions: `scratch.segs` holds the hints
-    /// (none after a clear) and receives the landing segments.
-    fn invert_batch(&self, masses: &mut [f64], scratch: &mut InverseScratch) {
+    /// The staged probe on a large flat table starts from the segments the
+    /// previous call on `scratch` landed in, entry by entry — the sweep
+    /// kernel's neighboring rates put each trial's mass in the same segment
+    /// point after point. A hint is accepted only when that segment holds
+    /// the mass, so on a self-consistent table the phases are bit-identical
+    /// for any hints. Entries beyond the previous batch start cold, and
+    /// [`InverseScratch::forget_hints`] drops every hint. The select-chain
+    /// and the tile level ignore the hints.
+    pub fn phase_at_cumulative_batch(&self, masses: &mut [f64], scratch: &mut InverseScratch) {
         match &self.layout {
             Layout::Flat(f) if f.len() > Self::BATCH_SCAN_SEGMENTS => {
                 scratch.segs.resize(masses.len(), NO_HINT);
@@ -2053,7 +2034,7 @@ mod tests {
                     _ => {}
                 }
                 let mut got = masses.clone();
-                c.phase_at_cumulative_batch_hinted(&mut got, &mut scratch);
+                c.phase_at_cumulative_batch(&mut got, &mut scratch);
                 assert_eq!(bits(&got), bits(&want), "round {round}");
                 if c.segment_count() > CompiledTrace::BATCH_SCAN_SEGMENTS {
                     assert_eq!(scratch.segs.len(), masses.len(), "hints track every entry");
@@ -2094,9 +2075,9 @@ mod tests {
             let mut scratch = InverseScratch::new();
             let mut got = masses.clone();
             c.phase_at_cumulative_batch(&mut got, &mut scratch);
-            assert_eq!(bits(&got), bits(&want), "unhinted batch");
+            assert_eq!(bits(&got), bits(&want), "cold batch");
             // The tile level takes no hints, so no content of the segment
-            // slots may matter: an unhinted batch's, reversed, garbage.
+            // slots may matter: a cold batch's, reversed, garbage.
             for round in 0..3 {
                 match round {
                     1 => scratch.segs.reverse(),
@@ -2104,7 +2085,7 @@ mod tests {
                     _ => {}
                 }
                 let mut got = masses.clone();
-                c.phase_at_cumulative_batch_hinted(&mut got, &mut scratch);
+                c.phase_at_cumulative_batch(&mut got, &mut scratch);
                 assert_eq!(bits(&got), bits(&want), "hinted batch, round {round}");
             }
             for &p in &want {
@@ -2146,13 +2127,12 @@ mod tests {
                 assert!(c.verify().is_err());
                 let period = c.period_cycles() as f64;
                 let mut scratch = InverseScratch::new();
-                for hinted in [false, true, true] {
-                    let mut got = masses.clone();
-                    if hinted {
-                        c.phase_at_cumulative_batch_hinted(&mut got, &mut scratch);
-                    } else {
-                        c.phase_at_cumulative_batch(&mut got, &mut scratch);
+                for cold in [true, false, false] {
+                    if cold {
+                        scratch.forget_hints();
                     }
+                    let mut got = masses.clone();
+                    c.phase_at_cumulative_batch(&mut got, &mut scratch);
                     for (&m, &p) in masses.iter().zip(&got) {
                         assert!(p.is_finite() && (0.0..period).contains(&p), "m={m}: phase {p}");
                     }

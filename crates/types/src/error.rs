@@ -221,9 +221,30 @@ impl fmt::Display for SerrError {
 
 impl Error for SerrError {}
 
+/// Renders a caught panic payload for error reporting: `panic!` with a
+/// string message covers practically every panic in this workspace
+/// (asserts included); anything else gets a placeholder.
+#[must_use]
+pub fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panic_payloads_render_their_message() {
+        assert_eq!(panic_payload_string(&"static message"), "static message");
+        assert_eq!(panic_payload_string(&String::from("owned message")), "owned message");
+        assert_eq!(panic_payload_string(&42u32), "non-string panic payload");
+    }
 
     #[test]
     fn errors_display_lowercase_without_punctuation() {

@@ -36,7 +36,7 @@ mod provenance;
 mod rate;
 mod time;
 
-pub use error::SerrError;
+pub use error::{panic_payload_string, SerrError};
 pub use provenance::Provenance;
 pub use rate::{FailureRate, FitRate, RawErrorRate};
 pub use time::{Cycles, Frequency, Mttf, Seconds};

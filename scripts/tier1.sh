@@ -167,6 +167,15 @@ mkdir -p target
 SERR_THREADS=3 cargo run --release --bin serr -- \
   mttf --workload day --n-s 1e8 --trials 20000 --metrics target/obs-smoke.jsonl
 cargo run --release -p serr-bench --bin obs_check -- target/obs-smoke.jsonl
+# The same check on a sweep: a rate list runs the same Monte Carlo chunk loop
+# as a single estimate, so `serr sweep` must emit the same per-chunk
+# convergence snapshots. Its checkpoint journal and metrics stay in a
+# temporary directory.
+OBS_DIR="$(mktemp -d)"
+SERR_CHECKPOINT_DIR="$OBS_DIR" cargo run --release --bin serr -- \
+  sweep fig5 --fresh --trials 2000 --metrics "$OBS_DIR/sweep.jsonl"
+cargo run --release -p serr-bench --bin obs_check -- "$OBS_DIR/sweep.jsonl"
+rm -rf "$OBS_DIR"
 
 # Service smoke: bring up the `serr serve` daemon on a unix socket, drive
 # it with `serr request` (mttf, sofr, sweep, stats), then shut it down

@@ -8,8 +8,9 @@
 use std::sync::Arc;
 
 use serr_analytic::renewal::renewal_mttf;
-use serr_bench::{config_from_args, pct, render_table};
+use serr_bench::config_from_args;
 use serr_core::avf::avf_step_mttf;
+use serr_core::figures::{pct, render_table};
 use serr_trace::{ScaledTrace, VulnerabilityTrace};
 use serr_types::{relative_error, RawErrorRate};
 use serr_workload::synthesized;

@@ -8,7 +8,8 @@
 use std::sync::Arc;
 
 use serr_analytic::renewal::renewal_mttf;
-use serr_bench::{config_from_args, pct, render_table};
+use serr_bench::config_from_args;
+use serr_core::figures::{pct, render_table};
 use serr_core::sofr::sofr_mttf_identical;
 use serr_mc::system::SystemModel;
 use serr_mc::MonteCarlo;

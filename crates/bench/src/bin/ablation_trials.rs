@@ -2,7 +2,7 @@
 //! interval vs trial count, against the exact renewal answer.
 
 use serr_analytic::renewal::renewal_mttf;
-use serr_bench::{pct, render_table};
+use serr_core::figures::{pct, render_table};
 use serr_mc::{MonteCarlo, MonteCarloConfig};
 use serr_trace::IntervalTrace;
 use serr_types::{relative_error, Frequency, RawErrorRate};

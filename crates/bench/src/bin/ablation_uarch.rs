@@ -6,7 +6,7 @@
 //! changes — i.e., how sensitive the reliability conclusions are to
 //! simulator fidelity.
 
-use serr_bench::render_table;
+use serr_core::figures::render_table;
 use serr_sim::predictor::BranchPredictorKind;
 use serr_sim::{SimConfig, Simulator};
 use serr_trace::VulnerabilityTrace;

@@ -1,8 +1,8 @@
 //! Fixed smoke benchmark with machine-readable output.
 //!
-//! Criterion gives statistically careful numbers but its reports are for
-//! humans; this binary runs a small, fixed subset of the `engines` bench
-//! plus a shared-stream sweep-kernel duel, one figure sweep, a
+//! This binary runs a small, fixed set of engine timings (Monte Carlo on a
+//! fine-grained trace, the sampler duel) plus a shared-stream sweep-kernel
+//! duel, one figure sweep, a
 //! checkpoint/chaos probe, a `serr serve` service probe, a
 //! timing-simulator probe, an exact-reference probe, a Monte Carlo
 //! kernel probe on the SPEC traces and the tiled `combined` trace and a
@@ -17,9 +17,11 @@ use std::time::{Duration, Instant};
 
 use serr_analytic::renewal::renewal_mttfs;
 use serr_core::checkpoint::{fingerprint, Journal};
+use serr_core::design::C_VALUES;
 use serr_core::experiments::{
-    combined_trace, fig5, fig5_sweep, spec_processor_trace, synthesized_trace, ExperimentConfig,
+    combined_trace, fig5_sweep, spec_processor_trace, synthesized_trace, ExperimentConfig,
 };
+use serr_core::figures::{FIG5_N_S, FIG6A_N_S};
 use serr_core::jsonio::Json;
 use serr_core::pipeline::{
     load_cache_entry_mmap, load_cache_entry_read, simulate_benchmark, write_cache_entry,
@@ -168,8 +170,8 @@ fn main() {
     let freq = Frequency::base();
     let mut timings = Vec::new();
 
-    // The `monte_carlo/fine_grained_10k_segments` criterion case, verbatim:
-    // the per-event phase-lookup stress test the compiled path targets.
+    // The per-event phase-lookup stress test the compiled path targets: a
+    // 10k-segment trace, vulnerable on every seventh segment.
     let levels: Vec<f64> = (0..10_000).map(|i| f64::from(u32::from(i % 7 == 0))).collect();
     let fine = IntervalTrace::from_levels(&levels).expect("fine-grained trace levels are valid");
     let mc = MonteCarlo::new(MonteCarloConfig { trials: 2_000, threads: 1, ..Default::default() });
@@ -303,7 +305,9 @@ fn main() {
         ..ExperimentConfig::quick()
     };
     timings.push(time("sweep/fig5_day_3_points", 5, || {
-        fig5(&[Workload::Day], &[1e7, 1e10, 1e13], &sweep_cfg).expect("fig5 sweep runs")
+        fig5_sweep(&[Workload::Day], &[1e7, 1e10, 1e13], &sweep_cfg, &SweepOptions::off())
+            .and_then(|report| report.into_result())
+            .expect("fig5 sweep runs")
     }));
 
     // Checkpoint/resume probe: the same sweep run Fresh (computes and
@@ -787,14 +791,10 @@ fn main() {
     // (span, rate) falls as the list grows.
     let refs_cfg = ExperimentConfig { sim_instructions: 300_000, ..ExperimentConfig::full() };
     let freq = refs_cfg.frequency;
-    let component: Vec<RawErrorRate> = [1e8, 1e9, 2e12, 5e12]
-        .iter()
-        .map(|&n_s| RawErrorRate::baseline_per_bit().scale(n_s))
-        .collect();
-    let system: Vec<RawErrorRate> = [2u64, 8, 5_000, 50_000, 500_000]
-        .iter()
-        .flat_map(|&c| component.iter().map(move |r| r.scale(c as f64)))
-        .collect();
+    let component: Vec<RawErrorRate> =
+        FIG6A_N_S.iter().map(|&n_s| RawErrorRate::baseline_per_bit().scale(n_s)).collect();
+    let system: Vec<RawErrorRate> =
+        C_VALUES.iter().flat_map(|&c| component.iter().map(move |r| r.scale(c as f64))).collect();
     let renewal_list: Vec<RawErrorRate> = component.iter().chain(&system).copied().collect();
     let softarch = SoftArch::new(freq);
     let mut refs_rows = Vec::new();
@@ -879,10 +879,8 @@ fn main() {
         threads: 1,
         ..Default::default()
     });
-    let fig5_rates: Vec<RawErrorRate> = [1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 5e12]
-        .iter()
-        .map(|&n_s| RawErrorRate::baseline_per_bit().scale(n_s))
-        .collect();
+    let fig5_rates: Vec<RawErrorRate> =
+        FIG5_N_S.iter().map(|&n_s| RawErrorRate::baseline_per_bit().scale(n_s)).collect();
     let mut kernel_rows = Vec::new();
     for (program, rates, names) in [
         ("gzip", &system, ["mc_kernel/gzip_fig6a", "mc_kernel/verify_gzip"]),

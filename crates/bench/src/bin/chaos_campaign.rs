@@ -11,7 +11,7 @@
 //! The same seed replays the identical campaign sequence and outcome tags
 //! at any thread count.
 
-use serr_bench::render_table;
+use serr_core::figures::render_table;
 use serr_core::prelude::{run_chaos, ChaosConfig, FaultKind, Provenance};
 
 /// The value following `name` in the argument list, if present.

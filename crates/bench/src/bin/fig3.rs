@@ -2,7 +2,7 @@
 //! running an L-day loop (busy the first half), for λ scalings 1x/3x/5x.
 
 use serr_analytic::fig::fig3_series;
-use serr_bench::{pct, render_table, sci};
+use serr_core::figures::{pct, render_table, sci};
 
 fn main() {
     let rows: Vec<Vec<String>> = fig3_series(16)

@@ -2,7 +2,7 @@
 //! the near-exponential time-to-failure density f(x) = 2/sqrt(pi) e^{-x^2}.
 
 use serr_analytic::fig::fig4_series;
-use serr_bench::{pct, render_table};
+use serr_core::figures::{pct, render_table};
 
 fn main() {
     let rows: Vec<Vec<String>> = fig4_series(32)

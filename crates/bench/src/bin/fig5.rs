@@ -1,46 +1,8 @@
 //! Regenerates Figure 5: AVF-step error vs Monte Carlo for the synthesized
 //! workloads at representative N*S values (C = 1).
-
-use serr_bench::{
-    config_from_args, pct, render_table, sci, sweep_options_from_args, unpack_report,
-};
-use serr_core::experiments::fig5_sweep;
-use serr_core::prelude::Workload;
+//!
+//! `serr sweep fig5` under its own name: same flags, same output.
 
 fn main() {
-    let cfg = config_from_args();
-    let n_s: Vec<f64> = vec![1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 5e12];
-    let rows = unpack_report(
-        "fig5",
-        fig5_sweep(&Workload::synthesized(), &n_s, &cfg, &sweep_options_from_args())
-            .expect("pipeline runs"),
-    );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                sci(r.n_times_s),
-                format!("{:.3}", r.avf),
-                sci(r.mttf_avf_years),
-                sci(r.mttf_mc_years),
-                pct(r.error),
-                pct(r.softarch_error),
-            ]
-        })
-        .collect();
-    println!(
-        "Figure 5. Error in MTTF from the AVF step relative to Monte Carlo\n\
-         for the synthesized workloads (trials = {}).\n",
-        cfg.mc.trials
-    );
-    print!(
-        "{}",
-        render_table(
-            &["workload", "N*S", "AVF", "MTTF AVF (yr)", "MTTF MC (yr)", "AVF err", "SoftArch err"],
-            &table
-        )
-    );
-    println!("\npaper: significant AVF-step errors (up to ~90%) once N*S >= 1e9;");
-    println!("SoftArch within ~1% everywhere.");
+    soft_error_analysis::cli::figure_main("fig5");
 }

@@ -1,58 +1,8 @@
 //! Regenerates Figure 6(a): SOFR-step error vs Monte Carlo for clusters of
 //! processors running three representative SPEC benchmarks.
-
-use serr_bench::{
-    config_from_args, pct, render_table, sci, sweep_options_from_args, unpack_report,
-};
-use serr_core::experiments::{fig6a_sweep, REPRESENTATIVE_BENCHMARKS};
+//!
+//! `serr sweep fig6a` under its own name: same flags, same output.
 
 fn main() {
-    let cfg = if std::env::args().any(|a| a == "--paper") {
-        serr_core::experiments::ExperimentConfig::paper_scale()
-    } else {
-        config_from_args()
-    };
-    let cs = [2u64, 8, 5_000, 50_000, 500_000];
-    let n_s = [1e8, 1e9, 2e12, 5e12];
-    let rows = unpack_report(
-        "fig6a",
-        fig6a_sweep(&REPRESENTATIVE_BENCHMARKS, &cs, &n_s, &cfg, &sweep_options_from_args())
-            .expect("pipeline runs"),
-    );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.c.to_string(),
-                sci(r.n_times_s),
-                sci(r.mttf_sofr_years),
-                sci(r.mttf_mc_years),
-                pct(r.error),
-                pct(r.softarch_error),
-            ]
-        })
-        .collect();
-    println!(
-        "Figure 6(a). Error in MTTF from the SOFR step relative to Monte Carlo,\n\
-         SPEC benchmarks (trials = {}, sim = {} instructions).\n",
-        cfg.mc.trials, cfg.sim_instructions
-    );
-    print!(
-        "{}",
-        render_table(
-            &[
-                "benchmark",
-                "C",
-                "N*S",
-                "MTTF SOFR (yr)",
-                "MTTF MC (yr)",
-                "SOFR err",
-                "SoftArch err"
-            ],
-            &table
-        )
-    );
-    println!("\npaper: accurate for C in {{2, 8}}; significant errors only for");
-    println!("C >= 5000 combined with very large N*S (>= ~2e12).");
+    soft_error_analysis::cli::figure_main("fig6a");
 }

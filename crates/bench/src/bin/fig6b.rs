@@ -1,48 +1,8 @@
 //! Regenerates Figure 6(b): SOFR-step error vs Monte Carlo for clusters
 //! running the synthesized day/week/combined workloads.
-
-use serr_bench::{
-    config_from_args, pct, render_table, sci, sweep_options_from_args, unpack_report,
-};
-use serr_core::experiments::fig6b_sweep;
-use serr_core::prelude::Workload;
+//!
+//! `serr sweep fig6b` under its own name: same flags, same output.
 
 fn main() {
-    let cfg = config_from_args();
-    let cs = [2u64, 8, 5_000, 50_000, 500_000];
-    let n_s = [1e7, 1e8, 1e9];
-    let rows = unpack_report(
-        "fig6b",
-        fig6b_sweep(&Workload::synthesized(), &cs, &n_s, &cfg, &sweep_options_from_args())
-            .expect("pipeline runs"),
-    );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.c.to_string(),
-                sci(r.n_times_s),
-                sci(r.mttf_sofr_years),
-                sci(r.mttf_mc_years),
-                pct(r.error),
-                pct(r.softarch_error),
-            ]
-        })
-        .collect();
-    println!(
-        "Figure 6(b). Error in MTTF from the SOFR step relative to Monte Carlo,\n\
-         synthesized workloads (trials = {}).\n",
-        cfg.mc.trials
-    );
-    print!(
-        "{}",
-        render_table(
-            &["workload", "C", "N*S", "MTTF SOFR (yr)", "MTTF MC (yr)", "SOFR err", "SoftArch err"],
-            &table
-        )
-    );
-    println!("\npaper: day at (N*S=1e8, C=5000) ~11%, (1e8, 50000) ~50%; week larger;");
-    println!("this reproduction's start-at-busy-phase convention steepens the same");
-    println!("crossover — see EXPERIMENTS.md and `ablation_phase`.");
+    soft_error_analysis::cli::figure_main("fig6b");
 }

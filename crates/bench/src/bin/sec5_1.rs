@@ -1,75 +1,9 @@
 //! Regenerates the Section 5.1 result: AVF and SOFR vs Monte Carlo for
 //! today's uniprocessor running the 21 SPEC-like benchmarks.
 //! Paper: "< 0.5% discrepancy for all cases".
-
-use serr_bench::{config_from_args, pct, render_table, sweep_options_from_args, unpack_report};
-use serr_core::experiments::sec5_1_sweep;
-use serr_workload::BenchmarkProfile;
+//!
+//! `serr sweep sec5_1` under its own name: same flags, same output.
 
 fn main() {
-    let cfg = config_from_args();
-    let names: Vec<&'static str> = BenchmarkProfile::all().iter().map(|p| p.name).collect();
-    let report = sec5_1_sweep(&names, &cfg, &sweep_options_from_args())
-        .expect("sec5_1 sweep infrastructure runs (is another sweep holding the journal lock?)");
-    let rows = unpack_report("sec5_1", report);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let unit = |n: &str| {
-                r.components.iter().find(|(name, _, _)| name == n).map_or_else(
-                    || "-".to_owned(),
-                    |(_, avf, err)| format!("{:.3}/{}", avf, pct(*err)),
-                )
-            };
-            vec![
-                r.benchmark.clone(),
-                format!("{:.2}", r.ipc),
-                unit("int"),
-                unit("fp"),
-                unit("decode"),
-                unit("regfile"),
-                pct(r.max_component_error),
-                pct(r.max_component_error_exact),
-                pct(r.sofr_error),
-                pct(r.sofr_error_exact),
-            ]
-        })
-        .collect();
-    println!(
-        "Section 5.1: AVF & SOFR vs Monte Carlo, uniprocessor running SPEC\n\
-         (cells are AVF/relative-error; trials = {}, sim = {} instructions)\n",
-        cfg.mc.trials, cfg.sim_instructions
-    );
-    print!(
-        "{}",
-        render_table(
-            &[
-                "benchmark",
-                "IPC",
-                "int",
-                "fp",
-                "decode",
-                "regfile",
-                "AVF err (MC)",
-                "AVF err (exact)",
-                "SOFR err (MC)",
-                "SOFR err (exact)",
-            ],
-            &table
-        )
-    );
-    let worst_avf = rows.iter().map(|r| r.max_component_error).fold(0.0, f64::max);
-    let worst_sofr = rows.iter().map(|r| r.sofr_error).fold(0.0, f64::max);
-    let worst_avf_exact = rows.iter().map(|r| r.max_component_error_exact).fold(0.0, f64::max);
-    let worst_sofr_exact = rows.iter().map(|r| r.sofr_error_exact).fold(0.0, f64::max);
-    println!(
-        "\nworst AVF-step error: {} vs MC ({} vs exact)   worst SOFR-step error: {} vs MC ({} vs exact)",
-        pct(worst_avf),
-        pct(worst_avf_exact),
-        pct(worst_sofr),
-        pct(worst_sofr_exact)
-    );
-    println!("paper: < 0.5% discrepancy for all cases (vs 1e6-trial Monte Carlo);");
-    println!("the vs-MC columns are bounded by sampling noise, the vs-exact columns");
-    println!("show the methodology error itself.");
+    soft_error_analysis::cli::figure_main("sec5_1");
 }

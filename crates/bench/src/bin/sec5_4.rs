@@ -1,46 +1,9 @@
 //! Regenerates the Section 5.4 result: SoftArch vs Monte Carlo across the
 //! design space. Paper: "< 1% for a single component and less than 2% for
 //! the full system".
-
-use serr_bench::{
-    config_from_args, pct, render_table, sci, sweep_options_from_args, unpack_report,
-};
-use serr_core::experiments::sec5_4_sweep;
-use serr_core::prelude::Workload;
+//!
+//! `serr sweep sec5_4` under its own name: same flags, same output.
 
 fn main() {
-    let cfg = config_from_args();
-    let cs = [1u64, 2, 8, 5_000, 50_000, 500_000];
-    let n_s = [1e7, 1e8, 1e9, 1e12];
-    let rows = unpack_report(
-        "sec5_4",
-        sec5_4_sweep(&Workload::synthesized(), &cs, &n_s, &cfg, &sweep_options_from_args())
-            .expect("pipeline runs"),
-    );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.c.to_string(),
-                sci(r.n_times_s),
-                pct(r.softarch_error),
-                pct(r.softarch_error_vs_renewal),
-            ]
-        })
-        .collect();
-    println!(
-        "Section 5.4: SoftArch error relative to Monte Carlo (and to the exact\n\
-         renewal reference) across the design space (trials = {}).\n",
-        cfg.mc.trials
-    );
-    print!("{}", render_table(&["workload", "C", "N*S", "vs Monte Carlo", "vs renewal"], &table));
-    let worst_mc = rows.iter().map(|r| r.softarch_error).fold(0.0, f64::max);
-    let worst_exact = rows.iter().map(|r| r.softarch_error_vs_renewal).fold(0.0, f64::max);
-    println!(
-        "\nworst vs MC: {} (MC sampling noise included); worst vs exact: {}",
-        pct(worst_mc),
-        pct(worst_exact)
-    );
-    println!("paper: < 1% (component), < 2% (system) for every point in the space");
+    soft_error_analysis::cli::figure_main("sec5_4");
 }

@@ -1,6 +1,6 @@
 //! Prints Table 1: the base POWER4-like processor configuration.
 
-use serr_bench::render_table;
+use serr_core::figures::render_table;
 use serr_sim::SimConfig;
 
 fn main() {

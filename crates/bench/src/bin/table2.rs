@@ -1,7 +1,7 @@
 //! Prints Table 2: the explored design space.
 
-use serr_bench::render_table;
 use serr_core::design::{C_VALUES, N_VALUES, S_VALUES};
+use serr_core::figures::render_table;
 use serr_core::prelude::Workload;
 
 fn main() {

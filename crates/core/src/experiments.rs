@@ -1,6 +1,6 @@
 //! Generators for every experimental table and figure in the paper's
 //! evaluation (Sections 5.1–5.4). Each function returns the rows the paper
-//! plots; the `serr-bench` binaries print them.
+//! plots; [`crate::figures`] holds each figure's grid and renders them.
 
 use std::sync::Arc;
 
@@ -64,13 +64,14 @@ impl ExperimentConfig {
         }
     }
 
-    /// The interactive front-end configuration, shared by the `serr` CLI
-    /// and the `serr serve` daemon: [`Self::quick`]'s seed and trial count
-    /// with longer simulations (300k instructions) so `spec:` workloads
-    /// develop realistic phase structure. The two front ends **must** build
-    /// traces from the same config — the service's bit-parity contract with
-    /// the batch CLI depends on it — so neither is allowed its own copy of
-    /// these numbers.
+    /// The interactive front-end configuration, shared by `serr mttf`/`sofr`
+    /// and the `serr serve` daemon (`serr sweep` runs the figures' own
+    /// scales): [`Self::quick`]'s seed and trial count with longer
+    /// simulations (300k instructions) so `spec:` workloads develop
+    /// realistic phase structure. The two front ends **must** build traces
+    /// from the same config — the service's bit-parity contract with the
+    /// batch CLI depends on it — so neither is allowed its own copy of these
+    /// numbers.
     #[must_use]
     pub fn cli() -> Self {
         ExperimentConfig { sim_instructions: 300_000, ..Self::quick() }
@@ -482,21 +483,12 @@ impl JournalRow for Sec51Row {
 /// and the SOFR step across the four components of one processor, all
 /// versus Monte Carlo. The paper reports "< 0.5% discrepancy for all cases".
 ///
-/// Benchmarks fan out across cores ([`par::par_map`]); row order follows
-/// the input order and every row is bit-identical to a serial run.
-///
-/// # Errors
-///
-/// Fails on the first failed benchmark, in input order. Use [`sec5_1_sweep`]
-/// to keep the healthy rows (and to checkpoint).
-pub fn sec5_1(benchmarks: &[&str], cfg: &ExperimentConfig) -> Result<Vec<Sec51Row>, SerrError> {
-    sec5_1_sweep(benchmarks, cfg, &SweepOptions::off())?.into_result()
-}
-
-/// Fault-tolerant, checkpointable variant of [`sec5_1`]: a panicking or
-/// failing benchmark is reported in [`SweepReport::failures`] while every
-/// other row survives, and with checkpointing on, finished benchmarks are
-/// journaled so a killed run resumes without recomputing them.
+/// Benchmarks fan out across cores ([`par::try_par_map`]); row order
+/// follows the input order and every row is bit-identical to a serial run.
+/// A panicking or failing benchmark is reported in
+/// [`SweepReport::failures`] while every other row survives, and with
+/// checkpointing on, finished benchmarks are journaled so a killed run
+/// resumes without recomputing them.
 ///
 /// # Errors
 ///
@@ -617,20 +609,6 @@ impl JournalRow for Fig5Row {
 ///
 /// # Errors
 ///
-/// Propagates trace-construction errors, then fails on the first failed
-/// design point in input order. Use [`fig5_sweep`] to keep healthy rows.
-pub fn fig5(
-    workloads: &[Workload],
-    n_times_s: &[f64],
-    cfg: &ExperimentConfig,
-) -> Result<Vec<Fig5Row>, SerrError> {
-    fig5_sweep(workloads, n_times_s, cfg, &SweepOptions::off())?.into_result()
-}
-
-/// Fault-tolerant, checkpointable variant of [`fig5`].
-///
-/// # Errors
-///
 /// Only trace construction (shared by all points of a workload) and a
 /// checkpoint journal held by another live process
 /// ([`SerrError::JournalLocked`]) abort the sweep; per-point panics and
@@ -745,21 +723,6 @@ impl JournalRow for Fig6Row {
 ///
 /// # Errors
 ///
-/// Propagates trace-construction errors, then fails on the first failed
-/// design point in input order. Use [`fig6a_sweep`] to keep healthy rows.
-pub fn fig6a(
-    benchmarks: &[&str],
-    c_values: &[u64],
-    n_times_s: &[f64],
-    cfg: &ExperimentConfig,
-) -> Result<Vec<Fig6Row>, SerrError> {
-    fig6a_sweep(benchmarks, c_values, n_times_s, cfg, &SweepOptions::off())?.into_result()
-}
-
-/// Fault-tolerant, checkpointable variant of [`fig6a`].
-///
-/// # Errors
-///
 /// Only benchmark simulation / trace construction and a held checkpoint
 /// journal ([`SerrError::JournalLocked`]) abort the sweep; per-point panics
 /// and errors land in [`SweepReport::failures`].
@@ -778,26 +741,11 @@ pub fn fig6a_sweep(
             Arc::new(processor_trace(&run, &UnitRates::paper())?);
         collect_fig6_points(&mut points, name, &trace, c_values, n_times_s);
     }
-    fig6_rows_sweep("fig6a", points, cfg, opts)
+    systems_sweep("fig6a", &points, cfg, opts, fig6_row)
 }
 
 /// Reproduces Figure 6(b): SOFR error for clusters running the synthesized
-/// workloads. Design points fan out across cores like [`fig6a`].
-///
-/// # Errors
-///
-/// Propagates trace-construction errors, then fails on the first failed
-/// design point in input order. Use [`fig6b_sweep`] to keep healthy rows.
-pub fn fig6b(
-    workloads: &[Workload],
-    c_values: &[u64],
-    n_times_s: &[f64],
-    cfg: &ExperimentConfig,
-) -> Result<Vec<Fig6Row>, SerrError> {
-    fig6b_sweep(workloads, c_values, n_times_s, cfg, &SweepOptions::off())?.into_result()
-}
-
-/// Fault-tolerant, checkpointable variant of [`fig6b`].
+/// workloads. Design points fan out across cores like [`fig6a_sweep`].
 ///
 /// # Errors
 ///
@@ -811,12 +759,8 @@ pub fn fig6b_sweep(
     cfg: &ExperimentConfig,
     opts: &SweepOptions,
 ) -> Result<SweepReport<Fig6Row>, SerrError> {
-    let mut points = Vec::new();
-    for &w in workloads {
-        let trace = synthesized_trace_with(w, cfg, opts.obs.as_ref())?;
-        collect_fig6_points(&mut points, w.label(), &trace, c_values, n_times_s);
-    }
-    fig6_rows_sweep("fig6b", points, cfg, opts)
+    let points = synthesized_system_points(workloads, c_values, n_times_s, cfg, opts)?;
+    systems_sweep("fig6b", &points, cfg, opts, fig6_row)
 }
 
 /// One Figure 6 design point awaiting evaluation: `(label, trace, C, N×S)`.
@@ -836,19 +780,40 @@ fn collect_fig6_points(
     }
 }
 
+/// The `workload × C × N×S` points of a synthesized-workload cluster
+/// sweep, one trace per workload.
+fn synthesized_system_points(
+    workloads: &[Workload],
+    c_values: &[u64],
+    n_times_s: &[f64],
+    cfg: &ExperimentConfig,
+    opts: &SweepOptions,
+) -> Result<Vec<Fig6Point>, SerrError> {
+    let mut points = Vec::new();
+    for &w in workloads {
+        let trace = synthesized_trace_with(w, cfg, opts.obs.as_ref())?;
+        collect_fig6_points(&mut points, w.label(), &trace, c_values, n_times_s);
+    }
+    Ok(points)
+}
+
 /// The Figure 6 design-point coordinate string used for journal
 /// fingerprints: label, cluster size, and `N×S` (exact `{:?}` float form).
 fn fig6_point_coords(points: &[Fig6Point]) -> Vec<String> {
     points.iter().map(|(label, _, c, prod)| format!("{label}@{c}@{prod:?}")).collect()
 }
 
-fn fig6_rows_sweep(
+/// Sweeps Fig 6-style points — each a system of `C` identical components
+/// — under the journal `kind`; `row` projects a point's validation onto
+/// the sweep's row type.
+fn systems_sweep<R: JournalRow + Send>(
     kind: &str,
-    points: Vec<Fig6Point>,
+    points: &[Fig6Point],
     cfg: &ExperimentConfig,
     opts: &SweepOptions,
-) -> Result<SweepReport<Fig6Row>, SerrError> {
-    let fp = sweep_fingerprint(kind, cfg, &fig6_point_coords(&points));
+    row: fn(&Fig6Point, SystemValidation) -> R,
+) -> Result<SweepReport<R>, SerrError> {
+    let fp = sweep_fingerprint(kind, cfg, &fig6_point_coords(points));
     let (threads, inner) = fanout(cfg, points.len());
     let v = match &opts.obs {
         Some(o) => inner.validator().with_observer(o.clone()),
@@ -863,23 +828,24 @@ fn fig6_rows_sweep(
     checkpoint::run_sweep_prepared(
         kind,
         fp,
-        &points,
+        points,
         threads,
         opts,
-        |pending| prepare_systems(&v, threads, cfg, opts.obs.as_ref(), &points, pending),
-        |i, (label, _, c, prod), prepared| {
-            let sv = prepared_row(prepared, i)?;
-            Ok(Fig6Row {
-                workload: label.clone(),
-                c: *c,
-                n_times_s: *prod,
-                mttf_sofr_years: sv.mttf_sofr.as_years(),
-                mttf_mc_years: sv.mttf_mc.mttf.as_years(),
-                error: sv.sofr_error_vs_mc,
-                softarch_error: sv.softarch_error_vs_mc,
-            })
-        },
+        |pending| prepare_systems(&v, threads, cfg, opts.obs.as_ref(), points, pending),
+        |i, point, prepared| Ok(row(point, prepared_row(prepared, i)?)),
     )
+}
+
+fn fig6_row((label, _, c, prod): &Fig6Point, sv: SystemValidation) -> Fig6Row {
+    Fig6Row {
+        workload: label.clone(),
+        c: *c,
+        n_times_s: *prod,
+        mttf_sofr_years: sv.mttf_sofr.as_years(),
+        mttf_mc_years: sv.mttf_mc.mttf.as_years(),
+        error: sv.sofr_error_vs_mc,
+        softarch_error: sv.softarch_error_vs_mc,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -929,21 +895,6 @@ impl JournalRow for Sec54Row {
 ///
 /// # Errors
 ///
-/// Propagates trace-construction errors, then fails on the first failed
-/// design point in input order. Use [`sec5_4_sweep`] to keep healthy rows.
-pub fn sec5_4(
-    workloads: &[Workload],
-    c_values: &[u64],
-    n_times_s: &[f64],
-    cfg: &ExperimentConfig,
-) -> Result<Vec<Sec54Row>, SerrError> {
-    sec5_4_sweep(workloads, c_values, n_times_s, cfg, &SweepOptions::off())?.into_result()
-}
-
-/// Fault-tolerant, checkpointable variant of [`sec5_4`].
-///
-/// # Errors
-///
 /// Only trace construction and a held checkpoint journal
 /// ([`SerrError::JournalLocked`]) abort the sweep; per-point panics and
 /// errors land in [`SweepReport::failures`].
@@ -954,38 +905,17 @@ pub fn sec5_4_sweep(
     cfg: &ExperimentConfig,
     opts: &SweepOptions,
 ) -> Result<SweepReport<Sec54Row>, SerrError> {
-    let mut points = Vec::new();
-    for &w in workloads {
-        let trace = synthesized_trace_with(w, cfg, opts.obs.as_ref())?;
-        collect_fig6_points(&mut points, w.label(), &trace, c_values, n_times_s);
-    }
-    let fp = sweep_fingerprint("sec5_4", cfg, &fig6_point_coords(&points));
-    let (threads, inner) = fanout(cfg, points.len());
-    let v = match &opts.obs {
-        Some(o) => inner.validator().with_observer(o.clone()),
-        None => inner.validator(),
-    };
-    checkpoint::run_sweep_prepared(
-        "sec5_4",
-        fp,
-        &points,
-        threads,
-        opts,
-        |pending| prepare_systems(&v, threads, cfg, opts.obs.as_ref(), &points, pending),
-        |i, (label, _, c, prod), prepared| {
-            let sv = prepared_row(prepared, i)?;
-            Ok(Sec54Row {
-                workload: label.clone(),
-                c: *c,
-                n_times_s: *prod,
-                softarch_error: sv.softarch_error_vs_mc,
-                softarch_error_vs_renewal: serr_types::relative_error(
-                    sv.mttf_softarch.as_secs(),
-                    sv.mttf_renewal.as_secs(),
-                ),
-            })
-        },
-    )
+    let points = synthesized_system_points(workloads, c_values, n_times_s, cfg, opts)?;
+    systems_sweep("sec5_4", &points, cfg, opts, |(label, _, c, prod), sv| Sec54Row {
+        workload: label.clone(),
+        c: *c,
+        n_times_s: *prod,
+        softarch_error: sv.softarch_error_vs_mc,
+        softarch_error_vs_renewal: serr_types::relative_error(
+            sv.mttf_softarch.as_secs(),
+            sv.mttf_renewal.as_secs(),
+        ),
+    })
 }
 
 /// Helper: the length of one iteration of a workload's trace in wall-clock
@@ -1008,7 +938,8 @@ mod tests {
 
     #[test]
     fn sec5_1_matches_paper_for_one_benchmark() {
-        let rows = sec5_1(&["gzip"], &cfg()).unwrap();
+        let rows =
+            sec5_1_sweep(&["gzip"], &cfg(), &SweepOptions::off()).unwrap().into_result().unwrap();
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         // Paper: < 0.5% everywhere. MC noise at 15k trials is ~1.6% (95%),
@@ -1022,7 +953,10 @@ mod tests {
 
     #[test]
     fn fig5_day_shows_error_growth_with_n_s() {
-        let rows = fig5(&[Workload::Day], &[1e7, 1e11, 1e13], &cfg()).unwrap();
+        let rows = fig5_sweep(&[Workload::Day], &[1e7, 1e11, 1e13], &cfg(), &SweepOptions::off())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert_eq!(rows.len(), 3);
         // Small N×S: valid regime. Large N×S: the paper's up-to-90% regime.
         assert!(rows[0].error < 0.05, "small N×S: {}", rows[0].error);
@@ -1036,7 +970,10 @@ mod tests {
 
     #[test]
     fn fig6b_day_shows_error_growth_with_c() {
-        let rows = fig6b(&[Workload::Day], &[2, 5_000], &[1e8], &cfg()).unwrap();
+        let rows = fig6b_sweep(&[Workload::Day], &[2, 5_000], &[1e8], &cfg(), &SweepOptions::off())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows[0].error < 0.05, "C=2: {}", rows[0].error);
         // The paper reports ~11% at (N×S = 1e8, C = 5000); under this
@@ -1049,7 +986,10 @@ mod tests {
 
     #[test]
     fn sec5_4_softarch_accurate_in_avf_breaking_regime() {
-        let rows = sec5_4(&[Workload::Week], &[5_000], &[1e8], &cfg()).unwrap();
+        let rows = sec5_4_sweep(&[Workload::Week], &[5_000], &[1e8], &cfg(), &SweepOptions::off())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].softarch_error_vs_renewal < 1e-5, "{:?}", rows[0]);
         assert!(rows[0].softarch_error < 0.05, "{:?}", rows[0]);
@@ -1204,7 +1144,10 @@ mod tests {
 
         // Every row — legacy-restored or kernel-computed — is bit-identical
         // to an un-journaled kernel run of the whole sweep.
-        let fresh = fig5(&[Workload::Day], n_points, &c).unwrap();
+        let fresh = fig5_sweep(&[Workload::Day], n_points, &c, &SweepOptions::off())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert_eq!(resumed.rows.len(), fresh.len());
         for (a, b) in resumed.rows.iter().zip(&fresh) {
             assert_eq!(a.workload, b.workload);

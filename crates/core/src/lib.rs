@@ -17,7 +17,8 @@
 //! quantifies the resulting MTTF error against three assumption-free
 //! estimators (Monte Carlo, renewal analysis, SoftArch), over the Table 2
 //! design space in [`design`], with the SPEC-like simulation pipeline in
-//! [`pipeline`] and the paper's experiment generators in [`experiments`].
+//! [`pipeline`], the paper's experiment generators in [`experiments`] and
+//! their tables in [`figures`].
 //!
 //! # Quickstart
 //!
@@ -45,6 +46,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod design;
 pub mod experiments;
+pub mod figures;
 pub mod jsonio;
 pub mod par;
 pub mod pipeline;

@@ -42,7 +42,8 @@ pub struct TrialOutcome {
 /// # Errors
 ///
 /// Returns [`SerrError::NoConvergence`] if `max_events` raw errors are
-/// generated without a failure.
+/// generated without a failure, and [`SerrError::InvalidValue`] when
+/// `1/lambda_cycle` is not finite.
 ///
 /// # Panics
 ///
@@ -72,6 +73,14 @@ pub fn sample_time_to_failure<T: VulnerabilityTrace + ?Sized>(
     // Per-event divisions replaced by multiplies with hoisted inverses.
     let neg_inv_lambda_l = -1.0 / lambda_l;
     let neg_inv_lambda = -1.0 / lambda_cycle;
+    // Below ~5.6e-309 per cycle the reciprocal overflows: every phase
+    // advance would be −∞ and the walk could only end at `max_events`.
+    if !(neg_inv_lambda.is_finite() && neg_inv_lambda_l.is_finite()) {
+        return Err(SerrError::invalid_value(
+            "per-cycle raw error rate (reciprocal overflows)",
+            lambda_cycle,
+        ));
+    }
     let r_cap = l * (1.0 - f64::EPSILON);
 
     let mut phase = initial_phase; // current position within the period

@@ -338,8 +338,10 @@ mod tests {
 
     #[test]
     fn an_event_loop_point_that_overflows_fails_alone() {
-        // The lowest rate of a mixed event-loop list samples failure times
-        // past f64's range, so its mean overflows: that point fails, and
+        // Two low rates of a mixed event-loop list fail: at the first,
+        // sampled failure times pass f64's range, so its mean overflows; at
+        // the second, the per-cycle rate's reciprocal overflows, so no trial
+        // could end before `max_events`. Each fails at once and alone, and
         // every other point is bit-identical to its one-rate run, at 1 and
         // 8 threads.
         let trace = IntervalTrace::busy_idle(30, 70).unwrap();
@@ -347,6 +349,7 @@ mod tests {
             RawErrorRate::per_year(2.0),
             RawErrorRate::per_second(OVERFLOWING_RATE_PER_S),
             RawErrorRate::per_year(8.0),
+            RawErrorRate::per_year(1e-300),
         ];
         for threads in [1usize, 8] {
             let cfg = MonteCarloConfig {
@@ -357,15 +360,17 @@ mod tests {
             };
             let mc = MonteCarlo::new(cfg);
             let multi = mc.component_mttf_multi(&trace, &rates, Frequency::base()).unwrap();
-            assert!(
-                matches!(multi[1], Err(SerrError::InvalidValue { .. })),
-                "threads={threads}: {:?}",
-                multi[1]
-            );
-            assert!(matches!(
-                mc.component_mttf(&trace, rates[1], Frequency::base()),
-                Err(SerrError::InvalidValue { .. })
-            ));
+            for k in [1, 3] {
+                assert!(
+                    matches!(multi[k], Err(SerrError::InvalidValue { .. })),
+                    "threads={threads}, point {k}: {:?}",
+                    multi[k]
+                );
+                assert!(matches!(
+                    mc.component_mttf(&trace, rates[k], Frequency::base()),
+                    Err(SerrError::InvalidValue { .. })
+                ));
+            }
             for k in [0, 2] {
                 let solo = mc.component_mttf(&trace, rates[k], Frequency::base()).unwrap();
                 assert_bit_identical(multi[k].as_ref().unwrap(), &solo);

@@ -21,9 +21,9 @@ cargo test -q --release --workspace
 # they take minutes unoptimized; `--include-ignored` runs them here.
 cargo test -q --release -p serr-sim -- --include-ignored
 
-# Build gate: compile every target of every workspace crate — benches and
-# examples included, which neither command above builds — so an API change
-# cannot leave a criterion bench calling code that no longer exists.
+# Build gate: compile every target of every workspace crate — examples
+# included, which neither command above builds — so an API change cannot
+# leave an example calling code that no longer exists.
 cargo check --workspace --all-targets
 
 # Rustdoc gate: the workspace's API docs must build without one warning,
@@ -132,8 +132,9 @@ done
 
 # Extreme-rate smoke: at a rate so high that SoftArch's discrete MTTF
 # rounds to zero, a cluster so large that the system rate does, and a rate
-# so low that the Monte Carlo mean overflows, `serr` must stop with a typed
-# error: a nonzero exit, an `error:` line, and no panic.
+# so low that the Monte Carlo mean overflows — under the event loop too,
+# whose per-cycle rate's reciprocal then overflows — `serr` must stop at
+# once with a typed error: a nonzero exit, an `error:` line, and no panic.
 extreme_rate_smoke() {
   local out
   if out=$(cargo run -q --release --bin serr -- "$@" 2>&1); then
@@ -148,6 +149,7 @@ extreme_rate_smoke() {
 extreme_rate_smoke mttf --workload day --rate 1e300
 extreme_rate_smoke sofr --workload day --rate 1e10 -c 18446744073709551615
 extreme_rate_smoke mttf --workload day --rate 1e-300
+extreme_rate_smoke mttf --workload day --rate 1e-300 --sampler event-loop
 
 # Tiled-trace smoke: the paper's `combined` workload (two SPEC traces looped
 # twelve hours each, ~10^14 spans) compiles to CompiledTrace's tile level,
@@ -169,11 +171,12 @@ SERR_THREADS=3 cargo run --release --bin serr -- \
 cargo run --release -p serr-bench --bin obs_check -- target/obs-smoke.jsonl
 # The same check on a sweep: a rate list runs the same Monte Carlo chunk loop
 # as a single estimate, so `serr sweep` must emit the same per-chunk
-# convergence snapshots. Its checkpoint journal and metrics stay in a
+# convergence snapshots. `--quick` keeps it a smoke (the default scale is
+# the full reproduction). Its checkpoint journal and metrics stay in a
 # temporary directory.
 OBS_DIR="$(mktemp -d)"
 SERR_CHECKPOINT_DIR="$OBS_DIR" cargo run --release --bin serr -- \
-  sweep fig5 --fresh --trials 2000 --metrics "$OBS_DIR/sweep.jsonl"
+  sweep fig5 --quick --fresh --trials 2000 --metrics "$OBS_DIR/sweep.jsonl"
 cargo run --release -p serr-bench --bin obs_check -- "$OBS_DIR/sweep.jsonl"
 rm -rf "$OBS_DIR"
 
@@ -239,7 +242,8 @@ cargo clippy --workspace --lib --bins -- -A clippy::all -D clippy::unwrap_used \
 # the print macros — diagnostics go through serr-obs typed events (the
 # sanctioned StderrSink writes via io::stderr(), which the lint does not
 # flag). Only the root CLI package is exempt (its lib hosts the command
-# runner whose stdout IS the product); --lib keeps the bench/figure
-# binaries out of scope automatically.
+# runner whose stdout IS the product; `src/cli.rs` declares the exemption
+# too, since the figure binaries' dependency on it pulls it into this
+# lint); --lib keeps the bench/figure binaries out of scope automatically.
 cargo clippy --workspace --exclude soft-error-analysis --lib -- \
   -A clippy::all -D clippy::print_stderr -D clippy::print_stdout

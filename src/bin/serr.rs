@@ -1,20 +1,6 @@
 //! The `serr` command-line tool: soft-error MTTF estimation over the
 //! paper's workloads. See `soft_error_analysis::cli::USAGE`.
 
-use soft_error_analysis::cli::{run, Command, USAGE};
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match Command::parse(&args) {
-        Ok(cmd) => {
-            if let Err(e) = run(&cmd) {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
+    soft_error_analysis::cli::main(std::env::args().skip(1));
 }

@@ -6,6 +6,7 @@
 //! $ serr mttf --workload day --n-s 1e8                # all four estimators
 //! $ serr mttf --workload spec:gzip --rate 1e-4        # simulated benchmark
 //! $ serr sofr --workload week --n-s 1e8 -c 5000       # cluster projection
+//! $ serr sweep fig5 --quick                           # one of the paper's tables
 //! $ serr chaos --campaigns 50 --seed 7                # fault-injection campaigns
 //! $ serr serve --bind unix:/tmp/serr.sock             # estimation daemon
 //! $ serr request --connect unix:/tmp/serr.sock --cmd mttf -w day --n-s 1e8
@@ -13,12 +14,18 @@
 //! ```
 //!
 //! Parsing is hand-rolled (no CLI dependency) and lives here so it is unit
-//! testable; `src/bin/serr.rs` is a thin shell around [`Command::parse`]
-//! and [`run`].
+//! testable; `src/bin/serr.rs` and the `serr-bench` figure binaries are
+//! thin shells around [`main`].
+
+// The command runner's stdout and stderr are the product: the print lints
+// that keep the library crates quiet do not apply to this module, which
+// tier-1 also lints as a dependency of `serr-bench`.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use serr_core::experiments::ExperimentConfig;
+use serr_core::figures::{self, Figure};
 use serr_core::prelude::*;
-use serr_obs::Obs;
+use serr_obs::{Event, Level, Obs};
 use serr_serve::{Bind, RequestBody, ServeConfig, Server};
 use serr_types::SerrError;
 
@@ -70,11 +77,12 @@ pub enum Command {
     /// Run one of the paper's figure sweeps with checkpoint/resume.
     Sweep {
         /// Which figure to regenerate.
-        figure: SweepFigure,
+        figure: &'static Figure,
+        /// The resolved scale: full, `--quick` or `--paper`, with any
+        /// `--trials` override applied.
+        config: ExperimentConfig,
         /// Discard any existing checkpoint journal first.
         fresh: bool,
-        /// Monte Carlo trials override.
-        trials: Option<u64>,
         /// Write checkpoint events and a metrics snapshot as JSONL to this
         /// path.
         metrics: Option<std::path::PathBuf>,
@@ -128,36 +136,6 @@ pub enum Command {
     Help,
 }
 
-/// The figure sweeps reachable from `serr sweep`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepFigure {
-    /// Section 5.1: uniprocessor AVF/SOFR vs Monte Carlo.
-    Sec51,
-    /// Figure 5: AVF-step error, synthesized workloads.
-    Fig5,
-    /// Figure 6(a): SOFR-step error, SPEC clusters.
-    Fig6a,
-    /// Figure 6(b): SOFR-step error, synthesized-workload clusters.
-    Fig6b,
-    /// Section 5.4: SoftArch across the design space.
-    Sec54,
-}
-
-impl SweepFigure {
-    fn parse(s: &str) -> Result<Self, SerrError> {
-        match s {
-            "sec5_1" => Ok(SweepFigure::Sec51),
-            "fig5" => Ok(SweepFigure::Fig5),
-            "fig6a" => Ok(SweepFigure::Fig6a),
-            "fig6b" => Ok(SweepFigure::Fig6b),
-            "sec5_4" => Ok(SweepFigure::Sec54),
-            other => Err(SerrError::invalid_config(format!(
-                "unknown sweep `{other}`; expected sec5_1, fig5, fig6a, fig6b, or sec5_4"
-            ))),
-        }
-    }
-}
-
 impl Command {
     /// Parses an argument vector (excluding `argv[0]`).
     ///
@@ -171,16 +149,23 @@ impl Command {
             "workloads" => Ok(Command::Workloads),
             "help" | "--help" | "-h" => Ok(Command::Help),
             "sweep" => {
-                let figure = SweepFigure::parse(it.next().ok_or_else(|| {
-                    SerrError::invalid_config(
-                        "sweep needs a figure: sec5_1, fig5, fig6a, fig6b, or sec5_4",
-                    )
+                let figure = figures::find(it.next().ok_or_else(|| {
+                    SerrError::invalid_config(format!("sweep needs a figure: {}", figures::names()))
                 })?)?;
+                let mut scale: Option<&str> = None;
                 let mut fresh = false;
                 let mut trials: Option<u64> = None;
                 let mut metrics: Option<std::path::PathBuf> = None;
                 while let Some(flag) = it.next() {
                     match flag {
+                        "--quick" | "--paper" => match scale {
+                            Some(other) if other != flag => {
+                                return Err(SerrError::invalid_config(format!(
+                                    "{other} and {flag} are exclusive"
+                                )))
+                            }
+                            _ => scale = Some(flag),
+                        },
                         "--fresh" => fresh = true,
                         "--resume" => fresh = false, // the default, spelled out
                         "--trials" => {
@@ -202,7 +187,15 @@ impl Command {
                         }
                     }
                 }
-                Ok(Command::Sweep { figure, fresh, trials, metrics })
+                let mut config = match scale {
+                    Some("--quick") => ExperimentConfig::quick(),
+                    Some(_) => ExperimentConfig::paper_scale(),
+                    None => ExperimentConfig::full(),
+                };
+                if let Some(t) = trials {
+                    config.mc.trials = t;
+                }
+                Ok(Command::Sweep { figure, config, fresh, metrics })
             }
             "store" => match it.next() {
                 Some("inspect") => {
@@ -564,7 +557,7 @@ serr — architecture-level soft error analysis (DSN 2007 reproduction)
 USAGE:
   serr mttf --workload <W> (--rate <errors/year> | --n-s <N*S>) [--trials N] [--sampler batched-inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
   serr sofr --workload <W> (--rate <errors/year> | --n-s <N*S>) -c <count> [--trials N] [--sampler batched-inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
-  serr sweep <sec5_1|fig5|fig6a|fig6b|sec5_4> [--fresh | --resume] [--trials N] [--metrics PATH]
+  serr sweep <sec5_1|fig5|fig6a|fig6b|sec5_4> [--quick | --paper] [--fresh | --resume] [--trials N] [--metrics PATH]
   serr store inspect <FILE>
   serr chaos [--campaigns N] [--seed S] [--trials N] [--sampler batched-inversion|event-loop] [--kinds k1,k2,...] [--jsonl PATH]
   serr serve --bind <unix:PATH|tcp:ADDR> [--workers N] [--queue N] [--journal-dir DIR]
@@ -596,6 +589,12 @@ FLAGS:
                      (errors within the window of the period end never
                      surface). Cycle counts accept scientific notation;
                      `none` is the identity. Example: ecc:64,scrub:1e6
+  --quick | --paper  sweep scale: the default is the full reproduction (1M
+                     simulated instructions, 200k trials); --quick runs 60k
+                     instructions and 20k trials, --paper 8M instructions
+                     and 200k trials; --trials overrides the trial count.
+                     The table goes to stdout, the resumed/computed/failed
+                     counts to stderr
   --resume           resume from the journal if one exists (the default);
                      journals are CRC-paged binary `.store` files under
                      target/serr-checkpoints/ (override with
@@ -651,7 +650,7 @@ EXAMPLES:
   serr mttf --workload day --n-s 1e8 --metrics out.jsonl
   serr mttf --workload day --n-s 1e8 --protect ecc:64,scrub:1e6
   serr sofr --workload week --n-s 1e8 -c 5000
-  serr sweep fig5 --trials 20000
+  serr sweep fig5 --quick --trials 5000
   serr store inspect target/serr-checkpoints/fig5-00c0ffee00c0ffee.store
   serr chaos --campaigns 50 --seed 0xC0FFEE --jsonl chaos.jsonl
   serr serve --bind unix:/tmp/serr.sock --journal-dir /var/lib/serr
@@ -674,6 +673,31 @@ WIRE PROTOCOL (serr serve):
   response: {\"id\":1,\"state\":\"result\",\"mttf_mc_s\":...,\"rel_ci95\":...,
              \"provenance\":\"clean\",\"trials_done\":100000,\"resumed\":false,...}
 ";
+
+/// The `serr` process body: parses `args` (without `argv[0]`) and runs
+/// the command. A parse error prints `error: …` and the usage and exits 2;
+/// a run error prints `error: …` and exits 1.
+pub fn main(args: impl IntoIterator<Item = String>) {
+    let args: Vec<String> = args.into_iter().collect();
+    match Command::parse(&args) {
+        Ok(cmd) => {
+            if let Err(e) = run(&cmd) {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// [`main`] for a figure binary: `serr sweep <figure>` with the process's
+/// arguments.
+pub fn figure_main(figure: &str) {
+    main(["sweep", figure].map(String::from).into_iter().chain(std::env::args().skip(1)));
+}
 
 /// Executes a parsed command, writing human-readable output to stdout.
 ///
@@ -837,17 +861,33 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             println!("{}", resp.to_line());
             Ok(())
         }
-        Command::Sweep { figure, fresh, trials, metrics } => {
+        Command::Sweep { figure, config, fresh, metrics } => {
             let obs = metrics_obs(metrics.as_deref())?;
-            let mut cfg = cfg;
-            if let Some(t) = trials {
-                cfg.mc.trials = *t;
-            }
             let mut opts = if *fresh { SweepOptions::fresh() } else { SweepOptions::resume() };
             if let Some(obs) = &obs {
                 opts = opts.with_obs(obs.clone());
             }
-            run_sweep_command(*figure, &cfg, &opts)?;
+            let out = figure.run(config, &opts)?;
+            // Bookkeeping goes to stderr as typed events, so stdout is the
+            // figure's page alone.
+            let stderr = Obs::stderr(Level::Info);
+            stderr.emit(
+                Event::new("sweep.summary", 0)
+                    .with("sweep", figure.name)
+                    .with("rows", out.rows as u64)
+                    .with("resumed", out.resumed as u64)
+                    .with("computed", out.computed as u64)
+                    .with("failed", out.failures.len() as u64),
+            );
+            for f in &out.failures {
+                stderr.emit(
+                    Event::warn("sweep.point_failed", f.index as u64)
+                        .with("sweep", figure.name)
+                        .with("point", f.index as u64)
+                        .with("error", f.error.to_string()),
+                );
+            }
+            print!("{}", out.text);
             finish_metrics(obs.as_ref(), metrics.as_deref());
             Ok(())
         }
@@ -955,109 +995,12 @@ fn metrics_obs(path: Option<&std::path::Path>) -> Result<Option<Obs>, SerrError>
 }
 
 /// Closes out a `--metrics` run: appends the counter/gauge/histogram
-/// snapshot to the event stream, flushes the file, and tells the user
-/// where it landed.
+/// snapshot to the event stream, flushes the file, and tells the user on
+/// stderr where it landed.
 fn finish_metrics(obs: Option<&Obs>, path: Option<&std::path::Path>) {
     if let (Some(obs), Some(path)) = (obs, path) {
         obs.emit_metrics_snapshot();
-        println!("wrote metrics JSONL to {}", path.display());
-    }
-}
-
-/// Prints a sweep's outcome: resumed/computed counts, one line per row, and
-/// one line per failed point (index + typed error). The process succeeds as
-/// long as the sweep infrastructure ran; failed points are reported, not
-/// fatal, so a resumed invocation can fill them in.
-fn report_sweep<R>(report: &SweepReport<R>, line: impl Fn(&R) -> String) -> Result<(), SerrError> {
-    println!(
-        "{} rows ({} resumed from checkpoint, {} computed, {} failed)",
-        report.rows.len(),
-        report.resumed,
-        report.computed,
-        report.failures.len()
-    );
-    for r in &report.rows {
-        println!("  {}", line(r));
-    }
-    for f in &report.failures {
-        println!("  FAILED point {}: {}", f.index, f.error);
-    }
-    Ok(())
-}
-
-fn run_sweep_command(
-    figure: SweepFigure,
-    cfg: &ExperimentConfig,
-    opts: &SweepOptions,
-) -> Result<(), SerrError> {
-    use serr_core::experiments as exp;
-    // The bench binaries' design points (their `--quick` scale); the CLI
-    // adds checkpoint/resume on top.
-    let cs: [u64; 5] = [2, 8, 5_000, 50_000, 500_000];
-    match figure {
-        SweepFigure::Sec51 => {
-            let report = exp::sec5_1_sweep(&exp::REPRESENTATIVE_BENCHMARKS, cfg, opts)?;
-            report_sweep(&report, |r| {
-                format!(
-                    "{:>8}  worst AVF err {:.2}%  SOFR err {:.2}%",
-                    r.benchmark,
-                    r.max_component_error * 100.0,
-                    r.sofr_error * 100.0
-                )
-            })
-        }
-        SweepFigure::Fig5 => {
-            let n_s = [1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 5e12];
-            let report = exp::fig5_sweep(&Workload::synthesized(), &n_s, cfg, opts)?;
-            report_sweep(&report, |r| {
-                format!(
-                    "{:>8}  N*S {:>8.1e}  AVF err {:.2}%",
-                    r.workload,
-                    r.n_times_s,
-                    r.error * 100.0
-                )
-            })
-        }
-        SweepFigure::Fig6a => {
-            let n_s = [1e8, 1e9, 2e12, 5e12];
-            let report = exp::fig6a_sweep(&exp::REPRESENTATIVE_BENCHMARKS, &cs, &n_s, cfg, opts)?;
-            report_sweep(&report, |r| {
-                format!(
-                    "{:>8}  C {:>6}  N*S {:>8.1e}  SOFR err {:.2}%",
-                    r.workload,
-                    r.c,
-                    r.n_times_s,
-                    r.error * 100.0
-                )
-            })
-        }
-        SweepFigure::Fig6b => {
-            let n_s = [1e7, 1e8, 1e9];
-            let report = exp::fig6b_sweep(&Workload::synthesized(), &cs, &n_s, cfg, opts)?;
-            report_sweep(&report, |r| {
-                format!(
-                    "{:>8}  C {:>6}  N*S {:>8.1e}  SOFR err {:.2}%",
-                    r.workload,
-                    r.c,
-                    r.n_times_s,
-                    r.error * 100.0
-                )
-            })
-        }
-        SweepFigure::Sec54 => {
-            let n_s = [1e7, 1e8, 1e9, 1e12];
-            let report = exp::sec5_4_sweep(&Workload::synthesized(), &cs, &n_s, cfg, opts)?;
-            report_sweep(&report, |r| {
-                format!(
-                    "{:>8}  C {:>6}  N*S {:>8.1e}  SoftArch err {:.2}% (vs exact {:.4}%)",
-                    r.workload,
-                    r.c,
-                    r.n_times_s,
-                    r.softarch_error * 100.0,
-                    r.softarch_error_vs_renewal * 100.0
-                )
-            })
-        }
+        eprintln!("wrote metrics JSONL to {}", path.display());
     }
 }
 
@@ -1210,35 +1153,58 @@ mod tests {
 
     #[test]
     fn sweep_commands_parse() {
+        let fig5 = figures::find("fig5").unwrap();
+        let full = ExperimentConfig::full();
         assert_eq!(
             Command::parse(&["sweep", "fig5", "--fresh"]).unwrap(),
-            Command::Sweep { figure: SweepFigure::Fig5, fresh: true, trials: None, metrics: None }
+            Command::Sweep { figure: fig5, config: full, fresh: true, metrics: None }
         );
+        let mut trials = ExperimentConfig::full();
+        trials.mc.trials = 9000;
         assert_eq!(
             Command::parse(&["sweep", "sec5_1", "--resume", "--trials", "9000"]).unwrap(),
             Command::Sweep {
-                figure: SweepFigure::Sec51,
+                figure: figures::find("sec5_1").unwrap(),
+                config: trials,
                 fresh: false,
-                trials: Some(9000),
                 metrics: None
             }
         );
         assert_eq!(
             Command::parse(&["sweep", "fig5", "--metrics", "m.jsonl"]).unwrap(),
             Command::Sweep {
-                figure: SweepFigure::Fig5,
+                figure: fig5,
+                config: full,
                 fresh: false,
-                trials: None,
                 metrics: Some(std::path::PathBuf::from("m.jsonl"))
             }
         );
+        // The scale flags resolve to their configs; --trials overrides the
+        // trial count whichever side of the scale flag it sits on.
+        let config_of = |args: &[&str]| match Command::parse(args).unwrap() {
+            Command::Sweep { config, .. } => config,
+            other => panic!("expected Sweep, got {other:?}"),
+        };
+        assert_eq!(config_of(&["sweep", "fig6a", "--quick"]), ExperimentConfig::quick());
+        assert_eq!(config_of(&["sweep", "fig6a", "--paper"]), ExperimentConfig::paper_scale());
+        let mut quick = ExperimentConfig::quick();
+        quick.mc.trials = 2000;
+        assert_eq!(config_of(&["sweep", "fig5", "--trials", "2000", "--quick"]), quick);
+        assert_eq!(config_of(&["sweep", "fig5", "--quick", "--trials", "2000"]), quick);
+        assert!(Command::parse(&["sweep", "fig5", "--quick", "--paper"]).is_err());
         assert!(Command::parse(&["sweep", "fig5", "--metrics"]).is_err());
         assert!(Command::parse(&["sweep", "fig5", "--debug-journal"]).is_err());
-        for figure in ["fig6a", "fig6b", "sec5_4"] {
-            assert!(Command::parse(&["sweep", figure]).is_ok());
+        for figure in &figures::FIGURES {
+            assert!(Command::parse(&["sweep", figure.name]).is_ok());
+            assert!(USAGE.contains(figure.name), "usage omits {}", figure.name);
         }
-        assert!(Command::parse(&["sweep"]).is_err());
-        assert!(Command::parse(&["sweep", "fig7"]).is_err());
+        // An unknown or missing figure's error names every registry entry.
+        for bad in [&["sweep", "fig7"][..], &["sweep"]] {
+            let reason = Command::parse(bad).unwrap_err().to_string();
+            for figure in &figures::FIGURES {
+                assert!(reason.contains(figure.name), "`{reason}` omits {}", figure.name);
+            }
+        }
         assert!(Command::parse(&["sweep", "fig5", "--trials", "0"]).is_err());
     }
 

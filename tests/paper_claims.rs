@@ -2,7 +2,9 @@
 //! non-trivial) experiment sizes. EXPERIMENTS.md records the full-size runs.
 
 use serr_analytic::fig::{fig3_series, fig4_series};
-use serr_core::experiments::{fig5, fig6b, sec5_1, sec5_4, ExperimentConfig};
+use serr_core::experiments::{
+    fig5_sweep, fig6b_sweep, sec5_1_sweep, sec5_4_sweep, ExperimentConfig,
+};
 use serr_core::prelude::*;
 use serr_mc::MonteCarloConfig;
 
@@ -50,7 +52,9 @@ fn figure4_shape() {
 /// reduced trial count).
 #[test]
 fn section5_1_uniprocessor_valid() {
-    let rows = sec5_1(&["gzip", "swim", "mcf"], &cfg()).expect("pipeline");
+    let rows = sec5_1_sweep(&["gzip", "swim", "mcf"], &cfg(), &SweepOptions::off())
+        .and_then(|report| report.into_result())
+        .expect("pipeline");
     for row in &rows {
         assert!(
             row.max_component_error < 0.02,
@@ -69,7 +73,9 @@ fn section5_1_uniprocessor_valid() {
 fn figure5_avf_breaks_at_large_n_s() {
     let c = cfg();
     for workload in [Workload::Day, Workload::Week] {
-        let rows = fig5(&[workload], &[1e7, 1e12], &c).expect("pipeline");
+        let rows = fig5_sweep(&[workload], &[1e7, 1e12], &c, &SweepOptions::off())
+            .and_then(|report| report.into_result())
+            .expect("pipeline");
         assert!(rows[0].error < 0.05, "{workload}: small N×S err {}", rows[0].error);
         assert!(rows[1].error > 0.30, "{workload}: large N×S err {}", rows[1].error);
         // SoftArch stays accurate at both points (Section 5.4).
@@ -81,7 +87,9 @@ fn figure5_avf_breaks_at_large_n_s() {
 /// both C and N×S are large, and is fine for small clusters.
 #[test]
 fn figure6b_sofr_breaks_at_scale() {
-    let rows = fig6b(&[Workload::Day], &[2, 8, 50_000], &[1e8], &cfg()).expect("pipeline");
+    let rows = fig6b_sweep(&[Workload::Day], &[2, 8, 50_000], &[1e8], &cfg(), &SweepOptions::off())
+        .and_then(|report| report.into_result())
+        .expect("pipeline");
     assert!(rows[0].error < 0.05, "C=2: {}", rows[0].error);
     assert!(rows[1].error < 0.05, "C=8: {}", rows[1].error);
     assert!(rows[2].error > 0.5, "C=50000: {}", rows[2].error);
@@ -94,8 +102,10 @@ fn figure6b_sofr_breaks_at_scale() {
 #[test]
 fn section5_4_softarch_is_accurate_everywhere() {
     let c = cfg();
-    let rows =
-        sec5_4(&[Workload::Day, Workload::Week], &[2, 5_000], &[1e8, 1e12], &c).expect("pipeline");
+    let opts = SweepOptions::off();
+    let rows = sec5_4_sweep(&[Workload::Day, Workload::Week], &[2, 5_000], &[1e8, 1e12], &c, &opts)
+        .and_then(|report| report.into_result())
+        .expect("pipeline");
     for r in &rows {
         assert!(
             r.softarch_error_vs_renewal < 1e-4,

@@ -15,11 +15,12 @@
 use std::path::{Path, PathBuf};
 
 use serr_core::checkpoint::{Journal, JournalRow, SweepOptions, SweepReport};
-use serr_core::design::Workload;
+use serr_core::design::{Workload, C_VALUES};
 use serr_core::experiments::{
     fig5_sweep, fig6b_sweep, sec5_4_sweep, spec_processor_trace, synthesized_trace,
     ExperimentConfig, Fig5Row, Fig6Row, Sec54Row, REPRESENTATIVE_BENCHMARKS,
 };
+use serr_core::figures::{FIG5_N_S, FIG6A_N_S, FIG6B_N_S, SEC5_4_C, SEC5_4_N_S};
 use serr_core::prelude::{Provenance, Validator, VulnerabilityTrace};
 use serr_mc::MonteCarloConfig;
 use serr_types::{relative_error, RawErrorRate};
@@ -108,14 +109,6 @@ fn per_point(cfg: &ExperimentConfig) -> PerPoint {
     PerPoint { fig5, fig6b, sec5_4 }
 }
 
-/// The axes the `fig5`, `fig6a`, `fig6b` and `sec5_4` binaries sweep.
-const FIG5_N_S: [f64; 7] = [1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 5e12];
-const FIG6_CS: [u64; 5] = [2, 8, 5_000, 50_000, 500_000];
-const FIG6A_N_S: [f64; 4] = [1e8, 1e9, 2e12, 5e12];
-const FIG6B_N_S: [f64; 3] = [1e7, 1e8, 1e9];
-const SEC54_CS: [u64; 6] = [1, 2, 8, 5_000, 50_000, 500_000];
-const SEC54_N_S: [f64; 4] = [1e7, 1e8, 1e9, 1e12];
-
 /// Labelled provenance of one trace group's system rows over `cs × n_s`,
 /// from the calls a sweep makes per group: one shared-stream kernel run
 /// over the system rates, then one rate-list `Validator` call.
@@ -161,12 +154,12 @@ fn quick_scale_tags(threads: usize) -> Vec<(String, Provenance)> {
         for (p, row) in FIG5_N_S.iter().zip(v.components_with_mc(&*trace, &rates, ests)) {
             tags.push((format!("fig5 {} N*S={p:e}", w.label()), row.expect("row").provenance));
         }
-        tags.extend(system_tags(&v, "fig6b", w.label(), &*trace, &FIG6_CS, &FIG6B_N_S));
-        tags.extend(system_tags(&v, "sec5_4", w.label(), &*trace, &SEC54_CS, &SEC54_N_S));
+        tags.extend(system_tags(&v, "fig6b", w.label(), &*trace, &C_VALUES, &FIG6B_N_S));
+        tags.extend(system_tags(&v, "sec5_4", w.label(), &*trace, &SEC5_4_C, &SEC5_4_N_S));
     }
     for name in REPRESENTATIVE_BENCHMARKS {
         let trace = spec_processor_trace(name, &cfg).expect("SPEC trace");
-        tags.extend(system_tags(&v, "fig6a", name, &*trace, &FIG6_CS, &FIG6A_N_S));
+        tags.extend(system_tags(&v, "fig6a", name, &*trace, &C_VALUES, &FIG6A_N_S));
     }
     tags
 }

@@ -1,7 +1,7 @@
 //! Row generators for the paper's analytic figures (3 and 4).
 //!
-//! These produce exactly the series plotted in the paper; the `serr-bench`
-//! crate prints them as tables and benchmarks their computation.
+//! These produce exactly the series plotted in the paper; `serr sweep fig3`
+//! and `serr sweep fig4` print them as tables.
 
 use serr_types::{SerrError, BASELINE_RAW_RATE_PER_BIT_PER_YEAR};
 

@@ -11,7 +11,7 @@ use serr_types::SerrError;
 /// of the workload (cycle 0 — for the `day` workload, the start of the busy
 /// half). For a long-running system observed at a random time, the
 /// stationary convention is the physically neutral choice; the SOFR-step
-/// discrepancy is sensitive to this (see the `ablation_phase` binary).
+/// discrepancy is sensitive to this (see `serr sweep ablation_phase`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StartPhase {
     /// Every trial starts at cycle 0 of the loop (the paper's convention).

@@ -67,12 +67,6 @@ impl Ecdf {
         self.sorted.is_empty()
     }
 
-    /// The sorted sample underlying this ECDF.
-    #[must_use]
-    pub fn as_sorted(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// One-sample Kolmogorov–Smirnov statistic against a reference CDF:
     /// `D = supₓ |F̂(x) − F(x)|`, evaluated at the jump points.
     pub fn ks_statistic(&self, cdf: impl Fn(f64) -> f64) -> f64 {

@@ -97,13 +97,6 @@ impl Log2Histogram {
         &self.counts
     }
 
-    /// Lower edge of bucket `i` (bucket 0 also collects non-positive and
-    /// non-finite observations).
-    #[must_use]
-    pub fn bucket_lower_edge(i: usize) -> f64 {
-        (2.0f64).powi(i as i32 - ZERO_BUCKET)
-    }
-
     /// Non-empty buckets as `"index:count"` pairs joined by commas — a
     /// compact, order-stable rendering for JSONL metric rows.
     #[must_use]

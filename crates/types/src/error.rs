@@ -192,8 +192,14 @@ impl fmt::Display for SerrError {
             SerrError::PointFailed { index, payload } => {
                 write!(f, "design point {index} panicked: {payload}")
             }
+            // Everyday magnitudes read as plain decimals; the rest in the
+            // shortest round-trip scientific form, not hundreds of digits.
             SerrError::InvalidValue { what, value } => {
-                write!(f, "invalid value for {what}: {value}")
+                if *value == 0.0 || !value.is_finite() || (1e-3..1e6).contains(&value.abs()) {
+                    write!(f, "invalid value for {what}: {value}")
+                } else {
+                    write!(f, "invalid value for {what}: {value:e}")
+                }
             }
             SerrError::EngineFault { site, detail } => {
                 write!(f, "engine fault in {site}: {detail}")
@@ -255,11 +261,24 @@ mod tests {
     }
 
     #[test]
+    fn extreme_invalid_values_display_in_scientific_form() {
+        let e = SerrError::invalid_value("rate", 1e-300);
+        assert_eq!(e.to_string(), "invalid value for rate: 1e-300");
+        let e = SerrError::invalid_value("rate", 1.585_489_599_188_229e-300);
+        assert_eq!(e.to_string(), "invalid value for rate: 1.585489599188229e-300");
+        let e = SerrError::invalid_value("rate", -1e300);
+        assert_eq!(e.to_string(), "invalid value for rate: -1e300");
+        assert_eq!(SerrError::invalid_value("rate", 0.0).to_string(), "invalid value for rate: 0");
+    }
+
+    #[test]
     fn new_variants_display_lowercase_without_punctuation() {
         let e = SerrError::PointFailed { index: 7, payload: "boom".into() };
         assert_eq!(e.to_string(), "design point 7 panicked: boom");
         let e = SerrError::invalid_value("raw error rate", f64::NAN);
         assert_eq!(e.to_string(), "invalid value for raw error rate: NaN");
+        let e = SerrError::invalid_value("raw error rate", -0.5);
+        assert_eq!(e.to_string(), "invalid value for raw error rate: -0.5");
         let e = SerrError::engine_fault("monte carlo worker", "worker panicked");
         assert_eq!(e.to_string(), "engine fault in monte carlo worker: worker panicked");
         let e = SerrError::DeadlineExhausted { budget_s: 0.5, elapsed_s: 0.75 };

@@ -66,9 +66,9 @@ RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-m
 # Chaos smoke campaign: a small fixed-seed fault-injection run across all
 # fifteen estimator-level injector kinds (the four store-* faults against
 # the binary journal, and trace-transform corruption of the protection
-# pipeline's output) must uphold the detect-or-degrade invariant (the
-# binary exits nonzero on any silently-wrong result).
-cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 7 --trials 3000
+# pipeline's output) must uphold the detect-or-degrade invariant (`serr
+# chaos` exits nonzero on any silently-wrong result).
+cargo run --release --bin serr -- chaos --campaigns 30 --seed 7 --trials 3000
 
 # Perf smoke: regenerates BENCH_engines.json (schema v16, carrying a
 # `storage` section — binary journal resume time and mmap-vs-read cache
@@ -241,9 +241,8 @@ cargo clippy --workspace --lib --bins -- -A clippy::all -D clippy::unwrap_used \
 # Observability gate: library crates must not print to stderr/stdout with
 # the print macros — diagnostics go through serr-obs typed events (the
 # sanctioned StderrSink writes via io::stderr(), which the lint does not
-# flag). Only the root CLI package is exempt (its lib hosts the command
-# runner whose stdout IS the product; `src/cli.rs` declares the exemption
-# too, since the figure binaries' dependency on it pulls it into this
-# lint); --lib keeps the bench/figure binaries out of scope automatically.
+# flag). Only the root CLI package is exempt: its lib hosts the command
+# runner whose stdout IS the product, and no workspace crate depends on
+# it. --lib keeps the bench binaries out of scope automatically.
 cargo clippy --workspace --exclude soft-error-analysis --lib -- \
   -A clippy::all -D clippy::print_stderr -D clippy::print_stdout

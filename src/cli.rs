@@ -6,7 +6,7 @@
 //! $ serr mttf --workload day --n-s 1e8                # all four estimators
 //! $ serr mttf --workload spec:gzip --rate 1e-4        # simulated benchmark
 //! $ serr sofr --workload week --n-s 1e8 -c 5000       # cluster projection
-//! $ serr sweep fig5 --quick                           # one of the paper's tables
+//! $ serr sweep fig5 --quick                           # one of the paper's pages
 //! $ serr chaos --campaigns 50 --seed 7                # fault-injection campaigns
 //! $ serr serve --bind unix:/tmp/serr.sock             # estimation daemon
 //! $ serr request --connect unix:/tmp/serr.sock --cmd mttf -w day --n-s 1e8
@@ -14,13 +14,7 @@
 //! ```
 //!
 //! Parsing is hand-rolled (no CLI dependency) and lives here so it is unit
-//! testable; `src/bin/serr.rs` and the `serr-bench` figure binaries are
-//! thin shells around [`main`].
-
-// The command runner's stdout and stderr are the product: the print lints
-// that keep the library crates quiet do not apply to this module, which
-// tier-1 also lints as a dependency of `serr-bench`.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+//! testable; `src/bin/serr.rs` is a thin shell around [`main`].
 
 use serr_core::experiments::ExperimentConfig;
 use serr_core::figures::{self, Figure};
@@ -74,9 +68,10 @@ pub enum Command {
         /// as JSONL to this path.
         metrics: Option<std::path::PathBuf>,
     },
-    /// Run one of the paper's figure sweeps with checkpoint/resume.
+    /// Print one of the paper's results pages; a swept figure
+    /// checkpoints and resumes its sweep.
     Sweep {
-        /// Which figure to regenerate.
+        /// Which page to regenerate.
         figure: &'static Figure,
         /// The resolved scale: full, `--quick` or `--paper`, with any
         /// `--trials` override applied.
@@ -150,7 +145,7 @@ impl Command {
             "help" | "--help" | "-h" => Ok(Command::Help),
             "sweep" => {
                 let figure = figures::find(it.next().ok_or_else(|| {
-                    SerrError::invalid_config(format!("sweep needs a figure: {}", figures::names()))
+                    SerrError::invalid_config(format!("sweep needs a page: {}", figures::names()))
                 })?)?;
                 let mut scale: Option<&str> = None;
                 let mut fresh = false;
@@ -557,7 +552,7 @@ serr — architecture-level soft error analysis (DSN 2007 reproduction)
 USAGE:
   serr mttf --workload <W> (--rate <errors/year> | --n-s <N*S>) [--trials N] [--sampler batched-inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
   serr sofr --workload <W> (--rate <errors/year> | --n-s <N*S>) -c <count> [--trials N] [--sampler batched-inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
-  serr sweep <sec5_1|fig5|fig6a|fig6b|sec5_4> [--quick | --paper] [--fresh | --resume] [--trials N] [--metrics PATH]
+  serr sweep <PAGE> [--quick | --paper] [--fresh | --resume] [--trials N] [--metrics PATH]
   serr store inspect <FILE>
   serr chaos [--campaigns N] [--seed S] [--trials N] [--sampler batched-inversion|event-loop] [--kinds k1,k2,...] [--jsonl PATH]
   serr serve --bind <unix:PATH|tcp:ADDR> [--workers N] [--queue N] [--journal-dir DIR]
@@ -567,6 +562,10 @@ USAGE:
 
 WORKLOADS <W>:
   day | week | combined | spec:<benchmark> | duty:<period_seconds>:<busy_fraction>
+
+PAGES <PAGE> (`serr sweep <PAGE>` prints results/<PAGE>.txt):
+  table1 | table2 | fig3 | fig4 | sec5_1 | fig5 | fig6a | fig6b | sec5_4 |
+  ablation_phase | ablation_trials | ablation_masking | ablation_uarch
 
 FLAGS:
   --sampler <S>      time-to-failure sampler for the Monte Carlo trials:
@@ -593,8 +592,11 @@ FLAGS:
                      simulated instructions, 200k trials); --quick runs 60k
                      instructions and 20k trials, --paper 8M instructions
                      and 200k trials; --trials overrides the trial count.
-                     The table goes to stdout, the resumed/computed/failed
-                     counts to stderr
+                     table1, table2, fig3 and fig4 read the same at every
+                     scale, ablation_trials runs its own trial counts and
+                     ablation_uarch simulates at most 400k instructions.
+                     The page goes to stdout, a swept figure's
+                     resumed/computed/failed counts to stderr
   --resume           resume from the journal if one exists (the default);
                      journals are CRC-paged binary `.store` files under
                      target/serr-checkpoints/ (override with
@@ -691,12 +693,6 @@ pub fn main(args: impl IntoIterator<Item = String>) {
             std::process::exit(2);
         }
     }
-}
-
-/// [`main`] for a figure binary: `serr sweep <figure>` with the process's
-/// arguments.
-pub fn figure_main(figure: &str) {
-    main(["sweep", figure].map(String::from).into_iter().chain(std::env::args().skip(1)));
 }
 
 /// Executes a parsed command, writing human-readable output to stdout.
@@ -869,16 +865,18 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             }
             let out = figure.run(config, &opts)?;
             // Bookkeeping goes to stderr as typed events, so stdout is the
-            // figure's page alone.
+            // page alone.
             let stderr = Obs::stderr(Level::Info);
-            stderr.emit(
-                Event::new("sweep.summary", 0)
-                    .with("sweep", figure.name)
-                    .with("rows", out.rows as u64)
-                    .with("resumed", out.resumed as u64)
-                    .with("computed", out.computed as u64)
-                    .with("failed", out.failures.len() as u64),
-            );
+            if figure.is_swept() {
+                stderr.emit(
+                    Event::new("sweep.summary", 0)
+                        .with("sweep", figure.name)
+                        .with("rows", out.rows as u64)
+                        .with("resumed", out.resumed as u64)
+                        .with("computed", out.computed as u64)
+                        .with("failed", out.failures.len() as u64),
+                );
+            }
             for f in &out.failures {
                 stderr.emit(
                     Event::warn("sweep.point_failed", f.index as u64)
@@ -934,6 +932,22 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             for p in Provenance::ALL {
                 println!("  {:<9}: {}", p.label(), report.count(p));
             }
+            // Outcome-tag and miss counts per injector kind.
+            let rows: Vec<Vec<String>> = FaultKind::ALL
+                .iter()
+                .filter(|k| ccfg.kinds.contains(k))
+                .map(|&kind| {
+                    let of_kind = || report.outcomes.iter().filter(move |o| o.kind == kind);
+                    let mut row = vec![kind.label().to_owned()];
+                    for tag in Provenance::ALL {
+                        row.push(of_kind().filter(|o| o.outcome == tag).count().to_string());
+                    }
+                    row.push(of_kind().filter(|o| o.miss).count().to_string());
+                    row
+                })
+                .collect();
+            let headers = ["injector", "clean", "retried", "degraded", "suspect", "MISS"];
+            print!("\n{}\n", figures::render_table(&headers, &rows));
             for o in report.outcomes.iter().filter(|o| o.miss) {
                 println!(
                     "MISS: campaign {} ({}, seed {:#018x}): {}",
@@ -1194,11 +1208,17 @@ mod tests {
         assert!(Command::parse(&["sweep", "fig5", "--quick", "--paper"]).is_err());
         assert!(Command::parse(&["sweep", "fig5", "--metrics"]).is_err());
         assert!(Command::parse(&["sweep", "fig5", "--debug-journal"]).is_err());
+        // Every results page parses and takes the resolved scale.
+        assert_eq!(figures::FIGURES.len(), 13);
         for figure in &figures::FIGURES {
             assert!(Command::parse(&["sweep", figure.name]).is_ok());
+            assert_eq!(
+                config_of(&["sweep", figure.name, "--quick", "--fresh"]),
+                ExperimentConfig::quick()
+            );
             assert!(USAGE.contains(figure.name), "usage omits {}", figure.name);
         }
-        // An unknown or missing figure's error names every registry entry.
+        // An unknown or missing page's error names every registry entry.
         for bad in [&["sweep", "fig7"][..], &["sweep"]] {
             let reason = Command::parse(bad).unwrap_err().to_string();
             for figure in &figures::FIGURES {

@@ -44,14 +44,14 @@
 //!    inputs never leave `[2⁻⁵², 1]` — no NaN/∞ guards needed anywhere);
 //!    the Exp and mass draws are two [`serr_numeric::vecmath`] log
 //!    passes over the `neg_exp` and `residual_masses` buffers, with the
-//!    geometric multiply/floor (the period-skip count) fused into the
-//!    final fold. The mass pass has two tiers, picked by the batch
-//!    maximum `y ≈ 1 − e^{−λW}`: a division-free Taylor series when
-//!    every `y ≤ 1e-4` (the low-λW hot path), otherwise the branch-free
-//!    log1p correction [`serr_numeric::vecmath::ln_one_minus`] at any
-//!    `y` up to `1 − 2⁻⁵²` — straight-line code in both, however large
-//!    λW grows. The stationary miss branch calls the same scalar cores,
-//!    so the sampler makes no libm log call.
+//!    geometric multiply/floor (the period-skip count) done in the TTF
+//!    assembly. The mass pass has two tiers, picked by the batch maximum
+//!    `y ≈ 1 − e^{−λW}`: a division-free Taylor series when every
+//!    `y ≤ 1e-4` (the low-λW hot path), otherwise the branch-free log1p
+//!    correction [`serr_numeric::vecmath::ln_one_minus`] at any `y` up to
+//!    `1 − 2⁻⁵²` — straight-line code in both, however large λW grows. The
+//!    stationary miss branch calls the same scalar cores, so the sampler
+//!    makes no libm log call.
 //! 3. **Batched inversion**: all final-window phases resolve through
 //!    [`CompiledTrace::phase_at_cumulative_batch`]. On a table of at most
 //!    [`CompiledTrace::BATCH_SCAN_SEGMENTS`] segments that is a branchless
@@ -61,11 +61,12 @@
 //!    each sweep the whole chunk, so the cache misses of many trials
 //!    overlap instead of queueing one behind the other. The stage buffers
 //!    live in [`PointScratch`], so the steady state allocates nothing.
-//! 4. **One fold**: each chunk's statistics come from a single compensated
-//!    pass fused into the kernel's final TTF fold
-//!    ([`serr_numeric::stats::RunningStats::from_mapped_slice`]) — the
-//!    chunk buffer is traversed once more in total, not once for the TTFs
-//!    and again for the statistics.
+//! 4. **Assemble, then fold**: a straight element-wise pass turns each
+//!    phase into its time to failure in place, and the chunk's statistics
+//!    come from [`serr_numeric::stats::RunningStats::from_slice`] over the
+//!    finished buffer. Two plain passes beat one fused pass: a fold that
+//!    called back into an index-taking closure per element kept its
+//!    16-lane loop scalar, at over twice the cost of the two.
 //!
 //! # Distribution exactness
 //!
@@ -309,9 +310,9 @@ impl<'a> BatchedInversionSampler<'a> {
 
     /// Finishes one design point over a prepared chunk: the λ-dependent
     /// mass scale and two-tier mass log, the batched inverse lookup, and the
-    /// TTF fold, which leaves the chunk's times to failure (in cycles) in
-    /// [`PointScratch::ttfs`] and returns their statistics — computed in
-    /// the same traversal ([`RunningStats::from_mapped_slice`]). Every
+    /// TTF assembly, which leaves the chunk's times to failure (in cycles)
+    /// in [`PointScratch::ttfs`]; returns their statistics,
+    /// [`RunningStats::from_slice`] over that buffer. Every
     /// trial consumes a fixed set of counter-RNG words (see the module
     /// docs), so the result is a pure function of the sampler and
     /// `(stream_seed, n)` — never of thread count, previous chunks, other
@@ -380,16 +381,16 @@ impl<'a> BatchedInversionSampler<'a> {
         // All final-window phases in one batched inverse lookup.
         self.trace.phase_at_cumulative_batch(&mut p.residual_masses, &mut p.probe);
 
-        // Fold TTF = K·L + ψ in place — K = ⌊E/(λW)⌋ whole periods
+        // Assemble TTF = K·L + ψ in place — K = ⌊E/(λW)⌋ whole periods
         // survived (λW > 700 needs no guard: E ≤ 36.04 forces K = 0
         // through the arithmetic itself), and the mass buffer becomes the
         // TTF buffer, sparing a third array's worth of traffic. `mul_add`
         // is exactly rounded, so this is bit-deterministic on every
-        // target (see the schedule contract). The chunk's statistics fold
-        // rides the same traversal.
-        RunningStats::from_mapped_slice(&mut p.residual_masses, |i, psi| {
-            (shared.neg_exp[i] * self.neg_inv_lambda_w).floor().mul_add(self.period, psi)
-        })
+        // target (see the schedule contract).
+        for (ttf, &neg_e) in p.residual_masses.iter_mut().zip(&shared.neg_exp) {
+            *ttf = (neg_e * self.neg_inv_lambda_w).floor().mul_add(self.period, *ttf);
+        }
+        RunningStats::from_slice(&p.residual_masses)
     }
 
     /// Stationary shared pass: four words per trial. Schedule layout:
@@ -461,13 +462,13 @@ impl<'a> BatchedInversionSampler<'a> {
             }
         }
 
-        // Batched inverse lookup, then TTF = base + ψ folded in place,
-        // clamped at zero for the hit branch's φ subtraction — with the
-        // chunk's statistics fold riding the same traversal.
+        // Batched inverse lookup, then TTF = base + ψ assembled in place,
+        // clamped at zero for the hit branch's φ subtraction.
         self.trace.phase_at_cumulative_batch(&mut p.residual_masses, &mut p.probe);
-        RunningStats::from_mapped_slice(&mut p.residual_masses, |i, psi| {
-            (p.bases[i] + psi).max(0.0)
-        })
+        for (ttf, &base) in p.residual_masses.iter_mut().zip(&p.bases) {
+            *ttf = (base + *ttf).max(0.0);
+        }
+        RunningStats::from_slice(&p.residual_masses)
     }
 }
 
@@ -769,17 +770,26 @@ mod tests {
     }
 
     #[test]
-    fn chunk_stats_equal_a_scalar_fold_of_the_ttf_buffer() {
+    fn chunk_stats_are_from_slice_over_the_ttf_buffer() {
+        // The finish pass assembles the TTFs first and folds them after, so
+        // its statistics are exactly `from_slice` of the buffer it leaves —
+        // in both start conventions, at a λW whose masses all take the
+        // Taylor tier (≤ 1e-4) and at one that takes the general tier. (The
+        // stationary miss branch runs the general tier's scalar core at
+        // either; low λW makes nearly every trial miss, high λW hit.)
         let trace = IntervalTrace::busy_idle(30, 70).unwrap();
         let c = compiled(&trace);
-        let sampler = BatchedInversionSampler::new(&c, 0.01, StartPhase::WorkloadStart);
-        let mut scratch = Chunk::default();
-        let stats = scratch.sample(&sampler, 5, 1024);
-        let ttfs = scratch.point.ttfs();
-        assert_eq!(stats.count(), 1024);
-        assert_eq!(stats.min(), ttfs.iter().copied().fold(f64::INFINITY, f64::min));
-        assert_eq!(stats.max(), ttfs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-        let reference = RunningStats::from_slice(&ttfs);
-        assert_eq!(stats.mean().to_bits(), reference.mean().to_bits());
+        for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
+            for lambda in [1e-7, 0.05] {
+                let sampler = BatchedInversionSampler::new(&c, lambda, start);
+                let mut scratch = Chunk::default();
+                for (seed, n) in [(5u64, 1024usize), (6, 1000), (7, 17)] {
+                    let stats = scratch.sample(&sampler, seed, n);
+                    let ttfs = scratch.point.ttfs();
+                    assert_eq!(ttfs.len(), n);
+                    assert_eq!(stats, RunningStats::from_slice(ttfs), "{start:?} λ={lambda}");
+                }
+            }
+        }
     }
 }

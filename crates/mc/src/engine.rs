@@ -13,9 +13,11 @@
 //! the chunk — and every rate of the list consumes that same stream: the
 //! batched sampler prepares the λ-independent planes once and finishes
 //! each rate over them, and the event loop reseeds its `SmallRng` from the
-//! chunk seed for each rate. Workers claim chunks round-robin by index, and
-//! the main thread folds each rate's per-chunk statistics in ascending
-//! chunk order, so the floating-point reduction order is fixed too.
+//! chunk seed for each rate. Workers claim chunks round-robin by index and
+//! hand each finished chunk to the calling thread (itself worker 0), which
+//! merges chunk `k` into every rate's running statistics only after chunks
+//! `0..k`: the floating-point reduction order is fixed too, and a run holds
+//! one running fold per rate rather than every chunk's statistics.
 //! `tests/sweep_equivalence.rs` and `tests/metrics_invariant.rs` pin both
 //! properties, the latter for the telemetry as well.
 //!
@@ -42,6 +44,7 @@
 //! `combined` — is a typed [`SerrError::InvalidTrace`], never a silent
 //! change of sampler.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -170,9 +173,8 @@ pub fn compile_for_sampling(trace: &dyn VulnerabilityTrace) -> Result<CompiledTr
     })
 }
 
-/// One chunk across every rate of a run, in rate order. It is kept until
-/// the fold for every (rate, chunk), so a rate's entry is only its
-/// statistics and what the caller kept.
+/// One chunk across every rate of a run, in rate order: what a worker
+/// hands the fold when it finishes the chunk.
 pub(crate) struct Chunk<K> {
     /// Each rate's statistics and what the caller kept of its times to
     /// failure; empty statistics for a rate listed in `failed`.
@@ -190,34 +192,157 @@ pub(crate) struct Chunk<K> {
     pub(crate) point_ms: f64,
 }
 
-/// One rate's share of one completed chunk.
-pub(crate) struct PointChunk<'a, K> {
-    pub(crate) chunk: u64,
-    pub(crate) stats: &'a RunningStats,
-    /// Raw-error events consumed.
+/// One rate's share of a run, folded over its chunks in ascending chunk
+/// index.
+pub(crate) struct PointFold<K> {
+    /// The statistics of every chunk merged so far, or the rate's error in
+    /// the lowest chunk that failed — deterministic at any thread count,
+    /// since a worker skips a rate only after that rate failed in a lower
+    /// chunk of its own.
+    pub(crate) stats: Result<RunningStats, SerrError>,
+    /// Raw-error events of the merged chunks.
     pub(crate) events: u64,
-    pub(crate) kept: &'a K,
+    /// What the caller kept of each merged chunk, in chunk order.
+    pub(crate) kept: Vec<K>,
+    /// `(chunk, running statistics after merging it)` for each merged
+    /// chunk, recorded only when the engine has an observer: the `mc.chunk`
+    /// convergence snapshots, emitted point-major once the run is over.
+    pub(crate) snapshots: Vec<(u64, RunningStats)>,
 }
 
-/// Rate `p`'s share of every completed chunk in ascending chunk order, or
-/// its error in the lowest chunk that failed — deterministic at any thread
-/// count, since a worker skips a rate only after that rate failed in a
-/// lower chunk of its own.
-pub(crate) fn point_chunks<K>(
-    chunks: &[(u64, Chunk<K>)],
-    p: usize,
-) -> Result<Vec<PointChunk<'_, K>>, SerrError> {
-    chunks
-        .iter()
-        .map(|(chunk, c)| {
+impl<K> PointFold<K> {
+    fn new(stats: Result<RunningStats, SerrError>) -> Self {
+        PointFold { stats, events: 0, kept: Vec::new(), snapshots: Vec::new() }
+    }
+}
+
+/// A whole run, folded: each rate's [`PointFold`] and the run's totals.
+pub(crate) struct RunFold<K> {
+    pub(crate) points: Vec<PointFold<K>>,
+    /// Chunks merged, that is completed.
+    pub(crate) chunks: u64,
+    /// Whether a deadline, real or injected, cut the run short.
+    pub(crate) truncated: bool,
+    /// [`Chunk::shared_ms`] and [`Chunk::point_ms`] summed over the run.
+    pub(crate) shared_ms: f64,
+    pub(crate) point_ms: f64,
+}
+
+impl<K> RunFold<K> {
+    fn new(rates: usize) -> Self {
+        RunFold {
+            points: (0..rates).map(|_| PointFold::new(Ok(RunningStats::new()))).collect(),
+            chunks: 0,
+            truncated: false,
+            shared_ms: 0.0,
+            point_ms: 0.0,
+        }
+    }
+
+    /// Merges chunk `chunk` into every rate's fold. Called in ascending
+    /// chunk order, so the floating-point reduction order is fixed.
+    fn merge(&mut self, chunk: u64, c: Chunk<K>, snapshots: bool) {
+        self.chunks += 1;
+        self.shared_ms += c.shared_ms;
+        self.point_ms += c.point_ms;
+        for (p, (point, (stats, kept))) in self.points.iter_mut().zip(c.points).enumerate() {
             if let Some((_, e)) = c.failed.iter().find(|(q, _)| *q == p) {
-                return Err(e.clone());
+                if point.stats.is_ok() {
+                    *point = PointFold::new(Err(e.clone()));
+                }
+                continue;
             }
-            let (stats, kept) = &c.points[p];
-            let events = c.events.get(p).copied().unwrap_or(stats.count());
-            Ok(PointChunk { chunk: *chunk, stats, events, kept })
-        })
-        .collect()
+            let Ok(acc) = &mut point.stats else { continue };
+            acc.merge(&stats);
+            point.events += c.events.get(p).copied().unwrap_or(stats.count());
+            point.kept.push(kept);
+            if snapshots {
+                point.snapshots.push((chunk, *acc));
+            }
+        }
+    }
+}
+
+/// The calling thread's side of the streaming fold: takes chunk outcomes in
+/// whatever order the workers finish them and merges them in ascending
+/// chunk index, holding back only those that finish ahead of their turn.
+/// A chunk no worker will run (the run was cut short) is skipped once the
+/// worker that would have claimed it has stopped.
+struct OrderedFold<O, M> {
+    merge: M,
+    threads: u64,
+    n_chunks: u64,
+    /// The lowest chunk index neither merged nor skipped yet.
+    next: u64,
+    /// Outcomes that finished ahead of `next`.
+    ahead: BTreeMap<u64, O>,
+    /// The workers that will hand over no further chunk.
+    stopped: Vec<bool>,
+    /// The chunk merged last.
+    last: Option<u64>,
+    merged: u64,
+}
+
+impl<O, M: FnMut(u64, O)> OrderedFold<O, M> {
+    fn new(merge: M, threads: usize, n_chunks: u64) -> Self {
+        OrderedFold {
+            merge,
+            threads: threads as u64,
+            n_chunks,
+            next: 0,
+            ahead: BTreeMap::new(),
+            stopped: vec![false; threads],
+            last: None,
+            merged: 0,
+        }
+    }
+
+    /// Takes chunk `chunk`'s outcome and merges every chunk now due.
+    fn push(&mut self, chunk: u64, outcome: O) {
+        debug_assert!(chunk >= self.next, "chunk {chunk} arrived after the fold passed it");
+        let again = self.ahead.insert(chunk, outcome).is_some();
+        debug_assert!(!again, "chunk {chunk} handed to the fold twice");
+        self.advance();
+    }
+
+    /// Takes one message from another worker: a finished chunk, or `None`
+    /// once that worker claims no further chunk. One worker's messages
+    /// arrive in the order it sent them.
+    fn take(&mut self, (worker, msg): (usize, Option<(u64, O)>)) {
+        match msg {
+            Some((chunk, outcome)) => self.push(chunk, outcome),
+            None => self.stop(worker),
+        }
+    }
+
+    /// Records that `worker` claims no further chunk.
+    fn stop(&mut self, worker: usize) {
+        self.stopped[worker] = true;
+        self.advance();
+    }
+
+    fn advance(&mut self) {
+        while self.next < self.n_chunks {
+            if let Some(outcome) = self.ahead.remove(&self.next) {
+                debug_assert!(self.last.is_none_or(|l| l < self.next), "merge order not ascending");
+                (self.merge)(self.next, outcome);
+                self.last = Some(self.next);
+                self.merged += 1;
+            } else if !self.stopped[(self.next % self.threads) as usize] {
+                // Worker `next % threads` may still hand it over.
+                break;
+            }
+            self.next += 1;
+        }
+    }
+
+    /// The number of chunks merged, once every worker has stopped.
+    fn finish(self) -> u64 {
+        debug_assert!(self.stopped.iter().all(|&s| s), "a worker is still running");
+        debug_assert!(self.ahead.is_empty(), "{} chunks were never merged", self.ahead.len());
+        debug_assert_eq!(self.next, self.n_chunks, "the fold stopped short of the last chunk");
+        self.merged
+    }
 }
 
 /// A Monte Carlo MTTF estimate with sampling diagnostics.
@@ -262,13 +387,17 @@ pub struct MonteCarlo {
     /// deterministic chunk-order fold on the main thread, so attaching an
     /// observer cannot perturb estimates or their thread-count invariance.
     pub(crate) obs: Option<Obs>,
+    /// Runs before each chunk's body with the chunk index: tests use it to
+    /// make chunks finish out of order.
+    #[cfg(test)]
+    pub(crate) before_chunk: Option<fn(u64)>,
 }
 
 impl MonteCarlo {
     /// Creates an engine with the given configuration.
     #[must_use]
     pub fn new(config: MonteCarloConfig) -> Self {
-        MonteCarlo { config, obs: None }
+        MonteCarlo { config, ..MonteCarlo::default() }
     }
 
     /// Attaches an observability handle. Every run then records the same
@@ -351,11 +480,14 @@ impl MonteCarlo {
             return Err(never_vulnerable());
         }
         let hz = freq.hz();
-        let engine = MonteCarlo::new(MonteCarloConfig { trials: n, ..self.config });
-        let (chunks, _) =
+        let mut engine = self.clone();
+        engine.config.trials = n;
+        engine.obs = None;
+        let mut run =
             engine.run_rates(&compiled, &[rate.per_second_value() / hz], <[f64]>::to_vec)?;
-        let parts = point_chunks(&chunks, 0)?;
-        Ok(parts.into_iter().flat_map(|pc| pc.kept.iter().map(|t| t / hz)).collect())
+        let point = run.points.pop().expect("one fold per rate");
+        point.stats?;
+        Ok(point.kept.into_iter().flatten().map(|t| t / hz).collect())
     }
 
     /// Compiles `trace` once for a run, recording the `trace_compile`
@@ -375,10 +507,13 @@ impl MonteCarlo {
 
     /// The one chunk loop: runs the configured trial count for every
     /// per-cycle rate in `lambdas` (each positive) on `c`, and returns the
-    /// completed chunks in ascending index order with the truncation flag.
-    /// `keep` maps one rate's chunk of times to failure (in cycles, trial
-    /// order) to what the caller keeps of it — nothing for an estimate, the
-    /// samples for [`MonteCarlo::sample_ttfs`].
+    /// run folded per rate. Each chunk is merged into the fold as soon as
+    /// every lower chunk has been, so a run holds a rate's running
+    /// statistics, not one entry per (rate, chunk). `keep` maps one rate's
+    /// chunk of times to failure (in cycles, trial order) to what the
+    /// caller keeps of it — nothing for an estimate, the samples for
+    /// [`MonteCarlo::sample_ttfs`]. With an observer attached, each rate's
+    /// fold also records its convergence snapshots.
     ///
     /// The batched sampler prepares each chunk once and finishes it per
     /// rate; the event loop walks each rate's trials in turn from the
@@ -390,10 +525,13 @@ impl MonteCarlo {
         c: &CompiledTrace,
         lambdas: &[f64],
         keep: impl Fn(&[f64]) -> K + Sync,
-    ) -> Result<(Vec<(u64, Chunk<K>)>, bool), SerrError> {
+    ) -> Result<RunFold<K>, SerrError> {
         let seed = self.config.seed;
         let start_phase = self.config.start_phase;
-        match self.config.sampler {
+        let snapshots = self.obs.is_some();
+        let mut run = RunFold::new(lambdas.len());
+        let merge = |chunk, out| run.merge(chunk, out, snapshots);
+        run.truncated = match self.config.sampler {
             SamplerKind::BatchedInversion => {
                 let samplers: Vec<BatchedInversionSampler> = lambdas
                     .iter()
@@ -416,14 +554,15 @@ impl MonteCarlo {
                             .iter()
                             .map(|s| (s.finish_chunk(shared, point, n), keep(point.ttfs())))
                             .collect();
-                        Ok(Chunk {
+                        Chunk {
                             points,
                             events: Vec::new(),
                             failed: Vec::new(),
                             shared_ms,
                             point_ms: ms_since(t_point),
-                        })
+                        }
                     },
+                    merge,
                 )
             }
             SamplerKind::EventLoop => {
@@ -460,21 +599,32 @@ impl MonteCarlo {
                                 }
                             }
                         }
-                        Ok(out)
+                        out
                     },
+                    merge,
                 )
             }
-        }
+        }?;
+        Ok(run)
     }
 
     /// The chunk scaffolding under [`MonteCarlo::run_rates`]: claims
     /// chunks round-robin by index across workers, honors real and injected
     /// deadlines at chunk boundaries, maps worker panics to the typed
-    /// engine fault, and returns outcomes sorted by chunk index.
-    /// `scratch_init` runs once per worker (the samplers reuse their
-    /// buffers across every chunk a worker claims); `chunk_body(scratch,
+    /// engine fault, and streams each chunk's outcome to `merge` on the
+    /// calling thread in ascending chunk index. Returns whether the run was
+    /// cut short. `scratch_init` runs once per worker (the samplers reuse
+    /// their buffers across every chunk a worker claims); `chunk_body(scratch,
     /// chunk, n)` produces the outcome of `n` trials on chunk `chunk`'s
     /// deterministic stream.
+    ///
+    /// The calling thread is worker 0. The other workers hand each finished
+    /// chunk to it, and it merges chunk `k` only after chunks `0..k` — the
+    /// ascending order a sort of the whole run would give — holding back
+    /// only the chunks that finish ahead of their turn. With round-robin
+    /// claiming and chunks of equal cost that is about one chunk per
+    /// worker; a stalled worker lets it grow, at most to the run's whole
+    /// length.
     ///
     /// Deadline semantics: the budget is checked at chunk boundaries only —
     /// a chunk that has started always finishes, and every worker completes
@@ -488,10 +638,11 @@ impl MonteCarlo {
         &self,
         scratch_init: I,
         chunk_body: G,
-    ) -> Result<(Vec<(u64, O)>, bool), SerrError>
+        merge: impl FnMut(u64, O),
+    ) -> Result<bool, SerrError>
     where
         I: Fn() -> S + Sync,
-        G: Fn(&mut S, u64, u64) -> Result<O, SerrError> + Sync,
+        G: Fn(&mut S, u64, u64) -> O + Sync,
         O: Send,
     {
         let trials = self.config.trials;
@@ -524,9 +675,8 @@ impl MonteCarlo {
                 elapsed_s: started.elapsed().as_secs_f64(),
             });
         }
-        let worker = |tid: usize| -> Result<Vec<(u64, O)>, SerrError> {
+        let worker = |tid: usize, hand_off: &mut dyn FnMut(u64, O)| {
             let mut scratch = scratch_init();
-            let mut out = Vec::new();
             let mut chunk = tid as u64;
             let mut first = true;
             while chunk < n_chunks {
@@ -553,57 +703,63 @@ impl MonteCarlo {
                         panic!("chaos: injected panic in chunk {chunk}");
                     }
                 }
+                #[cfg(test)]
+                if let Some(hook) = self.before_chunk {
+                    hook(chunk);
+                }
                 let lo = chunk * TRIAL_CHUNK;
                 let hi = (lo + TRIAL_CHUNK).min(trials);
-                out.push((chunk, chunk_body(&mut scratch, chunk, hi - lo)?));
+                hand_off(chunk, chunk_body(&mut scratch, chunk, hi - lo));
                 chunk += threads as u64;
             }
-            Ok(out)
+        };
+        let fault = |p: Box<dyn std::any::Any + Send>| {
+            SerrError::engine_fault("monte carlo worker", panic_payload_string(&*p))
         };
 
-        // A panicking worker — injected or genuine — must surface as a typed
-        // error, never tear down the caller: catch the unwind on the
-        // single-thread path and map scope-join failures on the parallel one.
-        let gathered: Vec<Result<Vec<(u64, O)>, SerrError>> = if threads == 1 {
-            vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(0)))
-                .unwrap_or_else(|p| {
-                    Err(SerrError::engine_fault("monte carlo worker", panic_payload_string(&*p)))
-                })]
-        } else {
-            std::thread::scope(|scope| {
-                let worker = &worker;
-                let handles: Vec<_> =
-                    (0..threads).map(|tid| scope.spawn(move || worker(tid))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|p| {
-                            Err(SerrError::engine_fault(
-                                "monte carlo worker",
-                                panic_payload_string(&*p),
-                            ))
-                        })
+        // The calling thread is worker 0: between its own chunks it merges
+        // whatever the other workers have handed over, then waits for the
+        // rest. A panicking worker — injected or genuine — must surface as a
+        // typed error, never tear down the caller: worker 0's unwind is
+        // caught here, the others' at their join.
+        let mut fold = OrderedFold::new(merge, threads, n_chunks);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let joined: Vec<Result<(), SerrError>> = std::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = (1..threads)
+                .map(|tid| {
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        worker(tid, &mut |chunk, out| {
+                            // The receiver outlives every worker.
+                            let _ = tx.send((tid, Some((chunk, out))));
+                        });
+                        let _ = tx.send((tid, None));
                     })
-                    .collect()
-            })
-        };
+                })
+                .collect();
+            drop(tx);
+            let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                worker(0, &mut |chunk, out| {
+                    fold.push(chunk, out);
+                    rx.try_iter().for_each(|msg| fold.take(msg));
+                });
+            }));
+            fold.stop(0);
+            rx.iter().for_each(|msg| fold.take(msg));
+            std::iter::once(own)
+                .chain(handles.into_iter().map(std::thread::ScopedJoinHandle::join))
+                .map(|r| r.map_err(fault))
+                .collect()
+        });
+        joined.into_iter().collect::<Result<(), _>>()?;
 
-        // Under a deadline the completed set can be any subset that contains
-        // each worker's first chunk; sort so the fold order stays ascending
-        // by chunk index regardless of which worker finished what.
-        let mut completed: Vec<(u64, O)> = Vec::with_capacity(n_chunks as usize);
-        for res in gathered {
-            completed.extend(res?);
-        }
-        completed.sort_unstable_by_key(|&(chunk, _)| chunk);
-        let truncated = (completed.len() as u64) < n_chunks;
+        let truncated = fold.finish() < n_chunks;
         debug_assert!(
             deadline.is_some() || chaos.is_some() || !truncated,
             "chunks can only go missing when a deadline (real or injected) expires"
         );
-        // Chunk indices ride along so the caller's fold can key convergence
-        // telemetry deterministically.
-        Ok((completed, truncated))
+        Ok(truncated)
     }
 }
 
@@ -1133,6 +1289,104 @@ mod tests {
                 assert!(snap.histograms.contains_key(*name), "{sampler:?}: no {name}");
             }
             assert!(snap.gauges["mc.samples_per_sec"] > 0.0);
+        }
+    }
+
+    #[test]
+    fn ordered_fold_merges_ascending_whatever_the_arrival_order() {
+        // Three workers over nine chunks (worker w claims w, w + 3, w + 6).
+        // Workers 1 and 2 stop early, as a deadline would stop them: chunks
+        // 4, 7 and 8 never arrive and are skipped once their worker stops.
+        let mut merged = Vec::new();
+        let mut fold = OrderedFold::new(|chunk, tag: u64| merged.push((chunk, tag)), 3, 9);
+        fold.push(2, 20);
+        fold.push(5, 50);
+        fold.stop(2);
+        fold.push(1, 10);
+        fold.stop(1);
+        fold.push(0, 0);
+        fold.push(3, 30);
+        fold.push(6, 60);
+        fold.stop(0);
+        assert_eq!(fold.finish(), 6);
+        assert_eq!(merged, [(0, 0), (1, 10), (2, 20), (3, 30), (5, 50), (6, 60)]);
+    }
+
+    #[test]
+    fn chunks_finishing_out_of_order_fold_exactly_as_at_one_thread() {
+        use serr_inject::{FaultKind, FaultPlan};
+        use serr_obs::Value;
+        // Chunks 0 and 1 pause before their bodies, so at 3 threads worker
+        // 2 runs ahead and the fold receives chunks out of order. Rate-list
+        // estimates, `sample_ttfs` samples and the `mc.chunk` event sequence
+        // must still equal the 1-thread run: plain, under an injected
+        // deadline cut, and under an injected chunk panic.
+        let trace = IntervalTrace::busy_idle(30, 70).unwrap();
+        let freq = Frequency::base();
+        let rates: Vec<RawErrorRate> =
+            (0..4).map(|i| RawErrorRate::per_year(2.0f64.powi(i))).collect();
+        let base = MonteCarloConfig { trials: 12 * TRIAL_CHUNK, ..Default::default() };
+        let cut = (0..1_000u64)
+            .map(|s| FaultPlan::new(s, FaultKind::DeadlineExhaust))
+            .find(|p| p.deadline_cut_chunk(12) == Some(3))
+            .expect("some seed cuts at chunk 3");
+        let panic = (0..1_000u64)
+            .map(|s| FaultPlan::new(s, FaultKind::ChunkPanic))
+            .find(|p| (2..4).any(|c| p.chunk_panics(base.seed, c, 12)))
+            .expect("some seed panics in chunk 2 or 3");
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<String>()
+                .is_some_and(|s| s.contains("chaos: injected"));
+            if !injected {
+                prev(info);
+            }
+        }));
+        type Events = Vec<(u64, Vec<(&'static str, Value)>)>;
+        let run = |threads: usize, chaos: Option<FaultPlan>| {
+            let cfg = MonteCarloConfig { threads, chaos, ..base };
+            let mut mc = MonteCarlo::new(cfg);
+            mc.before_chunk = Some(|chunk| {
+                if chunk < 2 {
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                }
+            });
+            let (obs, sink) = Obs::memory();
+            let multi = mc.clone().with_observer(obs).component_mttf_multi(&trace, &rates, freq);
+            let samples = mc.sample_ttfs(&trace, rates[1], freq, base.trials);
+            let events: Events =
+                sink.events_of("mc.chunk").into_iter().map(|e| (e.seq, e.fields)).collect();
+            (multi, samples.map(|v| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>()), events)
+        };
+        for (mode, chaos) in [("plain", None), ("deadline cut", Some(cut)), ("panic", Some(panic))]
+        {
+            let one = run(1, chaos);
+            let three = run(3, chaos);
+            assert_eq!(one, three, "{mode}: 3 threads differ from 1");
+            let (multi, samples, events) = one;
+            match mode {
+                "panic" => {
+                    for res in [multi.map(|_| ()), samples.map(|_| ())] {
+                        assert!(
+                            matches!(res, Err(SerrError::EngineFault { .. })),
+                            "{mode}: expected EngineFault, got {res:?}"
+                        );
+                    }
+                    assert!(events.is_empty());
+                }
+                _ => {
+                    let multi = multi.unwrap();
+                    let truncated = chaos.is_some();
+                    let n = multi[0].as_ref().unwrap().ttf_seconds.count;
+                    assert_eq!(n < base.trials, truncated, "{mode}");
+                    assert_eq!(samples.unwrap().len() as u64, n, "{mode}");
+                    assert_eq!(events.len() as u64, rates.len() as u64 * n / TRIAL_CHUNK);
+                    let seqs: Vec<u64> = events.iter().map(|(seq, _)| *seq).collect();
+                    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{mode}: point-major order");
+                }
+            }
         }
     }
 

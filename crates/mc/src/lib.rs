@@ -27,7 +27,7 @@
 //!    identical distribution (see [`batched`] for the thinning proof). It
 //!    runs as straight-line structure-of-arrays passes over whole trial
 //!    chunks — counter RNG up front, vectorized logs, a batched
-//!    prefix-table probe, and a fused statistics fold. The event loop
+//!    prefix-table probe, and a vectorized statistics fold. The event loop
 //!    ([`SamplerKind::EventLoop`]) stays as the independent oracle: it never
 //!    reads the prefix sums.
 //! 3. **Superposition for clusters.** For a system of components running

@@ -63,15 +63,13 @@
 
 use std::time::Instant;
 
-use serr_numeric::stats::RunningStats;
 use serr_obs::Event;
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate, SerrError};
 
 use crate::config::SamplerKind;
 use crate::engine::{
-    estimate_from_cycle_stats, never_vulnerable, point_chunks, zero_rate, MonteCarlo, MttfEstimate,
-    TRIAL_CHUNK,
+    estimate_from_cycle_stats, never_vulnerable, zero_rate, MonteCarlo, MttfEstimate, TRIAL_CHUNK,
 };
 
 impl MonteCarlo {
@@ -144,35 +142,32 @@ impl MonteCarlo {
 
         let lambdas: Vec<f64> = valid.iter().map(|&(_, lambda)| lambda).collect();
         let t_run = Instant::now();
-        let (chunks, truncated) = self.run_rates(c, &lambdas, |_| ())?;
+        let run = self.run_rates(c, &lambdas, |_| ())?;
         let sampler = self.config.sampler;
         let n_chunks = self.config.trials.div_ceil(TRIAL_CHUNK);
 
-        // Fold each point in ascending chunk order: the same reduction
-        // order for any thread count and any rate list. The convergence
-        // snapshots ride on this fold, keyed by (point, chunk).
+        // The run merged each point's chunks in ascending chunk order: the
+        // same reduction order for any thread count and any rate list. The
+        // convergence snapshots it recorded are emitted here, point-major,
+        // keyed by (point, chunk).
         let (mut trials, mut events) = (0u64, 0u64);
-        for (p, &(i, _)) in valid.iter().enumerate() {
-            out[i] = point_chunks(&chunks, p).and_then(|parts| {
-                let mut stats = RunningStats::new();
-                let mut point_events = 0u64;
-                for pc in parts {
-                    stats.merge(pc.stats);
-                    point_events += pc.events;
-                    if let Some(obs) = &self.obs {
+        for (&(i, _), point) in valid.iter().zip(run.points) {
+            out[i] = point.stats.and_then(|stats| {
+                if let Some(obs) = &self.obs {
+                    for (chunk, s) in point.snapshots {
                         obs.emit(
-                            Event::new("mc.chunk", i as u64 * n_chunks + pc.chunk)
+                            Event::new("mc.chunk", i as u64 * n_chunks + chunk)
                                 .with("point", i)
-                                .with("chunk", pc.chunk)
-                                .with("n", stats.count())
-                                .with("mean_s", stats.mean() / hz)
-                                .with("ci95_s", stats.ci95_half_width() / hz),
+                                .with("chunk", chunk)
+                                .with("n", s.count())
+                                .with("mean_s", s.mean() / hz)
+                                .with("ci95_s", s.ci95_half_width() / hz),
                         );
                     }
                 }
                 trials += stats.count();
-                events += point_events;
-                estimate_from_cycle_stats(&stats, hz, point_events, truncated, sampler)
+                events += point.events;
+                estimate_from_cycle_stats(&stats, hz, point.events, run.truncated, sampler)
             });
         }
 
@@ -180,8 +175,8 @@ impl MonteCarlo {
             let secs = t_run.elapsed().as_secs_f64();
             match sampler {
                 SamplerKind::BatchedInversion => {
-                    obs.record_stage("sweep_shared", chunks.iter().map(|(_, c)| c.shared_ms).sum());
-                    obs.record_stage("sweep_point", chunks.iter().map(|(_, c)| c.point_ms).sum());
+                    obs.record_stage("sweep_shared", run.shared_ms);
+                    obs.record_stage("sweep_point", run.point_ms);
                 }
                 SamplerKind::EventLoop => obs.record_stage("mc_run", secs * 1e3),
             }
@@ -195,10 +190,10 @@ impl MonteCarlo {
                 },
                 runs,
             );
-            metrics.add("mc.rng_chunks", chunks.len() as u64);
+            metrics.add("mc.rng_chunks", run.chunks);
             metrics.add("mc.trials_completed", trials);
             metrics.add("mc.raw_error_events", events);
-            if truncated {
+            if run.truncated {
                 metrics.add("mc.truncated_runs", runs);
             }
             if secs > 0.0 {

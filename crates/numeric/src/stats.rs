@@ -124,8 +124,10 @@ impl RunningStats {
     /// mean, then `Σ(x − mean)²` for the second moment, with min/max folded
     /// into the first pass. The lane structure and combine order are fixed,
     /// so the result is a deterministic function of the slice contents
-    /// alone; [`RunningStats::from_mapped_slice`] is the fused variant the
-    /// batched Monte-Carlo sampler retires each trial chunk through.
+    /// alone. The batched Monte-Carlo sampler retires each trial chunk
+    /// through it, after assembling the chunk's times to failure in a pass
+    /// of its own: both loops stay straight-line and vectorize, where a
+    /// fold that also computed each element through a closure ran scalar.
     ///
     /// Against per-element [`RunningStats::push`] the accuracy is equal or
     /// better (the compensated sum beats Welford's running mean for large
@@ -172,81 +174,6 @@ impl RunningStats {
         let mean = total / n;
         // Pass 2: centered second moment; terms are non-negative, so plain
         // lane sums keep full relative accuracy.
-        let mut m2 = [0.0_f64; LANES];
-        let mut chunks = xs.chunks_exact(LANES);
-        for chunk in &mut chunks {
-            for (j, &x) in chunk.iter().enumerate() {
-                let d = x - mean;
-                m2[j] += d * d;
-            }
-        }
-        for (j, &x) in chunks.remainder().iter().enumerate() {
-            let d = x - mean;
-            m2[j] += d * d;
-        }
-        RunningStats {
-            n: xs.len() as u64,
-            mean,
-            m2: m2.iter().sum(),
-            min: lo.iter().copied().fold(f64::INFINITY, f64::min),
-            max: hi.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-
-    /// Fused map-then-[`RunningStats::from_slice`]: rewrites every element
-    /// as `map(index, old)` and folds the first statistics pass
-    /// (compensated lane sums, min/max) over the mapped values in the same
-    /// traversal, so the producer's arithmetic pays for the fold's memory
-    /// pass. The lane structure and combine order are exactly
-    /// `from_slice`'s, making the result bit-identical to mapping first
-    /// and folding after — one full pass over the slice cheaper. The
-    /// batched Monte-Carlo sampler retires each trial chunk through this:
-    /// its final TTF fold is the `map`.
-    #[must_use]
-    pub fn from_mapped_slice(
-        xs: &mut [f64],
-        mut map: impl FnMut(usize, f64) -> f64,
-    ) -> RunningStats {
-        // 16 lanes, not 8: the compensated two-sum is a 4-op dependency chain
-        // per lane, so at 8 lanes (one 512-bit vector) the loop is latency
-        // bound; doubling the lanes overlaps two chains and measures ~4x
-        // faster on AVX-512 hardware with identical accuracy.
-        const LANES: usize = 16;
-        if xs.is_empty() {
-            return RunningStats::new();
-        }
-        let mut sum = [0.0_f64; LANES];
-        let mut comp = [0.0_f64; LANES];
-        let mut lo = [f64::INFINITY; LANES];
-        let mut hi = [f64::NEG_INFINITY; LANES];
-        let mut base = 0usize;
-        let mut chunks = xs.chunks_exact_mut(LANES);
-        for chunk in &mut chunks {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                let x = map(base + j, *slot);
-                *slot = x;
-                let s = sum[j] + x;
-                let bb = s - sum[j];
-                comp[j] += (sum[j] - (s - bb)) + (x - bb);
-                sum[j] = s;
-                lo[j] = lo[j].min(x);
-                hi[j] = hi[j].max(x);
-            }
-            base += LANES;
-        }
-        for (j, slot) in chunks.into_remainder().iter_mut().enumerate() {
-            let x = map(base + j, *slot);
-            *slot = x;
-            let s = sum[j] + x;
-            let bb = s - sum[j];
-            comp[j] += (sum[j] - (s - bb)) + (x - bb);
-            sum[j] = s;
-            lo[j] = lo[j].min(x);
-            hi[j] = hi[j].max(x);
-        }
-        let total: f64 = sum.iter().sum::<f64>() + comp.iter().sum::<f64>();
-        let n = xs.len() as f64;
-        let mean = total / n;
         let mut m2 = [0.0_f64; LANES];
         let mut chunks = xs.chunks_exact(LANES);
         for chunk in &mut chunks {
@@ -478,21 +405,6 @@ mod tests {
                     / welford.sample_variance();
                 assert!(rel < 1e-9, "n = {n}: variance off by {rel}");
             }
-        }
-    }
-
-    #[test]
-    fn from_mapped_slice_is_bit_identical_to_map_then_from_slice() {
-        // Lengths straddling the lane remainder, plus the map reading the
-        // pre-image (the batched sampler's in-place TTF fold shape).
-        for n in [0usize, 1, 7, 8, 9, 100, 1024, 1031] {
-            let pre: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
-            let map = |i: usize, old: f64| (i as f64).mul_add(2.5, old).floor() - old * 0.125;
-            let mut fused_buf = pre.clone();
-            let fused = RunningStats::from_mapped_slice(&mut fused_buf, map);
-            let mapped: Vec<f64> = pre.iter().enumerate().map(|(i, &x)| map(i, x)).collect();
-            assert_eq!(fused_buf, mapped, "n = {n}: mapped values differ");
-            assert_eq!(fused, RunningStats::from_slice(&mapped), "n = {n}: stats differ");
         }
     }
 

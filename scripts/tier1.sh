@@ -54,7 +54,9 @@ cargo fmt --check
 # mode with debug assertions armed: the injectors and the Monte Carlo chaos
 # hooks carry debug_assert range checks (bit positions, corruption offsets,
 # poison factors, chunk accounting) that plain --release would compile out
-# and that the dev profile runs without release codegen; the compiled
+# and that the dev profile runs without release codegen; the Monte Carlo
+# engine's streaming fold asserts that it merges chunks in strictly
+# ascending index, each chunk once, and holds none back at the end; the compiled
 # trace's staged inverse probe asserts every mass it clamps lies in
 # [0, total); the timing simulator asserts before every issue stage that
 # its ready queue and completion heap match a scan of the ROB, here over

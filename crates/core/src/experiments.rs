@@ -3,6 +3,7 @@
 //! plots; [`crate::figures`] holds each figure's grid and renders them.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
@@ -93,12 +94,17 @@ impl ExperimentConfig {
     }
 }
 
-/// Picks the fan-out width for `jobs` independent design points, along with
-/// the per-job configuration. When more than one job runs at once, the
-/// inner Monte Carlo is pinned to a single thread so a sweep uses one core
-/// per design point instead of oversubscribing `jobs × cores`. The engine's
-/// chunk-based RNG makes estimates bit-identical at every thread count, so
-/// the pinning cannot change any row — only how the same work is scheduled.
+/// Picks a sweep's thread budget for `jobs` design points — `SERR_THREADS`,
+/// else every core, capped at `jobs` ([`par::fanout_threads`]) — along with
+/// the per-point configuration. When the budget is more than one thread,
+/// the per-point configuration pins its Monte Carlo to a single thread:
+/// a sweep whose points each run their own estimate (`sec5_1`) then uses
+/// one core per point instead of oversubscribing `jobs × cores`. The
+/// grouped sweeps run their Monte Carlo on the caller's configuration
+/// instead and spend the budget on the exact references
+/// ([`prepare_rows`]). The engine's chunk-based RNG makes estimates
+/// bit-identical at every thread count, so neither choice can change any
+/// row — only how the same work is scheduled.
 fn fanout(cfg: &ExperimentConfig, jobs: usize) -> (usize, ExperimentConfig) {
     let threads = par::fanout_threads(jobs);
     let mut inner = *cfg;
@@ -195,28 +201,43 @@ fn trace_groups(traces: &[Arc<dyn VulnerabilityTrace>], pending: &[usize]) -> Ve
     groups
 }
 
-/// Builds every pending point's validation row from its trace group's
-/// exact references ([`trace_groups`]). `lists(members)` gives the rates
-/// each [`Reference`] prices for a group's points, and every (group,
-/// reference) pass — `price(trace, reference, rates)`, one coded walk of
-/// the trace — is a task of its own, so the two passes over one trace run
-/// side by side and the fan-out is not left waiting on one trace's
-/// references. The tasks fan out over `threads`: renewal first (the dearer
-/// per (span, rate)), each reference's heaviest trace first, so the fan-out
-/// ends with the short tasks. `rows(trace, members, priced)` then assembles
-/// a group's rows in `members` order. A panic in a pass fails only its own
+/// Builds every pending point's validation row from its trace group's Monte
+/// Carlo estimates and exact references ([`trace_groups`]).
+/// `monte_carlo()` gives every pending point's estimate
+/// ([`shared_mc_estimates`]). `lists(members)` gives the rates each
+/// [`Reference`] prices for a group's points; the lists do not read the
+/// estimates. Every (group, reference) pass — `price(trace, reference,
+/// rates)`, one coded walk of the trace — is a task of its own, so the two
+/// passes over one trace run side by side and the tasks are not left
+/// waiting on one trace's references: renewal first (the dearer per (span,
+/// rate)), each reference's heaviest trace first, so the tasks end with the
+/// short ones. `rows(trace, members, estimates, priced)` then assembles a
+/// group's rows in `members` order. A panic in a pass fails only its own
 /// group's points, as [`SerrError::PointFailed`]. Returns rows indexed by
 /// point position: `None` for points the journal restored.
+///
+/// Thread budget: `threads` is the sweep's. With one thread the Monte
+/// Carlo runs first and the passes after it, all on the calling thread.
+/// With `T ≥ 2` the passes do not wait for the Monte Carlo: the calling
+/// thread builds each group's span tables, then runs `monte_carlo()` —
+/// which keeps its own configured workers — while a scoped thread runs the
+/// passes on `T − 1` workers. Either way each pass's wall time goes to
+/// `record(reference, values, ms)` after both are done, in task order, so
+/// the `stage` events are the same sequence at any thread count.
+#[allow(clippy::too_many_arguments)]
 fn prepare_rows<T>(
     threads: usize,
     traces: &[Arc<dyn VulnerabilityTrace>],
     pending: &[usize],
+    monte_carlo: impl FnOnce() -> Vec<Option<Result<MttfEstimate, SerrError>>>,
     lists: impl Fn(&[usize]) -> [Vec<RawErrorRate>; 2],
     price: impl Fn(&dyn VulnerabilityTrace, Reference, &[RawErrorRate]) -> Vec<Result<Mttf, SerrError>>
         + Sync,
+    record: impl Fn(Reference, usize, f64),
     rows: impl Fn(
         &dyn VulnerabilityTrace,
         &[usize],
+        Vec<Result<MttfEstimate, SerrError>>,
         [Vec<Result<Mttf, SerrError>>; 2],
     ) -> Vec<Result<T, SerrError>>,
 ) -> Vec<Option<Result<T, SerrError>>> {
@@ -228,19 +249,45 @@ fn prepare_rows<T>(
         let spans = traces[groups[g][0]].span_count_hint();
         (r, std::cmp::Reverse(spans.saturating_mul(lists[g][r as usize].len() as u64)))
     });
-    let priced = par::try_par_map(&tasks, threads, |_, &(g, r)| {
-        Ok(price(&*traces[groups[g][0]], r, &lists[g][r as usize]))
-    });
+    let run_passes = |workers| {
+        par::try_par_map(&tasks, workers, |_, &(g, r)| {
+            let t0 = Instant::now();
+            let priced = price(&*traces[groups[g][0]], r, &lists[g][r as usize]);
+            Ok((priced, t0.elapsed().as_secs_f64() * 1e3))
+        })
+    };
+    let (mc, priced) = if threads < 2 {
+        (monte_carlo(), run_passes(1))
+    } else {
+        // A composite's span table is built once, by whichever thread asks
+        // first; building them here keeps the large tables out of the
+        // passes' short-lived threads and their allocator arenas.
+        for members in &groups {
+            build_span_tables(&*traces[members[0]]);
+        }
+        std::thread::scope(|scope| {
+            let passes = scope.spawn(|| run_passes(threads - 1));
+            let mc = monte_carlo();
+            let priced = passes.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            (mc, priced)
+        })
+    };
     let mut passes: Vec<[Option<Result<Vec<Result<Mttf, SerrError>>, SerrError>>; 2]> =
         groups.iter().map(|_| [None, None]).collect();
     for (&(g, r), pass) in tasks.iter().zip(priced) {
-        passes[g][r as usize] = Some(pass);
+        passes[g][r as usize] = Some(pass.map(|(priced, ms)| {
+            record(r, priced.len(), ms);
+            priced
+        }));
     }
     let mut out: Vec<Option<Result<T, SerrError>>> = Vec::with_capacity(traces.len());
     out.resize_with(traces.len(), || None);
     for (members, [renewal, softarch]) in groups.iter().zip(passes) {
+        let ests = members.iter().map(|&i| prepared_row(&mc, i)).collect();
         let built = match (renewal.expect("renewal task"), softarch.expect("SoftArch task")) {
-            (Ok(renewal), Ok(softarch)) => rows(&*traces[members[0]], members, [renewal, softarch]),
+            (Ok(renewal), Ok(softarch)) => {
+                rows(&*traces[members[0]], members, ests, [renewal, softarch])
+            }
             (Err(e), _) | (_, Err(e)) => members.iter().map(|_| Err(e.clone())).collect(),
         };
         for (&i, row) in members.iter().zip(built) {
@@ -250,9 +297,18 @@ fn prepare_rows<T>(
     out
 }
 
+/// Builds `trace`'s memoized span tables on the calling thread: its own,
+/// and each tile's when it is a tiling.
+fn build_span_tables(trace: &dyn VulnerabilityTrace) {
+    trace.span_table();
+    for (part, _) in trace.tiling().unwrap_or_default() {
+        part.span_table();
+    }
+}
+
 /// The rows of every pending single-component point: the grouped Monte
-/// Carlo estimates ([`shared_mc_estimates`]), then each trace group's
-/// references as [`Validator::components_with_mc`] prices them.
+/// Carlo estimates ([`shared_mc_estimates`]) and each trace group's
+/// references, as [`Validator::components_with_mc`] prices them.
 fn prepare_components(
     v: &Validator,
     threads: usize,
@@ -262,21 +318,17 @@ fn prepare_components(
     rates: &[RawErrorRate],
     pending: &[usize],
 ) -> Vec<Option<Result<ComponentValidation, SerrError>>> {
-    let mc = shared_mc_estimates(cfg, obs, traces, rates, pending);
     let group_rates =
         |members: &[usize]| -> Vec<RawErrorRate> { members.iter().map(|&i| rates[i]).collect() };
-    let ests = |members: &[usize]| -> Vec<Result<MttfEstimate, SerrError>> {
-        members.iter().map(|&i| prepared_row(&mc, i)).collect()
-    };
     prepare_rows(
         threads,
         traces,
         pending,
-        |members| component_reference_rates(&group_rates(members), &ests(members)),
+        || shared_mc_estimates(cfg, obs, traces, rates, pending),
+        |members| component_reference_rates(&group_rates(members)),
         |trace, r, list| v.price(trace, r, list),
-        |trace, members, priced| {
-            v.component_rows(trace, &group_rates(members), ests(members), priced)
-        },
+        |r, values, ms| v.record_pass(r, values, ms),
+        |trace, members, ests, priced| v.component_rows(trace, &group_rates(members), ests, priced),
     )
 }
 
@@ -302,22 +354,20 @@ fn prepare_systems(
         .zip(points)
         .map(|(rate, (_, _, c, _))| rate.scale(*c as f64))
         .collect();
-    let mc = shared_mc_estimates(cfg, obs, &traces, &system_rates, pending);
     let cs = |members: &[usize]| -> Vec<u64> { members.iter().map(|&i| points[i].2).collect() };
-    let ests = |members: &[usize]| -> Vec<Result<MttfEstimate, SerrError>> {
-        members.iter().map(|&i| prepared_row(&mc, i)).collect()
-    };
     prepare_rows(
         threads,
         &traces,
         pending,
+        || shared_mc_estimates(cfg, obs, &traces, &system_rates, pending),
         |members| {
             let group_rates: Vec<RawErrorRate> =
                 members.iter().map(|&i| component_rates[i]).collect();
-            system_reference_rates(&group_rates, &cs(members), &ests(members))
+            system_reference_rates(&group_rates, &cs(members))
         },
         |trace, r, list| v.price(trace, r, list),
-        |_, members, priced| v.system_rows(&cs(members), ests(members), priced),
+        |r, values, ms| v.record_pass(r, values, ms),
+        |_, members, ests, priced| v.system_rows(&cs(members), ests, priced),
     )
 }
 
@@ -637,9 +687,10 @@ pub fn fig5_sweep(
     // One shared-stream kernel run per workload trace covers every pending
     // N×S point of that workload (λ-axis CRN reuse), and one coded pass per
     // trace and reference prices its renewal and SoftArch values; the
-    // per-point eval only reads its row. The kernel keeps the caller's
-    // thread budget — the per-point pinning in `fanout` does not apply to
-    // it.
+    // per-point eval only reads its row. The kernel runs on the caller's
+    // configuration (`cfg`, not the pinned `inner`) with its own workers;
+    // with a budget of `threads ≥ 2` the passes run beside it on
+    // `threads − 1` more (see `prepare_rows`).
     let traces: Vec<Arc<dyn VulnerabilityTrace>> =
         points.iter().map(|(_, t, _)| t.clone()).collect();
     let rates: Vec<RawErrorRate> =
@@ -824,7 +875,7 @@ fn systems_sweep<R: JournalRow + Send>(
     // superpose to a single process at `c·λ`, so every cell is one rate of
     // a λ-sweep over the shared trace (see `serr_mc::sweep`). The exact
     // references ride the same grouping: one coded pass per trace and
-    // reference.
+    // reference, priced beside the Monte Carlo (see `prepare_rows`).
     checkpoint::run_sweep_prepared(
         kind,
         fp,
@@ -1215,10 +1266,12 @@ mod tests {
 
     /// A panic in one trace group's reference pass fails that group's
     /// points only, though the group's other pass succeeded; the other
-    /// group's rows and the unprepared points are untouched.
+    /// group's rows and the unprepared points are untouched. The passes
+    /// that finished are recorded in task order at any thread count.
     #[test]
     fn a_panicking_reference_task_fails_only_its_own_group() {
         use serr_trace::IntervalTrace;
+        use std::cell::RefCell;
         let healthy: Arc<dyn VulnerabilityTrace> =
             Arc::new(IntervalTrace::constant(10, 1.0).unwrap());
         let poisoned: Arc<dyn VulnerabilityTrace> =
@@ -1226,10 +1279,12 @@ mod tests {
         let traces = vec![healthy.clone(), poisoned.clone(), healthy, poisoned.clone(), poisoned];
         let rate = RawErrorRate::baseline_per_bit();
         for threads in [1, 3] {
+            let recorded = RefCell::new(Vec::new());
             let rows = prepare_rows(
                 threads,
                 &traces,
                 &[0, 1, 2, 3],
+                || (0..traces.len()).map(|_| None).collect(),
                 |members| [vec![rate; members.len()], vec![rate; members.len() + 1]],
                 |trace, r, list| {
                     if r == Reference::SoftArch {
@@ -1237,7 +1292,9 @@ mod tests {
                     }
                     list.iter().map(|_| Ok(Mttf::from_secs(1.0))).collect()
                 },
-                |_, members, [renewal, softarch]| {
+                |r, values, _| recorded.borrow_mut().push((r, values)),
+                |_, members, ests, [renewal, softarch]| {
+                    assert_eq!(ests.len(), members.len());
                     assert_eq!((renewal.len(), softarch.len()), (members.len(), members.len() + 1));
                     members.iter().map(|&i| Ok(i * 10)).collect()
                 },
@@ -1254,12 +1311,17 @@ mod tests {
                 }
             }
             assert_eq!(rows[4], None);
+            let want = [(Reference::Renewal, 2), (Reference::Renewal, 2), (Reference::SoftArch, 3)];
+            assert_eq!(recorded.into_inner(), want, "threads={threads}");
         }
     }
 
     /// Rates at which an estimator cannot resolve a positive MTTF fail as
     /// typed errors on their own design points; every other point of the
     /// same trace group keeps the row a per-point `Validator` call gives.
+    /// The reference lists price every point whatever its Monte Carlo
+    /// gave, so a failed estimate still costs one `renewal_quadrature` and
+    /// one `softarch` stage, and its row carries the Monte Carlo error.
     #[test]
     fn extreme_rates_fail_only_their_own_points() {
         let c = ExperimentConfig { mc: MonteCarloConfig { trials: 2_000, ..cfg().mc }, ..cfg() };
@@ -1268,7 +1330,9 @@ mod tests {
         // SoftArch's MTTF rounds to zero at 1e300/yr; the Monte Carlo mean
         // overflows at 1e-300/yr.
         let n_s = [1e7, 1e308, 1e-292, 1e12];
-        let report = fig5_sweep(&[Workload::Day], &n_s, &c, &SweepOptions::off()).unwrap();
+        let (obs, _sink) = Obs::memory();
+        let opts = SweepOptions::off().with_obs(obs.clone());
+        let report = fig5_sweep(&[Workload::Day], &n_s, &c, &opts).unwrap();
         let failed: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
         assert_eq!(failed, vec![1, 2]);
         for f in &report.failures {
@@ -1277,10 +1341,28 @@ mod tests {
             // Rendered, since a NaN payload never compares equal.
             assert_eq!(v.component(&*trace, rate).unwrap_err().to_string(), f.error.to_string());
         }
+        let mc = MonteCarlo::new(c.mc).component_mttf(
+            &*trace,
+            RawErrorRate::baseline_per_bit().scale(n_s[2]),
+            c.frequency,
+        );
+        assert_eq!(mc.unwrap_err().to_string(), report.failures[1].error.to_string());
+        let snap = obs.metrics().snapshot();
+        for stage in ["stage.renewal_quadrature_ms", "stage.softarch_ms"] {
+            assert_eq!(snap.histograms[stage].count(), n_s.len() as u64, "{stage}");
+        }
         for (row, prod) in report.rows.iter().zip([1e7, 1e12]) {
             let want = v.component(&*trace, RawErrorRate::baseline_per_bit().scale(prod)).unwrap();
-            assert_eq!(row.mttf_mc_years.to_bits(), want.mttf_mc.mttf.as_years().to_bits());
-            assert_eq!(row.softarch_error.to_bits(), want.softarch_error_vs_mc.to_bits());
+            let got =
+                [row.avf, row.mttf_avf_years, row.mttf_mc_years, row.error, row.softarch_error];
+            let want = [
+                want.avf,
+                want.mttf_avf.as_years(),
+                want.mttf_mc.mttf.as_years(),
+                want.avf_error_vs_mc,
+                want.softarch_error_vs_mc,
+            ];
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "N×S = {prod}");
         }
 
         // A cluster of u64::MAX components at 1e10/yr each.

@@ -136,21 +136,6 @@ impl Validator {
         }
     }
 
-    /// Runs a rate-list pass that returns `values` results and records
-    /// `stage` once per value, each with an equal share of the pass's wall
-    /// time — so stage counts stay one per reference a row reads, however
-    /// the rates were batched.
-    fn timed_per_value<R>(&self, stage: &'static str, values: usize, f: impl FnOnce() -> R) -> R {
-        let Some(obs) = &self.obs else { return f() };
-        let t0 = Instant::now();
-        let out = f();
-        let share = t0.elapsed().as_secs_f64() * 1e3 / values.max(1) as f64;
-        for _ in 0..values {
-            obs.record_stage(stage, share);
-        }
-        out
-    }
-
     /// Validates the AVF step on one component.
     ///
     /// # Errors
@@ -186,27 +171,25 @@ impl Validator {
     /// [`Validator::component_with_mc`] over a rate list — the entry point
     /// for grouped sweeps and `serr serve`, where one shared-stream kernel
     /// run (`MonteCarlo::component_mttf_multi`) produces every rate's
-    /// estimate. Renewal and SoftArch each price every rate whose estimate
-    /// is `Ok` in one coded pass over the trace's spans. Row `k` is
-    /// bit-identical to `component_with_mc(trace, rates[k], mttf_mc[k]?)`;
-    /// errors are per rate.
+    /// estimate. Renewal and SoftArch each price every rate in one coded
+    /// pass over the trace's spans. Row `k` is bit-identical to
+    /// `component_with_mc(trace, rates[k], mttf_mc[k]?)`; errors are per
+    /// rate.
     pub fn components_with_mc(
         &self,
         trace: &dyn VulnerabilityTrace,
         rates: &[RawErrorRate],
         mttf_mc: Vec<Result<MttfEstimate, SerrError>>,
     ) -> Vec<Result<ComponentValidation, SerrError>> {
-        let lists = component_reference_rates(rates, &mttf_mc);
-        let priced = Reference::ALL.map(|r| self.price(trace, r, &lists[r as usize]));
+        let priced = self.price_both(trace, &component_reference_rates(rates));
         self.component_rows(trace, rates, mttf_mc, priced)
     }
 
     /// `reference`'s MTTF at every rate of `rates` on `trace`, in one coded
     /// pass over its spans ([`serr_analytic::renewal::renewal_mttfs`],
-    /// [`SoftArch::component_mttfs`]). With an observer attached, records
-    /// the reference's stage (`stage.renewal_quadrature_ms`,
-    /// `stage.softarch_ms`) once per value returned, each with an equal
-    /// share of the pass's wall time. A chaos plan in the Monte Carlo
+    /// [`SoftArch::component_mttfs`]); each element is bit-identical to the
+    /// pass over that rate alone. Records nothing: see
+    /// [`Validator::record_pass`]. A chaos plan in the Monte Carlo
     /// configuration that poisons a reference
     /// ([`serr_inject::FaultPlan::rate_poison_factor`]) scales every
     /// SoftArch MTTF by its factor.
@@ -217,13 +200,11 @@ impl Validator {
         rates: &[RawErrorRate],
     ) -> Vec<Result<Mttf, SerrError>> {
         match reference {
-            Reference::Renewal => self.timed_per_value("renewal_quadrature", rates.len(), || {
+            Reference::Renewal => {
                 serr_analytic::renewal::renewal_mttfs(trace, rates, self.frequency)
-            }),
+            }
             Reference::SoftArch => {
-                let priced = self.timed_per_value("softarch", rates.len(), || {
-                    SoftArch::new(self.frequency).component_mttfs(trace, rates)
-                });
+                let priced = SoftArch::new(self.frequency).component_mttfs(trace, rates);
                 match self.mc.config().chaos.and_then(|p| p.rate_poison_factor()) {
                     Some(f) => priced
                         .into_iter()
@@ -235,9 +216,37 @@ impl Validator {
         }
     }
 
+    /// With an observer attached, records one [`Validator::price`] pass of
+    /// `reference` that priced `values` rates in `ms`: the reference's stage
+    /// (`stage.renewal_quadrature_ms`, `stage.softarch_ms`) once per value,
+    /// each with an equal share of the pass's wall time — so stage counts
+    /// stay one per reference a row reads, however the rates were batched.
+    pub(crate) fn record_pass(&self, reference: Reference, values: usize, ms: f64) {
+        let Some(obs) = &self.obs else { return };
+        let share = ms / values.max(1) as f64;
+        for _ in 0..values {
+            obs.record_stage(reference.stage(), share);
+        }
+    }
+
+    /// Both references' passes over `lists` on the calling thread, each
+    /// recorded as it ends.
+    fn price_both(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        lists: &[Vec<RawErrorRate>; 2],
+    ) -> [Vec<Result<Mttf, SerrError>>; 2] {
+        Reference::ALL.map(|r| {
+            let t0 = Instant::now();
+            let priced = self.price(trace, r, &lists[r as usize]);
+            self.record_pass(r, priced.len(), t0.elapsed().as_secs_f64() * 1e3);
+            priced
+        })
+    }
+
     /// Component rows from their references, priced by
     /// [`Validator::price`] at [`component_reference_rates`]'s lists
-    /// (indexed by [`Reference`]).
+    /// (indexed by [`Reference`]): one value per rate of each.
     pub(crate) fn component_rows(
         &self,
         trace: &dyn VulnerabilityTrace,
@@ -251,14 +260,13 @@ impl Validator {
             .iter()
             .zip(mttf_mc)
             .map(|(&rate, mc)| {
-                let mc = mc?;
                 let (r, s) = (renewal.next(), softarch.next());
                 self.component_from_references(
                     trace,
                     rate,
-                    mc,
-                    r.expect("one renewal per priced rate"),
-                    s.expect("one SoftArch per priced rate"),
+                    mc?,
+                    r.expect("one renewal per rate"),
+                    s.expect("one SoftArch per rate"),
                 )
             })
             .collect()
@@ -354,13 +362,13 @@ impl Validator {
         cs: &[u64],
         mttf_mc: Vec<Result<MttfEstimate, SerrError>>,
     ) -> Vec<Result<SystemValidation, SerrError>> {
-        let lists = system_reference_rates(component_rates, cs, &mttf_mc);
-        let priced = Reference::ALL.map(|r| self.price(trace, r, &lists[r as usize]));
+        let priced = self.price_both(trace, &system_reference_rates(component_rates, cs));
         self.system_rows(cs, mttf_mc, priced)
     }
 
     /// System rows from their references, priced by [`Validator::price`]
-    /// at [`system_reference_rates`]'s lists (indexed by [`Reference`]).
+    /// at [`system_reference_rates`]'s lists (indexed by [`Reference`]):
+    /// values for every system with `c > 0`.
     pub(crate) fn system_rows(
         &self,
         cs: &[u64],
@@ -381,13 +389,13 @@ impl Validator {
                         "system must have at least one component",
                     ));
                 }
-                let mc = mc?;
+                let (r, at, s) = (component.next(), at_system.next(), softarch.next());
                 self.system_from_references(
                     c,
-                    mc,
-                    component.next().expect("one renewal per priced rate"),
-                    at_system.next().expect("one renewal per priced rate"),
-                    softarch.next().expect("one SoftArch per priced rate"),
+                    mc?,
+                    r.expect("one renewal per system"),
+                    at.expect("one renewal per system"),
+                    s.expect("one SoftArch per system"),
                 )
             })
             .collect()
@@ -572,34 +580,36 @@ pub(crate) enum Reference {
 impl Reference {
     /// Both references, in the order their lists are indexed.
     pub(crate) const ALL: [Reference; 2] = [Reference::Renewal, Reference::SoftArch];
+
+    /// The stage a pass of this reference records.
+    fn stage(self) -> &'static str {
+        match self {
+            Reference::Renewal => "renewal_quadrature",
+            Reference::SoftArch => "softarch",
+        }
+    }
 }
 
-/// The rates each [`Reference`] prices for component rows: every rate
-/// whose Monte Carlo estimate is `Ok`, for both.
-pub(crate) fn component_reference_rates(
-    rates: &[RawErrorRate],
-    mttf_mc: &[Result<MttfEstimate, SerrError>],
-) -> [Vec<RawErrorRate>; 2] {
-    let priced: Vec<RawErrorRate> =
-        rates.iter().zip(mttf_mc).filter(|(_, mc)| mc.is_ok()).map(|(r, _)| *r).collect();
-    [priced.clone(), priced]
+/// The rates each [`Reference`] prices for component rows: every rate, for
+/// both. The lists do not depend on the Monte Carlo estimates, so a sweep
+/// can price them while its Monte Carlo runs.
+pub(crate) fn component_reference_rates(rates: &[RawErrorRate]) -> [Vec<RawErrorRate>; 2] {
+    [rates.to_vec(), rates.to_vec()]
 }
 
 /// The rates each [`Reference`] prices for systems of `cs[k]` identical
-/// components at `component_rates[k]` (those with `c > 0` and an `Ok`
-/// estimate): renewal at every component rate, then at every system rate
-/// `c·λ`; SoftArch at every system rate.
+/// components at `component_rates[k]` (those with `c > 0`): renewal at
+/// every component rate, then at every system rate `c·λ`; SoftArch at
+/// every system rate.
 pub(crate) fn system_reference_rates(
     component_rates: &[RawErrorRate],
     cs: &[u64],
-    mttf_mc: &[Result<MttfEstimate, SerrError>],
 ) -> [Vec<RawErrorRate>; 2] {
     let priced: Vec<(RawErrorRate, RawErrorRate)> = component_rates
         .iter()
         .zip(cs)
-        .zip(mttf_mc)
-        .filter(|((_, &c), mc)| c > 0 && mc.is_ok())
-        .map(|((&rate, &c), _)| (rate, rate.scale(c as f64)))
+        .filter(|(_, &c)| c > 0)
+        .map(|(&rate, &c)| (rate, rate.scale(c as f64)))
         .collect();
     let system: Vec<RawErrorRate> = priced.iter().map(|&(_, s)| s).collect();
     let renewal = priced.iter().map(|&(r, _)| r).chain(system.iter().copied()).collect();

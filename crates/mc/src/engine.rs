@@ -13,11 +13,12 @@
 //! the chunk — and every rate of the list consumes that same stream: the
 //! batched sampler prepares the λ-independent planes once and finishes
 //! each rate over them, and the event loop reseeds its `SmallRng` from the
-//! chunk seed for each rate. Workers claim chunks round-robin by index and
-//! hand each finished chunk to the calling thread (itself worker 0), which
-//! merges chunk `k` into every rate's running statistics only after chunks
-//! `0..k`: the floating-point reduction order is fixed too, and a run holds
-//! one running fold per rate rather than every chunk's statistics.
+//! chunk seed for each rate. Workers claim chunks in index order from a
+//! shared counter and hand each finished chunk to the calling thread
+//! (itself worker 0), which merges chunk `k` into every rate's running
+//! statistics only after chunks `0..k`: the floating-point reduction order
+//! is fixed too, and a run holds one running fold per rate rather than
+//! every chunk's statistics.
 //! `tests/sweep_equivalence.rs` and `tests/metrics_invariant.rs` pin both
 //! properties, the latter for the telemetry as well.
 //!
@@ -266,35 +267,21 @@ impl<K> RunFold<K> {
 /// The calling thread's side of the streaming fold: takes chunk outcomes in
 /// whatever order the workers finish them and merges them in ascending
 /// chunk index, holding back only those that finish ahead of their turn.
-/// A chunk no worker will run (the run was cut short) is skipped once the
-/// worker that would have claimed it has stopped.
+/// It never skips a chunk: workers claim chunks in index order and finish
+/// every chunk they claim, so the chunks of a run cut short are a
+/// contiguous prefix, and the fold stops at the first chunk that never
+/// arrives.
 struct OrderedFold<O, M> {
     merge: M,
-    threads: u64,
-    n_chunks: u64,
-    /// The lowest chunk index neither merged nor skipped yet.
+    /// The lowest chunk index not merged yet: the number merged so far.
     next: u64,
     /// Outcomes that finished ahead of `next`.
     ahead: BTreeMap<u64, O>,
-    /// The workers that will hand over no further chunk.
-    stopped: Vec<bool>,
-    /// The chunk merged last.
-    last: Option<u64>,
-    merged: u64,
 }
 
 impl<O, M: FnMut(u64, O)> OrderedFold<O, M> {
-    fn new(merge: M, threads: usize, n_chunks: u64) -> Self {
-        OrderedFold {
-            merge,
-            threads: threads as u64,
-            n_chunks,
-            next: 0,
-            ahead: BTreeMap::new(),
-            stopped: vec![false; threads],
-            last: None,
-            merged: 0,
-        }
+    fn new(merge: M) -> Self {
+        OrderedFold { merge, next: 0, ahead: BTreeMap::new() }
     }
 
     /// Takes chunk `chunk`'s outcome and merges every chunk now due.
@@ -302,46 +289,21 @@ impl<O, M: FnMut(u64, O)> OrderedFold<O, M> {
         debug_assert!(chunk >= self.next, "chunk {chunk} arrived after the fold passed it");
         let again = self.ahead.insert(chunk, outcome).is_some();
         debug_assert!(!again, "chunk {chunk} handed to the fold twice");
-        self.advance();
-    }
-
-    /// Takes one message from another worker: a finished chunk, or `None`
-    /// once that worker claims no further chunk. One worker's messages
-    /// arrive in the order it sent them.
-    fn take(&mut self, (worker, msg): (usize, Option<(u64, O)>)) {
-        match msg {
-            Some((chunk, outcome)) => self.push(chunk, outcome),
-            None => self.stop(worker),
-        }
-    }
-
-    /// Records that `worker` claims no further chunk.
-    fn stop(&mut self, worker: usize) {
-        self.stopped[worker] = true;
-        self.advance();
-    }
-
-    fn advance(&mut self) {
-        while self.next < self.n_chunks {
-            if let Some(outcome) = self.ahead.remove(&self.next) {
-                debug_assert!(self.last.is_none_or(|l| l < self.next), "merge order not ascending");
-                (self.merge)(self.next, outcome);
-                self.last = Some(self.next);
-                self.merged += 1;
-            } else if !self.stopped[(self.next % self.threads) as usize] {
-                // Worker `next % threads` may still hand it over.
-                break;
-            }
+        while let Some(outcome) = self.ahead.remove(&self.next) {
+            (self.merge)(self.next, outcome);
             self.next += 1;
         }
     }
 
     /// The number of chunks merged, once every worker has stopped.
     fn finish(self) -> u64 {
-        debug_assert!(self.stopped.iter().all(|&s| s), "a worker is still running");
-        debug_assert!(self.ahead.is_empty(), "{} chunks were never merged", self.ahead.len());
-        debug_assert_eq!(self.next, self.n_chunks, "the fold stopped short of the last chunk");
-        self.merged
+        debug_assert!(
+            self.ahead.is_empty(),
+            "chunks {:?} arrived but chunk {} never did: the completed chunks are not a prefix",
+            self.ahead.keys().collect::<Vec<_>>(),
+            self.next
+        );
+        self.next
     }
 }
 
@@ -608,8 +570,8 @@ impl MonteCarlo {
         Ok(run)
     }
 
-    /// The chunk scaffolding under [`MonteCarlo::run_rates`]: claims
-    /// chunks round-robin by index across workers, honors real and injected
+    /// The chunk scaffolding under [`MonteCarlo::run_rates`]: hands chunks
+    /// out to workers from a shared counter, honors real and injected
     /// deadlines at chunk boundaries, maps worker panics to the typed
     /// engine fault, and streams each chunk's outcome to `merge` on the
     /// calling thread in ascending chunk index. Returns whether the run was
@@ -618,22 +580,26 @@ impl MonteCarlo {
     /// chunk, n)` produces the outcome of `n` trials on chunk `chunk`'s
     /// deterministic stream.
     ///
-    /// The calling thread is worker 0. The other workers hand each finished
-    /// chunk to it, and it merges chunk `k` only after chunks `0..k` — the
-    /// ascending order a sort of the whole run would give — holding back
-    /// only the chunks that finish ahead of their turn. With round-robin
-    /// claiming and chunks of equal cost that is about one chunk per
-    /// worker; a stalled worker lets it grow, at most to the run's whole
-    /// length.
+    /// Worker `w` runs chunk `w` first and then claims the lowest chunk no
+    /// worker has claimed yet, so a worker that finishes early takes the
+    /// next chunk instead of idling behind a slower one. The calling thread
+    /// is worker 0. The other workers hand each finished chunk to it, and
+    /// it merges chunk `k` only after chunks `0..k` — the ascending order a
+    /// sort of the whole run would give — holding back only the chunks that
+    /// finish ahead of their turn. With chunks of equal cost that is about
+    /// one chunk per worker; a stalled worker lets it grow, at most to the
+    /// run's whole length.
     ///
-    /// Deadline semantics: the budget is checked at chunk boundaries only —
-    /// a chunk that has started always finishes, and every worker completes
-    /// at least its *first* chunk, so a truncated run still contains at
-    /// least [`TRIAL_CHUNK`] trials per worker and the estimate is never
-    /// empty. Because each chunk's stream depends only on its index, the
-    /// truncated result is still a deterministic function of *which* chunks
-    /// completed (e.g. a zero deadline with one thread always yields
-    /// exactly chunk 0). One budget covers every rate of the run.
+    /// Deadline semantics: the budget is checked at chunk boundaries only,
+    /// before a worker claims its next chunk — a claimed chunk always runs
+    /// to the end, and every worker completes at least its *first* chunk,
+    /// so a truncated run still contains at least [`TRIAL_CHUNK`] trials
+    /// per worker and the estimate is never empty. Chunks are claimed in
+    /// index order, so the chunks a cut run completes are always a
+    /// contiguous prefix `0..k`; because each chunk's stream depends only
+    /// on its index, the truncated result is a deterministic function of
+    /// `k` (e.g. a zero deadline with one thread always yields exactly
+    /// chunk 0). One budget covers every rate of the run.
     fn run_chunks_scaffold<S, I, G, O>(
         &self,
         scratch_init: I,
@@ -645,6 +611,7 @@ impl MonteCarlo {
         G: Fn(&mut S, u64, u64) -> O + Sync,
         O: Send,
     {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         let trials = self.config.trials;
         let n_chunks = trials.div_ceil(TRIAL_CHUNK);
         let threads = self.config.effective_threads().min(n_chunks.max(1) as usize).max(1);
@@ -652,7 +619,7 @@ impl MonteCarlo {
         let deadline = self.config.deadline;
         let chaos = self.config.chaos;
         let started = Instant::now();
-        let expired = std::sync::atomic::AtomicBool::new(false);
+        let expired = AtomicBool::new(false);
 
         // A budget that is already spent buys zero chunks: fail fast with
         // the typed error instead of burning one full chunk per worker on a
@@ -675,29 +642,18 @@ impl MonteCarlo {
                 elapsed_s: started.elapsed().as_secs_f64(),
             });
         }
+        // Injected deadline cut: unlike the wall-clock budget this keys on
+        // the chunk *index*, so the completed set {0..k} is identical at any
+        // thread count.
+        let end = cut_chunk.unwrap_or(n_chunks).min(n_chunks);
+        // Chunks `0..threads` are each worker's first; the rest are claimed
+        // in index order. `Relaxed` suffices: the counter hands out indices
+        // and publishes no data (outcomes travel through the channel).
+        let unclaimed = AtomicU64::new(threads as u64);
         let worker = |tid: usize, hand_off: &mut dyn FnMut(u64, O)| {
             let mut scratch = scratch_init();
             let mut chunk = tid as u64;
-            let mut first = true;
-            while chunk < n_chunks {
-                // Injected deadline cut: unlike the wall-clock budget this
-                // keys on the chunk *index*, so the completed set {0..k} is
-                // identical at any thread count.
-                if let Some(k) = cut_chunk {
-                    if chunk >= k {
-                        break;
-                    }
-                }
-                // Honor the wall-clock budget between chunks (never
-                // mid-chunk), but always run the first claimed chunk. Same
-                // `deadline_expired` predicate as the pre-run gate; its
-                // sticky flag means that once any worker observes expiry,
-                // no worker — including one that raced past the clock
-                // check — buys another chunk.
-                if !first && deadline_expired(&started, deadline, &expired) {
-                    break;
-                }
-                first = false;
+            while chunk < end {
                 if let Some(plan) = chaos {
                     if plan.chunk_panics(seed, chunk, n_chunks) {
                         panic!("chaos: injected panic in chunk {chunk}");
@@ -710,7 +666,17 @@ impl MonteCarlo {
                 let lo = chunk * TRIAL_CHUNK;
                 let hi = (lo + TRIAL_CHUNK).min(trials);
                 hand_off(chunk, chunk_body(&mut scratch, chunk, hi - lo));
-                chunk += threads as u64;
+                // Honor the wall-clock budget between chunks (never
+                // mid-chunk), before claiming: a claimed chunk always runs,
+                // so the completed chunks stay a prefix. Same
+                // `deadline_expired` predicate as the pre-run gate; its
+                // sticky flag means that once any worker observes expiry,
+                // no worker — including one that raced past the clock
+                // check — claims another chunk.
+                if deadline_expired(&started, deadline, &expired) {
+                    break;
+                }
+                chunk = unclaimed.fetch_add(1, Ordering::Relaxed);
             }
         };
         let fault = |p: Box<dyn std::any::Any + Send>| {
@@ -722,7 +688,7 @@ impl MonteCarlo {
         // rest. A panicking worker — injected or genuine — must surface as a
         // typed error, never tear down the caller: worker 0's unwind is
         // caught here, the others' at their join.
-        let mut fold = OrderedFold::new(merge, threads, n_chunks);
+        let mut fold = OrderedFold::new(merge);
         let (tx, rx) = std::sync::mpsc::channel();
         let joined: Vec<Result<(), SerrError>> = std::thread::scope(|scope| {
             let worker = &worker;
@@ -732,9 +698,8 @@ impl MonteCarlo {
                     scope.spawn(move || {
                         worker(tid, &mut |chunk, out| {
                             // The receiver outlives every worker.
-                            let _ = tx.send((tid, Some((chunk, out))));
+                            let _ = tx.send((chunk, out));
                         });
-                        let _ = tx.send((tid, None));
                     })
                 })
                 .collect();
@@ -742,11 +707,10 @@ impl MonteCarlo {
             let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 worker(0, &mut |chunk, out| {
                     fold.push(chunk, out);
-                    rx.try_iter().for_each(|msg| fold.take(msg));
+                    rx.try_iter().for_each(|(chunk, out)| fold.push(chunk, out));
                 });
             }));
-            fold.stop(0);
-            rx.iter().for_each(|msg| fold.take(msg));
+            rx.iter().for_each(|(chunk, out)| fold.push(chunk, out));
             std::iter::once(own)
                 .chain(handles.into_iter().map(std::thread::ScopedJoinHandle::join))
                 .map(|r| r.map_err(fault))
@@ -1294,22 +1258,131 @@ mod tests {
 
     #[test]
     fn ordered_fold_merges_ascending_whatever_the_arrival_order() {
-        // Three workers over nine chunks (worker w claims w, w + 3, w + 6).
-        // Workers 1 and 2 stop early, as a deadline would stop them: chunks
-        // 4, 7 and 8 never arrive and are skipped once their worker stops.
+        // Nine chunks handed over out of order, as workers claiming from a
+        // shared counter finish them. The run is cut after chunk 6: chunks
+        // 7 and 8 never arrive. The fold skips nothing; it merges each
+        // chunk as soon as every lower one has been merged.
         let mut merged = Vec::new();
-        let mut fold = OrderedFold::new(|chunk, tag: u64| merged.push((chunk, tag)), 3, 9);
-        fold.push(2, 20);
-        fold.push(5, 50);
-        fold.stop(2);
-        fold.push(1, 10);
-        fold.stop(1);
-        fold.push(0, 0);
-        fold.push(3, 30);
-        fold.push(6, 60);
-        fold.stop(0);
-        assert_eq!(fold.finish(), 6);
-        assert_eq!(merged, [(0, 0), (1, 10), (2, 20), (3, 30), (5, 50), (6, 60)]);
+        let mut fold = OrderedFold::new(|chunk, tag: u64| merged.push((chunk, tag)));
+        for (chunk, due) in [(2, 0), (5, 0), (1, 0), (0, 3), (3, 4), (6, 4), (4, 7)] {
+            fold.push(chunk, chunk * 10);
+            assert_eq!(fold.next, due, "after chunk {chunk}");
+        }
+        assert_eq!(fold.finish(), 7);
+        assert_eq!(merged, [(0, 0), (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60)]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not a prefix")]
+    fn ordered_fold_refuses_a_gap_in_the_completed_chunks() {
+        let mut fold = OrderedFold::new(|_, _: ()| ());
+        fold.push(0, ());
+        fold.push(2, ());
+        fold.finish();
+    }
+
+    #[test]
+    fn a_stalled_worker_leaves_the_remaining_chunks_to_the_others() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+        use std::time::Duration;
+        // Chunk 0 runs on the calling thread (worker 0) and, when `STALL`
+        // is set, waits until every other chunk has started. The other
+        // workers must claim all of them: under round-robin claiming
+        // chunks 3, 6 and 9 would have waited for worker 0, and the stall
+        // would have run into its timeout. Estimates, samples and
+        // `mc.chunk` events must equal the 1-thread run's.
+        static RAN: Mutex<Vec<(u64, ThreadId)>> = Mutex::new(Vec::new());
+        static STALL: AtomicBool = AtomicBool::new(false);
+        const CHUNKS: u64 = 12;
+        let trace = IntervalTrace::busy_idle(30, 70).unwrap();
+        let freq = Frequency::base();
+        let rates: Vec<RawErrorRate> =
+            (0..4).map(|i| RawErrorRate::per_year(2.0f64.powi(i))).collect();
+        let base = MonteCarloConfig { trials: CHUNKS * TRIAL_CHUNK, ..Default::default() };
+        type Ran = Vec<(u64, ThreadId)>;
+        let run = |threads: usize| {
+            let mut mc = MonteCarlo::new(MonteCarloConfig { threads, ..base });
+            mc.before_chunk = Some(|chunk| {
+                RAN.lock().unwrap().push((chunk, std::thread::current().id()));
+                if chunk == 0 && STALL.load(Ordering::Relaxed) {
+                    let t0 = Instant::now();
+                    while (RAN.lock().unwrap().len() as u64) < CHUNKS
+                        && t0.elapsed() < Duration::from_secs(10)
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            });
+            STALL.store(threads > 1, Ordering::Relaxed);
+            let mut ran: Vec<Ran> = Vec::new();
+            RAN.lock().unwrap().clear();
+            let (obs, sink) = Obs::memory();
+            let multi = mc.clone().with_observer(obs).component_mttf_multi(&trace, &rates, freq);
+            ran.push(std::mem::take(&mut *RAN.lock().unwrap()));
+            let samples = mc.sample_ttfs(&trace, rates[1], freq, base.trials).unwrap();
+            ran.push(std::mem::take(&mut *RAN.lock().unwrap()));
+            let events: Vec<(u64, Vec<(&'static str, serr_obs::Value)>)> =
+                sink.events_of("mc.chunk").into_iter().map(|e| (e.seq, e.fields)).collect();
+            let samples: Vec<u64> = samples.iter().map(|t| t.to_bits()).collect();
+            ((multi.unwrap(), samples, events), ran)
+        };
+        let (one, _) = run(1);
+        let (three, ran) = run(3);
+        assert_eq!(one, three, "3 threads differ from 1");
+        assert_eq!(one.2.len() as u64, rates.len() as u64 * CHUNKS);
+        let caller = std::thread::current().id();
+        for ran in ran {
+            let mut chunks: Vec<u64> = ran.iter().map(|&(c, _)| c).collect();
+            chunks.sort_unstable();
+            assert_eq!(chunks, (0..CHUNKS).collect::<Vec<_>>(), "each chunk runs once");
+            let own: Vec<u64> = ran.iter().filter(|(_, t)| *t == caller).map(|&(c, _)| c).collect();
+            assert_eq!(own, [0], "the stalled worker ran only its first chunk");
+        }
+    }
+
+    #[test]
+    fn a_wall_clock_cut_merges_a_prefix_of_chunks() {
+        use serr_obs::Value;
+        use std::time::Duration;
+        // Every chunk sleeps 5 ms and the budget is 30 ms, so the deadline
+        // expires a few chunks into a 40-chunk run whose last chunk is
+        // partial. Whatever each worker had claimed by then, the completed
+        // chunks are a prefix: the samples are the full run's first ones,
+        // whole chunks only, and the `mc.chunk` events count 0, 1, 2, ...
+        let trace = IntervalTrace::busy_idle(30, 70).unwrap();
+        let freq = Frequency::base();
+        let rate = RawErrorRate::per_year(20.0);
+        let trials = 40 * TRIAL_CHUNK - 100;
+        let whole = |threads| MonteCarloConfig { trials, threads, ..Default::default() };
+        let full = MonteCarlo::new(whole(1)).sample_ttfs(&trace, rate, freq, trials).unwrap();
+        for threads in [1usize, 3] {
+            let cfg =
+                MonteCarloConfig { deadline: Some(Duration::from_millis(30)), ..whole(threads) };
+            let mut mc = MonteCarlo::new(cfg);
+            mc.before_chunk = Some(|_| std::thread::sleep(Duration::from_millis(5)));
+            let cut = mc.sample_ttfs(&trace, rate, freq, trials).unwrap();
+            let n = cut.len() as u64;
+            assert!(n < trials, "threads={threads}: the budget cut nothing");
+            assert!(n.is_multiple_of(TRIAL_CHUNK), "threads={threads}: whole chunks only");
+            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cut), bits(&full[..cut.len()]), "threads={threads}: not a prefix");
+
+            let (obs, sink) = Obs::memory();
+            let est = mc.with_observer(obs).component_mttf(&trace, rate, freq).unwrap();
+            assert!(est.truncated);
+            let n = est.ttf_seconds.count;
+            assert!(n == trials || n.is_multiple_of(TRIAL_CHUNK), "threads={threads}: {n} trials");
+            let chunks: Vec<Value> = sink
+                .events_of("mc.chunk")
+                .into_iter()
+                .filter_map(|e| e.fields.into_iter().find(|(k, _)| *k == "chunk").map(|(_, v)| v))
+                .collect();
+            let prefix: Vec<Value> = (0..n.div_ceil(TRIAL_CHUNK)).map(Value::U64).collect();
+            assert_eq!(chunks, prefix, "threads={threads}");
+        }
     }
 
     #[test]

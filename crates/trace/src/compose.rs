@@ -37,11 +37,12 @@ use crate::{IntervalTrace, IntervalTraceBuilder, VulnerabilityTrace};
 /// span carrying its weighted value, equal neighbours merged — is an
 /// [`IntervalTrace`] built at most once, on first use, from one merge of
 /// the parts' [`spans`](VulnerabilityTrace::spans) walks, and shared
-/// across threads via [`OnceLock`]: concurrent first queries race only on
-/// who stores the identical table. `breakpoints` and `spans` answer from
-/// it, and compiling the composite shares its records;
-/// `vulnerability_at`, `cumulative_within_period` and `avf` keep weighting
-/// the parts' own answers, with the same expression the table uses.
+/// across threads via [`OnceLock`]: the first query builds it on its own
+/// thread, and concurrent first queries block until that build is done and
+/// then share it. `breakpoints` and `spans` answer from it, and compiling
+/// the composite shares its records; `vulnerability_at`,
+/// `cumulative_within_period` and `avf` keep weighting the parts' own
+/// answers, with the same expression the table uses.
 #[derive(Clone)]
 pub struct CompositeTrace {
     parts: Vec<(f64, Arc<dyn VulnerabilityTrace>)>,

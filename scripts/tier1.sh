@@ -55,8 +55,9 @@ cargo fmt --check
 # hooks carry debug_assert range checks (bit positions, corruption offsets,
 # poison factors, chunk accounting) that plain --release would compile out
 # and that the dev profile runs without release codegen; the Monte Carlo
-# engine's streaming fold asserts that it merges chunks in strictly
-# ascending index, each chunk once, and holds none back at the end; the compiled
+# engine's streaming fold asserts that no chunk arrives twice or after the
+# fold has passed it, and that the chunks a run completes, cut short or
+# not, are a contiguous prefix (none held back at the end); the compiled
 # trace's staged inverse probe asserts every mass it clamps lies in
 # [0, total); the timing simulator asserts before every issue stage that
 # its ready queue and completion heap match a scan of the ROB, here over
@@ -180,6 +181,21 @@ OBS_DIR="$(mktemp -d)"
 SERR_CHECKPOINT_DIR="$OBS_DIR" cargo run --release --bin serr -- \
   sweep fig5 --quick --fresh --trials 2000 --metrics "$OBS_DIR/sweep.jsonl"
 cargo run --release -p serr-bench --bin obs_check -- "$OBS_DIR/sweep.jsonl"
+# Thread-count smoke: the same sweep at SERR_THREADS=1 (Monte Carlo, then
+# the exact references, on the calling thread) and SERR_THREADS=3 (the
+# references priced on their own thread while the Monte Carlo runs) must
+# print the same page and emit the same records in the same order: the
+# `(event, seq, name)` of every JSONL line. Each run has its own checkpoint
+# journal, and the trace cache is off so both simulate alike.
+for t in 1 3; do
+  SERR_THREADS=$t SERR_TRACE_CACHE=off SERR_CHECKPOINT_DIR="$OBS_DIR/threads-$t" \
+    cargo run -q --release --bin serr -- sweep fig5 --quick --fresh --trials 2000 \
+    --metrics "$OBS_DIR/threads-$t.jsonl" >"$OBS_DIR/threads-$t.txt"
+done
+cmp "$OBS_DIR/threads-1.txt" "$OBS_DIR/threads-3.txt" \
+  || { echo "thread-count smoke: the fig5 page differs between 1 and 3 threads" >&2; exit 1; }
+cargo run --release -p serr-bench --bin obs_check -- \
+  --same-sequence "$OBS_DIR/threads-1.jsonl" "$OBS_DIR/threads-3.jsonl"
 rm -rf "$OBS_DIR"
 
 # Service smoke: bring up the `serr serve` daemon on a unix socket, drive

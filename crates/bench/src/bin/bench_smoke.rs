@@ -1,8 +1,8 @@
 //! Fixed smoke benchmark with machine-readable output.
 //!
 //! This binary runs a small, fixed set of engine timings (Monte Carlo on a
-//! fine-grained trace, the sampler duel) plus a shared-stream sweep-kernel
-//! duel, one figure sweep, a
+//! fine-grained trace, the sampler duel against the event-loop oracle)
+//! plus a shared-stream sweep-kernel duel, one figure sweep, a
 //! checkpoint/chaos probe, a `serr serve` service probe, a
 //! timing-simulator probe, an exact-reference probe, a Monte Carlo
 //! kernel probe on the SPEC traces and the tiled `combined` trace and a
@@ -15,6 +15,8 @@
 
 use std::time::{Duration, Instant};
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use serr_analytic::renewal::renewal_mttfs;
 use serr_core::checkpoint::{fingerprint, Journal};
 use serr_core::design::C_VALUES;
@@ -31,7 +33,8 @@ use serr_core::prelude::{
     WorkloadSpec,
 };
 use serr_inject::{FaultKind, FaultPlan};
-use serr_mc::{MonteCarlo, MonteCarloConfig, SamplerKind};
+use serr_mc::sampler::sample_time_to_failure;
+use serr_mc::{compile_for_sampling, MonteCarlo, MonteCarloConfig, SamplerKind};
 use serr_obs::{Event, Obs, Value};
 use serr_serve::{Bind, Client, Request, RequestBody, Response, ServeConfig, Server};
 use serr_sim::{SimConfig, Simulator};
@@ -192,33 +195,46 @@ fn main() {
     }));
 
     // Sampler duel on a low-AVF workload (schema v11): busy 1 cycle in
-    // 1000, so the event-loop walk burns ~1/AVF = 1000 thinning rejections
-    // per trial, while the batched sampler spends one Exp(1) draw per trial
-    // and amortizes its RNG, log transforms, and phase probe across whole
+    // 1000, so the paper's event walk — the test oracle
+    // `sample_time_to_failure`, called directly on the compiled trace on
+    // one thread — burns ~1/AVF = 1000 thinning rejections per trial, while
+    // the engine's batched sampler spends one Exp(1) draw per trial and
+    // amortizes its RNG, log transforms, and phase probe across whole
     // chunks in SoA passes. Min-of-N timings (one untimed warmup each;
     // N = 25 for the sub-millisecond batched sampler, where a min-of-5 is
-    // still timer noise, and 5 for the ~400 ms event loop), per-trial event
-    // counts, and ns-per-trial all land in the JSON; the run aborts if the
-    // batched sampler is ever less than 50x faster than the event loop.
+    // still timer noise, and 5 for the ~400 ms walk), per-trial event
+    // counts (the walk's `TrialOutcome::events`, the engine's
+    // `mc.raw_error_events` counter), and ns-per-trial all land in the
+    // JSON; the run aborts if the batched sampler is ever less than 50x
+    // faster than the event walk.
     let low_avf = IntervalTrace::busy_idle(1, 999).expect("low-AVF trace is valid");
     let duel_rate = RawErrorRate::per_year(1.0e3);
     let duel_trials = 20_000u64;
-    let duel_config = |sampler| MonteCarloConfig {
-        trials: duel_trials,
-        threads: 1,
-        sampler,
-        ..Default::default()
+    let duel_config = MonteCarloConfig { trials: duel_trials, threads: 1, ..Default::default() };
+    let low_avf_compiled = compile_for_sampling(&low_avf).expect("low-AVF trace compiles");
+    let duel_lambda = duel_rate.per_second_value() / freq.hz();
+    let walk = || -> u64 {
+        let mut rng = SmallRng::seed_from_u64(duel_config.seed);
+        (0..duel_trials)
+            .map(|_| {
+                sample_time_to_failure(&low_avf_compiled, duel_lambda, 100_000_000, &mut rng, 0.0)
+                    .expect("event walk ends")
+                    .events
+            })
+            .sum()
     };
-    let mc_ev = MonteCarlo::new(duel_config(SamplerKind::EventLoop));
-    let mc_batched = MonteCarlo::new(duel_config(SamplerKind::BatchedInversion));
-    let ev_est = mc_ev.component_mttf(&low_avf, duel_rate, freq).expect("event-loop duel runs");
-    let batched_est =
-        mc_batched.component_mttf(&low_avf, duel_rate, freq).expect("batched duel runs");
-    assert_eq!(ev_est.sampler, SamplerKind::EventLoop);
-    assert_eq!(batched_est.sampler, SamplerKind::BatchedInversion);
-    let t_ev = time("sampler/event_loop_low_avf_20k_trials", 5, || {
-        mc_ev.component_mttf(&low_avf, duel_rate, freq).expect("event-loop duel runs")
-    });
+    let ev_events_per_trial = walk() as f64 / duel_trials as f64;
+    let mc_batched = MonteCarlo::new(duel_config);
+    let (duel_obs, _) = Obs::memory();
+    mc_batched
+        .clone()
+        .with_observer(duel_obs.clone())
+        .component_mttf(&low_avf, duel_rate, freq)
+        .expect("batched duel runs");
+    let duel_counters = duel_obs.metrics().snapshot().counters;
+    let batched_events_per_trial =
+        duel_counters["mc.raw_error_events"] as f64 / duel_counters["mc.trials_completed"] as f64;
+    let t_ev = time("sampler/event_loop_low_avf_20k_trials", 5, walk);
     let t_batched = time("sampler/batched_inversion_low_avf_20k_trials", 25, || {
         mc_batched.component_mttf(&low_avf, duel_rate, freq).expect("batched duel runs")
     });
@@ -228,24 +244,19 @@ fn main() {
         "  \"sampler_duel\": {{\"workload\": \"busy_idle_1_999\", \"avf\": 0.001, \
          \"trials\": {duel_trials}, \"event_loop_min_ms\": {:.4}, \
          \"batched_inversion_min_ms\": {:.4}, \
-         \"event_loop_events_per_trial\": {:.2}, \
-         \"batched_inversion_events_per_trial\": {:.2}, \
+         \"event_loop_events_per_trial\": {ev_events_per_trial:.2}, \
+         \"batched_inversion_events_per_trial\": {batched_events_per_trial:.2}, \
          \"event_loop_ns_per_trial\": {:.1}, \"batched_inversion_ns_per_trial\": {:.1}, \
          \"batched_speedup_vs_event_loop\": {batched_speedup:.1}}},",
         t_ev.min_ms,
         t_batched.min_ms,
-        ev_est.mean_events_per_trial,
-        batched_est.mean_events_per_trial,
         ns_per_trial(&t_ev),
         ns_per_trial(&t_batched),
     );
     println!(
-        "sampler duel: event-loop {:.3} ms ({:.1} events/trial) vs batched {:.3} ms \
-         ({:.1} events/trial) -> {batched_speedup:.1}x",
-        t_ev.min_ms,
-        ev_est.mean_events_per_trial,
-        t_batched.min_ms,
-        batched_est.mean_events_per_trial
+        "sampler duel: event-loop oracle {:.3} ms ({ev_events_per_trial:.1} events/trial) vs \
+         batched {:.3} ms ({batched_events_per_trial:.1} events/trial) -> {batched_speedup:.1}x",
+        t_ev.min_ms, t_batched.min_ms,
     );
     assert!(
         batched_speedup >= 50.0,
@@ -662,7 +673,7 @@ fn main() {
 
     // Sweep-kernel duel (schema v10): a 32-point Figure-5-style rate fan
     // over the fine-grained 10k-segment workload trace, estimated two ways
-    // with the same seed and sampler — a loop of independent per-point
+    // with the same seed — a loop of independent per-point
     // `component_mttf` runs (the pre-kernel sweep path, which re-compiled
     // the trace and regenerated every RNG/log plane for each point) versus
     // one `component_mttf_multi` call that compiles the trace once and
@@ -683,7 +694,6 @@ fn main() {
         let mc_t = MonteCarlo::new(MonteCarloConfig {
             trials: kernel_trials,
             threads,
-            sampler: SamplerKind::BatchedInversion,
             ..Default::default()
         });
         let multi =
@@ -702,7 +712,6 @@ fn main() {
     let mc_kernel = MonteCarlo::new(MonteCarloConfig {
         trials: kernel_trials,
         threads: 1,
-        sampler: SamplerKind::BatchedInversion,
         ..Default::default()
     });
     let t_sweep_per_point = time("sweep_kernel/per_point_32x2k_trials", 5, || {

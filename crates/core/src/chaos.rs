@@ -22,7 +22,7 @@ use std::sync::{Arc, Once};
 
 use serr_inject::rng::{mix, unit};
 use serr_inject::{FaultKind, FaultPlan, StoreFault, TraceFault};
-use serr_mc::{compile_for_sampling, MonteCarloConfig, MttfEstimate, SamplerKind};
+use serr_mc::{compile_for_sampling, MonteCarloConfig, MttfEstimate};
 use serr_obs::{Event, Obs};
 use serr_trace::{CompiledTrace, IntervalTrace, Transform, TransformPipeline, VulnerabilityTrace};
 use serr_types::{panic_payload_string, Frequency, Provenance, RawErrorRate, SerrError};
@@ -44,11 +44,6 @@ pub struct ChaosConfig {
     /// Monte Carlo worker threads (`0` = all cores). Outcome tags are
     /// invariant to this by construction.
     pub threads: usize,
-    /// Which time-to-failure sampler the estimator campaigns run. The default
-    /// mirrors production ([`SamplerKind::BatchedInversion`]), which
-    /// *reads* the compiled prefix table that
-    /// [`FaultKind::TracePrefixPerturb`] corrupts.
-    pub sampler: SamplerKind,
     /// Fault kinds to cycle through (campaign `i` uses `kinds[i % len]`).
     pub kinds: Vec<FaultKind>,
     /// Scratch directory for the on-disk fault probes. `None` uses a
@@ -67,7 +62,6 @@ impl Default for ChaosConfig {
             seed: 0xC4A0_5CA0_0000_0001,
             trials: 3_000,
             threads: 0,
-            sampler: SamplerKind::default(),
             kinds: FaultKind::CORE.to_vec(),
             scratch_dir: None,
             obs: None,
@@ -96,11 +90,6 @@ pub struct CampaignOutcome {
     /// from the golden answer (or an on-disk probe silently returned wrong
     /// data) — the invariant violation the harness exists to catch.
     pub miss: bool,
-    /// The sampler that produced the Monte Carlo estimate at the campaign
-    /// rate — `None` for on-disk probes and for campaigns where that
-    /// estimate failed. Recorded so a logged verdict says which sampling
-    /// code path was under attack.
-    pub sampler: Option<SamplerKind>,
     /// One-line human-readable account.
     pub detail: String,
 }
@@ -122,9 +111,6 @@ impl CampaignOutcome {
         }
         if let Some(d) = self.deviation {
             fields.push(("deviation".to_owned(), Json::Num(d)));
-        }
-        if let Some(k) = self.sampler {
-            fields.push(("sampler".to_owned(), Json::Str(k.label().to_owned())));
         }
         Json::Obj(fields)
     }
@@ -255,12 +241,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, SerrError> {
     }
     install_chaos_panic_filter();
 
-    let mc = MonteCarloConfig {
-        trials: cfg.trials,
-        threads: cfg.threads,
-        sampler: cfg.sampler,
-        ..Default::default()
-    };
+    let mc = MonteCarloConfig { trials: cfg.trials, threads: cfg.threads, ..Default::default() };
     let raw = Target::new(Arc::new(campaign_trace()), mc, "chaos golden baseline")?;
     // The transform campaigns attack a different workload (the transformed
     // trace), so their Clean tag is judged against its own golden baseline.
@@ -345,9 +326,6 @@ fn emit_verdict(obs: &Obs, o: &CampaignOutcome) {
         .with("detail", o.detail.clone());
     if let Some(m) = o.mttf_seconds {
         ev = ev.with("mttf_s", m);
-    }
-    if let Some(k) = o.sampler {
-        ev = ev.with("sampler", k.label());
     }
     obs.emit(ev);
 }
@@ -485,7 +463,6 @@ impl Target {
             mttf_seconds: first.map(|r| r.mttf_mc.mttf.as_secs()),
             deviation,
             miss,
-            sampler: first.map(|r| r.mttf_mc.sampler),
             detail: format!("{} points ({clean_points} clean): {why}", rows.len()),
         })
     }
@@ -521,7 +498,6 @@ fn checkpoint_io_campaign(
         mttf_seconds: None,
         deviation: None,
         miss: !intact,
-        sampler: None,
         detail: format!("injected i/o fault at {site:?}; rows intact: {intact}"),
     })
 }
@@ -580,7 +556,6 @@ fn journal_corrupt_campaign(
         mttf_seconds: None,
         deviation: None,
         miss: !recovered,
-        sampler: None,
         detail: format!(
             "corrupted {} byte(s) at offset {}; resumed {}/{PROBE_POINTS}",
             if corruption.truncate { "tail from" } else { "1" },
@@ -685,7 +660,6 @@ fn store_fault_campaign(
         mttf_seconds: None,
         deviation: None,
         miss: !recovered,
-        sampler: None,
         detail: format!(
             "{fault_detail}; reset: {reset}, resumed {}/{PROBE_POINTS}",
             report.resumed
@@ -719,7 +693,6 @@ fn journal_lock_campaign(
         mttf_seconds: None,
         deviation: None,
         miss: !refused,
-        sampler: None,
         detail: format!("second writer refused: {refused}"),
     })
 }
@@ -778,7 +751,6 @@ fn cache_corrupt_campaign(
         mttf_seconds: None,
         deviation: None,
         miss,
-        sampler: None,
         detail,
     })
 }
@@ -843,18 +815,16 @@ mod tests {
     }
 
     #[test]
-    fn prefix_perturb_under_batched_inversion_is_detected_and_tagged() {
-        // The batched sampler reads the same corrupted prefix table as the
-        // scalar one; every campaign must be detected or degraded, and
-        // estimates must carry the batched-inversion sampler tag in both
-        // the outcome record and the verdict event.
+    fn prefix_perturb_is_detected_and_verdicts_mirror_outcomes() {
+        // The sampler inverts the compiled prefix table on every trial, so
+        // every campaign corrupting it must be detected or degraded, and
+        // each verdict event must carry its campaign's outcome tag.
         let (obs, sink) = Obs::memory();
         let cfg = ChaosConfig {
             campaigns: 8,
             seed: 0xBA7C_4A05,
             trials: 2_000,
             threads: 1,
-            sampler: SamplerKind::BatchedInversion,
             kinds: vec![FaultKind::TracePrefixPerturb],
             scratch_dir: Some(
                 std::env::temp_dir()
@@ -863,7 +833,7 @@ mod tests {
             obs: Some(obs),
         };
         let report = run_chaos(&cfg).unwrap();
-        assert!(report.is_sound(), "prefix perturbation produced a miss under batched inversion");
+        assert!(report.is_sound(), "prefix perturbation produced a miss");
         for o in &report.outcomes {
             assert_ne!(
                 o.outcome,
@@ -872,27 +842,15 @@ mod tests {
                 o.campaign,
                 o.detail
             );
-            // An estimate under this config can only have come from the
-            // batched sampler (the campaign trace always compiles);
-            // campaigns whose estimate failed carry no tag.
-            if let Some(k) = o.sampler {
-                assert_eq!(k, SamplerKind::BatchedInversion);
-            }
         }
-        // Verdict events mirror the tag.
         let verdicts = sink.events_of("chaos.verdict");
         assert_eq!(verdicts.len(), report.outcomes.len());
         for (e, o) in verdicts.iter().zip(&report.outcomes) {
             let tagged = e
                 .fields
                 .iter()
-                .any(|(k, v)| *k == "sampler" && *v == serr_obs::Value::from("batched-inversion"));
-            assert_eq!(
-                tagged,
-                o.sampler == Some(SamplerKind::BatchedInversion),
-                "campaign {}: verdict sampler tag out of sync",
-                o.campaign
-            );
+                .any(|(k, v)| *k == "outcome" && *v == serr_obs::Value::from(o.outcome.label()));
+            assert!(tagged, "campaign {}: verdict outcome tag out of sync", o.campaign);
         }
     }
 
@@ -927,7 +885,6 @@ mod tests {
         // and 4 threads with identical tags.
         for kind in [FaultKind::TracePrefixPerturb, FaultKind::TraceTransform] {
             let mut cfg = quick_cfg(8, 0x5EED_0042);
-            cfg.sampler = SamplerKind::BatchedInversion;
             cfg.kinds = vec![kind];
             let report = run_chaos(&cfg).unwrap();
             assert!(
@@ -1023,7 +980,6 @@ mod tests {
         let mut verdicts_by_threads = Vec::new();
         for threads in [1usize, 4] {
             let target = Target::new(trace.clone(), quick_mc(threads), "tiled golden").unwrap();
-            assert_eq!(target.golden[0].sampler, SamplerKind::BatchedInversion);
             let mut verdicts = Vec::new();
             for kind in kinds {
                 for seed in 0..4u64 {
@@ -1058,7 +1014,6 @@ mod tests {
             mttf_seconds: Some(1.5e9),
             deviation: Some(0.001),
             miss: false,
-            sampler: Some(SamplerKind::BatchedInversion),
             detail: "healed".to_owned(),
         };
         let j = o.to_json();
@@ -1066,6 +1021,5 @@ mod tests {
         assert_eq!(j.get("outcome").unwrap().as_str(), Some("retried"));
         assert_eq!(j.get("seed").unwrap().as_str(), Some("0x0000000000001234"));
         assert_eq!(j.get("miss").unwrap().as_bool(), Some(false));
-        assert_eq!(j.get("sampler").unwrap().as_str(), Some("batched-inversion"));
     }
 }

@@ -604,12 +604,11 @@ fn ablation_trials(_: &ExperimentConfig) -> Result<String, SerrError> {
             format!("{:.6e}", est.mttf.as_secs()),
             pct(relative_error(est.mttf.as_secs(), exact)),
             pct(est.relative_ci95()),
-            format!("{:.2}", est.mean_events_per_trial),
         ]);
     }
     Ok(titled(
         &format!("Ablation: Monte Carlo convergence (exact MTTF = {exact:.6e} s)"),
-        &["trials", "MTTF (s)", "error vs exact", "95% CI", "events/trial"],
+        &["trials", "MTTF (s)", "error vs exact", "95% CI"],
         &rows,
     ))
 }

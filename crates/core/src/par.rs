@@ -13,27 +13,30 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serr_types::{panic_payload_string, SerrError};
 
-/// The number of worker threads to use for a fan-out over `jobs` independent
-/// items: the `SERR_THREADS` override when set, else `available_parallelism`,
-/// capped by the job count (never zero).
-///
-/// `SERR_THREADS` follows the same convention as the Monte Carlo engine's
-/// CLI plumbing — unset, empty, unparsable, or `0` means all cores — so one
-/// environment variable pins every thread pool in a run, sweeps included.
-/// Results never depend on the setting (sweep output is input-ordered and
-/// each MC estimate is chunk-deterministic); the variable exists so that
+/// The `SERR_THREADS` thread budget, in the Monte Carlo engine's
+/// convention: `0` — all cores — when the variable is unset, empty,
+/// unparsable or `0`. The one reader of the variable: the sweep fan-out
+/// ([`fanout_threads`]), the Monte Carlo configuration of `serr mttf`,
+/// `sofr` and `sweep`, and the `serr serve` daemon all take it from here,
+/// so one environment variable pins their thread pools. Results never
+/// depend on the setting (sweep output is input-ordered and each MC
+/// estimate is chunk-deterministic); the variable exists so that
 /// invariance can be demonstrated, and core counts bounded, from the shell.
 #[must_use]
+pub fn serr_threads() -> usize {
+    std::env::var("SERR_THREADS").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(0)
+}
+
+/// The number of worker threads to use for a fan-out over `jobs` independent
+/// items: the [`serr_threads`] budget when set, else `available_parallelism`,
+/// capped by the job count (never zero).
+#[must_use]
 pub fn fanout_threads(jobs: usize) -> usize {
-    let configured = std::env::var("SERR_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    configured
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
-        .min(jobs.max(1))
+    match serr_threads() {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
+    .min(jobs.max(1))
 }
 
 /// Applies `f` to every element of `items` using up to `threads` OS threads
@@ -173,6 +176,7 @@ mod tests {
         // inside one test so no parallel test observes a half-set variable.
         let saved = std::env::var("SERR_THREADS").ok();
         std::env::set_var("SERR_THREADS", "5");
+        assert_eq!(serr_threads(), 5);
         assert_eq!(fanout_threads(1024), 5, "explicit override wins");
         assert_eq!(fanout_threads(3), 3, "job count still caps the override");
         assert_eq!(fanout_threads(0), 1, "never zero");
@@ -180,6 +184,7 @@ mod tests {
         assert_eq!(fanout_threads(1024), 2, "whitespace-tolerant like the CLI");
         for all_cores in ["0", "", "not-a-number"] {
             std::env::set_var("SERR_THREADS", all_cores);
+            assert_eq!(serr_threads(), 0, "{all_cores:?} is the all-cores budget");
             let n = fanout_threads(1024);
             assert!(n >= 1, "{all_cores:?} must fall back to all cores, got {n}");
         }

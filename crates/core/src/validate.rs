@@ -695,9 +695,8 @@ mod tests {
         let v = validator().with_observer(obs.clone());
         v.component(&trace, RawErrorRate::per_year(10.0)).unwrap();
         let snap = obs.metrics().snapshot();
-        // The default batched sampler names its stages `sweep_shared` and
-        // `sweep_point` for one rate as for many; `mc_run` is the event
-        // loop's.
+        // The sampler names its stages `sweep_shared` and `sweep_point` for
+        // one rate as for many.
         for stage in [
             "stage.renewal_quadrature_ms",
             "stage.softarch_ms",
@@ -708,7 +707,6 @@ mod tests {
             let h = snap.histograms.get(stage).unwrap_or_else(|| panic!("missing {stage}"));
             assert_eq!(h.count(), 1, "{stage} should be timed exactly once");
         }
-        assert!(!snap.histograms.contains_key("stage.mc_run_ms"));
         // The shared sink carries the engine's convergence telemetry too.
         assert!(!sink.events_of("mc.chunk").is_empty());
     }

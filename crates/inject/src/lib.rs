@@ -55,11 +55,10 @@ pub enum FaultKind {
     /// value. Must be caught by the trace structural verifier.
     TraceValueFlip,
     /// Add a large perturbation to one entry of the compiled prefix-sum
-    /// table. The event-loop sampler never reads the prefix sums, so under
-    /// it only the verifier can catch this; the default inversion sampler
-    /// inverts the prefix table on *every trial*, so the corruption must
-    /// be caught by the verifier (or, failing that, the row verdict's
-    /// Monte Carlo-versus-renewal check) before it poisons the estimate.
+    /// table. The inversion sampler inverts the prefix table on *every
+    /// trial*, so the corruption must be caught by the verifier (or,
+    /// failing that, the row verdict's Monte Carlo-versus-renewal check)
+    /// before it poisons the estimate.
     TracePrefixPerturb,
     /// Scale the dominant segment value and recompute every derived field
     /// consistently. Passes structural checks by construction; only the

@@ -21,56 +21,48 @@ pub enum StartPhase {
     Stationary,
 }
 
-/// Which time-to-failure sampler the engine runs per trial.
+/// The engine's time-to-failure sampler: batched inversion of the
+/// cumulative-vulnerability function, the one sampler in production.
 ///
-/// Both samplers draw from the *same* distribution (the KS-equivalence
-/// suite pins this): thinning a homogeneous Poisson(λ) raw-error stream by
-/// the masking trace `v(t)` is an inhomogeneous Poisson process with
-/// intensity `λ·v(t)`, so `P(TTF > t) = exp(−λ·V(t))` either way. They
-/// differ only in cost — and in which compiled tables they read, which is
-/// why the chaos taxonomy distinguishes them.
+/// The paper's per-event walk ([`crate::sampler::sample_time_to_failure`])
+/// and the naive cycle-stepping reference ([`crate::naive`]) draw from the
+/// same distribution — thinning a homogeneous Poisson(λ) raw-error stream
+/// by the masking trace `v(t)` is an inhomogeneous Poisson process with
+/// intensity `λ·v(t)`, so `P(TTF > t) = exp(−λ·V(t))` either way — and
+/// stay as test oracles that the KS-equivalence suite calls directly. The
+/// type keeps its label because the serve wire format and the CLI print it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplerKind {
-    /// Walk raw-error events one at a time (the paper's Appendix A
-    /// decomposition): geometric period skip + truncated-exponential
-    /// within-period draw + Bernoulli masking per event. Costs ~1/AVF
-    /// events per trial; reads only point values. Kept as the
-    /// assumption-free cross-check sampler.
-    EventLoop,
     /// Invert the cumulative-vulnerability function: one `Exp(1)` draw per
     /// trial, split into whole periods plus a remainder located in the
     /// compiled prefix table — O(1) per trial, independent of AVF and λL —
     /// run a whole trial chunk at a time with counter-based RNG words,
     /// structure-of-arrays buffers, and branchless array passes (see
-    /// `serr_mc::batched`). Draws from a *different* (versioned) random
-    /// stream than the event loop, so estimates are statistically
-    /// interchangeable but not bit-equal across sampler kinds.
+    /// `serr_mc::batched`).
     #[default]
     BatchedInversion,
 }
 
 impl SamplerKind {
-    /// Stable lowercase label (CLI values, telemetry keys, bench JSON).
+    /// Stable lowercase label (CLI output, wire format, bench JSON).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            SamplerKind::EventLoop => "event-loop",
             SamplerKind::BatchedInversion => "batched-inversion",
         }
     }
 
-    /// Parses a CLI-style label.
+    /// Parses a wire-format label.
     ///
     /// # Errors
     ///
     /// Returns [`SerrError::InvalidConfig`] for anything other than
-    /// `batched-inversion` or `event-loop`.
+    /// `batched-inversion`, naming it as the one sampler.
     pub fn parse(s: &str) -> Result<Self, SerrError> {
         match s {
-            "event-loop" => Ok(SamplerKind::EventLoop),
             "batched-inversion" => Ok(SamplerKind::BatchedInversion),
             other => Err(SerrError::invalid_config(format!(
-                "unknown sampler {other:?} (expected batched-inversion or event-loop)"
+                "unknown sampler {other:?} (the one sampler is batched-inversion)"
             ))),
         }
     }
@@ -96,13 +88,9 @@ pub struct MonteCarloConfig {
     pub seed: u64,
     /// Worker threads; `0` means use all available parallelism.
     pub threads: usize,
-    /// Safety cap on raw-error events within one trial. A trial exceeding
-    /// this (possible only if the effective vulnerability is pathologically
-    /// tiny but nonzero) aborts the run with an error instead of spinning.
-    pub max_events_per_trial: u64,
     /// Where within the workload loop each trial begins.
     pub start_phase: StartPhase,
-    /// Which per-trial time-to-failure sampler to run (see [`SamplerKind`]).
+    /// The time-to-failure sampler (see [`SamplerKind`]; there is one).
     pub sampler: SamplerKind,
     /// Optional wall-clock budget for one engine run. A budget that is
     /// already exhausted when the run starts (zero, or elapsed before the
@@ -128,7 +116,6 @@ impl Default for MonteCarloConfig {
             trials: 200_000,
             seed: 0x5EED_50F7_0E44_0007,
             threads: 0,
-            max_events_per_trial: 100_000_000,
             start_phase: StartPhase::WorkloadStart,
             sampler: SamplerKind::BatchedInversion,
             deadline: None,
@@ -158,16 +145,10 @@ impl MonteCarloConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SerrError::InvalidConfig`] for zero `trials` or a zero
-    /// per-trial event cap.
+    /// Returns [`SerrError::InvalidConfig`] for zero `trials`.
     pub fn validate(&self) -> Result<(), SerrError> {
         if self.trials == 0 {
             return Err(SerrError::invalid_config("trial count must be positive"));
-        }
-        if self.max_events_per_trial == 0 {
-            return Err(SerrError::invalid_config(
-                "max_events_per_trial must be positive (every failing trial consumes at least one event)",
-            ));
         }
         Ok(())
     }
@@ -192,7 +173,6 @@ mod tests {
         let cfg = MonteCarloConfig::default();
         assert_eq!(cfg.trials, 200_000);
         assert!(cfg.effective_threads() >= 1);
-        assert!(cfg.max_events_per_trial > 1_000_000);
     }
 
     #[test]
@@ -202,13 +182,20 @@ mod tests {
 
     #[test]
     fn sampler_defaults_to_batched_inversion_and_labels_round_trip() {
-        assert_eq!(MonteCarloConfig::default().sampler, SamplerKind::BatchedInversion);
-        for kind in [SamplerKind::EventLoop, SamplerKind::BatchedInversion] {
-            assert_eq!(SamplerKind::parse(kind.label()).expect("label parses"), kind);
+        let kind = SamplerKind::BatchedInversion;
+        assert_eq!(MonteCarloConfig::default().sampler, kind);
+        assert_eq!(SamplerKind::parse(kind.label()).expect("label parses"), kind);
+        // The retired scalar and event-loop labels are typed errors that
+        // name the one sampler.
+        for bad in ["naive", "inversion", "event-loop", ""] {
+            match SamplerKind::parse(bad) {
+                Err(SerrError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(&format!("{bad:?}")), "{reason}");
+                    assert!(reason.contains("batched-inversion"), "{reason}");
+                }
+                other => panic!("{bad:?}: expected InvalidConfig, got {other:?}"),
+            }
         }
-        assert!(SamplerKind::parse("naive").is_err());
-        assert!(SamplerKind::parse("inversion").is_err(), "the scalar sampler is retired");
-        assert!(SamplerKind::parse("").is_err());
     }
 
     #[test]
@@ -216,8 +203,6 @@ mod tests {
         assert!(MonteCarloConfig::default().validate().is_ok());
         let zero_trials = MonteCarloConfig { trials: 0, ..Default::default() };
         assert!(zero_trials.validate().is_err());
-        let zero_cap = MonteCarloConfig { max_events_per_trial: 0, ..Default::default() };
-        assert!(zero_cap.validate().is_err());
         // Zero deadline passes validation; the *run* rejects it with the
         // typed deadline-exhausted error (see engine tests).
         let zero_deadline =

@@ -12,8 +12,7 @@
 //! counter-based derivation that never looks at which worker thread runs
 //! the chunk — and every rate of the list consumes that same stream: the
 //! batched sampler prepares the λ-independent planes once and finishes
-//! each rate over them, and the event loop reseeds its `SmallRng` from the
-//! chunk seed for each rate. Workers claim chunks in index order from a
+//! each rate over them. Workers claim chunks in index order from a
 //! shared counter and hand each finished chunk to the calling thread
 //! (itself worker 0), which merges chunk `k` into every rate's running
 //! statistics only after chunks `0..k`: the floating-point reduction order
@@ -22,48 +21,39 @@
 //! `tests/sweep_equivalence.rs` and `tests/metrics_invariant.rs` pin both
 //! properties, the latter for the telemetry as well.
 //!
-//! # Compiled hot path and sampler dispatch
+//! # Compiled hot path
 //!
 //! Before spawning workers, the engine lowers the trace into a
 //! [`CompiledTrace`] (flat segments + bucketed `O(1)` phase index and a
 //! bucketed inverse index over the prefix sums, or a tile level over such
-//! tables for day-scale tilings like the paper's `combined` workload) and
-//! monomorphizes the chunk loop over the configured [`SamplerKind`]:
+//! tables for day-scale tilings like the paper's `combined` workload). The
+//! batched inversion sampler ([`crate::SamplerKind::BatchedInversion`], the
+//! only one) makes the whole chunk the unit of work: per chunk one shared
+//! prepare pass and one finish pass per rate, counter-based RNG words and
+//! branchless structure-of-arrays passes producing all [`TRIAL_CHUNK`]
+//! times to failure per finish — see [`crate::batched`]. The paper's
+//! per-event walk ([`crate::sampler`]) is not an engine path: it is the
+//! oracle the KS-equivalence suite checks this sampler against.
 //!
-//! * [`SamplerKind::BatchedInversion`] (the default) makes the whole
-//!   chunk the unit of work: per chunk one shared prepare pass and one
-//!   finish pass per rate, counter-based RNG words and branchless
-//!   structure-of-arrays passes producing all [`TRIAL_CHUNK`] times to
-//!   failure per finish — see [`crate::batched`];
-//! * [`SamplerKind::EventLoop`] walks raw-error events one at a time (the
-//!   paper's Appendix A decomposition) over the compiled point queries,
-//!   each rate in turn — kept as the cross-check oracle.
-//!
-//! Every sampler runs on the compiled trace, so the sampler that ran is
-//! always the configured one. A trace that cannot be compiled at all — over
-//! the segment cap with no tiling to fold, such as a phase-shifted
-//! `combined` — is a typed [`SerrError::InvalidTrace`], never a silent
-//! change of sampler.
+//! A trace that cannot be compiled at all — over the segment cap with no
+//! tiling to fold, such as a phase-shifted `combined` — is a typed
+//! [`SerrError::InvalidTrace`].
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serr_numeric::stats::{RunningStats, Summary};
 use serr_obs::Obs;
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
 use serr_types::{panic_payload_string, Frequency, Mttf, RawErrorRate, SerrError};
 
 use crate::batched::{BatchedInversionSampler, PointScratch, SharedChunk};
-use crate::config::{SamplerKind, StartPhase};
-use crate::sampler::sample_time_to_failure;
 use crate::system::SystemModel;
 use crate::MonteCarloConfig;
 
 /// Trials per deterministic RNG chunk. Small enough that a 20,000-trial
 /// smoke run still spreads across cores, large enough that per-chunk
-/// scheduling overhead vanishes against millions of raw-error events.
+/// scheduling overhead vanishes against the chunk's array passes.
 pub(crate) const TRIAL_CHUNK: u64 = 1024;
 
 /// Counter-based per-chunk stream derivation: a SplitMix64 finalizer over
@@ -132,9 +122,7 @@ pub(crate) fn never_vulnerable() -> SerrError {
 pub(crate) fn estimate_from_cycle_stats(
     stats: &RunningStats,
     hz: f64,
-    total_events: u64,
     truncated: bool,
-    sampler: SamplerKind,
 ) -> Result<MttfEstimate, SerrError> {
     let completed = stats.count();
     let summary = Summary {
@@ -148,16 +136,10 @@ pub(crate) fn estimate_from_cycle_stats(
     let mttf = Mttf::try_from_secs(summary.mean).map_err(|_| {
         SerrError::invalid_value("Monte Carlo mean time to failure (s)", summary.mean)
     })?;
-    Ok(MttfEstimate {
-        mttf,
-        ttf_seconds: summary,
-        mean_events_per_trial: total_events as f64 / completed as f64,
-        truncated,
-        sampler,
-    })
+    Ok(MttfEstimate { mttf, ttf_seconds: summary, truncated })
 }
 
-/// Lowers `trace` into the [`CompiledTrace`] every sampler runs on.
+/// Lowers `trace` into the [`CompiledTrace`] the sampler runs on.
 ///
 /// # Errors
 ///
@@ -178,17 +160,10 @@ pub fn compile_for_sampling(trace: &dyn VulnerabilityTrace) -> Result<CompiledTr
 /// hands the fold when it finishes the chunk.
 pub(crate) struct Chunk<K> {
     /// Each rate's statistics and what the caller kept of its times to
-    /// failure; empty statistics for a rate listed in `failed`.
+    /// failure.
     pub(crate) points: Vec<(RunningStats, K)>,
-    /// Each rate's raw-error events: the event loop's count, or empty for
-    /// the batched sampler, whose every trial consumes exactly one (the
-    /// failing one).
-    pub(crate) events: Vec<u64>,
-    /// The rates that failed in this chunk, with their errors.
-    pub(crate) failed: Vec<(usize, SerrError)>,
-    /// The batched sampler's wall time in the shared prepare pass and in
-    /// the per-rate finish passes (zero for the event loop, which is timed
-    /// whole).
+    /// The sampler's wall time in the shared prepare pass and in the
+    /// per-rate finish passes.
     pub(crate) shared_ms: f64,
     pub(crate) point_ms: f64,
 }
@@ -196,25 +171,14 @@ pub(crate) struct Chunk<K> {
 /// One rate's share of a run, folded over its chunks in ascending chunk
 /// index.
 pub(crate) struct PointFold<K> {
-    /// The statistics of every chunk merged so far, or the rate's error in
-    /// the lowest chunk that failed — deterministic at any thread count,
-    /// since a worker skips a rate only after that rate failed in a lower
-    /// chunk of its own.
-    pub(crate) stats: Result<RunningStats, SerrError>,
-    /// Raw-error events of the merged chunks.
-    pub(crate) events: u64,
+    /// The statistics of every chunk merged so far.
+    pub(crate) stats: RunningStats,
     /// What the caller kept of each merged chunk, in chunk order.
     pub(crate) kept: Vec<K>,
     /// `(chunk, running statistics after merging it)` for each merged
     /// chunk, recorded only when the engine has an observer: the `mc.chunk`
     /// convergence snapshots, emitted point-major once the run is over.
     pub(crate) snapshots: Vec<(u64, RunningStats)>,
-}
-
-impl<K> PointFold<K> {
-    fn new(stats: Result<RunningStats, SerrError>) -> Self {
-        PointFold { stats, events: 0, kept: Vec::new(), snapshots: Vec::new() }
-    }
 }
 
 /// A whole run, folded: each rate's [`PointFold`] and the run's totals.
@@ -232,7 +196,13 @@ pub(crate) struct RunFold<K> {
 impl<K> RunFold<K> {
     fn new(rates: usize) -> Self {
         RunFold {
-            points: (0..rates).map(|_| PointFold::new(Ok(RunningStats::new()))).collect(),
+            points: (0..rates)
+                .map(|_| PointFold {
+                    stats: RunningStats::new(),
+                    kept: Vec::new(),
+                    snapshots: Vec::new(),
+                })
+                .collect(),
             chunks: 0,
             truncated: false,
             shared_ms: 0.0,
@@ -246,19 +216,11 @@ impl<K> RunFold<K> {
         self.chunks += 1;
         self.shared_ms += c.shared_ms;
         self.point_ms += c.point_ms;
-        for (p, (point, (stats, kept))) in self.points.iter_mut().zip(c.points).enumerate() {
-            if let Some((_, e)) = c.failed.iter().find(|(q, _)| *q == p) {
-                if point.stats.is_ok() {
-                    *point = PointFold::new(Err(e.clone()));
-                }
-                continue;
-            }
-            let Ok(acc) = &mut point.stats else { continue };
-            acc.merge(&stats);
-            point.events += c.events.get(p).copied().unwrap_or(stats.count());
+        for (point, (stats, kept)) in self.points.iter_mut().zip(c.points) {
+            point.stats.merge(&stats);
             point.kept.push(kept);
             if snapshots {
-                point.snapshots.push((chunk, *acc));
+                point.snapshots.push((chunk, point.stats));
             }
         }
     }
@@ -314,16 +276,11 @@ pub struct MttfEstimate {
     pub mttf: Mttf,
     /// Sample statistics of the time-to-failure distribution, in seconds.
     pub ttf_seconds: Summary,
-    /// Mean raw-error events consumed per trial.
-    pub mean_events_per_trial: f64,
     /// Whether a configured [`deadline`](crate::MonteCarloConfig::deadline)
     /// cut the run short. A truncated estimate averages only the trials
     /// completed before the deadline (`ttf_seconds.count` of them); its
     /// confidence interval is honestly wider than the full run's would be.
     pub truncated: bool,
-    /// The sampler that produced the trials: the configured
-    /// [`MonteCarloConfig::sampler`].
-    pub sampler: SamplerKind,
 }
 
 impl MttfEstimate {
@@ -364,9 +321,8 @@ impl MonteCarlo {
 
     /// Attaches an observability handle. Every run then records the same
     /// vocabulary, whatever the number of rates: per-stage wall time
-    /// (`stage.trace_compile_ms`; `stage.sweep_shared_ms` and
-    /// `stage.sweep_point_ms` for the batched sampler, `stage.mc_run_ms`
-    /// for the event loop), run / chunk / trial / raw-event counters, a
+    /// (`stage.trace_compile_ms`, `stage.sweep_shared_ms` and
+    /// `stage.sweep_point_ms`), run / chunk / trial / raw-event counters, a
     /// samples-per-second gauge, and one `mc.chunk` convergence event per
     /// completed (rate, chunk) — the rate's running mean and CI half-width
     /// after folding that chunk (see [`MonteCarlo::component_mttf_multi`]).
@@ -391,9 +347,8 @@ impl MonteCarlo {
     ///
     /// Returns [`SerrError::InvalidConfig`] for a zero rate or zero trials,
     /// [`SerrError::InvalidTrace`] for an AVF-0 trace or one that cannot be
-    /// compiled, propagates a trial that exceeds the per-trial event cap,
-    /// and returns [`SerrError::InvalidValue`] when the mean time to failure
-    /// overflows.
+    /// compiled, and [`SerrError::InvalidValue`] when the mean time to
+    /// failure overflows.
     pub fn component_mttf(
         &self,
         trace: &dyn VulnerabilityTrace,
@@ -448,13 +403,12 @@ impl MonteCarlo {
         let mut run =
             engine.run_rates(&compiled, &[rate.per_second_value() / hz], <[f64]>::to_vec)?;
         let point = run.points.pop().expect("one fold per rate");
-        point.stats?;
         Ok(point.kept.into_iter().flatten().map(|t| t / hz).collect())
     }
 
     /// Compiles `trace` once for a run, recording the `trace_compile`
-    /// stage; every worker then runs the monomorphized loop with O(1)
-    /// trace lookups and no virtual dispatch.
+    /// stage; every worker then runs the chunk passes over its flat
+    /// tables with no virtual dispatch.
     pub(crate) fn compile(
         &self,
         trace: &dyn VulnerabilityTrace,
@@ -477,11 +431,7 @@ impl MonteCarlo {
     /// [`MonteCarlo::sample_ttfs`]. With an observer attached, each rate's
     /// fold also records its convergence snapshots.
     ///
-    /// The batched sampler prepares each chunk once and finishes it per
-    /// rate; the event loop walks each rate's trials in turn from the
-    /// chunk's seed. A rate whose event loop fails (the per-trial event
-    /// cap) is listed with its error in the chunk's `failed`, and the
-    /// worker skips it in later chunks; the other rates run on.
+    /// Each chunk is prepared once and finished per rate.
     pub(crate) fn run_rates<K: Send>(
         &self,
         c: &CompiledTrace,
@@ -491,82 +441,32 @@ impl MonteCarlo {
         let seed = self.config.seed;
         let start_phase = self.config.start_phase;
         let snapshots = self.obs.is_some();
+        let samplers: Vec<BatchedInversionSampler> = lambdas
+            .iter()
+            .map(|&lambda| BatchedInversionSampler::new(c, lambda, start_phase))
+            .collect();
         let mut run = RunFold::new(lambdas.len());
-        let merge = |chunk, out| run.merge(chunk, out, snapshots);
-        run.truncated = match self.config.sampler {
-            SamplerKind::BatchedInversion => {
-                let samplers: Vec<BatchedInversionSampler> = lambdas
+        run.truncated = self.run_chunks_scaffold(
+            <(SharedChunk, PointScratch)>::default,
+            |(shared, point), chunk, n| {
+                let n = n as usize;
+                // The shared pass runs once per chunk; any sampler may drive
+                // it (λ is unread there). Hints never cross chunks, so a
+                // chunk's lookups do not depend on which chunk this worker
+                // served before.
+                let t_shared = Instant::now();
+                samplers[0].prepare_chunk(shared, chunk_seed(seed, chunk), n);
+                point.forget_segment_hints();
+                let shared_ms = ms_since(t_shared);
+                let t_point = Instant::now();
+                let points = samplers
                     .iter()
-                    .map(|&lambda| BatchedInversionSampler::new(c, lambda, start_phase))
+                    .map(|s| (s.finish_chunk(shared, point, n), keep(point.ttfs())))
                     .collect();
-                self.run_chunks_scaffold(
-                    <(SharedChunk, PointScratch)>::default,
-                    |(shared, point), chunk, n| {
-                        let n = n as usize;
-                        // The shared pass runs once per chunk; any sampler
-                        // may drive it (λ is unread there). Hints never
-                        // cross chunks, so a chunk's lookups do not depend
-                        // on which chunk this worker served before.
-                        let t_shared = Instant::now();
-                        samplers[0].prepare_chunk(shared, chunk_seed(seed, chunk), n);
-                        point.forget_segment_hints();
-                        let shared_ms = ms_since(t_shared);
-                        let t_point = Instant::now();
-                        let points = samplers
-                            .iter()
-                            .map(|s| (s.finish_chunk(shared, point, n), keep(point.ttfs())))
-                            .collect();
-                        Chunk {
-                            points,
-                            events: Vec::new(),
-                            failed: Vec::new(),
-                            shared_ms,
-                            point_ms: ms_since(t_point),
-                        }
-                    },
-                    merge,
-                )
-            }
-            SamplerKind::EventLoop => {
-                let cap = self.config.max_events_per_trial;
-                self.run_chunks_scaffold(
-                    <(Vec<f64>, Vec<Option<SerrError>>)>::default,
-                    |(ttfs, failed_before), chunk, n| {
-                        failed_before.resize(lambdas.len(), None);
-                        let mut out = Chunk {
-                            points: Vec::with_capacity(lambdas.len()),
-                            events: Vec::with_capacity(lambdas.len()),
-                            failed: Vec::new(),
-                            shared_ms: 0.0,
-                            point_ms: 0.0,
-                        };
-                        let stream = chunk_seed(seed, chunk);
-                        for (p, &lambda) in lambdas.iter().enumerate() {
-                            let run = match &failed_before[p] {
-                                Some(e) => Err(e.clone()),
-                                None => {
-                                    event_loop_chunk(c, lambda, cap, start_phase, stream, n, ttfs)
-                                }
-                            };
-                            match run {
-                                Ok((stats, events)) => {
-                                    out.points.push((stats, keep(ttfs)));
-                                    out.events.push(events);
-                                }
-                                Err(e) => {
-                                    failed_before[p] = Some(e.clone());
-                                    out.points.push((RunningStats::new(), keep(&[])));
-                                    out.events.push(0);
-                                    out.failed.push((p, e));
-                                }
-                            }
-                        }
-                        out
-                    },
-                    merge,
-                )
-            }
-        }?;
+                Chunk { points, shared_ms, point_ms: ms_since(t_point) }
+            },
+            |chunk, out| run.merge(chunk, out, snapshots),
+        )?;
         Ok(run)
     }
 
@@ -727,37 +627,6 @@ impl MonteCarlo {
     }
 }
 
-/// One rate's chunk of event-loop trials: a `SmallRng` seeded from the
-/// chunk's stream, the `StartPhase` draw *before* each trial (moving it
-/// would reorder the stream), and the times to failure left in `ttfs` in
-/// trial order. Returns the chunk's statistics and raw-error event count.
-fn event_loop_chunk(
-    c: &CompiledTrace,
-    lambda: f64,
-    cap: u64,
-    start_phase: StartPhase,
-    stream_seed: u64,
-    n: u64,
-    ttfs: &mut Vec<f64>,
-) -> Result<(RunningStats, u64), SerrError> {
-    let period = c.period_cycles() as f64;
-    let mut rng = SmallRng::seed_from_u64(stream_seed);
-    let mut stats = RunningStats::new();
-    let mut events = 0u64;
-    ttfs.clear();
-    for _ in 0..n {
-        let phase = match start_phase {
-            StartPhase::WorkloadStart => 0.0,
-            StartPhase::Stationary => rng.gen_range(0.0..period),
-        };
-        let t = sample_time_to_failure(c, lambda, cap, &mut rng, phase)?;
-        stats.push(t.ttf_cycles);
-        events += t.events;
-        ttfs.push(t.ttf_cycles);
-    }
-    Ok((stats, events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,7 +647,6 @@ mod tests {
         let err = (est.mttf.as_secs() - truth).abs() / truth;
         assert!(err < 0.02, "MC {} vs renewal {truth}: {err}", est.mttf.as_secs());
         assert!(est.relative_ci95() < 0.02);
-        assert!(est.mean_events_per_trial >= 1.0);
     }
 
     #[test]
@@ -818,62 +686,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn all_samplers_are_deterministic_across_thread_counts() {
-        let trace =
-            IntervalTrace::from_levels(&[1.0, 0.25, 0.25, 0.0, 0.5, 0.0, 0.0, 0.0]).unwrap();
-        let rate = RawErrorRate::per_year(5.0);
-        for sampler in [SamplerKind::EventLoop, SamplerKind::BatchedInversion] {
-            for start_phase in [StartPhase::WorkloadStart, StartPhase::Stationary] {
-                let one = MonteCarloConfig {
-                    trials: 4_000,
-                    threads: 1,
-                    sampler,
-                    start_phase,
-                    ..Default::default()
-                };
-                let four = MonteCarloConfig { threads: 4, ..one };
-                let a =
-                    MonteCarlo::new(one).component_mttf(&trace, rate, Frequency::base()).unwrap();
-                let b =
-                    MonteCarlo::new(four).component_mttf(&trace, rate, Frequency::base()).unwrap();
-                assert_eq!(a, b, "{sampler:?}/{start_phase:?} not thread-count invariant");
-                assert_eq!(a.sampler, sampler);
-            }
-        }
-    }
-
-    #[test]
-    fn samplers_agree_within_confidence_intervals() {
-        // Same trace, same rate: the two samplers draw from the same
-        // distribution (the full KS suite lives in
-        // tests/sampler_equivalence.rs; this pins the engine wiring).
-        let trace = IntervalTrace::busy_idle(30, 70).unwrap();
-        let rate = RawErrorRate::per_second(0.01 * Frequency::base().hz() / 100.0);
-        let base = MonteCarloConfig { trials: 100_000, ..Default::default() };
-        let ev = MonteCarlo::new(MonteCarloConfig { sampler: SamplerKind::EventLoop, ..base })
-            .component_mttf(&trace, rate, Frequency::base())
-            .unwrap();
-        let batched =
-            MonteCarlo::new(MonteCarloConfig { sampler: SamplerKind::BatchedInversion, ..base })
-                .component_mttf(&trace, rate, Frequency::base())
-                .unwrap();
-        let gap = (batched.mttf.as_secs() - ev.mttf.as_secs()).abs();
-        let tol = 3.0 * (batched.ttf_seconds.ci95 + ev.ttf_seconds.ci95);
-        assert!(
-            gap <= tol,
-            "batched-inversion {} vs event-loop {}: gap {gap} > {tol}",
-            batched.mttf.as_secs(),
-            ev.mttf.as_secs()
-        );
-        // Inversion consumes exactly one event per trial; the event loop
-        // needs ~1/AVF (plus the λL-dependent correction).
-        assert_eq!(batched.mean_events_per_trial, 1.0);
-        assert!(ev.mean_events_per_trial > 2.0, "events {}", ev.mean_events_per_trial);
-        assert_eq!(ev.sampler, SamplerKind::EventLoop);
-        assert_eq!(batched.sampler, SamplerKind::BatchedInversion);
-    }
-
     /// `busy_idle(3, 5)` tiled 10⁷ times: over twice the flat segment cap.
     fn over_cap_tiling() -> serr_trace::ConcatTrace {
         use std::sync::Arc;
@@ -886,12 +698,9 @@ mod tests {
         let tiled = over_cap_tiling();
         assert!(CompiledTrace::compile(&tiled).is_some_and(|c| c.is_tiled()));
         let cfg = MonteCarloConfig { trials: 20_000, ..Default::default() };
-        assert_eq!(cfg.sampler, SamplerKind::BatchedInversion);
         let freq = Frequency::base();
         let rate = RawErrorRate::per_year(1000.0);
         let est = MonteCarlo::new(cfg).component_mttf(&tiled, rate, freq).unwrap();
-        assert_eq!(est.sampler, SamplerKind::BatchedInversion);
-        assert_eq!(est.mean_events_per_trial, 1.0);
         let truth = serr_analytic::renewal::renewal_mttf(&tiled, rate, freq).unwrap().as_secs();
         let err = (est.mttf.as_secs() - truth).abs() / truth;
         assert!(err < 4.0 * est.relative_ci95(), "MC {} vs renewal {truth}", est.mttf.as_secs());
@@ -902,7 +711,7 @@ mod tests {
         use std::sync::Arc;
         // A phase shift over an over-cap concatenation exposes no tiling:
         // nothing can compile it, so every entry point refuses with a typed
-        // error instead of changing sampler behind the caller's back.
+        // error.
         let shifted = serr_trace::ShiftedTrace::new(Arc::new(over_cap_tiling()), 3);
         assert!(CompiledTrace::compile(&shifted).is_none());
         let mc = MonteCarlo::new(MonteCarloConfig { trials: 2_000, ..Default::default() });
@@ -976,8 +785,6 @@ mod tests {
         assert!(est.ttf_seconds.min >= 0.0);
         assert!(est.ttf_seconds.max > est.ttf_seconds.mean);
         assert!((est.mttf.as_secs() - est.ttf_seconds.mean).abs() < 1e-12);
-        // Fully vulnerable -> exactly one event per trial.
-        assert_eq!(est.mean_events_per_trial, 1.0);
         assert!(!est.truncated);
     }
 
@@ -1026,7 +833,6 @@ mod tests {
         let cut = MonteCarlo::new(cut_cfg).component_mttf(&trace, rate, freq).unwrap();
         assert!(cut.truncated);
         assert_eq!(cut.ttf_seconds.count, 2_048);
-        assert!(cut.mean_events_per_trial >= 1.0);
         // Honestly wider CI than the full run, and the partial mean still
         // covers it (chunks {0,1} are a subset of the full run's trials).
         assert!(cut.ttf_seconds.ci95 > full.ttf_seconds.ci95);
@@ -1200,60 +1006,45 @@ mod tests {
         // Attaching an observer must not change the estimate, and the
         // mc.chunk convergence snapshots of a one-rate run arrive in
         // ascending chunk order, keyed by chunk index, with a running
-        // sample count. The stages follow the sampler.
+        // sample count.
         let trace = IntervalTrace::busy_idle(10, 10).unwrap();
         let rate = RawErrorRate::per_year(5.0);
-        for sampler in [SamplerKind::BatchedInversion, SamplerKind::EventLoop] {
-            let cfg = MonteCarloConfig { trials: 5_000, threads: 4, sampler, ..Default::default() };
-            let plain =
-                MonteCarlo::new(cfg).component_mttf(&trace, rate, Frequency::base()).unwrap();
-            let (obs, sink) = Obs::memory();
-            let observed = MonteCarlo::new(cfg)
-                .with_observer(obs.clone())
-                .component_mttf(&trace, rate, Frequency::base())
-                .unwrap();
-            assert_eq!(plain, observed);
+        let cfg = MonteCarloConfig { trials: 5_000, threads: 4, ..Default::default() };
+        let plain = MonteCarlo::new(cfg).component_mttf(&trace, rate, Frequency::base()).unwrap();
+        let (obs, sink) = Obs::memory();
+        let observed = MonteCarlo::new(cfg)
+            .with_observer(obs.clone())
+            .component_mttf(&trace, rate, Frequency::base())
+            .unwrap();
+        assert_eq!(plain, observed);
 
-            let chunks = sink.events_of("mc.chunk");
-            assert_eq!(chunks.len(), 5, "5000 trials -> 5 chunks of 1024");
-            let seqs: Vec<u64> = chunks.iter().map(|e| e.seq).collect();
-            assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-            for (k, e) in chunks.iter().enumerate() {
-                assert!(e.fields.iter().any(|(f, v)| *f == "point" && *v == Value::U64(0)));
-                assert!(e.fields.iter().any(|(f, v)| *f == "chunk" && *v == Value::U64(k as u64)));
-            }
-            let last = &chunks[4];
-            assert!(last.fields.iter().any(|(k, v)| *k == "n" && *v == Value::U64(5_000)));
-
-            let snap = obs.metrics().snapshot();
-            let (ran, absent) = match sampler {
-                SamplerKind::BatchedInversion => {
-                    ("mc.runs_batched_inversion", "mc.runs_event_loop")
-                }
-                SamplerKind::EventLoop => ("mc.runs_event_loop", "mc.runs_batched_inversion"),
-            };
-            assert_eq!(snap.counters["mc.runs"], 1);
-            assert_eq!(snap.counters[ran], 1, "{sampler:?}");
-            assert!(!snap.counters.contains_key(absent));
-            assert_eq!(snap.counters["mc.rng_chunks"], 5);
-            assert_eq!(snap.counters["mc.trials_completed"], 5_000);
-            assert!(snap.counters["mc.raw_error_events"] >= 5_000);
-            assert!(!snap.counters.contains_key("mc.truncated_runs"));
-            assert_eq!(snap.histograms["stage.trace_compile_ms"].count(), 1);
-            let stages: &[&str] = match sampler {
-                SamplerKind::BatchedInversion => &["stage.sweep_shared_ms", "stage.sweep_point_ms"],
-                SamplerKind::EventLoop => &["stage.mc_run_ms"],
-            };
-            for (name, h) in snap.histograms.iter().filter(|(n, _)| n.starts_with("stage.")) {
-                let expected = usize::from(stages.contains(&name.as_str()))
-                    + usize::from(name == "stage.trace_compile_ms");
-                assert_eq!(h.count() as usize, expected, "{sampler:?}: {name}");
-            }
-            for name in stages {
-                assert!(snap.histograms.contains_key(*name), "{sampler:?}: no {name}");
-            }
-            assert!(snap.gauges["mc.samples_per_sec"] > 0.0);
+        let chunks = sink.events_of("mc.chunk");
+        assert_eq!(chunks.len(), 5, "5000 trials -> 5 chunks of 1024");
+        let seqs: Vec<u64> = chunks.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        for (k, e) in chunks.iter().enumerate() {
+            assert!(e.fields.iter().any(|(f, v)| *f == "point" && *v == Value::U64(0)));
+            assert!(e.fields.iter().any(|(f, v)| *f == "chunk" && *v == Value::U64(k as u64)));
         }
+        let last = &chunks[4];
+        assert!(last.fields.iter().any(|(k, v)| *k == "n" && *v == Value::U64(5_000)));
+
+        let snap = obs.metrics().snapshot();
+        assert_eq!(snap.counters["mc.runs"], 1);
+        assert_eq!(snap.counters["mc.runs_batched_inversion"], 1);
+        assert_eq!(snap.counters["mc.rng_chunks"], 5);
+        assert_eq!(snap.counters["mc.trials_completed"], 5_000);
+        assert_eq!(snap.counters["mc.raw_error_events"], 5_000);
+        assert!(!snap.counters.contains_key("mc.truncated_runs"));
+        let stages = ["stage.trace_compile_ms", "stage.sweep_shared_ms", "stage.sweep_point_ms"];
+        for (name, h) in snap.histograms.iter().filter(|(n, _)| n.starts_with("stage.")) {
+            assert!(stages.contains(&name.as_str()), "unexpected stage {name}");
+            assert_eq!(h.count(), 1, "{name}");
+        }
+        for name in stages {
+            assert!(snap.histograms.contains_key(name), "no {name}");
+        }
+        assert!(snap.gauges["mc.samples_per_sec"] > 0.0);
     }
 
     #[test]
@@ -1461,15 +1252,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rejects_zero_event_cap() {
-        let live = IntervalTrace::constant(10, 1.0).unwrap();
-        let engine =
-            MonteCarlo::new(MonteCarloConfig { max_events_per_trial: 0, ..Default::default() });
-        assert!(engine
-            .component_mttf(&live, RawErrorRate::per_year(1.0), Frequency::base())
-            .is_err());
     }
 }

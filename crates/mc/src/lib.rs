@@ -20,16 +20,17 @@
 //!    precision (see [`sampler`]).
 //! 2. **O(1) trials by batched inversion.** The walk over raw-error events
 //!    costs ~1/AVF events per trial — worst exactly where the paper's
-//!    sweeps spend their time (low AVF, low λL). The default
-//!    [`SamplerKind::BatchedInversion`] sampler instead draws one `Exp(1)`
+//!    sweeps spend their time (low AVF, low λL). The engine's one sampler,
+//!    [`SamplerKind::BatchedInversion`], instead draws one `Exp(1)`
 //!    variate per trial and inverts the cumulative-vulnerability function
 //!    through the compiled trace's prefix table: constant cost per trial,
 //!    identical distribution (see [`batched`] for the thinning proof). It
 //!    runs as straight-line structure-of-arrays passes over whole trial
 //!    chunks — counter RNG up front, vectorized logs, a batched
-//!    prefix-table probe, and a vectorized statistics fold. The event loop
-//!    ([`SamplerKind::EventLoop`]) stays as the independent oracle: it never
-//!    reads the prefix sums.
+//!    prefix-table probe, and a vectorized statistics fold. The event walk
+//!    ([`sampler::sample_time_to_failure`]) and the cycle-stepping
+//!    reference ([`naive`]) stay as independent test oracles outside the
+//!    engine: neither reads the prefix sums.
 //! 3. **Superposition for clusters.** For a system of components running
 //!    phase-aligned workloads, the union of per-component raw-error
 //!    processes is itself Poisson with the summed rate, and each arrival is

@@ -7,7 +7,8 @@
 //! flip a coin for a raw error in each cycle, check masking — as a
 //! *reference implementation*: it is obviously correct, runs in time
 //! proportional to the time to failure (instead of the number of raw
-//! errors), and validates the production sampler in `crate::sampler`.
+//! errors), and anchors the two faster samplers it is checked against:
+//! the event walk in `crate::sampler` and the engine's batched inversion.
 //! EXPERIMENTS.md § Performance records the gap (orders of magnitude),
 //! reproducing the paper's motivation for model-based estimation.
 

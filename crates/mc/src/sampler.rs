@@ -1,4 +1,4 @@
-//! The per-trial time-to-failure sampler.
+//! The paper's per-event time-to-failure walk, kept as a test oracle.
 //!
 //! One trial walks the raw-error arrival process until an arrival strikes a
 //! cycle where the error is *not* masked — a vulnerable (unmasked) position
@@ -14,11 +14,14 @@
 //! both of which are sampled at magnitudes `≤ L` — no precision is lost even
 //! when the mean time between raw errors is 10⁹ periods.
 //!
-//! The sampler is generic over the trace type so that the engine can hand it
-//! a concrete [`serr_trace::CompiledTrace`] and the per-event loop compiles
-//! down to direct, inlinable calls — no virtual dispatch on the hot path.
-//! `&dyn VulnerabilityTrace` still works (the trait is object-safe and
-//! `?Sized` is accepted) for tests that walk a source trace directly.
+//! The engine does not run this walk: it costs ~1/AVF events per trial,
+//! where the batched inversion sampler ([`crate::batched`]) spends one
+//! `Exp(1)` draw. It reads only point values, never the prefix sums the
+//! batched sampler inverts, which makes it the independent oracle the
+//! KS-equivalence suite (`tests/sampler_equivalence.rs`) and the sampler
+//! duel of `bench_smoke` call directly. It is generic over the trace type:
+//! a source trace (`&dyn VulnerabilityTrace`; `?Sized` is accepted) or a
+//! concrete [`serr_trace::CompiledTrace`].
 
 use rand::Rng;
 use serr_numeric::special::one_minus_exp_neg;
@@ -271,6 +274,26 @@ mod tests {
         // Sanity: far from the busy-start answer.
         let busy_start = serr_analytic::renewal::renewal_mttf_cycles(&trace, lambda);
         assert!((stats.mean() - busy_start).abs() / busy_start > 0.2);
+    }
+
+    #[test]
+    fn reciprocal_overflow_is_a_typed_error() {
+        // Below ~5.6e-309 per cycle `1/λ` overflows: every phase advance
+        // would be −∞ and the walk could only end at its event cap. The
+        // sampler refuses up front instead, before drawing anything.
+        let trace = IntervalTrace::busy_idle(30, 70).unwrap();
+        let mut rng = SmallRng::seed_from_u64(10);
+        for lambda in [1e-310, f64::MIN_POSITIVE / 8.0, 5e-324] {
+            match sample_time_to_failure(&trace, lambda, 1_000_000, &mut rng, 0.0) {
+                Err(SerrError::InvalidValue { .. }) => {}
+                other => panic!("λ = {lambda:e}: expected InvalidValue, got {other:?}"),
+            }
+        }
+        let untouched = SmallRng::seed_from_u64(10).gen::<u64>();
+        assert_eq!(rng.gen::<u64>(), untouched, "a refused trial consumed randomness");
+        // Just above the threshold the walk still runs and ends.
+        let out = sample_time_to_failure(&trace, 1e-300, 1_000_000, &mut rng, 0.0).unwrap();
+        assert!(out.ttf_cycles > 0.0 && out.events >= 1);
     }
 
     #[test]

@@ -57,9 +57,8 @@
 //! One vocabulary for any number of rates, emitted from the main-thread
 //! fold only when an observer is attached: an `mc.chunk` event per
 //! (point, chunk) with `seq = point·n_chunks + chunk` (so a one-rate run
-//! keys its events by chunk index), the stages named by the sampler
-//! (`sweep_shared` + `sweep_point` for the batched sampler, `mc_run` for
-//! the event loop), and the `mc.*` counters and gauge.
+//! keys its events by chunk index), the `sweep_shared` and `sweep_point`
+//! stages, and the `mc.*` counters and gauge.
 
 use std::time::Instant;
 
@@ -67,7 +66,6 @@ use serr_obs::Event;
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate, SerrError};
 
-use crate::config::SamplerKind;
 use crate::engine::{
     estimate_from_cycle_stats, never_vulnerable, zero_rate, MonteCarlo, MttfEstimate, TRIAL_CHUNK,
 };
@@ -79,10 +77,9 @@ impl MonteCarlo {
     ///
     /// Each returned entry is bit-identical to
     /// [`MonteCarlo::component_mttf`] at that rate with the same
-    /// configuration. A rate that fails on its own — a zero rate, a trial
-    /// over the event loop's per-trial event cap, a mean time to failure
-    /// that overflows — yields a per-point `Err` without disturbing its
-    /// neighbors.
+    /// configuration. A rate that fails on its own — a zero rate, a mean
+    /// time to failure that overflows — yields a per-point `Err` without
+    /// disturbing its neighbors.
     ///
     /// # Errors
     ///
@@ -143,56 +140,42 @@ impl MonteCarlo {
         let lambdas: Vec<f64> = valid.iter().map(|&(_, lambda)| lambda).collect();
         let t_run = Instant::now();
         let run = self.run_rates(c, &lambdas, |_| ())?;
-        let sampler = self.config.sampler;
         let n_chunks = self.config.trials.div_ceil(TRIAL_CHUNK);
 
         // The run merged each point's chunks in ascending chunk order: the
         // same reduction order for any thread count and any rate list. The
         // convergence snapshots it recorded are emitted here, point-major,
         // keyed by (point, chunk).
-        let (mut trials, mut events) = (0u64, 0u64);
+        let mut trials = 0u64;
         for (&(i, _), point) in valid.iter().zip(run.points) {
-            out[i] = point.stats.and_then(|stats| {
-                if let Some(obs) = &self.obs {
-                    for (chunk, s) in point.snapshots {
-                        obs.emit(
-                            Event::new("mc.chunk", i as u64 * n_chunks + chunk)
-                                .with("point", i)
-                                .with("chunk", chunk)
-                                .with("n", s.count())
-                                .with("mean_s", s.mean() / hz)
-                                .with("ci95_s", s.ci95_half_width() / hz),
-                        );
-                    }
+            if let Some(obs) = &self.obs {
+                for (chunk, s) in point.snapshots {
+                    obs.emit(
+                        Event::new("mc.chunk", i as u64 * n_chunks + chunk)
+                            .with("point", i)
+                            .with("chunk", chunk)
+                            .with("n", s.count())
+                            .with("mean_s", s.mean() / hz)
+                            .with("ci95_s", s.ci95_half_width() / hz),
+                    );
                 }
-                trials += stats.count();
-                events += point.events;
-                estimate_from_cycle_stats(&stats, hz, point.events, run.truncated, sampler)
-            });
+            }
+            trials += point.stats.count();
+            out[i] = estimate_from_cycle_stats(&point.stats, hz, run.truncated);
         }
 
         if let Some(obs) = &self.obs {
             let secs = t_run.elapsed().as_secs_f64();
-            match sampler {
-                SamplerKind::BatchedInversion => {
-                    obs.record_stage("sweep_shared", run.shared_ms);
-                    obs.record_stage("sweep_point", run.point_ms);
-                }
-                SamplerKind::EventLoop => obs.record_stage("mc_run", secs * 1e3),
-            }
+            obs.record_stage("sweep_shared", run.shared_ms);
+            obs.record_stage("sweep_point", run.point_ms);
             let metrics = obs.metrics();
             let runs = valid.len() as u64;
             metrics.add("mc.runs", runs);
-            metrics.add(
-                match sampler {
-                    SamplerKind::EventLoop => "mc.runs_event_loop",
-                    SamplerKind::BatchedInversion => "mc.runs_batched_inversion",
-                },
-                runs,
-            );
+            metrics.add("mc.runs_batched_inversion", runs);
             metrics.add("mc.rng_chunks", run.chunks);
             metrics.add("mc.trials_completed", trials);
-            metrics.add("mc.raw_error_events", events);
+            // Each trial consumes exactly one raw-error event: the failing one.
+            metrics.add("mc.raw_error_events", trials);
             if run.truncated {
                 metrics.add("mc.truncated_runs", runs);
             }
@@ -210,12 +193,6 @@ mod tests {
     use crate::config::{MonteCarloConfig, StartPhase};
     use serr_trace::IntervalTrace;
 
-    /// A rate so low that sampled failure times overflow `f64`, yet high
-    /// enough that its per-cycle rate (3e-308 at the base frequency) and
-    /// `1/λ` stay normal, so each event-loop trial still ends in a few
-    /// events.
-    const OVERFLOWING_RATE_PER_S: f64 = 6e-299;
-
     fn rates_sweep() -> Vec<RawErrorRate> {
         (0..8).map(|i| RawErrorRate::per_year(2.0f64.powi(i) * 0.5)).collect()
     }
@@ -229,7 +206,6 @@ mod tests {
         assert_eq!(a.ttf_seconds.min.to_bits(), b.ttf_seconds.min.to_bits());
         assert_eq!(a.ttf_seconds.max.to_bits(), b.ttf_seconds.max.to_bits());
         assert_eq!(a.truncated, b.truncated);
-        assert_eq!(a.sampler, b.sampler);
     }
 
     #[test]
@@ -246,9 +222,7 @@ mod tests {
                 assert_eq!(multi.len(), rates.len());
                 for (r, m) in rates.iter().zip(&multi) {
                     let solo = mc.component_mttf(&trace, *r, Frequency::base()).unwrap();
-                    let m = m.as_ref().expect("valid point");
-                    assert_bit_identical(m, &solo);
-                    assert_eq!(m.sampler, SamplerKind::BatchedInversion);
+                    assert_bit_identical(m.as_ref().expect("valid point"), &solo);
                 }
             }
         }
@@ -295,64 +269,21 @@ mod tests {
     }
 
     #[test]
-    fn the_event_loop_runs_a_rate_list_in_one_pass() {
-        use serr_obs::Obs;
-        // The event loop walks every rate of the list inside each chunk,
-        // each from the chunk's seed: every point is bit-identical to the
-        // rate run alone, and the run reports itself once, as the event
-        // loop, in the one telemetry vocabulary.
-        let trace = IntervalTrace::busy_idle(30, 70).unwrap();
-        let rates: Vec<RawErrorRate> =
-            (0..3).map(|i| RawErrorRate::per_year(2.0 + f64::from(i))).collect();
-        let sampler = SamplerKind::EventLoop;
-        let cfg = MonteCarloConfig { trials: 2_000, sampler, ..Default::default() };
-        let mc = MonteCarlo::new(cfg);
-        let (obs, sink) = Obs::memory();
-        let multi = mc
-            .clone()
-            .with_observer(obs.clone())
-            .component_mttf_multi(&trace, &rates, Frequency::base())
-            .unwrap();
-        for (r, m) in rates.iter().zip(&multi) {
-            let solo = mc.component_mttf(&trace, *r, Frequency::base()).unwrap();
-            assert_bit_identical(m.as_ref().unwrap(), &solo);
-            assert_eq!(m.as_ref().unwrap().sampler, sampler);
-        }
-        let snap = obs.metrics().snapshot();
-        assert_eq!(snap.counters["mc.runs"], 3);
-        assert_eq!(snap.counters["mc.runs_event_loop"], 3);
-        assert_eq!(snap.counters["mc.rng_chunks"], 2);
-        assert_eq!(snap.counters["mc.trials_completed"], 6_000);
-        assert_eq!(snap.histograms["stage.mc_run_ms"].count(), 1);
-        assert_eq!(snap.histograms["stage.trace_compile_ms"].count(), 1);
-        assert!(!snap.histograms.contains_key("stage.sweep_shared_ms"));
-        assert!(!snap.histograms.contains_key("stage.sweep_point_ms"));
-        let seqs: Vec<u64> = sink.events_of("mc.chunk").iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5], "seq = point * 2 chunks + chunk");
-    }
-
-    #[test]
-    fn an_event_loop_point_that_overflows_fails_alone() {
-        // Two low rates of a mixed event-loop list fail: at the first,
-        // sampled failure times pass f64's range, so its mean overflows; at
-        // the second, the per-cycle rate's reciprocal overflows, so no trial
-        // could end before `max_events`. Each fails at once and alone, and
-        // every other point is bit-identical to its one-rate run, at 1 and
-        // 8 threads.
+    fn an_overflowing_point_fails_alone() {
+        // Two low rates of a list fail: at the first (3e-308 per cycle at
+        // the base frequency) sampled failure times pass f64's range, so
+        // its mean overflows; at the second the per-cycle rate is
+        // subnormal. Each fails alone with a typed error, and every other
+        // point is bit-identical to its one-rate run, at 1 and 8 threads.
         let trace = IntervalTrace::busy_idle(30, 70).unwrap();
         let rates = vec![
             RawErrorRate::per_year(2.0),
-            RawErrorRate::per_second(OVERFLOWING_RATE_PER_S),
+            RawErrorRate::per_second(6e-299),
             RawErrorRate::per_year(8.0),
             RawErrorRate::per_year(1e-300),
         ];
         for threads in [1usize, 8] {
-            let cfg = MonteCarloConfig {
-                trials: 3_000,
-                threads,
-                sampler: SamplerKind::EventLoop,
-                ..Default::default()
-            };
+            let cfg = MonteCarloConfig { trials: 3_000, threads, ..Default::default() };
             let mc = MonteCarlo::new(cfg);
             let multi = mc.component_mttf_multi(&trace, &rates, Frequency::base()).unwrap();
             for k in [1, 3] {
@@ -418,7 +349,6 @@ mod tests {
             assert_eq!(snap.histograms["stage.sweep_shared_ms"].count(), 1);
             assert_eq!(snap.histograms["stage.sweep_point_ms"].count(), 1);
             assert_eq!(snap.histograms["stage.trace_compile_ms"].count(), 1);
-            assert!(!snap.histograms.contains_key("stage.mc_run_ms"));
             let events = sink.events_of("mc.chunk");
             assert_eq!(events.len(), 4 * rates.len());
             for (k, e) in events.iter().enumerate() {

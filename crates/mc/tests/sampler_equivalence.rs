@@ -1,16 +1,19 @@
-//! Distributional equivalence of the time-to-failure samplers.
+//! Distributional equivalence of the engine's sampler and its oracles.
 //!
-//! The thinning identity (see `serr_mc::batched`) says the event-loop walk
-//! and the batched Λ-inversion passes sample the *same* distribution,
-//! `P(TTF > t) = exp(−λ·[V(φ+t) − V(φ)])` — not merely the same mean. This
-//! suite pins that with two-sample Kolmogorov–Smirnov tests across the
-//! regimes the paper's sweeps visit (λL from 1e-9 to 2000, binary and
-//! fractional masking, workload-start and stationary phases), anchors both
-//! against the naive cycle-stepping reference, property-tests the batched
-//! sampler against the renewal closed form on random traces,
-//! checks the batched sampler on a tile-level compile against the event
-//! loop on the raw concatenation, and pins the batched sampler's
-//! bit-identity across thread counts (its versioned counter-RNG schedule).
+//! The thinning identity (see `serr_mc::batched`) says the paper's
+//! event-loop walk and the engine's batched Λ-inversion passes sample the
+//! *same* distribution, `P(TTF > t) = exp(−λ·[V(φ+t) − V(φ)])` — not merely
+//! the same mean. The walk is not an engine path: this suite calls the
+//! oracle, `serr_mc::sampler::sample_time_to_failure`, directly on the
+//! source trace, and pins the identity with two-sample Kolmogorov–Smirnov
+//! tests across the regimes the paper's sweeps visit (λL from 1e-9 to
+//! 2000, binary and fractional masking, workload-start and stationary
+//! phases). It anchors both against the naive cycle-stepping reference,
+//! property-tests the batched sampler against the renewal closed form on
+//! random traces, checks the batched sampler on a tile-level compile
+//! against the walk on the raw concatenation, and pins the batched
+//! sampler's bit-identity across thread counts (its versioned counter-RNG
+//! schedule).
 //!
 //! Thresholds are 1.5× the α = 0.01 two-sample critical value: by the
 //! Kolmogorov tail bound `P(D > c·√((n+m)/nm)) ≈ 2·exp(−2c²)` that puts a
@@ -25,17 +28,16 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serr_mc::naive::sample_time_to_failure_naive;
 use serr_mc::sampler::sample_time_to_failure;
-use serr_mc::{MonteCarlo, MonteCarloConfig, SamplerKind, StartPhase};
+use serr_mc::{MonteCarlo, MonteCarloConfig, StartPhase};
 use serr_numeric::ecdf::{ks_two_sample_critical_value, Ecdf};
 use serr_trace::{CompiledTrace, ConcatTrace, IntervalTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate};
 
 /// Draws `n` TTF samples (seconds) through the engine's chunked trial loop
-/// with the given sampler, at the raw rate that makes `λ·L = lambda_l`.
+/// at the raw rate that makes `λ·L = lambda_l`.
 fn engine_samples(
     trace: &dyn VulnerabilityTrace,
     lambda_l: f64,
-    sampler: SamplerKind,
     start_phase: StartPhase,
     n: u64,
     seed: u64,
@@ -43,21 +45,45 @@ fn engine_samples(
     let freq = Frequency::base();
     let period_s = trace.period_cycles() as f64 / freq.hz();
     let rate = RawErrorRate::per_second(lambda_l / period_s);
-    let mc = MonteCarlo::new(MonteCarloConfig {
-        trials: n,
-        seed,
-        sampler,
-        start_phase,
-        ..Default::default()
-    });
+    let mc =
+        MonteCarlo::new(MonteCarloConfig { trials: n, seed, start_phase, ..Default::default() });
     mc.sample_ttfs(trace, rate, freq, n).expect("sampling succeeds")
+}
+
+/// Draws `n` TTF samples (seconds) from the event-loop oracle walking
+/// `trace` itself, at the same `λ·L = lambda_l`: one `SmallRng` seeded
+/// from `seed`, with a stationary start's phase drawn from it before each
+/// trial.
+fn oracle_samples(
+    trace: &dyn VulnerabilityTrace,
+    lambda_l: f64,
+    start_phase: StartPhase,
+    n: usize,
+    seed: u64,
+) -> Vec<f64> {
+    let period = trace.period_cycles() as f64;
+    let lambda_cycle = lambda_l / period;
+    let hz = Frequency::base().hz();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let phase = match start_phase {
+                StartPhase::WorkloadStart => 0.0,
+                StartPhase::Stationary => rng.gen_range(0.0..period),
+            };
+            sample_time_to_failure(trace, lambda_cycle, 100_000_000, &mut rng, phase)
+                .expect("event loop terminates")
+                .ttf_cycles
+                / hz
+        })
+        .collect()
 }
 
 #[test]
 fn batched_inversion_matches_event_loop_across_the_design_grid() {
     // The batched sampler draws from its own versioned counter-RNG stream
     // (`serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION`) and the event loop
-    // from a per-chunk `SmallRng`, so the pin is distributional.
+    // from a `SmallRng`, so the pin is distributional.
     let binary = IntervalTrace::busy_idle(30, 70).expect("valid trace");
     let fractional =
         IntervalTrace::from_levels(&[1.0, 0.25, 0.0, 0.5, 0.0, 0.75, 0.0, 0.0]).expect("valid");
@@ -66,22 +92,8 @@ fn batched_inversion_matches_event_loop_across_the_design_grid() {
     for (tname, trace) in [("binary", &binary), ("fractional", &fractional)] {
         for lambda_l in [1e-9, 1.0, 2000.0] {
             for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
-                let batched = engine_samples(
-                    trace,
-                    lambda_l,
-                    SamplerKind::BatchedInversion,
-                    start,
-                    n as u64,
-                    0xD00D_0005,
-                );
-                let ev = engine_samples(
-                    trace,
-                    lambda_l,
-                    SamplerKind::EventLoop,
-                    start,
-                    n as u64,
-                    0xB0B0_0002,
-                );
+                let batched = engine_samples(trace, lambda_l, start, n as u64, 0xD00D_0005);
+                let ev = oracle_samples(trace, lambda_l, start, n, 0xB0B0_0002);
                 let d = Ecdf::new(batched)
                     .expect("no NaN")
                     .ks_two_sample(&Ecdf::new(ev).expect("no NaN"));
@@ -119,16 +131,8 @@ fn samplers_are_ks_equivalent_on_protection_transformed_traces() {
     let crit = 1.5 * ks_two_sample_critical_value(n, n, 0.01);
     for lambda_l in [1e-6, 1.0, 500.0] {
         for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
-            let ev =
-                engine_samples(&trace, lambda_l, SamplerKind::EventLoop, start, n as u64, 0x7E01);
-            let batched = engine_samples(
-                &trace,
-                lambda_l,
-                SamplerKind::BatchedInversion,
-                start,
-                n as u64,
-                0x7E03,
-            );
+            let ev = oracle_samples(&trace, lambda_l, start, n, 0x7E01);
+            let batched = engine_samples(&trace, lambda_l, start, n as u64, 0x7E03);
             let d =
                 Ecdf::new(batched).expect("no NaN").ks_two_sample(&Ecdf::new(ev).expect("no NaN"));
             assert!(
@@ -152,34 +156,12 @@ fn batched_inversion_on_a_tiled_compile_matches_the_event_loop_on_the_raw_concat
     let b: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(30, 70).expect("valid"));
     let concat = ConcatTrace::new(vec![(a, 1_200_000), (b, 100_000)]).expect("valid tiling");
     assert!(CompiledTrace::compile(&concat).is_some_and(|c| c.is_tiled()));
-    let freq = Frequency::base();
-    let period = concat.period_cycles() as f64;
     let n = 20_000usize;
     let crit = 1.5 * ks_two_sample_critical_value(n, n, 0.01);
     for lambda_l in [1e-9, 1.0, 2000.0] {
         for start in [StartPhase::WorkloadStart, StartPhase::Stationary] {
-            let batched = engine_samples(
-                &concat,
-                lambda_l,
-                SamplerKind::BatchedInversion,
-                start,
-                n as u64,
-                0x711E_0001,
-            );
-            let lambda_cycle = lambda_l / period;
-            let mut rng = SmallRng::seed_from_u64(0x711E_0002);
-            let walked: Vec<f64> = (0..n)
-                .map(|_| {
-                    let phase = match start {
-                        StartPhase::WorkloadStart => 0.0,
-                        StartPhase::Stationary => rng.gen_range(0.0..period),
-                    };
-                    sample_time_to_failure(&concat, lambda_cycle, 100_000_000, &mut rng, phase)
-                        .expect("event loop terminates")
-                        .ttf_cycles
-                        / freq.hz()
-                })
-                .collect();
+            let batched = engine_samples(&concat, lambda_l, start, n as u64, 0x711E_0001);
+            let walked = oracle_samples(&concat, lambda_l, start, n, 0x711E_0002);
             let d = Ecdf::new(batched)
                 .expect("no NaN")
                 .ks_two_sample(&Ecdf::new(walked).expect("no NaN"));
@@ -209,7 +191,6 @@ fn batched_inversion_is_bit_identical_across_thread_counts() {
                 trials: 10_000,
                 seed: 0x5EED_0006,
                 threads,
-                sampler: SamplerKind::BatchedInversion,
                 start_phase: start,
                 ..Default::default()
             });
@@ -244,11 +225,13 @@ fn both_samplers_match_the_naive_reference_at_moderate_rate() {
         .collect();
     let naive_ecdf = Ecdf::new(naive).expect("no NaN");
     let crit = 1.5 * ks_two_sample_critical_value(n, n, 0.01) + 2.0 * lambda_cycle;
-    for sampler in [SamplerKind::BatchedInversion, SamplerKind::EventLoop] {
-        let s =
-            engine_samples(&trace, 1.0, sampler, StartPhase::WorkloadStart, n as u64, 0xCAFE_0004);
+    let start = StartPhase::WorkloadStart;
+    for (name, s) in [
+        ("batched", engine_samples(&trace, 1.0, start, n as u64, 0xCAFE_0004)),
+        ("event loop", oracle_samples(&trace, 1.0, start, n, 0xCAFE_0004)),
+    ] {
         let d = naive_ecdf.ks_two_sample(&Ecdf::new(s).expect("no NaN"));
-        assert!(d < crit, "{sampler:?} vs naive: KS {d:.5} ≥ {crit:.5}");
+        assert!(d < crit, "{name} vs naive: KS {d:.5} ≥ {crit:.5}");
     }
 }
 
@@ -267,13 +250,9 @@ proptest! {
         let mc = MonteCarlo::new(MonteCarloConfig {
             trials: 30_000,
             threads: 1,
-            sampler: SamplerKind::BatchedInversion,
             ..Default::default()
         });
         let est = mc.component_mttf(&trace, rate, freq).unwrap();
-        prop_assert_eq!(est.sampler, SamplerKind::BatchedInversion);
-        // One Exp(1) draw per trial, no event walk — the O(1) contract.
-        prop_assert_eq!(est.mean_events_per_trial, 1.0);
         let exact = serr_analytic::renewal::renewal_mttf(&trace, rate, freq).unwrap();
         let err = (est.mttf.as_secs() - exact.as_secs()).abs() / exact.as_secs();
         let budget = 4.0 * est.relative_ci95() + 1e-3;
@@ -296,9 +275,8 @@ proptest! {
         let lambda_l = 10f64.powf(lambda_l_exp);
         let start = if stationary { StartPhase::Stationary } else { StartPhase::WorkloadStart };
         let n = 8_000usize;
-        let batched =
-            engine_samples(&trace, lambda_l, SamplerKind::BatchedInversion, start, n as u64, 0x11);
-        let ev = engine_samples(&trace, lambda_l, SamplerKind::EventLoop, start, n as u64, 0x22);
+        let batched = engine_samples(&trace, lambda_l, start, n as u64, 0x11);
+        let ev = oracle_samples(&trace, lambda_l, start, n, 0x22);
         let d = Ecdf::new(batched).unwrap().ks_two_sample(&Ecdf::new(ev).unwrap());
         let crit = 1.5 * ks_two_sample_critical_value(n, n, 0.01);
         prop_assert!(d < crit, "λL={lambda_l:.3} {start:?}: KS {d:.5} ≥ {crit:.5}");

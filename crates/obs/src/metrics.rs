@@ -254,11 +254,11 @@ mod tests {
         m.add("mc.chunks", 3);
         m.add("mc.chunks", 4);
         m.set_gauge("mc.samples_per_sec", 123.5);
-        m.observe("stage.mc_run_ms", 8.0);
+        m.observe("stage.sweep_point_ms", 8.0);
         let snap = m.snapshot();
         assert_eq!(snap.counters["mc.chunks"], 7);
         assert_eq!(snap.gauges["mc.samples_per_sec"], 123.5);
-        assert_eq!(snap.histograms["stage.mc_run_ms"].count(), 1);
+        assert_eq!(snap.histograms["stage.sweep_point_ms"].count(), 1);
         let jsonl = snap.to_jsonl();
         assert!(jsonl.contains("{\"metric\":\"mc.chunks\",\"type\":\"counter\",\"value\":7}"));
         assert!(jsonl.contains("\"type\":\"gauge\",\"value\":123.5"));

@@ -227,10 +227,6 @@ impl ServeConfig {
     /// `SERR_THREADS` honored exactly like the batch commands.
     #[must_use]
     pub fn new(bind: Bind) -> ServeConfig {
-        let mc_threads = std::env::var("SERR_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
         ServeConfig {
             bind,
             workers: 2,
@@ -239,7 +235,7 @@ impl ServeConfig {
             journal_dir: None,
             chaos: None,
             experiment: ExperimentConfig::cli(),
-            mc_threads,
+            mc_threads: serr_core::par::serr_threads(),
             obs: Obs::disabled(),
         }
     }
@@ -1107,7 +1103,7 @@ fn point(mc: &MttfEstimate, mttf_step_s: f64, avf: f64, provenance: Provenance) 
         mttf_step_s,
         avf,
         provenance: provenance.label().to_owned(),
-        sampler: mc.sampler.label().to_owned(),
+        sampler: SamplerKind::BatchedInversion.label().to_owned(),
         trials_done: mc.ttf_seconds.count,
         truncated: mc.truncated,
         resumed: false,

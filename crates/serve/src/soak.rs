@@ -75,7 +75,7 @@ pub(crate) fn direct_estimate(body: &RequestBody, threads: usize) -> Estimate {
         mttf_step_s,
         avf,
         provenance: provenance.label().to_owned(),
-        sampler: mc_est.sampler.label().to_owned(),
+        sampler: sampler.label().to_owned(),
         trials_done: mc_est.ttf_seconds.count,
         truncated: mc_est.truncated,
         resumed: false,

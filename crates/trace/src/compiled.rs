@@ -28,10 +28,10 @@ const TILE_BUCKETS_PER_SEGMENT: u64 = 1;
 /// Every other representation in this crate optimizes for *construction*
 /// (simulator output, day-scale synthesis, composition) and answers point
 /// queries in `O(log n)` through at least one virtual call. The Monte Carlo
-/// sampler, by contrast, issues one `vulnerability_at` per raw-error event —
-/// hundreds of millions of times per sweep — so [`CompiledTrace`] lowers any
-/// [`VulnerabilityTrace`] into a query-optimized form once per run. There are
-/// two layouts, chosen once at compile time:
+/// sampler, by contrast, issues a cumulative and an inverse lookup per trial
+/// — hundreds of millions of times per sweep — so [`CompiledTrace`] lowers
+/// any [`VulnerabilityTrace`] into a query-optimized form once per run.
+/// There are two layouts, chosen once at compile time:
 ///
 /// **Flat** — every trace whose span count fits
 /// [`CompiledTrace::MAX_SEGMENTS`]:
@@ -55,7 +55,8 @@ const TILE_BUCKETS_PER_SEGMENT: u64 = 1;
 ///   inversion sampler, which turns an `Exp(1)` draw into a failing cycle —
 ///   is also `O(1)` amortized;
 /// * a precomputed [`is_binary`](VulnerabilityTrace::is_binary) flag that
-///   lets the sampler skip the Bernoulli masking draw for 0/1 traces.
+///   lets the per-event walk (`serr_mc::sampler`, a test oracle) skip the
+///   Bernoulli masking draw for 0/1 traces.
 ///
 /// The bucket table is capped at [`CompiledTrace::MAX_BUCKETS`] entries
 /// (a few MiB) so day/week-scale periods (10¹⁴ cycles) stay cheap to index;
@@ -460,11 +461,11 @@ impl CompiledTrace {
 
     /// Fault injection: adds `delta_frac` of the total vulnerability mass to
     /// one prefix-sum entry (chosen by `selector`) — of the dominant part's
-    /// inner table, for a tiled trace. The event-loop sampler never reads
-    /// the prefix table, so to it this corruption is invisible; the
-    /// inversion sampler reads prefix sums on *every* trial
+    /// inner table, for a tiled trace. Point queries never read the prefix
+    /// table, so to them this corruption is invisible; the inversion
+    /// sampler reads prefix sums on *every* trial
     /// ([`CompiledTrace::phase_at_cumulative`]), so a perturbed entry skews
-    /// the sampled failure phases directly. Either way the corruption must
+    /// the sampled failure phases directly. The corruption must therefore
     /// be caught *before* estimation by [`CompiledTrace::verify`]'s
     /// recomputation — which is why a cache hit or a chaos campaign
     /// re-verifies a compiled trace before estimating with it. The
@@ -1832,7 +1833,7 @@ mod tests {
             let mut c = CompiledTrace::compile(&src).unwrap();
             c.chaos_perturb_prefix(selector, 0.05);
             assert!(c.verify().is_err(), "prefix perturbation {selector} went undetected");
-            // Point queries (the event-loop sampler's only reads) still
+            // Point queries (the event-walk oracle's only reads) still
             // agree with the source — the corruption only reaches estimates
             // through the inversion sampler's prefix lookups, which is why
             // this fault *must* be caught structurally before estimation.

@@ -90,10 +90,10 @@ cargo run --release --bin serr -- chaos --campaigns 30 --seed 7 --trials 3000
 # groups at N×S ≈ 3e6, 1e10 and 1e12, one per side of the mass transform's
 # Taylor/general tier split; `sim`, `refs`, `mc_kernel` and `finish_tiers`
 # are recorded with no gate) and asserts three perf contracts — the
-# batched inversion sampler stays >=50x faster than the event-loop walk on
-# the low-AVF duel, the no-protection transform path adds <=5% to trace
-# compilation (raw and identity compiles timed interleaved over 400
-# rounds), and the shared-stream sweep kernel stays >=3x faster than
+# batched inversion sampler stays >=50x faster than the event-loop oracle
+# (`sample_time_to_failure`, called directly) on the low-AVF duel, the
+# no-protection transform path adds <=5% to trace compilation (raw and
+# identity compiles timed interleaved over 400 rounds), and the shared-stream sweep kernel stays >=3x faster than
 # independent per-point runs while staying bit-identical to them at 1 and
 # 8 threads — the binary aborts if any contract regresses.
 cargo run --release -p serr-bench --bin bench_smoke -- target/bench-smoke.json
@@ -135,9 +135,8 @@ done
 
 # Extreme-rate smoke: at a rate so high that SoftArch's discrete MTTF
 # rounds to zero, a cluster so large that the system rate does, and a rate
-# so low that the Monte Carlo mean overflows — under the event loop too,
-# whose per-cycle rate's reciprocal then overflows — `serr` must stop at
-# once with a typed error: a nonzero exit, an `error:` line, and no panic.
+# so low that the Monte Carlo mean overflows, `serr` must stop at once with
+# a typed error: a nonzero exit, an `error:` line, and no panic.
 extreme_rate_smoke() {
   local out
   if out=$(cargo run -q --release --bin serr -- "$@" 2>&1); then
@@ -152,11 +151,10 @@ extreme_rate_smoke() {
 extreme_rate_smoke mttf --workload day --rate 1e300
 extreme_rate_smoke sofr --workload day --rate 1e10 -c 18446744073709551615
 extreme_rate_smoke mttf --workload day --rate 1e-300
-extreme_rate_smoke mttf --workload day --rate 1e-300 --sampler event-loop
 
 # Tiled-trace smoke: the paper's `combined` workload (two SPEC traces looped
 # twelve hours each, ~10^14 spans) compiles to CompiledTrace's tile level,
-# so its Monte Carlo must run the batched sampler, never the event loop.
+# so its Monte Carlo must run and report the batched-inversion sampler.
 # The output is captured first so an early-exiting grep cannot SIGPIPE serr.
 COMBINED_OUT=$(cargo run --release --bin serr -- \
   mttf --workload combined --n-s 1e10 --trials 2000)

@@ -38,8 +38,6 @@ pub enum Command {
         rate_per_year: f64,
         /// Monte Carlo trials.
         trials: u64,
-        /// Which time-to-failure sampler the Monte Carlo engine runs.
-        sampler: SamplerKind,
         /// Wall-clock budget for the Monte Carlo run, in seconds.
         deadline_s: Option<f64>,
         /// Protection transforms applied to the trace before estimation.
@@ -58,8 +56,6 @@ pub enum Command {
         components: u64,
         /// Monte Carlo trials.
         trials: u64,
-        /// Which time-to-failure sampler the Monte Carlo engine runs.
-        sampler: SamplerKind,
         /// Wall-clock budget for the Monte Carlo run, in seconds.
         deadline_s: Option<f64>,
         /// Protection transforms applied to each component's trace.
@@ -96,8 +92,6 @@ pub enum Command {
         seed: u64,
         /// Monte Carlo trials per estimate.
         trials: u64,
-        /// Which sampler the estimator campaigns run.
-        sampler: SamplerKind,
         /// Restrict campaigns to these fault kinds (`None` = all ten).
         kinds: Option<Vec<FaultKind>>,
         /// Write one JSON line per campaign outcome to this path.
@@ -190,6 +184,7 @@ impl Command {
                 if let Some(t) = trials {
                     config.mc.trials = t;
                 }
+                config.mc.threads = serr_core::par::serr_threads();
                 Ok(Command::Sweep { figure, config, fresh, metrics })
             }
             "store" => match it.next() {
@@ -214,7 +209,6 @@ impl Command {
                 let mut campaigns = defaults.campaigns;
                 let mut seed = defaults.seed;
                 let mut trials = defaults.trials;
-                let mut sampler = defaults.sampler;
                 let mut kinds: Option<Vec<FaultKind>> = None;
                 let mut jsonl: Option<std::path::PathBuf> = None;
                 while let Some(flag) = it.next() {
@@ -233,7 +227,6 @@ impl Command {
                         }
                         "--seed" => seed = parse_seed(&value("--seed")?)?,
                         "--trials" => trials = parse_count("--trials", &value("--trials")?)?,
-                        "--sampler" => sampler = SamplerKind::parse(&value("--sampler")?)?,
                         "--kinds" => kinds = Some(parse_kinds(&value("--kinds")?)?),
                         "--jsonl" => {
                             jsonl = Some(std::path::PathBuf::from(value("--jsonl")?));
@@ -245,14 +238,13 @@ impl Command {
                         }
                     }
                 }
-                Ok(Command::Chaos { campaigns, seed, trials, sampler, kinds, jsonl })
+                Ok(Command::Chaos { campaigns, seed, trials, kinds, jsonl })
             }
             "mttf" | "sofr" => {
                 let mut workload: Option<WorkloadSpec> = None;
                 let mut rate: Option<f64> = None;
                 let mut components: u64 = 1;
                 let mut trials: u64 = 100_000;
-                let mut sampler = SamplerKind::default();
                 let mut deadline_s: Option<f64> = None;
                 let mut protect = ProtectionSpec::none();
                 let mut metrics: Option<std::path::PathBuf> = None;
@@ -278,9 +270,6 @@ impl Command {
                         }
                         "--trials" => {
                             trials = parse_count("--trials", &value("--trials")?)?;
-                        }
-                        "--sampler" => {
-                            sampler = SamplerKind::parse(&value("--sampler")?)?;
                         }
                         "--deadline" => {
                             deadline_s =
@@ -309,7 +298,6 @@ impl Command {
                         workload,
                         rate_per_year,
                         trials,
-                        sampler,
                         deadline_s,
                         protect,
                         metrics,
@@ -320,7 +308,6 @@ impl Command {
                         rate_per_year,
                         components,
                         trials,
-                        sampler,
                         deadline_s,
                         protect,
                         metrics,
@@ -369,7 +356,6 @@ impl Command {
                 let mut rates: Option<Vec<f64>> = None;
                 let mut components: u64 = 1;
                 let mut trials: u64 = 100_000;
-                let mut sampler = SamplerKind::default();
                 let mut deadline_ms: Option<u64> = None;
                 let mut id: u64 = 0;
                 while let Some(flag) = it.next() {
@@ -403,7 +389,6 @@ impl Command {
                             components = parse_count("-c", &value("-c")?)?;
                         }
                         "--trials" => trials = parse_count("--trials", &value("--trials")?)?,
-                        "--sampler" => sampler = SamplerKind::parse(&value("--sampler")?)?,
                         "--deadline-ms" => {
                             deadline_ms =
                                 Some(parse_count("--deadline-ms", &value("--deadline-ms")?)?);
@@ -434,9 +419,14 @@ impl Command {
                             rate_per_year,
                             components,
                             trials,
-                            sampler,
+                            sampler: SamplerKind::default(),
                         },
-                        None => RequestBody::Mttf { workload, rate_per_year, trials, sampler },
+                        None => RequestBody::Mttf {
+                            workload,
+                            rate_per_year,
+                            trials,
+                            sampler: SamplerKind::default(),
+                        },
                     })
                 };
                 let body = match cmd.as_deref() {
@@ -451,7 +441,12 @@ impl Command {
                                 "--rates <r1,r2,...> (errors/year) is required for --cmd sweep",
                             )
                         })?;
-                        RequestBody::Sweep { workload, rates_per_year, trials, sampler }
+                        RequestBody::Sweep {
+                            workload,
+                            rates_per_year,
+                            trials,
+                            sampler: SamplerKind::default(),
+                        }
                     }
                     Some("stats") => RequestBody::Stats,
                     Some("shutdown") => RequestBody::Shutdown,
@@ -550,13 +545,13 @@ pub const USAGE: &str = "\
 serr — architecture-level soft error analysis (DSN 2007 reproduction)
 
 USAGE:
-  serr mttf --workload <W> (--rate <errors/year> | --n-s <N*S>) [--trials N] [--sampler batched-inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
-  serr sofr --workload <W> (--rate <errors/year> | --n-s <N*S>) -c <count> [--trials N] [--sampler batched-inversion|event-loop] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
+  serr mttf --workload <W> (--rate <errors/year> | --n-s <N*S>) [--trials N] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
+  serr sofr --workload <W> (--rate <errors/year> | --n-s <N*S>) -c <count> [--trials N] [--deadline <secs>] [--protect SPEC] [--metrics PATH]
   serr sweep <PAGE> [--quick | --paper] [--fresh | --resume] [--trials N] [--metrics PATH]
   serr store inspect <FILE>
-  serr chaos [--campaigns N] [--seed S] [--trials N] [--sampler batched-inversion|event-loop] [--kinds k1,k2,...] [--jsonl PATH]
+  serr chaos [--campaigns N] [--seed S] [--trials N] [--kinds k1,k2,...] [--jsonl PATH]
   serr serve --bind <unix:PATH|tcp:ADDR> [--workers N] [--queue N] [--journal-dir DIR]
-  serr request --connect <unix:PATH|tcp:ADDR> --cmd <mttf|sofr|sweep|stats|shutdown> [-w <W>] [--rate R | --n-s P | --rates R1,R2,...] [-c N] [--trials N] [--sampler S] [--deadline-ms N] [--id N]
+  serr request --connect <unix:PATH|tcp:ADDR> --cmd <mttf|sofr|sweep|stats|shutdown> [-w <W>] [--rate R | --n-s P | --rates R1,R2,...] [-c N] [--trials N] [--deadline-ms N] [--id N]
   serr workloads
   serr help
 
@@ -568,13 +563,6 @@ PAGES <PAGE> (`serr sweep <PAGE>` prints results/<PAGE>.txt):
   ablation_phase | ablation_trials | ablation_masking | ablation_uarch
 
 FLAGS:
-  --sampler <S>      time-to-failure sampler for the Monte Carlo trials:
-                     `batched-inversion` (default) inverts the cumulative-
-                     vulnerability function over whole trial chunks at once —
-                     counter-based RNG, structure-of-arrays buffers, branchless
-                     array passes; `event-loop` replays the classic
-                     per-error walk — same distribution, slowest, the
-                     assumption-free cross-check
   --deadline <secs>  wall-clock budget for the Monte Carlo run; on expiry the
                      estimate is returned from the trials completed so far,
                      marked truncated, with a correspondingly wider CI
@@ -642,13 +630,13 @@ FLAGS:
                      sequence keys are identical at any SERR_THREADS
 
 ENVIRONMENT:
-  SERR_THREADS       Monte Carlo worker threads for mttf/sofr (0 or unset =
-                     all cores); estimates are bit-identical at any setting
+  SERR_THREADS       worker threads for mttf, sofr, sweep and serve (0 or
+                     unset = all cores); estimates are bit-identical at any
+                     setting
 
 EXAMPLES:
   serr mttf --workload day --n-s 1e8
   serr mttf --workload spec:mcf --rate 1e-4 --deadline 10
-  serr mttf --workload day --n-s 1e8 --sampler event-loop
   serr mttf --workload day --n-s 1e8 --metrics out.jsonl
   serr mttf --workload day --n-s 1e8 --protect ecc:64,scrub:1e6
   serr sofr --workload week --n-s 1e8 -c 5000
@@ -723,20 +711,13 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             }
             Ok(())
         }
-        Command::Mttf {
-            workload,
-            rate_per_year,
-            trials,
-            sampler,
-            deadline_s,
-            protect,
-            metrics,
-        } => {
+        Command::Mttf { workload, rate_per_year, trials, deadline_s, protect, metrics } => {
             let obs = metrics_obs(metrics.as_deref())?;
             let trace = protect.apply(workload.trace_with(&cfg, obs.as_ref())?)?;
             let rate = RawErrorRate::try_per_year(*rate_per_year)?;
             let freq = cfg.frequency;
-            let mut v = Validator::new(freq, mc_config(*trials, *sampler, *deadline_s));
+            let mc = mc_config(*trials, *deadline_s);
+            let mut v = Validator::new(freq, mc);
             if let Some(obs) = &obs {
                 v = v.with_observer(obs.clone());
             }
@@ -754,7 +735,7 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
                 "MTTF, MonteCarlo: {} (±{:.2}% at 95%, {} sampler)",
                 r.mttf_mc.mttf.as_seconds(),
                 r.mttf_mc.relative_ci95() * 100.0,
-                r.mttf_mc.sampler.label()
+                mc.sampler.label()
             );
             println!("provenance      : {}", r.provenance);
             if r.mttf_mc.truncated {
@@ -779,7 +760,6 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             rate_per_year,
             components,
             trials,
-            sampler,
             deadline_s,
             protect,
             metrics,
@@ -787,7 +767,8 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             let obs = metrics_obs(metrics.as_deref())?;
             let trace = protect.apply(workload.trace_with(&cfg, obs.as_ref())?)?;
             let rate = RawErrorRate::try_per_year(*rate_per_year)?;
-            let mut v = Validator::new(cfg.frequency, mc_config(*trials, *sampler, *deadline_s));
+            let mc = mc_config(*trials, *deadline_s);
+            let mut v = Validator::new(cfg.frequency, mc);
             if let Some(obs) = &obs {
                 v = v.with_observer(obs.clone());
             }
@@ -801,7 +782,7 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
                 "MTTF, MonteCarlo: {} (±{:.2}% at 95%, {} sampler)",
                 r.mttf_mc.mttf.as_seconds(),
                 r.mttf_mc.relative_ci95() * 100.0,
-                r.mttf_mc.sampler.label()
+                mc.sampler.label()
             );
             println!("provenance      : {}", r.provenance);
             if r.mttf_mc.truncated {
@@ -913,12 +894,11 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             }
             Ok(())
         }
-        Command::Chaos { campaigns, seed, trials, sampler, kinds, jsonl } => {
+        Command::Chaos { campaigns, seed, trials, kinds, jsonl } => {
             let ccfg = ChaosConfig {
                 campaigns: *campaigns,
                 seed: *seed,
                 trials: *trials,
-                sampler: *sampler,
                 kinds: kinds.clone().unwrap_or_else(|| FaultKind::CORE.to_vec()),
                 ..ChaosConfig::default()
             };
@@ -984,19 +964,12 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
     }
 }
 
-/// Assembles the Monte Carlo configuration for the `mttf`/`sofr` commands.
-/// `SERR_THREADS` overrides the worker-thread count (unset, empty, or `0`
-/// means all cores); estimates are bit-identical at any setting — the
-/// variable exists so that invariance can be demonstrated from the shell.
-fn mc_config(trials: u64, sampler: SamplerKind, deadline_s: Option<f64>) -> MonteCarloConfig {
-    let threads = std::env::var("SERR_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
+/// Assembles the Monte Carlo configuration for the `mttf`/`sofr` commands,
+/// on the [`serr_core::par::serr_threads`] budget.
+fn mc_config(trials: u64, deadline_s: Option<f64>) -> MonteCarloConfig {
     MonteCarloConfig {
         trials,
-        threads,
-        sampler,
+        threads: serr_core::par::serr_threads(),
         deadline: deadline_s.map(std::time::Duration::from_secs_f64),
         ..Default::default()
     }
@@ -1022,6 +995,35 @@ fn finish_metrics(obs: Option<&Obs>, path: Option<&std::path::Path>) {
 mod tests {
     use super::*;
 
+    /// `SERR_THREADS` pinned to a value (`None`: unset) for as long as
+    /// this lives, restored on drop. The environment is process-global, so
+    /// the tests whose parsed sweep configuration reads the variable take
+    /// turns through one lock.
+    struct SerrThreads {
+        saved: Option<String>,
+        _turn: std::sync::MutexGuard<'static, ()>,
+    }
+
+    fn pin_serr_threads(value: Option<&str>) -> SerrThreads {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let turn = TURN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let saved = std::env::var("SERR_THREADS").ok();
+        match value {
+            Some(v) => std::env::set_var("SERR_THREADS", v),
+            None => std::env::remove_var("SERR_THREADS"),
+        }
+        SerrThreads { saved, _turn: turn }
+    }
+
+    impl Drop for SerrThreads {
+        fn drop(&mut self) {
+            match &self.saved {
+                Some(v) => std::env::set_var("SERR_THREADS", v),
+                None => std::env::remove_var("SERR_THREADS"),
+            }
+        }
+    }
+
     #[test]
     fn workload_specs_parse() {
         assert_eq!(WorkloadSpec::parse("day").unwrap(), WorkloadSpec::Day);
@@ -1046,7 +1048,6 @@ mod tests {
                 workload: WorkloadSpec::Day,
                 rate_per_year: 1.0,
                 trials: 100_000,
-                sampler: SamplerKind::BatchedInversion,
                 deadline_s: None,
                 protect: ProtectionSpec::none(),
                 metrics: None
@@ -1064,8 +1065,6 @@ mod tests {
             "5000",
             "--deadline",
             "1.5",
-            "--sampler",
-            "event-loop",
         ])
         .unwrap();
         assert_eq!(
@@ -1075,7 +1074,6 @@ mod tests {
                 rate_per_year: 2.5,
                 components: 5000,
                 trials: 5000,
-                sampler: SamplerKind::EventLoop,
                 deadline_s: Some(1.5),
                 protect: ProtectionSpec::none(),
                 metrics: None
@@ -1086,51 +1084,30 @@ mod tests {
         assert_eq!(Command::parse(&["--help"]).unwrap(), Command::Help);
     }
 
-    /// `--sampler` parses both kinds, defaults to batched-inversion
-    /// everywhere, and rejects unknown names (the retired scalar
-    /// `inversion` label among them) with a message naming the bad value
-    /// and the two valid labels.
+    /// The engine has one sampler, so no command takes `--sampler`: the
+    /// flag is a typed error naming it, whatever its value, and the usage
+    /// text no longer offers it.
     #[test]
-    fn sampler_flag_parses_and_defaults() {
-        for (sub, tail) in [("mttf", vec![]), ("sofr", vec!["-c", "10"])] {
-            let mut base = vec![sub, "-w", "day", "--n-s", "1e8"];
-            base.extend(&tail);
-            let default = Command::parse(&base).unwrap();
-            let mut explicit = base.clone();
-            explicit.extend(["--sampler", "batched-inversion"]);
-            assert_eq!(default, Command::parse(&explicit).unwrap());
-
-            let mut flagged = base.clone();
-            flagged.extend(["--sampler", "event-loop"]);
-            let got = match Command::parse(&flagged).unwrap() {
-                Command::Mttf { sampler, .. } | Command::Sofr { sampler, .. } => sampler,
-                other => panic!("expected mttf/sofr, got {other:?}"),
-            };
-            assert_eq!(got, SamplerKind::EventLoop);
-
-            for label in ["quantum", "inversion"] {
-                let mut bad = base.clone();
-                bad.extend(["--sampler", label]);
-                match Command::parse(&bad).unwrap_err() {
+    fn retired_sampler_flag_is_a_typed_error_naming_it() {
+        for base in [
+            &["mttf", "-w", "day", "--n-s", "1e8"][..],
+            &["sofr", "-w", "day", "--n-s", "1e8", "-c", "10"],
+            &["chaos"],
+            &["request", "--connect", "unix:/s", "--cmd", "mttf", "-w", "day", "--n-s", "1e8"],
+        ] {
+            assert!(Command::parse(base).is_ok(), "{base:?}");
+            for label in ["batched-inversion", "event-loop"] {
+                let mut args = base.to_vec();
+                args.extend(["--sampler", label]);
+                match Command::parse(&args).unwrap_err() {
                     SerrError::InvalidConfig { reason } => {
-                        assert!(
-                            reason.contains(&format!("\"{label}\"")),
-                            "message `{reason}` omits the value"
-                        );
-                        assert!(
-                            reason.contains("batched-inversion") && reason.contains("event-loop"),
-                            "message `{reason}` omits the valid labels"
-                        );
+                        assert!(reason.contains("--sampler"), "{args:?}: `{reason}`");
                     }
-                    other => panic!("expected InvalidConfig, got {other:?}"),
+                    other => panic!("{args:?}: expected InvalidConfig, got {other:?}"),
                 }
             }
         }
-        match Command::parse(&["chaos", "--sampler", "event-loop"]).unwrap() {
-            Command::Chaos { sampler, .. } => assert_eq!(sampler, SamplerKind::EventLoop),
-            other => panic!("expected Chaos, got {other:?}"),
-        }
-        assert!(Command::parse(&["chaos", "--sampler", "bogus"]).is_err());
+        assert!(!USAGE.contains("--sampler"));
     }
 
     /// `--protect` parses on both estimation commands, defaults to no
@@ -1166,7 +1143,24 @@ mod tests {
     }
 
     #[test]
+    fn sweep_config_takes_the_serr_threads_budget() {
+        // `SERR_THREADS=1 serr sweep fig5` runs its Monte Carlo on one
+        // thread, like `mttf` and `sofr`; unset, it keeps all cores.
+        let threads_of = || match Command::parse(&["sweep", "fig5", "--quick"]).unwrap() {
+            Command::Sweep { config, .. } => config.mc.threads,
+            other => panic!("expected Sweep, got {other:?}"),
+        };
+        let one = pin_serr_threads(Some("1"));
+        assert_eq!(threads_of(), 1);
+        assert_eq!(mc_config(10, None).threads, 1);
+        drop(one);
+        let _unset = pin_serr_threads(None);
+        assert_eq!(threads_of(), 0);
+    }
+
+    #[test]
     fn sweep_commands_parse() {
+        let _env = pin_serr_threads(None);
         let fig5 = figures::find("fig5").unwrap();
         let full = ExperimentConfig::full();
         assert_eq!(
@@ -1445,7 +1439,6 @@ mod tests {
                 campaigns: 40,
                 seed: 0xBEEF,
                 trials: 2500,
-                sampler: SamplerKind::BatchedInversion,
                 kinds: Some(vec![FaultKind::ChunkPanic, FaultKind::RatePoison]),
                 jsonl: Some(std::path::PathBuf::from("/tmp/out.jsonl")),
             }
@@ -1453,11 +1446,10 @@ mod tests {
         // Defaults mirror ChaosConfig::default().
         let defaults = serr_core::chaos::ChaosConfig::default();
         match Command::parse(&["chaos"]).unwrap() {
-            Command::Chaos { campaigns, seed, trials, sampler, kinds, jsonl } => {
+            Command::Chaos { campaigns, seed, trials, kinds, jsonl } => {
                 assert_eq!(campaigns, defaults.campaigns);
                 assert_eq!(seed, defaults.seed);
                 assert_eq!(trials, defaults.trials);
-                assert_eq!(sampler, defaults.sampler);
                 assert_eq!(kinds, None);
                 assert_eq!(jsonl, None);
             }

@@ -3,7 +3,7 @@
 //! invariant checked on each — no campaign may return a `clean`-tagged
 //! result that deviates from the fault-free golden answer.
 
-use serr_core::prelude::{run_chaos, ChaosConfig, FaultKind, Provenance, SamplerKind};
+use serr_core::prelude::{run_chaos, ChaosConfig, FaultKind, Provenance};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("serr-chaos-invariant-{}-{tag}", std::process::id()))
@@ -100,39 +100,34 @@ fn two_hundred_campaigns_cover_every_injector_with_zero_misses() {
 }
 
 /// Prefix-table corruption attacks exactly the table the batched inversion
-/// sampler inverts on every trial through `phase_at_cumulative_batch` (the
-/// event loop never reads it — see the `FaultKind::TracePrefixPerturb`
-/// taxonomy entry). Under *every* sampler each such campaign must come
-/// back detected: the compiled-trace verifier catches the damaged table
-/// before any trial runs, and the row verdict's Monte Carlo-versus-renewal
-/// check backstops the verifier — never as a silently wrong Clean result.
+/// sampler inverts on every trial through `phase_at_cumulative_batch` (see
+/// the `FaultKind::TracePrefixPerturb` taxonomy entry). Each such campaign
+/// must come back detected: the compiled-trace verifier catches the
+/// damaged table before any trial runs, and the row verdict's Monte
+/// Carlo-versus-renewal check backstops the verifier — never as a silently
+/// wrong Clean result.
 #[test]
-fn prefix_corruption_is_detect_or_degrade_under_every_sampler() {
-    for (tag, sampler) in
-        [("batched", SamplerKind::BatchedInversion), ("ev", SamplerKind::EventLoop)]
-    {
-        let cfg = ChaosConfig {
-            campaigns: 20,
-            seed: 0x0D15_EA5E_0000_0011,
-            trials: 2_000,
-            threads: 0,
-            sampler,
-            kinds: vec![FaultKind::TracePrefixPerturb],
-            scratch_dir: Some(scratch(&format!("prefix-{tag}"))),
-            ..Default::default()
-        };
-        let report = run_chaos(&cfg).expect("chaos harness runs");
-        assert_eq!(report.outcomes.len(), 20);
-        for o in &report.outcomes {
-            assert!(!o.miss, "{tag}: campaign {} was a miss: {}", o.campaign, o.detail);
-            assert_ne!(
-                o.outcome,
-                Provenance::Clean,
-                "{tag}: campaign {} prefix corruption went unnoticed ({})",
-                o.campaign,
-                o.detail
-            );
-        }
+fn prefix_corruption_is_detect_or_degrade() {
+    let cfg = ChaosConfig {
+        campaigns: 20,
+        seed: 0x0D15_EA5E_0000_0011,
+        trials: 2_000,
+        threads: 0,
+        kinds: vec![FaultKind::TracePrefixPerturb],
+        scratch_dir: Some(scratch("prefix")),
+        ..Default::default()
+    };
+    let report = run_chaos(&cfg).expect("chaos harness runs");
+    assert_eq!(report.outcomes.len(), 20);
+    for o in &report.outcomes {
+        assert!(!o.miss, "campaign {} was a miss: {}", o.campaign, o.detail);
+        assert_ne!(
+            o.outcome,
+            Provenance::Clean,
+            "campaign {} prefix corruption went unnoticed ({})",
+            o.campaign,
+            o.detail
+        );
     }
 }
 

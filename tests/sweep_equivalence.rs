@@ -8,7 +8,7 @@
 //! the numbers:
 //!
 //! 1. every point is bit-identical to an independent
-//!    `MonteCarlo::component_mttf` run with the same seed and sampler;
+//!    `MonteCarlo::component_mttf` run with the same seed;
 //! 2. the whole sweep is bit-identical at any thread count;
 //! 3. both hold on `--protect`-transformed traces (scrub staircases,
 //!    fractional ECC levels) exactly as on raw workload traces, and on
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use serr_core::par;
 use serr_core::prelude::{Validator, VulnerabilityTrace};
-use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate, SamplerKind, StartPhase};
+use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate, StartPhase};
 use serr_trace::{
     CompiledTrace, CompositeTrace, ConcatTrace, IntervalTrace, ShiftedTrace, Transform,
     TransformPipeline,
@@ -35,7 +35,6 @@ fn engine(threads: usize, start_phase: StartPhase) -> MonteCarlo {
         trials: 8_000,
         seed: 0x5EE9_0001,
         threads,
-        sampler: SamplerKind::BatchedInversion,
         start_phase,
         ..Default::default()
     })
@@ -65,7 +64,6 @@ fn assert_estimates_bit_equal(a: &MttfEstimate, b: &MttfEstimate, what: &str) {
     assert_eq!(a.relative_ci95().to_bits(), b.relative_ci95().to_bits(), "{what}: CI drifted");
     assert_eq!(a.ttf_seconds.count, b.ttf_seconds.count, "{what}: trial count drifted");
     assert_eq!(a.truncated, b.truncated, "{what}: truncation flag drifted");
-    assert_eq!(a.sampler, b.sampler, "{what}: sampler tag drifted");
 }
 
 #[test]
@@ -147,7 +145,6 @@ fn tiled_kernel_points_match_independent_runs_at_every_thread_count() {
                 .map(|p| p.expect("point"))
                 .collect();
             for (i, (m, &r)) in multi.iter().zip(&rates).enumerate() {
-                assert_eq!(m.sampler, SamplerKind::BatchedInversion);
                 let solo = mc.component_mttf(&trace, r, freq).expect("solo run");
                 assert_estimates_bit_equal(m, &solo, &format!("{start:?} point {i} at {threads}"));
             }
@@ -176,12 +173,7 @@ fn validator_rows_from_kernel_estimates_match_independent_validation() {
     let freq = Frequency::base();
     let rates = sweep_rates();
     let trace: Arc<dyn VulnerabilityTrace> = Arc::new(protected_trace());
-    let mc = MonteCarloConfig {
-        trials: 8_000,
-        seed: 0x5EE9_0001,
-        sampler: SamplerKind::BatchedInversion,
-        ..Default::default()
-    };
+    let mc = MonteCarloConfig { trials: 8_000, seed: 0x5EE9_0001, ..Default::default() };
     let v = Validator::new(freq, mc);
     let kernel = v.monte_carlo().component_mttf_multi(&*trace, &rates, freq).expect("kernel run");
     for (i, est) in kernel.into_iter().enumerate() {
@@ -240,13 +232,7 @@ fn composite_grid_rows_are_bit_identical_across_thread_counts() {
     let freq = Frequency::base();
     let v = Validator::new(
         freq,
-        MonteCarloConfig {
-            trials: 2_000,
-            seed: 0x5EE9_0002,
-            threads: 1,
-            sampler: SamplerKind::BatchedInversion,
-            ..Default::default()
-        },
+        MonteCarloConfig { trials: 2_000, seed: 0x5EE9_0002, threads: 1, ..Default::default() },
     );
     let rows_at = |threads: usize| -> Vec<[u64; 4]> {
         // Every grid point of one benchmark shares its composite, so the

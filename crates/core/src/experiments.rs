@@ -7,20 +7,20 @@ use std::time::Instant;
 
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
-use serr_trace::{ConcatTrace, VulnerabilityTrace};
-use serr_types::{Frequency, Mttf, RawErrorRate, Seconds, SerrError};
+use serr_trace::{CompositeTrace, ConcatTrace, VulnerabilityTrace};
+use serr_types::{relative_error, Frequency, Mttf, RawErrorRate, Seconds, SerrError};
 use serr_workload::synthesized;
 
 use crate::checkpoint::{self, JournalRow, SweepOptions, SweepReport};
 use crate::design::Workload;
 use crate::jsonio::Json;
-use crate::par;
-use crate::pipeline::{processor_trace, simulate_benchmarks_with};
+use crate::pipeline::{processor_trace, simulate_benchmarks_with, BenchmarkRun};
 use crate::rates::UnitRates;
 use crate::validate::{
     component_reference_rates, system_reference_rates, ComponentValidation, Reference,
     SystemValidation, Validator,
 };
+use crate::{par, sofr};
 
 /// The three representative SPEC benchmarks used for Figure 6(a): one
 /// compute-bound integer, one memory-bound integer, and one floating-point
@@ -89,29 +89,15 @@ impl ExperimentConfig {
         ExperimentConfig { sim_instructions: 8_000_000, ..Self::full() }
     }
 
-    fn validator(&self) -> Validator {
-        Validator::new(self.frequency, self.mc)
+    /// The validator of this configuration, recording its stages on `obs`
+    /// when one is given.
+    fn validator(&self, obs: Option<&Obs>) -> Validator {
+        let v = Validator::new(self.frequency, self.mc);
+        match obs {
+            Some(o) => v.with_observer(o.clone()),
+            None => v,
+        }
     }
-}
-
-/// Picks a sweep's thread budget for `jobs` design points — `SERR_THREADS`,
-/// else every core, capped at `jobs` ([`par::fanout_threads`]) — along with
-/// the per-point configuration. When the budget is more than one thread,
-/// the per-point configuration pins its Monte Carlo to a single thread:
-/// a sweep whose points each run their own estimate (`sec5_1`) then uses
-/// one core per point instead of oversubscribing `jobs × cores`. The
-/// grouped sweeps run their Monte Carlo on the caller's configuration
-/// instead and spend the budget on the exact references
-/// ([`prepare_rows`]). The engine's chunk-based RNG makes estimates
-/// bit-identical at every thread count, so neither choice can change any
-/// row — only how the same work is scheduled.
-fn fanout(cfg: &ExperimentConfig, jobs: usize) -> (usize, ExperimentConfig) {
-    let threads = par::fanout_threads(jobs);
-    let mut inner = *cfg;
-    if threads > 1 {
-        inner.mc.threads = 1;
-    }
-    (threads, inner)
 }
 
 impl Default for ExperimentConfig {
@@ -429,7 +415,10 @@ pub(crate) fn synthesized_trace_with(
 /// Propagates simulation errors.
 pub fn combined_trace(cfg: &ExperimentConfig, obs: Option<&Obs>) -> Result<ConcatTrace, SerrError> {
     let rates = UnitRates::paper();
-    let runs = simulate_benchmarks_with(&["gzip", "swim"], cfg.sim_instructions, cfg.seed, obs)?;
+    let runs: Vec<_> =
+        simulate_benchmarks_with(&["gzip", "swim"], cfg.sim_instructions, cfg.seed, obs)
+            .into_iter()
+            .collect::<Result<_, _>>()?;
     synthesized::combined(
         Arc::new(processor_trace(&runs[0], &rates)?),
         Arc::new(processor_trace(&runs[1], &rates)?),
@@ -456,8 +445,10 @@ pub(crate) fn spec_processor_trace_with(
     cfg: &ExperimentConfig,
     obs: Option<&Obs>,
 ) -> Result<Arc<dyn VulnerabilityTrace>, SerrError> {
-    let runs = simulate_benchmarks_with(&[benchmark], cfg.sim_instructions, cfg.seed, obs)?;
-    Ok(Arc::new(processor_trace(&runs[0], &UnitRates::paper())?))
+    let run = simulate_benchmarks_with(&[benchmark], cfg.sim_instructions, cfg.seed, obs)
+        .pop()
+        .expect("one run per name")?;
+    Ok(Arc::new(processor_trace(&run, &UnitRates::paper())?))
 }
 
 // ---------------------------------------------------------------------------
@@ -533,12 +524,15 @@ impl JournalRow for Sec51Row {
 /// and the SOFR step across the four components of one processor, all
 /// versus Monte Carlo. The paper reports "< 0.5% discrepancy for all cases".
 ///
-/// Benchmarks fan out across cores ([`par::try_par_map`]); row order
-/// follows the input order and every row is bit-identical to a serial run.
-/// A panicking or failing benchmark is reported in
-/// [`SweepReport::failures`] while every other row survives, and with
-/// checkpointing on, finished benchmarks are journaled so a killed run
-/// resumes without recomputing them.
+/// A grouped sweep, like [`fig5_sweep`]: the pending benchmarks simulate
+/// in parallel, then each program's points — every unit that can fail,
+/// and the processor as one rate-weighted composite of its four units —
+/// are priced together, one program at a time.
+/// Row order follows the input order and every row is bit-identical at any
+/// thread count. A benchmark that fails to simulate or to price is
+/// reported in [`SweepReport::failures`] while every other row survives,
+/// and with checkpointing on, finished benchmarks are journaled so a
+/// killed run resumes without recomputing them.
 ///
 /// # Errors
 ///
@@ -551,20 +545,52 @@ pub fn sec5_1_sweep(
 ) -> Result<SweepReport<Sec51Row>, SerrError> {
     let coords: Vec<String> = benchmarks.iter().map(|&b| b.to_owned()).collect();
     let fp = sweep_fingerprint("sec5_1", cfg, &coords);
-    let (threads, cfg) = fanout(cfg, benchmarks.len());
-    checkpoint::run_sweep("sec5_1", fp, benchmarks, threads, opts, |_, &name| {
-        sec5_1_row(name, &cfg, opts.obs.as_ref())
-    })
+    let threads = par::fanout_threads(benchmarks.len());
+    let obs = opts.obs.as_ref();
+    let v = cfg.validator(obs);
+    checkpoint::run_sweep_prepared(
+        "sec5_1",
+        fp,
+        benchmarks,
+        threads,
+        opts,
+        |pending| {
+            let names: Vec<&str> = pending.iter().map(|&i| benchmarks[i]).collect();
+            let runs = simulate_benchmarks_with(&names, cfg.sim_instructions, cfg.seed, obs);
+            let mut rows: Vec<Option<Result<Sec51Row, SerrError>>> =
+                Vec::with_capacity(benchmarks.len());
+            rows.resize_with(benchmarks.len(), || None);
+            // One program's points are built and priced at a time; a panic
+            // fails that program's row only.
+            for (&i, run) in pending.iter().zip(runs) {
+                let row = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run.and_then(|run| sec5_1_row(&v, threads, cfg, obs, &run))
+                }));
+                rows[i] = Some(row.unwrap_or_else(|payload| {
+                    let payload = serr_types::panic_payload_string(payload.as_ref());
+                    Err(SerrError::PointFailed { index: i, payload })
+                }));
+            }
+            rows
+        },
+        |i, _, rows| prepared_row(rows, i),
+    )
 }
 
+/// One program's §5.1 row. The points are its units whose traces can fail
+/// (an FP unit on an integer program never does, and prints `0/0`), then
+/// the processor: the four units' traces weighted by their raw error
+/// rates, at their summed rate. The SOFR step sums the live units' renewal
+/// failure rates and is judged against the processor's Monte Carlo and
+/// renewal MTTFs.
 fn sec5_1_row(
-    name: &str,
+    v: &Validator,
+    threads: usize,
     cfg: &ExperimentConfig,
     obs: Option<&Obs>,
+    run: &BenchmarkRun,
 ) -> Result<Sec51Row, SerrError> {
     let rates = UnitRates::paper();
-    let v = cfg.validator();
-    let run = &simulate_benchmarks_with(&[name], cfg.sim_instructions, cfg.seed, obs)?[0];
     let t = &run.output.traces;
     let units: [(&str, RawErrorRate, Arc<dyn VulnerabilityTrace>); 4] = [
         ("int", rates.int_unit, Arc::new(t.int_unit.clone())),
@@ -572,31 +598,43 @@ fn sec5_1_row(
         ("decode", rates.decode, Arc::new(t.decode.clone())),
         ("regfile", rates.regfile, Arc::new(t.regfile.clone())),
     ];
-    let mut components = Vec::new();
-    let mut max_err = 0.0f64;
-    let mut max_err_exact = 0.0f64;
-    for (unit, rate, trace) in &units {
+    let processor = CompositeTrace::new(
+        units.iter().map(|(_, rate, trace)| (rate.per_second_value(), trace.clone())).collect(),
+    )?;
+    let live: Vec<_> = units.iter().filter(|(_, _, trace)| !trace.is_never_vulnerable()).collect();
+    let mut traces: Vec<Arc<dyn VulnerabilityTrace>> =
+        live.iter().map(|(_, _, trace)| trace.clone()).collect();
+    let mut point_rates: Vec<RawErrorRate> = live.iter().map(|(_, rate, _)| *rate).collect();
+    traces.push(Arc::new(processor));
+    point_rates.push(units.iter().fold(RawErrorRate::ZERO, |sum, (_, rate, _)| sum + *rate));
+    let pending: Vec<usize> = (0..traces.len()).collect();
+    let priced = prepare_components(v, threads, cfg, obs, &traces, &point_rates, &pending);
+
+    let mut components = Vec::with_capacity(units.len());
+    let (mut max_err, mut max_err_exact) = (0.0f64, 0.0f64);
+    let mut failure_rates = Vec::with_capacity(live.len());
+    let mut next = 0;
+    for (unit, _, trace) in &units {
         if trace.is_never_vulnerable() {
-            // FP units on integer benchmarks never fail; the AVF step
-            // and the first-principles methods agree trivially.
             components.push(((*unit).to_owned(), 0.0, 0.0));
             continue;
         }
-        let cv = v.component(trace, *rate)?;
+        let cv = prepared_row(&priced, next)?;
+        next += 1;
         components.push(((*unit).to_owned(), cv.avf, cv.avf_error_vs_mc));
         max_err = max_err.max(cv.avf_error_vs_mc);
         max_err_exact = max_err_exact.max(cv.avf_error_vs_renewal);
+        failure_rates.push(cv.mttf_renewal.to_failure_rate());
     }
-    let parts: Vec<(RawErrorRate, Arc<dyn VulnerabilityTrace>)> =
-        units.iter().map(|(_, r, t)| (*r, t.clone())).collect();
-    let sv = v.system_parts(&parts)?;
+    let mttf_sofr = sofr::sofr_failure_rate(failure_rates)?.to_mttf().as_secs();
+    let cpu = prepared_row(&priced, next)?;
     Ok(Sec51Row {
-        benchmark: name.to_owned(),
+        benchmark: run.name.clone(),
         components,
         max_component_error: max_err,
         max_component_error_exact: max_err_exact,
-        sofr_error: sv.sofr_error_vs_mc,
-        sofr_error_exact: sv.sofr_error_vs_renewal,
+        sofr_error: relative_error(mttf_sofr, cpu.mttf_mc.mttf.as_secs()),
+        sofr_error_exact: relative_error(mttf_sofr, cpu.mttf_renewal.as_secs()),
         ipc: run.output.stats.ipc(),
     })
 }
@@ -679,18 +717,14 @@ pub fn fig5_sweep(
     let coords: Vec<String> =
         points.iter().map(|(w, _, prod)| format!("{}@{prod:?}", w.label())).collect();
     let fp = sweep_fingerprint("fig5", cfg, &coords);
-    let (threads, inner) = fanout(cfg, points.len());
-    let v = match &opts.obs {
-        Some(o) => inner.validator().with_observer(o.clone()),
-        None => inner.validator(),
-    };
+    let threads = par::fanout_threads(points.len());
+    let v = cfg.validator(opts.obs.as_ref());
     // One shared-stream kernel run per workload trace covers every pending
     // N×S point of that workload (λ-axis CRN reuse), and one coded pass per
     // trace and reference prices its renewal and SoftArch values; the
-    // per-point eval only reads its row. The kernel runs on the caller's
-    // configuration (`cfg`, not the pinned `inner`) with its own workers;
-    // with a budget of `threads ≥ 2` the passes run beside it on
-    // `threads − 1` more (see `prepare_rows`).
+    // per-point eval only reads its row. The kernel runs with its own
+    // configured workers; with a budget of `threads ≥ 2` the passes run
+    // beside it on `threads − 1` more (see `prepare_rows`).
     let traces: Vec<Arc<dyn VulnerabilityTrace>> =
         points.iter().map(|(_, t, _)| t.clone()).collect();
     let rates: Vec<RawErrorRate> =
@@ -786,8 +820,8 @@ pub fn fig6a_sweep(
 ) -> Result<SweepReport<Fig6Row>, SerrError> {
     let mut points = Vec::new();
     let runs =
-        simulate_benchmarks_with(benchmarks, cfg.sim_instructions, cfg.seed, opts.obs.as_ref())?;
-    for (name, run) in benchmarks.iter().zip(runs) {
+        simulate_benchmarks_with(benchmarks, cfg.sim_instructions, cfg.seed, opts.obs.as_ref());
+    for (name, run) in benchmarks.iter().zip(runs.into_iter().collect::<Result<Vec<_>, _>>()?) {
         let trace: Arc<dyn VulnerabilityTrace> =
             Arc::new(processor_trace(&run, &UnitRates::paper())?);
         collect_fig6_points(&mut points, name, &trace, c_values, n_times_s);
@@ -865,11 +899,8 @@ fn systems_sweep<R: JournalRow + Send>(
     row: fn(&Fig6Point, SystemValidation) -> R,
 ) -> Result<SweepReport<R>, SerrError> {
     let fp = sweep_fingerprint(kind, cfg, &fig6_point_coords(points));
-    let (threads, inner) = fanout(cfg, points.len());
-    let v = match &opts.obs {
-        Some(o) => inner.validator().with_observer(o.clone()),
-        None => inner.validator(),
-    };
+    let threads = par::fanout_threads(points.len());
+    let v = cfg.validator(opts.obs.as_ref());
     // The Fig 6 grid reuses one shared-stream kernel run per trace across
     // its whole `C × N×S` plane: identical phase-aligned components
     // superpose to a single process at `c·λ`, so every cell is one rate of
@@ -1000,6 +1031,77 @@ mod tests {
         assert!(row.sofr_error < 0.03, "{row:?}");
         assert!(row.ipc > 0.1);
         assert_eq!(row.components.len(), 4);
+    }
+
+    /// A §5.1 row is, bit for bit, the per-point arithmetic the grouped
+    /// sweep replaced: one `Validator::component` call per unit that can
+    /// fail, SOFR over their renewal MTTFs, and one call on the four-part
+    /// processor composite at the units' summed rate.
+    #[test]
+    fn sec5_1_row_is_the_per_point_arithmetic() {
+        for threads in [1, 4] {
+            let mut c = cfg();
+            c.mc.threads = threads;
+            let rows =
+                sec5_1_sweep(&["gzip"], &c, &SweepOptions::off()).unwrap().into_result().unwrap();
+
+            let v = c.validator(None);
+            let run =
+                crate::pipeline::simulate_benchmark("gzip", c.sim_instructions, c.seed).unwrap();
+            let (rates, t) = (UnitRates::paper(), &run.output.traces);
+            let units: [(&str, RawErrorRate, Arc<dyn VulnerabilityTrace>); 4] = [
+                ("int", rates.int_unit, Arc::new(t.int_unit.clone())),
+                ("fp", rates.fp_unit, Arc::new(t.fp_unit.clone())),
+                ("decode", rates.decode, Arc::new(t.decode.clone())),
+                ("regfile", rates.regfile, Arc::new(t.regfile.clone())),
+            ];
+            assert!(units[1].2.is_never_vulnerable(), "gzip uses no FP unit");
+            let mut components = Vec::new();
+            let (mut max_err, mut max_err_exact) = (0.0f64, 0.0f64);
+            let mut failure_rates = Vec::new();
+            for (unit, rate, trace) in &units {
+                if trace.is_never_vulnerable() {
+                    components.push(((*unit).to_owned(), 0.0, 0.0));
+                    continue;
+                }
+                let cv = v.component(&**trace, *rate).unwrap();
+                components.push(((*unit).to_owned(), cv.avf, cv.avf_error_vs_mc));
+                max_err = max_err.max(cv.avf_error_vs_mc);
+                max_err_exact = max_err_exact.max(cv.avf_error_vs_renewal);
+                failure_rates.push(cv.mttf_renewal.to_failure_rate());
+            }
+            let mttf_sofr = sofr::sofr_failure_rate(failure_rates).unwrap().to_mttf().as_secs();
+            let parts = units.iter().map(|(_, r, t)| (r.per_second_value(), t.clone())).collect();
+            let total = units.iter().fold(RawErrorRate::ZERO, |sum, (_, r, _)| sum + *r);
+            let cpu = v.component(&CompositeTrace::new(parts).unwrap(), total).unwrap();
+            let want = Sec51Row {
+                benchmark: "gzip".to_owned(),
+                components,
+                max_component_error: max_err,
+                max_component_error_exact: max_err_exact,
+                sofr_error: relative_error(mttf_sofr, cpu.mttf_mc.mttf.as_secs()),
+                sofr_error_exact: relative_error(mttf_sofr, cpu.mttf_renewal.as_secs()),
+                ipc: run.output.stats.ipc(),
+            };
+            assert_eq!(rows, vec![want], "mc.threads = {threads}");
+        }
+    }
+
+    /// An unknown program fails its own §5.1 row only; the other rows are
+    /// those of a sweep without it.
+    #[test]
+    fn sec5_1_unknown_benchmark_fails_only_its_own_row() {
+        let c = cfg();
+        let alone = sec5_1_sweep(&["gzip"], &c, &SweepOptions::off()).unwrap();
+        let report = sec5_1_sweep(&["gzip", "nonesuch"], &c, &SweepOptions::off()).unwrap();
+        assert_eq!(report.rows, alone.rows);
+        assert_eq!(report.failures.len(), 1);
+        assert_eq!(report.failures[0].index, 1);
+        assert!(
+            matches!(report.failures[0].error, SerrError::UnknownWorkload { .. }),
+            "{:?}",
+            report.failures[0].error
+        );
     }
 
     #[test]
@@ -1160,8 +1262,8 @@ mod tests {
         let coords: Vec<String> =
             points.iter().map(|(w, _, prod)| format!("{}@{prod:?}", w.label())).collect();
         let fp = sweep_fingerprint("fig5", &c, &coords);
-        let (threads, inner) = fanout(&c, points.len());
-        let v = inner.validator();
+        let threads = par::fanout_threads(points.len());
+        let v = c.validator(None);
         let legacy = checkpoint::run_sweep(
             "fig5",
             fp,
@@ -1325,7 +1427,7 @@ mod tests {
     #[test]
     fn extreme_rates_fail_only_their_own_points() {
         let c = ExperimentConfig { mc: MonteCarloConfig { trials: 2_000, ..cfg().mc }, ..cfg() };
-        let v = c.validator();
+        let v = c.validator(None);
         let trace = synthesized_trace(Workload::Day, &c).unwrap();
         // SoftArch's MTTF rounds to zero at 1e300/yr; the Monte Carlo mean
         // overflows at 1e-300/yr.

@@ -17,11 +17,10 @@ use std::sync::Arc;
 
 use serr_analytic::fig::{fig3_series, fig4_series};
 use serr_analytic::renewal::renewal_mttf;
-use serr_mc::system::SystemModel;
 use serr_mc::{MonteCarlo, MonteCarloConfig};
 use serr_sim::predictor::BranchPredictorKind;
 use serr_sim::{SimConfig, Simulator};
-use serr_trace::{IntervalTrace, ScaledTrace, ShiftedTrace, VulnerabilityTrace};
+use serr_trace::{CompositeTrace, IntervalTrace, ScaledTrace, ShiftedTrace, VulnerabilityTrace};
 use serr_types::{relative_error, Frequency, RawErrorRate, SerrError};
 use serr_workload::{synthesized, BenchmarkProfile, TraceGenerator};
 
@@ -560,14 +559,21 @@ fn ablation_phase(cfg: &ExperimentConfig) -> Result<String, SerrError> {
                 prng % period
             })
             .collect();
-        let mut builder = SystemModel::builder(freq);
-        builder.add_with_offsets(
-            "cpu",
-            rate.scale(c as f64 / groups as f64),
-            day.clone(),
-            &offsets,
-        )?;
-        let desync = mc.system_mttf(&builder.build()?)?.mttf.as_secs();
+        // One composite part per group (superposition; see `CompositeTrace`).
+        let group_rate = rate.scale(c as f64 / groups as f64);
+        let parts = offsets
+            .iter()
+            .map(|&offset| {
+                let part: Arc<dyn VulnerabilityTrace> = if offset == 0 {
+                    day.clone()
+                } else {
+                    Arc::new(ShiftedTrace::new(day.clone(), offset))
+                };
+                (group_rate.per_second_value(), part)
+            })
+            .collect();
+        let total = offsets.iter().fold(RawErrorRate::ZERO, |sum, _| sum + group_rate);
+        let desync = mc.component_mttf(&CompositeTrace::new(parts)?, total, freq)?.mttf.as_secs();
 
         rows.push(vec![
             c.to_string(),

@@ -60,7 +60,6 @@ pub mod workspec;
 /// Convenient re-exports for downstream code and examples.
 pub mod prelude {
     pub use serr_analytic as analytic;
-    pub use serr_mc::system::SystemModel;
     pub use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate, SamplerKind, StartPhase};
     pub use serr_sim::{SimConfig, SimOutput, Simulator};
     pub use serr_softarch::SoftArch;

@@ -17,10 +17,10 @@ use serr_types::{panic_payload_string, SerrError};
 /// convention: `0` — all cores — when the variable is unset, empty,
 /// unparsable or `0`. The one reader of the variable: the sweep fan-out
 /// ([`fanout_threads`]), the Monte Carlo configuration of `serr mttf`,
-/// `sofr` and `sweep`, and the `serr serve` daemon all take it from here,
-/// so one environment variable pins their thread pools. Results never
-/// depend on the setting (sweep output is input-ordered and each MC
-/// estimate is chunk-deterministic); the variable exists so that
+/// `sofr`, `sweep` and `chaos`, and the `serr serve` daemon all take it
+/// from here, so one environment variable pins their thread pools.
+/// Results never depend on the setting (sweep output is input-ordered and
+/// each MC estimate is chunk-deterministic); the variable exists so that
 /// invariance can be demonstrated, and core counts bounded, from the shell.
 #[must_use]
 pub fn serr_threads() -> usize {

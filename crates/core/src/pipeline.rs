@@ -262,21 +262,17 @@ pub fn simulate_benchmark(
     instructions: u64,
     seed: u64,
 ) -> Result<Arc<BenchmarkRun>, SerrError> {
-    let mut runs = simulate_benchmarks_with(&[name], instructions, seed, None)?;
-    Ok(runs.pop().expect("one run per name"))
+    simulate_benchmarks_with(&[name], instructions, seed, None).pop().expect("one run per name")
 }
 
 /// [`simulate_benchmark`] for each of `names`, with telemetry on `obs` (the
-/// process-wide observer when `None`); the runs come back in input order.
+/// process-wide observer when `None`); one result per name, in input
+/// order, so an unknown or failing program fails only its own entry.
 /// In-process and on-disk cache hits resolve first; the remaining programs
 /// simulate in parallel ([`par::par_map`]). Cache-file writes stay on the
 /// calling thread: done by the workers, their transient encode buffers
 /// stayed resident in the workers' allocator arenas, out of reach of later
 /// allocations.
-///
-/// # Errors
-///
-/// The first failing program's error, in input order.
 ///
 /// # Panics
 ///
@@ -286,7 +282,7 @@ pub(crate) fn simulate_benchmarks_with(
     instructions: u64,
     seed: u64,
     obs: Option<&Obs>,
-) -> Result<Vec<Arc<BenchmarkRun>>, SerrError> {
+) -> Vec<Result<Arc<BenchmarkRun>, SerrError>> {
     let metrics = obs.unwrap_or_else(|| serr_obs::global()).metrics();
     let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
     let machine = SimConfig::power4();
@@ -296,18 +292,18 @@ pub(crate) fn simulate_benchmarks_with(
         cache().lock().expect("cache lock").insert(key, run.clone());
         run
     };
-    let mut runs: Vec<Option<Arc<BenchmarkRun>>> = names
+    let mut runs: Vec<Option<Result<Arc<BenchmarkRun>, SerrError>>> = names
         .iter()
         .map(|&name| {
             let key = (name.to_owned(), instructions, seed);
             if let Some(hit) = cache().lock().expect("cache lock").get(&key) {
-                return Some(hit.clone());
+                return Some(Ok(hit.clone()));
             }
             let t0 = Instant::now();
             let output =
                 cache_path(name, instructions, seed, &machine).as_deref().and_then(load)?;
             metrics.observe("stage.trace_cache_load_ms", ms(t0));
-            Some(remember(name, output))
+            Some(Ok(remember(name, output)))
         })
         .collect();
     let misses: Vec<usize> = (0..names.len()).filter(|&i| runs[i].is_none()).collect();
@@ -319,20 +315,21 @@ pub(crate) fn simulate_benchmarks_with(
         Ok::<_, SerrError>((output, ms(t0)))
     });
     for (&i, result) in misses.iter().zip(simulated) {
-        let (output, sim_ms) = result?;
-        metrics.observe("stage.sim_ms", sim_ms);
-        metrics.add("sim.cycles", output.stats.cycles);
-        metrics.add("sim.skipped_cycles", output.skipped_cycles);
-        if let Some(path) = cache_path(names[i], instructions, seed, &machine) {
-            // Cache write failures are non-fatal (read-only checkouts, races).
-            let t0 = Instant::now();
-            if store(&path, &output).is_ok() {
-                metrics.observe("stage.trace_cache_store_ms", ms(t0));
+        runs[i] = Some(result.map(|(output, sim_ms)| {
+            metrics.observe("stage.sim_ms", sim_ms);
+            metrics.add("sim.cycles", output.stats.cycles);
+            metrics.add("sim.skipped_cycles", output.skipped_cycles);
+            if let Some(path) = cache_path(names[i], instructions, seed, &machine) {
+                // Cache write failures are non-fatal (read-only checkouts, races).
+                let t0 = Instant::now();
+                if store(&path, &output).is_ok() {
+                    metrics.observe("stage.trace_cache_store_ms", ms(t0));
+                }
             }
-        }
-        runs[i] = Some(remember(names[i], output));
+            remember(names[i], output)
+        }));
     }
-    Ok(runs.into_iter().map(|r| r.expect("every name resolved")).collect())
+    runs.into_iter().map(|r| r.expect("every name resolved")).collect()
 }
 
 /// Builds the processor-level masking trace for the cluster experiments:

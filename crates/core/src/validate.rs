@@ -35,14 +35,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use serr_mc::system::SystemModel;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
 use serr_softarch::SoftArch;
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
 use serr_types::{relative_error, Frequency, Mttf, Provenance, RawErrorRate, SerrError};
 
-use crate::{avf, par, sofr};
+use crate::{avf, sofr};
 
 /// Validation of the AVF step on a single component (the paper's
 /// Sections 5.1–5.2).
@@ -126,14 +125,6 @@ impl Validator {
     #[must_use]
     pub fn monte_carlo(&self) -> &MonteCarlo {
         &self.mc
-    }
-
-    /// Runs `f` under the observer's stage timer when one is attached.
-    fn timed<R>(&self, stage: &'static str, f: impl FnOnce() -> R) -> R {
-        match &self.obs {
-            Some(obs) => obs.time_stage(stage, f),
-            None => f(),
-        }
     }
 
     /// Validates the AVF step on one component.
@@ -430,67 +421,6 @@ impl Validator {
             provenance: verdict(&mttf_mc, mttf_renewal, mttf_softarch),
         })
     }
-
-    /// Validates the SOFR step on a heterogeneous system (e.g. the four
-    /// components of one processor in Section 5.1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimator errors; parts with AVF-0 traces contribute no
-    /// failure rate to SOFR and are skipped there (they cannot fail).
-    pub fn system_parts(
-        &self,
-        parts: &[(RawErrorRate, Arc<dyn VulnerabilityTrace>)],
-    ) -> Result<SystemValidation, SerrError> {
-        if parts.is_empty() {
-            return Err(SerrError::invalid_config("system must have at least one part"));
-        }
-        // SOFR over per-component renewal MTTFs (skipping never-failing
-        // parts). Each part's renewal integral is independent — fan them
-        // out across cores, keeping part order in the reduction.
-        let frequency = self.frequency;
-        let per_part: Result<Vec<_>, SerrError> = self
-            .timed("renewal_quadrature", || {
-                par::par_map(parts, par::fanout_threads(parts.len()), |_, (rate, trace)| {
-                    if trace.is_never_vulnerable() {
-                        return Ok(None);
-                    }
-                    let mttf = serr_analytic::renewal::renewal_mttf(trace, *rate, frequency)?;
-                    Ok(Some(mttf.to_failure_rate()))
-                })
-            })
-            .into_iter()
-            .collect();
-        let rates: Vec<_> = per_part?.into_iter().flatten().collect();
-        let mttf_sofr = sofr::sofr_failure_rate(rates)?.to_mttf();
-
-        // Ground truth on the superposed system.
-        let mut builder = SystemModel::builder(self.frequency);
-        for (i, (rate, trace)) in parts.iter().enumerate() {
-            builder.add(format!("part{i}"), *rate, trace.clone())?;
-        }
-        let system = builder.build()?;
-        let mttf_mc = self.mc.system_mttf(&system)?;
-        let combined = system.combined_trace();
-        let total = system.total_rate();
-        let mttf_renewal = self.timed("renewal_quadrature", || {
-            serr_analytic::renewal::renewal_mttf(&combined, total, self.frequency)
-        })?;
-        let mttf_softarch = self
-            .timed("softarch", || SoftArch::new(self.frequency).component_mttf(&combined, total))?;
-
-        Ok(SystemValidation {
-            components: parts.len() as u64,
-            mttf_sofr,
-            mttf_mc,
-            mttf_renewal,
-            mttf_softarch,
-            sofr_error_vs_mc: relative_error(mttf_sofr.as_secs(), mttf_mc.mttf.as_secs()),
-            sofr_error_vs_renewal: relative_error(mttf_sofr.as_secs(), mttf_renewal.as_secs()),
-            softarch_error_vs_mc: relative_error(mttf_softarch.as_secs(), mttf_mc.mttf.as_secs()),
-            provenance: verdict(&mttf_mc, mttf_renewal, mttf_softarch),
-        })
-    }
 }
 
 /// Baseline relative tolerance for agreement between two estimators.
@@ -674,21 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_system_validation() {
-        let a: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(400, 600).unwrap());
-        let b: Arc<dyn VulnerabilityTrace> =
-            Arc::new(IntervalTrace::from_levels(&[0.5; 1000]).unwrap());
-        let v = validator()
-            .system_parts(&[(RawErrorRate::per_year(3.0), a), (RawErrorRate::per_year(7.0), b)])
-            .unwrap();
-        // Tiny λL: SOFR is fine here.
-        assert!(v.sofr_error_vs_renewal < 1e-6, "{}", v.sofr_error_vs_renewal);
-        assert!(v.sofr_error_vs_mc < 0.02);
-        assert_eq!(v.components, 2);
-        assert_eq!(v.provenance, Provenance::Clean);
-    }
-
-    #[test]
     fn observer_records_per_stage_wall_time() {
         let (obs, sink) = Obs::memory();
         let trace = IntervalTrace::busy_idle(3_000, 7_000).unwrap();
@@ -839,6 +754,5 @@ mod tests {
         let v = validator();
         let t: Arc<dyn VulnerabilityTrace> = Arc::new(IntervalTrace::busy_idle(1, 1).unwrap());
         assert!(v.system_identical(t, RawErrorRate::per_year(1.0), 0).is_err());
-        assert!(v.system_parts(&[]).is_err());
     }
 }

@@ -48,7 +48,6 @@ use serr_trace::{CompiledTrace, VulnerabilityTrace};
 use serr_types::{panic_payload_string, Frequency, Mttf, RawErrorRate, SerrError};
 
 use crate::batched::{BatchedInversionSampler, PointScratch, SharedChunk};
-use crate::system::SystemModel;
 use crate::MonteCarloConfig;
 
 /// Trials per deterministic RNG chunk. Small enough that a 20,000-trial
@@ -356,18 +355,6 @@ impl MonteCarlo {
         freq: Frequency,
     ) -> Result<MttfEstimate, SerrError> {
         self.component_mttf_multi(trace, &[rate], freq)?.pop().expect("one estimate per rate")
-    }
-
-    /// Estimates the MTTF of a whole system — the ground truth against which
-    /// the SOFR step is judged: [`MonteCarlo::component_mttf`] on the
-    /// system's combined trace at its total rate. See [`SystemModel`] for
-    /// construction.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MonteCarlo::component_mttf`].
-    pub fn system_mttf(&self, system: &SystemModel) -> Result<MttfEstimate, SerrError> {
-        self.component_mttf(&system.combined_trace(), system.total_rate(), system.frequency())
     }
 
     /// Draws `n` raw time-to-failure samples (in seconds) for distribution

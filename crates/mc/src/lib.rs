@@ -31,18 +31,23 @@
 //!    ([`sampler::sample_time_to_failure`]) and the cycle-stepping
 //!    reference ([`naive`]) stay as independent test oracles outside the
 //!    engine: neither reads the prefix sums.
-//! 3. **Superposition for clusters.** For a system of components running
-//!    phase-aligned workloads, the union of per-component raw-error
-//!    processes is itself Poisson with the summed rate, and each arrival is
-//!    attributed to a component with rate-proportional probability. A
-//!    500,000-processor cluster therefore costs the same per trial as a
-//!    single component (see [`system::SystemModel`]).
+//! 3. **Superposition for systems.** The raw-error processes of a
+//!    system's components are independent Poisson processes, so their
+//!    union is Poisson with the summed rate, and each arrival strikes
+//!    component *i* with probability `rateᵢ/Σrate`. A series system (the
+//!    first unmasked error in any component fails it) is therefore one
+//!    component: the rate-weighted [`serr_trace::CompositeTrace`] of its
+//!    parts' traces at their summed rate — a processor of four units, or
+//!    de-synchronized replicas as [`serr_trace::ShiftedTrace`] parts.
+//!    `C` identical phase-aligned components collapse further, to the one
+//!    trace at `C·λ`, so a 500,000-processor cluster costs the same per
+//!    trial as a single component.
 //!
 //! Every estimate runs through one chunk loop: [`MonteCarlo::component_mttf_multi`]
 //! estimates a list of rates on one trace in one chunked pass, sharing
 //! each chunk's λ-independent draws across the rates (see [`sweep`]), and
-//! [`MonteCarlo::component_mttf`], [`MonteCarlo::system_mttf`] and
-//! [`MonteCarlo::sample_ttfs`] are its one-rate case. Estimates are
+//! [`MonteCarlo::component_mttf`] and [`MonteCarlo::sample_ttfs`] are its
+//! one-rate case. Estimates are
 //! bit-identical at any thread count and whether a rate runs alone or in
 //! a list.
 //!
@@ -70,7 +75,6 @@ mod engine;
 pub mod naive;
 pub mod sampler;
 pub mod sweep;
-pub mod system;
 
 pub use config::{MonteCarloConfig, SamplerKind, StartPhase};
 pub use engine::{compile_for_sampling, MonteCarlo, MttfEstimate};

@@ -33,8 +33,8 @@
 //! # The c-axis of Fig 6 rides the same pass
 //!
 //! A system of `c` identical phase-aligned components superposes into a
-//! single component at rate `c·λ` over the same trace
-//! (`serr_mc::system`), so the c-axis of the Fig 6 grids *is* a λ-axis:
+//! single component at rate `c·λ` over the same trace (superposition; see
+//! the crate docs), so the c-axis of the Fig 6 grids *is* a λ-axis:
 //! grouping a grid by trace reduces every cell to one shared-stream rate
 //! list, reusing the per-component draw planes across `c` without
 //! changing a single sampled bit.

@@ -18,6 +18,13 @@ use crate::{IntervalTrace, IntervalTraceBuilder, VulnerabilityTrace};
 /// error rate) and is masked according to that unit's trace, so the
 /// processor-level vulnerability at cycle `c` is `Σᵢ wᵢ·vᵢ(c) / Σᵢ wᵢ`.
 ///
+/// The same superposition makes any series system one component: the
+/// parts' raw-error processes are independent Poisson processes, so their
+/// union is Poisson at the summed rate and each arrival strikes part *i*
+/// with probability `rateᵢ/Σrate`. A processor of four units, or a cluster
+/// of de-synchronized replicas (each a [`ShiftedTrace`](crate::ShiftedTrace)
+/// part), fails first-principles exactly as this trace does at `Σ rateᵢ`.
+///
 /// ```
 /// use std::sync::Arc;
 /// use serr_trace::{CompositeTrace, IntervalTrace, VulnerabilityTrace};
@@ -195,6 +202,7 @@ impl VulnerabilityTrace for CompositeTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShiftedTrace;
 
     fn arc(t: IntervalTrace) -> Arc<dyn VulnerabilityTrace> {
         Arc::new(t)
@@ -210,6 +218,30 @@ mod tests {
         assert_eq!(c.avf(), t.avf());
         assert_eq!(c.part_count(), 1);
         assert_eq!(c.total_weight(), 7.0);
+    }
+
+    #[test]
+    fn replicas_keep_the_shape() {
+        // Identical phase-aligned replicas: the summed weight grows with
+        // the count, the vulnerability shape does not move.
+        let day = arc(IntervalTrace::busy_idle(500, 500).unwrap());
+        let c = CompositeTrace::new(vec![(2.0, day); 1000]).unwrap();
+        assert_eq!(c.total_weight(), 2000.0);
+        assert_eq!(c.vulnerability_at(0), 1.0);
+        assert_eq!(c.vulnerability_at(500), 0.0);
+        assert!((c.avf() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn shifted_parts_desynchronize_idle_windows() {
+        let day = arc(IntervalTrace::busy_idle(500, 500).unwrap());
+        let shifted: Arc<dyn VulnerabilityTrace> = Arc::new(ShiftedTrace::new(day.clone(), 500));
+        let c = CompositeTrace::new(vec![(1.0, day), (1.0, shifted)]).unwrap();
+        // At any cycle exactly one of the two replicas is busy.
+        for cyc in [0u64, 250, 499, 500, 750, 999] {
+            assert!((c.vulnerability_at(cyc) - 0.5).abs() < 1e-12, "cycle {cyc}");
+        }
+        assert_eq!(c.part_count(), 2);
     }
 
     #[test]

@@ -9,6 +9,8 @@ use std::sync::Arc;
 use serr_core::experiments::ExperimentConfig;
 use serr_core::pipeline::simulate_benchmark;
 use serr_core::prelude::*;
+use serr_core::sofr::sofr_failure_rate;
+use serr_types::relative_error;
 
 fn main() -> Result<(), SerrError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,6 +39,8 @@ fn main() -> Result<(), SerrError> {
             ("decode", rates.decode, Arc::new(t.decode.clone())),
             ("regfile", rates.regfile, Arc::new(t.regfile.clone())),
         ];
+        // Each unit that can fail feeds SOFR its exact (renewal) MTTF.
+        let mut unit_failure_rates = Vec::new();
         for (unit, rate, trace) in &units {
             if trace.is_never_vulnerable() {
                 println!("  {unit:>7}: idle for the whole run (AVF 0, cannot fail)");
@@ -50,18 +54,25 @@ fn main() -> Result<(), SerrError> {
                 v.mttf_mc.mttf.as_years(),
                 v.avf_error_vs_mc * 100.0
             );
+            unit_failure_rates.push(v.mttf_renewal.to_failure_rate());
         }
 
         // Processor-level: SOFR across the four components vs ground truth.
-        let parts: Vec<(RawErrorRate, Arc<dyn VulnerabilityTrace>)> =
-            units.iter().map(|(_, r, t)| (*r, t.clone())).collect();
-        let sys = validator.system_parts(&parts)?;
+        // A raw error strikes unit i with probability rate_i / sum(rate), so
+        // the processor is one component: its units' traces weighted by
+        // their raw error rates, at the summed rate.
+        let processor = CompositeTrace::new(
+            units.iter().map(|(_, rate, trace)| (rate.per_second_value(), trace.clone())).collect(),
+        )?;
+        let total = units.iter().fold(RawErrorRate::ZERO, |sum, (_, rate, _)| sum + *rate);
+        let cpu = validator.component(&processor, total)?;
+        let mttf_sofr = sofr_failure_rate(unit_failure_rates)?.to_mttf();
         println!(
             "  processor: SOFR {:.1} yr vs MC {:.1} yr -> SOFR error {:.2}% (SoftArch {:.2}%)",
-            sys.mttf_sofr.as_years(),
-            sys.mttf_mc.mttf.as_years(),
-            sys.sofr_error_vs_mc * 100.0,
-            sys.softarch_error_vs_mc * 100.0
+            mttf_sofr.as_years(),
+            cpu.mttf_mc.mttf.as_years(),
+            relative_error(mttf_sofr.as_secs(), cpu.mttf_mc.mttf.as_secs()) * 100.0,
+            cpu.softarch_error_vs_mc * 100.0
         );
     }
     println!("\npaper finding (Section 5.1): for uniprocessors running SPEC,");

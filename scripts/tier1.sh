@@ -179,21 +179,26 @@ OBS_DIR="$(mktemp -d)"
 SERR_CHECKPOINT_DIR="$OBS_DIR" cargo run --release --bin serr -- \
   sweep fig5 --quick --fresh --trials 2000 --metrics "$OBS_DIR/sweep.jsonl"
 cargo run --release -p serr-bench --bin obs_check -- "$OBS_DIR/sweep.jsonl"
-# Thread-count smoke: the same sweep at SERR_THREADS=1 (Monte Carlo, then
-# the exact references, on the calling thread) and SERR_THREADS=3 (the
-# references priced on their own thread while the Monte Carlo runs) must
-# print the same page and emit the same records in the same order: the
-# `(event, seq, name)` of every JSONL line. Each run has its own checkpoint
-# journal, and the trace cache is off so both simulate alike.
-for t in 1 3; do
-  SERR_THREADS=$t SERR_TRACE_CACHE=off SERR_CHECKPOINT_DIR="$OBS_DIR/threads-$t" \
-    cargo run -q --release --bin serr -- sweep fig5 --quick --fresh --trials 2000 \
-    --metrics "$OBS_DIR/threads-$t.jsonl" >"$OBS_DIR/threads-$t.txt"
+# Thread-count smoke: each grouped sweep — fig5 (one trace per workload)
+# and sec5_1 (each program's units and its processor composite) — at
+# SERR_THREADS=1 (Monte Carlo, then the exact references, on the calling
+# thread) and SERR_THREADS=3 (the references priced on their own thread
+# while the Monte Carlo runs) must print the same page, record stage
+# timings and convergence snapshots, and emit the same records in the same
+# order: the `(event, seq, name)` of every JSONL line. Each run has its own
+# checkpoint journal, and the trace cache is off so both simulate alike.
+for page in fig5 sec5_1; do
+  for t in 1 3; do
+    SERR_THREADS=$t SERR_TRACE_CACHE=off SERR_CHECKPOINT_DIR="$OBS_DIR/$page-$t" \
+      cargo run -q --release --bin serr -- sweep "$page" --quick --fresh --trials 2000 \
+      --metrics "$OBS_DIR/$page-$t.jsonl" >"$OBS_DIR/$page-$t.txt"
+    cargo run -q --release -p serr-bench --bin obs_check -- "$OBS_DIR/$page-$t.jsonl"
+  done
+  cmp "$OBS_DIR/$page-1.txt" "$OBS_DIR/$page-3.txt" \
+    || { echo "thread-count smoke: the $page page differs between 1 and 3 threads" >&2; exit 1; }
+  cargo run --release -p serr-bench --bin obs_check -- \
+    --same-sequence "$OBS_DIR/$page-1.jsonl" "$OBS_DIR/$page-3.jsonl"
 done
-cmp "$OBS_DIR/threads-1.txt" "$OBS_DIR/threads-3.txt" \
-  || { echo "thread-count smoke: the fig5 page differs between 1 and 3 threads" >&2; exit 1; }
-cargo run --release -p serr-bench --bin obs_check -- \
-  --same-sequence "$OBS_DIR/threads-1.jsonl" "$OBS_DIR/threads-3.jsonl"
 rm -rf "$OBS_DIR"
 
 # Service smoke: bring up the `serr serve` daemon on a unix socket, drive

@@ -92,7 +92,7 @@ pub enum Command {
         seed: u64,
         /// Monte Carlo trials per estimate.
         trials: u64,
-        /// Restrict campaigns to these fault kinds (`None` = all ten).
+        /// Restrict campaigns to these fault kinds (`None` = [`FaultKind::CORE`]).
         kinds: Option<Vec<FaultKind>>,
         /// Write one JSON line per campaign outcome to this path.
         jsonl: Option<std::path::PathBuf>,
@@ -630,9 +630,9 @@ FLAGS:
                      sequence keys are identical at any SERR_THREADS
 
 ENVIRONMENT:
-  SERR_THREADS       worker threads for mttf, sofr, sweep and serve (0 or
-                     unset = all cores); estimates are bit-identical at any
-                     setting
+  SERR_THREADS       worker threads for mttf, sofr, sweep, serve and chaos
+                     (0 or unset = all cores); estimates are bit-identical
+                     at any setting
 
 EXAMPLES:
   serr mttf --workload day --n-s 1e8
@@ -895,13 +895,7 @@ pub fn run(cmd: &Command) -> Result<(), SerrError> {
             Ok(())
         }
         Command::Chaos { campaigns, seed, trials, kinds, jsonl } => {
-            let ccfg = ChaosConfig {
-                campaigns: *campaigns,
-                seed: *seed,
-                trials: *trials,
-                kinds: kinds.clone().unwrap_or_else(|| FaultKind::CORE.to_vec()),
-                ..ChaosConfig::default()
-            };
+            let ccfg = chaos_config(*campaigns, *seed, *trials, kinds.as_deref());
             let report = run_chaos(&ccfg)?;
             println!(
                 "golden MTTF     : {} (±{:.2}% at 95%)",
@@ -972,6 +966,25 @@ fn mc_config(trials: u64, deadline_s: Option<f64>) -> MonteCarloConfig {
         threads: serr_core::par::serr_threads(),
         deadline: deadline_s.map(std::time::Duration::from_secs_f64),
         ..Default::default()
+    }
+}
+
+/// Assembles the `serr chaos` run configuration, on the
+/// [`serr_core::par::serr_threads`] budget; `kinds` defaults to
+/// [`FaultKind::CORE`].
+fn chaos_config(
+    campaigns: usize,
+    seed: u64,
+    trials: u64,
+    kinds: Option<&[FaultKind]>,
+) -> ChaosConfig {
+    ChaosConfig {
+        campaigns,
+        seed,
+        trials,
+        threads: serr_core::par::serr_threads(),
+        kinds: kinds.unwrap_or(&FaultKind::CORE).to_vec(),
+        ..ChaosConfig::default()
     }
 }
 
@@ -1156,6 +1169,20 @@ mod tests {
         drop(one);
         let _unset = pin_serr_threads(None);
         assert_eq!(threads_of(), 0);
+    }
+
+    #[test]
+    fn chaos_config_takes_the_serr_threads_budget() {
+        let one = pin_serr_threads(Some("1"));
+        let ccfg = chaos_config(3, 7, 2_000, Some(&[FaultKind::ChunkPanic]));
+        assert_eq!(ccfg.threads, 1);
+        assert_eq!((ccfg.campaigns, ccfg.seed, ccfg.trials), (3, 7, 2_000));
+        assert_eq!(ccfg.kinds, vec![FaultKind::ChunkPanic]);
+        drop(one);
+        let _unset = pin_serr_threads(None);
+        let ccfg = chaos_config(3, 7, 2_000, None);
+        assert_eq!(ccfg.threads, 0);
+        assert_eq!(ccfg.kinds, FaultKind::CORE.to_vec());
     }
 
     #[test]

@@ -122,18 +122,18 @@ fn agreement_on_over_cap_concat_via_the_tile_level() {
 
 #[test]
 fn system_superposition_equals_explicit_parts() {
-    // A system modeled part-by-part must match the rate-scaled composite
-    // shortcut used by the validator.
+    // A system modeled part-by-part — a composite of 16 replicas at their
+    // summed rate — must match the rate-scaled shortcut the validator uses
+    // for identical components.
     let freq = Frequency::base();
     let trace: Arc<dyn VulnerabilityTrace> =
         Arc::new(IntervalTrace::busy_idle(600_000, 400_000).unwrap());
     let rate = RawErrorRate::per_year(3e3);
-    let c = 16u64;
+    let c = 16usize;
 
-    let mut builder = SystemModel::builder(freq);
-    builder.add_replicated("cpu", rate, trace.clone(), c).unwrap();
-    let system = builder.build().unwrap();
-    let via_system = mc().system_mttf(&system).expect("system mc");
+    let system = CompositeTrace::new(vec![(rate.per_second_value(), trace.clone()); c]).unwrap();
+    let total = (0..c).fold(RawErrorRate::ZERO, |sum, _| sum + rate);
+    let via_system = mc().component_mttf(&system, total, freq).expect("system mc");
 
     let via_scaled = mc().component_mttf(&trace, rate.scale(c as f64), freq).expect("scaled mc");
 
